@@ -43,45 +43,41 @@ let run_one name (spec : Sandbox.Spec.t) =
         | _ -> false)
   in
   let pruned = search Sandbox.Exec.Compiled true in
-  let native = Sandbox.Native.available () in
-  if not native then
-    Printf.printf
-      "%-8s native engine unavailable here (mmap-exec denied); checking 3 \
-       engines\n"
-      name;
+  let engines, unavailable =
+    List.partition Sandbox.Engine.available Sandbox.Engine.all
+  in
   List.iter
-    (fun (label, r) ->
-      if not (agrees r) then begin
-        Printf.eprintf "smoke: %s: %s search disagrees with interp/full!\n"
-          name label;
-        exit 1
-      end)
-    ([
-       ("interp+prune", search Sandbox.Exec.Interp true);
-       ("compiled", search Sandbox.Exec.Compiled false);
-       ("compiled+prune", pruned);
-       ("batched", search Sandbox.Exec.Batched false);
-       ("batched+prune", search Sandbox.Exec.Batched true);
-     ]
-    @
-    if native then
-      [
-        ("native", search Sandbox.Exec.Native false);
-        ("native+prune", search Sandbox.Exec.Native true);
-      ]
-    else []);
+    (fun engine ->
+      Printf.printf "%-8s %s engine unavailable here; skipped\n" name
+        (Sandbox.Exec.engine_to_string engine))
+    unavailable;
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun prune ->
+          let label =
+            Sandbox.Exec.engine_to_string engine
+            ^ if prune then "+prune" else ""
+          in
+          if not (agrees (search engine prune)) then begin
+            Printf.eprintf "smoke: %s: %s search disagrees with interp/full!\n"
+              name label;
+            exit 1
+          end)
+        [ false; true ])
+    engines;
   let tp = pruned.Search.Optimizer.tests_executed in
   let tf = full.Search.Optimizer.tests_executed in
   let saved = 100. *. (1. -. (float_of_int tp /. float_of_int tf)) in
   Printf.printf
     "%-8s identical winners (%d engines x prune on/off); tests executed %8d \
-     -> %8d  (%.1f%% saved, %d pruned, %d cache hits, %d compiles)\n"
+     -> %8d  (%.1f%% saved, %d pruned, %d cache hits, %d prepares)\n"
     name
-    (if native then 4 else 3)
+    (List.length engines)
     tf tp saved
     pruned.Search.Optimizer.pruned_evals
     pruned.Search.Optimizer.cache_hits
-    pruned.Search.Optimizer.compile_count
+    pruned.Search.Optimizer.engine_counters.Sandbox.Engine.prepares
 
 (* Frontier smoke: the cold frontier walk must reproduce the historical
    per-point sweep bit-identically (the sweep is now a wrapper over it),

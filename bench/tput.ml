@@ -64,164 +64,111 @@ let encode_test =
   Test.make ~name:"encode exp kernel to bytes"
     (Staged.stage (fun () -> ignore (Encoder.encode_program p)))
 
-(* Head-to-head instrs/sec of the three engines on the loop the cost
-   function drives — per-test restore + apply + run for the scalar
-   engines, one amortized reset + lane-wise sweep for the batched one.
-   Written to the tput telemetry stream so CI can track the speedups. *)
+(* Head-to-head instrs/sec of every engine on the loop the cost function
+   drives: one prepared program run over a 32-test lane set through the
+   engine seam, each test's outputs read back.  Written to the tput
+   telemetry stream so CI can track the speedups. *)
 let run_engine_tput () =
   Util.subheading "execution engines: instrs/sec on the exp kernel";
   let spec = Kernels.S3d.exp_spec in
-  let tc = Sandbox.Spec.testcase_of_floats spec [| -1.25 |] in
-  (* The batched engine is measured at the batch width the optimizer
-     actually uses it at: every lane is a test case, one reset + exec
-     sweeps them all. *)
+  let program = spec.Sandbox.Spec.program in
   let lanes = 32 in
-  let measure_batched () =
-    let machine =
-      Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-    in
-    let tcs =
-      Array.init lanes (fun i ->
-          let x = -3.0 +. (3.0 *. float_of_int i /. float_of_int lanes) in
-          Sandbox.Spec.testcase_of_floats spec [| x |])
-    in
-    let b = Sandbox.Batched.create_batch machine tcs in
-    let bp = Sandbox.Batched.compile b spec.Sandbox.Spec.program in
-    let once () =
-      Sandbox.Batched.reset b;
-      ignore (Sandbox.Batched.exec bp : bool)
-    in
-    for _ = 1 to 2_000 / lanes do
-      once ()
-    done;
-    let iters = Util.scaled 300_000 / lanes in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      once ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    once ();
-    let executed = (Sandbox.Batched.result b ~lane:0).Sandbox.Exec.executed in
-    let runs = float_of_int iters *. float_of_int lanes in
-    (runs *. float_of_int executed /. dt, runs /. dt)
+  let tests =
+    Array.init lanes (fun i ->
+        let x = -3.0 +. (3.0 *. float_of_int i /. float_of_int lanes) in
+        Sandbox.Spec.testcase_of_floats spec [| x |])
   in
-  (* The native engine at the same batch width: one encoded trampoline,
-     one worker request per sweep.  [Error reason] when this platform
-     can't run it — the caller reports the skip instead of failing. *)
-  let measure_native () =
-    if not (Sandbox.Native.available ()) then Error "mmap_exec_denied"
+  let executed =
+    (snd
+       (Sandbox.Exec.run_testcase ~mem_size:spec.Sandbox.Spec.mem_size
+          program tests.(0)))
+      .Sandbox.Exec.executed
+  in
+  let order = Array.init lanes Fun.id in
+  (* [Error reason] when this engine can't run the kernel here — the
+     caller reports the skip instead of failing. *)
+  let measure engine =
+    if not (Sandbox.Engine.available engine) then Error "unavailable"
     else begin
-      let machine =
-        Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
+      let l =
+        Sandbox.Engine.lanes (Sandbox.Engine.of_engine engine) spec tests
       in
-      let tcs =
-        Array.init lanes (fun i ->
-            let x = -3.0 +. (3.0 *. float_of_int i /. float_of_int lanes) in
-            Sandbox.Spec.testcase_of_floats spec [| x |])
+      let p = Sandbox.Engine.prepare l program in
+      let once () =
+        ignore
+          (Sandbox.Engine.run p ~order
+             ~diverges:(fun _ -> false)
+             (fun _ _ -> false)
+            : Sandbox.Engine.outcome)
       in
-      match Sandbox.Native.create_batch machine tcs with
-      | None -> Error "worker_unavailable"
-      | Some b ->
-        (match Sandbox.Native.compile b spec.Sandbox.Spec.program with
-         | None -> Error "kernel_unencodable"
-         | Some np ->
-           let once () =
-             Sandbox.Native.reset b;
-             ignore (Sandbox.Native.exec np : bool)
-           in
-           for _ = 1 to 2_000 / lanes do
-             once ()
-           done;
-           let iters = Util.scaled 300_000 / lanes in
-           let t0 = Unix.gettimeofday () in
-           for _ = 1 to iters do
-             once ()
-           done;
-           let dt = Unix.gettimeofday () -. t0 in
-           once ();
-           let executed =
-             (Sandbox.Native.result b ~lane:0).Sandbox.Exec.executed
-           in
-           let runs = float_of_int iters *. float_of_int lanes in
-           Ok (runs *. float_of_int executed /. dt, runs /. dt))
+      for _ = 1 to 2_000 / lanes do
+        once ()
+      done;
+      let iters = Util.scaled 300_000 / lanes in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to iters do
+        once ()
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      if (Sandbox.Engine.counters l).Sandbox.Engine.fallbacks > 0 then
+        Error "fell_back_to_batched"
+      else begin
+        let runs = float_of_int iters *. float_of_int lanes in
+        Ok (runs *. float_of_int executed /. dt, runs /. dt)
+      end
     end
   in
-  let measure engine =
-    let machine =
-      Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-    in
-    let pristine = Sandbox.Machine.copy machine in
-    let run =
-      match engine with
-      | Sandbox.Exec.Interp ->
-        fun () -> Sandbox.Exec.run machine spec.Sandbox.Spec.program
-      | Sandbox.Exec.Compiled ->
-        let cp = Sandbox.Compiled.compile machine spec.Sandbox.Spec.program in
-        fun () -> Sandbox.Compiled.exec cp
-      | Sandbox.Exec.Batched | Sandbox.Exec.Native ->
-        assert false (* measured by measure_batched / measure_native *)
-    in
-    let once () =
-      Sandbox.Machine.restore_from ~src:pristine ~dst:machine;
-      Sandbox.Testcase.apply tc machine;
-      run ()
-    in
-    for _ = 1 to 2_000 do
-      ignore (once ())
-    done;
-    let iters = Util.scaled 300_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (once ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let r = once () in
-    let instrs = float_of_int iters *. float_of_int r.Sandbox.Exec.executed in
-    (instrs /. dt, float_of_int iters /. dt)
-  in
-  let report engine (ips, rps) =
-    Printf.printf "%-36s %14.0f %14.0f\n"
-      (Sandbox.Exec.engine_to_string engine ^ " instrs/s | runs/s")
-      ips rps;
-    Obs.Sink.emit (Util.obs ()) "engine_tput"
+  let results = List.map (fun e -> (e, measure e)) Sandbox.Engine.all in
+  List.iter
+    (fun (engine, r) ->
+      let name = Sandbox.Exec.engine_to_string engine in
+      match r with
+      | Ok (ips, rps) ->
+        Printf.printf "%-36s %14.0f %14.0f\n"
+          (name ^ " instrs/s | runs/s")
+          ips rps;
+        Obs.Sink.emit (Util.obs ()) "engine_tput"
+          [
+            ("engine", Obs.Json.String name);
+            ("kernel", Obs.Json.String "exp");
+            ("instrs_per_sec", Obs.Json.Float ips);
+            ("runs_per_sec", Obs.Json.Float rps);
+          ]
+      | Error reason ->
+        Printf.printf "%-36s %14s\n"
+          (name ^ " instrs/s | runs/s")
+          ("(skipped: " ^ reason ^ ")");
+        Obs.Sink.emit (Util.obs ()) "engine_unavailable"
+          [
+            ("engine", Obs.Json.String name);
+            ("kernel", Obs.Json.String "exp");
+            ("reason", Obs.Json.String reason);
+          ])
+    results;
+  List.iter
+    (fun (num, den) ->
+      match List.assoc num results, List.assoc den results with
+      | Ok (a, _), Ok (b, _) ->
+        let pair =
+          Sandbox.Exec.engine_to_string num
+          ^ "/"
+          ^ Sandbox.Exec.engine_to_string den
+        in
+        let s = a /. b in
+        Printf.printf "%-36s %14.2fx\n" (pair ^ " speedup") s;
+        Obs.Sink.emit (Util.obs ()) "engine_speedup"
+          [
+            ("kernel", Obs.Json.String "exp");
+            ("pair", Obs.Json.String pair);
+            ("speedup", Obs.Json.Float s);
+          ]
+      | _ -> ())
+    Sandbox.Exec.
       [
-        ("engine", Obs.Json.String (Sandbox.Exec.engine_to_string engine));
-        ("kernel", Obs.Json.String "exp");
-        ("instrs_per_sec", Obs.Json.Float ips);
-        ("runs_per_sec", Obs.Json.Float rps);
-      ]
-  in
-  let interp = measure Sandbox.Exec.Interp in
-  let compiled = measure Sandbox.Exec.Compiled in
-  let batched = measure_batched () in
-  report Sandbox.Exec.Interp interp;
-  report Sandbox.Exec.Compiled compiled;
-  report Sandbox.Exec.Batched batched;
-  let speedup pair num den =
-    let s = fst num /. fst den in
-    Printf.printf "%-36s %14.2fx\n" (pair ^ " speedup") s;
-    Obs.Sink.emit (Util.obs ()) "engine_speedup"
-      [
-        ("kernel", Obs.Json.String "exp");
-        ("pair", Obs.Json.String pair);
-        ("speedup", Obs.Json.Float s);
-      ]
-  in
-  speedup "compiled/interp" compiled interp;
-  speedup "batched/compiled" batched compiled;
-  match measure_native () with
-  | Ok native ->
-    report Sandbox.Exec.Native native;
-    speedup "native/batched" native batched;
-    speedup "native/interp" native interp
-  | Error reason ->
-    Printf.printf "%-36s %14s\n" "native instrs/s | runs/s"
-      ("(skipped: " ^ reason ^ ")");
-    Obs.Sink.emit (Util.obs ()) "engine_unavailable"
-      [
-        ("engine", Obs.Json.String "native");
-        ("kernel", Obs.Json.String "exp");
-        ("reason", Obs.Json.String reason);
+        (Compiled, Interp);
+        (Batched, Compiled);
+        (Native, Batched);
+        (Native, Interp);
       ]
 
 (* Per-proposal cost of the static undef-read screen, measured over the

@@ -285,23 +285,8 @@ let optimize_cmd =
             ("pruned_evals", Obs.Json.Int result.Search.Optimizer.pruned_evals);
             ("cache_hits", Obs.Json.Int result.Search.Optimizer.cache_hits);
             ( "engine",
-              Obs.Json.String (Sandbox.Exec.engine_to_string engine) );
-            ( "compile_count",
-              Obs.Json.Int result.Search.Optimizer.compile_count );
-            ( "compiled_runs",
-              Obs.Json.Int result.Search.Optimizer.compiled_runs );
-            ( "batched_runs",
-              Obs.Json.Int result.Search.Optimizer.batched_runs );
-            ( "batch_prunes",
-              Obs.Json.Int result.Search.Optimizer.batch_prunes );
-            ( "native_runs",
-              Obs.Json.Int result.Search.Optimizer.native_runs );
-            ( "encode_count",
-              Obs.Json.Int result.Search.Optimizer.encode_count );
-            ( "encoder_fallbacks",
-              Obs.Json.Int result.Search.Optimizer.encoder_fallbacks );
-            ( "worker_respawns",
-              Obs.Json.Int result.Search.Optimizer.worker_respawns );
+              Search.Optimizer.engine_json engine
+                result.Search.Optimizer.engine_counters );
             ( "static_rejects",
               Obs.Json.Int result.Search.Optimizer.static_rejects );
             ("elapsed_s", Obs.Json.Float (Obs.Clock.elapsed_s ~since:t0));

@@ -3,8 +3,8 @@
    For every opcode × shape the operand pools can generate, instantiate a
    handful of concrete instructions (distinct-register, aliased-register,
    and per-immediate/per-addressing-mode variants), run each as a one-slot
-   program on seeded random machines under BOTH engines, and check the
-   tables against what the machine actually did:
+   program on seeded random machines under EVERY available engine, and
+   check the tables against what the machine actually did:
 
    - writes ⊆ defs: diffing the pre/post state may only show changes at
      claimed def locations;
@@ -240,74 +240,16 @@ let diff_components (a : Sandbox.Machine.t) (b : Sandbox.Machine.t) =
 
 let loc_equal (a : Liveness.loc) b = a = b
 
-(* One native worker per arena size, forked lazily and reused for the
-   whole oracle run — [Native.run_one] reloads all of lane 0's state
-   (registers, flags, memory) from the caller's machine every call, so
-   the state baked at creation never matters. *)
-let native_batches : (int, Sandbox.Native.batch option) Hashtbl.t =
-  Hashtbl.create 4
-
-let native_batch_for (m : Sandbox.Machine.t) =
-  let sz = Sandbox.Memory.size m.Sandbox.Machine.mem in
-  match Hashtbl.find_opt native_batches sz with
-  | Some b -> b
-  | None ->
-    let b =
-      Sandbox.Native.create_batch ~want_mem:true m
-        [| Sandbox.Testcase.empty |]
-    in
-    Hashtbl.add native_batches sz b;
-    b
-
-let run_engine engine m p =
-  match engine with
-  | Sandbox.Exec.Interp -> Sandbox.Exec.run m p
-  | Sandbox.Exec.Compiled -> Sandbox.Compiled.exec (Sandbox.Compiled.compile m p)
-  | Sandbox.Exec.Batched ->
-    (* One-lane batch seeded from [m]'s state; the lane's final state is
-       copied back so the oracle's machine comparisons see it. *)
-    let b = Sandbox.Batched.create_batch m [| Sandbox.Testcase.empty |] in
-    let bp = Sandbox.Batched.compile b p in
-    let (_aborted : bool) = Sandbox.Batched.exec bp in
-    let lm = Sandbox.Batched.lane_machine b ~lane:0 in
-    Array.blit lm.Sandbox.Machine.gp 0 m.Sandbox.Machine.gp 0 16;
-    Array.blit lm.Sandbox.Machine.xmm 0 m.Sandbox.Machine.xmm 0 32;
-    m.Sandbox.Machine.flags.Sandbox.Machine.cf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.cf;
-    m.Sandbox.Machine.flags.Sandbox.Machine.zf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.zf;
-    m.Sandbox.Machine.flags.Sandbox.Machine.sf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.sf;
-    m.Sandbox.Machine.flags.Sandbox.Machine.o_f <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.o_f;
-    m.Sandbox.Machine.flags.Sandbox.Machine.pf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.pf;
-    Sandbox.Memory.blit_from ~src:lm.Sandbox.Machine.mem
-      ~dst:m.Sandbox.Machine.mem;
-    Sandbox.Batched.result b ~lane:0
-  | Sandbox.Exec.Native -> (
-    (* Real machine-code run threading [m] through lane 0.  Any gap —
-       worker unavailable, instruction unencodable or not bit-identical
-       in hardware, worker crash — runs the interpreter instead, which
-       keeps the liveness checks meaningful (the engines agree
-       bit-for-bit on the accepted subset by construction). *)
-    match native_batch_for m with
-    | None -> Sandbox.Exec.run m p
-    | Some nb ->
-      (match Sandbox.Native.compile nb p with
-       | None -> Sandbox.Exec.run m p
-       | Some np ->
-         (match Sandbox.Native.run_one nb np m with
-          | Some r -> r
-          | None -> Sandbox.Exec.run m p)))
-
 let outcome_eq (a : Sandbox.Exec.result) (b : Sandbox.Exec.result) =
   a.Sandbox.Exec.outcome = b.Sandbox.Exec.outcome
   && a.Sandbox.Exec.executed = b.Sandbox.Exec.executed
 
 (* ----- the checks ----- *)
 
-let check_instance ~violations instr base_machine engine =
+let check_instance ~violations instr base_machine (engine, caller) =
+  let run_engine m p =
+    Sandbox.Engine.call (Sandbox.Engine.prepare_call caller m p)
+  in
   let program = Program.of_instrs [ instr ] in
   let fail detail = violations := { instr; engine; detail } :: !violations in
   let defs = Liveness.defs instr in
@@ -320,7 +262,7 @@ let check_instance ~violations instr base_machine engine =
          (String.concat "," (List.map Liveness.loc_to_string (Liveness.Locset.elements defs))));
   (* baseline run *)
   let ma = Sandbox.Machine.copy base_machine in
-  let res_a = run_engine engine ma program in
+  let res_a = run_engine ma program in
   (* writes ⊆ defs *)
   List.iter
     (fun (loc, comp) ->
@@ -334,7 +276,7 @@ let check_instance ~violations instr base_machine engine =
         let mb = Sandbox.Machine.copy base_machine in
         pert.apply mb;
         let mb_pre = Sandbox.Machine.copy mb in
-        let res_b = run_engine engine mb program in
+        let res_b = run_engine mb program in
         if not (outcome_eq res_a res_b) then
           fail
             (Printf.sprintf "perturbing non-use %s changed the outcome" pert.pname)
@@ -381,17 +323,23 @@ let run ?(states = 2) ?(seed = default_seed) () =
   let violations = ref [] in
   let g = Rng.Xoshiro256.create seed in
   let machines = List.init states (fun _ -> random_machine g) in
+  (* every machine has the same arena, so one caller per engine serves
+     them all *)
+  let template = Sandbox.Machine.create ~mem_size () in
+  let engines =
+    List.map
+      (fun e ->
+        (e, Sandbox.Engine.caller (Sandbox.Engine.of_engine e) template))
+      (List.filter Sandbox.Engine.available Sandbox.Engine.all)
+  in
   let all = instances () in
   List.iter
     (fun instr ->
       List.iter
         (fun m ->
           List.iter
-            (fun engine -> check_instance ~violations instr m engine)
-            ([ Sandbox.Exec.Interp; Sandbox.Exec.Compiled;
-               Sandbox.Exec.Batched ]
-            @ (if Sandbox.Native.available () then [ Sandbox.Exec.Native ]
-               else [])))
+            (check_instance ~violations instr m)
+            engines)
         machines)
     all;
   List.rev !violations

@@ -3,8 +3,9 @@
     Every opcode × shape is instantiated into concrete instructions
     (distinct-register, aliased-register, and per-immediate/addressing-mode
     variants — a superset of what [Search.Pools] can generate) and run as a
-    one-slot program on seeded random machines under both engines.  Three
-    properties are machine-checked against the actual execution:
+    one-slot program on seeded random machines under every available
+    engine.  Three properties are machine-checked against the actual
+    execution:
 
     - {b writes ⊆ defs}: the pre/post state diff only touches claimed defs;
     - {b non-uses are unread}: flipping a location ℓ ∉ [uses i] leaves
@@ -15,7 +16,7 @@
     - {b kills fully overwrite}: for ℓ ∈ [kills i] ∖ [uses i] the merge
       rule tightens to bit-identity with the baseline.
 
-    An empty result means the tables are consistent with both engines. *)
+    An empty result means the tables are consistent with every engine. *)
 
 type violation = {
   instr : Instr.t;

@@ -1,16 +1,11 @@
 type t = {
   m : Sandbox.Machine.t;
-  engine : Sandbox.Exec.engine;
-  mutable compiled : (Program.t * Sandbox.Compiled.t) list;
-      (** per-runner translation cache, keyed by physical identity: the
-          applications call a handful of fixed kernel programs millions
-          of times, so each compiles once on first use *)
-  mutable nbatch : Sandbox.Native.batch option option;
-      (** native worker, forked lazily on first native run ([Some None]
-          once probing found native execution unavailable) *)
-  mutable ncompiled : (Program.t * Sandbox.Native.t option) list;
-      (** native encodings, cached like [compiled] ([None] = program is
-          unencodable, remembered so it falls back without re-probing) *)
+  caller : Sandbox.Engine.caller;
+  mutable prepared : (Program.t * Sandbox.Engine.call) list;
+      (** per-runner cache of prepared programs, keyed by physical
+          identity: the applications call a handful of fixed kernel
+          programs millions of times, so each is prepared once on first
+          use *)
   mutable cycles : int;
   mutable calls : int;
 }
@@ -20,13 +15,13 @@ let v2_addr = Kernels.Aek_kernels.v2_addr
 
 (* An application swaps between at most a few kernels per runner; bound
    the cache anyway so a caller generating programs on the fly degrades
-   to compile-per-call rather than leaking. *)
+   to prepare-per-call rather than leaking. *)
 let max_cached = 16
 
 let create ?(engine = Sandbox.Exec.Compiled) () =
   let m = Sandbox.Machine.create ~mem_size:4096 () in
-  { m; engine; compiled = []; nbatch = None; ncompiled = []; cycles = 0;
-    calls = 0 }
+  { m; caller = Sandbox.Engine.caller (Sandbox.Engine.of_engine engine) m;
+    prepared = []; cycles = 0; calls = 0 }
 
 let cycles t = t.cycles
 let calls t = t.calls
@@ -60,84 +55,17 @@ let reset t =
   Sandbox.Memory.set_bytes m.Sandbox.Machine.mem v1_addr (String.make 16 '\000');
   Sandbox.Memory.set_bytes m.Sandbox.Machine.mem v2_addr (String.make 16 '\000')
 
-let compiled_for t program =
-  match List.assq_opt program t.compiled with
-  | Some cp -> cp
+let prepared_for t program =
+  match List.assq_opt program t.prepared with
+  | Some call -> call
   | None ->
-    let cp = Sandbox.Compiled.compile t.m program in
-    if List.length t.compiled >= max_cached then t.compiled <- [];
-    t.compiled <- (program, cp) :: t.compiled;
-    cp
-
-let native_batch_for t =
-  match t.nbatch with
-  | Some b -> b
-  | None ->
-    (* [run_one] reloads lane 0 — registers, flags and the whole memory
-       image — from [t.m] on every call, so the state baked here is
-       irrelevant; the batch only carries the worker process. *)
-    let b =
-      Sandbox.Native.create_batch ~want_mem:true t.m
-        [| Sandbox.Testcase.empty |]
-    in
-    t.nbatch <- Some b;
-    b
-
-let native_for t nb program =
-  match List.assq_opt program t.ncompiled with
-  | Some np -> np
-  | None ->
-    let np = Sandbox.Native.compile nb program in
-    if List.length t.ncompiled >= max_cached then t.ncompiled <- [];
-    t.ncompiled <- (program, np) :: t.ncompiled;
-    np
+    let call = Sandbox.Engine.prepare_call t.caller t.m program in
+    if List.length t.prepared >= max_cached then t.prepared <- [];
+    t.prepared <- (program, call) :: t.prepared;
+    call
 
 let run t program =
-  let r =
-    match t.engine with
-    | Sandbox.Exec.Interp -> Sandbox.Exec.run t.m program
-    | Sandbox.Exec.Compiled -> Sandbox.Compiled.exec (compiled_for t program)
-    | Sandbox.Exec.Native -> (
-      (* Native run threading [t.m] through lane 0; any gap — worker
-         unavailable, program unencodable, worker crash, unpredicted
-         hardware fault — falls back to the compiled engine for this
-         call. *)
-      let fallback () = Sandbox.Compiled.exec (compiled_for t program) in
-      match native_batch_for t with
-      | None -> fallback ()
-      | Some nb ->
-        (match native_for t nb program with
-         | None -> fallback ()
-         | Some np ->
-           (match Sandbox.Native.run_one nb np t.m with
-            | Some r -> r
-            | None -> fallback ())))
-    | Sandbox.Exec.Batched ->
-      (* The applications thread values through [t.m] between calls, so
-         a batched run seeds a one-lane batch from it and copies the
-         lane's final state back.  Correct but uncached — the batched
-         engine's amortization targets the search loop, not this
-         call-at-a-time harness; prefer [Compiled] here. *)
-      let b = Sandbox.Batched.create_batch t.m [| Sandbox.Testcase.empty |] in
-      let bp = Sandbox.Batched.compile b program in
-      let (_aborted : bool) = Sandbox.Batched.exec bp in
-      let lm = Sandbox.Batched.lane_machine b ~lane:0 in
-      Array.blit lm.Sandbox.Machine.gp 0 t.m.Sandbox.Machine.gp 0 16;
-      Array.blit lm.Sandbox.Machine.xmm 0 t.m.Sandbox.Machine.xmm 0 32;
-      t.m.Sandbox.Machine.flags.Sandbox.Machine.cf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.cf;
-      t.m.Sandbox.Machine.flags.Sandbox.Machine.zf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.zf;
-      t.m.Sandbox.Machine.flags.Sandbox.Machine.sf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.sf;
-      t.m.Sandbox.Machine.flags.Sandbox.Machine.o_f <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.o_f;
-      t.m.Sandbox.Machine.flags.Sandbox.Machine.pf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.pf;
-      Sandbox.Memory.blit_from ~src:lm.Sandbox.Machine.mem
-        ~dst:t.m.Sandbox.Machine.mem;
-      Sandbox.Batched.result b ~lane:0
-  in
+  let r = Sandbox.Engine.call (prepared_for t program) in
   t.cycles <- t.cycles + r.Sandbox.Exec.cycles;
   t.calls <- t.calls + 1;
   match r.Sandbox.Exec.outcome with

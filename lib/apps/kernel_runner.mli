@@ -12,13 +12,13 @@
 type t
 
 val create : ?engine:Sandbox.Exec.engine -> unit -> t
-(** [engine] (default [Compiled]) selects the executor.  Under the
-    compiled engine each distinct program (by physical identity) is
-    translated once per runner and replayed on later calls.
+(** [engine] (default [Compiled]) selects the executor
+    ({!Sandbox.Engine}).  Each distinct program (by physical identity) is
+    prepared once per runner and replayed on later calls.
 
     Caveat: the cache key is physical, so mutating a program in place
     after running it (as the search's transforms do) and running it again
-    through the {e same} runner would replay the stale translation —
+    through the {e same} runner would replay the stale preparation —
     applications call fixed kernel programs, which is the supported
     pattern. *)
 

@@ -1,8 +1,4 @@
-let default : unit -> int64 = Monotonic_clock.now
-let source = ref default
-let set_source f = source := f
-let reset_source () = source := default
-let now_ns () = !source ()
+let now_ns : unit -> int64 = Monotonic_clock.now
 
 let elapsed_s ~since =
   Int64.to_float (Int64.sub (now_ns ()) since) *. 1e-9

@@ -1,6 +1,5 @@
 (** Monotonic time for telemetry: a thin wrapper over the CLOCK_MONOTONIC
-    stub shipped with bechamel, with a swappable source so tests can run
-    deterministically against a fake clock.
+    stub shipped with bechamel.
 
     All durations derived from this module are wall-clock monotonic —
     unaffected by NTP steps — which is what throughput numbers
@@ -11,9 +10,3 @@ val now_ns : unit -> int64
 
 val elapsed_s : since:int64 -> float
 (** Seconds elapsed since an earlier {!now_ns} reading. *)
-
-val set_source : (unit -> int64) -> unit
-(** Install a fake clock (tests only; not synchronized across domains). *)
-
-val reset_source : unit -> unit
-(** Restore the real monotonic clock. *)

@@ -1128,3 +1128,29 @@ let exec ?on_fault (t : t) : bool =
         ~faulted:(bt.fault.(lane) <> None)
     done;
   !aborted
+
+let run_one (t : t) (m : Machine.t) =
+  let b = t.b in
+  if b.n <> 1 then invalid_arg "Batched.run_one: needs a one-lane batch";
+  let scr = b.scr.(0) in
+  let copy_regs ~(src : Machine.t) ~(dst : Machine.t) =
+    Array.blit src.Machine.gp 0 dst.Machine.gp 0 16;
+    Array.blit src.Machine.xmm 0 dst.Machine.xmm 0 32;
+    let f = src.Machine.flags and g = dst.Machine.flags in
+    g.Machine.cf <- f.Machine.cf;
+    g.Machine.zf <- f.Machine.zf;
+    g.Machine.sf <- f.Machine.sf;
+    g.Machine.o_f <- f.Machine.o_f;
+    g.Machine.pf <- f.Machine.pf
+  in
+  copy_regs ~src:m ~dst:scr;
+  sync_from_scratch b 0;
+  Memory.blit_from ~src:m.Machine.mem ~dst:scr.Machine.mem;
+  b.live.(0) <- 0;
+  b.n_live <- 1;
+  b.fault.(0) <- None;
+  let (_aborted : bool) = exec t in
+  sync_to_scratch b 0;
+  copy_regs ~src:scr ~dst:m;
+  Memory.blit_from ~src:scr.Machine.mem ~dst:m.Machine.mem;
+  result b ~lane:0

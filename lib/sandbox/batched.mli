@@ -85,3 +85,10 @@ val lane_machine : batch -> lane:int -> Machine.t
     lane's own.  For differential tests; the view is invalidated by the
     next [exec]/[reset] and writes to its register arrays are not
     written back. *)
+
+val run_one : t -> Machine.t -> Exec.result
+(** Call-at-a-time use of a one-lane batch: load lane 0 from [m]
+    (registers, flags and the whole arena), run, and write the lane's
+    final state back into [m] — leaving [m] exactly as {!Exec.run} would.
+    [m]'s arena must match the batch's.  Raises [Invalid_argument] on a
+    batch of more than one lane. *)

@@ -16,7 +16,8 @@ type outcome =
     worker child process, falling back to [Batched] per proposal for
     forms the encoder can't emit natively.  All four are bit-identical;
     [Compiled] is the default everywhere, [Interp] the oracle the others
-    are differentially tested against. *)
+    are differentially tested against.  Callers run programs through
+    {!Engine}, which maps each constructor to its engine instance. *)
 type engine =
   | Interp
   | Compiled

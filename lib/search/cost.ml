@@ -49,16 +49,7 @@ type t = {
           cutoff abort runs first.  Per-context, so parallel search domains
           stay independent. *)
   engine : Sandbox.Exec.engine;
-  machine : Sandbox.Machine.t;  (** scratch machine, reused per run *)
-  pristine : Sandbox.Machine.t;
-  batch : Sandbox.Batched.batch option;
-      (** the SoA lane batch, built once per context under the batched
-          and native engines ([None] otherwise or when there are no
-          tests); lane [i] is test [i].  Under the native engine this is
-          the per-proposal fallback for forms the encoder can't emit. *)
-  nbatch : Sandbox.Native.batch option;
-      (** the native worker batch, built once per context under the
-          native engine when the platform allows mmap-exec *)
+  lanes : Sandbox.Engine.lanes;  (** the test set on the engine instance *)
   cache : (int64 * Program.t * cost) option array;
       (** direct-mapped proposal cost cache keyed by {!Program.hash};
           [[||]] when disabled *)
@@ -66,13 +57,6 @@ type t = {
   mutable tests_executed : int;
   mutable pruned_evals : int;
   mutable cache_hits : int;
-  mutable compile_count : int;
-  mutable compiled_runs : int;
-  mutable batched_runs : int;
-  mutable batch_prunes : int;
-  mutable native_runs : int;
-  mutable encode_count : int;
-  mutable encoder_fallbacks : int;
 }
 
 let spec t = t.spec
@@ -83,109 +67,52 @@ let evaluations t = t.evaluations
 let tests_executed t = t.tests_executed
 let pruned_evals t = t.pruned_evals
 let cache_hits t = t.cache_hits
-let compile_count t = t.compile_count
-let compiled_runs t = t.compiled_runs
-let batched_runs t = t.batched_runs
-let batch_prunes t = t.batch_prunes
-let native_runs t = t.native_runs
-let encode_count t = t.encode_count
-let encoder_fallbacks t = t.encoder_fallbacks
-
-let worker_respawns t =
-  match t.nbatch with
-  | Some nb -> Sandbox.Native.respawns nb
-  | None -> 0
-
-let run_on t program tc =
-  Sandbox.Machine.restore_from ~src:t.pristine ~dst:t.machine;
-  Sandbox.Testcase.apply tc t.machine;
-  Sandbox.Exec.run t.machine program
-
-(* Translate the proposal once for the whole test loop.  Under [Interp]
-   the "compiled form" is just a thunk over the reference interpreter. *)
-let prepare t program : unit -> Sandbox.Exec.result =
-  match t.engine with
-  | Sandbox.Exec.Interp -> fun () -> Sandbox.Exec.run t.machine program
-  | Sandbox.Exec.Compiled ->
-    let cp = Sandbox.Compiled.compile t.machine program in
-    t.compile_count <- t.compile_count + 1;
-    fun () ->
-      t.compiled_runs <- t.compiled_runs + 1;
-      Sandbox.Compiled.exec cp
-  | Sandbox.Exec.Batched | Sandbox.Exec.Native ->
-    (* these engines run all lanes at once; [eval] dispatches to them
-       before reaching the per-test loop (this thunk is only reachable
-       when there are zero tests, where the interpreter is as good as
-       anything) *)
-    fun () -> Sandbox.Exec.run t.machine program
-
-let run_prepared t run tc =
-  Sandbox.Machine.restore_from ~src:t.pristine ~dst:t.machine;
-  Sandbox.Testcase.apply tc t.machine;
-  run ()
+let engine_counters t = Sandbox.Engine.counters t.lanes
 
 let cache_size = 512
 
-let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) spec params
-    tests =
-  let machine = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
-  let pristine = Sandbox.Machine.copy machine in
-  let t =
-    {
-      spec;
-      params;
-      tests;
-      expected = [||];
-      target_signalled = [||];
-      order = Array.init (Array.length tests) Fun.id;
-      engine;
-      machine;
-      pristine;
-      batch = None;
-      nbatch = None;
-      cache = (if use_cache then Array.make cache_size None else [||]);
-      evaluations = 0;
-      tests_executed = 0;
-      pruned_evals = 0;
-      cache_hits = 0;
-      compile_count = 0;
-      compiled_runs = 0;
-      batched_runs = 0;
-      batch_prunes = 0;
-      native_runs = 0;
-      encode_count = 0;
-      encoder_fallbacks = 0;
-    }
+let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
+    spec params tests =
+  let instance =
+    match instance with
+    | Some e -> e
+    | None -> Sandbox.Engine.of_engine engine
   in
-  let target_signalled = Array.make (Array.length tests) false in
-  let expected =
-    Array.mapi
-      (fun i tc ->
-        let r = run_on t spec.Sandbox.Spec.program tc in
-        match r.Sandbox.Exec.outcome with
-        | Sandbox.Exec.Finished -> Sandbox.Spec.read_outputs spec t.machine
-        | Sandbox.Exec.Faulted _ ->
-          target_signalled.(i) <- true;
-          [||])
-      tests
+  let n = Array.length tests in
+  (* The target's behaviour is recorded by the reference interpreter. *)
+  let expected = Array.make n [||] in
+  let target_signalled = Array.make n false in
+  let reference =
+    Sandbox.Engine.lanes
+      (Sandbox.Engine.of_engine Sandbox.Exec.Interp)
+      spec tests
   in
-  let batch =
-    (* under Native the batched lanes are the per-proposal fallback for
-       programs the encoder can't emit (and the whole-search fallback
-       when native execution is unavailable) *)
-    match engine with
-    | (Sandbox.Exec.Batched | Sandbox.Exec.Native)
-      when Array.length tests > 0 ->
-      Some (Sandbox.Batched.create_batch pristine tests)
-    | _ -> None
+  let (_ : Sandbox.Engine.outcome) =
+    Sandbox.Engine.run
+      (Sandbox.Engine.prepare reference spec.Sandbox.Spec.program)
+      ~order:(Array.init n Fun.id)
+      ~diverges:(fun _ -> false)
+      (fun i outputs ->
+        (match outputs with
+         | Some v -> expected.(i) <- v
+         | None -> target_signalled.(i) <- true);
+        false)
   in
-  let nbatch =
-    match engine with
-    | Sandbox.Exec.Native when Array.length tests > 0 ->
-      Sandbox.Native.create_batch pristine tests
-    | _ -> None
-  in
-  { t with expected; target_signalled; batch; nbatch }
+  {
+    spec;
+    params;
+    tests;
+    expected;
+    target_signalled;
+    order = Array.init n Fun.id;
+    engine = Sandbox.Engine.engine instance;
+    lanes = Sandbox.Engine.lanes instance spec tests;
+    cache = (if use_cache then Array.make cache_size None else [||]);
+    evaluations = 0;
+    tests_executed = 0;
+    pruned_evals = 0;
+    cache_hits = 0;
+  }
 
 (* Error between one pair of values, already thresholded by η, as a float. *)
 let location_error params expected actual =
@@ -269,8 +196,6 @@ let cache_store t program c =
     t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
   end
 
-exception Prune of int
-
 let eval ?cutoff t program =
   t.evaluations <- t.evaluations + 1;
   match cache_find t program with
@@ -303,175 +228,55 @@ let eval ?cutoff t program =
       | Max -> eq := Float.max !eq v
       | Sum -> eq := !eq +. v
     in
-    (* The adaptive test order is only sound where reordering cannot
-       change the accumulated value: Max is order-independent, a float
-       Sum is not. *)
-    let mtf_on_prune pos =
-      match params.reduction with
-      | Max -> move_to_front t pos
-      | Sum -> ()
+    (* Score one test; [true] once the running total proves rejection. *)
+    let score ti outputs =
+      (match outputs with
+       | None ->
+         incr signals;
+         (* a fault only diverges when the target ran to completion *)
+         if not t.target_signalled.(ti) then combine params.ws
+       | Some actual ->
+         if t.target_signalled.(ti) then combine params.ws
+         else begin
+           let test_err = ref 0. in
+           Array.iteri
+             (fun li e ->
+               let a = actual.(li) in
+               max_ulp := Ulp.max !max_ulp (Sandbox.Spec.value_ulp e a);
+               test_err := !test_err +. location_error params e a)
+             t.expected.(ti);
+           combine !test_err
+         end);
+      !eq +. kperf > limit
     in
-    let n = Array.length t.tests in
-    (* Whole-batch prune record: a lane that faults where the target
-       finished contributes ws to eq under either reduction (all terms
-       are ≥ 0), so [ws +. kperf > limit] already implies the full
-       total fails the acceptance comparison. *)
-    let batch_pruned () =
+    (* Whole-batch abort: a lane that faults where the target finished
+       contributes ws to eq under either reduction (all terms are ≥ 0),
+       so [ws +. kperf > limit] alone proves rejection. *)
+    let diverges ti = (not t.target_signalled.(ti)) && params.ws +. kperf > limit in
+    let o =
+      Sandbox.Engine.run
+        (Sandbox.Engine.prepare t.lanes program)
+        ~order:t.order ~diverges score
+    in
+    t.tests_executed <- t.tests_executed + o.Sandbox.Engine.runs;
+    match o.Sandbox.Engine.stop with
+    | Sandbox.Engine.Completed ->
+      let c =
+        { eq = !eq; perf; total = !eq +. kperf; signals = !signals;
+          max_ulp = !max_ulp }
+      in
+      cache_store t program c;
+      Evaluated c
+    | Sandbox.Engine.Stopped pos ->
       t.pruned_evals <- t.pruned_evals + 1;
-      t.batch_prunes <- t.batch_prunes + 1;
-      Pruned { tests_run = n; eq_partial = params.ws }
-    in
-    (* Shared per-lane readout for whole-batch engines: score every lane
-       in adaptive order from its latched fault / output registers. *)
-    let lanes_verdict ~fault ~read_outputs =
-      let pruned_at =
-        try
-          for pos = 0 to n - 1 do
-            let ti = t.order.(pos) in
-            (match fault ~lane:ti with
-             | Some _ ->
-               incr signals;
-               (* a fault only diverges when the target ran to completion *)
-               if not t.target_signalled.(ti) then combine params.ws
-             | None ->
-               if t.target_signalled.(ti) then combine params.ws
-               else begin
-                 let actual = read_outputs ~lane:ti t.spec in
-                 let expected = t.expected.(ti) in
-                 let test_err = ref 0. in
-                 Array.iteri
-                   (fun li e ->
-                     let a = actual.(li) in
-                     max_ulp := Ulp.max !max_ulp (Sandbox.Spec.value_ulp e a);
-                     test_err := !test_err +. location_error params e a)
-                   expected;
-                 combine !test_err
-               end);
-            if !eq +. kperf > limit then raise (Prune pos)
-          done;
-          -1
-        with Prune pos -> pos
-      in
-      if pruned_at >= 0 then begin
-        t.pruned_evals <- t.pruned_evals + 1;
-        mtf_on_prune pruned_at;
-        Pruned { tests_run = n; eq_partial = !eq }
-      end
-      else begin
-        let c =
-          { eq = !eq; perf; total = !eq +. kperf; signals = !signals;
-            max_ulp = !max_ulp }
-        in
-        cache_store t program c;
-        Evaluated c
-      end
-    in
-    (* Batched: run all lanes through the proposal first, aborting the
-       whole batch as soon as latched faults alone prove rejection.
-       Output errors are only provable after the run, in the post-run
-       readout. *)
-    let run_batched b =
-      let bp = Sandbox.Batched.compile b program in
-      t.compile_count <- t.compile_count + 1;
-      Sandbox.Batched.reset b;
-      let aborted =
-        Sandbox.Batched.exec bp ~on_fault:(fun ~lane _f ->
-            (not t.target_signalled.(lane)) && params.ws +. kperf > limit)
-      in
-      t.batched_runs <- t.batched_runs + n;
-      t.tests_executed <- t.tests_executed + n;
-      if aborted then batch_pruned ()
-      else
-        lanes_verdict ~fault:(Sandbox.Batched.fault b)
-          ~read_outputs:(Sandbox.Batched.read_outputs b)
-    in
-    match t.engine, t.batch with
-    | Sandbox.Exec.Batched, Some b -> run_batched b
-    | Sandbox.Exec.Native, Some b -> begin
-      (* Native: ship the encoded proposal through the worker; fall back
-         per-proposal to the batched lanes when the encoder can't emit it
-         (and for the whole search when the worker couldn't start). *)
-      match t.nbatch with
-      | None -> run_batched b
-      | Some nb ->
-        (match Sandbox.Native.compile nb program with
-         | None ->
-           t.encoder_fallbacks <- t.encoder_fallbacks + 1;
-           run_batched b
-         | Some np ->
-           t.encode_count <- t.encode_count + 1;
-           Sandbox.Native.reset nb;
-           (* A crashed worker latches a fault on every lane, which the
-              readout scores like any other signal. *)
-           let (_crashed : bool) = Sandbox.Native.exec np in
-           t.native_runs <- t.native_runs + n;
-           t.tests_executed <- t.tests_executed + n;
-           (* Same abort rule as the batched on_fault callback, applied
-              after the run (the worker executes all lanes anyway): any
-              faulting lane where the target finished proves rejection
-              once ws alone exceeds the cutoff. *)
-           let aborted =
-             params.ws +. kperf > limit
-             && (let diverging = ref false in
-                 for lane = 0 to n - 1 do
-                   if
-                     (not !diverging)
-                     && (not t.target_signalled.(lane))
-                     && Sandbox.Native.fault nb ~lane <> None
-                   then diverging := true
-                 done;
-                 !diverging)
-           in
-           if aborted then batch_pruned ()
-           else
-             lanes_verdict ~fault:(Sandbox.Native.fault nb)
-               ~read_outputs:(Sandbox.Native.read_outputs nb))
-    end
-    | _ ->
-      let run = prepare t program in
-      let pruned_at =
-        try
-          for pos = 0 to n - 1 do
-            let ti = t.order.(pos) in
-            let r = run_prepared t run t.tests.(ti) in
-            t.tests_executed <- t.tests_executed + 1;
-            (match r.Sandbox.Exec.outcome with
-             | Sandbox.Exec.Faulted _ ->
-               incr signals;
-               (* a fault only diverges when the target ran to completion *)
-               if not t.target_signalled.(ti) then combine params.ws
-             | Sandbox.Exec.Finished ->
-               if t.target_signalled.(ti) then combine params.ws
-               else begin
-                 let actual = Sandbox.Spec.read_outputs t.spec t.machine in
-                 let expected = t.expected.(ti) in
-                 let test_err = ref 0. in
-                 Array.iteri
-                   (fun li e ->
-                     let a = actual.(li) in
-                     max_ulp := Ulp.max !max_ulp (Sandbox.Spec.value_ulp e a);
-                     test_err := !test_err +. location_error params e a)
-                   expected;
-                 combine !test_err
-               end);
-            if !eq +. kperf > limit then raise (Prune pos)
-          done;
-          -1
-        with Prune pos -> pos
-      in
-      if pruned_at >= 0 then begin
-        t.pruned_evals <- t.pruned_evals + 1;
-        mtf_on_prune pruned_at;
-        Pruned { tests_run = pruned_at + 1; eq_partial = !eq }
-      end
-      else begin
-        let c =
-          { eq = !eq; perf; total = !eq +. kperf; signals = !signals;
-            max_ulp = !max_ulp }
-        in
-        cache_store t program c;
-        Evaluated c
-      end
+      (* The adaptive test order is only sound where reordering cannot
+         change the accumulated value: Max is order-independent, a float
+         Sum is not. *)
+      if params.reduction = Max then move_to_front t pos;
+      Pruned { tests_run = o.Sandbox.Engine.runs; eq_partial = !eq }
+    | Sandbox.Engine.Aborted ->
+      t.pruned_evals <- t.pruned_evals + 1;
+      Pruned { tests_run = o.Sandbox.Engine.runs; eq_partial = params.ws }
 
 let eval_full t program =
   match eval t program with

@@ -24,9 +24,9 @@
       both reductions: the running [Max] is exact, and a running [Sum]
       of non-negative terms is a monotone lower bound on the final sum
       computed in the same (pinned, see below) order.  Under the
-      batched engine the cutoff also acts at batch granularity: a lane
-      fault that provably forces rejection aborts the whole proposal
-      mid-run.
+      whole-batch engines (batched, native) the cutoff also acts at
+      batch granularity: a lane fault that provably forces rejection
+      aborts the whole proposal ({!Sandbox.Engine.Aborted}).
     - {b Adaptive test order}: the test that triggered an abort moves to
       the front of a per-context permutation, so discriminating tests run
       first.  Order never changes results — the [Max] reduction is
@@ -78,19 +78,18 @@ type t
 val create :
   ?use_cache:bool ->
   ?engine:Sandbox.Exec.engine ->
+  ?instance:Sandbox.Engine.t ->
   Sandbox.Spec.t ->
   params ->
   Sandbox.Testcase.t array ->
   t
-(** Runs the target on every test case to record its outputs (or its fault
-    behaviour — a faulting target is recorded, not rejected).
-    [use_cache] (default [true]) enables the proposal cost cache.
-    [engine] (default [Compiled]) selects how proposals execute: the
-    compiled engine translates each proposal once ({!Sandbox.Compiled})
-    and replays it per test case; the batched engine translates once
-    and runs all test cases lane-wise through each instruction
-    ({!Sandbox.Batched}); the interpreter steps it afresh every run.
-    All three produce bit-identical costs. *)
+(** Runs the target on every test case, through the reference
+    interpreter, to record its outputs (or its fault behaviour — a
+    faulting target is recorded, not rejected).  [use_cache] (default
+    [true]) enables the proposal cost cache.  [engine] (default
+    [Compiled]) selects how proposals execute ({!Sandbox.Engine}); all
+    engines produce bit-identical costs.  [instance] overrides [engine]
+    with an explicit engine instance. *)
 
 val spec : t -> Sandbox.Spec.t
 val params : t -> params
@@ -109,7 +108,7 @@ type cost = {
     exceeded the bound. *)
 type pruned = {
   tests_run : int;  (** test cases executed before aborting (≥ 1); the
-                        batched engine starts every lane, so this is
+                        whole-batch engines run every lane, so this is
                         always the full test count there *)
   eq_partial : float;  (** accumulated eq at the abort — a lower bound *)
 }
@@ -142,34 +141,9 @@ val pruned_evals : t -> int
 val cache_hits : t -> int
 (** Evaluations answered from the cost cache without running anything. *)
 
-val compile_count : t -> int
-(** Proposals translated by the compiled engine (once per evaluated
-    proposal; cache hits and the interpreter engine compile nothing). *)
-
-val compiled_runs : t -> int
-(** Test-case runs executed through the compiled engine. *)
-
-val batched_runs : t -> int
-(** Lane-runs started through the batched engine (test cases × evaluated
-    proposals; a batch-aborted lane still counts — it ran). *)
-
-val batch_prunes : t -> int
-(** Proposals aborted mid-run at batch granularity (a lane fault alone
-    proved rejection).  A subset of {!pruned_evals}. *)
-
-val native_runs : t -> int
-(** Lane-runs executed as machine code in the native worker. *)
-
-val encode_count : t -> int
-(** Proposals encoded and shipped to the native worker (once per
-    evaluated proposal that the encoder accepted). *)
-
-val encoder_fallbacks : t -> int
-(** Proposals the native engine handed to the batched fallback because
-    some instruction was unencodable or not bit-identical in hardware. *)
-
-val worker_respawns : t -> int
-(** Native worker processes respawned after a crash or timeout. *)
+val engine_counters : t -> Sandbox.Engine.counters
+(** The engine's work so far: programs prepared, test-case runs on the
+    engine and on its fallback, worker respawns. *)
 
 val correct : cost -> bool
 (** [eq = 0.] *)

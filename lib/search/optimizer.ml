@@ -50,14 +50,7 @@ type result = {
   tests_executed : int;
   pruned_evals : int;
   cache_hits : int;
-  compile_count : int;
-  compiled_runs : int;
-  batched_runs : int;
-  batch_prunes : int;
-  native_runs : int;
-  encode_count : int;
-  encoder_fallbacks : int;
-  worker_respawns : int;
+  engine_counters : Sandbox.Engine.counters;
   static_rejects : int;
   moves : move_stats;
   stop_reason : Control.stop_reason;
@@ -129,15 +122,21 @@ type anchors = {
   tests0 : int;
   pruned0 : int;
   hits0 : int;
-  compiles0 : int;
-  cruns0 : int;
-  bruns0 : int;
-  bprunes0 : int;
-  nruns0 : int;
-  encodes0 : int;
-  efallbacks0 : int;
-  respawns0 : int;
+  engine0 : Sandbox.Engine.counters;
 }
+
+let engine_json engine (c : Sandbox.Engine.counters) =
+  Obs.Json.Obj
+    [
+      ("name", Obs.Json.String (Sandbox.Exec.engine_to_string engine));
+      ("prepares", Obs.Json.Int c.Sandbox.Engine.prepares);
+      ("runs", Obs.Json.Int c.Sandbox.Engine.runs);
+      ("fallbacks", Obs.Json.Int c.Sandbox.Engine.fallbacks);
+      ("respawns", Obs.Json.Int c.Sandbox.Engine.respawns);
+    ]
+
+let anchored_engine ctx anchors =
+  Sandbox.Engine.sub (Cost.engine_counters ctx) anchors.engine0
 
 (* Shared by the log-spaced "checkpoint" and the fixed-cadence "progress"
    events. *)
@@ -156,16 +155,7 @@ let emit_point obs name ~chain ~iter ~anchors ctx state ~current_total =
       ("tests_executed", Obs.Json.Int (Cost.tests_executed ctx - anchors.tests0));
       ("pruned_evals", Obs.Json.Int (Cost.pruned_evals ctx - anchors.pruned0));
       ("cache_hits", Obs.Json.Int (Cost.cache_hits ctx - anchors.hits0));
-      ("compile_count", Obs.Json.Int (Cost.compile_count ctx - anchors.compiles0));
-      ("compiled_runs", Obs.Json.Int (Cost.compiled_runs ctx - anchors.cruns0));
-      ("batched_runs", Obs.Json.Int (Cost.batched_runs ctx - anchors.bruns0));
-      ("batch_prunes", Obs.Json.Int (Cost.batch_prunes ctx - anchors.bprunes0));
-      ("native_runs", Obs.Json.Int (Cost.native_runs ctx - anchors.nruns0));
-      ("encode_count", Obs.Json.Int (Cost.encode_count ctx - anchors.encodes0));
-      ( "encoder_fallbacks",
-        Obs.Json.Int (Cost.encoder_fallbacks ctx - anchors.efallbacks0) );
-      ( "worker_respawns",
-        Obs.Json.Int (Cost.worker_respawns ctx - anchors.respawns0) );
+      ("engine", engine_json (Cost.engine ctx) (anchored_engine ctx anchors));
       ("static_rejects", Obs.Json.Int state.static_rejects);
       ("elapsed_s", Obs.Json.Float elapsed);
       ( "evals_per_s",
@@ -345,14 +335,7 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
       tests0 = Cost.tests_executed ctx;
       pruned0 = Cost.pruned_evals ctx;
       hits0 = Cost.cache_hits ctx;
-      compiles0 = Cost.compile_count ctx;
-      cruns0 = Cost.compiled_runs ctx;
-      bruns0 = Cost.batched_runs ctx;
-      bprunes0 = Cost.batch_prunes ctx;
-      nruns0 = Cost.native_runs ctx;
-      encodes0 = Cost.encode_count ctx;
-      efallbacks0 = Cost.encoder_fallbacks ctx;
-      respawns0 = Cost.worker_respawns ctx;
+      engine0 = Cost.engine_counters ctx;
     }
   in
   let control =
@@ -522,14 +505,7 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
       tests_executed = Cost.tests_executed ctx - anchors.tests0;
       pruned_evals = Cost.pruned_evals ctx - anchors.pruned0;
       cache_hits = Cost.cache_hits ctx - anchors.hits0;
-      compile_count = Cost.compile_count ctx - anchors.compiles0;
-      compiled_runs = Cost.compiled_runs ctx - anchors.cruns0;
-      batched_runs = Cost.batched_runs ctx - anchors.bruns0;
-      batch_prunes = Cost.batch_prunes ctx - anchors.bprunes0;
-      native_runs = Cost.native_runs ctx - anchors.nruns0;
-      encode_count = Cost.encode_count ctx - anchors.encodes0;
-      encoder_fallbacks = Cost.encoder_fallbacks ctx - anchors.efallbacks0;
-      worker_respawns = Cost.worker_respawns ctx - anchors.respawns0;
+      engine_counters = anchored_engine ctx anchors;
       static_rejects = state.static_rejects;
       moves = state.moves;
       stop_reason;
@@ -561,14 +537,7 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
         ("tests_executed", Obs.Json.Int result.tests_executed);
         ("pruned_evals", Obs.Json.Int result.pruned_evals);
         ("cache_hits", Obs.Json.Int result.cache_hits);
-        ("compile_count", Obs.Json.Int result.compile_count);
-        ("compiled_runs", Obs.Json.Int result.compiled_runs);
-        ("batched_runs", Obs.Json.Int result.batched_runs);
-        ("batch_prunes", Obs.Json.Int result.batch_prunes);
-        ("native_runs", Obs.Json.Int result.native_runs);
-        ("encode_count", Obs.Json.Int result.encode_count);
-        ("encoder_fallbacks", Obs.Json.Int result.encoder_fallbacks);
-        ("worker_respawns", Obs.Json.Int result.worker_respawns);
+        ("engine", engine_json (Cost.engine ctx) result.engine_counters);
         ("static_rejects", Obs.Json.Int result.static_rejects);
         ( "stop_reason",
           Obs.Json.String (Control.stop_reason_to_string result.stop_reason) );

@@ -83,27 +83,9 @@ type result = {
       (** test-case program runs charged to the cost context *)
   pruned_evals : int;  (** evaluations aborted early by the cutoff *)
   cache_hits : int;  (** evaluations answered from the cost cache *)
-  compile_count : int;
-      (** proposals translated by the compiled engine (0 under [Interp]) *)
-  compiled_runs : int;
-      (** test-case runs executed through the compiled engine *)
-  batched_runs : int;
-      (** lane-runs started through the batched engine (0 under the
-          other engines) *)
-  batch_prunes : int;
-      (** proposals aborted mid-run at batch granularity — a lane fault
-          alone proved rejection; a subset of [pruned_evals] *)
-  native_runs : int;
-      (** lane-runs executed as machine code in the native worker (0
-          under the other engines) *)
-  encode_count : int;
-      (** proposals encoded and shipped to the native worker *)
-  encoder_fallbacks : int;
-      (** proposals the native engine handed to the batched fallback
-          because an instruction was unencodable or not bit-identical in
-          hardware *)
-  worker_respawns : int;
-      (** native worker processes respawned after a crash or timeout *)
+  engine_counters : Sandbox.Engine.counters;
+      (** the engine's work: programs prepared, test-case runs on the
+          selected engine and on its batched fallback, worker respawns *)
   static_rejects : int;
       (** proposals rejected by the static undef-read screen, before any
           cost evaluation *)
@@ -117,7 +99,7 @@ type result = {
           domains whose chain crashed *)
 }
 
-(** The counter fields ([evaluations] … [worker_respawns]) are {e anchored}:
+(** The counter fields ([evaluations] … [engine_counters]) are {e anchored}:
     they count this run's work only, matching the [search_end] telemetry,
     even when the same {!Cost.t} context (and its monotonically growing
     counters) is reused across several runs. *)
@@ -128,6 +110,10 @@ val kind_index : Transform.kind -> int
 val moves_json : move_stats -> Obs.Json.t
 (** The per-kind [{proposed, accepted}] object embedded in [search_end]
     events, for callers assembling their own metrics dumps. *)
+
+val engine_json : Sandbox.Exec.engine -> Sandbox.Engine.counters -> Obs.Json.t
+(** The [engine] object of [checkpoint]/[search_end] events and
+    [--metrics]: the engine's name and its counters. *)
 
 val run :
   ?obs:Obs.Sink.t ->

@@ -213,14 +213,10 @@ let run ?domains ?obs ?(orch_obs = Obs.Sink.null) ?progress_every ?checkpoint
       tests_executed = sum (fun r -> r.Optimizer.tests_executed);
       pruned_evals = sum (fun r -> r.Optimizer.pruned_evals);
       cache_hits = sum (fun r -> r.Optimizer.cache_hits);
-      compile_count = sum (fun r -> r.Optimizer.compile_count);
-      compiled_runs = sum (fun r -> r.Optimizer.compiled_runs);
-      batched_runs = sum (fun r -> r.Optimizer.batched_runs);
-      batch_prunes = sum (fun r -> r.Optimizer.batch_prunes);
-      native_runs = sum (fun r -> r.Optimizer.native_runs);
-      encode_count = sum (fun r -> r.Optimizer.encode_count);
-      encoder_fallbacks = sum (fun r -> r.Optimizer.encoder_fallbacks);
-      worker_respawns = sum (fun r -> r.Optimizer.worker_respawns);
+      engine_counters =
+        List.fold_left
+          (fun acc r -> Sandbox.Engine.add acc r.Optimizer.engine_counters)
+          Sandbox.Engine.zero ok_results;
       static_rejects = sum (fun r -> r.Optimizer.static_rejects);
       moves;
       stop_reason =

@@ -7,65 +7,26 @@ type t = {
 
 let top_eta = 0x1p64
 
-let create ?(engine = Sandbox.Exec.Compiled) spec ~rewrite =
+let create ?(engine = Sandbox.Exec.Compiled) ?instance spec ~rewrite =
+  let engine =
+    match instance with
+    | Some e -> e
+    | None -> Sandbox.Engine.of_engine engine
+  in
   let machine = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
   let pristine = Sandbox.Machine.copy machine in
+  let caller = Sandbox.Engine.caller engine machine in
   (* Validation evaluates the same two programs millions of times, so
-     under the compiled and batched engines both are translated exactly
-     once, here.  A runner installs one test case, executes, and reads
-     the live outputs — [None] is a fault. *)
-  let shared_machine_runner run tc =
-    Sandbox.Machine.restore_from ~src:pristine ~dst:machine;
-    Sandbox.Testcase.apply tc machine;
-    let r : Sandbox.Exec.result = run () in
-    match r.Sandbox.Exec.outcome with
-    | Sandbox.Exec.Finished -> Some (Sandbox.Spec.read_outputs spec machine)
-    | Sandbox.Exec.Faulted _ -> None
-  in
-  (* One native worker shared by the target and rewrite runners. *)
-  let nbatch =
-    match engine with
-    | Sandbox.Exec.Native ->
-      Sandbox.Native.create_batch pristine [| Sandbox.Testcase.empty |]
-    | _ -> None
-  in
-  (* One lane, inputs overlaid per call — the validator samples a fresh
-     random input every evaluation, so nothing is baked. *)
-  let batched_runner program =
-    let b = Sandbox.Batched.create_batch pristine [| Sandbox.Testcase.empty |] in
-    let bp = Sandbox.Batched.compile b program in
-    fun tc ->
-      Sandbox.Batched.reset b;
-      Sandbox.Batched.apply_testcase b ~lane:0 tc;
-      let (_aborted : bool) = Sandbox.Batched.exec bp in
-      (match Sandbox.Batched.fault b ~lane:0 with
-       | None -> Some (Sandbox.Batched.read_outputs b ~lane:0 spec)
-       | Some _ -> None)
-  in
+     both are prepared exactly once, here.  A runner installs one test
+     case, executes, and reads the live outputs — [None] is a fault. *)
   let runner program =
-    match engine with
-    | Sandbox.Exec.Interp ->
-      shared_machine_runner (fun () -> Sandbox.Exec.run machine program)
-    | Sandbox.Exec.Compiled ->
-      let cp = Sandbox.Compiled.compile machine program in
-      shared_machine_runner (fun () -> Sandbox.Compiled.exec cp)
-    | Sandbox.Exec.Batched -> batched_runner program
-    | Sandbox.Exec.Native -> (
-      (* Native worker where possible; batched lanes when the worker
-         couldn't start or the program is unencodable. *)
-      match nbatch with
-      | None -> batched_runner program
-      | Some nb ->
-        (match Sandbox.Native.compile nb program with
-         | None -> batched_runner program
-         | Some np ->
-           fun tc ->
-             Sandbox.Native.reset nb;
-             Sandbox.Native.apply_testcase nb ~lane:0 tc;
-             let (_crashed : bool) = Sandbox.Native.exec np in
-             (match Sandbox.Native.fault nb ~lane:0 with
-              | None -> Some (Sandbox.Native.read_outputs nb ~lane:0 spec)
-              | Some _ -> None)))
+    let call = Sandbox.Engine.prepare_call caller machine program in
+    fun tc ->
+      Sandbox.Machine.restore_from ~src:pristine ~dst:machine;
+      Sandbox.Testcase.apply tc machine;
+      match (Sandbox.Engine.call call).Sandbox.Exec.outcome with
+      | Sandbox.Exec.Finished -> Some (Sandbox.Spec.read_outputs spec machine)
+      | Sandbox.Exec.Faulted _ -> None
   in
   {
     spec;

@@ -5,12 +5,16 @@
 type t
 
 val create :
-  ?engine:Sandbox.Exec.engine -> Sandbox.Spec.t -> rewrite:Program.t -> t
-(** [engine] (default [Compiled]) selects the executor.  Under the
-    compiled and batched engines the target and the rewrite are each
-    translated once here and replayed per evaluation (the batched
-    engine runs a single lane, with each sampled input overlaid per
-    call).  All engines produce bit-identical errors. *)
+  ?engine:Sandbox.Exec.engine ->
+  ?instance:Sandbox.Engine.t ->
+  Sandbox.Spec.t ->
+  rewrite:Program.t ->
+  t
+(** [engine] (default [Compiled]) selects the executor
+    ({!Sandbox.Engine}); [instance] overrides it with an explicit engine
+    instance.  The target and the rewrite are each prepared once here and
+    run per evaluation on one machine, each sampled input installed per
+    call.  All engines produce bit-identical errors. *)
 
 val eval : t -> float array -> float
 (** [eval e xs] evaluates the error on the test case assembled from the

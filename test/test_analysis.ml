@@ -279,63 +279,23 @@ let screen_props =
         if rejected then events <> [] else pre_fault = []);
   ]
 
-(* ----- DCE is cost-0-equivalent under both engines ----- *)
+(* ----- DCE is cost-0-equivalent under every engine ----- *)
 
 let dce_props =
   let spec = Kernels.Aek_kernels.add_spec in
   let pools = Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec in
-  (* lazy shared native worker — [run_one] reloads all lane-0 state from
-     [m] per call, so one worker serves every machine of this size *)
-  let nbatch = ref None in
-  let native_batch_for m =
-    match !nbatch with
-    | Some b -> b
-    | None ->
-      let b =
-        Sandbox.Native.create_batch ~want_mem:true m
-          [| Sandbox.Testcase.empty |]
-      in
-      nbatch := Some b;
-      b
+  (* one caller per available engine; every machine below has the
+     spec's arena *)
+  let engines =
+    let template =
+      Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
+    in
+    List.map
+      (fun e -> Sandbox.Engine.caller (Sandbox.Engine.of_engine e) template)
+      (List.filter Sandbox.Engine.available Sandbox.Engine.all)
   in
-  let run_engine engine m p =
-    match engine with
-    | Sandbox.Exec.Interp -> Sandbox.Exec.run m p
-    | Sandbox.Exec.Compiled -> Sandbox.Compiled.exec (Sandbox.Compiled.compile m p)
-    | Sandbox.Exec.Native -> (
-      (* native run threading [m] through lane 0, interpreter for any
-         gap (unavailable, unencodable, crash) *)
-      match native_batch_for m with
-      | None -> Sandbox.Exec.run m p
-      | Some nb ->
-        (match Sandbox.Native.compile nb p with
-         | None -> Sandbox.Exec.run m p
-         | Some np ->
-           (match Sandbox.Native.run_one nb np m with
-            | Some r -> r
-            | None -> Sandbox.Exec.run m p)))
-    | Sandbox.Exec.Batched ->
-      (* one-lane batch seeded from [m]; copy the lane's final state back
-         so the callers' machine comparisons see the batched results *)
-      let b = Sandbox.Batched.create_batch m [| Sandbox.Testcase.empty |] in
-      let bp = Sandbox.Batched.compile b p in
-      let (_aborted : bool) = Sandbox.Batched.exec bp in
-      let lm = Sandbox.Batched.lane_machine b ~lane:0 in
-      Array.blit lm.Sandbox.Machine.gp 0 m.Sandbox.Machine.gp 0 16;
-      Array.blit lm.Sandbox.Machine.xmm 0 m.Sandbox.Machine.xmm 0 32;
-      m.Sandbox.Machine.flags.Sandbox.Machine.cf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.cf;
-      m.Sandbox.Machine.flags.Sandbox.Machine.zf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.zf;
-      m.Sandbox.Machine.flags.Sandbox.Machine.sf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.sf;
-      m.Sandbox.Machine.flags.Sandbox.Machine.o_f <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.o_f;
-      m.Sandbox.Machine.flags.Sandbox.Machine.pf <-
-        lm.Sandbox.Machine.flags.Sandbox.Machine.pf;
-      Sandbox.Memory.blit_from ~src:lm.Sandbox.Machine.mem
-        ~dst:m.Sandbox.Machine.mem;
-      Sandbox.Batched.result b ~lane:0
+  let run_engine caller m p =
+    Sandbox.Engine.call (Sandbox.Engine.prepare_call caller m p)
   in
   [
     QCheck.Test.make
@@ -391,9 +351,7 @@ let dce_props =
                      | Liveness.Lmem -> true (* compared below for all runs *))
                    live_out
               && Sandbox.Memory.equal m1.Sandbox.Machine.mem m2.Sandbox.Machine.mem)
-          ([ Sandbox.Exec.Interp; Sandbox.Exec.Compiled ]
-          @ (if Sandbox.Native.available () then [ Sandbox.Exec.Native ]
-             else [])));
+          engines);
   ]
 
 (* ----- the screen inside the search ----- *)

@@ -156,99 +156,6 @@ let json_tests =
           (Obs.Json.to_int_opt (get "s") = None));
   ]
 
-(* A fake clock for deterministic timer tests. *)
-let with_fake_clock f =
-  let t = ref 0L in
-  Obs.Clock.set_source (fun () -> !t);
-  Fun.protect ~finally:Obs.Clock.reset_source (fun () ->
-      f (fun ns -> t := Int64.add !t ns))
-
-let metrics_tests =
-  [
-    Alcotest.test_case "counter incr/add/reset" `Quick (fun () ->
-        let c = Obs.Metrics.Counter.create "evals" in
-        Alcotest.(check int) "zero" 0 (Obs.Metrics.Counter.value c);
-        Obs.Metrics.Counter.incr c;
-        Obs.Metrics.Counter.add c 10;
-        Alcotest.(check int) "eleven" 11 (Obs.Metrics.Counter.value c);
-        Obs.Metrics.Counter.reset c;
-        Alcotest.(check int) "reset" 0 (Obs.Metrics.Counter.value c));
-    Alcotest.test_case "timer accumulates laps on the clock" `Quick (fun () ->
-        with_fake_clock (fun advance ->
-            let t = Obs.Metrics.Timer.create "search" in
-            Obs.Metrics.Timer.start t;
-            advance 500_000_000L;
-            Obs.Metrics.Timer.stop t;
-            Obs.Metrics.Timer.start t;
-            advance 250_000_000L;
-            Obs.Metrics.Timer.stop t;
-            Alcotest.(check (float 1e-9)) "0.75s" 0.75
-              (Obs.Metrics.Timer.elapsed_s t);
-            Alcotest.(check int) "two laps" 2 (Obs.Metrics.Timer.laps t);
-            Alcotest.(check (float 1e-6)) "rate" 100.
-              (Obs.Metrics.Timer.rate t 75)));
-    Alcotest.test_case "elapsed_s includes a running lap" `Quick (fun () ->
-        with_fake_clock (fun advance ->
-            let t = Obs.Metrics.Timer.create "live" in
-            Obs.Metrics.Timer.start t;
-            advance 1_000_000_000L;
-            Alcotest.(check (float 1e-9)) "1s while running" 1.0
-              (Obs.Metrics.Timer.elapsed_s t)));
-    Alcotest.test_case "time stops on exceptions" `Quick (fun () ->
-        with_fake_clock (fun advance ->
-            let t = Obs.Metrics.Timer.create "exn" in
-            (try
-               Obs.Metrics.Timer.time t (fun () ->
-                   advance 100_000_000L;
-                   failwith "boom")
-             with Failure _ -> ());
-            Alcotest.(check int) "lap recorded" 1 (Obs.Metrics.Timer.laps t);
-            advance 900_000_000L;
-            Alcotest.(check (float 1e-9)) "clock stopped" 0.1
-              (Obs.Metrics.Timer.elapsed_s t)));
-    Alcotest.test_case "histogram statistics" `Quick (fun () ->
-        let h = Obs.Metrics.Histogram.create "err" in
-        Array.iter
-          (Obs.Metrics.Histogram.observe h)
-          [| 1.0; 2.0; 4.0; 8.0; 1024.0 |];
-        Alcotest.(check int) "count" 5 (Obs.Metrics.Histogram.count h);
-        Alcotest.(check (float 1e-9)) "sum" 1039. (Obs.Metrics.Histogram.sum h);
-        Alcotest.(check (float 1e-9)) "min" 1.0
-          (Obs.Metrics.Histogram.min_value h);
-        Alcotest.(check (float 1e-9)) "max" 1024.0
-          (Obs.Metrics.Histogram.max_value h);
-        (* log2 buckets: the median observation is 4.0, so the approximate
-           quantile must land within its power-of-two bucket [4, 8) *)
-        let med = Obs.Metrics.Histogram.quantile h 0.5 in
-        Alcotest.(check bool)
-          (Printf.sprintf "median %g in [2,8]" med)
-          true
-          (med >= 2.0 && med <= 8.0));
-    Alcotest.test_case "registry deduplicates by name" `Quick (fun () ->
-        let r = Obs.Metrics.registry () in
-        let a = Obs.Metrics.counter r "n" in
-        let b = Obs.Metrics.counter r "n" in
-        Obs.Metrics.Counter.incr a;
-        Alcotest.(check int) "same counter" 1 (Obs.Metrics.Counter.value b);
-        Alcotest.check_raises "kind clash"
-          (Invalid_argument "n is registered as a different metric kind")
-          (fun () -> ignore (Obs.Metrics.timer r "n")));
-    Alcotest.test_case "registry serializes to json" `Quick (fun () ->
-        let r = Obs.Metrics.registry () in
-        Obs.Metrics.Counter.add (Obs.Metrics.counter r "proposals") 42;
-        ignore (Obs.Metrics.timer r "wall");
-        Obs.Metrics.Histogram.observe (Obs.Metrics.histogram r "ulps") 3.0;
-        let j = Obs.Metrics.to_json r in
-        Alcotest.(check (option int)) "counter as int" (Some 42)
-          (Option.bind (Obs.Json.member "proposals" j) Obs.Json.to_int_opt);
-        let hist = Option.get (Obs.Json.member "ulps" j) in
-        Alcotest.(check (option int)) "hist count" (Some 1)
-          (Option.bind (Obs.Json.member "count" hist) Obs.Json.to_int_opt);
-        (* a full registry dump is still one parseable JSON line *)
-        Alcotest.check json "round-trips" j
-          (Obs.Json.of_string_exn (Obs.Json.to_string j)));
-  ]
-
 let sink_tests =
   [
     Alcotest.test_case "null sink is disabled and inert" `Quick (fun () ->
@@ -612,7 +519,6 @@ let () =
   Alcotest.run "obs"
     [
       ("json", json_tests);
-      ("metrics", metrics_tests);
       ("sink", sink_tests);
       ("optimizer-stream", optimizer_stream_tests);
       ("validate-stream", validate_stream_tests);

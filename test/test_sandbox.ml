@@ -1268,6 +1268,59 @@ let native_skip () =
 let native_case name f =
   Alcotest.test_case name `Quick (fun () -> try f () with Skip_native -> ())
 
+(* The seam's call-at-a-time path: every engine, called on a caller's
+   machine, leaves it exactly as the interpreter would — registers,
+   flags, memory, outcome and cycles — including a faulting run. *)
+let engine_tests =
+  [
+    Alcotest.test_case "every engine's call matches the interpreter" `Quick
+      (fun () ->
+        let programs =
+          [
+            [ "movq (rdi), xmm3"; "addsd xmm3, xmm3"; "movq xmm3, 16(rdi)";
+              "addq $5, rcx" ];
+            [ "addq $1, rcx"; "movq 8(rcx), xmm0" ];
+          ]
+        in
+        let setup m =
+          Sandbox.Machine.set_gp m Reg.Rdi base;
+          Sandbox.Machine.set_gp m Reg.Rcx 37L;
+          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
+            (Sandbox.Testcase.f64_bytes 2.25)
+        in
+        List.iter
+          (fun lines ->
+            let p = Program.of_instrs (List.map parse_i lines) in
+            let mi = fresh () in
+            setup mi;
+            let ri = Sandbox.Exec.run mi p in
+            List.iter
+              (fun engine ->
+                let name = Sandbox.Exec.engine_to_string engine in
+                let caller =
+                  Sandbox.Engine.caller (Sandbox.Engine.of_engine engine)
+                    (fresh ())
+                in
+                let m = fresh () in
+                setup m;
+                (* twice through one prepared call: state threads in and out *)
+                let call = Sandbox.Engine.prepare_call caller m p in
+                let r = Sandbox.Engine.call call in
+                Alcotest.(check bool) (name ^ ": outcome") true
+                  (outcome_equal r.Sandbox.Exec.outcome ri.Sandbox.Exec.outcome);
+                Alcotest.(check int) (name ^ ": cycles") ri.Sandbox.Exec.cycles
+                  r.Sandbox.Exec.cycles;
+                Alcotest.(check bool) (name ^ ": machine state") true
+                  (machine_equal m mi);
+                let mi2 = Sandbox.Machine.copy mi in
+                let _ = Sandbox.Exec.run mi2 p in
+                let _ = Sandbox.Engine.call call in
+                Alcotest.(check bool) (name ^ ": second call") true
+                  (machine_equal m mi2))
+              (List.filter Sandbox.Engine.available Sandbox.Engine.all))
+          programs);
+  ]
+
 let native_tests =
   [
     native_case
@@ -1522,6 +1575,7 @@ let () =
       ("compiled", compiled_tests);
       ("compiled-properties", compiled_props);
       ("batched", batched_tests);
+      ("engine", engine_tests);
       ("batched-properties", batched_props);
       ("native", native_tests);
       ("native-properties", native_props);

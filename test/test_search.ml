@@ -271,6 +271,112 @@ let cost_tests =
           "identical total"
           (Int64.bits_of_float c1.Search.Cost.total)
           (Int64.bits_of_float c2.Search.Cost.total));
+    Alcotest.test_case "a crashing engine re-runs on the fallback" `Quick
+      (fun () ->
+        (* Regression: a native worker crash latched a fault on every
+           lane, so a correct proposal was scored — and cached — as
+           signalling everywhere, and the validator charged it top_eta.
+           Through the seam the crashed call re-runs on the fallback, so
+           every answer must be the interpreter's, bit for bit. *)
+        let module Crashing = struct
+          let engine = Sandbox.Exec.Native
+          let available () = true
+          let translates = true
+
+          type lanes = unit
+
+          let lanes _ _ = ()
+
+          type prog = unit
+
+          let prepare () _ = Some ()
+          let run () ~order:_ ~diverges:_ _ = None
+          let respawns () = 0
+
+          type caller = unit
+
+          let caller _ = ()
+
+          type call = unit
+
+          let prepare_call () _ _ = Some ()
+          let call () = None
+        end in
+        let crashing = (module Crashing : Sandbox.Engine.S) in
+        let tests = Stoke.make_tests ~n:16 ~seed:99L exp_spec in
+        let params = Search.Cost.default_params ~eta:0L in
+        let create ?use_cache engine =
+          Search.Cost.create ?use_cache ~instance:engine exp_spec params tests
+        in
+        let interp = Sandbox.Engine.of_engine Sandbox.Exec.Interp in
+        let reference = create interp and ctx = create crashing in
+        let truncated =
+          Program.of_instrs
+            (List.filteri
+               (fun i _ -> i < 15 || i >= 19)
+               (Program.instrs exp_spec.Sandbox.Spec.program))
+        in
+        let programs =
+          [ exp_spec.Sandbox.Spec.program; truncated;
+            Parser.parse_program_exn "movsd (rax), xmm0";
+            Parser.parse_program_exn "addsd xmm0, xmm0" ]
+        in
+        let same_cost (a : Search.Cost.cost) (b : Search.Cost.cost) =
+          a = b
+          && Int64.equal
+               (Int64.bits_of_float a.Search.Cost.total)
+               (Int64.bits_of_float b.Search.Cost.total)
+        in
+        List.iter
+          (fun p ->
+            let expected = Search.Cost.eval_full reference p in
+            (* the second answer comes from the cost cache *)
+            for _ = 1 to 2 do
+              Alcotest.(check bool)
+                "eval_full is the interpreter's" true
+                (same_cost expected (Search.Cost.eval_full ctx p))
+            done)
+          programs;
+        Alcotest.(check int)
+          "second evaluations were cache hits" (List.length programs)
+          (Search.Cost.cache_hits ctx);
+        let c = Search.Cost.engine_counters ctx in
+        Alcotest.(check int) "no run completed on the crashing engine" 0
+          c.Sandbox.Engine.runs;
+        Alcotest.(check int)
+          "every run re-ran on the fallback"
+          (Search.Cost.tests_executed ctx)
+          c.Sandbox.Engine.fallbacks;
+        (* cutoff verdicts agree too, just below and at the true total *)
+        let reference = create ~use_cache:false interp
+        and ctx = create ~use_cache:false crashing in
+        List.iter
+          (fun p ->
+            let total = (Search.Cost.eval_full reference p).Search.Cost.total in
+            List.iter
+              (fun cutoff ->
+                match
+                  Search.Cost.eval ~cutoff reference p,
+                  Search.Cost.eval ~cutoff ctx p
+                with
+                | Search.Cost.Pruned _, Search.Cost.Pruned _ -> ()
+                | Search.Cost.Evaluated a, Search.Cost.Evaluated b ->
+                  Alcotest.(check bool)
+                    "eval ~cutoff is the interpreter's" true (same_cost a b)
+                | _ -> Alcotest.fail "verdicts differ")
+              [ total *. 0.5; total ])
+          programs;
+        let g = Rng.Xoshiro256.create 5L in
+        let errfn instance =
+          Validate.Errfn.create ~instance exp_spec ~rewrite:truncated
+        in
+        let e_ref = errfn interp and e = errfn crashing in
+        for _ = 1 to 64 do
+          let xs = Sandbox.Spec.random_floats g exp_spec in
+          Alcotest.(check bool)
+            "eval_both is the interpreter's" true
+            (Validate.Errfn.eval_both e_ref xs = Validate.Errfn.eval_both e xs)
+        done);
   ]
 
 let strategy_tests =
@@ -567,49 +673,48 @@ let optimizer_tests =
             Alcotest.(check int)
               (label ^ ": same accept trajectory")
               reference.Search.Optimizer.accepted r.Search.Optimizer.accepted)
-          ([ ("compiled", run Sandbox.Exec.Compiled false);
-             ("compiled+prune", run Sandbox.Exec.Compiled true);
-             ("interp+prune", run Sandbox.Exec.Interp true);
-             ("batched", run Sandbox.Exec.Batched false);
-             ("batched+prune", run Sandbox.Exec.Batched true) ]
-          @
-          (* the native engine must reproduce the same winner bit-for-bit
-             whether its lanes ran as machine code or fell back; skipped
-             where mmap-exec is denied *)
-          (if Sandbox.Native.available () then
-             [ ("native", run Sandbox.Exec.Native false);
-               ("native+prune", run Sandbox.Exec.Native true) ]
-           else []));
+          (List.concat_map
+             (fun engine ->
+               let name = Sandbox.Exec.engine_to_string engine in
+               [ (name, run engine false); (name ^ "+prune", run engine true) ])
+             (List.filter Sandbox.Engine.available Sandbox.Engine.all));
+        let counters (r : Search.Optimizer.result) =
+          r.Search.Optimizer.engine_counters
+        in
+        let every_run_counted label (r : Search.Optimizer.result) =
+          let c = counters r in
+          Alcotest.(check int)
+            (label ^ ": runs + fallback runs = tests executed")
+            r.Search.Optimizer.tests_executed
+            (c.Sandbox.Engine.runs + c.Sandbox.Engine.fallbacks)
+        in
         let compiled = run Sandbox.Exec.Compiled false in
+        every_run_counted "compiled" compiled;
         Alcotest.(check bool)
           "compiled engine actually compiled" true
-          (compiled.Search.Optimizer.compile_count > 0
-          && compiled.Search.Optimizer.compiled_runs
-             >= compiled.Search.Optimizer.compile_count);
+          ((counters compiled).Sandbox.Engine.prepares > 0
+          && (counters compiled).Sandbox.Engine.runs
+             >= (counters compiled).Sandbox.Engine.prepares
+          && (counters compiled).Sandbox.Engine.fallbacks = 0);
+        every_run_counted "interp" reference;
         Alcotest.(check int)
-          "interp engine never compiles" 0
-          reference.Search.Optimizer.compile_count;
+          "interp engine never prepares" 0
+          (counters reference).Sandbox.Engine.prepares;
         let batched = run Sandbox.Exec.Batched true in
+        every_run_counted "batched" batched;
         Alcotest.(check bool)
-          "batched engine counts lane runs" true
-          (batched.Search.Optimizer.batched_runs > 0
-          && batched.Search.Optimizer.compiled_runs = 0);
-        Alcotest.(check bool)
-          "batch prunes are a subset of pruned evals" true
-          (batched.Search.Optimizer.batch_prunes
-           <= batched.Search.Optimizer.pruned_evals);
+          "batched engine runs whole batches of 8 lanes" true
+          ((counters batched).Sandbox.Engine.runs > 0
+          && (counters batched).Sandbox.Engine.fallbacks = 0
+          && batched.Search.Optimizer.tests_executed mod 8 = 0);
         if Sandbox.Native.available () then begin
           let native = run Sandbox.Exec.Native true in
+          every_run_counted "native" native;
           Alcotest.(check bool)
             "native engine runs lanes natively" true
-            (native.Search.Optimizer.native_runs > 0
-            && native.Search.Optimizer.encode_count > 0);
-          Alcotest.(check bool)
-            "every evaluated proposal either encoded or fell back" true
-            (native.Search.Optimizer.encoder_fallbacks >= 0
-            && native.Search.Optimizer.native_runs
-               + native.Search.Optimizer.batched_runs
-               = native.Search.Optimizer.tests_executed)
+            ((counters native).Sandbox.Engine.runs > 0
+            && (counters native).Sandbox.Engine.prepares > 0
+            && (counters native).Sandbox.Engine.respawns = 0)
         end);
     Alcotest.test_case "same seed gives the same result" `Quick (fun () ->
         let spec = Kernels.Aek_kernels.add_spec in
