@@ -1,17 +1,35 @@
 (* Equivalence smoke check: run the same fixed-seed search under every
    engine × pruning combination, assert the winners are bit-identical,
-   and report how many test-case executions the cutoff + cache saved.
+   and check how many test-case executions the cutoff + cache saved
+   against pinned counts.
    Small enough to ride along in `dune runtest` as an end-to-end guard on
    both equivalence invariants — pruned vs. full, and compiled vs.
    interpreted. *)
 
+(* The work counters of the pruned compiled search are deterministic, so
+   they are gated exactly: a change that moves one changed the search's
+   work, and must update these figures on purpose. *)
+type counts = {
+  full_tests : int;  (** tests executed by the unpruned interp search *)
+  tests : int;  (** tests executed by the pruned compiled search *)
+  pruned : int;
+  cache_hits : int;
+  prepares : int;
+}
+
 let kernels =
   [
-    ("add", Kernels.Aek_kernels.add_spec);
-    ("scale", Kernels.Aek_kernels.scale_spec);
+    ( "add",
+      Kernels.Aek_kernels.add_spec,
+      { full_tests = 31680; tests = 5087; pruned = 1407; cache_hits = 343;
+        prepares = 1637 } );
+    ( "scale",
+      Kernels.Aek_kernels.scale_spec,
+      { full_tests = 30736; tests = 5444; pruned = 1263; cache_hits = 397;
+        prepares = 1524 } );
   ]
 
-let run_one name (spec : Sandbox.Spec.t) =
+let run_one name (spec : Sandbox.Spec.t) expected =
   let tests = Stoke.make_tests ~n:16 ~seed:7L spec in
   let params = Search.Cost.default_params ~eta:0L in
   let search engine prune =
@@ -66,18 +84,31 @@ let run_one name (spec : Sandbox.Spec.t) =
           end)
         [ false; true ])
     engines;
-  let tp = pruned.Search.Optimizer.tests_executed in
-  let tf = full.Search.Optimizer.tests_executed in
-  let saved = 100. *. (1. -. (float_of_int tp /. float_of_int tf)) in
-  Printf.printf
-    "%-8s identical winners (%d engines x prune on/off); tests executed %8d \
-     -> %8d  (%.1f%% saved, %d pruned, %d cache hits, %d prepares)\n"
-    name
-    (List.length engines)
-    tf tp saved
-    pruned.Search.Optimizer.pruned_evals
-    pruned.Search.Optimizer.cache_hits
-    pruned.Search.Optimizer.engine_counters.Sandbox.Engine.prepares
+  let got =
+    {
+      full_tests = full.Search.Optimizer.tests_executed;
+      tests = pruned.Search.Optimizer.tests_executed;
+      pruned = pruned.Search.Optimizer.pruned_evals;
+      cache_hits = pruned.Search.Optimizer.cache_hits;
+      prepares =
+        pruned.Search.Optimizer.engine_counters.Sandbox.Engine.prepares;
+    }
+  in
+  let describe c =
+    Printf.sprintf
+      "tests executed %8d -> %8d  (%.1f%% saved, %d pruned, %d cache hits, \
+       %d prepares)"
+      c.full_tests c.tests
+      (100. *. (1. -. (float_of_int c.tests /. float_of_int c.full_tests)))
+      c.pruned c.cache_hits c.prepares
+  in
+  Printf.printf "%-8s identical winners (%d engines x prune on/off); %s\n" name
+    (List.length engines) (describe got);
+  if got <> expected then begin
+    Printf.eprintf "smoke: %s: work counters moved!\n  expected %s\n  got      %s\n"
+      name (describe expected) (describe got);
+    exit 1
+  end
 
 (* Frontier smoke: the cold frontier walk must reproduce the historical
    per-point sweep bit-identically (the sweep is now a wrapper over it),
@@ -149,5 +180,5 @@ let run () =
   Util.heading
     "equivalence smoke check (bit-identical winners across engines and \
      pruning)";
-  List.iter (fun (name, spec) -> run_one name spec) kernels;
+  List.iter (fun (name, spec, expected) -> run_one name spec expected) kernels;
   run_frontier ()

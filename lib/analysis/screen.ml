@@ -1,40 +1,24 @@
 (* The proposal-rate undef-read filter.  Same analysis as
-   Dataflow.undef_reads, but the location powerset is packed into one OCaml
-   int (34 bits: 16 GPs, 16 XMMs, flags, mem) so the per-proposal cost is a
-   handful of or/and-not word ops per slot — cheap enough to run on every
-   proposal before any test case executes. *)
+   Dataflow.undef_reads, but it stops at the first finding and works on
+   the packed representation of [Liveness.Locset] directly, so the
+   per-proposal cost is a couple of and/or word ops per slot — cheap
+   enough to run on every proposal before any test case executes. *)
 
-type env = int
-
-let bit_of_loc = function
-  | Liveness.Lgp r -> 1 lsl Reg.gp_index r
-  | Liveness.Lxmm r -> 1 lsl (16 + Reg.xmm_index r)
-  | Liveness.Lflags -> 1 lsl 32
-  | Liveness.Lmem -> 1 lsl 33
-
-let mask_of_locset s =
-  Liveness.Locset.fold (fun l acc -> acc lor bit_of_loc l) s 0
-
-let env_of_locset = mask_of_locset
+type env = Liveness.Locset.t
 
 let env_of_spec (spec : Sandbox.Spec.t) =
   (* The machine defines rsp before the first instruction runs. *)
-  mask_of_locset (Sandbox.Spec.live_in_set spec)
-  lor bit_of_loc (Liveness.Lgp Reg.Rsp)
+  Liveness.Locset.add (Liveness.Lgp Reg.Rsp) (Sandbox.Spec.live_in_set spec)
 
-let has_undef_read env p =
+let has_undef_read (env : env) p =
   let slots = p.Program.slots in
-  let n = Array.length slots in
-  let defined = ref env in
-  let rec go idx =
-    idx < n
-    && (match slots.(idx) with
-        | Program.Unused -> go (idx + 1)
-        | Program.Active i ->
-          mask_of_locset (Liveness.strict_uses i) land lnot !defined <> 0
-          || begin
-            defined := !defined lor mask_of_locset (Liveness.defs i);
-            go (idx + 1)
-          end)
+  let rec go idx defined =
+    idx < Array.length slots
+    &&
+    match slots.(idx) with
+    | Program.Unused -> go (idx + 1) defined
+    | Program.Active i ->
+      (Liveness.strict_uses i :> int) land lnot defined <> 0
+      || go (idx + 1) (defined lor (Liveness.defs i :> int))
   in
-  go 0
+  go 0 (env :> int)

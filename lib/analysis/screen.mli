@@ -1,5 +1,5 @@
-(** Bitmask fast path of the undef-read analysis, for screening proposals
-    inside the search loop.
+(** Fast path of the undef-read analysis, for screening proposals inside
+    the search loop.
 
     [has_undef_read env p] is [true] exactly when [Dataflow.undef_reads]
     would report at least one finding with [defined_in] the locations of
@@ -10,15 +10,10 @@
     distrust them. *)
 
 type env
-(** Packed set of initially-defined locations. *)
+(** Initially-defined locations. *)
 
 val env_of_spec : Sandbox.Spec.t -> env
 (** The spec's inputs ([Sandbox.Spec.live_in_set]) plus the
     environment-defined [rsp]. *)
-
-val env_of_locset : Liveness.Locset.t -> env
-
-val bit_of_loc : Liveness.loc -> int
-val mask_of_locset : Liveness.Locset.t -> int
 
 val has_undef_read : env -> Program.t -> bool

@@ -2,13 +2,13 @@
    pre-specialized closures over one machine, then run that trace across
    many test cases.
 
-   Specialization happens at compile time, once per proposal: operands
-   are resolved to direct register-file indices, immediates are
-   pre-extended, effective-address code is picked per addressing mode,
-   [Unused] slots are elided, per-instruction latencies are prefix-summed,
-   and faults are raised through a local exception instead of threading a
-   [result] through every step.  The run loop is then just an array of
-   [unit -> unit] calls.
+   Specialization happens at compile time, once per changed slot (see
+   [memo] below): operands are resolved to direct register-file indices,
+   immediates are pre-extended, effective-address code is picked per
+   addressing mode, [Unused] slots are elided, per-instruction latencies
+   are prefix-summed, and faults are raised through a local exception
+   instead of threading a [result] through every step.  The run loop is
+   then just an array of [unit -> unit] calls.
 
    Bit-identical by construction: every closure mirrors the corresponding
    arm of {!Semantics.step} — same read order, same fault order, same
@@ -689,23 +689,58 @@ let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   if Array.length i.Instr.operands = 0 then generic_closure m i
   else specialize m i
 
-let compile (m : Machine.t) (p : Program.t) : t =
-  let active =
-    Array.of_seq
-      (Seq.filter_map
-         (function
-           | Program.Unused -> None
-           | Program.Active i -> Some i)
-         (Array.to_seq p.Program.slots))
-  in
-  let n = Array.length active in
-  let steps = Array.make n (fun () -> ()) in
-  let lat_prefix = Array.make (n + 1) 0 in
+(* The per-slot translation memo.  Slot [k] remembers the instruction it
+   translated last ([instrs.(k)], compared physically) with its closure
+   and latency; instructions are never mutated in place (see [Instr]), so
+   a slot still holding that very instruction reuses them.  A proposal
+   changes one or two slots, so a prepare translates only those. *)
+type memo = {
+  machine : Machine.t;
+  mutable instrs : Instr.t array;
+  mutable closures : (unit -> unit) array;
+  mutable lats : int array;
+}
+
+(* Physically distinct from every instruction of every program. *)
+let untranslated = Instr.make_unchecked Opcode.Movabs [||]
+let nop () = ()
+let memo m = { machine = m; instrs = [||]; closures = [||]; lats = [||] }
+
+let prepare (memo : memo) (p : Program.t) : t =
+  let slots = p.Program.slots in
+  let n = Array.length slots in
+  if Array.length memo.instrs < n then begin
+    memo.instrs <- Array.make n untranslated;
+    memo.closures <- Array.make n nop;
+    memo.lats <- Array.make n 0
+  end;
+  let active = ref 0 in
   for k = 0 to n - 1 do
-    steps.(k) <- instr_closure m active.(k);
-    lat_prefix.(k + 1) <- lat_prefix.(k) + Latency.of_instr active.(k)
+    match slots.(k) with
+    | Program.Unused -> ()
+    | Program.Active i ->
+      incr active;
+      if memo.instrs.(k) != i then begin
+        memo.instrs.(k) <- i;
+        memo.closures.(k) <- instr_closure memo.machine i;
+        memo.lats.(k) <- Latency.of_instr i
+      end
+  done;
+  (* Fresh arrays: an earlier [t] from this memo stays valid. *)
+  let steps = Array.make !active nop in
+  let lat_prefix = Array.make (!active + 1) 0 in
+  let pos = ref 0 in
+  for k = 0 to n - 1 do
+    match slots.(k) with
+    | Program.Unused -> ()
+    | Program.Active _ ->
+      steps.(!pos) <- memo.closures.(k);
+      lat_prefix.(!pos + 1) <- lat_prefix.(!pos) + memo.lats.(k);
+      incr pos
   done;
   { steps; lat_prefix }
+
+let compile m p = prepare (memo m) p
 
 let length t = Array.length t.steps
 

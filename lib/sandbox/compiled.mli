@@ -22,7 +22,25 @@ type t
 
 val compile : Machine.t -> Program.t -> t
 (** Translate [p]'s active slots into closures over [m].  O(program
-    length); performs all operand matching so {!exec} does none. *)
+    length); performs all operand matching so {!exec} does none.  The
+    same loop as {!prepare}, through a fresh memo. *)
+
+type memo
+(** Per-slot translations of the programs last prepared on one machine.
+    A slot keeps its closure and latency while it holds the very
+    instruction ({e physically}) it translated last time, so preparing a
+    proposal that changed one or two slots of the previous program
+    translates only those.  Sound because instructions are never mutated
+    in place (see {!X86.Instr}). *)
+
+val memo : Machine.t -> memo
+(** An empty memo bound to [m]; its arrays are sized on first use. *)
+
+val prepare : memo -> Program.t -> t
+(** [prepare memo p] is [compile m p] for the memo's machine [m],
+    translating only the slots whose instruction changed since the
+    memo's previous [prepare].  Each result has arrays of its own, so an
+    earlier result stays valid. *)
 
 val length : t -> int
 (** Number of active (compiled) instructions. *)

@@ -146,13 +146,20 @@ module Compiled_engine = struct
   let available () = true
   let translates = true
 
-  type lanes = scalar
+  (* One translation memo per test set, bound to its machine: a proposal
+     re-translates only the slots it changed. *)
+  type lanes = {
+    scalar : scalar;
+    memo : Compiled.memo;
+  }
 
-  let lanes = scalar_lanes
+  let lanes spec tests =
+    let scalar = scalar_lanes spec tests in
+    { scalar; memo = Compiled.memo scalar.machine }
 
   type prog = scalar * Compiled.t
 
-  let prepare l p = Some (l, Compiled.compile l.machine p)
+  let prepare l p = Some (l.scalar, Compiled.prepare l.memo p)
 
   let run (l, cp) ~order ~diverges:_ f =
     Some (scalar_run l (fun () -> Compiled.exec cp) ~order f)

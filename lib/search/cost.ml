@@ -181,24 +181,21 @@ let move_to_front t pos =
 
 let cache_slot t hash = Int64.to_int hash land (Array.length t.cache - 1)
 
-let cache_find t program =
-  if Array.length t.cache = 0 then None
-  else begin
-    let h = Program.hash program in
-    match t.cache.(cache_slot t h) with
-    | Some (h', p, c) when Int64.equal h h' && Program.equal p program -> Some c
-    | _ -> None
-  end
+(* The cache is consulted and filled under one hash per evaluation. *)
+let cache_find t h program =
+  match t.cache.(cache_slot t h) with
+  | Some (h', p, c) when Int64.equal h h' && Program.equal p program -> Some c
+  | _ -> None
 
-let cache_store t program c =
-  if Array.length t.cache > 0 then begin
-    let h = Program.hash program in
-    t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
-  end
+let cache_store t h program c =
+  t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
 
 let eval ?cutoff t program =
   t.evaluations <- t.evaluations + 1;
-  match cache_find t program with
+  let caching = Array.length t.cache > 0 in
+  let h = if caching then Program.hash program else 0L in
+  let hit = if caching then cache_find t h program else None in
+  match hit with
   | Some c ->
     t.cache_hits <- t.cache_hits + 1;
     Evaluated c
@@ -265,7 +262,7 @@ let eval ?cutoff t program =
         { eq = !eq; perf; total = !eq +. kperf; signals = !signals;
           max_ulp = !max_ulp }
       in
-      cache_store t program c;
+      if caching then cache_store t h program c;
       Evaluated c
     | Sandbox.Engine.Stopped pos ->
       t.pruned_evals <- t.pruned_evals + 1;

@@ -22,7 +22,12 @@ type t = {
   mem32 : Operand.t array;
   mem64 : Operand.t array;
   mem128 : Operand.t array;
-  opcodes : Opcode.t array;  (** opcodes with every shape-kind instantiable *)
+  opcodes : Opcode.t array;  (** opcodes with at least one instantiable shape *)
+  op_shapes : Shape.kind array array array;
+      (** per [opcodes] entry: its instantiable shapes, in [Shape.shapes]
+          order *)
+  by_shape : (Shape.kind array, Opcode.t array) Hashtbl.t;
+      (** per shape: the [opcodes] admitting it, in [opcodes] order *)
 }
 
 let scratch_gps = [ Reg.Rax; Reg.Rcx; Reg.Rdx ]
@@ -71,50 +76,6 @@ let collect target spec =
     spec.Sandbox.Spec.fixed_inputs;
   (!gps, !xmms, !imm8s, !imm32s, !imm64s, !mems)
 
-let make ~target ~spec =
-  let gps, xmms, imm8s, imm32s, imm64s, mems = collect target spec in
-  let gp_ops = Gset.elements gps |> List.map (fun r -> Operand.Gp r) in
-  let pools_no_ops =
-    {
-      gp32 = Array.of_list gp_ops;
-      gp64 = Array.of_list gp_ops;
-      xmm = Array.of_list (Xset.elements xmms |> List.map (fun r -> Operand.Xmm r));
-      imm8 = Array.of_list (I64set.elements imm8s |> List.map (fun v -> Operand.Imm v));
-      imm32 =
-        Array.of_list (I64set.elements imm32s |> List.map (fun v -> Operand.Imm v));
-      imm64 =
-        Array.of_list
-          ((I64set.elements imm64s |> List.map (fun v -> Operand.Imm v))
-          @ [ Operand.Imm 0L ]);
-      mem32 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
-      mem64 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
-      mem128 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
-      opcodes = [||];
-    }
-  in
-  let kind_pool p (k : Shape.kind) =
-    match k with
-    | Shape.K_gp Reg.L -> p.gp32
-    | Shape.K_gp Reg.Q -> p.gp64
-    | Shape.K_xmm -> p.xmm
-    | Shape.K_imm8 -> p.imm8
-    | Shape.K_imm32 -> p.imm32
-    | Shape.K_imm64 -> p.imm64
-    | Shape.K_mem Shape.M32 -> p.mem32
-    | Shape.K_mem Shape.M64 -> p.mem64
-    | Shape.K_mem Shape.M128 -> p.mem128
-  in
-  let shape_instantiable p shape =
-    Array.for_all (fun k -> Array.length (kind_pool p k) > 0) shape
-  in
-  let opcodes =
-    List.filter
-      (fun op -> List.exists (shape_instantiable pools_no_ops) (Shape.shapes op))
-      Opcode.all
-    |> Array.of_list
-  in
-  { pools_no_ops with opcodes }
-
 let operands_of_kind t (k : Shape.kind) =
   match k with
   | Shape.K_gp Reg.L -> t.gp32
@@ -130,18 +91,73 @@ let operands_of_kind t (k : Shape.kind) =
 let shape_instantiable t shape =
   Array.for_all (fun k -> Array.length (operands_of_kind t k) > 0) shape
 
+(* The opcode tables are computed once here, so a move looks its
+   candidates up instead of filtering [Opcode.all] per proposal. *)
+let make ~target ~spec =
+  let gps, xmms, imm8s, imm32s, imm64s, mems = collect target spec in
+  let gp_ops = Gset.elements gps |> List.map (fun r -> Operand.Gp r) in
+  let operands =
+    {
+      gp32 = Array.of_list gp_ops;
+      gp64 = Array.of_list gp_ops;
+      xmm = Array.of_list (Xset.elements xmms |> List.map (fun r -> Operand.Xmm r));
+      imm8 = Array.of_list (I64set.elements imm8s |> List.map (fun v -> Operand.Imm v));
+      imm32 =
+        Array.of_list (I64set.elements imm32s |> List.map (fun v -> Operand.Imm v));
+      imm64 =
+        Array.of_list
+          ((I64set.elements imm64s |> List.map (fun v -> Operand.Imm v))
+          @ [ Operand.Imm 0L ]);
+      mem32 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
+      mem64 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
+      mem128 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
+      opcodes = [||];
+      op_shapes = [||];
+      by_shape = Hashtbl.create 1;
+    }
+  in
+  let instantiable =
+    List.filter_map
+      (fun op ->
+        match List.filter (shape_instantiable operands) (Shape.shapes op) with
+        | [] -> None
+        | shapes -> Some (op, Array.of_list shapes))
+      Opcode.all
+  in
+  let opcodes = Array.of_list (List.map fst instantiable) in
+  (* reversed candidate lists while building *)
+  let rev_by_shape = Hashtbl.create 64 in
+  Array.iter
+    (fun op ->
+      List.iter
+        (fun shape ->
+          let prev =
+            Option.value ~default:[] (Hashtbl.find_opt rev_by_shape shape)
+          in
+          if not (List.exists (Opcode.equal op) prev) then
+            Hashtbl.replace rev_by_shape shape (op :: prev))
+        (Shape.shapes op))
+    opcodes;
+  let by_shape = Hashtbl.create (Hashtbl.length rev_by_shape) in
+  Hashtbl.iter
+    (fun shape ops -> Hashtbl.replace by_shape shape (Array.of_list (List.rev ops)))
+    rev_by_shape;
+  {
+    operands with
+    opcodes;
+    op_shapes = Array.of_list (List.map snd instantiable);
+    by_shape;
+  }
+
 let opcodes_with_shape t shape =
-  Array.to_list t.opcodes
-  |> List.filter (fun op ->
-         List.exists (fun s -> Shape.equal_shape s shape) (Shape.shapes op))
-  |> Array.of_list
+  Option.value ~default:[||] (Hashtbl.find_opt t.by_shape shape)
 
 let all_opcodes t = t.opcodes
 
 let random_instr g t =
-  let op = Rng.Dist.choose g t.opcodes in
-  let candidates = List.filter (shape_instantiable t) (Shape.shapes op) in
-  let shape = Rng.Dist.choose_list g candidates in
+  let k = Rng.Dist.int g (Array.length t.opcodes) in
+  let op = t.opcodes.(k) in
+  let shape = Rng.Dist.choose g t.op_shapes.(k) in
   let operands =
     Array.map (fun k -> Rng.Dist.choose g (operands_of_kind t k)) shape
   in

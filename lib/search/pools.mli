@@ -14,11 +14,12 @@ val operands_of_kind : t -> Shape.kind -> Operand.t array
 (** May be empty (e.g. no memory operands in a register-only kernel). *)
 
 val opcodes_with_shape : t -> Shape.kind array -> Opcode.t array
-(** Opcodes admitting the given shape whose every kind has a non-empty
-    operand pool. *)
+(** The {!all_opcodes} admitting the given shape, in that order.  Computed
+    once by {!make}; the caller must not mutate the array. *)
 
 val all_opcodes : t -> Opcode.t array
-(** Opcodes for the instruction move (every shape instantiable). *)
+(** Opcodes for the instruction move: those with at least one shape whose
+    every kind has a non-empty operand pool, in [Opcode.all] order. *)
 
 val random_instr : Rng.Xoshiro256.t -> t -> Instr.t
 (** A uniformly random well-formed instruction over the pools. *)

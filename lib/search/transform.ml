@@ -14,34 +14,54 @@ let kind_to_string = function
   | Swap_move -> "swap"
   | Instruction_move -> "instruction"
 
-let active_indices (p : Program.t) =
-  let out = ref [] in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Program.Active _ -> out := i :: !out
-      | Program.Unused -> ())
-    p.Program.slots;
-  Array.of_list !out
+(* A uniformly drawn active slot, without building the list of them.
+   Slots are numbered from the end: draw [k] picks the [k]-th active slot
+   counting down from the last, the order the search has always used, so
+   fixed-seed runs keep their random streams. *)
+let random_active g (p : Program.t) =
+  let slots = p.Program.slots in
+  let n = Array.length slots in
+  let actives = ref 0 in
+  for idx = 0 to n - 1 do
+    match slots.(idx) with
+    | Program.Active _ -> incr actives
+    | Program.Unused -> ()
+  done;
+  if !actives = 0 then None
+  else begin
+    let k = ref (Rng.Dist.int g !actives) in
+    let idx = ref (n - 1) in
+    while
+      match slots.(!idx) with
+      | Program.Unused -> true
+      | Program.Active _ ->
+        decr k;
+        !k >= 0
+    do
+      decr idx
+    done;
+    Some !idx
+  end
 
 let propose_opcode g pools (p : Program.t) =
-  let actives = active_indices p in
-  if Array.length actives = 0 then None
-  else begin
-    let idx = Rng.Dist.choose g actives in
+  match random_active g p with
+  | None -> None
+  | Some idx ->
     match p.Program.slots.(idx) with
     | Program.Unused -> None
     | Program.Active i ->
-      let shape = Instr.shape i in
-      let candidates =
-        Pools.opcodes_with_shape pools shape
-        |> Array.to_list
-        |> List.filter (fun op -> not (Opcode.equal op i.Instr.op))
-        |> Array.of_list
-      in
-      if Array.length candidates = 0 then None
+      let candidates = Pools.opcodes_with_shape pools (Instr.shape i) in
+      (* draw among the candidates other than the current opcode *)
+      let n = Array.length candidates in
+      let self = ref (-1) in
+      for k = 0 to n - 1 do
+        if Opcode.equal candidates.(k) i.Instr.op then self := k
+      done;
+      let choices = if !self >= 0 then n - 1 else n in
+      if choices = 0 then None
       else begin
-        let op = Rng.Dist.choose g candidates in
+        let k = Rng.Dist.int g choices in
+        let op = candidates.(if !self >= 0 && k >= !self then k + 1 else k) in
         let i' = Instr.make_unchecked op i.Instr.operands in
         if Instr.is_well_formed i' then begin
           p.Program.slots.(idx) <- Program.Active i';
@@ -49,13 +69,11 @@ let propose_opcode g pools (p : Program.t) =
         end
         else None
       end
-  end
 
 let propose_operand g pools (p : Program.t) =
-  let actives = active_indices p in
-  if Array.length actives = 0 then None
-  else begin
-    let idx = Rng.Dist.choose g actives in
+  match random_active g p with
+  | None -> None
+  | Some idx -> begin
     match p.Program.slots.(idx) with
     | Program.Unused -> None
     | Program.Active i ->

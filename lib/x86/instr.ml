@@ -33,7 +33,8 @@ let gp_width i =
   | _ -> Reg.Q
 
 let equal a b =
-  Opcode.equal a.op b.op
+  a == b
+  || Opcode.equal a.op b.op
   && Array.length a.operands = Array.length b.operands
   && (let ok = ref true in
       Array.iteri

@@ -1,8 +1,17 @@
-(** A single instruction: an opcode plus operands in AT&T order. *)
+(** A single instruction: an opcode plus operands in AT&T order.
+
+    {b Instructions are never mutated in place}, even though [operands] is
+    an array: code that wants a different instruction builds a new value
+    (the search's moves copy the operand array before changing it, and an
+    undo puts the original value back).  Caches may therefore key on
+    physical identity — [Sandbox.Compiled]'s per-slot translation memo
+    reuses a slot's closure while the slot still holds the very
+    instruction it translated, and {!equal} answers [true] at once for
+    two references to one instruction. *)
 
 type t = {
   op : Opcode.t;
-  operands : Operand.t array;
+  operands : Operand.t array;  (** never mutated; see above *)
 }
 
 val make : Opcode.t -> Operand.t list -> t

@@ -70,4 +70,9 @@ let of_instr (i : Instr.t) =
   of_opcode i.op + penalty
 
 let of_program p =
-  List.fold_left (fun acc i -> acc + of_instr i) 0 (Program.instrs p)
+  Array.fold_left
+    (fun acc slot ->
+      match slot with
+      | Program.Unused -> acc
+      | Program.Active i -> acc + of_instr i)
+    0 p.Program.slots

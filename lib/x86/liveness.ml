@@ -4,34 +4,85 @@ type loc =
   | Lflags
   | Lmem
 
-module Locset = Set.Make (struct
-  type t = loc
+(* One bit per location, numbered so that ascending bit order is
+   [Stdlib.compare] order on [loc]: the constant constructors first
+   (flags = bit 0, mem = bit 1), then GPs by index (bits 2-17), then XMMs
+   by index (bits 18-33).  [elements] and [fold] walk the bits upwards,
+   so diagnostics list locations in that order. *)
+module Locset = struct
+  type t = int
 
-  let compare = Stdlib.compare
-end)
+  let flags_bit = 1
+  let mem_bit = 2
+  let gp_bit r = 1 lsl (2 + Reg.gp_index r)
+  let xmm_bit r = 1 lsl (18 + Reg.xmm_index r)
+  let width = 34
+
+  let bit = function
+    | Lflags -> flags_bit
+    | Lmem -> mem_bit
+    | Lgp r -> gp_bit r
+    | Lxmm r -> xmm_bit r
+
+  let by_index all index =
+    let a = Array.of_list all in
+    List.iter (fun r -> a.(index r) <- r) all;
+    a
+
+  let gps = by_index Reg.all_gp Reg.gp_index
+  let xmms = by_index Reg.all_xmm Reg.xmm_index
+
+  let loc_of_bit k =
+    if k = 0 then Lflags
+    else if k = 1 then Lmem
+    else if k < 18 then Lgp gps.(k - 2)
+    else Lxmm xmms.(k - 18)
+
+  let empty = 0
+  let is_empty s = s = 0
+  let mem l s = s land bit l <> 0
+  let add l s = s lor bit l
+  let singleton = bit
+  let remove l s = s land lnot (bit l)
+  let union a b = a lor b
+  let diff a b = a land lnot b
+  let subset a b = a land lnot b = 0
+  let equal = Int.equal
+  let disjoint a b = a land b = 0
+
+  let fold f s acc =
+    let acc = ref acc in
+    for k = 0 to width - 1 do
+      if s land (1 lsl k) <> 0 then acc := f (loc_of_bit k) !acc
+    done;
+    !acc
+
+  let iter f s = fold (fun l () -> f l) s ()
+  let for_all p s = fold (fun l ok -> ok && p l) s true
+  let elements s = List.rev (fold List.cons s [])
+  let of_list l = List.fold_left (fun s x -> add x s) empty l
+end
 
 let mem_addr_uses (m : Operand.mem) =
-  let s = Locset.empty in
-  let s =
-    match m.base with
-    | None -> s
-    | Some r -> Locset.add (Lgp r) s
-  in
-  match m.index with
-  | None -> s
-  | Some (r, _) -> Locset.add (Lgp r) s
+  (match m.base with
+   | None -> Locset.empty
+   | Some r -> Locset.gp_bit r)
+  lor
+  (match m.index with
+   | None -> Locset.empty
+   | Some (r, _) -> Locset.gp_bit r)
 
 let operand_read_uses = function
-  | Operand.Gp r -> Locset.singleton (Lgp r)
-  | Operand.Xmm r -> Locset.singleton (Lxmm r)
+  | Operand.Gp r -> Locset.gp_bit r
+  | Operand.Xmm r -> Locset.xmm_bit r
   | Operand.Imm _ -> Locset.empty
-  | Operand.Mem m -> Locset.add Lmem (mem_addr_uses m)
+  | Operand.Mem m -> Locset.mem_bit lor mem_addr_uses m
 
 let operand_def = function
-  | Operand.Gp r -> Locset.singleton (Lgp r)
-  | Operand.Xmm r -> Locset.singleton (Lxmm r)
+  | Operand.Gp r -> Locset.gp_bit r
+  | Operand.Xmm r -> Locset.xmm_bit r
   | Operand.Imm _ -> Locset.empty
-  | Operand.Mem _ -> Locset.singleton Lmem
+  | Operand.Mem _ -> Locset.mem_bit
 
 (* The flags-defining opcodes of our subset. *)
 let defines_flags : Opcode.t -> bool = function
@@ -105,37 +156,36 @@ let defs (i : Instr.t) =
   let base =
     if has_dst i && n > 0 then operand_def i.operands.(n - 1) else Locset.empty
   in
-  if defines_flags i.op then Locset.add Lflags base else base
+  if defines_flags i.op then base lor Locset.flags_bit else base
 
 let uses_via ~dst_read (i : Instr.t) =
-  let n = Array.length i.operands in
-  let srcs =
-    Array.to_list i.operands
-    |> List.mapi (fun idx o -> (idx, o))
-    |> List.fold_left
-         (fun acc (idx, o) ->
-           let is_dst = has_dst i && idx = n - 1 in
-           if is_dst then
-             match o with
-             | Operand.Mem m ->
-               (* A store uses its address registers regardless, and a
-                  read-modify-write memory destination (add into memory)
-                  reads the memory blob itself. *)
-               let acc = Locset.union acc (mem_addr_uses m) in
-               if dst_read then Locset.add Lmem acc else acc
-             | Operand.Gp _ | Operand.Xmm _ ->
-               if dst_read then Locset.union acc (operand_read_uses o)
-               else acc
-             | Operand.Imm _ -> acc
-           else
-             match i.op, o with
-             | Opcode.Lea _, Operand.Mem m ->
-               (* lea computes the address without reading memory. *)
-               Locset.union acc (mem_addr_uses m)
-             | _, _ -> Locset.union acc (operand_read_uses o))
-         Locset.empty
-  in
-  if uses_flags i.op then Locset.add Lflags srcs else srcs
+  let ops = i.operands in
+  let n = Array.length ops in
+  let dst = if has_dst i then n - 1 else -1 in
+  let acc = ref (if uses_flags i.op then Locset.flags_bit else Locset.empty) in
+  for idx = 0 to n - 1 do
+    let o = ops.(idx) in
+    let read =
+      if idx = dst then
+        match o with
+        | Operand.Mem m ->
+          (* A store uses its address registers regardless, and a
+             read-modify-write memory destination (add into memory) reads
+             the memory blob itself. *)
+          mem_addr_uses m lor (if dst_read then Locset.mem_bit else Locset.empty)
+        | Operand.Gp _ | Operand.Xmm _ ->
+          if dst_read then operand_read_uses o else Locset.empty
+        | Operand.Imm _ -> Locset.empty
+      else
+        match i.op, o with
+        | Opcode.Lea _, Operand.Mem m ->
+          (* lea computes the address without reading memory. *)
+          mem_addr_uses m
+        | _, _ -> operand_read_uses o
+    in
+    acc := !acc lor read
+  done;
+  !acc
 
 let uses (i : Instr.t) = uses_via ~dst_read:(dst_is_source i) i
 
@@ -165,16 +215,17 @@ let kills_flags (i : Instr.t) =
   && (match i.op with
       | Inc _ | Dec _ -> false
       | Shl w | Shr w | Sar w ->
-        (match if Array.length i.operands > 0 then Some i.operands.(0) else None with
-         | Some (Operand.Imm c) ->
-           let mask = match w with Reg.Q -> 63L | Reg.L -> 31L in
-           not (Int64.equal (Int64.logand c mask) 0L)
-         | Some _ | None -> false)
+        Array.length i.operands > 0
+        && (match i.operands.(0) with
+            | Operand.Imm c ->
+              let mask = match w with Reg.Q -> 63L | Reg.L -> 31L in
+              not (Int64.equal (Int64.logand c mask) 0L)
+            | Operand.Gp _ | Operand.Xmm _ | Operand.Mem _ -> false)
       | _ -> true)
 
 let kills (i : Instr.t) =
-  let k = Locset.remove Lmem (defs i) in
-  if kills_flags i then k else Locset.remove Lflags k
+  let k = Locset.diff (defs i) Locset.mem_bit in
+  if kills_flags i then k else Locset.diff k Locset.flags_bit
 
 let live_before p ~live_out =
   let slots = p.Program.slots in

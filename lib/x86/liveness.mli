@@ -11,7 +11,33 @@ type loc =
   | Lflags
   | Lmem
 
-module Locset : Set.S with type elt = loc
+(** Sets of locations, packed into the bits of one [int] (34 bits: the
+    flags, memory, 16 GPs, 16 XMMs), so every operation is a word op and
+    {!defs}, {!uses}, {!strict_uses} and {!kills} allocate nothing.  The
+    representation is exposed read-only for hot loops that combine masks
+    directly (the search's undef-read screen).  {!elements}, {!fold} and
+    {!iter} visit locations in [Stdlib.compare] order on {!loc}:
+    [Lflags], [Lmem], GPs by index, then XMMs by index. *)
+module Locset : sig
+  type t = private int
+
+  val empty : t
+  val is_empty : t -> bool
+  val mem : loc -> t -> bool
+  val add : loc -> t -> t
+  val singleton : loc -> t
+  val remove : loc -> t -> t
+  val union : t -> t -> t
+  val diff : t -> t -> t
+  val subset : t -> t -> bool
+  val equal : t -> t -> bool
+  val disjoint : t -> t -> bool
+  val elements : t -> loc list
+  val of_list : loc list -> t
+  val fold : (loc -> 'a -> 'a) -> t -> 'a -> 'a
+  val iter : (loc -> unit) -> t -> unit
+  val for_all : (loc -> bool) -> t -> bool
+end
 
 val defs : Instr.t -> Locset.t
 val uses : Instr.t -> Locset.t

@@ -22,6 +22,26 @@ let oracle_tests =
           (fun v -> Printf.printf "violation: %s\n" (Analysis.Oracle.violation_to_string v))
           vs;
         Alcotest.(check int) "no violations" 0 (List.length vs));
+    Alcotest.test_case "tables pass the oracle on every shape exp's pools make"
+      `Slow (fun () ->
+        let spec = Kernels.S3d.exp_spec in
+        let pools = Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec in
+        let instantiable (i : Instr.t) =
+          Array.exists (Opcode.equal i.Instr.op) (Search.Pools.all_opcodes pools)
+          && match Shape.shape_of i.Instr.op i.Instr.operands with
+             | Some shape ->
+               Array.for_all
+                 (fun k -> Array.length (Search.Pools.operands_of_kind pools k) > 0)
+                 shape
+             | None -> false
+        in
+        let instances = List.filter instantiable (Analysis.Oracle.instances ()) in
+        Alcotest.(check bool) "instances" true (List.length instances > 100);
+        let vs = Analysis.Oracle.run ~instances ~states:4 ~seed:0x10ca5e7L () in
+        List.iter
+          (fun v -> Printf.printf "violation: %s\n" (Analysis.Oracle.violation_to_string v))
+          vs;
+        Alcotest.(check int) "no violations" 0 (List.length vs));
     Alcotest.test_case "oracle covers every opcode x shape the pools generate"
       `Quick (fun () ->
         let spec = Kernels.S3d.exp_spec in
@@ -206,6 +226,33 @@ let dataflow_tests =
             | _ -> false));
         Alcotest.(check bool) "dead slot at 3" true
           (has_finding diags 3 (function Analysis.Dataflow.Dead_slot -> true | _ -> false)));
+    Alcotest.test_case "diagnostics listing several locations are pinned"
+      `Quick (fun () ->
+        let p =
+          Program.of_instrs
+            [
+              i_ (Opcode.Cmov (Opcode.B, Reg.Q))
+                [ mem Reg.Rsi ~index:(Reg.Rdi, 8) ~disp:8; rax ];
+              i_ Opcode.Vaddsd
+                [ Operand.Xmm Reg.Xmm9; Operand.Xmm Reg.Xmm2; Operand.Xmm Reg.Xmm1 ];
+              i_ (Opcode.Sub Reg.Q) [ Operand.Gp Reg.R12; rdx ];
+              i_ (Opcode.Cmov (Opcode.B, Reg.Q)) [ rdx; rbx ];
+              i_ Opcode.Movaps [ Operand.Xmm Reg.Xmm1; Operand.Xmm Reg.Xmm1 ];
+            ]
+        in
+        let defined_in = locset [ Liveness.Lgp Reg.Rbx; Liveness.Lgp Reg.Rdx ] in
+        let live_out = locset [ Liveness.Lgp Reg.Rbx; Liveness.Lxmm Reg.Xmm1 ] in
+        Alcotest.(check (list string)) "lint lines"
+          [
+            "slot 0: cmovbq 8(rsi,rdi,8), rax       dead: no def reaches a later use or the live-out set";
+            "slot 0: cmovbq 8(rsi,rdi,8), rax       reads undefined location(s): flags, mem, rax, rsi, rdi";
+            "slot 1: vaddsd xmm9, xmm2, xmm1        reads undefined location(s): xmm2, xmm9";
+            "slot 2: subq r12, rdx                  reads undefined location(s): r12";
+            "slot 4: movaps xmm1, xmm1              self-move: cannot change the machine state";
+          ]
+          (List.map
+             (Analysis.Dataflow.diag_to_string p)
+             (Analysis.Dataflow.diagnostics p ~defined_in ~live_out)));
     Alcotest.test_case "all built-in kernels are lint-clean" `Quick (fun () ->
         let registry =
           Kernels.Libimf.all
@@ -242,8 +289,10 @@ let screen_props =
     Liveness.Locset.add (Liveness.Lgp Reg.Rsp) (Sandbox.Spec.live_in_set spec)
   in
   [
-    (* The bitmask fast path and the Locset dataflow are independent
-       implementations of the same analysis. *)
+    (* The screen's early-exit word loop and the dataflow's per-slot sets
+       read the same Liveness tables (checked by the oracle, and the packed
+       set by a reference-set test in test_x86), so this pins the loop and
+       its environment, not the tables. *)
     QCheck.Test.make ~name:"screen agrees with the dataflow analysis" ~count:500
       QCheck.int64 (fun seed ->
         let g = Rng.Xoshiro256.create seed in

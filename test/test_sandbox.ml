@@ -1009,6 +1009,102 @@ let prop_compiled_matches_interp =
 let compiled_props =
   List.map QCheck_alcotest.to_alcotest [ prop_compiled_matches_interp ]
 
+(* ----- the compiled engine's per-slot translation memo ----- *)
+
+(* A random walk of proposals and undos over exp, preparing every
+   program through one long-lived memo.  After each step the memoized
+   prepare must agree with a cold [Compiled.compile] and with the
+   interpreter on a finishing and a faulting test: outcome, fault,
+   cycles, executed count and the whole machine.  The walk starts from
+   exp plus one load through rdi, so memory operands are in the pools and
+   a test whose rdi points outside the arena faults. *)
+let memo_walk_tests =
+  [
+    Alcotest.test_case "memoized prepare matches cold compile and interp"
+      `Quick (fun () ->
+        let spec = Kernels.S3d.exp_spec in
+        let mem_size = spec.Sandbox.Spec.mem_size in
+        let load =
+          Instr.make Opcode.Movsd
+            [ Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 };
+              Operand.Xmm Reg.Xmm5 ]
+        in
+        let target =
+          Program.of_instrs (load :: Program.instrs spec.Sandbox.Spec.program)
+        in
+        let pools = Search.Pools.make ~target ~spec in
+        let p = Program.with_padding 24 (Program.instrs target) in
+        let g = Rng.Xoshiro256.create 2024L in
+        let state rdi =
+          let m = Sandbox.Machine.create ~mem_size () in
+          Sandbox.Testcase.apply (Sandbox.Spec.random_testcase g spec) m;
+          Sandbox.Machine.set_gp m Reg.Rdi rdi;
+          m
+        in
+        let arena = Sandbox.Memory.base (Sandbox.Machine.create ~mem_size ()).Sandbox.Machine.mem in
+        let tests =
+          [ ("finishing", state (Int64.add arena 64L)); ("faulting", state 0x10L) ]
+        in
+        let m = Sandbox.Machine.create ~mem_size () in
+        let memo = Sandbox.Compiled.memo m in
+        let finished = ref 0 and faulted = ref 0 in
+        let check step =
+          let cp = Sandbox.Compiled.prepare memo p in
+          List.iter
+            (fun (label, st) ->
+              Sandbox.Machine.restore_from ~src:st ~dst:m;
+              let r = Sandbox.Compiled.exec cp in
+              (match r.Sandbox.Exec.outcome with
+               | Sandbox.Exec.Finished -> incr finished
+               | Sandbox.Exec.Faulted _ -> incr faulted);
+              let mc = Sandbox.Machine.copy st in
+              let rc = Sandbox.Compiled.exec (Sandbox.Compiled.compile mc p) in
+              let mi = Sandbox.Machine.copy st in
+              let ri = Sandbox.Exec.run mi p in
+              List.iter
+                (fun (engine, (r' : Sandbox.Exec.result), m') ->
+                  let fail what =
+                    Alcotest.failf "step %d, %s test: memo vs %s: %s\n%s" step
+                      label engine what (Program.to_string p)
+                  in
+                  if not (outcome_equal r.Sandbox.Exec.outcome r'.Sandbox.Exec.outcome)
+                  then fail "outcome";
+                  if r.Sandbox.Exec.cycles <> r'.Sandbox.Exec.cycles then fail "cycles";
+                  if r.Sandbox.Exec.executed <> r'.Sandbox.Exec.executed then
+                    fail "executed";
+                  if not (machine_equal m m') then fail "machine state")
+                [ ("cold compile", rc, mc); ("interp", ri, mi) ])
+            tests
+        in
+        let swaps = ref 0 and resizes = ref 0 and undos = ref 0 in
+        let step = ref 0 in
+        check 0;
+        while !step < 2500 do
+          let before = Program.length p in
+          match Search.Transform.propose g pools p with
+          | None -> ()
+          | Some (kind, u) ->
+            incr step;
+            if kind = Search.Transform.Swap_move then incr swaps;
+            if Program.length p <> before then incr resizes;
+            check !step;
+            (* undo most proposals, as the search does, so slots go back
+               to instructions the memo translated earlier *)
+            if Rng.Dist.int g 8 > 0 then begin
+              Search.Transform.undo p u;
+              incr undos;
+              check !step
+            end
+        done;
+        List.iter
+          (fun (what, n) ->
+            Printf.printf "%s: %d\n" what n;
+            if n < 100 then Alcotest.failf "walk too narrow: %d %s" n what)
+          [ ("swaps", !swaps); ("active<->unused moves", !resizes);
+            ("undos", !undos); ("finishing runs", !finished);
+            ("faulting runs", !faulted) ]);
+  ]
+
 (* ----- batched engine: per-lane differential vs interp and compiled ----- *)
 
 (* Run [p] once through an N-lane batch and compare every lane against a
@@ -1574,6 +1670,7 @@ let () =
       ("restore", restore_tests);
       ("compiled", compiled_tests);
       ("compiled-properties", compiled_props);
+      ("compiled-memo", memo_walk_tests);
       ("batched", batched_tests);
       ("engine", engine_tests);
       ("batched-properties", batched_props);

@@ -52,6 +52,34 @@ let pools_tests =
         Alcotest.(check bool)
           "movabs lacks xx shape" false
           (Array.exists (fun op -> Opcode.equal op Opcode.Movabs) ops));
+    Alcotest.test_case "opcodes_with_shape is the filter over all_opcodes"
+      `Quick (fun () ->
+        (* every shape any opcode admits, plus one no opcode admits *)
+        let shapes =
+          [| Shape.K_imm64; Shape.K_imm64 |]
+          :: List.concat_map Shape.shapes Opcode.all
+        in
+        List.iter
+          (fun (spec : Sandbox.Spec.t) ->
+            let pools = pools_of spec in
+            List.iter
+              (fun shape ->
+                let filtered =
+                  Array.to_list (Search.Pools.all_opcodes pools)
+                  |> List.filter (fun op ->
+                         List.exists (Shape.equal_shape shape) (Shape.shapes op))
+                in
+                let got =
+                  Array.to_list (Search.Pools.opcodes_with_shape pools shape)
+                in
+                if not (List.equal Opcode.equal filtered got) then
+                  Alcotest.failf "%s, shape %s: [%s] <> [%s]" spec.Sandbox.Spec.name
+                    (String.concat "," (Array.to_list (Array.map Shape.kind_to_string shape)))
+                    (String.concat "," (List.map Opcode.to_string filtered))
+                    (String.concat "," (List.map Opcode.to_string got)))
+              shapes)
+          [ exp_spec; add_spec; Kernels.Libimf.sin_spec;
+            Kernels.Aek_kernels.scale_spec ]);
     Alcotest.test_case "random_instr always well-formed" `Quick (fun () ->
         let pools = pools_of add_spec in
         let g = Rng.Xoshiro256.create 3L in

@@ -135,6 +135,23 @@ let program_tests =
         let p = Program.with_padding 3 (Program.instrs Kernels.Aek_kernels.dot_rewrite) in
         Alcotest.(check int) "LOC" 6 (Program.length p);
         Alcotest.(check int) "slots" 9 (Program.slot_count p));
+    Alcotest.test_case "hash of the shipped exp and sin is pinned" `Quick
+      (fun () ->
+        (* The cost cache and the benchmark's expected winners key on these
+           values: a change to the hash must be deliberate. *)
+        List.iter
+          (fun (name, p, pad, expected) ->
+            let q = Program.with_padding pad (Program.instrs p) in
+            Alcotest.(check string)
+              (Printf.sprintf "%s + %d unused" name pad)
+              expected
+              (Printf.sprintf "%016Lx" (Program.hash q)))
+          [
+            ("exp", Kernels.S3d.exp_program, 0, "2ab265ca11b727f8");
+            ("exp", Kernels.S3d.exp_program, 4, "d3591e8f206fc378");
+            ("sin", Kernels.Libimf.sin_spec.Sandbox.Spec.program, 0, "6dfa1364a9a0ac85");
+            ("sin", Kernels.Libimf.sin_spec.Sandbox.Spec.program, 4, "1b86c0f6783c6355");
+          ]);
     Alcotest.test_case "copy is deep for slots" `Quick (fun () ->
         let p = Program.with_padding 1 (Program.instrs Kernels.Aek_kernels.add_rewrite) in
         let q = Program.copy p in
@@ -240,6 +257,67 @@ let liveness_tests =
       Liveness.Locset.equal
   in
   [
+    Alcotest.test_case "Locset lists locations in compare order" `Quick
+      (fun () ->
+        (* flags, mem, GPs by index, XMMs by index: the order of
+           [Stdlib.compare] on [loc], which diagnostics print in *)
+        let all =
+          (Liveness.Lflags :: Liveness.Lmem
+           :: List.map (fun r -> Liveness.Lgp r) Reg.all_gp)
+          @ List.map (fun r -> Liveness.Lxmm r) Reg.all_xmm
+        in
+        Alcotest.(check (list string)) "compare order"
+          (List.map Liveness.loc_to_string (List.sort Stdlib.compare all))
+          (List.map Liveness.loc_to_string all);
+        let s = Liveness.Locset.of_list (List.rev all) in
+        Alcotest.(check (list string)) "elements"
+          (List.map Liveness.loc_to_string all)
+          (List.map Liveness.loc_to_string (Liveness.Locset.elements s));
+        let visited = ref [] in
+        Liveness.Locset.iter (fun l -> visited := l :: !visited) s;
+        Alcotest.(check bool) "iter" true (List.rev !visited = all);
+        Alcotest.(check bool) "fold" true
+          (List.rev (Liveness.Locset.fold List.cons s []) = all));
+    Alcotest.test_case "Locset agrees with a reference set" `Quick (fun () ->
+        let module R = Set.Make (struct
+          type t = Liveness.loc
+
+          let compare = Stdlib.compare
+        end) in
+        let all =
+          (Liveness.Lflags :: Liveness.Lmem
+           :: List.map (fun r -> Liveness.Lgp r) Reg.all_gp)
+          @ List.map (fun r -> Liveness.Lxmm r) Reg.all_xmm
+          |> Array.of_list
+        in
+        let g = Rng.Xoshiro256.create 34L in
+        let random_locs () =
+          List.init (Rng.Dist.int g 12) (fun _ -> Rng.Dist.choose g all)
+        in
+        let same what r s =
+          if R.elements r <> Liveness.Locset.elements s then
+            Alcotest.failf "%s differs" what
+        in
+        for _ = 1 to 2_000 do
+          let la = random_locs () and lb = random_locs () in
+          let ra = R.of_list la and rb = R.of_list lb in
+          let a = Liveness.Locset.of_list la and b = Liveness.Locset.of_list lb in
+          let l = Rng.Dist.choose g all in
+          same "of_list" ra a;
+          same "union" (R.union ra rb) (Liveness.Locset.union a b);
+          same "diff" (R.diff ra rb) (Liveness.Locset.diff a b);
+          same "add" (R.add l ra) (Liveness.Locset.add l a);
+          same "remove" (R.remove l ra) (Liveness.Locset.remove l a);
+          same "singleton" (R.singleton l) (Liveness.Locset.singleton l);
+          let check what x y = if x <> y then Alcotest.failf "%s differs" what in
+          check "mem" (R.mem l ra) (Liveness.Locset.mem l a);
+          check "subset" (R.subset ra rb) (Liveness.Locset.subset a b);
+          check "equal" (R.equal ra rb) (Liveness.Locset.equal a b);
+          check "disjoint" (R.disjoint ra rb) (Liveness.Locset.disjoint a b);
+          check "is_empty" (R.is_empty ra) (Liveness.Locset.is_empty a);
+          let p = function Liveness.Lxmm _ -> false | _ -> true in
+          check "for_all" (R.for_all p ra) (Liveness.Locset.for_all p a)
+        done);
     Alcotest.test_case "mov defines dst, uses src" `Quick (fun () ->
         let i = parse_i "movq rax, rcx" in
         Alcotest.check locset "defs"
