@@ -319,7 +319,7 @@ let check_instance ~violations instr base_machine (engine, caller) =
 
 let default_seed = 0x5eed_0f_04ac1eL
 
-let run ?(states = 2) ?(seed = default_seed) ?instances:subset () =
+let run ?(states = 2) ?(seed = default_seed) () =
   let violations = ref [] in
   let g = Rng.Xoshiro256.create seed in
   let machines = List.init states (fun _ -> random_machine g) in
@@ -332,7 +332,7 @@ let run ?(states = 2) ?(seed = default_seed) ?instances:subset () =
         (e, Sandbox.Engine.caller (Sandbox.Engine.of_engine e) template))
       (List.filter Sandbox.Engine.available Sandbox.Engine.all)
   in
-  let all = match subset with Some l -> l | None -> instances () in
+  let all = instances () in
   List.iter
     (fun instr ->
       List.iter

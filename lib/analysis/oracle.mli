@@ -26,10 +26,8 @@ type violation = {
 
 val violation_to_string : violation -> string
 
-val run :
-  ?states:int -> ?seed:int64 -> ?instances:Instr.t list -> unit -> violation list
-(** Runs the full matrix ({!instances}), or the given instructions, on
-    [states] random machines (default 2). *)
+val run : ?states:int -> ?seed:int64 -> unit -> violation list
+(** Runs the full matrix on [states] random machines (default 2). *)
 
 val covered_instances : unit -> int
 (** Number of concrete instructions the matrix instantiates (for

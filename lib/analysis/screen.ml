@@ -1,8 +1,8 @@
 (* The proposal-rate undef-read filter.  Same analysis as
-   Dataflow.undef_reads, but it stops at the first finding and works on
-   the packed representation of [Liveness.Locset] directly, so the
-   per-proposal cost is a couple of and/or word ops per slot — cheap
-   enough to run on every proposal before any test case executes. *)
+   Dataflow.undef_reads, but it stops at the first finding; with
+   [Liveness.Locset] packed into one word, the per-proposal cost is a
+   subset test and a union per slot — cheap enough to run on every
+   proposal before any test case executes. *)
 
 type env = Liveness.Locset.t
 
@@ -18,7 +18,7 @@ let has_undef_read (env : env) p =
     match slots.(idx) with
     | Program.Unused -> go (idx + 1) defined
     | Program.Active i ->
-      (Liveness.strict_uses i :> int) land lnot defined <> 0
-      || go (idx + 1) (defined lor (Liveness.defs i :> int))
+      (not (Liveness.Locset.subset (Liveness.strict_uses i) defined))
+      || go (idx + 1) (Liveness.Locset.union defined (Liveness.defs i))
   in
-  go 0 (env :> int)
+  go 0 env

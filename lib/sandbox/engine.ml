@@ -146,20 +146,21 @@ module Compiled_engine = struct
   let available () = true
   let translates = true
 
-  (* One translation memo per test set, bound to its machine: a proposal
-     re-translates only the slots it changed. *)
+  (* One translation memo per test set, bound to its machine and made on
+     the first prepare: a proposal re-translates only the slots it
+     changed. *)
   type lanes = {
     scalar : scalar;
-    memo : Compiled.memo;
+    memo : Compiled.memo Lazy.t;
   }
 
   let lanes spec tests =
     let scalar = scalar_lanes spec tests in
-    { scalar; memo = Compiled.memo scalar.machine }
+    { scalar; memo = lazy (Compiled.memo scalar.machine) }
 
   type prog = scalar * Compiled.t
 
-  let prepare l p = Some (l.scalar, Compiled.prepare l.memo p)
+  let prepare l p = Some (l.scalar, Compiled.prepare (Lazy.force l.memo) p)
 
   let run (l, cp) ~order ~diverges:_ f =
     Some (scalar_run l (fun () -> Compiled.exec cp) ~order f)

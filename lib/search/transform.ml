@@ -29,73 +29,60 @@ let random_active g (p : Program.t) =
   done;
   if !actives = 0 then None
   else begin
-    let k = ref (Rng.Dist.int g !actives) in
-    let idx = ref (n - 1) in
-    while
-      match slots.(!idx) with
-      | Program.Unused -> true
-      | Program.Active _ ->
-        decr k;
-        !k >= 0
-    do
-      decr idx
-    done;
-    Some !idx
+    let rec walk idx k =
+      match slots.(idx) with
+      | Program.Unused -> walk (idx - 1) k
+      | Program.Active i -> if k = 0 then Some (idx, i) else walk (idx - 1) (k - 1)
+    in
+    walk (n - 1) (Rng.Dist.int g !actives)
   end
 
 let propose_opcode g pools (p : Program.t) =
   match random_active g p with
   | None -> None
-  | Some idx ->
-    match p.Program.slots.(idx) with
-    | Program.Unused -> None
-    | Program.Active i ->
-      let candidates = Pools.opcodes_with_shape pools (Instr.shape i) in
-      (* draw among the candidates other than the current opcode *)
-      let n = Array.length candidates in
-      let self = ref (-1) in
-      for k = 0 to n - 1 do
-        if Opcode.equal candidates.(k) i.Instr.op then self := k
-      done;
-      let choices = if !self >= 0 then n - 1 else n in
-      if choices = 0 then None
+  | Some (idx, i) ->
+    let candidates = Pools.opcodes_with_shape pools (Instr.shape i) in
+    (* draw among the candidates other than the current opcode *)
+    let n = Array.length candidates in
+    let self = ref (-1) in
+    for k = 0 to n - 1 do
+      if Opcode.equal candidates.(k) i.Instr.op then self := k
+    done;
+    let choices = if !self >= 0 then n - 1 else n in
+    if choices = 0 then None
+    else begin
+      let k = Rng.Dist.int g choices in
+      let op = candidates.(if !self >= 0 && k >= !self then k + 1 else k) in
+      let i' = Instr.make_unchecked op i.Instr.operands in
+      if Instr.is_well_formed i' then begin
+        p.Program.slots.(idx) <- Program.Active i';
+        Some (Restore_slot (idx, Program.Active i))
+      end
+      else None
+    end
+
+let propose_operand g pools (p : Program.t) =
+  match random_active g p with
+  | None -> None
+  | Some (idx, i) ->
+    let shape = Instr.shape i in
+    if Array.length shape = 0 then None
+    else begin
+      let pos = Rng.Dist.int g (Array.length shape) in
+      let pool = Pools.operands_of_kind pools shape.(pos) in
+      if Array.length pool = 0 then None
       else begin
-        let k = Rng.Dist.int g choices in
-        let op = candidates.(if !self >= 0 && k >= !self then k + 1 else k) in
-        let i' = Instr.make_unchecked op i.Instr.operands in
+        let o = Rng.Dist.choose g pool in
+        let operands = Array.copy i.Instr.operands in
+        operands.(pos) <- o;
+        let i' = Instr.make_unchecked i.Instr.op operands in
         if Instr.is_well_formed i' then begin
           p.Program.slots.(idx) <- Program.Active i';
           Some (Restore_slot (idx, Program.Active i))
         end
         else None
       end
-
-let propose_operand g pools (p : Program.t) =
-  match random_active g p with
-  | None -> None
-  | Some idx -> begin
-    match p.Program.slots.(idx) with
-    | Program.Unused -> None
-    | Program.Active i ->
-      let shape = Instr.shape i in
-      if Array.length shape = 0 then None
-      else begin
-        let pos = Rng.Dist.int g (Array.length shape) in
-        let pool = Pools.operands_of_kind pools shape.(pos) in
-        if Array.length pool = 0 then None
-        else begin
-          let o = Rng.Dist.choose g pool in
-          let operands = Array.copy i.Instr.operands in
-          operands.(pos) <- o;
-          let i' = Instr.make_unchecked i.Instr.op operands in
-          if Instr.is_well_formed i' then begin
-            p.Program.slots.(idx) <- Program.Active i';
-            Some (Restore_slot (idx, Program.Active i))
-          end
-          else None
-        end
-      end
-  end
+    end
 
 let propose_swap g (p : Program.t) =
   let n = Array.length p.Program.slots in

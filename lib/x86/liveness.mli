@@ -13,13 +13,11 @@ type loc =
 
 (** Sets of locations, packed into the bits of one [int] (34 bits: the
     flags, memory, 16 GPs, 16 XMMs), so every operation is a word op and
-    {!defs}, {!uses}, {!strict_uses} and {!kills} allocate nothing.  The
-    representation is exposed read-only for hot loops that combine masks
-    directly (the search's undef-read screen).  {!elements}, {!fold} and
-    {!iter} visit locations in [Stdlib.compare] order on {!loc}:
-    [Lflags], [Lmem], GPs by index, then XMMs by index. *)
+    {!defs}, {!uses}, {!strict_uses} and {!kills} allocate nothing.
+    {!elements}, {!fold} and {!iter} visit locations in [Stdlib.compare]
+    order on {!loc}: [Lflags], [Lmem], GPs by index, then XMMs by index. *)
 module Locset : sig
-  type t = private int
+  type t
 
   val empty : t
   val is_empty : t -> bool

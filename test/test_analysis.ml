@@ -22,26 +22,6 @@ let oracle_tests =
           (fun v -> Printf.printf "violation: %s\n" (Analysis.Oracle.violation_to_string v))
           vs;
         Alcotest.(check int) "no violations" 0 (List.length vs));
-    Alcotest.test_case "tables pass the oracle on every shape exp's pools make"
-      `Slow (fun () ->
-        let spec = Kernels.S3d.exp_spec in
-        let pools = Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec in
-        let instantiable (i : Instr.t) =
-          Array.exists (Opcode.equal i.Instr.op) (Search.Pools.all_opcodes pools)
-          && match Shape.shape_of i.Instr.op i.Instr.operands with
-             | Some shape ->
-               Array.for_all
-                 (fun k -> Array.length (Search.Pools.operands_of_kind pools k) > 0)
-                 shape
-             | None -> false
-        in
-        let instances = List.filter instantiable (Analysis.Oracle.instances ()) in
-        Alcotest.(check bool) "instances" true (List.length instances > 100);
-        let vs = Analysis.Oracle.run ~instances ~states:4 ~seed:0x10ca5e7L () in
-        List.iter
-          (fun v -> Printf.printf "violation: %s\n" (Analysis.Oracle.violation_to_string v))
-          vs;
-        Alcotest.(check int) "no violations" 0 (List.length vs));
     Alcotest.test_case "oracle covers every opcode x shape the pools generate"
       `Quick (fun () ->
         let spec = Kernels.S3d.exp_spec in
