@@ -1,7 +1,7 @@
 (* Equivalence smoke check: run the same fixed-seed search under every
    engine × pruning combination, assert the winners are bit-identical,
    and check how many test-case executions the cutoff + cache saved
-   against pinned counts.
+   against pinned counts; then pin one fixed-seed validation verdict.
    Small enough to ride along in `dune runtest` as an end-to-end guard on
    both equivalence invariants — pruned vs. full, and compiled vs.
    interpreted. *)
@@ -176,9 +176,73 @@ let run_frontier () =
     /. float_of_int fr.Search.Frontier.cold_budget)
     (List.length pareto)
 
+(* Validation smoke: one fixed-seed [Stoke.validate] of the delta kernel's
+   shipped rewrite under the perfbench check workload's budget (60k cap, a
+   Geweke check every 10k samples from 10k on).  The chain mixes only at
+   its fifth check, so the verdict runs through the sandbox at one lane,
+   the sample history and several Geweke checks; every field of it is
+   deterministic, so it is gated exactly — [geweke_z] to the bit. *)
+type verdict = {
+  iterations : int;
+  mixed : bool;
+  max_err : string;
+  geweke_z : int64;  (** [Int64.bits_of_float] of the last Z *)
+  checks : int;  (** Geweke checks run *)
+}
+
+let expected_verdict =
+  { iterations = 50_000; mixed = true; max_err = "2";
+    geweke_z = Int64.bits_of_float (-0x1.c0e48bfd10874p-2); checks = 5 }
+
+let run_validation () =
+  let config =
+    {
+      Validate.Driver.default_config with
+      Validate.Driver.max_proposals = 60_000;
+      min_samples = 10_000;
+      check_every = 10_000;
+      seed = 3L;
+    }
+  in
+  let checks = ref 0 in
+  let counter =
+    Obs.Sink.callback (fun e ->
+        if e.Obs.Sink.name = "geweke" then incr checks)
+  in
+  let v =
+    Stoke.validate ~config ~obs:(Obs.Sink.tee counter (Util.obs ()))
+      ~eta:Ulp.zero Kernels.Aek_kernels.delta_spec
+      Kernels.Aek_kernels.delta_rewrite
+  in
+  let got =
+    {
+      iterations = v.Validate.Driver.iterations;
+      mixed = v.Validate.Driver.mixed;
+      max_err = Ulp.to_string v.Validate.Driver.max_err;
+      geweke_z = Int64.bits_of_float v.Validate.Driver.geweke_z;
+      checks = !checks;
+    }
+  in
+  let describe c =
+    Printf.sprintf "iterations %d, mixed %b, max_err %s ulps, z %h (%d checks)"
+      c.iterations c.mixed c.max_err (Int64.float_of_bits c.geweke_z) c.checks
+  in
+  Printf.printf "validate delta/delta_rewrite seed 3: %s\n" (describe got);
+  if got.checks < 3 then begin
+    Printf.eprintf "smoke: validation ran %d Geweke checks, need at least 3!\n"
+      got.checks;
+    exit 1
+  end;
+  if got <> expected_verdict then begin
+    Printf.eprintf "smoke: validation verdict moved!\n  expected %s\n  got      %s\n"
+      (describe expected_verdict) (describe got);
+    exit 1
+  end
+
 let run () =
   Util.heading
     "equivalence smoke check (bit-identical winners across engines and \
      pruning)";
   List.iter (fun (name, spec, expected) -> run_one name spec expected) kernels;
-  run_frontier ()
+  run_frontier ();
+  run_validation ()

@@ -113,10 +113,12 @@ let random_machine g =
   let m = Sandbox.Machine.create ~mem_size () in
   let base = Sandbox.Memory.base m.Sandbox.Machine.mem in
   for i = 0 to 15 do
-    m.Sandbox.Machine.gp.(i) <- Rng.Xoshiro256.next g
+    Sandbox.Machine.set_gp m (Reg.gp_of_index i) (Rng.Xoshiro256.next g)
   done;
-  for i = 0 to 31 do
-    m.Sandbox.Machine.xmm.(i) <- Rng.Xoshiro256.next g
+  for i = 0 to 15 do
+    let lo = Rng.Xoshiro256.next g in
+    let hi = Rng.Xoshiro256.next g in
+    Sandbox.Machine.set_xmm m (Reg.xmm_of_index i) (lo, hi)
   done;
   let f = m.Sandbox.Machine.flags in
   let bits = Rng.Xoshiro256.next g in
@@ -213,12 +215,18 @@ let flag_list (m : Sandbox.Machine.t) =
    flags, single memory bytes. *)
 let diff_components (a : Sandbox.Machine.t) (b : Sandbox.Machine.t) =
   let out = ref [] in
+  let gp m i = Sandbox.Machine.get_gp m (Reg.gp_of_index i) in
+  (* xmm lane [i]: the low quad of xmm[i/2] when [i] is even *)
+  let lane m i =
+    let lo, hi = Sandbox.Machine.get_xmm m (Reg.xmm_of_index (i / 2)) in
+    if i mod 2 = 0 then lo else hi
+  in
   for i = 15 downto 0 do
-    if not (Int64.equal a.Sandbox.Machine.gp.(i) b.Sandbox.Machine.gp.(i)) then
+    if not (Int64.equal (gp a i) (gp b i)) then
       out := (Liveness.Lgp (Reg.gp_of_index i), Reg.gp_name Reg.Q (Reg.gp_of_index i)) :: !out
   done;
   for i = 31 downto 0 do
-    if not (Int64.equal a.Sandbox.Machine.xmm.(i) b.Sandbox.Machine.xmm.(i)) then
+    if not (Int64.equal (lane a i) (lane b i)) then
       out :=
         ( Liveness.Lxmm (Reg.xmm_of_index (i / 2)),
           Printf.sprintf "%s.%s" (Reg.xmm_name (Reg.xmm_of_index (i / 2)))

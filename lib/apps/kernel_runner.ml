@@ -35,9 +35,8 @@ let reset_counters t =
    buffers. *)
 let reset t =
   let m = t.m in
-  for i = 0 to 15 do
-    m.Sandbox.Machine.xmm.(i) <- 0L
-  done;
+  (* xmm0–7: the first eight 16-byte xmm slots of the register file *)
+  Bytes.fill m.Sandbox.Machine.regs Sandbox.Machine.xmm_base (8 * 16) '\000';
   Sandbox.Machine.set_gp m Reg.Rax 0L;
   Sandbox.Machine.set_gp m Reg.Rcx 0L;
   Sandbox.Machine.set_gp m Reg.Rdx 0L;

@@ -83,19 +83,21 @@ let set_xq_lane b k lane v = Bytes.set_int64_le b.xmm (((k * b.n) + lane) lsl 3)
 let sync_to_scratch b lane =
   let m = b.scr.(lane) in
   for g = 0 to 15 do
-    m.Machine.gp.(g) <- get_gp_lane b g lane
+    Bytes.set_int64_le m.Machine.regs (8 * g) (get_gp_lane b g lane)
   done;
   for k = 0 to 31 do
-    m.Machine.xmm.(k) <- get_xq_lane b k lane
+    Bytes.set_int64_le m.Machine.regs (Machine.xmm_base + (8 * k))
+      (get_xq_lane b k lane)
   done
 
 let sync_from_scratch b lane =
   let m = b.scr.(lane) in
   for g = 0 to 15 do
-    set_gp_lane b g lane m.Machine.gp.(g)
+    set_gp_lane b g lane (Bytes.get_int64_le m.Machine.regs (8 * g))
   done;
   for k = 0 to 31 do
-    set_xq_lane b k lane m.Machine.xmm.(k)
+    set_xq_lane b k lane
+      (Bytes.get_int64_le m.Machine.regs (Machine.xmm_base + (8 * k)))
   done
 
 (* ----- batch lifecycle ----- *)
@@ -119,10 +121,12 @@ let create_batch (pristine : Machine.t) (tests : Testcase.t array) : batch =
         let m = Machine.copy pristine in
         Testcase.apply tests.(lane) m;
         for g = 0 to 15 do
-          Bytes.set_int64_le gp0 (((g * n) + lane) lsl 3) m.Machine.gp.(g)
+          Bytes.set_int64_le gp0 (((g * n) + lane) lsl 3)
+            (Bytes.get_int64_le m.Machine.regs (8 * g))
         done;
         for k = 0 to 31 do
-          Bytes.set_int64_le xmm0 (((k * n) + lane) lsl 3) m.Machine.xmm.(k)
+          Bytes.set_int64_le xmm0 (((k * n) + lane) lsl 3)
+            (Bytes.get_int64_le m.Machine.regs (Machine.xmm_base + (8 * k)))
         done;
         m.Machine.mem)
   in
@@ -136,8 +140,7 @@ let create_batch (pristine : Machine.t) (tests : Testcase.t array) : batch =
   let scr =
     Array.init n (fun lane ->
         {
-          Machine.gp = Array.make 16 0L;
-          xmm = Array.make 32 0L;
+          Machine.regs = Bytes.make Machine.regs_size '\000';
           flags = copy_flags pristine.Machine.flags;
           mem = mem.(lane);
         })
@@ -1134,8 +1137,7 @@ let run_one (t : t) (m : Machine.t) =
   if b.n <> 1 then invalid_arg "Batched.run_one: needs a one-lane batch";
   let scr = b.scr.(0) in
   let copy_regs ~(src : Machine.t) ~(dst : Machine.t) =
-    Array.blit src.Machine.gp 0 dst.Machine.gp 0 16;
-    Array.blit src.Machine.xmm 0 dst.Machine.xmm 0 32;
+    Bytes.blit src.Machine.regs 0 dst.Machine.regs 0 Machine.regs_size;
     let f = src.Machine.flags and g = dst.Machine.flags in
     g.Machine.cf <- f.Machine.cf;
     g.Machine.zf <- f.Machine.zf;

@@ -3,10 +3,11 @@
    many test cases.
 
    Specialization happens at compile time, once per changed slot (see
-   [memo] below): operands are resolved to direct register-file indices,
-   immediates are pre-extended, effective-address code is picked per
-   addressing mode, [Unused] slots are elided, per-instruction latencies
-   are prefix-summed, and faults are raised through a local exception
+   [memo] below): operands are resolved to byte offsets into the
+   machine's unboxed register file, immediates are pre-extended,
+   effective-address code is picked per addressing mode, [Unused] slots
+   are elided, per-instruction latencies are prefix-summed, and faults
+   are raised through a local exception
    instead of threading a [result] through every step.  The run loop is
    then just an array of [unit -> unit] calls.
 
@@ -28,8 +29,12 @@ type t = {
       (* lat_prefix.(k) = cycles after executing the first k closures *)
 }
 
-let xi r = 2 * Reg.xmm_index r
-let gi r = Reg.gp_index r
+(* Operand byte offsets into [Machine.regs], read and written in place
+   with no write barrier. *)
+let xi = Machine.xmm_offset
+let gi = Machine.gp_offset
+let[@inline] get regs o = Bytes.get_int64_le regs o
+let[@inline] set regs o v = Bytes.set_int64_le regs o v
 
 let lo32 = 0xffff_ffffL
 let hi32_mask = 0xffff_ffff_0000_0000L
@@ -44,8 +49,7 @@ let generic_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   | Error f -> raise (Fault f)
 
 let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
-  let gp = m.Machine.gp in
-  let xmm = m.Machine.xmm in
+  let regs = m.Machine.regs in
   let mem = m.Machine.mem in
   let ops = i.Instr.operands in
   let n = Array.length ops in
@@ -57,21 +61,22 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     | None, None -> fun () -> d
     | Some b, None ->
       let bi = gi b in
-      fun () -> Int64.add gp.(bi) d
+      fun () -> Int64.add (get regs bi) d
     | None, Some (r, s) ->
       let ri = gi r and sc = Int64.of_int s in
-      fun () -> Int64.add (Int64.mul gp.(ri) sc) d
+      fun () -> Int64.add (Int64.mul (get regs ri) sc) d
     | Some b, Some (r, s) ->
       let bi = gi b and ri = gi r and sc = Int64.of_int s in
-      fun () -> Int64.add (Int64.add gp.(bi) (Int64.mul gp.(ri) sc)) d
+      fun () ->
+        Int64.add (Int64.add (get regs bi) (Int64.mul (get regs ri) sc)) d
   in
   let read_int w (o : Operand.t) : unit -> int64 =
     match o with
     | Operand.Gp r ->
       let k = gi r in
       (match w with
-       | Reg.Q -> fun () -> gp.(k)
-       | Reg.L -> fun () -> Int64.logand gp.(k) lo32)
+       | Reg.Q -> fun () -> get regs k
+       | Reg.L -> fun () -> Int64.logand (get regs k) lo32)
     | Operand.Imm v ->
       let v = match w with Reg.Q -> v | Reg.L -> Int64.logand v lo32 in
       fun () -> v
@@ -86,8 +91,8 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     | Operand.Gp r ->
       let k = gi r in
       (match w with
-       | Reg.Q -> fun v -> gp.(k) <- v
-       | Reg.L -> fun v -> gp.(k) <- Int64.logand v lo32)
+       | Reg.Q -> fun v -> set regs k v
+       | Reg.L -> fun v -> set regs k (Int64.logand v lo32))
     | Operand.Mem mm ->
       let ea = eff mm and nb = Semantics.width_bytes w in
       fun v -> Memory.write_exn mem (ea ()) nb v
@@ -98,13 +103,13 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     match o with
     | Operand.Xmm r ->
       let k = xi r in
-      fun () -> xmm.(k)
+      fun () -> get regs k
     | Operand.Mem mm ->
       let ea = eff mm in
       fun () -> Memory.read_exn mem (ea ()) 8
     | Operand.Gp r ->
       let k = gi r in
-      fun () -> gp.(k)
+      fun () -> get regs k
     | Operand.Imm _ ->
       fun () -> raise (Fault (Semantics.Sigill "immediate in xmm context"))
   in
@@ -112,13 +117,13 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     match o with
     | Operand.Xmm r ->
       let k = xi r in
-      fun () -> Int64.logand xmm.(k) lo32
+      fun () -> Int64.logand (get regs k) lo32
     | Operand.Mem mm ->
       let ea = eff mm in
       fun () -> Memory.read_exn mem (ea ()) 4
     | Operand.Gp r ->
       let k = gi r in
-      fun () -> Int64.logand gp.(k) lo32
+      fun () -> Int64.logand (get regs k) lo32
     | Operand.Imm _ ->
       fun () -> raise (Fault (Semantics.Sigill "immediate in xmm context"))
   in
@@ -134,7 +139,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     match o with
     | Operand.Xmm r ->
       let k = xi r in
-      fun () -> (xmm.(k), xmm.(k + 1))
+      fun () -> (get regs k, get regs (k + 8))
     | Operand.Mem mm ->
       let ea = eff mm in
       fun () -> Memory.read128_exn ~aligned mem (ea ())
@@ -143,10 +148,10 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
   in
   let set_f32_at k v =
     let bits32 = Int64.of_int32 (Int32.bits_of_float v) in
-    xmm.(k) <-
-      Int64.logor (Int64.logand xmm.(k) hi32_mask) (Int64.logand bits32 lo32)
+    set regs k
+      (Int64.logor (Int64.logand (get regs k) hi32_mask) (Int64.logand bits32 lo32))
   in
-  let get_f32_at k = Int32.float_of_bits (Int64.to_int32 xmm.(k)) in
+  let get_f32_at k = Int32.float_of_bits (Int64.to_int32 (get regs k)) in
   (* ----- shared instruction templates ----- *)
   let bad_dst_after (pre : (unit -> unit) list) msg =
     fun () ->
@@ -160,8 +165,8 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let k = xi d in
       fun () ->
         let x = rx () in
-        let old = Int64.float_of_bits xmm.(k) in
-        xmm.(k) <- Int64.bits_of_float (f old x)
+        let old = Int64.float_of_bits (get regs k) in
+        set regs k (Int64.bits_of_float (f old x))
     | _ -> bad_dst_after [ (fun () -> ignore (rx ())) ] "expected xmm destination"
   in
   let scalar_f32 f =
@@ -181,8 +186,8 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let k = xi d in
       fun () ->
         let slo, shi = rs () in
-        xmm.(k) <- f xmm.(k) slo;
-        xmm.(k + 1) <- f xmm.(k + 1) shi
+        set regs k (f (get regs k) slo);
+        set regs (k + 8) (f (get regs (k + 8)) shi)
     | _ -> bad_dst_after [ (fun () -> ignore (rs ())) ] "expected xmm destination"
   in
   let packed_f32 f =
@@ -192,9 +197,9 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let k = xi d in
       fun () ->
         let s = rs () in
-        let lo, hi = Semantics.map_lanes4_f32 f (xmm.(k), xmm.(k + 1)) s in
-        xmm.(k) <- lo;
-        xmm.(k + 1) <- hi
+        let lo, hi = Semantics.map_lanes4_f32 f (get regs k, get regs (k + 8)) s in
+        set regs k lo;
+        set regs (k + 8) hi
     | _ -> bad_dst_after [ (fun () -> ignore (rs ())) ] "expected xmm destination"
   in
   let packed_f64 f =
@@ -204,9 +209,9 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let k = xi d in
       fun () ->
         let s = rs () in
-        let lo, hi = Semantics.map_lanes2_f64 f (xmm.(k), xmm.(k + 1)) s in
-        xmm.(k) <- lo;
-        xmm.(k + 1) <- hi
+        let lo, hi = Semantics.map_lanes2_f64 f (get regs k, get regs (k + 8)) s in
+        set regs k lo;
+        set regs (k + 8) hi
     | _ -> bad_dst_after [ (fun () -> ignore (rs ())) ] "expected xmm destination"
   in
   let avx3_f64 f =
@@ -217,9 +222,9 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       fun () ->
         let x2 = rx2 () in
         let x1 = rx1 () in
-        let hi1 = xmm.(s1k + 1) in
-        xmm.(dk) <- Int64.bits_of_float (f x1 x2);
-        xmm.(dk + 1) <- hi1
+        let hi1 = get regs (s1k + 8) in
+        set regs dk (Int64.bits_of_float (f x1 x2));
+        set regs (dk + 8) hi1
     | _ ->
       bad_dst_after
         [ (fun () -> ignore (rx2 ())); (fun () -> ignore (rx1 ())) ]
@@ -233,10 +238,10 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       fun () ->
         let x2 = rx2 () in
         let x1 = rx1 () in
-        let lo1 = xmm.(s1k) and hi1 = xmm.(s1k + 1) in
+        let lo1 = get regs s1k and hi1 = get regs (s1k + 8) in
         let res = Semantics.dword_of (Fp32.round (f x1 x2)) in
-        xmm.(dk) <- Int64.logor (Int64.logand lo1 hi32_mask) res;
-        xmm.(dk + 1) <- hi1
+        set regs dk (Int64.logor (Int64.logand lo1 hi32_mask) res);
+        set regs (dk + 8) hi1
     | _ ->
       bad_dst_after
         [ (fun () -> ignore (rx2 ())); (fun () -> ignore (rx1 ())) ]
@@ -252,8 +257,8 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
         let s2 = rs2 () in
         let s1 = rs1 () in
         let lo, hi = f s1 s2 in
-        xmm.(k) <- lo;
-        xmm.(k + 1) <- hi
+        set regs k lo;
+        set regs (k + 8) hi
     | _ ->
       bad_dst_after
         [ (fun () -> ignore (rs2 ())); (fun () -> ignore (rs1 ())) ]
@@ -267,11 +272,11 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let dk = xi d and s2k = xi s2 in
       fun () ->
         let x3 = rx3 () in
-        let x2 = Int64.float_of_bits xmm.(s2k) in
-        let x1 = Int64.float_of_bits xmm.(dk) in
+        let x2 = Int64.float_of_bits (get regs s2k) in
+        let x1 = Int64.float_of_bits (get regs dk) in
         let a, b, c = pick x1 x2 x3 in
         let addend = if sub_addend then -.c else c in
-        xmm.(dk) <- Int64.bits_of_float (Float.fma (prod_sign *. a) b addend)
+        set regs dk (Int64.bits_of_float (Float.fma (prod_sign *. a) b addend))
     | _ -> bad_dst_after [ (fun () -> ignore (rx3 ())) ] "expected xmm destination"
   in
   let fma_f32 pick =
@@ -415,7 +420,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        let k = gi r in
        fun () ->
          let bit = if Semantics.cond_holds m c then 1L else 0L in
-         gp.(k) <- Int64.logor (Int64.logand gp.(k) (-256L)) bit
+         set regs k (Int64.logor (Int64.logand (get regs k) (-256L)) bit)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "setcc needs a register")))
   (* ----- SSE moves ----- *)
   | Opcode.Movss ->
@@ -423,32 +428,32 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
      | Operand.Xmm s, Operand.Xmm d ->
        let sk = xi s and dk = xi d in
        fun () ->
-         let lo_s = Int64.logand xmm.(sk) lo32 in
-         xmm.(dk) <- Int64.logor (Int64.logand xmm.(dk) hi32_mask) lo_s
+         let lo_s = Int64.logand (get regs sk) lo32 in
+         set regs dk (Int64.logor (Int64.logand (get regs dk) hi32_mask) lo_s)
      | Operand.Mem mm, Operand.Xmm d ->
        let ea = eff mm and dk = xi d in
        fun () ->
          let v = Memory.read_exn mem (ea ()) 4 in
-         xmm.(dk) <- v;
-         xmm.(dk + 1) <- 0L
+         set regs dk v;
+         set regs (dk + 8) 0L
      | Operand.Xmm s, Operand.Mem mm ->
        let ea = eff mm and sk = xi s in
-       fun () -> Memory.write_exn mem (ea ()) 4 (Int64.logand xmm.(sk) lo32)
+       fun () -> Memory.write_exn mem (ea ()) 4 (Int64.logand (get regs sk) lo32)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "movss operands")))
   | Opcode.Movsd ->
     (match ops.(0), dst with
      | Operand.Xmm s, Operand.Xmm d ->
        let sk = xi s and dk = xi d in
-       fun () -> xmm.(dk) <- xmm.(sk)
+       fun () -> set regs dk (get regs sk)
      | Operand.Mem mm, Operand.Xmm d ->
        let ea = eff mm and dk = xi d in
        fun () ->
          let v = Memory.read_exn mem (ea ()) 8 in
-         xmm.(dk) <- v;
-         xmm.(dk + 1) <- 0L
+         set regs dk v;
+         set regs (dk + 8) 0L
      | Operand.Xmm s, Operand.Mem mm ->
        let ea = eff mm and sk = xi s in
-       fun () -> Memory.write_exn mem (ea ()) 8 xmm.(sk)
+       fun () -> Memory.write_exn mem (ea ()) 8 (get regs sk)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "movsd operands")))
   | Opcode.Movaps | Opcode.Movups | Opcode.Lddqu ->
     let aligned = i.Instr.op = Opcode.Movaps in
@@ -458,12 +463,12 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        let dk = xi d in
        fun () ->
          let lo, hi = rv () in
-         xmm.(dk) <- lo;
-         xmm.(dk + 1) <- hi
+         set regs dk lo;
+         set regs (dk + 8) hi
      | Operand.Xmm s, Operand.Mem mm ->
        let ea = eff mm and sk = xi s in
        fun () ->
-         Memory.write128_exn ~aligned mem (ea ()) (xmm.(sk), xmm.(sk + 1))
+         Memory.write128_exn ~aligned mem (ea ()) (get regs sk, get regs (sk + 8))
      | _ -> fun () -> raise (Fault (Semantics.Sigill "128-bit move operands")))
   | Opcode.Movq ->
     (match ops.(0), dst with
@@ -471,37 +476,37 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        let rv = read_q ops.(0) in
        let dk = xi d in
        fun () ->
-         xmm.(dk) <- rv ();
-         xmm.(dk + 1) <- 0L
+         set regs dk (rv ());
+         set regs (dk + 8) 0L
      | Operand.Xmm s, Operand.Gp d ->
        let sk = xi s and dk = gi d in
-       fun () -> gp.(dk) <- xmm.(sk)
+       fun () -> set regs dk (get regs sk)
      | Operand.Xmm s, Operand.Mem mm ->
        let ea = eff mm and sk = xi s in
-       fun () -> Memory.write_exn mem (ea ()) 8 xmm.(sk)
+       fun () -> Memory.write_exn mem (ea ()) 8 (get regs sk)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "movq operands")))
   | Opcode.Movd ->
     (match ops.(0), dst with
      | Operand.Gp s, Operand.Xmm d ->
        let sk = gi s and dk = xi d in
        fun () ->
-         xmm.(dk) <- Int64.logand gp.(sk) lo32;
-         xmm.(dk + 1) <- 0L
+         set regs dk (Int64.logand (get regs sk) lo32);
+         set regs (dk + 8) 0L
      | Operand.Xmm s, Operand.Gp d ->
        let sk = xi s and dk = gi d in
-       fun () -> gp.(dk) <- Int64.logand xmm.(sk) lo32
+       fun () -> set regs dk (Int64.logand (get regs sk) lo32)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "movd operands")))
   | Opcode.Movlhps ->
     (match ops.(0), dst with
      | Operand.Xmm s, Operand.Xmm d ->
        let sk = xi s and dk = xi d in
-       fun () -> xmm.(dk + 1) <- xmm.(sk)
+       fun () -> set regs (dk + 8) (get regs sk)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "expected xmm destination")))
   | Opcode.Movhlps ->
     (match ops.(0), dst with
      | Operand.Xmm s, Operand.Xmm d ->
        let sk = xi s and dk = xi d in
-       fun () -> xmm.(dk) <- xmm.(sk + 1)
+       fun () -> set regs dk (get regs (sk + 8))
      | _ -> fun () -> raise (Fault (Semantics.Sigill "expected xmm destination")))
   (* ----- scalar FP ----- *)
   | Opcode.Addsd -> scalar_f64 (fun old x -> old +. x)
@@ -525,7 +530,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        let dk = xi d in
        fun () ->
          let s = rs () in
-         Semantics.set_fp_compare_flags m (Int64.float_of_bits xmm.(dk)) s
+         Semantics.set_fp_compare_flags m (Int64.float_of_bits (get regs dk)) s
      | _ -> bad_dst_after [ (fun () -> ignore (rs ())) ] "expected xmm destination")
   | Opcode.Ucomiss | Opcode.Comiss ->
     let rs = read_f32 ops.(0) in
@@ -560,7 +565,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     (match dst with
      | Operand.Xmm d ->
        let dk = xi d in
-       fun () -> xmm.(dk) <- Int64.bits_of_float (rx ())
+       fun () -> set regs dk (Int64.bits_of_float (rx ()))
      | _ -> bad_dst_after [ (fun () -> ignore (rx ())) ] "expected xmm destination")
   | Opcode.Cvtsd2ss ->
     let rx = read_f64 ops.(0) in
@@ -575,7 +580,8 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
      | Operand.Xmm d ->
        let dk = xi d in
        fun () ->
-         xmm.(dk) <- Int64.bits_of_float (Int64.to_float (Semantics.signed w (rv ())))
+         set regs dk
+           (Int64.bits_of_float (Int64.to_float (Semantics.signed w (rv ()))))
      | _ -> bad_dst_after [ (fun () -> ignore (rv ())) ] "expected xmm destination")
   | Opcode.Cvtsi2ss w ->
     let rv = read_int w ops.(0) in
@@ -611,7 +617,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        (match dst with
         | Operand.Xmm d ->
           let dk = xi d in
-          fun () -> xmm.(dk) <- Int64.bits_of_float (round (rx ()))
+          fun () -> set regs dk (Int64.bits_of_float (round (rx ())))
         | _ ->
           bad_dst_after [ (fun () -> ignore (rx ())) ] "expected xmm destination")
      | _ -> fun () -> raise (Fault (Semantics.Sigill "expected immediate")))

@@ -1,7 +1,7 @@
 (** Compile-once execution engine.
 
     {!compile} translates a program into an array of closures specialized
-    against one machine: operands resolved to register-file indices,
+    against one machine: operands resolved to register-file byte offsets,
     immediates pre-extended, effective-address code picked per addressing
     mode, [Unused] slots elided, latencies prefix-summed.  {!exec} then
     replays the closures — the per-proposal translation cost is paid once

@@ -7,11 +7,15 @@ type flags = {
 }
 
 type t = {
-  gp : int64 array;
-  xmm : int64 array;
+  regs : Bytes.t;
   flags : flags;
   mem : Memory.t;
 }
+
+let regs_size = 0x180
+let xmm_base = 0x80
+let gp_offset r = 8 * Reg.gp_index r
+let xmm_offset r = xmm_base + (16 * Reg.xmm_index r)
 
 let default_rsp t =
   Int64.add (Memory.base t.mem) (Int64.of_int (Memory.size t.mem / 2))
@@ -19,26 +23,23 @@ let default_rsp t =
 let create ?(mem_size = 4096) () =
   let t =
     {
-      gp = Array.make 16 0L;
-      xmm = Array.make 32 0L;
+      regs = Bytes.make regs_size '\000';
       flags = { cf = false; zf = false; sf = false; o_f = false; pf = false };
       mem = Memory.create mem_size;
     }
   in
-  t.gp.(Reg.gp_index Reg.Rsp) <- default_rsp t;
+  Bytes.set_int64_le t.regs (gp_offset Reg.Rsp) (default_rsp t);
   t
 
 let copy t =
   {
-    gp = Array.copy t.gp;
-    xmm = Array.copy t.xmm;
+    regs = Bytes.copy t.regs;
     flags = { t.flags with cf = t.flags.cf };
     mem = Memory.copy t.mem;
   }
 
 let restore_from ~src ~dst =
-  Array.blit src.gp 0 dst.gp 0 16;
-  Array.blit src.xmm 0 dst.xmm 0 32;
+  Bytes.blit src.regs 0 dst.regs 0 regs_size;
   dst.flags.cf <- src.flags.cf;
   dst.flags.zf <- src.flags.zf;
   dst.flags.sf <- src.flags.sf;
@@ -46,23 +47,23 @@ let restore_from ~src ~dst =
   dst.flags.pf <- src.flags.pf;
   Memory.restore_from ~src:src.mem ~dst:dst.mem
 
-let get_gp t r = t.gp.(Reg.gp_index r)
-let set_gp t r v = t.gp.(Reg.gp_index r) <- v
+let get_gp t r = Bytes.get_int64_le t.regs (gp_offset r)
+let set_gp t r v = Bytes.set_int64_le t.regs (gp_offset r) v
 
 let get_gp32 t r = Int64.logand (get_gp t r) 0xffff_ffffL
 let set_gp32 t r v = set_gp t r (Int64.logand v 0xffff_ffffL)
 
 let get_xmm t r =
-  let i = Reg.xmm_index r in
-  (t.xmm.(2 * i), t.xmm.((2 * i) + 1))
+  let o = xmm_offset r in
+  (Bytes.get_int64_le t.regs o, Bytes.get_int64_le t.regs (o + 8))
 
 let set_xmm t r (lo, hi) =
-  let i = Reg.xmm_index r in
-  t.xmm.(2 * i) <- lo;
-  t.xmm.((2 * i) + 1) <- hi
+  let o = xmm_offset r in
+  Bytes.set_int64_le t.regs o lo;
+  Bytes.set_int64_le t.regs (o + 8) hi
 
-let get_xmm_lo t r = t.xmm.(2 * Reg.xmm_index r)
-let set_xmm_lo t r v = t.xmm.(2 * Reg.xmm_index r) <- v
+let get_xmm_lo t r = Bytes.get_int64_le t.regs (xmm_offset r)
+let set_xmm_lo t r v = Bytes.set_int64_le t.regs (xmm_offset r) v
 
 let get_f64 t r = Int64.float_of_bits (get_xmm_lo t r)
 let set_f64 t r v = set_xmm_lo t r (Int64.bits_of_float v)

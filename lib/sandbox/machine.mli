@@ -1,6 +1,7 @@
 (** Architectural state: sixteen 64-bit general-purpose registers, sixteen
     128-bit xmm registers (stored as quadword pairs), the five status flags
-    our opcode subset reads or writes, and a sandboxed memory arena. *)
+    our opcode subset reads or writes, and a sandboxed memory arena.  The
+    registers share one unboxed byte register file ({!field-regs}). *)
 
 type flags = {
   mutable cf : bool;
@@ -11,11 +12,37 @@ type flags = {
 }
 
 type t = {
-  gp : int64 array;  (** indexed by {!Reg.gp_index} *)
-  xmm : int64 array;  (** lane [2i] = low quad of xmm[i], [2i+1] = high *)
+  regs : Bytes.t;
+      (** The register file: {!regs_size} bytes, little-endian quads.  GP
+          register [i] ({!Reg.gp_index}) is the quad at byte [8i]; xmm
+          register [i] is the quad pair at [xmm_base + 16i] (low quad
+          first).  All 48 quads are contiguous, so quad [q] sits at byte
+          [8q] — the same layout as the native worker's lane record, which
+          therefore marshals a machine with one blit.
+
+          The file is unboxed on purpose.  A boxed [int64 array] field
+          stores a pointer per register, and a long-lived machine lives in
+          the major heap, so every register write and every
+          {!restore_from} went through the GC write barrier: a promoted
+          machine measured 403–473 ns per restore against 36 ns for a
+          young one.  Bytes hold no pointers, so a write is a plain store
+          and a restore is one memcpy wherever the machine lives. *)
   flags : flags;
   mem : Memory.t;
 }
+
+val regs_size : int
+(** 384: sixteen GP quads, then sixteen xmm quad pairs. *)
+
+val xmm_base : int
+(** 0x80: byte offset of xmm0's low quad in {!field-regs}. *)
+
+val gp_offset : Reg.gp -> int
+(** Byte offset of a GP register in {!field-regs}. *)
+
+val xmm_offset : Reg.xmm -> int
+(** Byte offset of an xmm register's low quad in {!field-regs}; the high
+    quad follows at [+8]. *)
 
 val create : ?mem_size:int -> unit -> t
 (** Fresh zeroed machine; [mem_size] defaults to 4096 bytes.  [rsp] starts
@@ -24,8 +51,10 @@ val create : ?mem_size:int -> unit -> t
 
 val copy : t -> t
 val restore_from : src:t -> dst:t -> unit
-(** Overwrite [dst]'s state with [src]'s without allocating.  Registers
-    and flags are copied outright (48 words); memory goes through
+(** Overwrite [dst]'s state with [src]'s without allocating.  The register
+    file is one 384-byte blit with no write barrier (see {!field-regs}),
+    so the cost is the same for a machine in the minor or the major heap;
+    flags are copied outright; memory goes through
     {!Memory.restore_from}, so repeatedly restoring the same pristine
     [src] into a scratch [dst] costs only the bytes the intervening runs
     wrote. *)

@@ -631,16 +631,12 @@ let flags_of_raw (f : Machine.flags) raw =
   f.Machine.sf <- bit 15;
   f.Machine.o_f <- bit 0
 
-(* lane record: GP plane at +0, xmm at +0x80 (lo/hi quad pairs, exactly
-   Machine.t's xmm array layout), raw flags at +0x180 *)
+(* lane record: GP plane at +0, xmm at +0x80 (lo/hi quad pairs) — exactly
+   Machine.regs's layout, so the registers go across as one blit — and
+   raw flags at +0x180 *)
 let write_lane_record blob off (m : Machine.t) =
-  for i = 0 to 15 do
-    Bytes.set_int64_le blob (off + (8 * i)) m.Machine.gp.(i)
-  done;
-  for i = 0 to 31 do
-    Bytes.set_int64_le blob (off + 0x80 + (8 * i)) m.Machine.xmm.(i)
-  done;
-  Bytes.set_int64_le blob (off + 0x180) (raw_of_flags m.Machine.flags)
+  Bytes.blit m.Machine.regs 0 blob off Machine.regs_size;
+  Bytes.set_int64_le blob (off + Machine.regs_size) (raw_of_flags m.Machine.flags)
 
 (* ----- batches and compiled programs ----- *)
 
@@ -891,14 +887,9 @@ let result (b : batch) ~lane =
     else result_of b t lane
 
 let read_outputs (b : batch) ~lane spec =
-  let off = (lane * res_sz) + 24 in
   let m = b.readout in
-  for i = 0 to 15 do
-    m.Machine.gp.(i) <- Bytes.get_int64_le b.results (off + (8 * i))
-  done;
-  for i = 0 to 31 do
-    m.Machine.xmm.(i) <- Bytes.get_int64_le b.results (off + 128 + (8 * i))
-  done;
+  Bytes.blit b.results ((lane * res_sz) + 24) m.Machine.regs 0
+    Machine.regs_size;
   Spec.read_outputs spec m
 
 let lane_machine (b : batch) ~lane =
@@ -906,13 +897,9 @@ let lane_machine (b : batch) ~lane =
     invalid_arg "Native.lane_machine: batch created without want_mem";
   let m = b.cur.(lane) in
   let off = (lane * res_sz) + 24 in
-  for i = 0 to 15 do
-    m.Machine.gp.(i) <- Bytes.get_int64_le b.results (off + (8 * i))
-  done;
-  for i = 0 to 31 do
-    m.Machine.xmm.(i) <- Bytes.get_int64_le b.results (off + 128 + (8 * i))
-  done;
-  flags_of_raw m.Machine.flags (Bytes.get_int64_le b.results (off + 384));
+  Bytes.blit b.results off m.Machine.regs 0 Machine.regs_size;
+  flags_of_raw m.Machine.flags
+    (Bytes.get_int64_le b.results (off + Machine.regs_size));
   nat_read_mem b.h lane b.membuf;
   Memory.set_bytes m.Machine.mem b.base (Bytes.to_string b.membuf);
   b.touched.(lane) <- true;
@@ -944,14 +931,9 @@ let run_one (b : batch) (t : t) (m : Machine.t) =
     let status = Int32.to_int (Bytes.get_int32_le b.results 0) in
     if status >= 2 then None (* hardware fault: divergent, caller falls back *)
     else begin
-      let off = 24 in
-      for i = 0 to 15 do
-        m.Machine.gp.(i) <- Bytes.get_int64_le b.results (off + (8 * i))
-      done;
-      for i = 0 to 31 do
-        m.Machine.xmm.(i) <- Bytes.get_int64_le b.results (off + 128 + (8 * i))
-      done;
-      flags_of_raw m.Machine.flags (Bytes.get_int64_le b.results (off + 384));
+      Bytes.blit b.results 24 m.Machine.regs 0 Machine.regs_size;
+      flags_of_raw m.Machine.flags
+        (Bytes.get_int64_le b.results (24 + Machine.regs_size));
       nat_read_mem b.h 0 b.membuf;
       Memory.set_bytes m.Machine.mem b.base (Bytes.to_string b.membuf);
       let r = result_of b t 0 in

@@ -1,7 +1,14 @@
-let mean a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Descriptive.mean: empty";
-  Array.fold_left ( +. ) 0. a /. float_of_int n
+let window_mean a ~pos ~len =
+  if len <= 0 then invalid_arg "Descriptive.mean: empty";
+  if pos < 0 || pos + len > Array.length a then
+    invalid_arg "Descriptive.window_mean: window out of bounds";
+  let acc = ref 0. in
+  for i = pos to pos + len - 1 do
+    acc := !acc +. a.(i)
+  done;
+  !acc /. float_of_int len
+
+let mean a = window_mean a ~pos:0 ~len:(Array.length a)
 
 let variance a =
   let n = Array.length a in

@@ -3,6 +3,10 @@
 val mean : float array -> float
 (** Arithmetic mean; raises [Invalid_argument] on an empty array. *)
 
+val window_mean : float array -> pos:int -> len:int -> float
+(** The mean of [a.(pos) .. a.(pos+len-1)], read in place: bit-identical
+    to [mean (Array.sub a pos len)] (same ascending order of adds). *)
+
 val variance : float array -> float
 (** Unbiased (n-1) sample variance; [0.] for arrays shorter than 2. *)
 

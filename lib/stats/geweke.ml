@@ -10,12 +10,10 @@ let z_statistic ?(frac_a = 0.1) ?(frac_b = 0.5) chain =
   if n < 20 then invalid_arg "Geweke.z_statistic: chain too short";
   let n1 = Stdlib.max 2 (int_of_float (frac_a *. float_of_int n)) in
   let n2 = Stdlib.max 2 (int_of_float (frac_b *. float_of_int n)) in
-  let early = Array.sub chain 0 n1 in
-  let late = Array.sub chain (n - n2) n2 in
-  let mean_a = Descriptive.mean early in
-  let mean_b = Descriptive.mean late in
-  let s1 = Spectral.density_at_zero early in
-  let s2 = Spectral.density_at_zero late in
+  let mean_a = Descriptive.window_mean chain ~pos:0 ~len:n1 in
+  let mean_b = Descriptive.window_mean chain ~pos:(n - n2) ~len:n2 in
+  let s1 = Spectral.window_density chain ~pos:0 ~len:n1 ~mean:mean_a in
+  let s2 = Spectral.window_density chain ~pos:(n - n2) ~len:n2 ~mean:mean_b in
   let denom = sqrt ((s1 /. float_of_int n1) +. (s2 /. float_of_int n2)) in
   let z = if denom > 0. then (mean_a -. mean_b) /. denom else 0. in
   { z; mean_a; mean_b; n }

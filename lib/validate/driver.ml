@@ -68,6 +68,68 @@ let rule_name = function
   | A_anneal -> "anneal"
   | A_random -> "rand"
 
+(* The sample history backing the Geweke checks, shared by both drivers:
+   a flat growable array, so each check reads a prefix in O(n) instead of
+   rebuilding the whole chain from a reversed list (O(n²) over the run). *)
+type history = {
+  mutable samples : float array;
+  mutable n_samples : int;
+  mutable last_z : float;  (** the most recent Z; infinity before any *)
+  mutable last_check : int;
+      (** iteration of the most recent check, so the end-of-budget
+          fallback can tell whether the periodic schedule already checked
+          the final chain (a run ending exactly on a [check_every]
+          boundary would otherwise double-check and double-emit) *)
+}
+
+let history () =
+  { samples = Array.make 1024 0.; n_samples = 0; last_z = Float.infinity;
+    last_check = 0 }
+
+let push_sample h x =
+  if h.n_samples = Array.length h.samples then begin
+    let bigger = Array.make (2 * Array.length h.samples) 0. in
+    Array.blit h.samples 0 bigger 0 h.n_samples;
+    h.samples <- bigger
+  end;
+  h.samples.(h.n_samples) <- x;
+  h.n_samples <- h.n_samples + 1
+
+(* The periodic schedule: every [check_every] iterations once the chain
+   holds [min_samples]. *)
+let check_due config h ~iter =
+  h.n_samples >= config.min_samples && iter mod config.check_every = 0
+
+(* The final mixing check, for runs whose budget ended before the
+   periodic schedule fired.  Gated on the configured [min_samples] (not a
+   hardcoded count): a run whose budget never reached the sample floor
+   must not claim convergence from an undersized chain.  The extra
+   [>= 20] floor covers configs with a tiny [min_samples] —
+   [Geweke.z_statistic] needs at least 20 points.  Skipped when the
+   periodic schedule already checked at the final iteration — the chain
+   has not grown since, so re-checking would only duplicate the "geweke"
+   event. *)
+let final_check_due config h ~iterations =
+  h.n_samples >= config.min_samples && h.n_samples >= 20
+  && h.last_check <> iterations
+
+(* One Geweke check of the chain so far: records the Z, emits the
+   "geweke" event, and says whether the chain mixed. *)
+let geweke_check obs config h ~iter =
+  let v = Stats.Geweke.z_statistic (Array.sub h.samples 0 h.n_samples) in
+  h.last_z <- v.Stats.Geweke.z;
+  h.last_check <- iter;
+  let converged = Stats.Geweke.converged ~threshold:config.z_threshold v in
+  if Obs.Sink.enabled obs then
+    Obs.Sink.emit obs "geweke"
+      [
+        ("iter", Obs.Json.Int iter);
+        ("z", Obs.Json.Float v.Stats.Geweke.z);
+        ("n_samples", Obs.Json.Int h.n_samples);
+        ("converged", Obs.Json.Bool converged);
+      ];
+  converged
+
 let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
     errfn =
   let observing = Obs.Sink.enabled obs in
@@ -92,24 +154,8 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
   let cur_err = ref cur_err0 in
   let max_err = ref max_err0 in
   let max_err_input = ref (Array.copy !cur) in
-  (* The sample history backing the Geweke checks: a flat growable array,
-     so each check reads a prefix view in O(n) instead of rebuilding the
-     whole chain from a reversed list (O(n²) over the run). *)
-  let samples = ref (Array.make 1024 0.) in
-  let n_samples = ref 0 in
-  let push_sample x =
-    if !n_samples = Array.length !samples then begin
-      let bigger = Array.make (2 * Array.length !samples) 0. in
-      Array.blit !samples 0 bigger 0 !n_samples;
-      samples := bigger
-    end;
-    !samples.(!n_samples) <- x;
-    incr n_samples
-  in
-  let sample_chain () = Array.sub !samples 0 !n_samples in
+  let h = history () in
   let mixed = ref false in
-  let last_z = ref Float.infinity in
-  let last_check = ref 0 in
   let iterations = ref 0 in
   let trace = ref [] in
   let marks = ref (checkpoints config.max_proposals config.trace_points) in
@@ -158,7 +204,7 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
                       (Array.map (fun x -> Obs.Json.Float x) candidate)) );
              ]
        end;
-       push_sample !cur_err;
+       push_sample h !cur_err;
        (match !marks with
         | m :: rest when iter >= m ->
           trace := { iter; best_err = Ulp.to_float !max_err } :: !trace;
@@ -172,67 +218,24 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
                   Obs.Json.Float (Obs.Clock.elapsed_s ~since:t0) );
               ]
         | _ -> ());
-       if
-         !n_samples >= config.min_samples
-         && iter mod config.check_every = 0
-       then begin
-         let chain = sample_chain () in
-         let v = Stats.Geweke.z_statistic chain in
-         last_z := v.Stats.Geweke.z;
-         last_check := iter;
-         let converged =
-           Stats.Geweke.converged ~threshold:config.z_threshold v
-         in
-         if observing then
-           Obs.Sink.emit obs "geweke"
-             [
-               ("iter", Obs.Json.Int iter);
-               ("z", Obs.Json.Float v.Stats.Geweke.z);
-               ("n_samples", Obs.Json.Int !n_samples);
-               ("converged", Obs.Json.Bool converged);
-             ];
-         if converged then begin
-           mixed := true;
-           raise Exit
-         end
+       if check_due config h ~iter && geweke_check obs config h ~iter then begin
+         mixed := true;
+         raise Exit
        end
      done
    with Exit -> ());
-  (* Final mixing check for runs whose budget ended before the periodic
-     schedule fired.  Gated on the configured [min_samples] (not a
-     hardcoded count): a run whose budget never reached the sample floor
-     must not claim convergence from an undersized chain.  The extra
-     [>= 20] floor covers configs with a tiny [min_samples] —
-     [Geweke.z_statistic] needs at least 20 points.  Skipped when the
-     periodic schedule already checked at the final iteration
-     ([max_proposals] a multiple of [check_every]) — the chain has not
-     grown since, so re-checking would only duplicate the "geweke"
-     event. *)
   if
-    (not !mixed) && !n_samples >= config.min_samples && !n_samples >= 20
-    && !last_check <> !iterations
-  then begin
-    let chain = sample_chain () in
-    let v = Stats.Geweke.z_statistic chain in
-    last_z := v.Stats.Geweke.z;
-    let converged = Stats.Geweke.converged ~threshold:config.z_threshold v in
-    if observing then
-      Obs.Sink.emit obs "geweke"
-        [
-          ("iter", Obs.Json.Int !iterations);
-          ("z", Obs.Json.Float v.Stats.Geweke.z);
-          ("n_samples", Obs.Json.Int !n_samples);
-          ("converged", Obs.Json.Bool converged);
-        ];
-    if converged then mixed := true
-  end;
+    (not !mixed)
+    && final_check_due config h ~iterations:!iterations
+    && geweke_check obs config h ~iter:!iterations
+  then mixed := true;
   let verdict =
     {
       max_err = !max_err;
       max_err_input = !max_err_input;
       validated = !mixed && Ulp.compare !max_err eta <= 0;
       mixed = !mixed;
-      geweke_z = !last_z;
+      geweke_z = h.last_z;
       iterations = !iterations;
       trace = List.rev !trace;
     }
@@ -277,16 +280,8 @@ module Incremental = struct
     mutable cur_err : float;
     mutable max_err : Ulp.t;
     mutable max_err_input : float array;
-    mutable samples : float array;
-    mutable n_samples : int;
+    hist : history;
     mutable mixed : bool;
-    mutable last_z : float;
-    mutable last_check : int;
-        (** iteration of the most recent Geweke check, so the
-            end-of-budget fallback can tell whether the periodic schedule
-            already checked the final chain (a slice ending exactly on a
-            [check_every] boundary would otherwise double-check and
-            double-emit) *)
     mutable iterations : int;
     mutable trace : trace_entry list;
     mutable marks : int list;
@@ -327,11 +322,8 @@ module Incremental = struct
       cur_err;
       max_err;
       max_err_input = Array.copy cur;
-      samples = Array.make 1024 0.;
-      n_samples = 0;
+      hist = history ();
       mixed = false;
-      last_z = Float.infinity;
-      last_check = 0;
       iterations = 0;
       trace = [];
       marks = checkpoints config.max_proposals config.trace_points;
@@ -340,31 +332,6 @@ module Incremental = struct
     }
 
   let status s = s.status
-
-  let push_sample s x =
-    if s.n_samples = Array.length s.samples then begin
-      let bigger = Array.make (2 * Array.length s.samples) 0. in
-      Array.blit s.samples 0 bigger 0 s.n_samples;
-      s.samples <- bigger
-    end;
-    s.samples.(s.n_samples) <- x;
-    s.n_samples <- s.n_samples + 1
-
-  let geweke_check s ~iter =
-    let chain = Array.sub s.samples 0 s.n_samples in
-    let v = Stats.Geweke.z_statistic chain in
-    s.last_z <- v.Stats.Geweke.z;
-    s.last_check <- iter;
-    let converged = Stats.Geweke.converged ~threshold:s.config.z_threshold v in
-    if s.observing then
-      Obs.Sink.emit s.obs "geweke"
-        [
-          ("iter", Obs.Json.Int iter);
-          ("z", Obs.Json.Float v.Stats.Geweke.z);
-          ("n_samples", Obs.Json.Int s.n_samples);
-          ("converged", Obs.Json.Bool converged);
-        ];
-    converged
 
   let advance s ~proposals =
     (match s.status with
@@ -408,7 +375,7 @@ module Incremental = struct
                 raise Exit
               end
             end;
-            push_sample s s.cur_err;
+            push_sample s.hist s.cur_err;
             (match s.marks with
              | m :: rest when iter >= m ->
                s.trace <-
@@ -424,26 +391,21 @@ module Incremental = struct
                    ]
              | _ -> ());
             if
-              s.n_samples >= s.config.min_samples
-              && iter mod s.config.check_every = 0
-            then
-              if geweke_check s ~iter then begin
-                s.mixed <- true;
-                s.status <- Mixed;
-                raise Exit
-              end
+              check_due s.config s.hist ~iter
+              && geweke_check s.obs s.config s.hist ~iter
+            then begin
+              s.mixed <- true;
+              s.status <- Mixed;
+              raise Exit
+            end
           done
         with Exit -> ());
        if s.status = Running && s.iterations >= s.config.max_proposals
        then begin
-         (* Same final-check gating as the one-shot driver, including the
-            boundary rule: skip when the periodic schedule already
-            checked at the final iteration. *)
          if
-           s.n_samples >= s.config.min_samples && s.n_samples >= 20
-           && s.last_check <> s.iterations
-         then
-           if geweke_check s ~iter:s.iterations then s.mixed <- true;
+           final_check_due s.config s.hist ~iterations:s.iterations
+           && geweke_check s.obs s.config s.hist ~iter:s.iterations
+         then s.mixed <- true;
          s.status <- (if s.mixed then Mixed else Exhausted)
        end
      | Refuted | Mixed | Exhausted -> ());
@@ -456,7 +418,7 @@ module Incremental = struct
         max_err_input = s.max_err_input;
         validated = s.mixed && Ulp.compare s.max_err s.eta <= 0;
         mixed = s.mixed;
-        geweke_z = s.last_z;
+        geweke_z = s.hist.last_z;
         iterations = s.iterations;
         trace = List.rev s.trace;
       }

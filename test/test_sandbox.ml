@@ -122,6 +122,172 @@ let machine_tests =
         | Error _ -> Alcotest.fail "read");
   ]
 
+(* ----- register file vs a boxed reference model ----- *)
+
+(* The register file as two [int64 array]s with the x86 rules written
+   out directly: a reference the unboxed byte file must match on every
+   accessor, quad for quad. *)
+module Regfile_model = struct
+  type t = { gp : int64 array; xmm : int64 array (* 2i = lo, 2i+1 = hi *) }
+
+  (* [Machine.create]'s state: all zero but rsp *)
+  let create m =
+    let gp = Array.make 16 0L in
+    gp.(Reg.gp_index Reg.Rsp) <- Sandbox.Machine.default_rsp m;
+    { gp; xmm = Array.make 32 0L }
+
+  let lo t r = t.xmm.(2 * Reg.xmm_index r)
+  let set_lo t r v = t.xmm.(2 * Reg.xmm_index r) <- v
+end
+
+(* Floats whose bits matter: NaNs with random payloads and signs (double
+   and single-width payloads), infinities, signed zeros, denormals, and
+   arbitrary bit patterns. *)
+let random_float g =
+  let r = Rng.Xoshiro256.next g in
+  match Rng.Dist.int g 6 with
+  | 0 -> Int64.float_of_bits (Int64.logor 0x7ff0_0000_0000_0001L r)
+  | 1 ->
+    let payload = Int64.logand r 0x000f_ffff_ffff_ffffL in
+    Int64.float_of_bits
+      (Int64.logor 0x7ff0_0000_0000_0000L
+         (if Int64.equal payload 0L then 1L else payload))
+  | 2 ->
+    Int32.float_of_bits (Int32.logor 0x7f80_0001l (Int64.to_int32 r))
+  | 3 -> [| 0.; -0.; Float.infinity; Float.neg_infinity; 4.9e-324; -1.5 |].(Rng.Dist.int g 6)
+  | _ -> Int64.float_of_bits r
+
+let regfile_tests =
+  [
+    Alcotest.test_case "register file matches a boxed model (major heap)" `Quick
+      (fun () ->
+        let module M = Sandbox.Machine in
+        let g = Rng.Xoshiro256.create 0x5eedL in
+        let m = fresh () in
+        (* promote the machine: its register writes take the major-heap
+           path, which the boxed layout paid a write barrier for *)
+        Gc.full_major ();
+        let model = Regfile_model.create m in
+        let gp_reg () = Reg.gp_of_index (Rng.Dist.int g 16) in
+        let xmm_reg () = Reg.xmm_of_index (Rng.Dist.int g 16) in
+        let bits = Int64.bits_of_float in
+        let expect_bits what exp got =
+          if not (Int64.equal (bits exp) (bits got)) then
+            Alcotest.failf "%s: expected %Lx, got %Lx" what (bits exp) (bits got)
+        in
+        let expect what exp got =
+          if not (Int64.equal exp got) then
+            Alcotest.failf "%s: expected %Lx, got %Lx" what exp got
+        in
+        let lo32 = 0xffff_ffffL in
+        for step = 1 to 12_000 do
+          (match Rng.Dist.int g 14 with
+           | 0 ->
+             let r = gp_reg () and v = Rng.Xoshiro256.next g in
+             M.set_gp m r v;
+             model.gp.(Reg.gp_index r) <- v
+           | 1 ->
+             let r = gp_reg () in
+             expect "get_gp" model.gp.(Reg.gp_index r) (M.get_gp m r)
+           | 2 ->
+             (* the x86-64 rule: a 32-bit write zeroes bits 32-63 *)
+             let r = gp_reg () and v = Rng.Xoshiro256.next g in
+             M.set_gp32 m r v;
+             model.gp.(Reg.gp_index r) <- Int64.logand v lo32
+           | 3 ->
+             let r = gp_reg () in
+             expect "get_gp32"
+               (Int64.logand model.gp.(Reg.gp_index r) lo32)
+               (M.get_gp32 m r)
+           | 4 ->
+             let r = xmm_reg () in
+             let lo = Rng.Xoshiro256.next g and hi = Rng.Xoshiro256.next g in
+             M.set_xmm m r (lo, hi);
+             model.xmm.(2 * Reg.xmm_index r) <- lo;
+             model.xmm.((2 * Reg.xmm_index r) + 1) <- hi
+           | 5 ->
+             let r = xmm_reg () in
+             let lo, hi = M.get_xmm m r in
+             expect "get_xmm lo" (Regfile_model.lo model r) lo;
+             expect "get_xmm hi" model.xmm.((2 * Reg.xmm_index r) + 1) hi
+           | 6 ->
+             let r = xmm_reg () and v = Rng.Xoshiro256.next g in
+             M.set_xmm_lo m r v;
+             Regfile_model.set_lo model r v
+           | 7 ->
+             let r = xmm_reg () in
+             expect "get_xmm_lo" (Regfile_model.lo model r) (M.get_xmm_lo m r)
+           | 8 ->
+             let r = xmm_reg () and x = random_float g in
+             M.set_f64 m r x;
+             Regfile_model.set_lo model r (bits x)
+           | 9 ->
+             let r = xmm_reg () in
+             expect_bits "get_f64"
+               (Int64.float_of_bits (Regfile_model.lo model r))
+               (M.get_f64 m r)
+           | 10 ->
+             (* a single-width write keeps bits 32-127 *)
+             let r = xmm_reg () and x = random_float g in
+             M.set_f32 m r x;
+             let d = Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) lo32 in
+             Regfile_model.set_lo model r
+               (Int64.logor
+                  (Int64.logand (Regfile_model.lo model r) 0xffff_ffff_0000_0000L)
+                  d)
+           | 11 ->
+             let r = xmm_reg () in
+             expect_bits "get_f32"
+               (Int32.float_of_bits (Int64.to_int32 (Regfile_model.lo model r)))
+               (M.get_f32 m r)
+           | 12 ->
+             let r = xmm_reg () in
+             expect_bits "get_f32_hi"
+               (Int32.float_of_bits
+                  (Int64.to_int32
+                     (Int64.shift_right_logical (Regfile_model.lo model r) 32)))
+               (M.get_f32_hi m r)
+           | _ ->
+             if step mod 100 = 0 then Gc.full_major ());
+          (* the whole file, quad for quad, after every operation *)
+          Array.iteri
+            (fun i v ->
+              expect (Printf.sprintf "step %d: gp %d" step i) v
+                (M.get_gp m (Reg.gp_of_index i)))
+            model.gp;
+          for i = 0 to 15 do
+            let lo, hi = M.get_xmm m (Reg.xmm_of_index i) in
+            expect (Printf.sprintf "step %d: xmm%d lo" step i) model.xmm.(2 * i) lo;
+            expect (Printf.sprintf "step %d: xmm%d hi" step i) model.xmm.((2 * i) + 1) hi
+          done
+        done);
+    Alcotest.test_case "restore_from on promoted machines is byte-exact" `Quick
+      (fun () ->
+        let module M = Sandbox.Machine in
+        let g = Rng.Xoshiro256.create 0xb10bL in
+        let pristine = fresh () in
+        Sandbox.Testcase.apply
+          (Sandbox.Testcase.of_f64 [ (Reg.Xmm0, 1.25); (Reg.Xmm7, -0.) ])
+          pristine;
+        let expected = M.copy pristine in
+        let m = fresh () in
+        Gc.full_major ();
+        for round = 1 to 50 do
+          for i = 0 to 15 do
+            M.set_gp m (Reg.gp_of_index i) (Rng.Xoshiro256.next g);
+            M.set_xmm m (Reg.xmm_of_index i)
+              (Rng.Xoshiro256.next g, Rng.Xoshiro256.next g)
+          done;
+          m.M.flags.M.cf <- not m.M.flags.M.cf;
+          M.restore_from ~src:pristine ~dst:m;
+          if not (Bytes.equal m.M.regs expected.M.regs) then
+            Alcotest.failf "round %d: register file differs after restore" round;
+          if m.M.flags <> expected.M.flags then
+            Alcotest.failf "round %d: flags differ after restore" round;
+          if round mod 10 = 0 then Gc.full_major ()
+        done);
+  ]
+
 let gp_semantics_tests =
   [
     Alcotest.test_case "movl zero-extends into 64-bit" `Quick (fun () ->
@@ -867,9 +1033,16 @@ let outcome_equal (a : Sandbox.Exec.outcome) (b : Sandbox.Exec.outcome) =
     Sandbox.Semantics.equal_fault f g
   | _ -> false
 
+(* The GP and xmm halves of a register file, for mismatch reports. *)
+let gp_bytes (m : Sandbox.Machine.t) =
+  Bytes.sub m.Sandbox.Machine.regs 0 Sandbox.Machine.xmm_base
+
+let xmm_bytes (m : Sandbox.Machine.t) =
+  Bytes.sub m.Sandbox.Machine.regs Sandbox.Machine.xmm_base
+    (Sandbox.Machine.regs_size - Sandbox.Machine.xmm_base)
+
 let machine_equal (a : Sandbox.Machine.t) (b : Sandbox.Machine.t) =
-  a.Sandbox.Machine.gp = b.Sandbox.Machine.gp
-  && a.Sandbox.Machine.xmm = b.Sandbox.Machine.xmm
+  Bytes.equal a.Sandbox.Machine.regs b.Sandbox.Machine.regs
   && a.Sandbox.Machine.flags = b.Sandbox.Machine.flags
   && Sandbox.Memory.equal a.Sandbox.Machine.mem b.Sandbox.Machine.mem
 
@@ -895,9 +1068,9 @@ let diff_mismatch ?(mem_size = 4096) ~setup p =
     Some
       (Printf.sprintf "cycles: interp %d vs compiled %d" ri.Sandbox.Exec.cycles
          rc.Sandbox.Exec.cycles)
-  else if mi.Sandbox.Machine.gp <> mc.Sandbox.Machine.gp then
+  else if gp_bytes mi <> gp_bytes mc then
     Some "gp registers differ"
-  else if mi.Sandbox.Machine.xmm <> mc.Sandbox.Machine.xmm then
+  else if xmm_bytes mi <> xmm_bytes mc then
     Some "xmm registers differ"
   else if mi.Sandbox.Machine.flags <> mc.Sandbox.Machine.flags then
     Some "flags differ"
@@ -1149,9 +1322,9 @@ let batched_lane_mismatch ?(mem_size = 4096) ?(vs = `Interp) ~prepare tcs p =
              rr.Sandbox.Exec.cycles rb.Sandbox.Exec.cycles)
       else begin
         let lm = Sandbox.Batched.lane_machine b ~lane in
-        if mr.Sandbox.Machine.gp <> lm.Sandbox.Machine.gp then
+        if gp_bytes mr <> gp_bytes lm then
           fail "gp registers differ"
-        else if mr.Sandbox.Machine.xmm <> lm.Sandbox.Machine.xmm then
+        else if xmm_bytes mr <> xmm_bytes lm then
           fail "xmm registers differ"
         else if mr.Sandbox.Machine.flags <> lm.Sandbox.Machine.flags then
           fail "flags differ"
@@ -1336,9 +1509,9 @@ let native_lane_mismatch ?(mem_size = 4096) ~prepare tcs p =
                     rr.Sandbox.Exec.cycles rn.Sandbox.Exec.cycles)
              else begin
                let lm = Sandbox.Native.lane_machine b ~lane in
-               if mr.Sandbox.Machine.gp <> lm.Sandbox.Machine.gp then
+               if gp_bytes mr <> gp_bytes lm then
                  fail "gp registers differ"
-               else if mr.Sandbox.Machine.xmm <> lm.Sandbox.Machine.xmm then
+               else if xmm_bytes mr <> xmm_bytes lm then
                  fail "xmm registers differ"
                else if mr.Sandbox.Machine.flags <> lm.Sandbox.Machine.flags
                then fail "flags differ"
@@ -1659,6 +1832,7 @@ let () =
     [
       ("memory", memory_tests);
       ("machine", machine_tests);
+      ("register-file", regfile_tests);
       ("gp-semantics", gp_semantics_tests);
       ("fp-semantics", fp_semantics_tests);
       ("packed-shuffle", packed_shuffle_tests);

@@ -98,6 +98,139 @@ let geweke_tests =
         Alcotest.(check bool) "tight" false (Stats.Geweke.converged ~threshold:0.5 v));
   ]
 
+(* The one-lag-per-pass formula, written out here as the reference the
+   library's in-place, several-lags-per-pass sum must match bit for bit:
+   copy each window, take its mean per lag, sum each lag in one serial
+   chain. *)
+module Reference = struct
+  let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
+
+  let autocovariance a k =
+    let n = Array.length a in
+    let m = mean a in
+    let acc = ref 0. in
+    for i = 0 to n - k - 1 do
+      acc := !acc +. ((a.(i) -. m) *. (a.(i + k) -. m))
+    done;
+    !acc /. float_of_int n
+
+  let density_at_zero ?max_lag a =
+    let n = Array.length a in
+    let lag =
+      match max_lag with
+      | None -> int_of_float (sqrt (float_of_int n))
+      | Some l -> Stdlib.min l (n - 1)
+    in
+    let s = ref (autocovariance a 0) in
+    for k = 1 to lag do
+      let w = 1. -. (float_of_int k /. float_of_int (lag + 1)) in
+      s := !s +. (2. *. w *. autocovariance a k)
+    done;
+    Float.max !s 1e-300
+
+  let z_statistic ~frac_a ~frac_b chain =
+    let n = Array.length chain in
+    let n1 = Stdlib.max 2 (int_of_float (frac_a *. float_of_int n)) in
+    let n2 = Stdlib.max 2 (int_of_float (frac_b *. float_of_int n)) in
+    let early = Array.sub chain 0 n1 in
+    let late = Array.sub chain (n - n2) n2 in
+    let mean_a = mean early and mean_b = mean late in
+    let s1 = density_at_zero early and s2 = density_at_zero late in
+    let denom = sqrt ((s1 /. float_of_int n1) +. (s2 /. float_of_int n2)) in
+    ((if denom > 0. then (mean_a -. mean_b) /. denom else 0.), mean_a, mean_b)
+end
+
+(* Random chains of the shapes validation produces: iid noise, strongly
+   autocorrelated runs, ULP-sized plateaus with repeats, and constants. *)
+let random_chain g n =
+  let normal () = Rng.Dist.normal g ~mu:0. ~sigma:1. in
+  match Rng.Dist.int g 5 with
+  | 0 -> Array.init n (fun _ -> normal ())
+  | 1 ->
+    let a = Array.make n (normal ()) in
+    for i = 1 to n - 1 do
+      a.(i) <- (0.95 *. a.(i - 1)) +. normal ()
+    done;
+    a
+  | 2 ->
+    (* an MCMC error trace: a few levels, held for random stretches *)
+    let levels = Array.init 4 (fun _ -> Float.round (Float.abs (normal ()) *. 1e12)) in
+    let cur = ref levels.(0) in
+    Array.init n (fun _ ->
+        if Rng.Dist.int g 8 = 0 then cur := levels.(Rng.Dist.int g 4);
+        !cur)
+  | 3 -> Array.init n (fun i -> (float_of_int i *. 1e-3) +. (1e6 *. normal ()))
+  | _ -> Array.make n (normal ())
+
+let bits = Int64.bits_of_float
+
+let check_bits what n lag expected got =
+  if not (Int64.equal (bits expected) (bits got)) then
+    Alcotest.failf "%s differs (n=%d, %s): expected %h, got %h" what n lag
+      expected got
+
+let bit_identity_tests =
+  [
+    Alcotest.test_case "density_at_zero is bit-identical to one lag per pass"
+      `Quick (fun () ->
+        let g = Rng.Xoshiro256.create 31L in
+        let chains = ref 0 in
+        let check a max_lag =
+          let n = Array.length a in
+          let lag =
+            match max_lag with None -> "default lag" | Some l -> Printf.sprintf "max_lag %d" l
+          in
+          check_bits "density_at_zero" n lag
+            (Reference.density_at_zero ?max_lag a)
+            (Stats.Spectral.density_at_zero ?max_lag a)
+        in
+        (* every length from 2 to 80, so every count of leftover lags
+           after whole blocks of four, then longer chains up to 5000 *)
+        let lengths =
+          List.init 79 (fun i -> i + 2)
+          @ List.init 1930 (fun i ->
+                if i mod 10 = 0 then 2 + Rng.Dist.int g 4999
+                else 2 + Rng.Dist.int g 400)
+        in
+        List.iter
+          (fun n ->
+            let a = random_chain g n in
+            incr chains;
+            check a None;
+            List.iter (fun l -> check a (Some l)) [ 0; 1; 2; 3; 4; 5 ];
+            (* every lag the window has: O(n²), so short chains only *)
+            if n <= 200 then
+              List.iter (fun l -> check a (Some l)) [ n - 1; n; n + 7 ])
+          lengths;
+        (* a constant chain has zero density: the 1e-300 clamp *)
+        List.iter
+          (fun n ->
+            let a = Array.make n 3.25 in
+            Alcotest.(check bool) "clamped" true
+              (Int64.equal (bits (Stats.Spectral.density_at_zero a)) (bits 1e-300));
+            check a None;
+            check a (Some n))
+          [ 2; 5; 64; 1000 ];
+        Alcotest.(check bool) "at least 2000 chains" true (!chains >= 2000));
+    Alcotest.test_case "z_statistic is bit-identical to copied windows" `Quick
+      (fun () ->
+        let g = Rng.Xoshiro256.create 32L in
+        let fracs = [ (0.1, 0.5); (0.2, 0.3); (0.05, 0.9); (0.5, 0.5) ] in
+        for c = 1 to 2000 do
+          let n = if c mod 10 = 0 then 20 + Rng.Dist.int g 4981 else 20 + Rng.Dist.int g 400 in
+          let a = if c mod 97 = 0 then Array.make n 1.5 else random_chain g n in
+          List.iter
+            (fun (frac_a, frac_b) ->
+              let z, mean_a, mean_b = Reference.z_statistic ~frac_a ~frac_b a in
+              let v = Stats.Geweke.z_statistic ~frac_a ~frac_b a in
+              let lag = Printf.sprintf "fracs %g/%g" frac_a frac_b in
+              check_bits "z" n lag z v.Stats.Geweke.z;
+              check_bits "mean_a" n lag mean_a v.Stats.Geweke.mean_a;
+              check_bits "mean_b" n lag mean_b v.Stats.Geweke.mean_b)
+            fracs
+        done);
+  ]
+
 let gelman_rubin_tests =
   [
     Alcotest.test_case "identical-distribution chains converge" `Quick (fun () ->
@@ -147,5 +280,6 @@ let () =
       ("descriptive", descriptive_tests);
       ("spectral", spectral_tests);
       ("geweke", geweke_tests);
+      ("bit-identity", bit_identity_tests);
       ("gelman-rubin", gelman_rubin_tests);
     ]
