@@ -8,13 +8,17 @@
 
 (* The work counters of the pruned compiled search are deterministic, so
    they are gated exactly: a change that moves one changed the search's
-   work, and must update these figures on purpose. *)
+   work, and must update these figures on purpose.  The screen's reject
+   count and the winner's hash pin the undef-read screen's every
+   decision and the cost-cache key's encoding. *)
 type counts = {
   full_tests : int;  (** tests executed by the unpruned interp search *)
   tests : int;  (** tests executed by the pruned compiled search *)
   pruned : int;
   cache_hits : int;
   prepares : int;
+  static_rejects : int;  (** proposals the undef-read screen rejected *)
+  winner_hash : int64;  (** [Program.hash] of the best rewrite *)
 }
 
 let kernels =
@@ -22,11 +26,13 @@ let kernels =
     ( "add",
       Kernels.Aek_kernels.add_spec,
       { full_tests = 31680; tests = 5087; pruned = 1407; cache_hits = 343;
-        prepares = 1637 } );
+        prepares = 1637; static_rejects = 823;
+        winner_hash = 0x9cd70f86cf92551cL } );
     ( "scale",
       Kernels.Aek_kernels.scale_spec,
       { full_tests = 30736; tests = 5444; pruned = 1263; cache_hits = 397;
-        prepares = 1524 } );
+        prepares = 1524; static_rejects = 888;
+        winner_hash = 0x8968924634a74b89L } );
   ]
 
 let run_one name (spec : Sandbox.Spec.t) expected =
@@ -92,15 +98,17 @@ let run_one name (spec : Sandbox.Spec.t) expected =
       cache_hits = pruned.Search.Optimizer.cache_hits;
       prepares =
         pruned.Search.Optimizer.engine_counters.Sandbox.Engine.prepares;
+      static_rejects = pruned.Search.Optimizer.static_rejects;
+      winner_hash = Program.hash pruned.Search.Optimizer.best_overall;
     }
   in
   let describe c =
     Printf.sprintf
       "tests executed %8d -> %8d  (%.1f%% saved, %d pruned, %d cache hits, \
-       %d prepares)"
+       %d prepares, %d screened out, winner %016Lx)"
       c.full_tests c.tests
       (100. *. (1. -. (float_of_int c.tests /. float_of_int c.full_tests)))
-      c.pruned c.cache_hits c.prepares
+      c.pruned c.cache_hits c.prepares c.static_rejects c.winner_hash
   in
   Printf.printf "%-8s identical winners (%d engines x prune on/off); %s\n" name
     (List.length engines) (describe got);

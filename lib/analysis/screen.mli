@@ -10,10 +10,16 @@
     distrust them. *)
 
 type env
-(** Initially-defined locations. *)
+(** Initially-defined locations, and the {!Facts} memo the screen reads
+    each slot's sets from.  The memo makes an [env] mutable: use one per
+    search context, never one across domains. *)
 
-val env_of_spec : Sandbox.Spec.t -> env
+val env_of_spec : ?facts:Facts.t -> Sandbox.Spec.t -> env
 (** The spec's inputs ([Sandbox.Spec.live_in_set]) plus the
-    environment-defined [rsp]. *)
+    environment-defined [rsp].  [facts] (default: a fresh memo) lets the
+    screen share the memo of the search's cost context
+    ([Search.Cost.facts]), so each proposal's changed slots are derived
+    once for the screen, the cost-cache hash and the latency term. *)
 
 val has_undef_read : env -> Program.t -> bool
+(** Refreshes the env's memo with the program, then screens it. *)

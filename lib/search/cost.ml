@@ -53,6 +53,10 @@ type t = {
   cache : (int64 * Program.t * cost) option array;
       (** direct-mapped proposal cost cache keyed by {!Program.hash};
           [[||]] when disabled *)
+  facts : Facts.t;
+      (** per-slot facts of the program last evaluated (or screened, when
+          the optimizer's screen shares it): the cache key and the
+          [Sum_latency] perf term come from here *)
   mutable evaluations : int;
   mutable tests_executed : int;
   mutable pruned_evals : int;
@@ -63,6 +67,7 @@ let spec t = t.spec
 let params t = t.params
 let tests t = t.tests
 let engine t = t.engine
+let facts t = t.facts
 let evaluations t = t.evaluations
 let tests_executed t = t.tests_executed
 let pruned_evals t = t.pruned_evals
@@ -108,6 +113,7 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
     engine = Sandbox.Engine.engine instance;
     lanes = Sandbox.Engine.lanes instance spec tests;
     cache = (if use_cache then Array.make cache_size None else [||]);
+    facts = Facts.create ();
     evaluations = 0;
     tests_executed = 0;
     pruned_evals = 0;
@@ -193,7 +199,8 @@ let cache_store t h program c =
 let eval ?cutoff t program =
   t.evaluations <- t.evaluations + 1;
   let caching = Array.length t.cache > 0 in
-  let h = if caching then Program.hash program else 0L in
+  Facts.refresh t.facts program;
+  let h = if caching then Facts.hash t.facts else 0L in
   let hit = if caching then cache_find t h program else None in
   match hit with
   | Some c ->
@@ -203,7 +210,7 @@ let eval ?cutoff t program =
     let params = t.params in
     let perf =
       match params.perf_model with
-      | Sum_latency -> float_of_int (Latency.of_program program)
+      | Sum_latency -> float_of_int (Facts.latency t.facts)
       | Critical_path -> float_of_int (Critical_path.of_program program)
     in
     let kperf = params.k *. perf in

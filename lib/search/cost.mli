@@ -96,6 +96,13 @@ val params : t -> params
 val tests : t -> Sandbox.Testcase.t array
 val engine : t -> Sandbox.Exec.engine
 
+val facts : t -> Facts.t
+(** The context's per-slot facts memo.  {!eval} refreshes it with the
+    program it scores and reads the cache hash ([Facts.hash]) and the
+    [Sum_latency] perf term ([Facts.latency]) from it; the optimizer's
+    undef-read screen shares it ([Analysis.Screen.env_of_spec ~facts]).
+    Like the context, it belongs to one domain. *)
+
 type cost = {
   eq : float;  (** 0 when the rewrite is η-correct on every test *)
   perf : float;

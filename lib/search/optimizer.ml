@@ -419,7 +419,7 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
         ("resumed", Obs.Json.Bool (Option.is_some resume));
         ("init_total", Obs.Json.Float init_cost.Cost.total);
       ];
-  let screen_env = Analysis.Screen.env_of_spec spec in
+  let screen_env = Analysis.Screen.env_of_spec ~facts:(Cost.facts ctx) spec in
   let restarts = Stdlib.max 1 config.restarts in
   let start_restart =
     match resume with

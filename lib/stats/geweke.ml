@@ -5,8 +5,10 @@ type verdict = {
   n : int;
 }
 
-let z_statistic ?(frac_a = 0.1) ?(frac_b = 0.5) chain =
-  let n = Array.length chain in
+let z_statistic ?(frac_a = 0.1) ?(frac_b = 0.5) ?len chain =
+  let n = Option.value len ~default:(Array.length chain) in
+  if n < 0 || n > Array.length chain then
+    invalid_arg "Geweke.z_statistic: len outside the array";
   if n < 20 then invalid_arg "Geweke.z_statistic: chain too short";
   let n1 = Stdlib.max 2 (int_of_float (frac_a *. float_of_int n)) in
   let n2 = Stdlib.max 2 (int_of_float (frac_b *. float_of_int n)) in

@@ -13,10 +13,13 @@ type verdict = {
   n : int;  (** Chain length used. *)
 }
 
-val z_statistic : ?frac_a:float -> ?frac_b:float -> float array -> verdict
+val z_statistic :
+  ?frac_a:float -> ?frac_b:float -> ?len:int -> float array -> verdict
 (** Defaults follow Geweke's convention: [frac_a = 0.1], [frac_b = 0.5].
-    Raises [Invalid_argument] when the chain is too short for both windows
-    (fewer than 20 samples). *)
+    The chain is the array's first [len] samples (default: all of it);
+    both windows are read in place, so a growing sample buffer needs no
+    copy.  Raises [Invalid_argument] when the chain is too short for both
+    windows (fewer than 20 samples) or [len] lies outside the array. *)
 
 val converged : ?threshold:float -> verdict -> bool
 (** [converged v] is [|v.z| < threshold]; [threshold] defaults to 1.96 (the

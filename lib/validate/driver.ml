@@ -116,7 +116,7 @@ let final_check_due config h ~iterations =
 (* One Geweke check of the chain so far: records the Z, emits the
    "geweke" event, and says whether the chain mixed. *)
 let geweke_check obs config h ~iter =
-  let v = Stats.Geweke.z_statistic (Array.sub h.samples 0 h.n_samples) in
+  let v = Stats.Geweke.z_statistic ~len:h.n_samples h.samples in
   h.last_z <- v.Stats.Geweke.z;
   h.last_check <- iter;
   let converged = Stats.Geweke.converged ~threshold:config.z_threshold v in

@@ -4,10 +4,17 @@
     an array: code that wants a different instruction builds a new value
     (the search's moves copy the operand array before changing it, and an
     undo puts the original value back).  Caches may therefore key on
-    physical identity — [Sandbox.Compiled]'s per-slot translation memo
-    reuses a slot's closure while the slot still holds the very
-    instruction it translated, and {!equal} answers [true] at once for
-    two references to one instruction. *)
+    physical identity, and these do:
+    - [Sandbox.Compiled]'s per-slot translation memo reuses a slot's
+      closure and latency while the slot still holds the very instruction
+      it translated;
+    - {!Facts}, the search's per-slot facts memo, reuses a slot's latency,
+      hash words and def/use sets the same way — the cost cache's key,
+      the latency perf term and the undef-read screen all read it;
+    - {!equal} answers [true] at once for two references to one
+      instruction.
+    Mutating an instruction in place would leave both memos describing
+    the old one, silently: a change to this rule must change them. *)
 
 type t = {
   op : Opcode.t;

@@ -33,47 +33,60 @@ let copy t = { slots = Array.copy t.slots }
 (* 64-bit FNV-1a over a canonical encoding of the slots.  Quality only
    affects the cost-cache hit rate — lookups verify with [equal] — but the
    encoding is injective per slot up to int64 mixing, so collisions are
-   ~2^-64 per pair.  The running state stays in one local so the loop
-   allocates no boxed int64. *)
+   ~2^-64 per pair.
+
+   A slot's encoding is a short run of int64 words ([slot_words]): [0] for
+   [Unused]; [1 + Hashtbl.hash op] then each operand's words for an
+   instruction.  [hash] mixes the runs of every slot in order, and
+   [Facts] keeps each slot's run so the search can re-hash a program
+   without re-encoding the slots a move did not touch. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let[@inline] mix h x = Int64.mul (Int64.logxor h x) fnv_prime
-let[@inline] mix_int h i = mix h (Int64.of_int i)
+let unused_words = Bytes.make 8 '\000'
 
-let[@inline] mix_operand h (o : Operand.t) =
-  match o with
-  | Operand.Gp r -> mix_int h (2 + Reg.gp_index r)
-  | Operand.Xmm r -> mix_int h (32 + Reg.xmm_index r)
-  | Operand.Imm v -> mix (mix_int h 64) v
-  | Operand.Mem m ->
-    let h = mix_int h 65 in
-    let h =
-      mix_int h
-        (match m.Operand.base with
-         | None -> 0
-         | Some r -> 1 + Reg.gp_index r)
-    in
-    let h =
-      match m.Operand.index with
-      | None -> mix_int h 0
-      | Some (r, s) -> mix_int (mix_int h (1 + Reg.gp_index r)) s
-    in
-    mix_int h m.Operand.disp
+let slot_words = function
+  | Unused -> unused_words
+  | Active i ->
+    let b = Buffer.create 64 in
+    let put_int i = Buffer.add_int64_le b (Int64.of_int i) in
+    put_int (1 + Hashtbl.hash i.Instr.op);
+    Array.iter
+      (fun (o : Operand.t) ->
+        match o with
+        | Operand.Gp r -> put_int (2 + Reg.gp_index r)
+        | Operand.Xmm r -> put_int (32 + Reg.xmm_index r)
+        | Operand.Imm v ->
+          put_int 64;
+          Buffer.add_int64_le b v
+        | Operand.Mem m ->
+          put_int 65;
+          put_int
+            (match m.Operand.base with
+             | None -> 0
+             | Some r -> 1 + Reg.gp_index r);
+          (match m.Operand.index with
+           | None -> put_int 0
+           | Some (r, s) ->
+             put_int (1 + Reg.gp_index r);
+             put_int s);
+          put_int m.Operand.disp)
+      i.Instr.operands;
+    Buffer.to_bytes b
 
-let hash t =
+(* The running state stays in one local so the loop allocates no boxed
+   int64. *)
+let hash_words words =
   let h = ref fnv_offset in
-  for s = 0 to Array.length t.slots - 1 do
-    match t.slots.(s) with
-    | Unused -> h := mix_int !h 0
-    | Active i ->
-      h := mix_int !h (1 + Hashtbl.hash i.Instr.op);
-      let ops = i.Instr.operands in
-      for k = 0 to Array.length ops - 1 do
-        h := mix_operand !h ops.(k)
-      done
+  for s = 0 to Array.length words - 1 do
+    let w = words.(s) in
+    for k = 0 to (Bytes.length w / 8) - 1 do
+      h := Int64.mul (Int64.logxor !h (Bytes.get_int64_le w (8 * k))) fnv_prime
+    done
   done;
   !h
+
+let hash t = hash_words (Array.map slot_words t.slots)
 
 let equal a b =
   let n = Array.length a.slots in

@@ -268,20 +268,26 @@ let screen_props =
   let env_set (spec : Sandbox.Spec.t) =
     Liveness.Locset.add (Liveness.Lgp Reg.Rsp) (Sandbox.Spec.live_in_set spec)
   in
+  (* One facts memo behind both envs, reused by every case, as a search
+     reuses its context's memo across proposals. *)
+  let facts = Facts.create () in
+  let envs = Array.map (Analysis.Screen.env_of_spec ~facts) specs in
   [
     (* The screen's early-exit word loop and the dataflow's per-slot sets
        read the same Liveness tables (checked by the oracle, and the packed
-       set by a reference-set test in test_x86), so this pins the loop and
-       its environment, not the tables. *)
+       set by a reference-set test in test_x86), so this pins the loop, its
+       environment and the memo it reads the sets from, not the tables. *)
     QCheck.Test.make ~name:"screen agrees with the dataflow analysis" ~count:500
       QCheck.int64 (fun seed ->
         let g = Rng.Xoshiro256.create seed in
         let which = Int64.to_int seed land 1 in
         let spec = specs.(which) in
-        let p = random_program g pools.(which) 12 in
-        let screen =
-          Analysis.Screen.has_undef_read (Analysis.Screen.env_of_spec spec) p
+        (* padded to 12 slots, so every case reuses the memo's arrays *)
+        let p =
+          let p = random_program g pools.(which) 12 in
+          Program.with_padding (12 - Program.length p) (Program.instrs p)
         in
+        let screen = Analysis.Screen.has_undef_read envs.(which) p in
         let dataflow =
           Analysis.Dataflow.undef_reads p ~defined_in:(env_set spec) <> []
         in

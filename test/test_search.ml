@@ -161,6 +161,94 @@ let mk_ctx ?(eta = 0L) ?(n = 16) spec =
   let tests = Stoke.make_tests ~n ~seed:99L spec in
   Search.Cost.create spec (Search.Cost.default_params ~eta) tests
 
+(* ----- the per-slot facts memo against the reference definitions ----- *)
+
+(* A propose/undo walk through [Transform], the way the search drives the
+   memo: the screen's env shares it and refreshes it, then the hash and
+   the latency are read from it.  Every step must agree with
+   [Program.hash], [Latency.of_program] and the dataflow analysis. *)
+let facts_walk spec ~seed ~steps =
+  let pools = pools_of spec in
+  let g = Rng.Xoshiro256.create seed in
+  let facts = Facts.create () in
+  let env = Analysis.Screen.env_of_spec ~facts spec in
+  let defined =
+    Liveness.Locset.add (Liveness.Lgp Reg.Rsp) (Sandbox.Spec.live_in_set spec)
+  in
+  let verdicts = [| 0; 0 |] in
+  let agree step p =
+    let screen = Analysis.Screen.has_undef_read env p in
+    let where = Printf.sprintf "step %d" step in
+    Alcotest.(check int64) (where ^ ": hash") (Program.hash p) (Facts.hash facts);
+    Alcotest.(check int)
+      (where ^ ": latency") (Latency.of_program p) (Facts.latency facts);
+    Alcotest.(check bool)
+      (where ^ ": screen")
+      (Analysis.Dataflow.undef_reads p ~defined_in:defined <> [])
+      screen;
+    verdicts.(Bool.to_int screen) <- verdicts.(Bool.to_int screen) + 1
+  in
+  (* physically new instructions, as a snapshot's resume parses them *)
+  let reparse (p : Program.t) =
+    {
+      Program.slots =
+        Array.map
+          (function
+            | Program.Unused -> Program.Unused
+            | Program.Active i ->
+              Program.Active (Result.get_ok (Parser.parse_instr (Instr.to_string i))))
+          p.Program.slots;
+    }
+  in
+  let cur =
+    ref
+      (Program.with_padding Search.Optimizer.default_config.Search.Optimizer.padding
+         (Program.instrs spec.Sandbox.Spec.program))
+  in
+  agree 0 !cur;
+  for step = 1 to steps do
+    if step mod 500 = 0 then begin
+      cur := if step mod 1000 = 0 then reparse !cur else Program.copy !cur;
+      agree step !cur
+    end;
+    match Search.Transform.propose g pools !cur with
+    | None -> ()
+    | Some (_, undo) ->
+      agree step !cur;
+      (* keep a third of the moves so the walk drifts from the target *)
+      if Rng.Dist.int g 3 > 0 then begin
+        Search.Transform.undo !cur undo;
+        agree step !cur
+      end
+  done;
+  Alcotest.(check bool) "the walk saw both screen verdicts" true
+    (verdicts.(0) > 0 && verdicts.(1) > 0)
+
+let facts_tests =
+  [
+    Alcotest.test_case "memo agrees with the references on an exp walk" `Quick
+      (fun () -> facts_walk exp_spec ~seed:41L ~steps:2_500);
+    Alcotest.test_case "memo agrees with the references on a sin walk" `Quick
+      (fun () -> facts_walk Kernels.Libimf.sin_spec ~seed:42L ~steps:2_500);
+    Alcotest.test_case "cost context and screen share one memo" `Quick
+      (fun () ->
+        (* the optimizer's wiring: eval refreshes the context's memo, the
+           screen's env reads the same one *)
+        let ctx = mk_ctx exp_spec in
+        let env =
+          Analysis.Screen.env_of_spec ~facts:(Search.Cost.facts ctx) exp_spec
+        in
+        let p = Program.copy exp_spec.Sandbox.Spec.program in
+        let c = Search.Cost.eval_full ctx p in
+        Alcotest.(check int64) "hash after eval" (Program.hash p)
+          (Facts.hash (Search.Cost.facts ctx));
+        Alcotest.(check (float 0.)) "perf is the memo's latency"
+          (float_of_int (Facts.latency (Search.Cost.facts ctx)))
+          c.Search.Cost.perf;
+        Alcotest.(check bool) "target is screen-clean" false
+          (Analysis.Screen.has_undef_read env p));
+  ]
+
 let cost_tests =
   [
     Alcotest.test_case "target has zero eq cost" `Quick (fun () ->
@@ -1729,6 +1817,7 @@ let () =
     [
       ("pools", pools_tests);
       ("transform", transform_tests);
+      ("facts", facts_tests);
       ("cost", cost_tests);
       ("strategy", strategy_tests);
       ("optimizer", optimizer_tests);

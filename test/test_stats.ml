@@ -229,6 +229,28 @@ let bit_identity_tests =
               check_bits "mean_b" n lag mean_b v.Stats.Geweke.mean_b)
             fracs
         done);
+    (* The validator's sample buffer is longer than its chain: [~len]
+       must read the prefix alone, bit for bit as a copy of it. *)
+    Alcotest.test_case "z_statistic ~len reads only the prefix" `Quick
+      (fun () ->
+        let g = Rng.Xoshiro256.create 33L in
+        for c = 1 to 500 do
+          let n = 20 + Rng.Dist.int g 2000 in
+          let buf = random_chain g (n + Rng.Dist.int g 300) in
+          let lag = Printf.sprintf "buffer %d" (Array.length buf) in
+          let v = Stats.Geweke.z_statistic ~len:n buf in
+          let w = Stats.Geweke.z_statistic (Array.sub buf 0 n) in
+          check_bits "z" n lag w.Stats.Geweke.z v.Stats.Geweke.z;
+          check_bits "mean_a" n lag w.Stats.Geweke.mean_a v.Stats.Geweke.mean_a;
+          check_bits "mean_b" n lag w.Stats.Geweke.mean_b v.Stats.Geweke.mean_b;
+          Alcotest.(check int) "n" n v.Stats.Geweke.n;
+          if c = 1 then
+            Alcotest.check_raises "len past the end"
+              (Invalid_argument "Geweke.z_statistic: len outside the array")
+              (fun () ->
+                ignore
+                  (Stats.Geweke.z_statistic ~len:(Array.length buf + 1) buf))
+        done);
   ]
 
 let gelman_rubin_tests =
