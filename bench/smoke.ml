@@ -184,6 +184,103 @@ let run_frontier () =
     /. float_of_int fr.Search.Frontier.cold_budget)
     (List.length pareto)
 
+(* Validated frontier smoke: the frontier above runs without validation,
+   so this warm walk is the one that drives the refuting validator
+   ([Validate.Driver.run ~refute:true]).  On exp, seed 5, the η = 1e12
+   candidate is refuted once and demoted before a survivor validates.
+   Every point is deterministic, so each is gated exactly, and so are
+   the refutations and the validation iterations the walk spent: a
+   hunt that refuted later than the first new maximum above η would
+   spend more. *)
+type frontier_point = {
+  latency : int;
+  validated_err : string;
+  proposals_used : int;
+  demotions : int;
+  hash : int64;  (** [Program.hash] of the point's rewrite *)
+}
+
+let expected_frontier =
+  [
+    { latency = 125; validated_err = "0"; proposals_used = 6000;
+      demotions = 0; hash = 0x6f69211330e76698L };
+    { latency = 125; validated_err = "0"; proposals_used = 1500;
+      demotions = 0; hash = 0x6f69211330e76698L };
+    { latency = 82; validated_err = "354530886012"; proposals_used = 3000;
+      demotions = 1; hash = 0x5984f094b2d8b375L };
+    { latency = 12; validated_err = "7595657003839621"; proposals_used = 1500;
+      demotions = 0; hash = 0x95e9a126c6c8b265L };
+  ]
+
+(* refutations (validate_end with refuted:true), validation iterations *)
+let expected_validation_work = (1, 80_000)
+
+let run_validated_frontier () =
+  let spec = Kernels.S3d.exp_spec in
+  let etas =
+    [ 0L; Ulp.of_float 1e6; Ulp.of_float 1e12; Ulp.of_float 1e16 ]
+  in
+  let seed = 5L in
+  let config = Util.search_config ~proposals:6_000 ~seed () in
+  let refutations = ref 0 and val_iterations = ref 0 in
+  let counter =
+    Obs.Sink.callback (fun e ->
+        if e.Obs.Sink.name = "validate_end" then begin
+          let field k = List.assoc_opt k e.Obs.Sink.fields in
+          if field "refuted" = Some (Obs.Json.Bool true) then incr refutations;
+          match field "iterations" with
+          | Some (Obs.Json.Int n) -> val_iterations := !val_iterations + n
+          | _ -> ()
+        end)
+  in
+  let fr =
+    Stoke.frontier ~config ~validate_results:true ~etas ~tests:16 ~seed
+      ~obs:(Obs.Sink.tee counter (Util.obs ()))
+      spec
+  in
+  let got =
+    List.map
+      (fun (p : Search.Frontier.point) ->
+        {
+          latency = p.Search.Frontier.latency;
+          validated_err =
+            (match p.Search.Frontier.validated_err with
+             | None -> "none"
+             | Some u -> Ulp.to_string u);
+          proposals_used = p.Search.Frontier.proposals_used;
+          demotions = p.Search.Frontier.demotions;
+          hash = Program.hash p.Search.Frontier.rewrite;
+        })
+      fr.Search.Frontier.points
+  in
+  let describe ps =
+    String.concat "\n"
+      (List.map
+         (fun p ->
+           Printf.sprintf
+             "  latency %3d, validated err %s, %d proposals, %d demotions, \
+              rewrite %016Lx"
+             p.latency p.validated_err p.proposals_used p.demotions p.hash)
+         ps)
+  in
+  Printf.printf
+    "validated warm frontier exp seed 5 (%d refutations, %d validation \
+     iterations):\n%s\n"
+    !refutations !val_iterations (describe got);
+  if (!refutations, !val_iterations) <> expected_validation_work then begin
+    Printf.eprintf
+      "smoke: validated frontier work moved! expected %d refutations, %d \
+       iterations\n"
+      (fst expected_validation_work) (snd expected_validation_work);
+    exit 1
+  end;
+  if got <> expected_frontier then begin
+    Printf.eprintf
+      "smoke: validated frontier moved!\n expected\n%s\n got\n%s\n"
+      (describe expected_frontier) (describe got);
+    exit 1
+  end
+
 (* Validation smoke: one fixed-seed [Stoke.validate] of the delta kernel's
    shipped rewrite under the perfbench check workload's budget (60k cap, a
    Geweke check every 10k samples from 10k on).  The chain mixes only at
@@ -253,4 +350,5 @@ let run () =
      pruning)";
   List.iter (fun (name, spec, expected) -> run_one name spec expected) kernels;
   run_frontier ();
+  run_validated_frontier ();
   run_validation ()

@@ -497,8 +497,15 @@ let validate_cmd =
         in
         let errfn = Validate.Errfn.create ~engine spec ~rewrite in
         let v =
-          Validate.Multi_chain.run ~obs:sink ~config ~eta:(Ulp.of_float eta)
-            errfn
+          match
+            Validate.Multi_chain.run ~obs:sink ~config ~eta:(Ulp.of_float eta)
+              errfn
+          with
+          | v -> v
+          | exception Invalid_argument msg ->
+            exit_err
+              (Printf.sprintf "--proposals %d over %d chains: %s" proposals
+                 chains msg)
         in
         Printf.printf
           "max observed error: %s ULPs across %d chains (per-chain: %s)\nmixed: %b (Gelman-Rubin R-hat = %.4f)\nvalidated within η: %b\n"
@@ -516,7 +523,8 @@ let validate_cmd =
       & info [ "chains" ] ~docv:"N"
           ~doc:
             "Run N independent validation chains and judge mixing with the \
-             Gelman-Rubin R-hat instead of the single-chain Geweke test.")
+             Gelman-Rubin R-hat instead of the single-chain Geweke test.  \
+             The chains split --proposals evenly and each needs at least 4.")
   in
   let min_samples_arg =
     Arg.(

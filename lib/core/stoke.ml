@@ -174,10 +174,16 @@ let quick_validation_config =
     check_every = 20_000;
   }
 
-(* Both frontier validators reduce a Driver verdict to the injected-check
-   record the search-side driver understands (lib/search cannot call
-   lib/validate itself — dependencies point strictly downward). *)
-let check_of_verdict ~eta (v : Validate.Driver.verdict) =
+(* The frontier's validator reduces a Driver verdict to the
+   injected-check record the search-side driver understands (lib/search
+   cannot call lib/validate itself — dependencies point strictly
+   downward).  [refute] stops the hunt the moment a candidate's error
+   clears η, so the warm walk's demoted candidates return their budget
+   to search instead of waiting for the chain to mix; the cold walk runs
+   the historical sweep's full hunt. *)
+let validator ?engine ~obs ~validation ~refute spec ~eta rewrite =
+  let errfn = Validate.Errfn.create ?engine spec ~rewrite in
+  let v = Validate.Driver.run ~obs ~config:validation ~refute ~eta errfn in
   let refuted = Ulp.compare v.Validate.Driver.max_err eta > 0 in
   {
     Search.Frontier.observed_err = v.Validate.Driver.max_err;
@@ -187,30 +193,6 @@ let check_of_verdict ~eta (v : Validate.Driver.verdict) =
     counterexample =
       (if refuted then Some v.Validate.Driver.max_err_input else None);
   }
-
-(* The historical sweep's validator: one full MCMC hunt per candidate. *)
-let cold_validator ?engine ~obs ~validation spec ~eta rewrite =
-  let errfn = Validate.Errfn.create ?engine spec ~rewrite in
-  check_of_verdict ~eta (Validate.Driver.run ~obs ~config:validation ~eta errfn)
-
-(* The frontier's validator: the incremental session refutes a bad
-   candidate the moment its error clears η, so demoted candidates return
-   their budget to search instead of waiting for the chain to mix. *)
-let incremental_validator ?engine ~obs ~validation spec ~eta rewrite =
-  let errfn = Validate.Errfn.create ?engine spec ~rewrite in
-  let s =
-    Validate.Driver.Incremental.create ~obs ~config:validation ~eta errfn
-  in
-  let slice = Stdlib.max 1 validation.Validate.Driver.check_every in
-  let rec go () =
-    match Validate.Driver.Incremental.advance s ~proposals:slice with
-    | Validate.Driver.Incremental.Running -> go ()
-    | Validate.Driver.Incremental.Refuted | Validate.Driver.Incremental.Mixed
-    | Validate.Driver.Incremental.Exhausted ->
-      ()
-  in
-  go ();
-  check_of_verdict ~eta (Validate.Driver.Incremental.verdict s)
 
 let frontier ?config ?validation ?(validate_results = true) ?etas
     ?(tests = 32) ?(warm = true) ?(warm_frac = 0.25) ?(max_demotions = 2)
@@ -236,10 +218,8 @@ let frontier ?config ?validation ?(validate_results = true) ?etas
   let validator =
     if validate_results then
       Some
-        (if warm then fun ~eta rewrite ->
-           incremental_validator ~engine ~obs ~validation spec ~eta rewrite
-         else fun ~eta rewrite ->
-           cold_validator ~engine ~obs ~validation spec ~eta rewrite)
+        (fun ~eta rewrite ->
+          validator ~engine ~obs ~validation ~refute:warm spec ~eta rewrite)
     else None
   in
   let prover =
@@ -271,8 +251,9 @@ let precision_sweep ?config ?(validate_results = false) ?etas ?(tests = 32)
     if validate_results then
       Some
         (fun ~eta rewrite ->
-          cold_validator ~engine:config.Search.Optimizer.engine ~obs
-            ~validation:quick_validation_config spec ~eta rewrite)
+          validator ~engine:config.Search.Optimizer.engine ~obs
+            ~validation:quick_validation_config ~refute:false spec ~eta
+            rewrite)
     else None
   in
   let fcfg =

@@ -141,14 +141,14 @@ val frontier :
     to real validation).  With [warm] (default), the η grid is walked
     tight-to-loose, each point's chain seeded from the neighbouring η's
     winner ([warm_frac] of [config.proposals] per warm point; the first
-    point gets the full budget), and each candidate is checked by the
-    {e incremental} MCMC validator ({!Validate.Driver.Incremental}) —
-    a candidate whose error clears η is demoted on the spot, its
+    point gets the full budget), and each candidate is checked by a
+    {e refuting} MCMC validator ({!Validate.Driver.run} with [~refute:true])
+    — a candidate whose error clears η is demoted on the spot, its
     counterexample joins the test set, and search resumes from the
     frontier (up to [max_demotions] rounds).  [validate_results] defaults
     to [true] here (the curve's whole point is per-η validated error);
     pass [false] for a search-only curve.  With [warm = false] every
-    point runs cold with the full budget and the one-shot validator —
+    point runs cold with the full budget and the full (non-refuting) hunt —
     winners bit-identical to {!precision_sweep}.  With [sound_promote]
     (default false) the {!static_prover} runs before every validation: a
     candidate whose sound static bound is ≤ η is promoted without

@@ -68,7 +68,7 @@ let rule_name = function
   | A_anneal -> "anneal"
   | A_random -> "rand"
 
-(* The sample history backing the Geweke checks, shared by both drivers:
+(* The sample history backing the Geweke checks:
    a flat growable array, so each check reads a prefix in O(n) instead of
    rebuilding the whole chain from a reversed list (O(n²) over the run). *)
 type history = {
@@ -130,14 +130,22 @@ let geweke_check obs config h ~iter =
       ];
   converged
 
-let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
-    errfn =
+(* The one max-error hunt every entry point drives: Metropolis (or an
+   alternate acceptance rule) over inputs of the error function, tracking
+   the largest exact error seen, until Geweke says the chain mixed or the
+   budget runs out.  With [refute] the hunt also stops the moment the
+   observed error clears η: the bound cannot shrink, so a frontier
+   demoting the candidate needs only the counterexample, not a tight
+   bound.  Returns the verdict and the chain's error series. *)
+let hunt ~rule ~refute ~obs ~config ~eta errfn =
   let observing = Obs.Sink.enabled obs in
   let t0 = Obs.Clock.now_ns () in
   if observing then
     Obs.Sink.emit obs "validate_start"
       [
-        ("rule", Obs.Json.String (rule_name rule));
+        ( "rule",
+          Obs.Json.String
+            (if refute then "mcmc-incremental" else rule_name rule) );
         ("max_proposals", Obs.Json.Int config.max_proposals);
         ("min_samples", Obs.Json.Int config.min_samples);
         ("check_every", Obs.Json.Int config.check_every);
@@ -156,11 +164,14 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
   let max_err_input = ref (Array.copy !cur) in
   let h = history () in
   let mixed = ref false in
+  let refuted = ref (refute && Ulp.compare max_err0 eta > 0) in
   let iterations = ref 0 in
   let trace = ref [] in
   let marks = ref (checkpoints config.max_proposals config.trace_points) in
+  (* an initial point already above η ends a refuting hunt at once *)
+  let steps = if !refuted then 0 else config.max_proposals in
   (try
-     for iter = 1 to config.max_proposals do
+     for iter = 1 to steps do
        iterations := iter;
        let candidate =
          match rule with
@@ -202,7 +213,11 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
                  Obs.Json.List
                    (Array.to_list
                       (Array.map (fun x -> Obs.Json.Float x) candidate)) );
-             ]
+             ];
+         if refute && Ulp.compare exact eta > 0 then begin
+           refuted := true;
+           raise Exit
+         end
        end;
        push_sample h !cur_err;
        (match !marks with
@@ -225,7 +240,7 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
      done
    with Exit -> ());
   if
-    (not !mixed)
+    (not (!mixed || !refuted))
     && final_check_due config h ~iterations:!iterations
     && geweke_check obs config h ~iter:!iterations
   then mixed := true;
@@ -247,6 +262,7 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
         ("max_err_ulps", Obs.Json.Float (Ulp.to_float verdict.max_err));
         ("validated", Obs.Json.Bool verdict.validated);
         ("mixed", Obs.Json.Bool verdict.mixed);
+        ("refuted", Obs.Json.Bool !refuted);
         ("geweke_z", Obs.Json.Float verdict.geweke_z);
         ("iterations", Obs.Json.Int verdict.iterations);
         ("elapsed_s", Obs.Json.Float elapsed);
@@ -256,195 +272,14 @@ let run_internal ~rule ?(obs = Obs.Sink.null) ?(config = default_config) ~eta
              else 0.) );
       ]
   end;
-  verdict
+  (verdict, h)
 
-let run ?obs ?config ~eta errfn = run_internal ~rule:A_mcmc ?obs ?config ~eta errfn
+let run ?(obs = Obs.Sink.null) ?(config = default_config) ?(refute = false)
+    ~eta errfn =
+  fst (hunt ~rule:A_mcmc ~refute ~obs ~config ~eta errfn)
 
-module Incremental = struct
-  type status =
-    | Running
-    | Refuted
-    | Mixed
-    | Exhausted
-
-  type t = {
-    config : config;
-    eta : Ulp.t;
-    errfn : Errfn.t;
-    obs : Obs.Sink.t;
-    observing : bool;
-    g : Rng.Xoshiro256.t;
-    proposal : Proposal.t;
-    t0 : int64;
-    mutable cur : float array;
-    mutable cur_err : float;
-    mutable max_err : Ulp.t;
-    mutable max_err_input : float array;
-    hist : history;
-    mutable mixed : bool;
-    mutable iterations : int;
-    mutable trace : trace_entry list;
-    mutable marks : int list;
-    mutable status : status;
-    mutable ended : bool;  (** validate_end emitted *)
-  }
-
-  let create ?(obs = Obs.Sink.null) ?(config = default_config) ~eta errfn =
-    let observing = Obs.Sink.enabled obs in
-    let t0 = Obs.Clock.now_ns () in
-    if observing then
-      Obs.Sink.emit obs "validate_start"
-        [
-          ("rule", Obs.Json.String "mcmc-incremental");
-          ("max_proposals", Obs.Json.Int config.max_proposals);
-          ("min_samples", Obs.Json.Int config.min_samples);
-          ("check_every", Obs.Json.Int config.check_every);
-          ("z_threshold", Obs.Json.Float config.z_threshold);
-          ("sigma", Obs.Json.Float config.sigma);
-          ("seed", Obs.Json.String (Int64.to_string config.seed));
-          ("eta", Obs.Json.Float (Ulp.to_float eta));
-        ];
-    let g = Rng.Xoshiro256.create config.seed in
-    let spec = Errfn.spec errfn in
-    let proposal = Proposal.create ~sigma:config.sigma spec in
-    let cur = Proposal.initial g proposal in
-    let cur_err, max_err = Errfn.eval_both errfn cur in
-    {
-      config;
-      eta;
-      errfn;
-      obs;
-      observing;
-      g;
-      proposal;
-      t0;
-      cur;
-      cur_err;
-      max_err;
-      max_err_input = Array.copy cur;
-      hist = history ();
-      mixed = false;
-      iterations = 0;
-      trace = [];
-      marks = checkpoints config.max_proposals config.trace_points;
-      status = (if Ulp.compare max_err eta > 0 then Refuted else Running);
-      ended = false;
-    }
-
-  let status s = s.status
-
-  let advance s ~proposals =
-    (match s.status with
-     | Running ->
-       let budget =
-         Stdlib.min proposals (s.config.max_proposals - s.iterations)
-       in
-       (try
-          for _ = 1 to budget do
-            let iter = s.iterations + 1 in
-            s.iterations <- iter;
-            let candidate = Proposal.step s.g s.proposal s.cur in
-            let err, exact = Errfn.eval_both s.errfn candidate in
-            let accept =
-              err >= s.cur_err
-              || Rng.Dist.float s.g 1.0 < density err /. density s.cur_err
-            in
-            if accept then begin
-              s.cur <- candidate;
-              s.cur_err <- err
-            end;
-            if Ulp.compare exact s.max_err > 0 then begin
-              s.max_err <- exact;
-              s.max_err_input <- Array.copy candidate;
-              if s.observing then
-                Obs.Sink.emit s.obs "val_new_max"
-                  [
-                    ("iter", Obs.Json.Int iter);
-                    ("err_ulps", Obs.Json.Float (Ulp.to_float exact));
-                    ( "input",
-                      Obs.Json.List
-                        (Array.to_list
-                           (Array.map
-                              (fun x -> Obs.Json.Float x)
-                              candidate)) );
-                  ];
-              (* Early refutation: the bound cannot shrink, so once it
-                 clears η the candidate is dead — stop sampling. *)
-              if Ulp.compare exact s.eta > 0 then begin
-                s.status <- Refuted;
-                raise Exit
-              end
-            end;
-            push_sample s.hist s.cur_err;
-            (match s.marks with
-             | m :: rest when iter >= m ->
-               s.trace <-
-                 { iter; best_err = Ulp.to_float s.max_err } :: s.trace;
-               s.marks <- rest;
-               if s.observing then
-                 Obs.Sink.emit s.obs "val_checkpoint"
-                   [
-                     ("iter", Obs.Json.Int iter);
-                     ("best_err", Obs.Json.Float (Ulp.to_float s.max_err));
-                     ( "elapsed_s",
-                       Obs.Json.Float (Obs.Clock.elapsed_s ~since:s.t0) );
-                   ]
-             | _ -> ());
-            if
-              check_due s.config s.hist ~iter
-              && geweke_check s.obs s.config s.hist ~iter
-            then begin
-              s.mixed <- true;
-              s.status <- Mixed;
-              raise Exit
-            end
-          done
-        with Exit -> ());
-       if s.status = Running && s.iterations >= s.config.max_proposals
-       then begin
-         if
-           final_check_due s.config s.hist ~iterations:s.iterations
-           && geweke_check s.obs s.config s.hist ~iter:s.iterations
-         then s.mixed <- true;
-         s.status <- (if s.mixed then Mixed else Exhausted)
-       end
-     | Refuted | Mixed | Exhausted -> ());
-    s.status
-
-  let verdict s =
-    let v =
-      {
-        max_err = s.max_err;
-        max_err_input = s.max_err_input;
-        validated = s.mixed && Ulp.compare s.max_err s.eta <= 0;
-        mixed = s.mixed;
-        geweke_z = s.hist.last_z;
-        iterations = s.iterations;
-        trace = List.rev s.trace;
-      }
-    in
-    if s.observing && s.status <> Running && not s.ended then begin
-      s.ended <- true;
-      let elapsed = Obs.Clock.elapsed_s ~since:s.t0 in
-      Obs.Sink.emit s.obs "validate_end"
-        [
-          ("max_err_ulps", Obs.Json.Float (Ulp.to_float v.max_err));
-          ("validated", Obs.Json.Bool v.validated);
-          ("mixed", Obs.Json.Bool v.mixed);
-          ("refuted", Obs.Json.Bool (s.status = Refuted));
-          ("geweke_z", Obs.Json.Float v.geweke_z);
-          ("iterations", Obs.Json.Int v.iterations);
-          ("elapsed_s", Obs.Json.Float elapsed);
-          ( "samples_per_s",
-            Obs.Json.Float
-              (if elapsed > 0. then float_of_int v.iterations /. elapsed
-               else 0.) );
-        ]
-    end;
-    v
-end
-
-let run_strategy ?obs ?config ~strategy ~eta errfn =
+let run_strategy ?(obs = Obs.Sink.null) ?(config = default_config) ~strategy
+    ~eta errfn =
   let rule =
     match strategy with
     | `Mcmc -> A_mcmc
@@ -452,4 +287,16 @@ let run_strategy ?obs ?config ~strategy ~eta errfn =
     | `Anneal -> A_anneal
     | `Random -> A_random
   in
-  run_internal ~rule ?obs ?config ~eta errfn
+  fst (hunt ~rule ~refute:false ~obs ~config ~eta errfn)
+
+let sample ~sigma ~seed ~proposals errfn =
+  (* a [min_samples] no chain reaches switches the Geweke schedule off *)
+  let config =
+    { default_config with max_proposals = proposals; min_samples = max_int;
+      sigma; seed; trace_points = 0 }
+  in
+  let v, h =
+    hunt ~rule:A_mcmc ~refute:false ~obs:Obs.Sink.null ~config
+      ~eta:Ulp.max_value errfn
+  in
+  (v.max_err, v.max_err_input, Array.sub h.samples 0 h.n_samples)

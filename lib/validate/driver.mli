@@ -6,7 +6,10 @@
     This establishes strong evidence of correctness within η, not a formal
     proof (the paper's "validation" vs "verification" distinction).
 
-    Both drivers stream telemetry through an optional {!Obs.Sink.t}
+    One hunt serves every entry point: {!run} (optionally refuting
+    early), {!run_strategy}, and {!sample}, one chain of {!Multi_chain}.
+    {!run} and {!run_strategy} stream telemetry through an optional
+    {!Obs.Sink.t}
     ([validate_start], [val_new_max], [val_checkpoint], [geweke],
     [validate_end] — see [docs/TELEMETRY.md]).  Telemetry never touches
     the RNG, so verdicts are identical with or without a sink. *)
@@ -39,47 +42,16 @@ type verdict = {
   trace : trace_entry list;
 }
 
-val run : ?obs:Obs.Sink.t -> ?config:config -> eta:Ulp.t -> Errfn.t -> verdict
-
-(** Incremental validation: the same MCMC max-error hunt as {!run}, but
-    resumable in slices so a driver can interleave it with search.  Two
-    behavioural differences from {!run}, both in the caller's favour:
-
-    - {b early refutation} — the session stops the moment the observed
-      error exceeds η, without waiting for the chain to mix.  A frontier
-      driver demoting a candidate needs only the counterexample, not a
-      tight bound, so the remaining budget goes back to search.
-    - {b sliced budget} — {!advance} runs at most [proposals] more
-      iterations and returns the session status, so callers decide how
-      much validation to buy between search bursts.
-
-    A session driven to [Mixed]/[Exhausted] in one [advance] call visits
-    exactly the samples {!run} would visit (same RNG stream, same accept
-    rule); only the stopping rule differs. *)
-module Incremental : sig
-  type t
-
-  type status =
-    | Running  (** budget slice spent; call {!advance} again *)
-    | Refuted  (** observed error exceeded η — demote the candidate *)
-    | Mixed  (** Geweke says the chain mixed; the bound is trustworthy *)
-    | Exhausted  (** [max_proposals] spent without mixing *)
-
-  val create : ?obs:Obs.Sink.t -> ?config:config -> eta:Ulp.t -> Errfn.t -> t
-  (** Draws the chain's initial input and evaluates it; a session can be
-      [Refuted] before the first {!advance}. *)
-
-  val status : t -> status
-
-  val advance : t -> proposals:int -> status
-  (** Run up to [proposals] more iterations.  Terminal statuses are
-      sticky: advancing a finished session is a no-op. *)
-
-  val verdict : t -> verdict
-  (** The verdict so far (callable in any status).  [validated] is only
-      meaningful once the session is terminal; on [Refuted] the verdict
-      carries the counterexample in [max_err_input]. *)
-end
+val run :
+  ?obs:Obs.Sink.t -> ?config:config -> ?refute:bool -> eta:Ulp.t -> Errfn.t ->
+  verdict
+(** With [refute] (default false) the hunt also stops the moment the
+    observed error exceeds η, without waiting for the chain to mix: a
+    frontier demoting a candidate needs only the counterexample, not a
+    tight bound, so the rest of the budget goes back to search.  Until
+    that moment a refuting run visits exactly the samples a plain run
+    visits; an initial point already above η ends it after 0
+    iterations, and a refuted verdict is never [mixed]. *)
 
 val run_strategy :
   ?obs:Obs.Sink.t ->
@@ -88,3 +60,11 @@ val run_strategy :
 (** §6.4 comparison: the same max-error hunt under alternate acceptance
     rules (random restarts for [`Random], greedy for [`Hill], a decaying
     temperature for [`Anneal]). *)
+
+val sample :
+  sigma:float -> seed:int64 -> proposals:int -> Errfn.t ->
+  Ulp.t * float array * float array
+(** [proposals] Metropolis steps of {!run}'s hunt with no Geweke schedule
+    and no telemetry, for {!Multi_chain}: the largest error seen, the
+    input exposing it, and the chain's error series (the current error
+    after each step). *)

@@ -24,8 +24,8 @@ type verdict = {
   validated : bool;
 }
 
-(* One chain: Metropolis on the error density, recording the whole sample
-   series for the R̂ computation. *)
+(* One chain: the driver's hunt with no Geweke schedule, recording the
+   whole sample series for the R̂ computation. *)
 let run_chain ~obs ~chain ~config ~seed errfn =
   if Obs.Sink.enabled obs then
     Obs.Sink.emit obs "chain_start"
@@ -34,44 +34,26 @@ let run_chain ~obs ~chain ~config ~seed errfn =
         ("seed", Obs.Json.String (Int64.to_string seed));
         ("proposals", Obs.Json.Int config.proposals_per_chain);
       ];
-  let g = Rng.Xoshiro256.create seed in
-  let spec = Errfn.spec errfn in
-  let proposal = Proposal.create ~sigma:config.sigma spec in
-  let cur = ref (Proposal.initial g proposal) in
-  let cur_err0, best0 = Errfn.eval_both errfn !cur in
-  let cur_err = ref cur_err0 in
-  let best = ref best0 in
-  let best_input = ref (Array.copy !cur) in
-  let series = Array.make config.proposals_per_chain 0. in
-  for i = 0 to config.proposals_per_chain - 1 do
-    let cand = Proposal.step g proposal !cur in
-    (* one pair of executions per candidate: float error for the accept
-       rule, exact count for max tracking (neither touches [g], so the
-       combined query leaves the random stream unchanged) *)
-    let err, exact = Errfn.eval_both errfn cand in
-    if
-      err >= !cur_err
-      || Rng.Dist.float g 1.0 < (err +. 1.) /. (!cur_err +. 1.)
-    then begin
-      cur := cand;
-      cur_err := err
-    end;
-    if Ulp.compare exact !best > 0 then begin
-      best := exact;
-      best_input := Array.copy cand
-    end;
-    series.(i) <- !cur_err
-  done;
+  let ((best, _, _) as result) =
+    Driver.sample ~sigma:config.sigma ~seed
+      ~proposals:config.proposals_per_chain errfn
+  in
   if Obs.Sink.enabled obs then
     Obs.Sink.emit obs "chain_end"
       [
         ("chain", Obs.Json.Int chain);
-        ("max_err_ulps", Obs.Json.Float (Ulp.to_float !best));
+        ("max_err_ulps", Obs.Json.Float (Ulp.to_float best));
       ];
-  (!best, !best_input, series)
+  result
 
 let run ?(obs = Obs.Sink.null) ?(config = default_config) ~eta errfn =
   if config.chains < 2 then invalid_arg "Multi_chain.run: need >= 2 chains";
+  (* R̂ needs at least four samples per chain; refuse before running any *)
+  if config.proposals_per_chain < 4 then
+    invalid_arg
+      (Printf.sprintf
+         "Multi_chain.run: %d proposals per chain, need >= 4 for R-hat"
+         config.proposals_per_chain);
   let results =
     List.init config.chains (fun i ->
         run_chain ~obs ~chain:i ~config

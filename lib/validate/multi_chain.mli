@@ -8,7 +8,7 @@
 
 type config = {
   chains : int;  (** independent chains (≥ 2) *)
-  proposals_per_chain : int;
+  proposals_per_chain : int;  (** ≥ 4, the shortest series R̂ accepts *)
   sigma : float;
   r_hat_threshold : float;
   seed : int64;
@@ -30,4 +30,8 @@ val run : ?obs:Obs.Sink.t -> ?config:config -> eta:Ulp.t -> Errfn.t -> verdict
 (** Chains run sequentially, so one sink serves them all: events are
     tagged with a [chain] index ([chain_start], [chain_end]) and the
     final [multi_chain_end] event carries R̂ and the verdict (see
-    [docs/TELEMETRY.md]).  Telemetry does not perturb the chains. *)
+    [docs/TELEMETRY.md]).  Telemetry does not perturb the chains.  Each
+    chain is one {!Driver.sample}.
+
+    @raise Invalid_argument before running any chain if [chains < 2] or
+    [proposals_per_chain < 4]. *)

@@ -465,7 +465,9 @@ let validate_stream_tests =
           (Option.bind (field e "max_err_ulps") Obs.Json.to_float_opt);
         Alcotest.(check (option bool)) "verdict agrees"
           (Some v.Validate.Driver.validated)
-          (Option.bind (field e "validated") Obs.Json.to_bool_opt));
+          (Option.bind (field e "validated") Obs.Json.to_bool_opt);
+        Alcotest.(check (option bool)) "refuted on every run" (Some false)
+          (Option.bind (field e "refuted") Obs.Json.to_bool_opt));
     Alcotest.test_case "driver verdict unchanged by telemetry" `Quick (fun () ->
         let run obs =
           let errfn =

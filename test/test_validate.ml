@@ -163,12 +163,28 @@ let driver_tests =
           { quick_config with Validate.Driver.max_proposals = 5_000; min_samples = 1_000;
             check_every = 1_000 }
         in
+        (* every field pinned to the bit: the strategies share one hunt
+           loop, so a change to it must not move any of them *)
         List.iter
-          (fun s ->
+          (fun (s, name, max_err, iterations, mixed, z) ->
             let v = Validate.Driver.run_strategy ~config:tiny ~strategy:s ~eta:0L e in
             Alcotest.(check bool) "found something" true
-              (Ulp.compare v.Validate.Driver.max_err 0L > 0))
-          [ `Mcmc; `Hill; `Anneal; `Random ]);
+              (Ulp.compare v.Validate.Driver.max_err 0L > 0);
+            Alcotest.(check int64) (name ^ " max_err") max_err
+              v.Validate.Driver.max_err;
+            Alcotest.(check int) (name ^ " iterations") iterations
+              v.Validate.Driver.iterations;
+            Alcotest.(check bool) (name ^ " mixed") mixed v.Validate.Driver.mixed;
+            Alcotest.(check int64) (name ^ " geweke_z (bits)") z
+              (Int64.bits_of_float v.Validate.Driver.geweke_z))
+          [
+            (`Mcmc, "mcmc", 1241947775740355L, 2_000, true, 0xbf97c6d4665cf16eL);
+            (`Hill, "hill", 1243018554508404L, 5_000, false, 0xc00010d42aeb3ac9L);
+            (`Anneal, "anneal", 1241947775740355L, 2_000, true,
+             0xbfd464ecf0a3db41L);
+            (`Random, "random", 1242212688734022L, 3_000, true,
+             0x3f981f3949e8bd78L);
+          ]);
     Alcotest.test_case "deterministic for a fixed seed" `Quick (fun () ->
         let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
         let v1 = Validate.Driver.run ~config:quick_config ~eta:0L e in
@@ -219,66 +235,22 @@ let regression_tests =
               else None)
             (Obs.Sink.drain sink)
         in
-        let sink = Obs.Sink.memory () in
-        let v = Validate.Driver.run ~obs:sink ~config ~eta:0L e in
-        Alcotest.(check int) "full budget" 2_000 v.Validate.Driver.iterations;
-        Alcotest.(check (list int)) "one check per schedule point"
-          [ 1_000; 2_000 ]
-          (List.map (function Obs.Json.Int i -> i | _ -> -1)
-             (geweke_iters sink));
-        (* the incremental driver has the same boundary, plus slice
-           bookkeeping: odd slices must neither skip nor repeat checks *)
-        let sink = Obs.Sink.memory () in
-        let s =
-          Validate.Driver.Incremental.create ~obs:sink ~config
-            ~eta:Ulp.max_value e
-        in
-        let rec drive () =
-          match Validate.Driver.Incremental.advance s ~proposals:7 with
-          | Validate.Driver.Incremental.Running -> drive ()
-          | _ -> ()
-        in
-        drive ();
-        Alcotest.(check (list int)) "incremental checks once per point"
-          [ 1_000; 2_000 ]
-          (List.map (function Obs.Json.Int i -> i | _ -> -1)
-             (geweke_iters sink)));
-    Alcotest.test_case "incremental odd slices match the one-shot verdict"
-      `Quick (fun () ->
-        (* regression: slice accounting in [Incremental.advance] must make
-           a session driven in many odd-sized slices visit exactly the
-           samples (and Geweke checks) the one-shot [run] visits — same
-           RNG stream, same schedule, bit-identical verdict *)
-        let config =
-          { quick_config with Validate.Driver.max_proposals = 5_000;
-            min_samples = 1_000; check_every = 1_000 }
-        in
-        (* η at the ceiling: early refutation can never fire, so the only
-           stopping rules left are the ones [run] shares *)
-        let eta = Ulp.max_value in
-        let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
-        let oneshot = Validate.Driver.run ~config ~eta e in
-        let e' = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
-        let s = Validate.Driver.Incremental.create ~config ~eta e' in
-        let rec drive () =
-          match Validate.Driver.Incremental.advance s ~proposals:7 with
-          | Validate.Driver.Incremental.Running -> drive ()
-          | _ -> ()
-        in
-        drive ();
-        let sliced = Validate.Driver.Incremental.verdict s in
-        Alcotest.(check int64) "same max_err" oneshot.Validate.Driver.max_err
-          sliced.Validate.Driver.max_err;
-        Alcotest.(check (array (float 0.))) "same max_err_input"
-          oneshot.Validate.Driver.max_err_input
-          sliced.Validate.Driver.max_err_input;
-        Alcotest.(check int) "same iterations"
-          oneshot.Validate.Driver.iterations sliced.Validate.Driver.iterations;
-        Alcotest.(check bool) "same mixed" oneshot.Validate.Driver.mixed
-          sliced.Validate.Driver.mixed;
-        Alcotest.(check int64) "same geweke_z (bits)"
-          (Int64.bits_of_float oneshot.Validate.Driver.geweke_z)
-          (Int64.bits_of_float sliced.Validate.Driver.geweke_z));
+        (* a refuting run at the η ceiling never refutes, so it shares
+           the boundary *)
+        List.iter
+          (fun refute ->
+            let sink = Obs.Sink.memory () in
+            let v =
+              Validate.Driver.run ~obs:sink ~config ~refute
+                ~eta:Ulp.max_value e
+            in
+            Alcotest.(check int) "full budget" 2_000
+              v.Validate.Driver.iterations;
+            Alcotest.(check (list int)) "one check per schedule point"
+              [ 1_000; 2_000 ]
+              (List.map (function Obs.Json.Int i -> i | _ -> -1)
+                 (geweke_iters sink)))
+          [ false; true ]);
     Alcotest.test_case "driver executes each input exactly once" `Quick
       (fun () ->
         (* regression: the driver used to query the float error and the
@@ -298,6 +270,112 @@ let regression_tests =
             Alcotest.(check int) "one pair of runs per input"
               (2 * (iters + 1))
               c.Sandbox.Exec.Counters.runs));
+  ]
+
+(* ---- early refutation ([run ~refute:true], the frontier's validator) ---- *)
+
+let refute_config =
+  { quick_config with Validate.Driver.max_proposals = 5_000;
+    min_samples = 1_000; check_every = 1_000 }
+
+(* A verdict and its event stream. *)
+let traced_run ?refute ~eta e =
+  let sink = Obs.Sink.memory () in
+  let v = Validate.Driver.run ~obs:sink ~config:refute_config ?refute ~eta e in
+  (v, Obs.Sink.drain sink)
+
+let named name evs =
+  List.filter (fun (ev : Obs.Sink.event) -> String.equal ev.Obs.Sink.name name) evs
+
+let int_field k (ev : Obs.Sink.event) =
+  Option.bind (List.assoc_opt k ev.Obs.Sink.fields) Obs.Json.to_int_opt
+
+let refuted_field evs =
+  Option.bind
+    (List.assoc_opt "refuted"
+       (List.hd (named "validate_end" evs)).Obs.Sink.fields)
+    Obs.Json.to_bool_opt
+
+let refute_tests =
+  [
+    Alcotest.test_case "refuting run at the eta ceiling is the plain run"
+      `Quick (fun () ->
+        (* η at the ceiling: refutation can never fire, so the stopping
+           rules left are the ones [run] has *)
+        let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
+        let plain, plain_evs = traced_run ~eta:Ulp.max_value e in
+        let refuting, refuting_evs =
+          traced_run ~refute:true ~eta:Ulp.max_value e
+        in
+        Alcotest.(check int64) "same max_err" plain.Validate.Driver.max_err
+          refuting.Validate.Driver.max_err;
+        Alcotest.(check (array (float 0.))) "same max_err_input"
+          plain.Validate.Driver.max_err_input
+          refuting.Validate.Driver.max_err_input;
+        Alcotest.(check int) "same iterations"
+          plain.Validate.Driver.iterations refuting.Validate.Driver.iterations;
+        Alcotest.(check bool) "same mixed" plain.Validate.Driver.mixed
+          refuting.Validate.Driver.mixed;
+        Alcotest.(check int64) "same geweke_z (bits)"
+          (Int64.bits_of_float plain.Validate.Driver.geweke_z)
+          (Int64.bits_of_float refuting.Validate.Driver.geweke_z);
+        Alcotest.(check (list (option int))) "same geweke iterations"
+          (List.map (int_field "iter") (named "geweke" plain_evs))
+          (List.map (int_field "iter") (named "geweke" refuting_evs));
+        Alcotest.(check (option bool)) "plain run not refuted" (Some false)
+          (refuted_field plain_evs);
+        Alcotest.(check (option bool)) "refuting run not refuted" (Some false)
+          (refuted_field refuting_evs));
+    Alcotest.test_case "stops at the first new maximum above eta" `Quick
+      (fun () ->
+        (* the initial point's error (~8.1e14 ULPs) sits below η = 1e15,
+           so the chain must climb past η before it refutes *)
+        let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
+        let eta = Ulp.of_float 1e15 in
+        let v, evs = traced_run ~refute:true ~eta e in
+        Alcotest.(check int) "stopped at iteration 7" 7
+          v.Validate.Driver.iterations;
+        Alcotest.(check int64) "counterexample error" 1004012707375482L
+          v.Validate.Driver.max_err;
+        Alcotest.(check bool) "not mixed" false v.Validate.Driver.mixed;
+        Alcotest.(check bool) "not validated" false v.Validate.Driver.validated;
+        let maxima = named "val_new_max" evs in
+        let last = List.nth maxima (List.length maxima - 1) in
+        Alcotest.(check (option int)) "last new max is the stopping iteration"
+          (Some v.Validate.Driver.iterations) (int_field "iter" last);
+        List.iteri
+          (fun i (ev : Obs.Sink.event) ->
+            let err =
+              Option.bind (List.assoc_opt "err_ulps" ev.Obs.Sink.fields)
+                Obs.Json.to_float_opt
+              |> Option.get
+            in
+            Alcotest.(check bool) "only the last new max clears eta"
+              (i = List.length maxima - 1)
+              (err > Ulp.to_float eta))
+          maxima;
+        Alcotest.(check int) "no geweke check" 0
+          (List.length (named "geweke" evs));
+        Alcotest.(check (option bool)) "validate_end says refuted" (Some true)
+          (refuted_field evs));
+    Alcotest.test_case "initial point above eta refutes after 0 iterations"
+      `Quick (fun () ->
+        let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
+        Sandbox.Exec.Counters.enable ();
+        let v, evs =
+          Fun.protect ~finally:Sandbox.Exec.Counters.disable (fun () ->
+              Sandbox.Exec.Counters.reset ();
+              let r = traced_run ~refute:true ~eta:(Ulp.of_float 1e3) e in
+              Alcotest.(check int) "only the initial point ran" 2
+                (Sandbox.Exec.Counters.snapshot ()).Sandbox.Exec.Counters.runs;
+              r)
+        in
+        Alcotest.(check int) "0 iterations" 0 v.Validate.Driver.iterations;
+        Alcotest.(check int64) "the initial point's error" 806673483377367L
+          v.Validate.Driver.max_err;
+        Alcotest.(check bool) "not mixed" false v.Validate.Driver.mixed;
+        Alcotest.(check (option bool)) "validate_end says refuted" (Some true)
+          (refuted_field evs));
   ]
 
 let multi_chain_tests =
@@ -335,7 +413,15 @@ let multi_chain_tests =
         let m =
           Array.fold_left Ulp.max Ulp.zero v.Validate.Multi_chain.per_chain_max
         in
-        Alcotest.(check int64) "consistent" m v.Validate.Multi_chain.max_err);
+        Alcotest.(check int64) "consistent" m v.Validate.Multi_chain.max_err;
+        (* each chain runs the driver's hunt: pin its maxima and the R̂
+           across them to the bit *)
+        Alcotest.(check (array int64)) "per-chain maxima"
+          [| 1241404713657500L; 1242972249872755L; 1242721922658083L;
+             1242929887109966L |]
+          v.Validate.Multi_chain.per_chain_max;
+        Alcotest.(check int64) "r_hat (bits)" 0x3ff0015afd7d836aL
+          (Int64.bits_of_float v.Validate.Multi_chain.r_hat));
     Alcotest.test_case "fewer than two chains rejected" `Quick (fun () ->
         let e = Validate.Errfn.create exp_spec ~rewrite:Kernels.S3d.exp_program in
         let config =
@@ -347,6 +433,25 @@ let multi_chain_tests =
              ignore (Validate.Multi_chain.run ~config ~eta:0L e);
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "too short a chain rejected before any run" `Quick
+      (fun () ->
+        (* regression: 10 proposals over 4 chains used to run every chain
+           and only then fail inside R̂ *)
+        let e = Validate.Errfn.create exp_spec ~rewrite:Kernels.S3d.exp_program in
+        let config =
+          { Validate.Multi_chain.default_config with
+            Validate.Multi_chain.chains = 4; proposals_per_chain = 2 }
+        in
+        Sandbox.Exec.Counters.enable ();
+        Fun.protect ~finally:Sandbox.Exec.Counters.disable (fun () ->
+            Sandbox.Exec.Counters.reset ();
+            Alcotest.(check bool) "raises" true
+              (try
+                 ignore (Validate.Multi_chain.run ~config ~eta:0L e);
+                 false
+               with Invalid_argument _ -> true);
+            Alcotest.(check int) "no chain ran" 0
+              (Sandbox.Exec.Counters.snapshot ()).Sandbox.Exec.Counters.runs));
   ]
 
 let () =
@@ -356,5 +461,6 @@ let () =
       ("proposal", proposal_tests);
       ("driver", driver_tests);
       ("regressions", regression_tests);
+      ("refute", refute_tests);
       ("multi-chain", multi_chain_tests);
     ]
