@@ -15,28 +15,28 @@ let run_sweep name (spec : Sandbox.Spec.t) =
   let target_lat = Latency.of_program spec.Sandbox.Spec.program in
   Printf.printf "ref: LOC=%d cycles=%d speedup=1.00\n" target_loc target_lat;
   Printf.printf "%-10s %5s %7s %8s %14s\n" "eta" "LOC" "cycles" "speedup" "validated-err";
-  let points =
-    Stoke.precision_sweep
+  let r =
+    Stoke.frontier ~warm:false
       ~config:(Util.search_config ~proposals:40_000 ())
       ~validate_results:false ~tests:24 ~obs:(Util.obs ()) ~seed:41L spec
   in
   let rewrites =
     List.map
-      (fun (p : Stoke.sweep_point) ->
+      (fun (p : Search.Frontier.point) ->
         (* quick validation pass per point *)
         let v =
           Validate.Driver.run
             ~obs:(Util.obs ())
             ~config:(Util.validate_config ~proposals:30_000 ())
-            ~eta:p.Stoke.eta
-            (Validate.Errfn.create spec ~rewrite:p.Stoke.rewrite)
+            ~eta:p.eta
+            (Validate.Errfn.create spec ~rewrite:p.rewrite)
         in
         Printf.printf "%-10s %5d %7d %8.2f %14s\n"
-          (Util.eta_to_string p.Stoke.eta)
-          p.Stoke.loc p.Stoke.latency p.Stoke.speedup
+          (Util.eta_to_string p.eta)
+          p.loc p.latency p.speedup
           (Ulp.to_string v.Validate.Driver.max_err);
-        (p.Stoke.eta, p.Stoke.rewrite))
-      points
+        (p.eta, p.rewrite))
+      r.Search.Frontier.points
   in
   (* error curves over the input range for a subset of rewrites (Fig 4 d-f) *)
   Util.subheading (Printf.sprintf "Fig 4: %s — ULP error curves" name);

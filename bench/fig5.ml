@@ -24,16 +24,16 @@ let run () =
     baseline.Apps.Diffusion.total_cycles;
   Printf.printf "%-10s %5s %7s %11s %13s %9s\n" "eta" "LOC" "cycles"
     "exp-speedup" "task-speedup" "tolerated";
-  let points =
-    Stoke.precision_sweep
+  let r =
+    Stoke.frontier ~warm:false
       ~config:(Util.search_config ~proposals:40_000 ())
-      ~tests:24 ~obs:(Util.obs ()) ~seed:51L spec
+      ~validate_results:false ~tests:24 ~obs:(Util.obs ()) ~seed:51L spec
   in
   let chosen = ref None in
   let rewrites =
     List.map
-      (fun (p : Stoke.sweep_point) ->
-        let o = Apps.Diffusion.run ~exp_program:p.Stoke.rewrite diffusion_cfg in
+      (fun (p : Search.Frontier.point) ->
+        let o = Apps.Diffusion.run ~exp_program:p.rewrite diffusion_cfg in
         let task_speedup = Apps.Diffusion.speedup ~baseline o in
         let ok = Apps.Diffusion.tolerates ~baseline o in
         if ok then begin
@@ -42,25 +42,25 @@ let run () =
           | _ -> chosen := Some (p, task_speedup)
         end;
         Printf.printf "%-10s %5d %7d %11.2f %13.2f %9b\n"
-          (Util.eta_to_string p.Stoke.eta)
-          p.Stoke.loc p.Stoke.latency p.Stoke.speedup task_speedup ok;
-        (p.Stoke.eta, p.Stoke.rewrite))
-      points
+          (Util.eta_to_string p.eta)
+          p.loc p.latency p.speedup task_speedup ok;
+        (p.eta, p.rewrite))
+      r.Search.Frontier.points
   in
   (match !chosen with
    | None -> Printf.printf "no tolerated rewrite beats the target\n"
    | Some (p, s) ->
      Printf.printf
        "max tolerated point: eta=%s -> exp %.2fx, task %.2fx (paper: eta=1e7, exp 2x, task 1.27x)\n"
-       (Util.eta_to_string p.Stoke.eta) p.Stoke.speedup s;
+       (Util.eta_to_string p.eta) p.speedup s;
      (* validated bound for the chosen rewrite, as in Fig 5(b)'s highlighted
         curve (paper: 1,730,391 ULPs for its eta=1e7 rewrite) *)
      let v =
        Validate.Driver.run
          ~obs:(Util.obs ())
          ~config:(Util.validate_config ~proposals:80_000 ())
-         ~eta:p.Stoke.eta
-         (Validate.Errfn.create spec ~rewrite:p.Stoke.rewrite)
+         ~eta:p.eta
+         (Validate.Errfn.create spec ~rewrite:p.rewrite)
      in
      Printf.printf "validated max error of chosen rewrite: %s ULPs (Geweke Z=%.2f)\n"
        (Ulp.to_string v.Validate.Driver.max_err)

@@ -119,7 +119,7 @@ let run_one name (spec : Sandbox.Spec.t) expected =
   end
 
 (* Frontier smoke: the cold frontier walk must reproduce the historical
-   per-point sweep bit-identically (the sweep is now a wrapper over it),
+   per-point sweep (inlined below) bit-identically,
    and a warm walk on the same grid must stay within the cold proposal
    budget while keeping its Pareto set free of dominated points. *)
 let run_frontier () =
@@ -146,16 +146,19 @@ let run_frontier () =
         | _ -> target)
       etas
   in
-  let points = Stoke.precision_sweep ~config ~etas ~tests:16 ~seed spec in
+  let cold =
+    Stoke.frontier ~warm:false ~config ~validate_results:false ~etas ~tests:16
+      ~seed spec
+  in
   List.iter2
-    (fun expected (p : Stoke.sweep_point) ->
-      if not (Program.equal expected p.Stoke.rewrite) then begin
+    (fun expected (p : Search.Frontier.point) ->
+      if not (Program.equal expected p.rewrite) then begin
         Printf.eprintf
           "smoke: cold frontier diverged from the legacy sweep at eta %s!\n"
-          (Ulp.to_string p.Stoke.eta);
+          (Ulp.to_string p.eta);
         exit 1
       end)
-    legacy points;
+    legacy cold.Search.Frontier.points;
   let fr =
     Stoke.frontier ~config ~validate_results:false ~etas ~tests:16 ~seed spec
   in

@@ -8,31 +8,13 @@
 let pairs =
   List.map
     (fun (kname, spec) ->
-      let shipped =
-        match kname with
-        | "sin" -> Some ("sin_assoc", Kernels.Libimf.sin_assoc_rewrite)
-        | "scale" -> Some ("scale_rewrite", Kernels.Aek_kernels.scale_rewrite)
-        | "dot" -> Some ("dot_rewrite", Kernels.Aek_kernels.dot_rewrite)
-        | "add" -> Some ("add_rewrite", Kernels.Aek_kernels.add_rewrite)
-        | "delta" -> Some ("delta_rewrite", Kernels.Aek_kernels.delta_rewrite)
-        | _ -> None
-      in
-      match shipped with
-      | Some (label, p) -> (kname, spec, label, p)
-      | None -> (kname, spec, "self", spec.Sandbox.Spec.program))
-    (Kernels.Libimf.all
-    @ [ ("s3d_exp", Kernels.S3d.exp_spec) ]
-    @ Kernels.Aek_kernels.all_specs)
+      let label, p = Kernels.Registry.shipped_rewrite kname spec in
+      (kname, spec, label, p))
+    Kernels.Registry.all
 
 let taylor =
   (* deterministic: budget by boxes, not wall clock *)
   { Verify.Bbound.default_config with Verify.Bbound.timeout_s = 0. }
-
-let tier = function
-  | Verify.Verifier.Proved_bitwise -> "bitwise"
-  | Verify.Verifier.Taylor_bound _ -> "taylor"
-  | Verify.Verifier.Static_bound _ -> "interval"
-  | Verify.Verifier.Refuted_bitwise | Verify.Verifier.Not_verifiable _ -> "-"
 
 let run () =
   Util.heading "Static verification: per-kernel tiers and sound bounds";
@@ -44,6 +26,7 @@ let run () =
       let outcome = Stoke.verify ~taylor ~eta:0L spec rewrite in
       let elapsed = Unix.gettimeofday () -. t0 in
       let sound = Verify.Verifier.sound_ulps outcome in
+      let tier = Verify.Verifier.tier_name outcome in
       let interval_ulps =
         match Verify.Interval.static_ulp_bound spec ~rewrite with
         | Ok a -> Some a.Verify.Interval.bound_ulps
@@ -60,13 +43,13 @@ let run () =
         | Some x -> Printf.sprintf "%.3g" x
       in
       Printf.printf "%-10s %-16s %-9s %13s %13s %8d %7d %9.3f\n" kname label
-        (tier outcome) (fmt_opt sound) (fmt_opt interval_ulps) boxes depth
+        tier (fmt_opt sound) (fmt_opt interval_ulps) boxes depth
         elapsed;
       Obs.Sink.emit (Util.obs ()) "verify_kernel"
         [
           ("kernel", Obs.Json.String kname);
           ("rewrite", Obs.Json.String label);
-          ("tier", Obs.Json.String (tier outcome));
+          ("tier", Obs.Json.String tier);
           ( "sound_ulps",
             match sound with
             | None -> Obs.Json.Null

@@ -1,34 +1,60 @@
 (* stoke — command-line driver for the STOKE-FP reproduction.
 
-   Subcommands: list, show, optimize, refine, validate, verify, sweep,
-   frontier, encode, disasm, lint, raytrace, diffusion. *)
+   Subcommands: list, show, optimize, refine, validate, verify, frontier,
+   serve, submit, encode, disasm, lint, raytrace, diffusion. *)
 
 open Cmdliner
 
-let kernel_registry =
-  Kernels.Libimf.all
-  @ [ ("s3d_exp", Kernels.S3d.exp_spec) ]
-  @ Kernels.Aek_kernels.all_specs
+(* ----- the common front end: kernel, η, budgets, search config ----- *)
 
-let find_kernel name =
-  match List.assoc_opt name kernel_registry with
-  | Some spec -> Ok spec
-  | None ->
-    Error
-      (Printf.sprintf "unknown kernel %S (try: %s)" name
-         (String.concat ", " (List.map fst kernel_registry)))
+let kernel_conv =
+  Arg.conv'
+    ( (fun name ->
+        Result.map (fun spec -> (name, spec)) (Kernels.Registry.find name)),
+      fun ppf (name, _) -> Format.pp_print_string ppf name )
 
 let kernel_arg =
   let doc = "Kernel name (see $(b,stoke list))." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
+  Arg.(required & pos 0 (some kernel_conv) None & info [] ~docv:"KERNEL" ~doc)
+
+(* η stays a float on the command line ([submit] sends it as given);
+   [Ulp.eta_of_float] decides which floats are budgets *)
+let parse_eta s =
+  match float_of_string_opt (String.trim s) with
+  | None -> Error (Printf.sprintf "%S is not a number" s)
+  | Some f -> Result.map (fun _ -> f) (Ulp.eta_of_float f)
+
+let eta_conv = Arg.conv' (parse_eta, fun ppf f -> Format.fprintf ppf "%g" f)
+
+(* a grid; unlike [Arg.list], an empty element is an error, not skipped *)
+let etas_conv =
+  Arg.conv'
+    ( (fun s ->
+        List.fold_right
+          (fun tok fs ->
+            Result.bind (parse_eta tok) (fun f -> Result.map (List.cons f) fs))
+          (String.split_on_char ',' s) (Ok [])),
+      Format.(
+        pp_print_list
+          ~pp_sep:(fun ppf () -> pp_print_char ppf ',')
+          (fun ppf -> fprintf ppf "%g")) )
+
+let int_at_least lo =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo -> Ok n
+        | _ -> Error (Printf.sprintf "%S is not an integer >= %d" s lo)),
+      Format.pp_print_int )
 
 let eta_arg =
   let doc = "Precision budget η in ULPs (e.g. 1e6)." in
-  Arg.(value & opt float 0. & info [ "eta" ] ~docv:"ULPS" ~doc)
+  Arg.(value & opt eta_conv 0. & info [ "eta" ] ~docv:"ULPS" ~doc)
 
 let proposals_arg =
   let doc = "Search proposal budget." in
-  Arg.(value & opt int 200_000 & info [ "proposals" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (int_at_least 0) 200_000 & info [ "proposals" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
@@ -62,6 +88,18 @@ let engine_arg =
     value
     & opt (enum engines) Sandbox.Exec.Compiled
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
+
+(* --proposals, --seed and --engine as one search configuration *)
+let search_arg =
+  let make proposals seed engine =
+    {
+      Search.Optimizer.default_config with
+      Search.Optimizer.proposals;
+      seed = Int64.of_int seed;
+      engine;
+    }
+  in
+  Term.(const make $ proposals_arg $ seed_arg $ engine_arg)
 
 let rewrite_file_arg =
   let doc = "Assembly file holding a rewrite (defaults to the target)." in
@@ -135,6 +173,10 @@ let make_sink ~trace_out ~progress =
   in
   Obs.Sink.tee file printer
 
+let with_sink ~trace_out ~progress f =
+  let sink = make_sink ~trace_out ~progress in
+  Fun.protect ~finally:(fun () -> Obs.Sink.close sink) (fun () -> f sink)
+
 let sandbox_counters_json () =
   let c = Sandbox.Exec.Counters.snapshot () in
   Obs.Json.Obj
@@ -156,7 +198,7 @@ let list_cmd =
         let p = spec.Sandbox.Spec.program in
         Printf.printf "%-8s %3d LOC  %4d cycles  arity %d\n" name
           (Program.length p) (Latency.of_program p) (Sandbox.Spec.arity spec))
-      kernel_registry
+      Kernels.Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List the built-in benchmark kernels")
     Term.(const run $ const ())
@@ -164,14 +206,11 @@ let list_cmd =
 (* ----- show ----- *)
 
 let show_cmd =
-  let run name =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let p = spec.Sandbox.Spec.program in
-      Printf.printf "# %s: %d LOC, %d cycles (static latency model)\n" name
-        (Program.length p) (Latency.of_program p);
-      print_endline (Program.to_string p)
+  let run (name, spec) =
+    let p = spec.Sandbox.Spec.program in
+    Printf.printf "# %s: %d LOC, %d cycles (static latency model)\n" name
+      (Program.length p) (Latency.of_program p);
+    print_endline (Program.to_string p)
   in
   Cmd.v (Cmd.info "show" ~doc:"Print a kernel's target assembly")
     Term.(const run $ kernel_arg)
@@ -179,145 +218,128 @@ let show_cmd =
 (* ----- optimize ----- *)
 
 let optimize_cmd =
-  let run name eta proposals seed domains no_prune no_static_screen engine out
+  let run (name, spec) eta config domains no_prune no_static_screen out
       trace_out metrics progress deadline stop_when checkpoint checkpoint_every
       resume =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let stop_when =
-        match Search.Control.stop_policy_of_string stop_when with
-        | Some p -> p
-        | None ->
-          exit_err
-            (Printf.sprintf
-               "--stop-when: unknown policy %S (try exhaust, first-correct, \
-                or cost-below:<float>)"
-               stop_when)
-      in
-      let snapshot =
-        Option.map
-          (fun path ->
-            match Search.Snapshot.read ~path with
-            | Ok s -> s
-            | Error e -> exit_err (Printf.sprintf "--resume: %s" e))
-          resume
-      in
-      (* --resume restores the snapshot's domain count unless --domains
-         explicitly overrides it (which the fingerprint check will then
-         reject loudly — the chain layout is part of the trajectory). *)
-      let domains =
-        match domains, snapshot with
-        | Some d, _ -> d
-        | None, Some s -> s.Search.Snapshot.domains
-        | None, None -> 1
-      in
-      let config =
-        {
-          Search.Optimizer.default_config with
-          Search.Optimizer.proposals;
-          seed = Int64.of_int seed;
-          prune = not no_prune;
-          static_screen = not no_static_screen;
-          engine;
-          stop_when;
-          deadline_s = deadline;
-        }
-      in
-      if metrics then Sandbox.Exec.Counters.enable ();
-      let t0 = Obs.Clock.now_ns () in
-      let orchestrated =
-        domains > 1 || Option.is_some checkpoint || Option.is_some snapshot
-      in
-      let result =
-        if not orchestrated then begin
-          let sink = make_sink ~trace_out ~progress in
-          Fun.protect
-            ~finally:(fun () -> Obs.Sink.close sink)
-            (fun () ->
-              Stoke.optimize ~config ~obs:sink ?progress_every:progress
-                ~eta:(Ulp.of_float eta) spec)
-        end
-        else begin
-          let tests = Stoke.make_tests ~seed:(Int64.of_int (seed + 100)) spec in
-          (* one sink per chain, created inside its domain; the stderr
-             progress printer is shared (it only writes a line) *)
-          let obs ~chain =
-            make_sink
-              ~trace_out:
-                (Option.map
-                   (fun path -> Printf.sprintf "%s.chain%d" path chain)
-                   trace_out)
-              ~progress
-          in
-          let orch_obs = make_sink ~trace_out ~progress in
-          Fun.protect
-            ~finally:(fun () -> Obs.Sink.close orch_obs)
-            (fun () ->
-              try
-                Search.Parallel.run ~domains ~obs ~orch_obs
-                  ?progress_every:progress
-                  ?checkpoint:
-                    (Option.map (fun p -> (p, checkpoint_every)) checkpoint)
-                  ?resume:snapshot ~spec
-                  ~params:(Search.Cost.default_params ~eta:(Ulp.of_float eta))
-                  ~tests ~config ()
-              with Invalid_argument msg -> exit_err msg)
-        end
-      in
-      if metrics then
-        print_metrics
-          [
-            ("command", Obs.Json.String "optimize");
-            ("kernel", Obs.Json.String name);
-            ("domains", Obs.Json.Int (Stdlib.max 1 domains));
-            ( "stop_reason",
-              Obs.Json.String
-                (Search.Control.stop_reason_to_string
-                   result.Search.Optimizer.stop_reason) );
-            ( "failed_chains",
-              Obs.Json.Int result.Search.Optimizer.failed_chains );
-            ("proposals_made", Obs.Json.Int result.Search.Optimizer.proposals_made);
-            ("accepted", Obs.Json.Int result.Search.Optimizer.accepted);
-            ("evaluations", Obs.Json.Int result.Search.Optimizer.evaluations);
-            ( "tests_executed",
-              Obs.Json.Int result.Search.Optimizer.tests_executed );
-            ("pruned_evals", Obs.Json.Int result.Search.Optimizer.pruned_evals);
-            ("cache_hits", Obs.Json.Int result.Search.Optimizer.cache_hits);
-            ( "engine",
-              Search.Optimizer.engine_json engine
-                result.Search.Optimizer.engine_counters );
-            ( "static_rejects",
-              Obs.Json.Int result.Search.Optimizer.static_rejects );
-            ("elapsed_s", Obs.Json.Float (Obs.Clock.elapsed_s ~since:t0));
-            ("moves", Search.Optimizer.moves_json result.Search.Optimizer.moves);
-            ("sandbox", sandbox_counters_json ());
-          ];
-      let target = spec.Sandbox.Spec.program in
-      (match result.Search.Optimizer.best_correct with
-       | None -> print_endline "no η-correct rewrite found"
-       | Some p ->
-         Printf.printf
-           "# target %d LOC / %d cycles -> rewrite %d LOC / %d cycles (%.2fx)\n"
-           (Program.length target) (Latency.of_program target)
-           (Program.length p) (Latency.of_program p)
-           (float_of_int (Latency.of_program target)
-           /. float_of_int (max 1 (Latency.of_program p)));
-         let text = Program.to_string p in
-         (match out with
-          | None -> print_endline text
-          | Some path ->
-            let oc = open_out path in
-            output_string oc (text ^ "\n");
-            close_out oc;
-            Printf.printf "# written to %s\n" path))
+    let stop_when =
+      match Search.Control.stop_policy_of_string stop_when with
+      | Some p -> p
+      | None ->
+        exit_err
+          (Printf.sprintf
+             "--stop-when: unknown policy %S (try exhaust, first-correct, \
+              or cost-below:<float>)"
+             stop_when)
+    in
+    let snapshot =
+      Option.map
+        (fun path ->
+          match Search.Snapshot.read ~path with
+          | Ok s -> s
+          | Error e -> exit_err (Printf.sprintf "--resume: %s" e))
+        resume
+    in
+    (* --resume restores the snapshot's domain count unless --domains
+       explicitly overrides it (which the fingerprint check will then
+       reject loudly — the chain layout is part of the trajectory). *)
+    let domains =
+      match domains, snapshot with
+      | Some d, _ -> d
+      | None, Some s -> s.Search.Snapshot.domains
+      | None, None -> 1
+    in
+    let config =
+      {
+        config with
+        Search.Optimizer.prune = not no_prune;
+        static_screen = not no_static_screen;
+        stop_when;
+        deadline_s = deadline;
+      }
+    in
+    let eta = Ulp.of_float eta in
+    if metrics then Sandbox.Exec.Counters.enable ();
+    let t0 = Obs.Clock.now_ns () in
+    let orchestrated =
+      domains > 1 || Option.is_some checkpoint || Option.is_some snapshot
+    in
+    let result =
+      if not orchestrated then
+        with_sink ~trace_out ~progress (fun obs ->
+            Stoke.optimize ~config ~obs ?progress_every:progress ~eta spec)
+      else
+        (* one sink per chain, created inside its domain; the stderr
+           progress printer is shared (it only writes a line) *)
+        let obs ~chain =
+          make_sink
+            ~trace_out:
+              (Option.map
+                 (fun path -> Printf.sprintf "%s.chain%d" path chain)
+                 trace_out)
+            ~progress
+        in
+        with_sink ~trace_out ~progress (fun orch_obs ->
+            try
+              Stoke.optimize_parallel ~config ~domains ~obs ~orch_obs
+                ?progress_every:progress
+                ?checkpoint:
+                  (Option.map (fun p -> (p, checkpoint_every)) checkpoint)
+                ?resume:snapshot ~eta spec
+            with Invalid_argument msg -> exit_err msg)
+    in
+    if metrics then
+      print_metrics
+        [
+          ("command", Obs.Json.String "optimize");
+          ("kernel", Obs.Json.String name);
+          ("domains", Obs.Json.Int (Stdlib.max 1 domains));
+          ( "stop_reason",
+            Obs.Json.String
+              (Search.Control.stop_reason_to_string
+                 result.Search.Optimizer.stop_reason) );
+          ( "failed_chains",
+            Obs.Json.Int result.Search.Optimizer.failed_chains );
+          ("proposals_made", Obs.Json.Int result.Search.Optimizer.proposals_made);
+          ("accepted", Obs.Json.Int result.Search.Optimizer.accepted);
+          ("evaluations", Obs.Json.Int result.Search.Optimizer.evaluations);
+          ( "tests_executed",
+            Obs.Json.Int result.Search.Optimizer.tests_executed );
+          ("pruned_evals", Obs.Json.Int result.Search.Optimizer.pruned_evals);
+          ("cache_hits", Obs.Json.Int result.Search.Optimizer.cache_hits);
+          ( "engine",
+            Search.Optimizer.engine_json config.Search.Optimizer.engine
+              result.Search.Optimizer.engine_counters );
+          ( "static_rejects",
+            Obs.Json.Int result.Search.Optimizer.static_rejects );
+          ("elapsed_s", Obs.Json.Float (Obs.Clock.elapsed_s ~since:t0));
+          ("moves", Search.Optimizer.moves_json result.Search.Optimizer.moves);
+          ("sandbox", sandbox_counters_json ());
+        ];
+    let target = spec.Sandbox.Spec.program in
+    match result.Search.Optimizer.best_correct with
+    | None -> print_endline "no η-correct rewrite found"
+    | Some p ->
+      Printf.printf
+        "# target %d LOC / %d cycles -> rewrite %d LOC / %d cycles (%.2fx)\n"
+        (Program.length target) (Latency.of_program target)
+        (Program.length p) (Latency.of_program p)
+        (float_of_int (Latency.of_program target)
+        /. float_of_int (max 1 (Latency.of_program p)));
+      let text = Program.to_string p in
+      (match out with
+       | None -> print_endline text
+       | Some path ->
+         let oc = open_out path in
+         output_string oc (text ^ "\n");
+         close_out oc;
+         Printf.printf "# written to %s\n" path)
   in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE")
   in
   let domains_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (int_at_least 1)) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Run N independent parallel search chains (OCaml domains).  \
@@ -397,50 +419,36 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Search for a faster η-correct rewrite")
     Term.(
-      const run $ kernel_arg $ eta_arg $ proposals_arg $ seed_arg $ domains_arg
-      $ no_prune_arg $ no_static_screen_arg $ engine_arg $ out_arg
+      const run $ kernel_arg $ eta_arg $ search_arg $ domains_arg
+      $ no_prune_arg $ no_static_screen_arg $ out_arg
       $ trace_out_arg $ metrics_arg $ progress_arg $ deadline_arg
       $ stop_when_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
 
 (* ----- refine ----- *)
 
 let refine_cmd =
-  let run name eta proposals seed engine trace_out progress =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let config =
-        {
-          Search.Optimizer.default_config with
-          Search.Optimizer.proposals;
-          seed = Int64.of_int seed;
-          engine;
-        }
-      in
-      let sink = make_sink ~trace_out ~progress in
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Obs.Sink.close sink)
-          (fun () ->
-            Stoke.optimize_refined ~config ~obs:sink ~seed:(Int64.of_int seed)
-              ~eta:(Ulp.of_float eta) spec)
-      in
-      Printf.printf "rounds: %d, counterexamples fed back: %d\n" r.Stoke.rounds
-        r.Stoke.counterexamples;
-      (match r.Stoke.rewrite with
-       | None -> print_endline "no validated rewrite survived refinement"
-       | Some p ->
-         Printf.printf "# validated rewrite: %d LOC / %d cycles (target %d/%d)\n"
-           (Program.length p) (Latency.of_program p)
-           (Program.length spec.Sandbox.Spec.program)
-           (Latency.of_program spec.Sandbox.Spec.program);
-         print_endline (Program.to_string p));
-      match r.Stoke.verdict with
-      | None -> ()
-      | Some v ->
-        Printf.printf "# validation: max error %s ULPs, mixed %b\n"
-          (Ulp.to_string v.Validate.Driver.max_err)
-          v.Validate.Driver.mixed
+  let run (_, spec) eta config trace_out progress =
+    let r =
+      with_sink ~trace_out ~progress (fun obs ->
+          Stoke.optimize_refined ~config ~obs
+            ~seed:config.Search.Optimizer.seed ~eta:(Ulp.of_float eta) spec)
+    in
+    Printf.printf "rounds: %d, counterexamples fed back: %d\n" r.Stoke.rounds
+      r.Stoke.counterexamples;
+    (match r.Stoke.rewrite with
+     | None -> print_endline "no validated rewrite survived refinement"
+     | Some p ->
+       Printf.printf "# validated rewrite: %d LOC / %d cycles (target %d/%d)\n"
+         (Program.length p) (Latency.of_program p)
+         (Program.length spec.Sandbox.Spec.program)
+         (Latency.of_program spec.Sandbox.Spec.program);
+       print_endline (Program.to_string p));
+    match r.Stoke.verdict with
+    | None -> ()
+    | Some v ->
+      Printf.printf "# validation: max error %s ULPs, mixed %b\n"
+        (Ulp.to_string v.Validate.Driver.max_err)
+        v.Validate.Driver.mixed
   in
   Cmd.v
     (Cmd.info "refine"
@@ -448,78 +456,69 @@ let refine_cmd =
          "Counterexample-refined optimization: search, validate, feed failures \
           back into the test set, repeat")
     Term.(
-      const run $ kernel_arg $ eta_arg $ proposals_arg $ seed_arg $ engine_arg
-      $ trace_out_arg $ progress_arg)
+      const run $ kernel_arg $ eta_arg $ search_arg $ trace_out_arg
+      $ progress_arg)
 
 (* ----- validate ----- *)
 
 let validate_cmd =
-  let run name eta rewrite_file proposals min_samples chains engine trace_out
-      progress =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let rewrite =
-        match rewrite_file with
-        | None -> spec.Sandbox.Spec.program
-        | Some path -> read_program path
+  let run (_, spec) eta rewrite_file proposals min_samples chains engine
+      trace_out progress =
+    let rewrite =
+      match rewrite_file with
+      | None -> spec.Sandbox.Spec.program
+      | Some path -> read_program path
+    in
+    let eta = Ulp.of_float eta in
+    with_sink ~trace_out ~progress @@ fun obs ->
+    if chains = 1 then begin
+      let config =
+        {
+          Validate.Driver.default_config with
+          Validate.Driver.max_proposals = proposals;
+          min_samples;
+        }
       in
-      let sink = make_sink ~trace_out ~progress in
-      Fun.protect ~finally:(fun () -> Obs.Sink.close sink) @@ fun () ->
-      if chains <= 1 then begin
-        let config =
-          {
-            Validate.Driver.default_config with
-            Validate.Driver.max_proposals = proposals;
-            min_samples;
-          }
-        in
-        let v =
-          Stoke.validate ~config ~obs:sink ~engine ~eta:(Ulp.of_float eta)
-            spec rewrite
-        in
-        Printf.printf
-          "max observed error: %s ULPs (at input %s)\nmixed: %b (Geweke Z = %.3f after %d iterations)\nvalidated within η: %b\n"
-          (Ulp.to_string v.Validate.Driver.max_err)
-          (String.concat ", "
-             (Array.to_list
-                (Array.map (Printf.sprintf "%g") v.Validate.Driver.max_err_input)))
-          v.Validate.Driver.mixed v.Validate.Driver.geweke_z
-          v.Validate.Driver.iterations v.Validate.Driver.validated
-      end
-      else begin
-        let config =
-          {
-            Validate.Multi_chain.default_config with
-            Validate.Multi_chain.chains;
-            proposals_per_chain = proposals / chains;
-          }
-        in
-        let errfn = Validate.Errfn.create ~engine spec ~rewrite in
-        let v =
-          match
-            Validate.Multi_chain.run ~obs:sink ~config ~eta:(Ulp.of_float eta)
-              errfn
-          with
-          | v -> v
-          | exception Invalid_argument msg ->
-            exit_err
-              (Printf.sprintf "--proposals %d over %d chains: %s" proposals
-                 chains msg)
-        in
-        Printf.printf
-          "max observed error: %s ULPs across %d chains (per-chain: %s)\nmixed: %b (Gelman-Rubin R-hat = %.4f)\nvalidated within η: %b\n"
-          (Ulp.to_string v.Validate.Multi_chain.max_err)
-          chains
-          (String.concat ", "
-             (Array.to_list (Array.map Ulp.to_string v.Validate.Multi_chain.per_chain_max)))
-          v.Validate.Multi_chain.mixed v.Validate.Multi_chain.r_hat
-          v.Validate.Multi_chain.validated
-      end
+      let v = Stoke.validate ~config ~obs ~engine ~eta spec rewrite in
+      Printf.printf
+        "max observed error: %s ULPs (at input %s)\nmixed: %b (Geweke Z = %.3f after %d iterations)\nvalidated within η: %b\n"
+        (Ulp.to_string v.Validate.Driver.max_err)
+        (String.concat ", "
+           (Array.to_list
+              (Array.map (Printf.sprintf "%g") v.Validate.Driver.max_err_input)))
+        v.Validate.Driver.mixed v.Validate.Driver.geweke_z
+        v.Validate.Driver.iterations v.Validate.Driver.validated
+    end
+    else begin
+      let config =
+        {
+          Validate.Multi_chain.default_config with
+          Validate.Multi_chain.chains;
+          proposals_per_chain = proposals / chains;
+        }
+      in
+      let errfn = Validate.Errfn.create ~engine spec ~rewrite in
+      let v =
+        match Validate.Multi_chain.run ~obs ~config ~eta errfn with
+        | v -> v
+        | exception Invalid_argument msg ->
+          exit_err
+            (Printf.sprintf "--proposals %d over %d chains: %s" proposals
+               chains msg)
+      in
+      Printf.printf
+        "max observed error: %s ULPs across %d chains (per-chain: %s)\nmixed: %b (Gelman-Rubin R-hat = %.4f)\nvalidated within η: %b\n"
+        (Ulp.to_string v.Validate.Multi_chain.max_err)
+        chains
+        (String.concat ", "
+           (Array.to_list (Array.map Ulp.to_string v.Validate.Multi_chain.per_chain_max)))
+        v.Validate.Multi_chain.mixed v.Validate.Multi_chain.r_hat
+        v.Validate.Multi_chain.validated
+    end
   in
   let chains_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "chains" ] ~docv:"N"
           ~doc:
             "Run N independent validation chains and judge mixing with the \
@@ -545,18 +544,6 @@ let validate_cmd =
 
 (* ----- verify ----- *)
 
-(* The rewrites the repo ships next to their specs — what `verify --all`
-   checks each kernel against (kernels without one verify against
-   themselves, exercising the bit-wise tier). *)
-let shipped_rewrites =
-  [
-    ("sin", ("sin_assoc", Kernels.Libimf.sin_assoc_rewrite));
-    ("scale", ("scale_rewrite", Kernels.Aek_kernels.scale_rewrite));
-    ("dot", ("dot_rewrite", Kernels.Aek_kernels.dot_rewrite));
-    ("add", ("add_rewrite", Kernels.Aek_kernels.add_rewrite));
-    ("delta", ("delta_rewrite", Kernels.Aek_kernels.delta_rewrite));
-  ]
-
 type verify_row = {
   vr_kernel : string;
   vr_rewrite : string;
@@ -566,12 +553,6 @@ type verify_row = {
   vr_observed : float option;
   vr_outcome : Verify.Verifier.outcome;
 }
-
-let tier_of_outcome = function
-  | Verify.Verifier.Proved_bitwise -> "bitwise"
-  | Verify.Verifier.Taylor_bound _ -> "taylor"
-  | Verify.Verifier.Static_bound _ -> "interval"
-  | Verify.Verifier.Refuted_bitwise | Verify.Verifier.Not_verifiable _ -> "-"
 
 let tier_rank = function
   | "bitwise" -> 3
@@ -665,7 +646,7 @@ let verify_one ~taylor ~eta ~observed ~engine ~kname spec rewrite_label rewrite
     vr_kernel = kname;
     vr_rewrite = rewrite_label;
     vr_bitwise = bitwise;
-    vr_tier = tier_of_outcome outcome;
+    vr_tier = Verify.Verifier.tier_name outcome;
     vr_sound = Verify.Verifier.sound_ulps outcome;
     vr_observed = observed_ulps;
     vr_outcome = outcome;
@@ -761,7 +742,7 @@ let check_against_baseline rows path =
     exit 1
 
 let verify_cmd =
-  let run all name eta rewrite_file bb_depth bb_boxes bb_timeout fpcore json
+  let run all kernel eta rewrite_file bb_depth bb_boxes bb_timeout fpcore json
       observed check_baseline write_baseline engine =
     let taylor =
       {
@@ -778,41 +759,31 @@ let verify_cmd =
           exit_err "--rewrite needs a single kernel, not --all";
         List.map
           (fun (kname, spec) ->
-            let label, rewrite =
-              match List.assoc_opt kname shipped_rewrites with
-              | Some (label, p) -> (label, p)
-              | None -> ("self", spec.Sandbox.Spec.program)
-            in
+            let label, rewrite = Kernels.Registry.shipped_rewrite kname spec in
             verify_one ~taylor ~eta ~observed ~engine ~kname spec label
               rewrite)
-          kernel_registry
+          Kernels.Registry.all
       end
       else begin
-        let name =
-          match name with
-          | Some n -> n
+        let name, spec =
+          match kernel with
+          | Some k -> k
           | None -> exit_err "KERNEL required (or use --all)"
         in
-        match find_kernel name with
-        | Error e -> exit_err e
-        | Ok spec ->
-          let label, rewrite =
-            match rewrite_file with
-            | Some path -> (Filename.basename path, read_program path)
-            | None -> (
-              match List.assoc_opt name shipped_rewrites with
-              | Some (label, p) -> (label, p)
-              | None -> ("self", spec.Sandbox.Spec.program))
-          in
-          if fpcore then begin
-            match Verify.Fpcore.difference spec ~rewrite with
-            | Ok text ->
-              print_endline text;
-              exit 0
-            | Error e -> exit_err (Printf.sprintf "--fpcore: %s" e)
-          end;
-          [ verify_one ~taylor ~eta ~observed ~engine ~kname:name spec label
-              rewrite ]
+        let label, rewrite =
+          match rewrite_file with
+          | Some path -> (Filename.basename path, read_program path)
+          | None -> Kernels.Registry.shipped_rewrite name spec
+        in
+        if fpcore then begin
+          match Verify.Fpcore.difference spec ~rewrite with
+          | Ok text ->
+            print_endline text;
+            exit 0
+          | Error e -> exit_err (Printf.sprintf "--fpcore: %s" e)
+        end;
+        [ verify_one ~taylor ~eta ~observed ~engine ~kname:name spec label
+            rewrite ]
       end
     in
     if json then
@@ -855,7 +826,7 @@ let verify_cmd =
              itself when none ships) and print the per-kernel table.")
   in
   let kernel_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL")
+    Arg.(value & pos 0 (some kernel_conv) None & info [] ~docv:"KERNEL")
   in
   let bb_depth_arg =
     Arg.(
@@ -931,157 +902,94 @@ let verify_cmd =
       $ bb_depth_arg $ bb_boxes_arg $ bb_timeout_arg $ fpcore_flag $ json_flag
       $ observed_flag $ check_baseline_arg $ write_baseline_arg $ engine_arg)
 
-(* ----- sweep ----- *)
-
-let sweep_cmd =
-  let run name proposals seed validate_results engine trace_out progress =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let config =
-        {
-          Search.Optimizer.default_config with
-          Search.Optimizer.proposals;
-          seed = Int64.of_int seed;
-          engine;
-        }
-      in
-      let sink = make_sink ~trace_out ~progress in
-      let points =
-        Fun.protect
-          ~finally:(fun () -> Obs.Sink.close sink)
-          (fun () ->
-            Stoke.precision_sweep ~config ~validate_results ~obs:sink
-              ~seed:(Int64.of_int seed) spec)
-      in
-      Printf.printf "%-12s %6s %8s %8s %s\n" "eta" "LOC" "cycles" "speedup"
-        "validated-err";
-      List.iter
-        (fun (p : Stoke.sweep_point) ->
-          Printf.printf "%-12s %6d %8d %8.2f %s\n"
-            (Ulp.to_string p.Stoke.eta)
-            p.Stoke.loc p.Stoke.latency p.Stoke.speedup
-            (match p.Stoke.validated_err with
-             | None -> "-"
-             | Some e -> Ulp.to_string e))
-        points
-  in
-  let validate_flag =
-    Arg.(value & flag & info [ "validate" ] ~doc:"Also validate each point.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Precision sweep over the η grid (Figure 4/5)")
-    Term.(
-      const run $ kernel_arg $ proposals_arg $ seed_arg $ validate_flag
-      $ engine_arg $ trace_out_arg $ progress_arg)
-
 (* ----- frontier ----- *)
 
 let frontier_cmd =
-  let run name etas proposals seed cold warm_frac max_demotions sweep_back
-      sound_promote no_validate checkpoint resume engine trace_out progress =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let etas =
-        match etas with
-        | None -> None
-        | Some s ->
-          let parse tok =
-            match float_of_string_opt (String.trim tok) with
-            | Some f when f >= 0. -> Ulp.of_float f
-            | _ -> exit_err (Printf.sprintf "--etas: bad value %S" tok)
-          in
-          Some (List.map parse (String.split_on_char ',' s))
-      in
-      let config =
-        {
-          Search.Optimizer.default_config with
-          Search.Optimizer.proposals;
-          seed = Int64.of_int seed;
-          engine;
-        }
-      in
-      let resume =
-        match resume with
-        | None -> None
-        | Some path -> (
+  let run (_, spec) etas config cold warm_frac max_demotions sweep_back
+      sound_promote no_validate checkpoint resume trace_out progress =
+    let resume =
+      Option.map
+        (fun path ->
           match Search.Frontier.read_snapshot ~spec ~path with
-          | Ok s -> Some s
+          | Ok s -> s
           | Error e -> exit_err (Printf.sprintf "--resume: %s" e))
-      in
-      let sink = make_sink ~trace_out ~progress in
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Obs.Sink.close sink)
-          (fun () ->
-            try
-              Stoke.frontier ~config ~validate_results:(not no_validate)
-                ?etas ~warm:(not cold) ~warm_frac ~max_demotions ~sweep_back
-                ~sound_promote ~obs:sink ?checkpoint ?resume
-                ~seed:(Int64.of_int seed) spec
-            with Invalid_argument e -> exit_err e)
-      in
-      Printf.printf "%-12s %6s %8s %8s %14s %5s %10s %s\n" "eta" "LOC"
-        "cycles" "speedup" "validated-err" "warm" "proposals" "demotions";
-      List.iter
-        (fun (p : Search.Frontier.point) ->
-          Printf.printf "%-12s %6d %8d %8.2f %14s %5s %10d %d\n"
-            (Ulp.to_string p.Search.Frontier.eta)
-            p.Search.Frontier.loc p.Search.Frontier.latency
-            p.Search.Frontier.speedup
-            (match p.Search.Frontier.validated_err with
-             | None -> "-"
-             | Some e -> Ulp.to_string e)
-            (if p.Search.Frontier.warm then "yes" else "no")
-            p.Search.Frontier.proposals_used p.Search.Frontier.demotions)
-        r.Search.Frontier.points;
-      Printf.printf "pareto frontier (%d of %d points):\n"
-        (List.length r.Search.Frontier.pareto)
-        (List.length r.Search.Frontier.points);
-      List.iter
-        (fun (p : Search.Frontier.point) ->
-          Printf.printf "  %8d cycles  err <= %s ULPs  (eta %s)\n"
-            p.Search.Frontier.latency
-            (Ulp.to_string (Search.Frontier.err_bound p))
-            (Ulp.to_string p.Search.Frontier.eta))
-        r.Search.Frontier.pareto;
-      Printf.printf
-        "search proposals: %d of %d cold budget (%.1f%%), %d demotions, %d \
-         counterexamples, %d sound promotions\n"
-        r.Search.Frontier.total_proposals r.Search.Frontier.cold_budget
-        (100.
-        *. float_of_int r.Search.Frontier.total_proposals
-        /. float_of_int (max 1 r.Search.Frontier.cold_budget))
-        r.Search.Frontier.demotions r.Search.Frontier.tests_added
-        r.Search.Frontier.promotions
+        resume
+    in
+    let r =
+      with_sink ~trace_out ~progress (fun obs ->
+          try
+            Stoke.frontier ~config ~validate_results:(not no_validate)
+              ?etas:(Option.map (List.map Ulp.of_float) etas)
+              ~warm:(not cold) ~warm_frac ~max_demotions ~sweep_back
+              ~sound_promote ~obs ?checkpoint ?resume
+              ~seed:config.Search.Optimizer.seed spec
+          with Invalid_argument e -> exit_err e)
+    in
+    Printf.printf "%-12s %6s %8s %8s %14s %5s %10s %s\n" "eta" "LOC"
+      "cycles" "speedup" "validated-err" "warm" "proposals" "demotions";
+    List.iter
+      (fun (p : Search.Frontier.point) ->
+        Printf.printf "%-12s %6d %8d %8.2f %14s %5s %10d %d\n"
+          (Ulp.to_string p.eta) p.loc p.latency p.speedup
+          (match p.validated_err with
+           | None -> "-"
+           | Some e -> Ulp.to_string e)
+          (if p.warm then "yes" else "no")
+          p.proposals_used p.demotions)
+      r.Search.Frontier.points;
+    Printf.printf "pareto frontier (%d of %d points):\n"
+      (List.length r.Search.Frontier.pareto)
+      (List.length r.Search.Frontier.points);
+    List.iter
+      (fun (p : Search.Frontier.point) ->
+        Printf.printf "  %8d cycles  err <= %s ULPs  (eta %s)\n" p.latency
+          (Ulp.to_string (Search.Frontier.err_bound p))
+          (Ulp.to_string p.eta))
+      r.Search.Frontier.pareto;
+    Printf.printf
+      "search proposals: %d of %d cold budget (%.1f%%), %d demotions, %d \
+       counterexamples, %d sound promotions\n"
+      r.Search.Frontier.total_proposals r.Search.Frontier.cold_budget
+      (100.
+      *. float_of_int r.Search.Frontier.total_proposals
+      /. float_of_int (max 1 r.Search.Frontier.cold_budget))
+      r.Search.Frontier.demotions r.Search.Frontier.tests_added
+      r.Search.Frontier.promotions
   in
   let etas_arg =
     let doc =
       "Comma-separated η grid in ULPs (e.g. $(b,1,1e4,1e8)); defaults to \
        the paper's grid 10^0..10^18."
     in
-    Arg.(value & opt (some string) None & info [ "etas" ] ~docv:"LIST" ~doc)
+    Arg.(
+      value
+      & opt (some etas_conv) None
+      & info [ "etas" ] ~docv:"LIST" ~doc)
   in
   let cold_flag =
     Arg.(
       value & flag
       & info [ "cold" ]
           ~doc:
-            "Disable warm-starting: every η runs cold with the full budget \
-             (bit-identical winners to $(b,stoke sweep)).")
+            "Disable warm-starting: every η runs cold with the full budget, \
+             in the order given, and is never demoted — one search per η, \
+             the per-point sweep of the paper's Figures 4 and 5.  With \
+             $(b,--no-validate) the curve is search-only; otherwise each \
+             point gets the full (non-refuting) MCMC validation.")
   in
   let warm_frac_arg =
     Arg.(
       value & opt float 0.25
       & info [ "warm-frac" ] ~docv:"F"
-          ~doc:"Fraction of --proposals granted to each warm-started point.")
+          ~doc:
+            "Fraction of --proposals granted to each warm-started point, \
+             in (0, 1].")
   in
   let max_demotions_arg =
     Arg.(
       value & opt int 2
       & info [ "max-demotions" ] ~docv:"N"
-          ~doc:"Re-search rounds after a validation failure per point.")
+          ~doc:"Re-search rounds after a validation failure per point (>= 0).")
   in
   let sweep_back_flag =
     Arg.(
@@ -1126,54 +1034,51 @@ let frontier_cmd =
          "One-run speedup-vs-η Pareto frontier with warm-started chains \
           (Figure 9/10; see docs/SWEEP.md)")
     Term.(
-      const run $ kernel_arg $ etas_arg $ proposals_arg $ seed_arg
-      $ cold_flag $ warm_frac_arg $ max_demotions_arg $ sweep_back_flag
+      const run $ kernel_arg $ etas_arg $ search_arg $ cold_flag
+      $ warm_frac_arg $ max_demotions_arg $ sweep_back_flag
       $ sound_promote_flag $ no_validate_flag $ checkpoint_arg $ resume_arg
-      $ engine_arg $ trace_out_arg $ progress_arg)
+      $ trace_out_arg $ progress_arg)
 
 (* ----- encode ----- *)
 
 let encode_cmd =
-  let run name asm_file =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let program, what =
-        match asm_file with
-        | None -> (spec.Sandbox.Spec.program, name)
-        | Some path -> (read_program path, path)
+  let run (name, spec) asm_file =
+    let program, what =
+      match asm_file with
+      | None -> (spec.Sandbox.Spec.program, name)
+      | Some path -> (read_program path, path)
+    in
+    List.iter
+      (fun i ->
+        match Encoder.encode_instr i with
+        | Ok bytes ->
+          Printf.printf "%-40s %s%s\n" (Instr.to_string i)
+            (Encoder.hex bytes)
+            (if Sandbox.Native.native_instr i then ""
+             else "   [batched fallback]")
+        | Error e ->
+          Printf.printf "%-40s <unencodable: %s>\n" (Instr.to_string i) e)
+      (Program.instrs program);
+    (* what the native engine would actually run: the whole guarded
+       trampoline, when this platform and program admit one *)
+    if Sandbox.Native.available () then begin
+      let m =
+        Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
       in
-      List.iter
-        (fun i ->
-          match Encoder.encode_instr i with
-          | Ok bytes ->
-            Printf.printf "%-40s %s%s\n" (Instr.to_string i)
-              (Encoder.hex bytes)
-              (if Sandbox.Native.native_instr i then ""
-               else "   [batched fallback]")
-          | Error e ->
-            Printf.printf "%-40s <unencodable: %s>\n" (Instr.to_string i) e)
-        (Program.instrs program);
-      (* what the native engine would actually run: the whole guarded
-         trampoline, when this platform and program admit one *)
-      if Sandbox.Native.available () then begin
-        let m =
-          Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-        in
-        match Sandbox.Native.create_batch m [| Sandbox.Testcase.empty |] with
-        | None -> Printf.printf "\n%s: native worker unavailable\n" what
-        | Some b ->
-          (match Sandbox.Native.compile b program with
-           | None ->
-             Printf.printf
-               "\n%s: no native trampoline (some instruction falls back)\n"
-               what
-           | Some np ->
-             Printf.printf "\n%s: native trampoline, %d bytes:\n%s\n" what
-               (String.length (Sandbox.Native.code np))
-               (Encoder.hex (Sandbox.Native.code np)))
-      end
-      else Printf.printf "\n%s: native execution unavailable here\n" what
+      match Sandbox.Native.create_batch m [| Sandbox.Testcase.empty |] with
+      | None -> Printf.printf "\n%s: native worker unavailable\n" what
+      | Some b ->
+        (match Sandbox.Native.compile b program with
+         | None ->
+           Printf.printf
+             "\n%s: no native trampoline (some instruction falls back)\n"
+             what
+         | Some np ->
+           Printf.printf "\n%s: native trampoline, %d bytes:\n%s\n" what
+             (String.length (Sandbox.Native.code np))
+             (Encoder.hex (Sandbox.Native.code np)))
+    end
+    else Printf.printf "\n%s: native execution unavailable here\n" what
   in
   let asm_arg =
     Arg.(
@@ -1260,24 +1165,21 @@ let raytrace_cmd =
 (* ----- lint ----- *)
 
 let lint_cmd =
-  let run name asm_file =
-    match find_kernel name with
-    | Error e -> exit_err e
-    | Ok spec ->
-      let program, what =
-        match asm_file with
-        | None -> (spec.Sandbox.Spec.program, name)
-        | Some path -> (read_program path, path)
-      in
-      let diags = Analysis.Dataflow.lint_program spec program in
-      (match diags with
-       | [] -> Printf.printf "%s: clean (%d slots)\n" what (Program.length program)
-       | _ ->
-         Printf.printf "%s: %d finding(s)\n" what (List.length diags);
-         List.iter
-           (fun d -> print_endline ("  " ^ Analysis.Dataflow.diag_to_string program d))
-           diags;
-         exit 1)
+  let run (name, spec) asm_file =
+    let program, what =
+      match asm_file with
+      | None -> (spec.Sandbox.Spec.program, name)
+      | Some path -> (read_program path, path)
+    in
+    let diags = Analysis.Dataflow.lint_program spec program in
+    (match diags with
+     | [] -> Printf.printf "%s: clean (%d slots)\n" what (Program.length program)
+     | _ ->
+       Printf.printf "%s: %d finding(s)\n" what (List.length diags);
+       List.iter
+         (fun d -> print_endline ("  " ^ Analysis.Dataflow.diag_to_string program d))
+         diags;
+       exit 1)
   in
   let asm_arg =
     Arg.(
@@ -1331,11 +1233,17 @@ let socket_arg =
 let serve_cmd =
   let run socket state_dir workers max_queue deadline checkpoint_every
       io_timeout max_domains trace_out =
-    let log = make_sink ~trace_out ~progress:None in
-    let cfg =
+    with_sink ~trace_out ~progress:None @@ fun log ->
+    Serve.Server.run
+      ~on_ready:(fun srv ->
+        let stop _ = Serve.Server.shutdown srv in
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+        Printf.eprintf "stoke serve: listening on %s (state in %s)\n%!"
+          socket state_dir)
       {
         (Serve.Server.default_config ~socket_path:socket ~state_dir
-           ~kernels:kernel_registry)
+           ~kernels:Kernels.Registry.all)
         with
         Serve.Server.workers;
         max_queue;
@@ -1345,18 +1253,6 @@ let serve_cmd =
         max_domains;
         log;
       }
-    in
-    Fun.protect
-      ~finally:(fun () -> Obs.Sink.close log)
-      (fun () ->
-        Serve.Server.run
-          ~on_ready:(fun srv ->
-            let stop _ = Serve.Server.shutdown srv in
-            Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-            Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-            Printf.eprintf "stoke serve: listening on %s (state in %s)\n%!"
-              socket state_dir)
-          cfg)
   in
   let state_dir_arg =
     Arg.(
@@ -1484,13 +1380,13 @@ let submit_cmd =
   let etas_arg =
     Arg.(
       value
-      & opt (list float) []
+      & opt etas_conv []
       & info [ "etas" ] ~docv:"ULPS,..."
           ~doc:"η grid for --op frontier (defaults to the paper's grid).")
   in
   let domains_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "domains" ] ~docv:"N"
           ~doc:"Search domains to request (the server may cap this).")
   in
@@ -1530,7 +1426,7 @@ let main =
   Cmd.group info
     [
       list_cmd; show_cmd; optimize_cmd; refine_cmd; validate_cmd; verify_cmd;
-      sweep_cmd; frontier_cmd; serve_cmd; submit_cmd;
+      frontier_cmd; serve_cmd; submit_cmd;
       encode_cmd; disasm_cmd; lint_cmd; raytrace_cmd; diffusion_cmd;
     ]
 

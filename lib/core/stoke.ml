@@ -99,15 +99,14 @@ let optimize_refined ?config ?validation ?(max_rounds = 4) ?(tests = 32)
           ("round", Obs.Json.Int round);
           ("tests", Obs.Json.Int (List.length !test_list));
         ];
-    let params = Search.Cost.default_params ~eta in
-    let ctx =
-      Search.Cost.create ~use_cache:config.Search.Optimizer.prune
-        ~engine:config.Search.Optimizer.engine spec params
-        (Array.of_list !test_list)
-    in
     let result =
-      Search.Optimizer.run ~obs ctx
-        { config with Search.Optimizer.seed = Int64.add config.Search.Optimizer.seed (Int64.of_int round) }
+      optimize ~obs ~tests:(Array.of_list !test_list) ~eta spec
+        ~config:
+          {
+            config with
+            Search.Optimizer.seed =
+              Int64.add config.Search.Optimizer.seed (Int64.of_int round);
+          }
     in
     match result.Search.Optimizer.best_correct with
     | None -> { rewrite = None; verdict = None; rounds = round; counterexamples = !counterexamples }
@@ -154,15 +153,6 @@ let optimize_refined ?config ?validation ?(max_rounds = 4) ?(tests = 32)
   in
   go 1
 
-type sweep_point = {
-  eta : Ulp.t;
-  rewrite : Program.t;
-  loc : int;
-  latency : int;
-  speedup : float;
-  validated_err : Ulp.t option;
-}
-
 let default_etas =
   List.init 10 (fun i -> Ulp.of_float (Float.pow 10. (float_of_int (2 * i))))
 
@@ -180,7 +170,7 @@ let quick_validation_config =
    downward).  [refute] stops the hunt the moment a candidate's error
    clears η, so the warm walk's demoted candidates return their budget
    to search instead of waiting for the chain to mix; the cold walk runs
-   the historical sweep's full hunt. *)
+   the full hunt. *)
 let validator ?engine ~obs ~validation ~refute spec ~eta rewrite =
   let errfn = Validate.Errfn.create ?engine spec ~rewrite in
   let v = Validate.Driver.run ~obs ~config:validation ~refute ~eta errfn in
@@ -233,67 +223,6 @@ let frontier ?config ?validation ?(validate_results = true) ?etas
   in
   Search.Frontier.run ~obs ?validator ?prover ?checkpoint ?resume
     ~tests:test_array ~etas fcfg spec
-
-let precision_sweep ?config ?(validate_results = false) ?etas ?(tests = 32)
-    ?(obs = Obs.Sink.null) ~seed spec =
-  let etas =
-    match etas with
-    | Some e -> e
-    | None -> default_etas
-  in
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Search.Optimizer.default_config
-  in
-  let test_array = make_tests ~n:tests ~seed spec in
-  let validator =
-    if validate_results then
-      Some
-        (fun ~eta rewrite ->
-          validator ~engine:config.Search.Optimizer.engine ~obs
-            ~validation:quick_validation_config ~refute:false spec ~eta
-            rewrite)
-    else None
-  in
-  let fcfg =
-    {
-      Search.Frontier.search = config;
-      warm = false;
-      warm_frac = 0.25;
-      max_demotions = 0;
-      sweep_back = false;
-    }
-  in
-  let on_point (p : Search.Frontier.point) =
-    if Obs.Sink.enabled obs then
-      Obs.Sink.emit obs "sweep_point"
-        [
-          ("eta", Obs.Json.String (Ulp.to_string p.Search.Frontier.eta));
-          ("loc", Obs.Json.Int p.Search.Frontier.loc);
-          ("latency", Obs.Json.Int p.Search.Frontier.latency);
-          ("speedup", Obs.Json.Float p.Search.Frontier.speedup);
-          ( "validated_err_ulps",
-            match p.Search.Frontier.validated_err with
-            | None -> Obs.Json.Null
-            | Some e -> Obs.Json.Float (Ulp.to_float e) );
-        ]
-  in
-  let r =
-    Search.Frontier.run ~obs ?validator ~on_point ~tests:test_array ~etas
-      fcfg spec
-  in
-  List.map
-    (fun (p : Search.Frontier.point) ->
-      {
-        eta = p.Search.Frontier.eta;
-        rewrite = p.Search.Frontier.rewrite;
-        loc = p.Search.Frontier.loc;
-        latency = p.Search.Frontier.latency;
-        speedup = p.Search.Frontier.speedup;
-        validated_err = p.Search.Frontier.validated_err;
-      })
-    r.Search.Frontier.points
 
 let error_curve spec rewrite ~inputs =
   if Sandbox.Spec.arity spec <> 1 then

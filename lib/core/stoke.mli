@@ -4,8 +4,8 @@
     Typical use: pick (or define) a {!Sandbox.Spec.t} for a loop-free
     kernel, choose a precision budget η in ULPs, run {!optimize} to search
     for a faster η-correct rewrite, then {!validate} the result with the
-    MCMC max-error hunt.  {!precision_sweep} automates the η grid of the
-    paper's Figures 4 and 5. *)
+    MCMC max-error hunt.  {!frontier} walks the η grid of the paper's
+    Figures 4 and 5 ([~warm:false]) and of Figures 9 and 10. *)
 
 val make_tests :
   ?n:int -> seed:int64 -> Sandbox.Spec.t -> Sandbox.Testcase.t array
@@ -107,15 +107,6 @@ val optimize_refined :
     [refine_round] event opening each round and a [counterexample] event
     for every input fed back into the test set. *)
 
-type sweep_point = {
-  eta : Ulp.t;
-  rewrite : Program.t;
-  loc : int;
-  latency : int;
-  speedup : float;  (** target latency / rewrite latency *)
-  validated_err : Ulp.t option;  (** [None] when validation was skipped *)
-}
-
 val default_etas : Ulp.t list
 (** The paper's grid: η = 10^0, 10^2, …, 10^18. *)
 
@@ -148,8 +139,11 @@ val frontier :
     frontier (up to [max_demotions] rounds).  [validate_results] defaults
     to [true] here (the curve's whole point is per-η validated error);
     pass [false] for a search-only curve.  With [warm = false] every
-    point runs cold with the full budget and the full (non-refuting) hunt —
-    winners bit-identical to {!precision_sweep}.  With [sound_promote]
+    point runs cold, in the caller's grid order, with the full budget and
+    the full (non-refuting) hunt, and is never demoted: one search per η,
+    the curve of Figures 4(a–c) and 5(a).  When a search finds no
+    η-correct rewrite no slower than the target, the point reports the
+    target itself (speedup 1.0).  With [sound_promote]
     (default false) the {!static_prover} runs before every validation: a
     candidate whose sound static bound is ≤ η is promoted without
     spending any MCMC budget (a [sound_promotion] telemetry event marks
@@ -158,25 +152,6 @@ val frontier :
     snapshot fingerprint, so promotion-off runs keep reading historical
     checkpoints.  [checkpoint]/[resume] persist the walk across
     interruptions (see {!Search.Frontier.snapshot}). *)
-
-val precision_sweep :
-  ?config:Search.Optimizer.config ->
-  ?validate_results:bool ->
-  ?etas:Ulp.t list ->
-  ?tests:int ->
-  ?obs:Obs.Sink.t ->
-  seed:int64 ->
-  Sandbox.Spec.t ->
-  sweep_point list
-(** One search per η (Figures 4(a–c) and 5(a)).  When the search finds no
-    η-correct rewrite better than the target, the point reports the target
-    itself (speedup 1.0).  [obs] receives each search's stream followed
-    by a [sweep_point] summary event per η.
-
-    Since the frontier landed this is a thin wrapper over
-    {!Search.Frontier.run}'s cold mode: per-η winners are bit-identical
-    to the historical per-point implementation (same test set, same
-    per-point search, same fallback rule, same one-shot validation). *)
 
 val error_curve :
   Sandbox.Spec.t -> Program.t -> inputs:float array -> Ulp.t array

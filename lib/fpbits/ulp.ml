@@ -37,6 +37,10 @@ let of_float f =
   else if Stdlib.( < ) f 0x1p63 then Int64.of_float f
   else Int64.add Int64.min_int (Int64.of_float (f -. 0x1p63))
 
+let eta_of_float f =
+  if Stdlib.( >= ) f 0. then Ok (of_float f)
+  else Error (Printf.sprintf "%g is not a number >= 0" f)
+
 let to_string u = Printf.sprintf "%Lu" u
 
 let eta_single = 5_000_000_000L

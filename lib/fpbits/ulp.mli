@@ -41,6 +41,11 @@ val of_float : float -> t
 (** Clamping unsigned conversion: negatives map to [0L], values at or above
     2{^64} map to {!max_value}.  Useful for user-facing η given as [1e12]. *)
 
+val eta_of_float : float -> (t, string) result
+(** A user-supplied precision budget η: any number ≥ 0, [+∞] included,
+    converted with {!of_float}.  NaN and negatives are errors rather
+    than silently clamped to [0L]. *)
+
 val to_string : t -> string
 (** Unsigned decimal rendering. *)
 

@@ -263,8 +263,17 @@ let read_snapshot ~spec ~path =
 
 (* ---------- the walk ---------- *)
 
-let run ?(obs = Obs.Sink.null) ?validator ?prover ?on_point ?checkpoint
-    ?resume ~tests ~etas cfg spec =
+let run ?(obs = Obs.Sink.null) ?validator ?prover ?checkpoint ?resume ~tests
+    ~etas cfg spec =
+  if etas = [] then invalid_arg "Frontier.run: empty eta grid";
+  if not (cfg.warm_frac > 0. && cfg.warm_frac <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Frontier.run: warm_frac %g is not in (0, 1]"
+         cfg.warm_frac);
+  if cfg.max_demotions < 0 then
+    invalid_arg
+      (Printf.sprintf "Frontier.run: max_demotions %d is negative"
+         cfg.max_demotions);
   let observing = Obs.Sink.enabled obs in
   let search = cfg.search in
   let walk =
@@ -407,7 +416,6 @@ let run ?(obs = Obs.Sink.null) ?validator ?prover ?on_point ?checkpoint
     points_rev := p :: !points_rev;
     promote p;
     emit_point ~pass:"forward" p;
-    (match on_point with Some f -> f p | None -> ());
     match checkpoint with
     | None -> ()
     | Some path ->

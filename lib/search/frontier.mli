@@ -23,13 +23,12 @@
 
     The driver lives in [lib/search] and therefore cannot call
     [lib/validate] (dependencies point strictly downward); callers inject
-    validation as a closure.  {!Stoke.frontier} wires in the incremental
-    MCMC validator; [validator = None] skips validation entirely.
+    validation as a closure.  {!Stoke.frontier} wires in the MCMC
+    validator; [validator = None] skips validation entirely.
 
-    With [warm = false] the walk degenerates to today's per-point sweep:
-    each η runs {!Optimizer.run} cold on the caller's grid order with the
-    caller's full budget, no demotion, no RNG threading — bit-identical
-    winners to the historical [Stoke.precision_sweep]. *)
+    With [warm = false] the walk is the per-point sweep of the paper's
+    Figures 4–5: each η runs {!Optimizer.run} cold on the caller's grid
+    order with the caller's full budget, no demotion, no RNG threading. *)
 
 type check = {
   observed_err : Ulp.t;  (** largest error the validator observed *)
@@ -160,7 +159,6 @@ val run :
   ?obs:Obs.Sink.t ->
   ?validator:validator ->
   ?prover:prover ->
-  ?on_point:(point -> unit) ->
   ?checkpoint:string ->
   ?resume:snapshot ->
   tests:Sandbox.Testcase.t array ->
@@ -169,11 +167,11 @@ val run :
   Sandbox.Spec.t ->
   result
 (** Walk the grid.  [etas] is sorted tight-to-loose for the warm walk
-    and taken in caller order when [config.warm] is false.  [on_point]
-    fires after each point settles (promotion or fallback), in walk
-    order — the hook for legacy [sweep_point] events and incremental
-    printing.  [checkpoint] names a file rewritten atomically after
-    every settled point; [resume] continues from a snapshot read back
+    and taken in caller order when [config.warm] is false.  Raises
+    [Invalid_argument] before any search when [etas] is empty,
+    [config.warm_frac] is not in (0, 1] or [config.max_demotions] is
+    negative.  [checkpoint] names
+    a file rewritten atomically after every settled point; [resume] continues from a snapshot read back
     with {!read_snapshot} (raises [Invalid_argument] on a fingerprint
     mismatch or when the completed points are not a prefix of this
     walk).  When a [prover] is injected it runs before the validator at

@@ -102,6 +102,19 @@ let req_float_field j key =
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "%s: expected a number" key))
 
+(* η and the proposal budget must also make sense: a negative or NaN η
+   would run as η = 0 under a memo key of its own *)
+let eta_field j key =
+  let* f = req_float_field j key in
+  match Ulp.eta_of_float f with
+  | Ok _ -> Ok f
+  | Error e -> Error (Printf.sprintf "%s: %s" key e)
+
+let proposals_field j =
+  let* n = int_field ~default:200_000 j "proposals" in
+  if n >= 0 then Ok n
+  else Error (Printf.sprintf "proposals: %d is not an integer >= 0" n)
+
 let request_of_json j =
   match j with
   | Obs.Json.Obj _ -> (
@@ -128,14 +141,14 @@ let request_of_json j =
     | Some "shutdown" -> mk_control Shutdown
     | Some "optimize" ->
       let* kernel = kernel_req () in
-      let* eta = req_float_field j "eta" in
-      let* proposals = int_field ~default:200_000 j "proposals" in
+      let* eta = eta_field j "eta" in
+      let* proposals = proposals_field j in
       let* seed = int_field ~default:1 j "seed" in
       let* domains = int_field ~default:1 j "domains" in
       mk kernel (Optimize { eta; proposals; seed; domains })
     | Some "frontier" -> (
       let* kernel = kernel_req () in
-      let* proposals = int_field ~default:200_000 j "proposals" in
+      let* proposals = proposals_field j in
       let* seed = int_field ~default:1 j "seed" in
       match Obs.Json.member "etas" j with
       | Some (Obs.Json.List l) -> (
@@ -143,15 +156,20 @@ let request_of_json j =
         match (etas, List.exists Option.is_none etas) with
         | [], _ | _, true ->
           Error "frontier: etas must be a non-empty list of numbers"
-        | _, false ->
-          mk kernel
-            (Frontier
-               { etas = List.filter_map Fun.id etas; proposals; seed }))
+        | _, false -> (
+          let etas = List.filter_map Fun.id etas in
+          let invalid f =
+            Result.fold ~ok:(fun _ -> None) ~error:Option.some
+              (Ulp.eta_of_float f)
+          in
+          match List.find_map invalid etas with
+          | Some e -> Error ("etas: " ^ e)
+          | None -> mk kernel (Frontier { etas; proposals; seed })))
       | Some _ -> Error "frontier: etas must be a list"
       | None -> Error "frontier: missing etas list")
     | Some "validate" -> (
       let* kernel = kernel_req () in
-      let* eta = req_float_field j "eta" in
+      let* eta = eta_field j "eta" in
       let* seed = int_field ~default:1 j "seed" in
       match str_field j "rewrite" with
       | Some rw when rw <> "" -> mk kernel (Validate { eta; rewrite = rw; seed })

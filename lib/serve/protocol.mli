@@ -46,7 +46,10 @@ val request_of_json : Obs.Json.t -> (request, string) result
     but unparseable ([proposals], [seed], [domains], [deadline_s],
     [etas] entries) is an [Error], never a silent default — a mistyped
     request must not run an expensive job with parameters the client
-    never asked for.  Absent optional fields still default
+    never asked for.  Values must make sense too: [eta] and every
+    [etas] entry must pass {!Ulp.eta_of_float} (≥ 0, not NaN), and
+    [proposals] must be ≥ 0 ([domains] is left to the server, which
+    clamps it).  Absent optional fields still default
     ([proposals] 200k, [seed] 1, [domains] 1, tenant
     {!default_tenant}). *)
 

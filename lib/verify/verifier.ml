@@ -47,6 +47,12 @@ let sound_ulps = function
   | Taylor_bound a -> Some a.Taylor.sound_ulps
   | Static_bound r -> Some r.Interval.bound_ulps
 
+let tier_name = function
+  | Proved_bitwise -> "bitwise"
+  | Taylor_bound _ -> "taylor"
+  | Static_bound _ -> "interval"
+  | Refuted_bitwise | Not_verifiable _ -> "-"
+
 let outcome_to_string = function
   | Proved_bitwise -> "proved bit-wise equivalent (uninterpreted functions)"
   | Refuted_bitwise -> "not bit-wise equivalent"

@@ -38,4 +38,8 @@ val sound_ulps : outcome -> float option
 (** The sound scaled-ULP bound the outcome certifies, if any ([Some 0.]
     for a bit-wise proof). *)
 
+val tier_name : outcome -> string
+(** The tier that certified the outcome: ["bitwise"], ["taylor"],
+    ["interval"], or ["-"] when none did. *)
+
 val outcome_to_string : outcome -> string

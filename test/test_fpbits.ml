@@ -104,6 +104,17 @@ let ulp_tests =
         Alcotest.(check int64) "0" 0L (Ulp.of_float (-5.)));
     Alcotest.test_case "of_float clamps huge" `Quick (fun () ->
         Alcotest.(check int64) "max" Ulp.max_value (Ulp.of_float 1e40));
+    Alcotest.test_case "eta_of_float rejects NaN and negatives" `Quick
+      (fun () ->
+        let ok f = Result.is_ok (Ulp.eta_of_float f) in
+        Alcotest.(check bool) "-1" false (ok (-1.));
+        Alcotest.(check bool) "-inf" false (ok Float.neg_infinity);
+        Alcotest.(check bool) "nan" false (ok Float.nan);
+        Alcotest.(check bool) "-0" true (ok (-0.));
+        Alcotest.(check bool) "1e6" true (ok 1e6);
+        Alcotest.(check bool)
+          "+inf is the ceiling" true
+          (Ulp.eta_of_float Float.infinity = Ok Ulp.max_value));
     Alcotest.test_case "eta constants ordered" `Quick (fun () ->
         Alcotest.(check bool)
           "single < half" true

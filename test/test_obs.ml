@@ -298,7 +298,7 @@ let sink_tests =
       (fun () ->
         let ev =
           {
-            Obs.Sink.name = "sweep_point";
+            Obs.Sink.name = "frontier_point";
             t_ms = 0.25;
             fields =
               [

@@ -1684,6 +1684,36 @@ let frontier_tests =
           (fun () ->
             ignore
               (Search.Frontier.run ~resume:stale ~tests ~etas:grid other spec)));
+    Alcotest.test_case "nonsensical walk parameters rejected before any search"
+      `Quick (fun () ->
+        (* warm_frac 2 once spent 190% of the cold budget *)
+        let tests = Stoke.make_tests ~n:4 ~seed:1L spec in
+        let cfg = frontier_cfg ~proposals:1_000 ~seed:1L () in
+        let events = ref 0 in
+        let obs = Obs.Sink.callback (fun _ -> incr events) in
+        let reject what cfg =
+          match Search.Frontier.run ~obs ~tests ~etas cfg spec with
+          | _ -> Alcotest.failf "accepted %s" what
+          | exception Invalid_argument _ -> ()
+        in
+        reject "warm_frac 2" { cfg with Search.Frontier.warm_frac = 2. };
+        reject "warm_frac 0" { cfg with Search.Frontier.warm_frac = 0. };
+        reject "warm_frac nan" { cfg with Search.Frontier.warm_frac = Float.nan };
+        reject "negative max_demotions"
+          { cfg with Search.Frontier.max_demotions = -1 };
+        (match Search.Frontier.run ~obs ~tests ~etas:[] cfg spec with
+         | _ -> Alcotest.fail "accepted an empty grid"
+         | exception Invalid_argument _ -> ());
+        Alcotest.(check int) "no event, no search" 0 !events;
+        (* the bounds themselves are walkable *)
+        let r =
+          Search.Frontier.run ~tests ~etas
+            { cfg with Search.Frontier.warm_frac = 1.; max_demotions = 0 }
+            spec
+        in
+        Alcotest.(check bool)
+          "warm walk within the cold budget" true
+          (r.Search.Frontier.total_proposals <= r.Search.Frontier.cold_budget));
   ]
 
 (* Pareto-set invariants, driven by random (latency, error) clouds: the

@@ -193,6 +193,29 @@ let protocol_tests =
           {|{"op":"validate","kernel":"add","rewrite":"addsd xmm0, xmm1"}|};
         reject "frontier with a non-numeric eta"
           {|{"op":"frontier","kernel":"add","etas":[0,"tight"]}|};
+        (* nonsensical values: a negative or NaN eta used to run as
+           eta = 0 under a memo key of its own, a negative budget ran *)
+        reject "negative eta" {|{"op":"optimize","kernel":"add","eta":-1}|};
+        reject "NaN eta" {|{"op":"optimize","kernel":"add","eta":NaN}|};
+        reject "minus-infinity eta"
+          {|{"op":"optimize","kernel":"add","eta":-Infinity}|};
+        reject "negative proposals"
+          {|{"op":"optimize","kernel":"add","eta":0,"proposals":-5}|};
+        reject "validate with a negative eta"
+          {|{"op":"validate","kernel":"add","eta":-1,"rewrite":"addsd xmm0, xmm1"}|};
+        reject "frontier with a negative eta"
+          {|{"op":"frontier","kernel":"add","etas":[0,-1]}|};
+        reject "frontier with a NaN eta"
+          {|{"op":"frontier","kernel":"add","etas":[NaN]}|};
+        reject "frontier with negative proposals"
+          {|{"op":"frontier","kernel":"add","etas":[0],"proposals":-5}|};
+        (* an unbounded eta is still a budget *)
+        (match
+           Serve.Protocol.request_of_string
+             {|{"op":"optimize","kernel":"add","eta":Infinity}|}
+         with
+         | Ok _ -> ()
+         | Error e -> Alcotest.failf "rejected eta = +inf: %s" e);
         (* absent optional fields still default *)
         match
           Serve.Protocol.request_of_string

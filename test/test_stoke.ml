@@ -84,23 +84,25 @@ let sweep_tests =
     Alcotest.test_case "sweep structure and monotonicity" `Slow (fun () ->
         let etas = [ 1L; Ulp.of_float 1e8; Ulp.of_float 1e16 ] in
         let points =
-          Stoke.precision_sweep ~config:(small_config 25_000) ~etas ~tests:16
-            ~seed:3L Kernels.S3d.exp_spec
+          (Stoke.frontier ~warm:false ~validate_results:false
+             ~config:(small_config 25_000) ~etas ~tests:16 ~seed:3L
+             Kernels.S3d.exp_spec)
+            .Search.Frontier.points
         in
         Alcotest.(check int) "three points" 3 (List.length points);
         List.iter
-          (fun (p : Stoke.sweep_point) ->
-            Alcotest.(check bool) "speedup >= 1" true (p.Stoke.speedup >= 1.0);
+          (fun (p : Search.Frontier.point) ->
+            Alcotest.(check bool) "speedup >= 1" true (p.speedup >= 1.0);
             Alcotest.(check bool)
               "loc <= target" true
-              (p.Stoke.loc <= Program.length Kernels.S3d.exp_program))
+              (p.loc <= Program.length Kernels.S3d.exp_program))
           points;
         (* the largest-eta point should be no slower than the strictest *)
         let first = List.hd points in
         let last = List.nth points 2 in
         Alcotest.(check bool)
           "looser eta at least as fast" true
-          (last.Stoke.speedup >= first.Stoke.speedup));
+          (last.Search.Frontier.speedup >= first.Search.Frontier.speedup));
     Alcotest.test_case "default eta grid spans 1 to 1e18" `Quick (fun () ->
         Alcotest.(check int) "ten points" 10 (List.length Stoke.default_etas);
         Alcotest.(check int64) "first" 1L (List.hd Stoke.default_etas);
