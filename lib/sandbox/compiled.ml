@@ -11,11 +11,27 @@
    instead of threading a [result] through every step.  The run loop is
    then just an array of [unit -> unit] calls.
 
+   Flat closures.  Every operand shape of the built-in kernels, with the
+   other register, immediate and [base+disp] forms of the same opcodes —
+   scalar f64/f32 arithmetic on xmm or [base+disp] sources, the
+   xmm/gp/memory moves, [mov]/[movabs] of an immediate, the int<->double
+   converts, and GP add/sub/logic/shift on an immediate or register —
+   translates to one closure whose load, operation, flag update and store
+   are a single expression over the register file.  OCaml keeps
+   [int64] and [float] unboxed inside one expression but boxes them at
+   every call it cannot inline, and without flambda it inlines neither a
+   closure call nor, when the library is built with [-opaque] (dune's dev
+   profile), any call into another module of this library.  So the flat
+   closures use only stdlib externals and the [@inline] value helpers
+   below, each of which names the {!Semantics} (or {!Memory}) function it
+   mirrors: flags, parity, conversions, rounding, the bounds check.  A
+   run of flat closures allocates nothing per instruction.
+
    Bit-identical by construction: every closure mirrors the corresponding
    arm of {!Semantics.step} — same read order, same fault order, same
-   fault messages — and all value-level arithmetic (flag computation,
-   rounding, lane plumbing) is shared with the interpreter via
-   {!Semantics}'s exported helpers.  Opcodes without a specialized
+   fault messages.  Rare shapes keep the generic operand combinators,
+   which share value-level arithmetic with the interpreter through
+   {!Semantics}'s exported helpers, and opcodes without a specialized
    translation fall back to a closure around [Semantics.step] itself, so
    the two engines cannot diverge on them. *)
 
@@ -38,6 +54,207 @@ let[@inline] set regs o v = Bytes.set_int64_le regs o v
 
 let lo32 = 0xffff_ffffL
 let hi32_mask = 0xffff_ffff_0000_0000L
+let nop () = ()
+
+(* ----- value helpers of the flat closures ----- *)
+
+(* A register's low quad as a double, and back (Machine.get_f64/set_f64). *)
+let[@inline] getf regs o = Int64.float_of_bits (get regs o)
+let[@inline] setf regs o x = set regs o (Int64.bits_of_float x)
+
+(* A register's low dword as a single (Machine.get_f32), and a double
+   stored there rounded to single, the upper dword kept
+   (Machine.set_f32 of Fp32.round: the conversion rounds). *)
+let[@inline] getf32 regs o = Int32.float_of_bits (Bytes.get_int32_le regs o)
+let[@inline] setf32 regs o x = Bytes.set_int32_le regs o (Int32.bits_of_float x)
+
+(* A GP register read at L width, zero- and sign-extended
+   (Machine.get_gp32, Semantics.signed L). *)
+let[@inline] get32 regs o = Int64.logand (get regs o) lo32
+let[@inline] sext32 regs o = Int64.of_int32 (Bytes.get_int32_le regs o)
+let[@inline] zext32 x = Int64.logand (Int64.of_int32 x) lo32
+
+(* Unsigned [a < b] and [a <= b] (Int64.unsigned_compare). *)
+let[@inline] ult a b = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+let[@inline] ule a b = Int64.sub a Int64.min_int <= Int64.sub b Int64.min_int
+
+(* Semantics.parity: PF is set when the low byte has an even popcount. *)
+let[@inline] parity v =
+  let b = Int64.to_int v land 0xff in
+  let b = b lxor (b lsr 4) in
+  let b = b lxor (b lsr 2) in
+  (b lxor (b lsr 1)) land 1 = 0
+
+let[@inline] msb32 v = not (Int64.equal (Int64.logand v 0x8000_0000L) 0L)
+
+(* Semantics.set_add_flags / set_sub_flags / set_logic_flags at Q and at L
+   width, for operands already read at that width (zero-extended). *)
+let[@inline] add_flags_q (f : Machine.flags) a b r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- r < 0L;
+  f.pf <- parity r;
+  f.cf <- ult r a || ult r b;
+  let sa = a < 0L and sb = b < 0L and sr = r < 0L in
+  f.o_f <- sa = sb && sr <> sa
+
+let[@inline] add_flags_l (f : Machine.flags) a b r =
+  let r = Int64.logand r lo32 in
+  f.zf <- Int64.equal r 0L;
+  f.sf <- msb32 r;
+  f.pf <- parity r;
+  f.cf <- ult r a;
+  let sa = msb32 a and sb = msb32 b and sr = msb32 r in
+  f.o_f <- sa = sb && sr <> sa
+
+let[@inline] sub_flags_q (f : Machine.flags) a b r =
+  f.zf <- Int64.equal r 0L;
+  f.sf <- r < 0L;
+  f.pf <- parity r;
+  f.cf <- ult a b;
+  let sa = a < 0L and sb = b < 0L and sr = r < 0L in
+  f.o_f <- sa <> sb && sr <> sa
+
+let[@inline] sub_flags_l (f : Machine.flags) a b r =
+  let r = Int64.logand r lo32 in
+  f.zf <- Int64.equal r 0L;
+  f.sf <- msb32 r;
+  f.pf <- parity r;
+  f.cf <- ult a b;
+  let sa = msb32 a and sb = msb32 b and sr = msb32 r in
+  f.o_f <- sa <> sb && sr <> sa
+
+let[@inline] logic_flags_q (f : Machine.flags) r =
+  f.cf <- false;
+  f.o_f <- false;
+  f.zf <- Int64.equal r 0L;
+  f.sf <- r < 0L;
+  f.pf <- parity r
+
+let[@inline] logic_flags_l (f : Machine.flags) r =
+  f.cf <- false;
+  f.o_f <- false;
+  f.zf <- Int64.equal (Int64.logand r lo32) 0L;
+  f.sf <- msb32 r;
+  f.pf <- parity r
+
+(* A GP instruction's flags and write-back in one: the interpreter's
+   [set_*_flags] then [write_int w dst (trunc w r)]. *)
+let[@inline] add_q f regs d a b =
+  let r = Int64.add a b in
+  add_flags_q f a b r;
+  set regs d r
+
+let[@inline] add_l f regs d a b =
+  let r = Int64.add a b in
+  add_flags_l f a b r;
+  set regs d (Int64.logand r lo32)
+
+let[@inline] sub_q f regs d a b =
+  let r = Int64.sub a b in
+  sub_flags_q f a b r;
+  set regs d r
+
+let[@inline] sub_l f regs d a b =
+  let r = Int64.sub a b in
+  sub_flags_l f a b r;
+  set regs d (Int64.logand r lo32)
+
+let[@inline] logic_q f regs d r =
+  logic_flags_q f r;
+  set regs d r
+
+let[@inline] logic_l f regs d r =
+  logic_flags_l f r;
+  set regs d (Int64.logand r lo32)
+
+(* Semantics.sse_min_f64 / sse_max_f64 (and Fp32.min / max): unordered or
+   equal operands give the source. *)
+let[@inline] fmin (old : float) x = if old < x then old else x
+let[@inline] fmax (old : float) x = if old > x then old else x
+
+(* Semantics.rint_even: round to nearest, ties to even.  Float.is_integer
+   is spelled out: the stdlib call is not inlined and boxes [x]. *)
+let[@inline] rint_even x =
+  if Float.is_nan x || (x = Float.trunc x && x -. x = 0.) then x
+  else begin
+    let lo = Float.floor x in
+    let hi = Float.ceil x in
+    let dlo = x -. lo and dhi = hi -. x in
+    if dlo < dhi then lo
+    else if dhi < dlo then hi
+    else if Float.rem lo 2. = 0. then lo
+    else hi
+  end
+
+(* Semantics.f2i64 / f2i32: the x86 "integer indefinite" on overflow or
+   NaN; f2i32 is zero-extended. *)
+let[@inline] f2i64 x =
+  if Float.is_nan x || x >= 0x1p63 || x < -0x1p63 then Int64.min_int
+  else Int64.of_float x
+
+let[@inline] f2i32 x =
+  if Float.is_nan x || x >= 0x1p31 || x < -.0x1p31 then 0x8000_0000L
+  else Int64.logand (Int64.of_int32 (Int32.of_float x)) lo32
+
+(* ----- the arena, as the flat closures see it ----- *)
+
+(* A machine's memory never changes its bytes buffer, base or size, so
+   they are captured once at translation time. *)
+type arena = { data : Bytes.t; base : int64; size : int; mem : Memory.t }
+
+let arena mem =
+  { data = Memory.unsafe_bytes mem; base = Memory.base mem; size = Memory.size mem; mem }
+
+(* Memory.offset_exn: the arena offset of an [n]-byte access at [addr], or
+   the same [Out_of_bounds] fault. *)
+let[@inline] offset a n addr =
+  let off = Int64.sub addr a.base in
+  let lim = a.size - n in
+  if lim >= 0 && ule off (Int64.of_int lim) then Int64.to_int off
+  else raise (Memory.Fault_exn (Memory.Out_of_bounds addr))
+
+(* Memory.read_exn / write_exn at widths 8 and 4 (the dword raw, not
+   zero-extended); a store widens the arena's dirty range like
+   Memory.store does. *)
+let[@inline] load64 a addr = Bytes.get_int64_le a.data (offset a 8 addr)
+
+let[@inline] load32 a addr = Bytes.get_int32_le a.data (offset a 4 addr)
+
+let[@inline] store64 a addr v =
+  let off = offset a 8 addr in
+  Bytes.set_int64_le a.data off v;
+  Memory.mark a.mem off 8
+
+let[@inline] store32 a addr v =
+  let off = offset a 4 addr in
+  Bytes.set_int32_le a.data off v;
+  Memory.mark a.mem off 4
+
+let[@inline] loadf64 a addr = Int64.float_of_bits (load64 a addr)
+let[@inline] loadf32 a addr = Int32.float_of_bits (load32 a addr)
+
+(* Memory.read128_exn / write128_exn's alignment check. *)
+let[@inline] check_aligned aligned addr =
+  if aligned && not (Int64.equal (Int64.rem addr 16L) 0L) then
+    raise (Memory.Fault_exn (Memory.Misaligned addr))
+
+let[@inline] ea regs b disp = Int64.add (get regs b) disp
+
+(* An operand resolved at translation time, for the flat shapes' patterns. *)
+type loc =
+  | X of int  (** xmm register: byte offset *)
+  | G of int  (** GP register: byte offset *)
+  | I of int64  (** immediate *)
+  | M of int * int64  (** [base + disp]: the base register's offset, disp *)
+  | Other  (** any other addressing mode *)
+
+let loc (o : Operand.t) =
+  match o with
+  | Operand.Xmm r -> X (xi r)
+  | Operand.Gp r -> G (gi r)
+  | Operand.Imm v -> I v
+  | Operand.Mem { Operand.base = Some b; index = None; disp } -> M (gi b, Int64.of_int disp)
+  | Operand.Mem _ -> Other
 
 (* A fault known at compile time still fires in operand order at run
    time, so raising closures are built per slot below. *)
@@ -48,7 +265,10 @@ let generic_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   | Ok () -> ()
   | Error f -> raise (Fault f)
 
-let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
+(* The generic operand combinators: every shape without a flat closure.
+   They share value-level arithmetic with the interpreter through
+   {!Semantics}'s exported helpers. *)
+let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
   let regs = m.Machine.regs in
   let mem = m.Machine.mem in
   let ops = i.Instr.operands in
@@ -146,12 +366,6 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     | Operand.Gp _ | Operand.Imm _ ->
       fun () -> raise (Fault (Semantics.Sigill "bad 128-bit source"))
   in
-  let set_f32_at k v =
-    let bits32 = Int64.of_int32 (Int32.bits_of_float v) in
-    set regs k
-      (Int64.logor (Int64.logand (get regs k) hi32_mask) (Int64.logand bits32 lo32))
-  in
-  let get_f32_at k = Int32.float_of_bits (Int64.to_int32 (get regs k)) in
   (* ----- shared instruction templates ----- *)
   let bad_dst_after (pre : (unit -> unit) list) msg =
     fun () ->
@@ -176,7 +390,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let k = xi d in
       fun () ->
         let x = rx () in
-        set_f32_at k (f (get_f32_at k) x)
+        setf32 regs k (f (getf32 regs k) x)
     | _ -> bad_dst_after [ (fun () -> ignore (rx ())) ] "expected xmm destination"
   in
   let packed_bitop f =
@@ -286,10 +500,10 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       let dk = xi d and s2k = xi s2 in
       fun () ->
         let x3 = rx3 () in
-        let x2 = get_f32_at s2k in
-        let x1 = get_f32_at dk in
+        let x2 = getf32 regs s2k in
+        let x1 = getf32 regs dk in
         let a, b, c = pick x1 x2 x3 in
-        set_f32_at dk (Fp32.round (Float.fma a b c))
+        setf32 regs dk (Fp32.round (Float.fma a b c))
     | _ -> bad_dst_after [ (fun () -> ignore (rx3 ())) ] "expected xmm destination"
   in
   (* GP two-operand arithmetic: read dst, read src, flags, write —
@@ -380,25 +594,6 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       Semantics.set_sub_flags m w a 1L r;
       flags.Machine.cf <- saved_cf;
       wr (Semantics.trunc w r)
-  | Opcode.Shl w | Opcode.Shr w | Opcode.Sar w ->
-    (match ops.(0) with
-     | Operand.Imm c ->
-       let ra = read_int w dst and wr = write_int w dst in
-       let bits = match w with Reg.Q -> 64 | Reg.L -> 32 in
-       let c = Int64.to_int c land (if bits = 64 then 63 else 31) in
-       if c = 0 then fun () -> wr (Semantics.trunc w (ra ()))
-       else
-         let shift =
-           match i.Instr.op with
-           | Opcode.Shl _ -> fun a -> Int64.shift_left a c
-           | Opcode.Shr _ -> fun a -> Int64.shift_right_logical (Semantics.trunc w a) c
-           | _ -> fun a -> Int64.shift_right (Semantics.signed w a) c
-         in
-         fun () ->
-           let r = shift (ra ()) in
-           Semantics.set_logic_flags m w r;
-           wr (Semantics.trunc w r)
-     | _ -> fun () -> raise (Fault (Semantics.Sigill "expected immediate")))
   | Opcode.Cmp w ->
     let ra = read_int w dst and rb = read_int w ops.(0) in
     fun () ->
@@ -425,11 +620,6 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
   (* ----- SSE moves ----- *)
   | Opcode.Movss ->
     (match ops.(0), dst with
-     | Operand.Xmm s, Operand.Xmm d ->
-       let sk = xi s and dk = xi d in
-       fun () ->
-         let lo_s = Int64.logand (get regs sk) lo32 in
-         set regs dk (Int64.logor (Int64.logand (get regs dk) hi32_mask) lo_s)
      | Operand.Mem mm, Operand.Xmm d ->
        let ea = eff mm and dk = xi d in
        fun () ->
@@ -442,9 +632,6 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
      | _ -> fun () -> raise (Fault (Semantics.Sigill "movss operands")))
   | Opcode.Movsd ->
     (match ops.(0), dst with
-     | Operand.Xmm s, Operand.Xmm d ->
-       let sk = xi s and dk = xi d in
-       fun () -> set regs dk (get regs sk)
      | Operand.Mem mm, Operand.Xmm d ->
        let ea = eff mm and dk = xi d in
        fun () ->
@@ -478,24 +665,10 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        fun () ->
          set regs dk (rv ());
          set regs (dk + 8) 0L
-     | Operand.Xmm s, Operand.Gp d ->
-       let sk = xi s and dk = gi d in
-       fun () -> set regs dk (get regs sk)
      | Operand.Xmm s, Operand.Mem mm ->
        let ea = eff mm and sk = xi s in
        fun () -> Memory.write_exn mem (ea ()) 8 (get regs sk)
      | _ -> fun () -> raise (Fault (Semantics.Sigill "movq operands")))
-  | Opcode.Movd ->
-    (match ops.(0), dst with
-     | Operand.Gp s, Operand.Xmm d ->
-       let sk = gi s and dk = xi d in
-       fun () ->
-         set regs dk (Int64.logand (get regs sk) lo32);
-         set regs (dk + 8) 0L
-     | Operand.Xmm s, Operand.Gp d ->
-       let sk = xi s and dk = gi d in
-       fun () -> set regs dk (Int64.logand (get regs sk) lo32)
-     | _ -> fun () -> raise (Fault (Semantics.Sigill "movd operands")))
   | Opcode.Movlhps ->
     (match ops.(0), dst with
      | Operand.Xmm s, Operand.Xmm d ->
@@ -539,7 +712,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        let dk = xi d in
        fun () ->
          let s = rs () in
-         Semantics.set_fp_compare_flags m (get_f32_at dk) s
+         Semantics.set_fp_compare_flags m (getf32 regs dk) s
      | _ -> bad_dst_after [ (fun () -> ignore (rs ())) ] "expected xmm destination")
   (* ----- packed logic / integer ----- *)
   | Opcode.Andps | Opcode.Andpd | Opcode.Pand -> packed_bitop Int64.logand
@@ -572,7 +745,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     (match dst with
      | Operand.Xmm d ->
        let dk = xi d in
-       fun () -> set_f32_at dk (Fp32.round (rx ()))
+       fun () -> setf32 regs dk (Fp32.round (rx ()))
      | _ -> bad_dst_after [ (fun () -> ignore (rx ())) ] "expected xmm destination")
   | Opcode.Cvtsi2sd w ->
     let rv = read_int w ops.(0) in
@@ -589,20 +762,12 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
      | Operand.Xmm d ->
        let dk = xi d in
        fun () ->
-         set_f32_at dk (Fp32.round (Int64.to_float (Semantics.signed w (rv ()))))
+         setf32 regs dk (Fp32.round (Int64.to_float (Semantics.signed w (rv ()))))
      | _ -> bad_dst_after [ (fun () -> ignore (rv ())) ] "expected xmm destination")
-  | Opcode.Cvttsd2si w ->
-    let rx = read_f64 ops.(0) and wr = write_int w dst in
-    let conv = match w with Reg.Q -> Semantics.f2i64 | Reg.L -> Semantics.f2i32 in
-    fun () -> wr (conv (Float.trunc (rx ())))
   | Opcode.Cvttss2si w ->
     let rx = read_f32 ops.(0) and wr = write_int w dst in
     let conv = match w with Reg.Q -> Semantics.f2i64 | Reg.L -> Semantics.f2i32 in
     fun () -> wr (conv (Float.trunc (rx ())))
-  | Opcode.Cvtsd2si w ->
-    let rx = read_f64 ops.(0) and wr = write_int w dst in
-    let conv = match w with Reg.Q -> Semantics.f2i64 | Reg.L -> Semantics.f2i32 in
-    fun () -> wr (conv (Semantics.rint_even (rx ())))
   | Opcode.Roundsd ->
     (match ops.(0) with
      | Operand.Imm mode ->
@@ -635,7 +800,7 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
        (match dst with
         | Operand.Xmm d ->
           let dk = xi d in
-          fun () -> set_f32_at dk (Fp32.round (round (rx ())))
+          fun () -> setf32 regs dk (Fp32.round (round (rx ())))
         | _ ->
           bad_dst_after [ (fun () -> ignore (rx ())) ] "expected xmm destination")
      | _ -> fun () -> raise (Fault (Semantics.Sigill "expected immediate")))
@@ -680,12 +845,186 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
   | Opcode.Vfmadd231ss -> fma_f32 (fun x1 x2 x3 -> (x2, x3, x1))
   (* Shuffles, packed 32-bit integer ops, and vector shifts are rare in
      FP kernels; they run through the reference interpreter, which keeps
-     them bit-identical by construction. *)
-  | Opcode.Shufps | Opcode.Pshufd | Opcode.Pshuflw | Opcode.Punpckldq
-  | Opcode.Punpcklqdq | Opcode.Unpcklps | Opcode.Unpcklpd | Opcode.Paddd
+     them bit-identical by construction.  So do the ill-formed instances
+     of the opcodes whose every well-formed shape is a flat closure. *)
+  | Opcode.Shl _ | Opcode.Shr _ | Opcode.Sar _ | Opcode.Movd | Opcode.Cvttsd2si _
+  | Opcode.Cvtsd2si _ | Opcode.Shufps | Opcode.Pshufd | Opcode.Pshuflw
+  | Opcode.Punpckldq | Opcode.Punpcklqdq | Opcode.Unpcklps | Opcode.Unpcklpd | Opcode.Paddd
   | Opcode.Psubd | Opcode.Pslld | Opcode.Psrld | Opcode.Psllq | Opcode.Psrlq
   | Opcode.Vpshuflw ->
     fallback ()
+
+(* The flat closures, one per arm; any other shape falls through to the
+   generic combinators, so a flat translation allocates none of their
+   closures. *)
+let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
+  let regs = m.Machine.regs in
+  let flags = m.Machine.flags in
+  let a = arena m.Machine.mem in
+  let ops = i.Instr.operands in
+  let dst = ops.(Array.length ops - 1) in
+  match i.Instr.op, loc ops.(0), loc dst with
+  (* ----- flat shapes: one expression per closure, nothing boxed ----- *)
+  (* GP moves and arithmetic: read dst, read src, flags, write — exactly
+     the interpreter's order. *)
+  | (Opcode.Mov Reg.Q | Opcode.Movabs), I v, G d -> fun () -> set regs d v
+  | Opcode.Mov Reg.L, I v, G d ->
+    let v = Int64.logand v lo32 in
+    fun () -> set regs d v
+  | Opcode.Mov Reg.Q, G s, G d -> fun () -> set regs d (get regs s)
+  | Opcode.Mov Reg.L, G s, G d -> fun () -> set regs d (get32 regs s)
+  | Opcode.Add Reg.Q, I b, G d -> fun () -> add_q flags regs d (get regs d) b
+  | Opcode.Add Reg.Q, G s, G d -> fun () -> add_q flags regs d (get regs d) (get regs s)
+  | Opcode.Add Reg.L, I b, G d ->
+    let b = Int64.logand b lo32 in
+    fun () -> add_l flags regs d (get32 regs d) b
+  | Opcode.Add Reg.L, G s, G d -> fun () -> add_l flags regs d (get32 regs d) (get32 regs s)
+  | Opcode.Sub Reg.Q, I b, G d -> fun () -> sub_q flags regs d (get regs d) b
+  | Opcode.Sub Reg.Q, G s, G d -> fun () -> sub_q flags regs d (get regs d) (get regs s)
+  | Opcode.Sub Reg.L, I b, G d ->
+    let b = Int64.logand b lo32 in
+    fun () -> sub_l flags regs d (get32 regs d) b
+  | Opcode.Sub Reg.L, G s, G d -> fun () -> sub_l flags regs d (get32 regs d) (get32 regs s)
+  | Opcode.And Reg.Q, I b, G d -> fun () -> logic_q flags regs d (Int64.logand (get regs d) b)
+  | Opcode.And Reg.Q, G s, G d ->
+    fun () -> logic_q flags regs d (Int64.logand (get regs d) (get regs s))
+  | Opcode.And Reg.L, I b, G d ->
+    let b = Int64.logand b lo32 in
+    fun () -> logic_l flags regs d (Int64.logand (get32 regs d) b)
+  | Opcode.And Reg.L, G s, G d ->
+    fun () -> logic_l flags regs d (Int64.logand (get32 regs d) (get32 regs s))
+  | Opcode.Or Reg.Q, I b, G d -> fun () -> logic_q flags regs d (Int64.logor (get regs d) b)
+  | Opcode.Or Reg.Q, G s, G d ->
+    fun () -> logic_q flags regs d (Int64.logor (get regs d) (get regs s))
+  | Opcode.Or Reg.L, I b, G d ->
+    let b = Int64.logand b lo32 in
+    fun () -> logic_l flags regs d (Int64.logor (get32 regs d) b)
+  | Opcode.Or Reg.L, G s, G d ->
+    fun () -> logic_l flags regs d (Int64.logor (get32 regs d) (get32 regs s))
+  | Opcode.Xor Reg.Q, I b, G d -> fun () -> logic_q flags regs d (Int64.logxor (get regs d) b)
+  | Opcode.Xor Reg.Q, G s, G d ->
+    fun () -> logic_q flags regs d (Int64.logxor (get regs d) (get regs s))
+  | Opcode.Xor Reg.L, I b, G d ->
+    let b = Int64.logand b lo32 in
+    fun () -> logic_l flags regs d (Int64.logxor (get32 regs d) b)
+  | Opcode.Xor Reg.L, G s, G d ->
+    fun () -> logic_l flags regs d (Int64.logxor (get32 regs d) (get32 regs s))
+  | (Opcode.Shl w | Opcode.Shr w | Opcode.Sar w), I c, G d ->
+    (* a masked count of 0 writes the register back and leaves the flags *)
+    let c = Int64.to_int c land (match w with Reg.Q -> 63 | Reg.L -> 31) in
+    (match i.Instr.op, w with
+     | _, Reg.Q when c = 0 -> nop
+     | _, Reg.L when c = 0 -> fun () -> set regs d (get32 regs d)
+     | Opcode.Shl _, Reg.Q -> fun () -> logic_q flags regs d (Int64.shift_left (get regs d) c)
+     | Opcode.Shl _, Reg.L ->
+       fun () -> logic_l flags regs d (Int64.shift_left (get32 regs d) c)
+     | Opcode.Shr _, Reg.Q ->
+       fun () -> logic_q flags regs d (Int64.shift_right_logical (get regs d) c)
+     | Opcode.Shr _, Reg.L ->
+       fun () -> logic_l flags regs d (Int64.shift_right_logical (get32 regs d) c)
+     | _, Reg.Q -> fun () -> logic_q flags regs d (Int64.shift_right (get regs d) c)
+     | _, Reg.L -> fun () -> logic_l flags regs d (Int64.shift_right (sext32 regs d) c))
+  (* SSE moves.  A load faults before anything is written. *)
+  | Opcode.Movss, X s, X d -> fun () -> Bytes.set_int32_le regs d (Bytes.get_int32_le regs s)
+  | Opcode.Movss, M (b, disp), X d ->
+    fun () ->
+      set regs d (zext32 (load32 a (ea regs b disp)));
+      set regs (d + 8) 0L
+  | Opcode.Movss, X s, M (b, disp) ->
+    fun () -> store32 a (ea regs b disp) (Bytes.get_int32_le regs s)
+  | Opcode.Movsd, X s, X d -> fun () -> set regs d (get regs s)
+  | (Opcode.Movsd | Opcode.Movq), M (b, disp), X d ->
+    fun () ->
+      set regs d (load64 a (ea regs b disp));
+      set regs (d + 8) 0L
+  | (Opcode.Movsd | Opcode.Movq), X s, M (b, disp) ->
+    fun () -> store64 a (ea regs b disp) (get regs s)
+  | Opcode.Movq, (X s | G s), X d ->
+    fun () ->
+      set regs d (get regs s);
+      set regs (d + 8) 0L
+  | Opcode.Movq, X s, G d -> fun () -> set regs d (get regs s)
+  | Opcode.Movd, G s, X d ->
+    fun () ->
+      set regs d (get32 regs s);
+      set regs (d + 8) 0L
+  | Opcode.Movd, X s, G d -> fun () -> set regs d (get32 regs s)
+  | (Opcode.Movaps | Opcode.Movups | Opcode.Lddqu), X s, X d ->
+    fun () ->
+      set regs d (get regs s);
+      set regs (d + 8) (get regs (s + 8))
+  | (Opcode.Movaps | Opcode.Movups | Opcode.Lddqu), M (b, disp), X d ->
+    let aligned = i.Instr.op = Opcode.Movaps in
+    fun () ->
+      let addr = ea regs b disp in
+      check_aligned aligned addr;
+      let lo = load64 a addr in
+      let hi = load64 a (Int64.add addr 8L) in
+      set regs d lo;
+      set regs (d + 8) hi
+  | (Opcode.Movaps | Opcode.Movups | Opcode.Lddqu), X s, M (b, disp) ->
+    let aligned = i.Instr.op = Opcode.Movaps in
+    fun () ->
+      let addr = ea regs b disp in
+      check_aligned aligned addr;
+      store64 a addr (get regs s);
+      store64 a (Int64.add addr 8L) (get regs (s + 8))
+  (* scalar f64: dst op= src *)
+  | Opcode.Addsd, X s, X d -> fun () -> setf regs d (getf regs d +. getf regs s)
+  | Opcode.Addsd, M (b, disp), X d ->
+    fun () -> setf regs d (getf regs d +. loadf64 a (ea regs b disp))
+  | Opcode.Subsd, X s, X d -> fun () -> setf regs d (getf regs d -. getf regs s)
+  | Opcode.Subsd, M (b, disp), X d ->
+    fun () -> setf regs d (getf regs d -. loadf64 a (ea regs b disp))
+  | Opcode.Mulsd, X s, X d -> fun () -> setf regs d (getf regs d *. getf regs s)
+  | Opcode.Mulsd, M (b, disp), X d ->
+    fun () -> setf regs d (getf regs d *. loadf64 a (ea regs b disp))
+  | Opcode.Divsd, X s, X d -> fun () -> setf regs d (getf regs d /. getf regs s)
+  | Opcode.Divsd, M (b, disp), X d ->
+    fun () -> setf regs d (getf regs d /. loadf64 a (ea regs b disp))
+  | Opcode.Minsd, X s, X d -> fun () -> setf regs d (fmin (getf regs d) (getf regs s))
+  | Opcode.Minsd, M (b, disp), X d ->
+    fun () -> setf regs d (fmin (getf regs d) (loadf64 a (ea regs b disp)))
+  | Opcode.Maxsd, X s, X d -> fun () -> setf regs d (fmax (getf regs d) (getf regs s))
+  | Opcode.Maxsd, M (b, disp), X d ->
+    fun () -> setf regs d (fmax (getf regs d) (loadf64 a (ea regs b disp)))
+  | Opcode.Sqrtsd, X s, X d -> fun () -> setf regs d (Float.sqrt (getf regs s))
+  | Opcode.Sqrtsd, M (b, disp), X d ->
+    fun () -> setf regs d (Float.sqrt (loadf64 a (ea regs b disp)))
+  (* scalar f32: computed in double, rounded once by the store *)
+  | Opcode.Addss, X s, X d -> fun () -> setf32 regs d (getf32 regs d +. getf32 regs s)
+  | Opcode.Addss, M (b, disp), X d ->
+    fun () -> setf32 regs d (getf32 regs d +. loadf32 a (ea regs b disp))
+  | Opcode.Subss, X s, X d -> fun () -> setf32 regs d (getf32 regs d -. getf32 regs s)
+  | Opcode.Subss, M (b, disp), X d ->
+    fun () -> setf32 regs d (getf32 regs d -. loadf32 a (ea regs b disp))
+  | Opcode.Mulss, X s, X d -> fun () -> setf32 regs d (getf32 regs d *. getf32 regs s)
+  | Opcode.Mulss, M (b, disp), X d ->
+    fun () -> setf32 regs d (getf32 regs d *. loadf32 a (ea regs b disp))
+  | Opcode.Divss, X s, X d -> fun () -> setf32 regs d (getf32 regs d /. getf32 regs s)
+  | Opcode.Divss, M (b, disp), X d ->
+    fun () -> setf32 regs d (getf32 regs d /. loadf32 a (ea regs b disp))
+  | Opcode.Minss, X s, X d -> fun () -> setf32 regs d (fmin (getf32 regs d) (getf32 regs s))
+  | Opcode.Minss, M (b, disp), X d ->
+    fun () -> setf32 regs d (fmin (getf32 regs d) (loadf32 a (ea regs b disp)))
+  | Opcode.Maxss, X s, X d -> fun () -> setf32 regs d (fmax (getf32 regs d) (getf32 regs s))
+  | Opcode.Maxss, M (b, disp), X d ->
+    fun () -> setf32 regs d (fmax (getf32 regs d) (loadf32 a (ea regs b disp)))
+  | Opcode.Sqrtss, X s, X d -> fun () -> setf32 regs d (Float.sqrt (getf32 regs s))
+  | Opcode.Sqrtss, M (b, disp), X d ->
+    fun () -> setf32 regs d (Float.sqrt (loadf32 a (ea regs b disp)))
+  (* int <-> double converts *)
+  | Opcode.Cvtsi2sd Reg.Q, G s, X d -> fun () -> setf regs d (Int64.to_float (get regs s))
+  | Opcode.Cvtsi2sd Reg.L, G s, X d -> fun () -> setf regs d (Int64.to_float (sext32 regs s))
+  | Opcode.Cvtsi2sd Reg.Q, M (b, disp), X d ->
+    fun () -> setf regs d (Int64.to_float (load64 a (ea regs b disp)))
+  | Opcode.Cvtsi2sd Reg.L, M (b, disp), X d ->
+    fun () -> setf regs d (Int64.to_float (Int64.of_int32 (load32 a (ea regs b disp))))
+  | Opcode.Cvtsd2si Reg.Q, X s, G d -> fun () -> set regs d (f2i64 (rint_even (getf regs s)))
+  | Opcode.Cvtsd2si Reg.L, X s, G d -> fun () -> set regs d (f2i32 (rint_even (getf regs s)))
+  | Opcode.Cvttsd2si Reg.Q, X s, G d -> fun () -> set regs d (f2i64 (Float.trunc (getf regs s)))
+  | Opcode.Cvttsd2si Reg.L, X s, G d -> fun () -> set regs d (f2i32 (Float.trunc (getf regs s)))
+  | _ -> specialize_generic m i
 
 let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   (* Operand arrays are resolved eagerly during specialization; an
@@ -709,7 +1048,6 @@ type memo = {
 
 (* Physically distinct from every instruction of every program. *)
 let untranslated = Instr.make_unchecked Opcode.Movabs [||]
-let nop () = ()
 let memo m = { machine = m; instrs = [||]; closures = [||]; lats = [||] }
 
 let prepare (memo : memo) (p : Program.t) : t =

@@ -14,6 +14,11 @@
     same winner under either engine.  Opcodes without a specialized
     translation are executed through {!Semantics.step} itself.
 
+    The operand shapes of the built-in kernels, and the other register,
+    immediate and [base+disp] forms of the same opcodes, translate to
+    flat closures that box no [int64] or [float]: a kernel run
+    allocates only its {!Exec.result}.
+
     A compiled program is bound to the machine it was compiled against;
     running it mutates that machine only.  Reset state between runs with
     {!Machine.restore_from}. *)

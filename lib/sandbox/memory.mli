@@ -43,9 +43,10 @@ val restore_from : src:t -> dst:t -> unit
     been written since, only [dst]'s dirty range is re-copied — O(bytes
     the intervening runs wrote).  Any other pairing falls back to a full
     {!blit_from}.  Invariant: all writes to an arena go through {!write},
-    {!write128}, their [_exn] variants, or {!set_bytes}; mutating
-    {!unsafe_bytes} directly would silently break the fast path — enable
-    {!set_integrity_checks} in tests to catch such bypasses. *)
+    {!write128}, their [_exn] variants, or {!set_bytes}, or store
+    through {!unsafe_bytes} and then {!mark} the bytes; mutating
+    {!unsafe_bytes} without {!mark} would silently break the fast path —
+    enable {!set_integrity_checks} in tests to catch such bypasses. *)
 
 val is_clean : t -> bool
 (** No writes since creation / the last restore (dirty range empty). *)
@@ -77,11 +78,19 @@ val set_bytes : t -> int64 -> string -> unit
     raises [Invalid_argument] when out of range. *)
 
 val unsafe_bytes : t -> Bytes.t
-(** The raw contents (not a copy — use {!copy} first if needed).  Strictly
-    read-only: a direct mutation bypasses dirty tracking, so a later
-    {!restore_from} fast path would silently leave the stale byte in
-    place.  The name is the warning; {!set_integrity_checks} turns the
-    invariant into a runtime assertion. *)
+(** The raw contents (not a copy — use {!copy} first if needed).  A
+    store into it must be followed by {!mark}: otherwise it bypasses
+    dirty tracking, so a later {!restore_from} fast path would silently
+    leave the stale byte in place.  The name is the warning;
+    {!set_integrity_checks} turns the invariant into a runtime
+    assertion. *)
+
+val mark : t -> int -> int -> unit
+(** [mark m off n] widens the dirty range over the [n] bytes at arena
+    offset [off], as every {!write} does.  For a caller that bounds-checks
+    and stores through {!unsafe_bytes} itself (the compiled engine's flat
+    closures, which must not pass an [int64] across a module
+    boundary). *)
 
 val set_integrity_checks : bool -> unit
 (** When enabled (default off — it is O(arena size) per restore), every

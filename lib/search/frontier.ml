@@ -333,16 +333,23 @@ let run ?(obs = Obs.Sink.null) ?validator ?prover ?checkpoint ?resume ~tests
   let cold_budget = n * search.Optimizer.proposals in
   if observing then
     Obs.Sink.emit obs "frontier_start"
-      [
-        ("etas", Obs.Json.Int n);
-        ("warm", Obs.Json.Bool cfg.warm);
-        ("proposals_per_point", Obs.Json.Int search.Optimizer.proposals);
-        ("warm_budget", Obs.Json.Int warm_budget);
-        ("max_demotions", Obs.Json.Int cfg.max_demotions);
-        ("sweep_back", Obs.Json.Bool cfg.sweep_back);
-        ("validating", Obs.Json.Bool (Option.is_some validator));
-        ("resumed_points", Obs.Json.Int start_idx);
-      ];
+      ([
+         ("etas", Obs.Json.Int n);
+         ("warm", Obs.Json.Bool cfg.warm);
+         ("proposals_per_point", Obs.Json.Int search.Optimizer.proposals);
+       ]
+       (* a cold walk neither warm-starts nor demotes *)
+       @ (if cfg.warm then
+            [
+              ("warm_budget", Obs.Json.Int warm_budget);
+              ("max_demotions", Obs.Json.Int cfg.max_demotions);
+            ]
+          else [])
+       @ [
+           ("sweep_back", Obs.Json.Bool cfg.sweep_back);
+           ("validating", Obs.Json.Bool (Option.is_some validator));
+           ("resumed_points", Obs.Json.Int start_idx);
+         ]);
   let emit_point ~pass (p : point) =
     if observing then
       Obs.Sink.emit obs "frontier_point"

@@ -153,13 +153,16 @@ let plan_of_request cfg (req : Protocol.request) spec =
           Validate.Driver.seed = Int64.of_int seed
         }
       in
+      (* keyed on the ULP bound the job runs with, as the optimize and
+         frontier keys are: 0, -0.0 and 0.5 are one job *)
+      let eta = Ulp.of_float eta in
       let key =
-        Printf.sprintf "val|%s|%h|s:%d|%s|%016Lx" req.Protocol.kernel eta
-          seed
+        Printf.sprintf "val|%s|%s|s:%d|%s|%016Lx" req.Protocol.kernel
+          (Ulp.to_string eta) seed
           (Program.to_string prog)
           (Program.hash spec.Sandbox.Spec.program)
       in
-      Ok (P_validate { vconfig; eta = Ulp.of_float eta; rewrite = prog }, key))
+      Ok (P_validate { vconfig; eta; rewrite = prog }, key))
 
 (* ---------- scheduler state ---------- *)
 

@@ -1048,10 +1048,11 @@ let machine_equal (a : Sandbox.Machine.t) (b : Sandbox.Machine.t) =
 
 (* Run [p] on two identically-prepared machines, one per engine; return a
    description of the first disagreement, or [None] if bit-identical. *)
-let diff_mismatch ?(mem_size = 4096) ~setup p =
+let diff_mismatch ?(mem_size = 4096) ?(on_interp = fun _ -> ()) ~setup p =
   let mi = Sandbox.Machine.create ~mem_size () in
   setup mi;
   let ri = Sandbox.Exec.run mi p in
+  on_interp mi;
   let mc = Sandbox.Machine.create ~mem_size () in
   setup mc;
   let rc = Sandbox.Compiled.exec (Sandbox.Compiled.compile mc p) in
@@ -1078,56 +1079,187 @@ let diff_mismatch ?(mem_size = 4096) ~setup p =
   then Some "memory differs"
   else None
 
+(* One instance of a shape.  [`Aliased] builds every register operand
+   from rcx / xmm1, so a reg-reg form reads what it writes; [`Distinct]
+   gives the destination rcx / xmm1 and the sources rdx / xmm2, then
+   rbx / xmm3.  A memory operand is always 16(rdi). *)
+let shape_instr ?(imm8 = 3L) ?(imm32 = 1000L) assign op (shape : Shape.kind array) =
+  let n = Array.length shape in
+  let operand pos (k : Shape.kind) =
+    let slot =
+      match assign with
+      | `Aliased -> 0
+      | `Distinct -> if pos = n - 1 then 0 else pos + 1
+    in
+    match k with
+    | Shape.K_gp _ -> Operand.Gp [| Reg.Rcx; Reg.Rdx; Reg.Rbx |].(slot)
+    | Shape.K_xmm -> Operand.Xmm [| Reg.Xmm1; Reg.Xmm2; Reg.Xmm3 |].(slot)
+    | Shape.K_imm8 -> Operand.Imm imm8
+    | Shape.K_imm32 -> Operand.Imm imm32
+    | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
+    | Shape.K_mem _ ->
+      Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
+  in
+  Instr.make_unchecked op (Array.mapi operand shape)
+
+(* Every well-formed instance [mk op shape] of every catalogued shape. *)
+let well_formed_instrs mk =
+  List.concat_map
+    (fun op ->
+      List.filter_map
+        (fun shape ->
+          let i = mk op shape in
+          if Instr.is_well_formed i then Some i else None)
+        (Shape.shapes op))
+    Opcode.all
+
+(* The fault regimes of the 16(rdi) memory operand, as rdi values: fine,
+   misaligned for the aligned 128-bit moves, a 4-byte access that fits
+   at the arena's end where an 8-byte one straddles it, an 8-byte access
+   that fits where the high half of a 16-byte one is out of bounds, and
+   far out of bounds. *)
+let mem_regimes =
+  [ ("in-arena", base);
+    ("misaligned", Int64.add base 4L);
+    ("straddling the end", Int64.add base (Int64.of_int (4096 - 16 - 4)));
+    ("high half out of bounds", Int64.add base (Int64.of_int (4096 - 16 - 8)));
+    ("out-of-bounds", 0x10L) ]
+
+let arena_pattern = String.init 4096 (fun j -> Char.chr ((j * 37 + 11) land 0xff))
+
+(* Bit patterns for a 64-bit register or memory quad, read as a double, as
+   a single in the low dword, or as an integer: ±0, ±inf, NaN payloads,
+   subnormals, the ±2^63 and ±2^31 cvt boundaries with their neighbours
+   and rounding ties, and integers whose sums, differences and shifts
+   carry, overflow or flip PF at Q and L width. *)
+let edge_values =
+  List.map Int64.bits_of_float
+    [ 0.; -0.; infinity; neg_infinity; 0.5; 1.5; 2.5; -2.5; max_float;
+      0x1p63; -0x1p63; Float.pred 0x1p63; 0x1p31; -0x1p31; 0x1p31 -. 0.5;
+      -0x1p31 -. 0.5; -0x1p31 -. 1. ]
+  @ [ 0x7ff8_0000_0000_0001L (* quiet NaN, payload 1 *);
+      0xfff0_0000_0000_0001L (* negative signalling NaN *);
+      0x0000_0000_0000_0001L (* smallest subnormal; the integer 1 *);
+      0x800f_ffff_ffff_ffffL (* largest negative subnormal *);
+      0xdead_beef_7fc0_0001L (* single NaN payload, upper dword set *);
+      0x0000_0001_807f_ffffL (* negative single subnormal *);
+      0x1234_5678_ff80_0000L (* single -inf *);
+      0x4f00_0000L (* single 2^31 *);
+      0xcf00_0000L (* single -2^31 *);
+      Int64.max_int; -1L; 0x7fff_ffffL; 0x8000_0000L; 0xffff_ffffL;
+      0x1_0000_0000L; 0xffL; 3L ]
+
 let compiled_tests =
   [
     Alcotest.test_case "compiled matches interpreter on every opcode shape"
       `Quick (fun () ->
-        let operand_of_kind (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ -> Operand.Gp Reg.Rcx
-          | Shape.K_xmm -> Operand.Xmm Reg.Xmm1
-          | Shape.K_imm8 -> Operand.Imm 3L
-          | Shape.K_imm32 -> Operand.Imm 1000L
-          | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
-          | Shape.K_mem _ ->
-            Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
-        in
-        (* the three fault regimes a memory operand can hit: fine,
-           misaligned (for the aligned 128-bit moves), far out of bounds *)
-        let scenarios =
-          [ ("in-arena", base);
-            ("misaligned", Int64.add base 4L);
-            ("out-of-bounds", 0x10L) ]
-        in
         let setup rdi m =
           Sandbox.Machine.set_gp m Reg.Rdi rdi;
           Sandbox.Machine.set_gp m Reg.Rcx 0x1234_5678_9abc_def0L;
+          Sandbox.Machine.set_gp m Reg.Rdx 0x8000_0000_ffff_ff81L;
+          Sandbox.Machine.set_gp m Reg.Rbx 0x7fff_ffffL;
           Sandbox.Machine.set_xmm m Reg.Xmm0
             (Int64.bits_of_float 3.25, 0x7ff8_0000_0000_0001L);
           Sandbox.Machine.set_xmm m Reg.Xmm1
             (Int64.bits_of_float 1.5, Int64.bits_of_float (-0.75));
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
-            (String.init 64 (fun j -> Char.chr ((j * 37 + 11) land 0xff)))
+          Sandbox.Machine.set_xmm m Reg.Xmm2
+            (Int64.bits_of_float (-2.5), 0x4049_0fdb_c000_0000L);
+          Sandbox.Machine.set_xmm m Reg.Xmm3
+            (0xbf80_0000_3fc0_0000L, Int64.bits_of_float 0x1p-1030);
+          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base arena_pattern
         in
         List.iter
-          (fun op ->
+          (fun assign ->
             List.iter
-              (fun shape ->
-                let i =
-                  Instr.make_unchecked op (Array.map operand_of_kind shape)
-                in
-                if Instr.is_well_formed i then
-                  let p = Program.of_instrs [ i ] in
-                  List.iter
-                    (fun (label, rdi) ->
-                      match diff_mismatch ~setup:(setup rdi) p with
-                      | None -> ()
-                      | Some msg ->
-                        Alcotest.failf "%s (%s): %s" (Instr.to_string i) label
-                          msg)
-                    scenarios)
-              (Shape.shapes op))
-          Opcode.all);
+              (fun i ->
+                let p = Program.of_instrs [ i ] in
+                List.iter
+                  (fun (label, rdi) ->
+                    match diff_mismatch ~setup:(setup rdi) p with
+                    | None -> ()
+                    | Some msg ->
+                      Alcotest.failf "%s (%s): %s" (Instr.to_string i) label msg)
+                  mem_regimes)
+              (well_formed_instrs (shape_instr assign)))
+          [ `Aliased; `Distinct ]);
+    Alcotest.test_case "compiled matches interpreter on edge values" `Quick
+      (fun () ->
+        (* destination registers hold [a]; source registers and the low
+           quad of the memory operand hold [b] *)
+        let setup a b m =
+          Sandbox.Machine.set_gp m Reg.Rdi base;
+          Sandbox.Machine.set_gp m Reg.Rcx a;
+          Sandbox.Machine.set_gp m Reg.Rdx b;
+          Sandbox.Machine.set_gp m Reg.Rbx (Int64.lognot b);
+          Sandbox.Machine.set_xmm m Reg.Xmm1 (a, Int64.lognot a);
+          Sandbox.Machine.set_xmm m Reg.Xmm2 (b, a);
+          Sandbox.Machine.set_xmm m Reg.Xmm3 (a, b);
+          let quad v =
+            let q = Bytes.create 8 in
+            Bytes.set_int64_le q 0 v;
+            Bytes.to_string q
+          in
+          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem (Int64.add base 16L)
+            (quad b ^ quad a)
+        in
+        (* the flag values add, sub and the shifts reached, per width *)
+        let seen = Hashtbl.create 64 in
+        let record op (m : Sandbox.Machine.t) =
+          let f = m.Sandbox.Machine.flags in
+          let note what w =
+            List.iter
+              (fun (flag, v) -> Hashtbl.replace seen (what, w, flag, v) ())
+              [ ("cf", f.Sandbox.Machine.cf); ("of", f.Sandbox.Machine.o_f);
+                ("pf", f.Sandbox.Machine.pf) ]
+          in
+          match (op : Opcode.t) with
+          | Opcode.Add w -> note "add" w
+          | Opcode.Sub w -> note "sub" w
+          | Opcode.Shl w | Opcode.Shr w | Opcode.Sar w -> note "shift" w
+          | _ -> ()
+        in
+        let instrs =
+          List.concat_map
+            (fun (imm8, imm32) ->
+              well_formed_instrs (shape_instr ~imm8 ~imm32 `Distinct))
+            [ (3L, 1000L); (0L, 0L); (1L, 1L); (31L, -1L); (32L, 0x7fff_ffffL);
+              (63L, -0x8000_0000L); (255L, 0xffL) ]
+          |> List.sort_uniq compare
+        in
+        List.iter
+          (fun (i : Instr.t) ->
+            let p = Program.of_instrs [ i ] in
+            List.iter
+              (fun a ->
+                List.iter
+                  (fun b ->
+                    match
+                      diff_mismatch ~on_interp:(record i.Instr.op) ~setup:(setup a b) p
+                    with
+                    | None -> ()
+                    | Some msg ->
+                      Alcotest.failf "%s with dst 0x%Lx, src 0x%Lx: %s"
+                        (Instr.to_string i) a b msg)
+                  edge_values)
+              edge_values)
+          instrs;
+        List.iter
+          (fun (what, flags) ->
+            List.iter
+              (fun w ->
+                List.iter
+                  (fun flag ->
+                    List.iter
+                      (fun v ->
+                        if not (Hashtbl.mem seen (what, w, flag, v)) then
+                          Alcotest.failf "the edge table never gives %s %s=%b at %s width"
+                            what flag v
+                            (match w with Reg.Q -> "Q" | Reg.L -> "L"))
+                      [ true; false ])
+                  flags)
+              [ Reg.Q; Reg.L ])
+          [ ("add", [ "cf"; "of"; "pf" ]); ("sub", [ "cf"; "of"; "pf" ]);
+            ("shift", [ "pf" ]) ]);
     Alcotest.test_case "compiled restore_from replay stays pristine" `Quick
       (fun () ->
         let spec = Kernels.Aek_kernels.add_spec in
@@ -1145,6 +1277,41 @@ let compiled_tests =
         Sandbox.Machine.restore_from ~src:pristine ~dst:m;
         Alcotest.(check bool) "machine back to pristine" true
           (machine_equal pristine m));
+  ]
+
+(* Validation runs the compiled engine one input at a time, so what one
+   run allocates is its cost.  Every kernel's run — restore, install the
+   test, execute — stays within a fixed minor-heap budget; a reintroduced
+   box (an int64 or float crossing a closure or module boundary, 2 or 3
+   words an instruction) fails it. *)
+let alloc_budget_words = 32.
+
+let alloc_tests =
+  [
+    Alcotest.test_case "a compiled kernel run allocates at most 32 minor words"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, (spec : Sandbox.Spec.t)) ->
+            let m = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
+            let pristine = Sandbox.Machine.copy m in
+            let tc = Sandbox.Spec.random_testcase (Rng.Xoshiro256.create 5L) spec in
+            let cp = Sandbox.Compiled.compile m spec.Sandbox.Spec.program in
+            let run () =
+              Sandbox.Machine.restore_from ~src:pristine ~dst:m;
+              Sandbox.Testcase.apply tc m;
+              ignore (Sandbox.Compiled.exec cp : Sandbox.Exec.result)
+            in
+            run ();
+            let runs = 10_000 in
+            let before = Gc.minor_words () in
+            for _ = 1 to runs do
+              run ()
+            done;
+            let per_run = (Gc.minor_words () -. before) /. float_of_int runs in
+            if per_run > alloc_budget_words then
+              Alcotest.failf "%s: %.1f minor words per run (budget %.0f)" name per_run
+                alloc_budget_words)
+          Kernels.Registry.all);
   ]
 
 (* Random pool-drawn programs (the search's actual proposal distribution)
@@ -1843,6 +2010,7 @@ let () =
       ("coverage", coverage_tests);
       ("restore", restore_tests);
       ("compiled", compiled_tests);
+      ("compiled-alloc", alloc_tests);
       ("compiled-properties", compiled_props);
       ("compiled-memo", memo_walk_tests);
       ("batched", batched_tests);

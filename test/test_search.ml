@@ -1412,6 +1412,27 @@ let frontier_tests =
               (Program.equal expected p.Search.Frontier.rewrite);
             Alcotest.(check bool) "marked cold" false p.Search.Frontier.warm)
           legacy fr.Search.Frontier.points);
+    Alcotest.test_case "only a warm walk reports warm budget and demotions"
+      `Quick (fun () ->
+        let tests = Stoke.make_tests ~n:8 ~seed:3L spec in
+        let start_fields warm =
+          let sink = Obs.Sink.memory () in
+          let cfg = frontier_cfg ~warm ~proposals:300 ~seed:3L () in
+          ignore (Search.Frontier.run ~obs:sink ~tests ~etas cfg spec : Search.Frontier.result);
+          match
+            List.filter
+              (fun (e : Obs.Sink.event) -> e.Obs.Sink.name = "frontier_start")
+              (Obs.Sink.drain sink)
+          with
+          | [ e ] -> List.map fst e.Obs.Sink.fields
+          | l -> Alcotest.failf "%d frontier_start events" (List.length l)
+        in
+        let cold = start_fields false and warm = start_fields true in
+        List.iter
+          (fun f ->
+            Alcotest.(check bool) ("cold walk omits " ^ f) false (List.mem f cold);
+            Alcotest.(check bool) ("warm walk has " ^ f) true (List.mem f warm))
+          [ "warm_budget"; "max_demotions" ]);
     Alcotest.test_case "refuting validator demotes and falls back" `Quick
       (fun () ->
         let proposals = 4_000 and seed = 5L in

@@ -390,6 +390,43 @@ let smoke_tests =
         Alcotest.(check bool)
           "memo hit after restart" true (bool_field term3 "cached");
         stop_inproc cfg th);
+    Alcotest.test_case "validate jobs with one ULP bound share a memo entry"
+      `Slow (fun () ->
+        require_sockets ();
+        let cfg = mk_config (tmpdir ()) in
+        let sock = cfg.Serve.Server.socket_path in
+        let th = start_inproc cfg in
+        let rewrite = Program.to_string Kernels.Aek_kernels.add_rewrite in
+        let submit eta =
+          let term =
+            get_ok ~what:(Printf.sprintf "validate eta %g" eta)
+              (Serve.Client.submit ~socket_path:sock
+                 {
+                   Serve.Protocol.kernel = "add";
+                   tenant = Serve.Protocol.default_tenant;
+                   deadline_s = None;
+                   action = Serve.Protocol.Validate { eta; rewrite; seed = 3 };
+                 })
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "eta %g ok" eta)
+            "ok" (Serve.Client.job_status term);
+          let digest =
+            match field term "job" with
+            | Some (Obs.Json.String d) -> d
+            | _ -> Alcotest.fail "job_end carried no job digest"
+          in
+          (digest, bool_field term "cached")
+        in
+        (* 0, -0.0 and 0.5 all bound the error by Ulp.of_float = 0 ULPs *)
+        let d0, cached0 = submit 0. in
+        let d1, cached1 = submit (-0.) in
+        let d2, cached2 = submit 0.5 in
+        Alcotest.(check bool) "the first run is fresh" false cached0;
+        Alcotest.(check (list string)) "one digest" [ d0; d0 ] [ d1; d2 ];
+        Alcotest.(check (list bool)) "the repeats are memo hits" [ true; true ]
+          [ cached1; cached2 ];
+        stop_inproc cfg th);
     Alcotest.test_case "a deadline-truncated run is not memoized" `Slow
       (fun () ->
         require_sockets ();
