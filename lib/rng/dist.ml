@@ -12,19 +12,20 @@ let int g n =
 
 let bool g = Int64.compare (Int64.logand (bits64 g) 1L) 0L <> 0
 
-let float g bound =
+let[@inline] float g bound =
   (* 53 uniform bits scaled into [0,1). *)
-  let r = Int64.shift_right_logical (bits64 g) 11 in
-  Int64.to_float r /. 0x1p53 *. bound
+  Int.to_float (Xoshiro256.next_top53 g) /. 0x1p53 *. bound
 
 let uniform g lo hi = lo +. float g (hi -. lo)
 
 let normal g ~mu ~sigma =
-  let rec u_nonzero () =
-    let u = float g 1.0 in
-    if u > 0. then u else u_nonzero ()
-  in
-  let u1 = u_nonzero () in
+  (* a loop, not a local recursive function: that would be a closure
+     allocated on every draw *)
+  let u1 = ref (float g 1.0) in
+  while not (!u1 > 0.) do
+    u1 := float g 1.0
+  done;
+  let u1 = !u1 in
   let u2 = float g 1.0 in
   let r = sqrt (-2. *. log u1) in
   mu +. (sigma *. r *. cos (2. *. Float.pi *. u2))

@@ -11,6 +11,10 @@ val create : int64 -> t
 val next : t -> int64
 (** Next raw 64-bit output. *)
 
+val next_top53 : t -> int
+(** The top 53 bits of {!next}'s output, as a non-negative [int]: the
+    same draw, returned without boxing an [int64]. *)
+
 val copy : t -> t
 
 val split : t -> t

@@ -15,7 +15,9 @@
    other register, immediate and [base+disp] forms of the same opcodes —
    scalar f64/f32 arithmetic on xmm or [base+disp] sources, the
    xmm/gp/memory moves, [mov]/[movabs] of an immediate, the int<->double
-   converts, and GP add/sub/logic/shift on an immediate or register —
+   converts, GP add/sub/logic/shift on an immediate or register, and on
+   xmm registers packed add/sub/mul, AVX scalar f32 add/sub/mul,
+   [punpckldq]/[unpcklps] and [vpshuflw] —
    translates to one closure whose load, operation, flag update and store
    are a single expression over the register file.  OCaml keeps
    [int64] and [float] unboxed inside one expression but boxes them at
@@ -84,6 +86,16 @@ let[@inline] parity v =
   let b = b lxor (b lsr 4) in
   let b = b lxor (b lsr 2) in
   (b lxor (b lsr 1)) land 1 = 0
+
+(* An AVX scalar f32 result: the single [r] under [s1]'s upper 96 bits,
+   into [d] (Semantics' avx3_f32 with the rounding done by [r]). *)
+let[@inline] avx3_ss regs d s1 r =
+  let hi = get regs (s1 + 8) in
+  set regs d (Int64.logor (Int64.logand (get regs s1) hi32_mask) (zext32 r));
+  set regs (d + 8) hi
+
+(* The 16-bit word of [v] at bit [sh] (Semantics' pshuflw [word]). *)
+let[@inline] word16 v sh = Int64.logand (Int64.shift_right_logical v sh) 0xffffL
 
 let[@inline] msb32 v = not (Int64.equal (Int64.logand v 0x8000_0000L) 0L)
 
@@ -214,7 +226,7 @@ let[@inline] offset a n addr =
   else raise (Memory.Fault_exn (Memory.Out_of_bounds addr))
 
 (* Memory.read_exn / write_exn at widths 8 and 4 (the dword raw, not
-   zero-extended); a store widens the arena's dirty range like
+   zero-extended); a store marks the arena's dirty lines like
    Memory.store does. *)
 let[@inline] load64 a addr = Bytes.get_int64_le a.data (offset a 8 addr)
 
@@ -844,9 +856,10 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
   | Opcode.Vfmadd213ss -> fma_f32 (fun x1 x2 x3 -> (x2, x1, x3))
   | Opcode.Vfmadd231ss -> fma_f32 (fun x1 x2 x3 -> (x2, x3, x1))
   (* Shuffles, packed 32-bit integer ops, and vector shifts are rare in
-     FP kernels; they run through the reference interpreter, which keeps
-     them bit-identical by construction.  So do the ill-formed instances
-     of the opcodes whose every well-formed shape is a flat closure. *)
+     FP kernels; apart from the register forms [specialize] flattens,
+     they run through the reference interpreter, which keeps them
+     bit-identical by construction.  So do the ill-formed instances of
+     the opcodes whose every well-formed shape is a flat closure. *)
   | Opcode.Shl _ | Opcode.Shr _ | Opcode.Sar _ | Opcode.Movd | Opcode.Cvttsd2si _
   | Opcode.Cvtsd2si _ | Opcode.Shufps | Opcode.Pshufd | Opcode.Pshuflw
   | Opcode.Punpckldq | Opcode.Punpcklqdq | Opcode.Unpcklps | Opcode.Unpcklpd | Opcode.Paddd
@@ -1024,6 +1037,78 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
   | Opcode.Cvtsd2si Reg.L, X s, G d -> fun () -> set regs d (f2i32 (rint_even (getf regs s)))
   | Opcode.Cvttsd2si Reg.Q, X s, G d -> fun () -> set regs d (f2i64 (Float.trunc (getf regs s)))
   | Opcode.Cvttsd2si Reg.L, X s, G d -> fun () -> set regs d (f2i32 (Float.trunc (getf regs s)))
+  (* packed f32 and f64 on xmm registers: lane by lane, each lane read
+     just before it is written, which is Semantics.map_lanes4_f32 /
+     map_lanes2_f64 even when [s = d] *)
+  | Opcode.Addps, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (getf32 regs (d + o) +. getf32 regs (s + o))
+      done
+  | Opcode.Subps, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (getf32 regs (d + o) -. getf32 regs (s + o))
+      done
+  | Opcode.Mulps, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (getf32 regs (d + o) *. getf32 regs (s + o))
+      done
+  | Opcode.Addpd, X s, X d ->
+    fun () ->
+      setf regs d (getf regs d +. getf regs s);
+      setf regs (d + 8) (getf regs (d + 8) +. getf regs (s + 8))
+  | Opcode.Subpd, X s, X d ->
+    fun () ->
+      setf regs d (getf regs d -. getf regs s);
+      setf regs (d + 8) (getf regs (d + 8) -. getf regs (s + 8))
+  | Opcode.Mulpd, X s, X d ->
+    fun () ->
+      setf regs d (getf regs d *. getf regs s);
+      setf regs (d + 8) (getf regs (d + 8) *. getf regs (s + 8))
+  (* interleave the low dwords: d0 s0 d1 s1 *)
+  | (Opcode.Punpckldq | Opcode.Unpcklps), X s, X d ->
+    fun () ->
+      let d1 = Bytes.get_int32_le regs (d + 4) in
+      let s0 = Bytes.get_int32_le regs s and s1 = Bytes.get_int32_le regs (s + 4) in
+      Bytes.set_int32_le regs (d + 4) s0;
+      Bytes.set_int32_le regs (d + 8) d1;
+      Bytes.set_int32_le regs (d + 12) s1
+  (* AVX scalar f32 on registers (Semantics' avx3_f32) *)
+  | (Opcode.Vaddss | Opcode.Vsubss | Opcode.Vmulss), X s2, X d ->
+    (match ops.(1) with
+     | Operand.Xmm s1 ->
+       let s1 = xi s1 in
+       (match i.Instr.op with
+        | Opcode.Vaddss ->
+          fun () -> avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 +. getf32 regs s2))
+        | Opcode.Vsubss ->
+          fun () -> avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 -. getf32 regs s2))
+        | _ ->
+          fun () -> avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 *. getf32 regs s2)))
+     | _ -> specialize_generic m i)
+  (* the low quad's words picked by the immediate, the high quad
+     copied: both read before [d] is written *)
+  | Opcode.Vpshuflw, I sel, X d ->
+    (match ops.(1) with
+     | Operand.Xmm s ->
+       let s = xi s and sel = Int64.to_int sel in
+       let sh k = 16 * ((sel lsr (2 * k)) land 3) in
+       let sh0 = sh 0 and sh1 = sh 1 and sh2 = sh 2 and sh3 = sh 3 in
+       fun () ->
+         let lo = get regs s and hi = get regs (s + 8) in
+         set regs d
+           (Int64.logor
+              (Int64.logor (word16 lo sh0) (Int64.shift_left (word16 lo sh1) 16))
+              (Int64.logor
+                 (Int64.shift_left (word16 lo sh2) 32)
+                 (Int64.shift_left (word16 lo sh3) 48)));
+         set regs (d + 8) hi
+     | _ -> specialize_generic m i)
   | _ -> specialize_generic m i
 
 let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =

@@ -45,6 +45,16 @@ let range_of = function
 
 let input_ranges t = Array.of_list (List.map range_of t.float_inputs)
 
+(* The fixed inputs go on last, so {!Testcase.apply} installs them before
+   any float input. *)
+let with_fixed t tc =
+  List.fold_left
+    (fun tc fixed ->
+      match fixed with
+      | Fix_gp (r, v) -> Testcase.with_gp r v tc
+      | Fix_mem (addr, s) -> Testcase.with_mem addr s tc)
+    tc t.fixed_inputs
+
 let testcase_of_floats t xs =
   if Array.length xs <> arity t then
     invalid_arg "Spec.testcase_of_floats: arity mismatch";
@@ -90,13 +100,9 @@ let testcase_of_floats t xs =
       | Fin_mem_f64 (addr, _) ->
         tc := Testcase.with_mem addr (Testcase.f64_bytes x) !tc)
     t.float_inputs;
-  List.iter
-    (fun fixed ->
-      match fixed with
-      | Fix_gp (r, v) -> tc := Testcase.with_gp r v !tc
-      | Fix_mem (addr, s) -> tc := Testcase.with_mem addr s !tc)
-    t.fixed_inputs;
-  !tc
+  with_fixed t !tc
+
+let fixed_testcase t = with_fixed t Testcase.empty
 
 let random_floats g t =
   Array.map (fun r -> Rng.Dist.uniform g r.lo r.hi) (input_ranges t)

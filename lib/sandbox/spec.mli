@@ -61,6 +61,10 @@ val input_ranges : t -> frange array
 val testcase_of_floats : t -> float array -> Testcase.t
 (** Raises [Invalid_argument] on an arity mismatch. *)
 
+val fixed_testcase : t -> Testcase.t
+(** The fixed inputs alone, as {!testcase_of_floats} installs them:
+    before every float input. *)
+
 val random_floats : Rng.Xoshiro256.t -> t -> float array
 (** Uniform draw from each input's range. *)
 

@@ -55,7 +55,27 @@ let with_mem_f32s addr floats t =
 let with_mem_f64s addr floats t =
   with_mem addr (String.concat "" (List.map f64_bytes floats)) t
 
+(* Plain recursive loops: a [List.iter] over a function of [m] would
+   allocate its closure on every call. *)
+let rec apply_gps (m : Machine.t) = function
+  | [] -> ()
+  | (r, v) :: rest ->
+    Machine.set_gp m r v;
+    apply_gps m rest
+
+let rec apply_xmms (m : Machine.t) = function
+  | [] -> ()
+  | (r, v) :: rest ->
+    Machine.set_xmm m r v;
+    apply_xmms m rest
+
+let rec apply_mem mem = function
+  | [] -> ()
+  | (addr, s) :: rest ->
+    Memory.set_bytes mem addr s;
+    apply_mem mem rest
+
 let apply t (m : Machine.t) =
-  List.iter (fun (r, v) -> Machine.set_gp m r v) t.gps;
-  List.iter (fun (r, v) -> Machine.set_xmm m r v) t.xmms;
-  List.iter (fun (addr, s) -> Memory.set_bytes m.Machine.mem addr s) t.mem_writes
+  apply_gps m t.gps;
+  apply_xmms m t.xmms;
+  apply_mem m.Machine.mem t.mem_writes

@@ -82,9 +82,13 @@ type history = {
           boundary would otherwise double-check and double-emit) *)
 }
 
-let history () =
-  { samples = Array.make 1024 0.; n_samples = 0; last_z = Float.infinity;
-    last_check = 0 }
+(* A hunt pushes one sample per proposal, so a budget of up to 64K
+   proposals gets its whole history in one allocation; a larger one
+   starts there and doubles.  Growing from a small array instead left a
+   chain's worth of copies per hunt for the major GC to collect. *)
+let history ~budget =
+  { samples = Array.make (Int.max 1 (Int.min budget 65536)) 0.; n_samples = 0;
+    last_z = Float.infinity; last_check = 0 }
 
 let push_sample h x =
   if h.n_samples = Array.length h.samples then begin
@@ -158,11 +162,13 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
   let spec = Errfn.spec errfn in
   let proposal = Proposal.create ~sigma:config.sigma spec in
   let cur = ref (Proposal.initial g proposal) in
+  (* the candidate's buffer, swapped with [cur] on accept *)
+  let spare = ref (Array.copy !cur) in
   let cur_err0, max_err0 = Errfn.eval_both errfn !cur in
   let cur_err = ref cur_err0 in
   let max_err = ref max_err0 in
   let max_err_input = ref (Array.copy !cur) in
-  let h = history () in
+  let h = history ~budget:config.max_proposals in
   let mixed = ref false in
   let refuted = ref (refute && Ulp.compare max_err0 eta > 0) in
   let iterations = ref 0 in
@@ -176,7 +182,9 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
        let candidate =
          match rule with
          | A_random -> Proposal.initial g proposal
-         | A_mcmc | A_hill | A_anneal -> Proposal.step g proposal !cur
+         | A_mcmc | A_hill | A_anneal ->
+           Proposal.step_into g proposal ~src:!cur ~dst:!spare;
+           !spare
        in
        (* One pair of executions serves both the accept rule (float error)
           and max tracking (exact ULP count). *)
@@ -198,6 +206,7 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
               < Float.pow (density err /. density !cur_err) (1. /. temp)
        in
        if accept then begin
+         spare := !cur;
          cur := candidate;
          cur_err := err
        end;

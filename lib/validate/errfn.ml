@@ -1,74 +1,208 @@
+module S = Sandbox
+
+(* Where one float input's bits go: an f64 or f32 at a byte offset into
+   the register file or the arena. *)
+type dst =
+  | Reg64 of int
+  | Reg32 of int
+  | Mem64 of int
+  | Mem32 of int
+
+type install = {
+  input : int;  (** index into the float-input vector *)
+  dst : dst;
+}
+
+(* Where one live output sits in the register file, and how its
+   distance is measured. *)
+type out =
+  | O64 of int  (** f64: ULP distance *)
+  | O32 of int  (** f32: ULP distance in the binary32 enumeration *)
+  | Ogp of int  (** integer: absolute difference *)
+
 type t = {
-  spec : Sandbox.Spec.t;
-  rewrite : Program.t;
-  exec_target : Sandbox.Testcase.t -> Sandbox.Spec.value array option;
-  exec_rewrite : Sandbox.Testcase.t -> Sandbox.Spec.value array option;
+  spec : S.Spec.t;
+  arity : int;
+  machine : S.Machine.t;
+  pristine : S.Machine.t;  (** the fixed inputs baked in *)
+  plan : install array;
+  outs : out array;
+  expected : Bytes.t;  (** the target's outputs, raw, 8 bytes each *)
+  target : S.Engine.call;
+  rewrite_call : S.Engine.call;
 }
 
 let top_eta = 0x1p64
 
-let create ?(engine = Sandbox.Exec.Compiled) ?instance spec ~rewrite =
+(* The install plan: [S.Testcase.apply (S.Spec.testcase_of_floats spec
+   xs)] as direct stores, for a machine that already holds the fixed
+   inputs and whose xmm registers are zero.  That testcase sets each xmm
+   register once, to the inputs naming it merged in order — an f32 into
+   the low dword, an f32_hi into the next — except that an f64 input
+   naming a register some earlier input set is shadowed, and so are all
+   later inputs naming it; memory inputs land in reverse order, so the
+   first of two overlapping ones wins. *)
+let install_plan (spec : S.Spec.t) mem =
+  let mem_off addr n =
+    (* Memory.set_bytes's bounds check, at creation *)
+    let off = Int64.sub addr (S.Memory.base mem) in
+    let lim = S.Memory.size mem - n in
+    if lim < 0 || Int64.unsigned_compare off (Int64.of_int lim) > 0 then
+      invalid_arg "Errfn.create: a memory input lies outside the arena";
+    Int64.to_int off
+  in
+  let seen = Hashtbl.create 8 in
+  let regs = ref [] and mems = ref [] in
+  let reg input r ~f64 dst =
+    match Hashtbl.find_opt seen r with
+    | Some `Shadowed -> ()
+    | Some `Set when f64 -> Hashtbl.replace seen r `Shadowed
+    | Some `Set | None ->
+      Hashtbl.replace seen r `Set;
+      regs := { input; dst } :: !regs
+  in
+  List.iteri
+    (fun input fin ->
+      match fin with
+      | S.Spec.Fin_xmm_f64 (r, _) -> reg input r ~f64:true (Reg64 (S.Machine.xmm_offset r))
+      | S.Spec.Fin_xmm_f32 (r, _) -> reg input r ~f64:false (Reg32 (S.Machine.xmm_offset r))
+      | S.Spec.Fin_xmm_f32_hi (r, _) ->
+        reg input r ~f64:false (Reg32 (S.Machine.xmm_offset r + 4))
+      | S.Spec.Fin_mem_f64 (addr, _) -> mems := { input; dst = Mem64 (mem_off addr 8) } :: !mems
+      | S.Spec.Fin_mem_f32 (addr, _) -> mems := { input; dst = Mem32 (mem_off addr 4) } :: !mems)
+    spec.S.Spec.float_inputs;
+  Array.of_list (List.rev_append !regs !mems)
+
+let out_of = function
+  | S.Spec.Out_xmm_f64 r -> O64 (S.Machine.xmm_offset r)
+  | S.Spec.Out_xmm_f32 r -> O32 (S.Machine.xmm_offset r)
+  | S.Spec.Out_xmm_f32_hi r -> O32 (S.Machine.xmm_offset r + 4)
+  | S.Spec.Out_gp r -> Ogp (S.Machine.gp_offset r)
+
+let create ?(engine = S.Exec.Compiled) ?instance spec ~rewrite =
   let engine =
     match instance with
     | Some e -> e
-    | None -> Sandbox.Engine.of_engine engine
+    | None -> S.Engine.of_engine engine
   in
-  let machine = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
-  let pristine = Sandbox.Machine.copy machine in
-  let caller = Sandbox.Engine.caller engine machine in
+  let machine = S.Machine.create ~mem_size:spec.S.Spec.mem_size () in
+  S.Testcase.apply (S.Spec.fixed_testcase spec) machine;
+  let pristine = S.Machine.copy machine in
+  let caller = S.Engine.caller engine machine in
   (* Validation evaluates the same two programs millions of times, so
-     both are prepared exactly once, here.  A runner installs one test
-     case, executes, and reads the live outputs — [None] is a fault. *)
-  let runner program =
-    let call = Sandbox.Engine.prepare_call caller machine program in
-    fun tc ->
-      Sandbox.Machine.restore_from ~src:pristine ~dst:machine;
-      Sandbox.Testcase.apply tc machine;
-      match (Sandbox.Engine.call call).Sandbox.Exec.outcome with
-      | Sandbox.Exec.Finished -> Some (Sandbox.Spec.read_outputs spec machine)
-      | Sandbox.Exec.Faulted _ -> None
-  in
+     both are prepared exactly once, here. *)
+  let outs = Array.of_list (List.map out_of spec.S.Spec.outputs) in
   {
     spec;
-    rewrite;
-    exec_target = runner spec.Sandbox.Spec.program;
-    exec_rewrite = runner rewrite;
+    arity = S.Spec.arity spec;
+    machine;
+    pristine;
+    plan = install_plan spec machine.S.Machine.mem;
+    outs;
+    expected = Bytes.create (8 * Array.length outs);
+    target = S.Engine.prepare_call caller machine spec.S.Spec.program;
+    rewrite_call = S.Engine.prepare_call caller machine rewrite;
   }
 
 let spec t = t.spec
 
-(* One target run + one rewrite run; [None] is divergent signal
-   behaviour.  Every public evaluator is a view of this, so a combined
-   query costs exactly one pair of executions. *)
+(* Reset the machine and store each float input's bits straight into
+   the register file or the arena — no testcase, no boxed value. *)
+let install t xs =
+  S.Machine.restore_from ~src:t.pristine ~dst:t.machine;
+  let regs = t.machine.S.Machine.regs in
+  let mem = t.machine.S.Machine.mem in
+  let data = S.Memory.unsafe_bytes mem in
+  for k = 0 to Array.length t.plan - 1 do
+    let { input; dst } = t.plan.(k) in
+    let x = xs.(input) in
+    match dst with
+    | Reg64 o -> Bytes.set_int64_le regs o (Int64.bits_of_float x)
+    | Reg32 o -> Bytes.set_int32_le regs o (Int32.bits_of_float x)
+    | Mem64 o ->
+      Bytes.set_int64_le data o (Int64.bits_of_float x);
+      S.Memory.mark mem o 8
+    | Mem32 o ->
+      Bytes.set_int32_le data o (Int32.bits_of_float x);
+      S.Memory.mark mem o 4
+  done
+
+(* Install [xs], run, and say whether the run finished. *)
+let run t call xs =
+  install t xs;
+  match (S.Engine.call call).S.Exec.outcome with
+  | S.Exec.Finished -> true
+  | S.Exec.Faulted _ -> false
+
+(* The distances of {!S.Spec.value_ulp}, on raw register bits: Ulp.dist64
+   and Ulp.dist32 through each format's ordered index (Fp64.ordered,
+   Fp32.ordered of the single the register holds), and the integer
+   outputs' absolute difference. *)
+let[@inline] dist64 a b =
+  let oa = if a < 0L then Int64.sub Int64.min_int a else a in
+  let ob = if b < 0L then Int64.sub Int64.min_int b else b in
+  if oa >= ob then Int64.sub oa ob else Int64.sub ob oa
+
+let[@inline] ordered32 b =
+  let b = Int32.bits_of_float (Int32.float_of_bits b) in
+  if b < 0l then Int32.sub Int32.min_int b else b
+
+let[@inline] dist32 a b =
+  let oa = ordered32 a and ob = ordered32 b in
+  let d = if oa >= ob then Int32.sub oa ob else Int32.sub ob oa in
+  Int64.logand (Int64.of_int32 d) 0xffff_ffffL
+
+let[@inline] absdiff a b =
+  let d = Int64.sub a b in
+  if d >= 0L then d else Int64.neg d
+
+(* Ulp.add_sat: an unsigned sum that sticks at all-ones. *)
+let[@inline] add_sat a b =
+  let s = Int64.add a b in
+  if Int64.sub s Int64.min_int < Int64.sub a Int64.min_int then Ulp.max_value else s
+
+let save_expected t =
+  let regs = t.machine.S.Machine.regs in
+  for k = 0 to Array.length t.outs - 1 do
+    match t.outs.(k) with
+    | O64 o | Ogp o -> Bytes.set_int64_le t.expected (8 * k) (Bytes.get_int64_le regs o)
+    | O32 o -> Bytes.set_int32_le t.expected (8 * k) (Bytes.get_int32_le regs o)
+  done
+
+let score t =
+  let regs = t.machine.S.Machine.regs in
+  let total = ref Ulp.zero in
+  for k = 0 to Array.length t.outs - 1 do
+    let e = 8 * k in
+    let d =
+      match t.outs.(k) with
+      | O64 o -> dist64 (Bytes.get_int64_le t.expected e) (Bytes.get_int64_le regs o)
+      | O32 o -> dist32 (Bytes.get_int32_le t.expected e) (Bytes.get_int32_le regs o)
+      | Ogp o -> absdiff (Bytes.get_int64_le t.expected e) (Bytes.get_int64_le regs o)
+    in
+    total := add_sat !total d
+  done;
+  !total
+
+(* One target run + one rewrite run, as an exact ULP count; divergent
+   signal behaviour is {!Ulp.max_value}.  Every public evaluator is a view
+   of this, so a combined query costs exactly one pair of executions.  A
+   saturated sum also reads [max_value], and both map to [top_eta]. *)
 let total_ulp t xs =
-  let tc = Sandbox.Spec.testcase_of_floats t.spec xs in
-  match t.exec_target tc with
-  | None ->
-    (* The spec's input ranges must keep the target from faulting; if it
-       does anyway, charge it as divergent. *)
-    None
-  | Some expected ->
-    (match t.exec_rewrite tc with
-     | None -> None
-     | Some actual ->
-       let total = ref Ulp.zero in
-       Array.iteri
-         (fun i e ->
-           total := Ulp.add_sat !total (Sandbox.Spec.value_ulp e actual.(i)))
-         expected;
-       Some !total)
+  if Array.length xs <> t.arity then
+    invalid_arg "Errfn: input vector length differs from the spec's arity";
+  (* The spec's input ranges must keep the target from faulting; if it
+     does anyway, charge it as divergent. *)
+  if not (run t t.target xs) then Ulp.max_value
+  else begin
+    save_expected t;
+    if run t t.rewrite_call xs then score t else Ulp.max_value
+  end
 
-let eval_ulp t xs =
-  match total_ulp t xs with
-  | None -> Ulp.max_value
-  | Some u -> u
+let eval_ulp = total_ulp
 
-let eval t xs =
-  match total_ulp t xs with
-  | None -> top_eta
-  | Some u -> Ulp.to_float u
+let eval t xs = Ulp.to_float (total_ulp t xs)
 
 let eval_both t xs =
-  match total_ulp t xs with
-  | None -> (top_eta, Ulp.max_value)
-  | Some u -> (Ulp.to_float u, u)
+  let u = total_ulp t xs in
+  (Ulp.to_float u, u)

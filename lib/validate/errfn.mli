@@ -13,13 +13,19 @@ val create :
 (** [engine] (default [Compiled]) selects the executor
     ({!Sandbox.Engine}); [instance] overrides it with an explicit engine
     instance.  The target and the rewrite are each prepared once here and
-    run per evaluation on one machine, each sampled input installed per
-    call.  All engines produce bit-identical errors. *)
+    run per evaluation on one machine, which holds the spec's fixed
+    inputs; each call stores the float inputs' bits straight into its
+    registers and arena, exactly as installing
+    {!Sandbox.Spec.testcase_of_floats} would, and scores the outputs from
+    their raw bits, so an evaluation allocates no testcase and no output
+    values.  All engines produce bit-identical errors.  Raises
+    [Invalid_argument] if a memory input lies outside the arena. *)
 
 val eval : t -> float array -> float
 (** [eval e xs] evaluates the error on the test case assembled from the
     float-input vector [xs].  ULP sums saturate; divergent signals return
-    [top_eta]. *)
+    [top_eta].  Raises [Invalid_argument] unless [xs] has one float per
+    float input of the spec. *)
 
 val eval_ulp : t -> float array -> Ulp.t
 (** Same, as an exact unsigned ULP count ({!Ulp.max_value} for divergent

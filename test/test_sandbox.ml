@@ -1024,6 +1024,59 @@ let restore_tests =
             | exception Failure _ -> ()));
   ]
 
+(* Restore cost follows the dirty lines, so a run that writes far
+   apart — delta's inputs at arena+0x100 and its stack under rsp, or a
+   byte at each end — must still come back whole.  Checked with the
+   integrity check on, on the fast path (a clean source this arena was
+   copied from) and on the full-copy path (a source written since). *)
+let sparse_restore_test =
+  Alcotest.test_case "sparse writes restore exactly, fast and full paths"
+    `Quick (fun () ->
+      let g = Rng.Xoshiro256.create 17L in
+      let random_string n = String.init n (fun _ -> Char.chr (Rng.Dist.int g 256)) in
+      let run ~size ~fast =
+        let src = Sandbox.Memory.create size in
+        Sandbox.Memory.set_bytes src base (random_string size);
+        let src = if fast then Sandbox.Memory.copy src else src in
+        let dst = Sandbox.Memory.create size in
+        Sandbox.Memory.blit_from ~src ~dst;
+        let rsp = size / 2 in
+        for round = 1 to 300 do
+          (* delta's pattern: 32 bytes of inputs, 24 of stack *)
+          Sandbox.Memory.set_bytes dst (Int64.add base 0x100L) (random_string 32);
+          Sandbox.Memory.set_bytes dst (Int64.add base (Int64.of_int (rsp - 24)))
+            (random_string 24);
+          for _ = 1 to 1 + Rng.Dist.int g 4 do
+            let n = 1 + Rng.Dist.int g 16 in
+            let off =
+              if Rng.Dist.bool g then Rng.Dist.int g 48
+              else size - n - Rng.Dist.int g 48
+            in
+            if Rng.Dist.bool g then
+              Sandbox.Memory.set_bytes dst (Int64.add base (Int64.of_int off))
+                (random_string n)
+            else
+              ignore
+                (Sandbox.Memory.write dst (Int64.add base (Int64.of_int off))
+                   (Int.min n 8) (Rng.Xoshiro256.next g))
+          done;
+          Sandbox.Memory.restore_from ~src ~dst;
+          if not (Sandbox.Memory.equal src dst) then
+            Alcotest.failf "size %d, %s path, round %d: arena differs from pristine"
+              size (if fast then "fast" else "full") round;
+          Alcotest.(check bool) "clean" true (Sandbox.Memory.is_clean dst)
+        done
+      in
+      Sandbox.Memory.set_integrity_checks true;
+      Fun.protect
+        ~finally:(fun () -> Sandbox.Memory.set_integrity_checks false)
+        (fun () ->
+          List.iter
+            (fun (size, fast) -> run ~size ~fast)
+            [ (4096, true); (4096, false); (1000, true); (1000, false) ]))
+
+let restore_tests = restore_tests @ [ sparse_restore_test ]
+
 (* ----- compiled engine: differential equivalence vs the interpreter ----- *)
 
 let outcome_equal (a : Sandbox.Exec.outcome) (b : Sandbox.Exec.outcome) =
@@ -1281,14 +1334,15 @@ let compiled_tests =
 
 (* Validation runs the compiled engine one input at a time, so what one
    run allocates is its cost.  Every kernel's run — restore, install the
-   test, execute — stays within a fixed minor-heap budget; a reintroduced
-   box (an int64 or float crossing a closure or module boundary, 2 or 3
-   words an instruction) fails it. *)
-let alloc_budget_words = 32.
+   test, execute — stays within a fixed minor-heap budget: the 4 words
+   of [Compiled.exec]'s [Exec.result].  A reintroduced box (an int64 or
+   float crossing a closure or module boundary, 2 or 3 words an
+   instruction) or a closure per testcase install fails it. *)
+let alloc_budget_words = 4.
 
 let alloc_tests =
   [
-    Alcotest.test_case "a compiled kernel run allocates at most 32 minor words"
+    Alcotest.test_case "a compiled kernel run allocates at most 4 minor words"
       `Quick (fun () ->
         List.iter
           (fun (name, (spec : Sandbox.Spec.t)) ->

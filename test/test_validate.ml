@@ -55,6 +55,138 @@ let errfn_tests =
         check_input (Validate.Errfn.create exp_spec ~rewrite:bad) [| -1. |]);
   ]
 
+(* [Errfn]'s answer computed the long way: install the testcase the
+   spec builds, run each program on a fresh machine, and sum
+   [Spec.value_ulp] over the outputs [Spec.read_outputs] reads. *)
+let reference_ulp (spec : Sandbox.Spec.t) rewrite xs =
+  let run p =
+    let m = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
+    Sandbox.Testcase.apply (Sandbox.Spec.testcase_of_floats spec xs) m;
+    match (Sandbox.Exec.run m p).Sandbox.Exec.outcome with
+    | Sandbox.Exec.Finished -> Some (Sandbox.Spec.read_outputs spec m)
+    | Sandbox.Exec.Faulted _ -> None
+  in
+  match (run spec.Sandbox.Spec.program, run rewrite) with
+  | Some e, Some a ->
+    let total = ref Ulp.zero in
+    Array.iteri (fun i v -> total := Ulp.add_sat !total (Sandbox.Spec.value_ulp v a.(i))) e;
+    !total
+  | _ -> Ulp.max_value
+
+(* Inputs that merge into one register, shadow one another or overlap
+   in memory, each read back through one f64 output against a rewrite
+   that zeroes it: the ULP distance from +0 is the output's ordered
+   index, so equal counts mean equal bits. *)
+let install_specs =
+  let r = { Sandbox.Spec.lo = -4.; hi = 4. } in
+  let a = 0x100100L in
+  let float_inputs =
+    Sandbox.Spec.
+      [
+        Fin_xmm_f32 (Reg.Xmm0, r);
+        Fin_xmm_f32_hi (Reg.Xmm0, r);
+        (* shadowed: xmm0 already holds an input *)
+        Fin_xmm_f64 (Reg.Xmm0, r);
+        Fin_xmm_f32_hi (Reg.Xmm1, r);
+        Fin_xmm_f64 (Reg.Xmm2, r);
+        Fin_xmm_f32 (Reg.Xmm2, r);
+        Fin_xmm_f32 (Reg.Xmm3, r);
+        Fin_xmm_f64 (Reg.Xmm3, r);
+        (* shadowed too, after the f64 *)
+        Fin_xmm_f32_hi (Reg.Xmm3, r);
+        Fin_mem_f64 (a, r);
+        Fin_mem_f32 (Int64.add a 4L, r);
+        Fin_mem_f32 (Int64.add a 8L, r);
+      ]
+  in
+  let fixed_inputs =
+    Sandbox.Spec.
+      [ Fix_gp (Reg.Rdi, a); Fix_mem (Int64.add a 8L, String.make 16 '\x5a') ]
+  in
+  let spec out load =
+    Sandbox.Spec.make ~name:"install" ~float_inputs ~fixed_inputs
+      ~outputs:[ Sandbox.Spec.Out_xmm_f64 out ]
+      ~program:(Parser.parse_program_exn load) ()
+  in
+  [
+    spec Reg.Xmm0 "movsd xmm0, xmm0";
+    spec Reg.Xmm1 "movsd xmm1, xmm1";
+    spec Reg.Xmm2 "movsd xmm2, xmm2";
+    spec Reg.Xmm3 "movsd xmm3, xmm3";
+    spec Reg.Xmm4 "movsd (rdi), xmm4";
+    spec Reg.Xmm5 "movsd 8(rdi), xmm5";
+  ]
+
+let zero_all = Parser.parse_program_exn "xorps xmm0, xmm0\nxorps xmm1, xmm1\nxorps xmm2, xmm2\nxorps xmm3, xmm3\nxorps xmm4, xmm4\nxorps xmm5, xmm5"
+
+let install_tests =
+  [
+    Alcotest.test_case "direct install matches Testcase.apply" `Quick (fun () ->
+        let g = Rng.Xoshiro256.create 21L in
+        List.iter
+          (fun spec ->
+            let e = Validate.Errfn.create spec ~rewrite:zero_all in
+            for _ = 1 to 50 do
+              let xs = Sandbox.Spec.random_floats g spec in
+              Alcotest.(check int64) "same ULP count"
+                (reference_ulp spec zero_all xs)
+                (Validate.Errfn.eval_ulp e xs)
+            done)
+          install_specs);
+    Alcotest.test_case "every registry pair matches the reference" `Quick (fun () ->
+        let g = Rng.Xoshiro256.create 22L in
+        List.iter
+          (fun (name, spec) ->
+            let _, rewrite = Kernels.Registry.shipped_rewrite name spec in
+            List.iter
+              (fun rewrite ->
+                let e = Validate.Errfn.create spec ~rewrite in
+                for _ = 1 to 30 do
+                  let xs = Sandbox.Spec.random_floats g spec in
+                  Alcotest.(check int64) name (reference_ulp spec rewrite xs)
+                    (Validate.Errfn.eval_ulp e xs)
+                done)
+              [ rewrite; zero_all ])
+          Kernels.Registry.all);
+    Alcotest.test_case "eval_both is bit-identical on every engine" `Quick (fun () ->
+        let engines =
+          List.filter Sandbox.Engine.available Sandbox.Engine.all
+        in
+        List.iter
+          (fun (name, spec, rewrite) ->
+            let errfns =
+              List.map (fun engine -> (engine, Validate.Errfn.create ~engine spec ~rewrite)) engines
+            in
+            let g = Rng.Xoshiro256.create 23L in
+            let p = Validate.Proposal.create spec in
+            let xs = Validate.Proposal.initial g p in
+            for _ = 1 to 100 do
+              Validate.Proposal.step_into g p ~src:xs ~dst:xs;
+              let want_f, want_u = Validate.Errfn.eval_both (snd (List.hd errfns)) xs in
+              List.iter
+                (fun (engine, e) ->
+                  let f, u = Validate.Errfn.eval_both e xs in
+                  let what = name ^ " on " ^ Sandbox.Exec.engine_to_string engine in
+                  Alcotest.(check int64) what want_u u;
+                  Alcotest.(check int64) what (Int64.bits_of_float want_f)
+                    (Int64.bits_of_float f))
+                errfns
+            done)
+          [
+            ("exp", exp_spec, truncated_exp);
+            ("dot", Kernels.Aek_kernels.dot_spec, Kernels.Aek_kernels.dot_rewrite);
+            ("delta", Kernels.Aek_kernels.delta_spec, Kernels.Aek_kernels.delta_rewrite);
+          ]);
+    Alcotest.test_case "a vector of the wrong length is rejected" `Quick (fun () ->
+        let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
+        List.iter
+          (fun xs ->
+            match Validate.Errfn.eval e xs with
+            | _ -> Alcotest.failf "%d floats accepted" (Array.length xs)
+            | exception Invalid_argument _ -> ())
+          [ [||]; [| -1.; -2. |] ]);
+  ]
+
 let proposal_tests =
   [
     Alcotest.test_case "initial draws stay in range" `Quick (fun () ->
@@ -84,6 +216,21 @@ let proposal_tests =
         for _ = 1 to 200 do
           xs := Validate.Proposal.step g p !xs;
           Alcotest.(check (float 0.)) "pinned" 0. !xs.(4)
+        done);
+    Alcotest.test_case "step_into draws what step draws" `Quick (fun () ->
+        let p = Validate.Proposal.create Kernels.Aek_kernels.delta_spec in
+        let g = Rng.Xoshiro256.create 6L and h = Rng.Xoshiro256.create 6L in
+        let xs = Validate.Proposal.initial g p in
+        ignore (Validate.Proposal.initial h p);
+        let into = Array.copy xs and spare = Array.make (Array.length xs) 0. in
+        let stepped = ref xs in
+        for _ = 1 to 100 do
+          stepped := Validate.Proposal.step g p !stepped;
+          (* alternate a separate buffer with stepping in place *)
+          Validate.Proposal.step_into h p ~src:into ~dst:spare;
+          Validate.Proposal.step_into h p ~src:spare ~dst:into;
+          stepped := Validate.Proposal.step g p !stepped;
+          Alcotest.(check (array (float 0.))) "same walk" !stepped into
         done);
     Alcotest.test_case "step does not mutate its argument" `Quick (fun () ->
         let p = Validate.Proposal.create exp_spec in
@@ -454,10 +601,51 @@ let multi_chain_tests =
               (Sandbox.Exec.Counters.snapshot ()).Sandbox.Exec.Counters.runs));
   ]
 
+(* ---- allocation per validation sample ---- *)
+
+(* A quarter of the minor words one [Driver.run] sample allocated when
+   every sample built a [Testcase.t], a fresh proposal vector and a
+   [Spec.value] array per run, and each Gaussian boxed its xoshiro
+   draws (seed 1, 4000 proposals, dev profile).  A sample now allocates
+   its RNG results, [eval_both]'s pair and the engine's [Exec.result]s;
+   a per-instruction box, a per-run testcase or a per-sample list puts
+   a kernel over. *)
+let words_before =
+  [ ("sin", 217.); ("log", 208.); ("tan", 208.); ("cos", 208.); ("exp", 208.);
+    ("s3d_exp", 208.); ("scale", 625.); ("dot", 680.); ("add", 756.);
+    ("delta", 1205.) ]
+
+let alloc_tests =
+  [
+    Alcotest.test_case "a validation sample allocates a quarter of what it did"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, spec) ->
+            let _, rewrite = Kernels.Registry.shipped_rewrite name spec in
+            let e = Validate.Errfn.create spec ~rewrite in
+            let n = 4_000 in
+            let config =
+              { Validate.Driver.default_config with
+                Validate.Driver.max_proposals = n; min_samples = max_int;
+                trace_points = 0; seed = 1L }
+            in
+            ignore (Validate.Driver.run ~config ~eta:Ulp.max_value e);
+            let before = Gc.minor_words () in
+            ignore (Validate.Driver.run ~config ~eta:Ulp.max_value e);
+            let per_sample = (Gc.minor_words () -. before) /. float_of_int n in
+            let bound = List.assoc name words_before /. 4. in
+            if per_sample > bound then
+              Alcotest.failf "%s: %.1f minor words per sample (bound %.0f)" name
+                per_sample bound)
+          Kernels.Registry.all);
+  ]
+
 let () =
   Alcotest.run "validate"
     [
       ("errfn", errfn_tests);
+      ("install", install_tests);
+      ("alloc", alloc_tests);
       ("proposal", proposal_tests);
       ("driver", driver_tests);
       ("regressions", regression_tests);
