@@ -226,7 +226,7 @@ let[@inline] offset a n addr =
   else raise (Memory.Fault_exn (Memory.Out_of_bounds addr))
 
 (* Memory.read_exn / write_exn at widths 8 and 4 (the dword raw, not
-   zero-extended); a store marks the arena's dirty lines like
+   zero-extended); a store widens the arena's dirty range like
    Memory.store does. *)
 let[@inline] load64 a addr = Bytes.get_int64_le a.data (offset a 8 addr)
 

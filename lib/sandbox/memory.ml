@@ -1,17 +1,14 @@
 type t = {
   base : int64;
   data : Bytes.t;
-  (* Dirty 64-byte lines: every mutation flags the lines it touches in
-     [line_dirty] and, the first time, pushes their index onto [dirty]
-     (the first [n_dirty] entries), so {!restore_from} re-copies only
-     those lines — its cost follows the bytes a run wrote, however far
-     apart they lie.  [n_dirty = 0] means clean. *)
-  line_dirty : Bytes.t;
-  dirty : int array;
-  mutable n_dirty : int;
+  (* Dirty-range high-water marks: every mutation widens [dirty_lo,
+     dirty_hi) so {!restore_from} can undo only the bytes a run actually
+     touched.  [dirty_lo >= dirty_hi] means clean. *)
+  mutable dirty_lo : int;
+  mutable dirty_hi : int;
   (* The bytes this arena was last made bit-equal to by a full copy
      (physical identity).  When a later [restore_from] names the same
-     source and that source is itself clean, only the dirty lines need
+     source and that source is itself clean, only the dirty range needs
      re-copying. *)
   mutable shadow : Bytes.t option;
 }
@@ -22,91 +19,77 @@ type fault =
 
 exception Fault_exn of fault
 
-let line_bits = 6
-let line_size = 1 lsl line_bits
-
-let make base data =
-  let lines = (Bytes.length data + line_size - 1) lsr line_bits in
-  { base; data; line_dirty = Bytes.make lines '\000'; dirty = Array.make lines 0;
-    n_dirty = 0; shadow = None }
+let clean_lo = max_int
 
 let create ?(base = 0x100000L) n =
   if n <= 0 then invalid_arg "Memory.create: non-positive size";
-  make base (Bytes.make n '\000')
+  { base; data = Bytes.make n '\000'; dirty_lo = clean_lo; dirty_hi = 0;
+    shadow = None }
 
 let base t = t.base
 let size t = Bytes.length t.data
 
-let is_clean t = t.n_dirty = 0
+let is_clean t = t.dirty_lo >= t.dirty_hi
 
-let copy t = make t.base (Bytes.copy t.data)
+let copy t =
+  { base = t.base; data = Bytes.copy t.data; dirty_lo = clean_lo;
+    dirty_hi = 0; shadow = None }
 
 let mark t off n =
-  for l = off asr line_bits to (off + n - 1) asr line_bits do
-    if Bytes.get t.line_dirty l = '\000' then begin
-      Bytes.set t.line_dirty l '\001';
-      t.dirty.(t.n_dirty) <- l;
-      t.n_dirty <- t.n_dirty + 1
-    end
-  done
-
-let clear_dirty t =
-  for k = 0 to t.n_dirty - 1 do
-    Bytes.set t.line_dirty t.dirty.(k) '\000'
-  done;
-  t.n_dirty <- 0
+  if off < t.dirty_lo then t.dirty_lo <- off;
+  let e = off + n in
+  if e > t.dirty_hi then t.dirty_hi <- e
 
 let blit_from ~src ~dst =
   if Bytes.length src.data <> Bytes.length dst.data then
     invalid_arg "Memory.blit_from: size mismatch";
   Bytes.blit src.data 0 dst.data 0 (Bytes.length src.data);
-  clear_dirty dst;
+  dst.dirty_lo <- clean_lo;
+  dst.dirty_hi <- 0;
   dst.shadow <- Some src.data
 
 let integrity_checks = ref false
 let set_integrity_checks b = integrity_checks := b
 
 (* Catch dirty-tracking bypasses: on the fast path every byte outside
-   [dst]'s dirty lines is supposed to already equal [src]'s — a mismatch
+   [dst]'s dirty range is supposed to already equal [src]'s — a mismatch
    means someone wrote through [unsafe_bytes] (or otherwise around
    {!mark}), which the fast path would silently fail to restore. *)
 let check_shadow_integrity ~src ~dst =
-  for i = 0 to Bytes.length dst.data - 1 do
-    if
-      Bytes.get dst.line_dirty (i lsr line_bits) = '\000'
-      && not (Char.equal (Bytes.get dst.data i) (Bytes.get src.data i))
-    then
+  let n = Bytes.length dst.data in
+  let lo = min dst.dirty_lo n and hi = max dst.dirty_hi 0 in
+  let check i =
+    if not (Char.equal (Bytes.get dst.data i) (Bytes.get src.data i)) then
       failwith
         (Printf.sprintf
            "Memory.restore_from: byte at offset %d differs from the restore \
-            source outside the dirty lines — the arena was mutated without \
-            dirty tracking (direct unsafe_bytes write?)"
-           i)
+            source outside the dirty range [%d,%d) — the arena was mutated \
+            without dirty tracking (direct unsafe_bytes write?)"
+           i lo hi)
+  in
+  for i = 0 to lo - 1 do
+    check i
+  done;
+  for i = hi to n - 1 do
+    check i
   done
 
-(* A run that writes back the whole arena (the native engine's) dirties
-   every line; past half the lines dirty, one full copy replaces the
-   per-line copies. *)
 let restore_from ~src ~dst =
   if Bytes.length src.data <> Bytes.length dst.data then
     invalid_arg "Memory.restore_from: size mismatch";
   let fast =
     is_clean src
-    && 2 * dst.n_dirty <= Bytes.length dst.line_dirty
     && (match dst.shadow with
         | Some s -> s == src.data
         | None -> false)
   in
   if fast then begin
     if !integrity_checks then check_shadow_integrity ~src ~dst;
-    let size = Bytes.length dst.data in
-    for k = 0 to dst.n_dirty - 1 do
-      let l = dst.dirty.(k) in
-      let off = l lsl line_bits in
-      Bytes.blit src.data off dst.data off (Int.min line_size (size - off));
-      Bytes.set dst.line_dirty l '\000'
-    done;
-    dst.n_dirty <- 0
+    if dst.dirty_lo < dst.dirty_hi then
+      Bytes.blit src.data dst.dirty_lo dst.data dst.dirty_lo
+        (dst.dirty_hi - dst.dirty_lo);
+    dst.dirty_lo <- clean_lo;
+    dst.dirty_hi <- 0
   end
   else blit_from ~src ~dst
 

@@ -6,12 +6,10 @@
     evaluation.  Alignment-checked accesses (movaps) additionally fault on
     misaligned addresses.
 
-    The arena tracks which 64-byte lines every write touched, so
-    {!restore_from} can undo a run by re-copying those lines alone: its
-    cost follows the bytes the run wrote, not the span between its
-    lowest and highest write, and not the whole image.  4- and 8-byte
-    accesses use single little-endian loads/stores rather than byte
-    loops. *)
+    The arena tracks a dirty range (high-water marks widened by every
+    write) so {!restore_from} can undo a run in O(bytes written) instead
+    of re-copying the whole image; 4- and 8-byte accesses use single
+    little-endian loads/stores rather than byte loops. *)
 
 type t
 
@@ -32,8 +30,8 @@ val base : t -> int64
 val size : t -> int
 
 val copy : t -> t
-(** A fresh arena with the same contents; the copy starts clean (no
-    dirty lines, no remembered restore source). *)
+(** A fresh arena with the same contents; the copy starts clean (empty
+    dirty range, no remembered restore source). *)
 
 val blit_from : src:t -> dst:t -> unit
 (** Copy the full contents (sizes must match).  Afterwards [dst] is clean
@@ -42,9 +40,8 @@ val blit_from : src:t -> dst:t -> unit
 val restore_from : src:t -> dst:t -> unit
 (** Make [dst]'s contents equal [src]'s.  When [dst] was last fully
     copied from this same [src] (physical identity) and [src] has not
-    been written since, only [dst]'s dirty lines are re-copied — 64
-    bytes per line the intervening runs wrote.  Any other pairing, or a
-    [dst] with more than half its lines dirty, falls back to a full
+    been written since, only [dst]'s dirty range is re-copied — O(bytes
+    the intervening runs wrote).  Any other pairing falls back to a full
     {!blit_from}.  Invariant: all writes to an arena go through {!write},
     {!write128}, their [_exn] variants, or {!set_bytes}, or store
     through {!unsafe_bytes} and then {!mark} the bytes; mutating
@@ -52,7 +49,7 @@ val restore_from : src:t -> dst:t -> unit
     enable {!set_integrity_checks} in tests to catch such bypasses. *)
 
 val is_clean : t -> bool
-(** No writes since creation / the last restore (no dirty lines). *)
+(** No writes since creation / the last restore (dirty range empty). *)
 
 val read : t -> int64 -> int -> (int64, fault) result
 (** [read m addr n] reads [n] bytes ([1..8]) little-endian, zero-extended. *)
@@ -89,8 +86,8 @@ val unsafe_bytes : t -> Bytes.t
     assertion. *)
 
 val mark : t -> int -> int -> unit
-(** [mark m off n] flags the lines holding the [n] bytes at arena
-    offset [off] dirty, as every {!write} does.  For a caller that bounds-checks
+(** [mark m off n] widens the dirty range over the [n] bytes at arena
+    offset [off], as every {!write} does.  For a caller that bounds-checks
     and stores through {!unsafe_bytes} itself (the compiled engine's flat
     closures, which must not pass an [int64] across a module
     boundary). *)
@@ -98,7 +95,7 @@ val mark : t -> int -> int -> unit
 val set_integrity_checks : bool -> unit
 (** When enabled (default off — it is O(arena size) per restore), every
     {!restore_from} fast path first verifies that all bytes outside the
-    destination's dirty lines still equal the source's, failing with
+    destination's dirty range still equal the source's, failing with
     [Failure] on a mismatch.  For debug builds and tests. *)
 
 val equal : t -> t -> bool

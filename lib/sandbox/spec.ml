@@ -55,6 +55,10 @@ let with_fixed t tc =
       | Fix_mem (addr, s) -> Testcase.with_mem addr s tc)
     tc t.fixed_inputs
 
+(* The input layout below — the f32/f32_hi merges, the shadowing of an
+   f64 and everything after it on an already-set register, and the
+   first of two overlapping memory inputs winning — is mirrored by
+   {!install_plan}; test_sandbox checks the two install equal states. *)
 let testcase_of_floats t xs =
   if Array.length xs <> arity t then
     invalid_arg "Spec.testcase_of_floats: arity mismatch";
@@ -103,6 +107,73 @@ let testcase_of_floats t xs =
   with_fixed t !tc
 
 let fixed_testcase t = with_fixed t Testcase.empty
+
+type slot =
+  | Reg64 of int
+  | Reg32 of int
+  | Mem64 of int
+  | Mem32 of int
+
+type install = {
+  input : int;
+  slot : slot;
+}
+
+type install_plan = install array
+
+(* [testcase_of_floats]'s layout as direct stores.  Its testcase sets
+   each xmm register once, to the inputs naming it merged in order — an
+   f32 into the low dword, an f32_hi into the next — except that an f64
+   naming a register some earlier input set is shadowed, and so are all
+   later inputs naming it; its memory inputs land in reverse order, so
+   the first of two overlapping ones wins. *)
+let install_plan t (m : Machine.t) =
+  let mem = m.Machine.mem in
+  let mem_off addr n =
+    (* Memory.set_bytes's bounds check, once *)
+    let off = Int64.sub addr (Memory.base mem) in
+    let lim = Memory.size mem - n in
+    if lim < 0 || Int64.unsigned_compare off (Int64.of_int lim) > 0 then
+      invalid_arg "Spec.install_plan: a memory input lies outside the arena";
+    Int64.to_int off
+  in
+  let seen = Array.make 16 `Unset and regs = ref [] and mems = ref [] in
+  let reg input r ~f64 slot =
+    let i = Reg.xmm_index r in
+    match seen.(i) with
+    | `Shadowed -> ()
+    | `Set when f64 -> seen.(i) <- `Shadowed
+    | `Set | `Unset ->
+      seen.(i) <- `Set;
+      regs := { input; slot } :: !regs
+  in
+  List.iteri
+    (fun input fin ->
+      match fin with
+      | Fin_xmm_f64 (r, _) -> reg input r ~f64:true (Reg64 (Machine.xmm_offset r))
+      | Fin_xmm_f32 (r, _) -> reg input r ~f64:false (Reg32 (Machine.xmm_offset r))
+      | Fin_xmm_f32_hi (r, _) -> reg input r ~f64:false (Reg32 (Machine.xmm_offset r + 4))
+      | Fin_mem_f64 (addr, _) -> mems := { input; slot = Mem64 (mem_off addr 8) } :: !mems
+      | Fin_mem_f32 (addr, _) -> mems := { input; slot = Mem32 (mem_off addr 4) } :: !mems)
+    t.float_inputs;
+  Array.of_list (List.rev_append !regs !mems)
+
+let install_floats plan (m : Machine.t) xs =
+  let regs = m.Machine.regs and mem = m.Machine.mem in
+  let data = Memory.unsafe_bytes mem in
+  for k = 0 to Array.length plan - 1 do
+    let { input; slot } = plan.(k) in
+    let x = xs.(input) in
+    match slot with
+    | Reg64 o -> Bytes.set_int64_le regs o (Int64.bits_of_float x)
+    | Reg32 o -> Bytes.set_int32_le regs o (Int32.bits_of_float x)
+    | Mem64 o ->
+      Bytes.set_int64_le data o (Int64.bits_of_float x);
+      Memory.mark mem o 8
+    | Mem32 o ->
+      Bytes.set_int32_le data o (Int32.bits_of_float x);
+      Memory.mark mem o 4
+  done
 
 let random_floats g t =
   Array.map (fun r -> Rng.Dist.uniform g r.lo r.hi) (input_ranges t)

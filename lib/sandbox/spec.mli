@@ -65,6 +65,25 @@ val fixed_testcase : t -> Testcase.t
 (** The fixed inputs alone, as {!testcase_of_floats} installs them:
     before every float input. *)
 
+type install_plan
+(** Where each float input's bits go in one machine: a byte offset into
+    its register file or its arena per input, with
+    {!testcase_of_floats}'s layout resolved once — the f32/f32_hi
+    merges, the f64 inputs it shadows, the order of overlapping memory
+    inputs. *)
+
+val install_plan : t -> Machine.t -> install_plan
+(** The plan for this machine's arena (its base and size).  Raises
+    [Invalid_argument] if a memory input lies outside the arena. *)
+
+val install_floats : install_plan -> Machine.t -> float array -> unit
+(** [install_floats plan m xs] stores [xs]'s bits where the plan says,
+    marking the arena bytes it writes dirty, and allocates nothing.  On
+    a machine that holds {!fixed_testcase} and whose xmm registers the
+    float inputs name are zero, the result is the state [Testcase.apply
+    (testcase_of_floats t xs)] leaves.  [xs] must have one float per
+    float input; the caller checks the arity. *)
+
 val random_floats : Rng.Xoshiro256.t -> t -> float array
 (** Uniform draw from each input's range. *)
 

@@ -82,13 +82,28 @@ type history = {
           boundary would otherwise double-check and double-emit) *)
 }
 
-(* A hunt pushes one sample per proposal, so a budget of up to 64K
-   proposals gets its whole history in one allocation; a larger one
-   starts there and doubles.  Growing from a small array instead left a
-   chain's worth of copies per hunt for the major GC to collect. *)
-let history ~budget =
-  { samples = Array.make (Int.max 1 (Int.min budget 65536)) 0.; n_samples = 0;
-    last_z = Float.infinity; last_check = 0 }
+(* A finished hunt's sample buffer, lent to the next hunt.  A fresh
+   history doubles its way up from 1024 floats, and those arrays, too big
+   for the minor heap, are nearly all the major-heap allocation of a hunt
+   whose samples allocate a few words each: with few minor collections
+   during the hunt to pace the major GC, the work they cause falls on
+   whatever runs next.  A buffer above [max_lent] floats (1 MB) is left
+   to the GC, so a process keeps at most one, that small.  The exchange
+   makes each buffer one hunt's alone, on any domain or thread. *)
+let lent = Atomic.make [||]
+let max_lent = 1 lsl 17
+
+let history () =
+  let samples =
+    match Atomic.exchange lent [||] with
+    | [||] -> Array.make 1024 0.
+    | samples -> samples
+  in
+  { samples; n_samples = 0; last_z = Float.infinity; last_check = 0 }
+
+(* Only once nothing reads [h] any more. *)
+let release h =
+  if Array.length h.samples <= max_lent then Atomic.set lent h.samples
 
 let push_sample h x =
   if h.n_samples = Array.length h.samples then begin
@@ -168,7 +183,7 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
   let cur_err = ref cur_err0 in
   let max_err = ref max_err0 in
   let max_err_input = ref (Array.copy !cur) in
-  let h = history ~budget:config.max_proposals in
+  let h = history () in
   let mixed = ref false in
   let refuted = ref (refute && Ulp.compare max_err0 eta > 0) in
   let iterations = ref 0 in
@@ -285,7 +300,9 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
 
 let run ?(obs = Obs.Sink.null) ?(config = default_config) ?(refute = false)
     ~eta errfn =
-  fst (hunt ~rule:A_mcmc ~refute ~obs ~config ~eta errfn)
+  let v, h = hunt ~rule:A_mcmc ~refute ~obs ~config ~eta errfn in
+  release h;
+  v
 
 let run_strategy ?(obs = Obs.Sink.null) ?(config = default_config) ~strategy
     ~eta errfn =
@@ -296,7 +313,9 @@ let run_strategy ?(obs = Obs.Sink.null) ?(config = default_config) ~strategy
     | `Anneal -> A_anneal
     | `Random -> A_random
   in
-  fst (hunt ~rule ~refute:false ~obs ~config ~eta errfn)
+  let v, h = hunt ~rule ~refute:false ~obs ~config ~eta errfn in
+  release h;
+  v
 
 let sample ~sigma ~seed ~proposals errfn =
   (* a [min_samples] no chain reaches switches the Geweke schedule off *)
@@ -308,4 +327,6 @@ let sample ~sigma ~seed ~proposals errfn =
     hunt ~rule:A_mcmc ~refute:false ~obs:Obs.Sink.null ~config
       ~eta:Ulp.max_value errfn
   in
-  (v.max_err, v.max_err_input, Array.sub h.samples 0 h.n_samples)
+  let samples = Array.sub h.samples 0 h.n_samples in
+  release h;
+  (v.max_err, v.max_err_input, samples)

@@ -1,18 +1,5 @@
 module S = Sandbox
 
-(* Where one float input's bits go: an f64 or f32 at a byte offset into
-   the register file or the arena. *)
-type dst =
-  | Reg64 of int
-  | Reg32 of int
-  | Mem64 of int
-  | Mem32 of int
-
-type install = {
-  input : int;  (** index into the float-input vector *)
-  dst : dst;
-}
-
 (* Where one live output sits in the register file, and how its
    distance is measured. *)
 type out =
@@ -25,7 +12,7 @@ type t = {
   arity : int;
   machine : S.Machine.t;
   pristine : S.Machine.t;  (** the fixed inputs baked in *)
-  plan : install array;
+  plan : S.Spec.install_plan;
   outs : out array;
   expected : Bytes.t;  (** the target's outputs, raw, 8 bytes each *)
   target : S.Engine.call;
@@ -33,45 +20,6 @@ type t = {
 }
 
 let top_eta = 0x1p64
-
-(* The install plan: [S.Testcase.apply (S.Spec.testcase_of_floats spec
-   xs)] as direct stores, for a machine that already holds the fixed
-   inputs and whose xmm registers are zero.  That testcase sets each xmm
-   register once, to the inputs naming it merged in order — an f32 into
-   the low dword, an f32_hi into the next — except that an f64 input
-   naming a register some earlier input set is shadowed, and so are all
-   later inputs naming it; memory inputs land in reverse order, so the
-   first of two overlapping ones wins. *)
-let install_plan (spec : S.Spec.t) mem =
-  let mem_off addr n =
-    (* Memory.set_bytes's bounds check, at creation *)
-    let off = Int64.sub addr (S.Memory.base mem) in
-    let lim = S.Memory.size mem - n in
-    if lim < 0 || Int64.unsigned_compare off (Int64.of_int lim) > 0 then
-      invalid_arg "Errfn.create: a memory input lies outside the arena";
-    Int64.to_int off
-  in
-  let seen = Hashtbl.create 8 in
-  let regs = ref [] and mems = ref [] in
-  let reg input r ~f64 dst =
-    match Hashtbl.find_opt seen r with
-    | Some `Shadowed -> ()
-    | Some `Set when f64 -> Hashtbl.replace seen r `Shadowed
-    | Some `Set | None ->
-      Hashtbl.replace seen r `Set;
-      regs := { input; dst } :: !regs
-  in
-  List.iteri
-    (fun input fin ->
-      match fin with
-      | S.Spec.Fin_xmm_f64 (r, _) -> reg input r ~f64:true (Reg64 (S.Machine.xmm_offset r))
-      | S.Spec.Fin_xmm_f32 (r, _) -> reg input r ~f64:false (Reg32 (S.Machine.xmm_offset r))
-      | S.Spec.Fin_xmm_f32_hi (r, _) ->
-        reg input r ~f64:false (Reg32 (S.Machine.xmm_offset r + 4))
-      | S.Spec.Fin_mem_f64 (addr, _) -> mems := { input; dst = Mem64 (mem_off addr 8) } :: !mems
-      | S.Spec.Fin_mem_f32 (addr, _) -> mems := { input; dst = Mem32 (mem_off addr 4) } :: !mems)
-    spec.S.Spec.float_inputs;
-  Array.of_list (List.rev_append !regs !mems)
 
 let out_of = function
   | S.Spec.Out_xmm_f64 r -> O64 (S.Machine.xmm_offset r)
@@ -97,7 +45,7 @@ let create ?(engine = S.Exec.Compiled) ?instance spec ~rewrite =
     arity = S.Spec.arity spec;
     machine;
     pristine;
-    plan = install_plan spec machine.S.Machine.mem;
+    plan = S.Spec.install_plan spec machine;
     outs;
     expected = Bytes.create (8 * Array.length outs);
     target = S.Engine.prepare_call caller machine spec.S.Spec.program;
@@ -106,30 +54,10 @@ let create ?(engine = S.Exec.Compiled) ?instance spec ~rewrite =
 
 let spec t = t.spec
 
-(* Reset the machine and store each float input's bits straight into
-   the register file or the arena — no testcase, no boxed value. *)
-let install t xs =
-  S.Machine.restore_from ~src:t.pristine ~dst:t.machine;
-  let regs = t.machine.S.Machine.regs in
-  let mem = t.machine.S.Machine.mem in
-  let data = S.Memory.unsafe_bytes mem in
-  for k = 0 to Array.length t.plan - 1 do
-    let { input; dst } = t.plan.(k) in
-    let x = xs.(input) in
-    match dst with
-    | Reg64 o -> Bytes.set_int64_le regs o (Int64.bits_of_float x)
-    | Reg32 o -> Bytes.set_int32_le regs o (Int32.bits_of_float x)
-    | Mem64 o ->
-      Bytes.set_int64_le data o (Int64.bits_of_float x);
-      S.Memory.mark mem o 8
-    | Mem32 o ->
-      Bytes.set_int32_le data o (Int32.bits_of_float x);
-      S.Memory.mark mem o 4
-  done
-
 (* Install [xs], run, and say whether the run finished. *)
 let run t call xs =
-  install t xs;
+  S.Machine.restore_from ~src:t.pristine ~dst:t.machine;
+  S.Spec.install_floats t.plan t.machine xs;
   match (S.Engine.call call).S.Exec.outcome with
   | S.Exec.Finished -> true
   | S.Exec.Faulted _ -> false

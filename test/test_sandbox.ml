@@ -733,6 +733,36 @@ let exec_tests =
         Alcotest.(check int) "executed" 3 r.Sandbox.Exec.executed);
   ]
 
+(* Inputs that merge into one register, shadow one another or overlap
+   in memory and with a fixed input. *)
+let install_spec =
+  let r = { Sandbox.Spec.lo = -4.; hi = 4. } in
+  let a = 0x100100L in
+  Sandbox.Spec.make ~name:"install"
+    ~float_inputs:
+      Sandbox.Spec.
+        [
+          Fin_xmm_f32 (Reg.Xmm0, r);
+          Fin_xmm_f32_hi (Reg.Xmm0, r);
+          (* shadowed: xmm0 already holds an input *)
+          Fin_xmm_f64 (Reg.Xmm0, r);
+          Fin_xmm_f32_hi (Reg.Xmm1, r);
+          Fin_xmm_f64 (Reg.Xmm2, r);
+          Fin_xmm_f32 (Reg.Xmm2, r);
+          Fin_xmm_f32 (Reg.Xmm3, r);
+          Fin_xmm_f64 (Reg.Xmm3, r);
+          (* shadowed too, after the f64 *)
+          Fin_xmm_f32_hi (Reg.Xmm3, r);
+          Fin_mem_f64 (a, r);
+          Fin_mem_f32 (Int64.add a 4L, r);
+          Fin_mem_f32 (Int64.add a 8L, r);
+        ]
+    ~fixed_inputs:
+      Sandbox.Spec.[ Fix_gp (Reg.Rdi, a); Fix_mem (Int64.add a 8L, String.make 16 '\x5a') ]
+    ~outputs:[ Sandbox.Spec.Out_xmm_f64 Reg.Xmm0 ]
+    ~program:(Parser.parse_program_exn "movsd xmm0, xmm0")
+    ()
+
 let spec_tests =
   [
     Alcotest.test_case "testcase_of_floats packs f32 pairs" `Quick (fun () ->
@@ -777,6 +807,42 @@ let spec_tests =
         Sandbox.Machine.set_f32 m Reg.Xmm0 1.5;
         let vs = Sandbox.Spec.read_outputs Kernels.Aek_kernels.dot_spec m in
         Alcotest.(check int) "one output" 1 (Array.length vs));
+    Alcotest.test_case "install_floats leaves testcase_of_floats's state" `Quick
+      (fun () ->
+        let g = Rng.Xoshiro256.create 21L in
+        List.iter
+          (fun (name, (spec : Sandbox.Spec.t)) ->
+            let m = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
+            Sandbox.Testcase.apply (Sandbox.Spec.fixed_testcase spec) m;
+            let pristine = Sandbox.Machine.copy m in
+            let plan = Sandbox.Spec.install_plan spec m in
+            for round = 1 to 50 do
+              let xs = Sandbox.Spec.random_floats g spec in
+              let want = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
+              Sandbox.Testcase.apply (Sandbox.Spec.testcase_of_floats spec xs) want;
+              Sandbox.Machine.restore_from ~src:pristine ~dst:m;
+              Sandbox.Spec.install_floats plan m xs;
+              if not (Bytes.equal want.Sandbox.Machine.regs m.Sandbox.Machine.regs)
+              then Alcotest.failf "%s, round %d: registers differ" name round;
+              if not (Sandbox.Memory.equal want.Sandbox.Machine.mem m.Sandbox.Machine.mem)
+              then Alcotest.failf "%s, round %d: arenas differ" name round
+            done)
+          (("install", install_spec) :: Kernels.Registry.all));
+    Alcotest.test_case "install_plan rejects a memory input outside the arena"
+      `Quick (fun () ->
+        let r = { Sandbox.Spec.lo = 0.; hi = 1. } in
+        List.iter
+          (fun fin ->
+            let spec =
+              Sandbox.Spec.make ~name:"outside" ~float_inputs:[ fin ]
+                ~outputs:[ Sandbox.Spec.Out_xmm_f64 Reg.Xmm0 ]
+                ~program:(Parser.parse_program_exn "movsd xmm0, xmm0") ()
+            in
+            match Sandbox.Spec.install_plan spec (fresh ()) with
+            | _ -> Alcotest.fail "plan built"
+            | exception Invalid_argument _ -> ())
+          Sandbox.Spec.
+            [ Fin_mem_f64 (Int64.add base 4092L, r); Fin_mem_f32 (Int64.sub base 1L, r) ]);
   ]
 
 (* interpreter vs OCaml arithmetic on random bit patterns, specials
@@ -1024,11 +1090,11 @@ let restore_tests =
             | exception Failure _ -> ()));
   ]
 
-(* Restore cost follows the dirty lines, so a run that writes far
-   apart — delta's inputs at arena+0x100 and its stack under rsp, or a
-   byte at each end — must still come back whole.  Checked with the
-   integrity check on, on the fast path (a clean source this arena was
-   copied from) and on the full-copy path (a source written since). *)
+(* A run that writes far apart — delta's inputs at arena+0x100 and its
+   stack under rsp, or a few bytes at each end — must come back whole.
+   Checked with the integrity check on, on the fast path (a clean source
+   this arena was copied from) and on the full-copy path (a source
+   written since). *)
 let sparse_restore_test =
   Alcotest.test_case "sparse writes restore exactly, fast and full paths"
     `Quick (fun () ->

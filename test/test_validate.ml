@@ -73,66 +73,10 @@ let reference_ulp (spec : Sandbox.Spec.t) rewrite xs =
     !total
   | _ -> Ulp.max_value
 
-(* Inputs that merge into one register, shadow one another or overlap
-   in memory, each read back through one f64 output against a rewrite
-   that zeroes it: the ULP distance from +0 is the output's ordered
-   index, so equal counts mean equal bits. *)
-let install_specs =
-  let r = { Sandbox.Spec.lo = -4.; hi = 4. } in
-  let a = 0x100100L in
-  let float_inputs =
-    Sandbox.Spec.
-      [
-        Fin_xmm_f32 (Reg.Xmm0, r);
-        Fin_xmm_f32_hi (Reg.Xmm0, r);
-        (* shadowed: xmm0 already holds an input *)
-        Fin_xmm_f64 (Reg.Xmm0, r);
-        Fin_xmm_f32_hi (Reg.Xmm1, r);
-        Fin_xmm_f64 (Reg.Xmm2, r);
-        Fin_xmm_f32 (Reg.Xmm2, r);
-        Fin_xmm_f32 (Reg.Xmm3, r);
-        Fin_xmm_f64 (Reg.Xmm3, r);
-        (* shadowed too, after the f64 *)
-        Fin_xmm_f32_hi (Reg.Xmm3, r);
-        Fin_mem_f64 (a, r);
-        Fin_mem_f32 (Int64.add a 4L, r);
-        Fin_mem_f32 (Int64.add a 8L, r);
-      ]
-  in
-  let fixed_inputs =
-    Sandbox.Spec.
-      [ Fix_gp (Reg.Rdi, a); Fix_mem (Int64.add a 8L, String.make 16 '\x5a') ]
-  in
-  let spec out load =
-    Sandbox.Spec.make ~name:"install" ~float_inputs ~fixed_inputs
-      ~outputs:[ Sandbox.Spec.Out_xmm_f64 out ]
-      ~program:(Parser.parse_program_exn load) ()
-  in
-  [
-    spec Reg.Xmm0 "movsd xmm0, xmm0";
-    spec Reg.Xmm1 "movsd xmm1, xmm1";
-    spec Reg.Xmm2 "movsd xmm2, xmm2";
-    spec Reg.Xmm3 "movsd xmm3, xmm3";
-    spec Reg.Xmm4 "movsd (rdi), xmm4";
-    spec Reg.Xmm5 "movsd 8(rdi), xmm5";
-  ]
-
 let zero_all = Parser.parse_program_exn "xorps xmm0, xmm0\nxorps xmm1, xmm1\nxorps xmm2, xmm2\nxorps xmm3, xmm3\nxorps xmm4, xmm4\nxorps xmm5, xmm5"
 
 let install_tests =
   [
-    Alcotest.test_case "direct install matches Testcase.apply" `Quick (fun () ->
-        let g = Rng.Xoshiro256.create 21L in
-        List.iter
-          (fun spec ->
-            let e = Validate.Errfn.create spec ~rewrite:zero_all in
-            for _ = 1 to 50 do
-              let xs = Sandbox.Spec.random_floats g spec in
-              Alcotest.(check int64) "same ULP count"
-                (reference_ulp spec zero_all xs)
-                (Validate.Errfn.eval_ulp e xs)
-            done)
-          install_specs);
     Alcotest.test_case "every registry pair matches the reference" `Quick (fun () ->
         let g = Rng.Xoshiro256.create 22L in
         List.iter
@@ -259,6 +203,27 @@ let brute_force_max e lo hi n =
 
 let driver_tests =
   [
+    Alcotest.test_case "a reused sample buffer changes nothing" `Quick (fun () ->
+        (* hunts hand their sample buffer on to the next hunt, stale
+           samples and all *)
+        let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
+        let short () = Validate.Driver.run ~config:quick_config ~eta:0L e in
+        let series () =
+          Validate.Driver.sample ~sigma:0.1 ~seed:4L ~proposals:3000 e
+        in
+        let v0 = short () and _, _, s0 = series () in
+        let s0' = Array.copy s0 in
+        let other = Validate.Errfn.create exp_spec ~rewrite:Kernels.S3d.exp_program in
+        ignore (Validate.Driver.sample ~sigma:0.5 ~seed:9L ~proposals:50_000 other);
+        let v1 = short () and _, _, s1 = series () in
+        Alcotest.(check (array (float 0.))) "a returned series is not overwritten" s0' s0;
+        Alcotest.(check (array (float 0.))) "same series" s0 s1;
+        Alcotest.(check int64) "same max" v0.Validate.Driver.max_err v1.Validate.Driver.max_err;
+        Alcotest.(check int) "same iterations" v0.Validate.Driver.iterations
+          v1.Validate.Driver.iterations;
+        Alcotest.(check int64) "same Z bits"
+          (Int64.bits_of_float v0.Validate.Driver.geweke_z)
+          (Int64.bits_of_float v1.Validate.Driver.geweke_z));
     Alcotest.test_case "identical rewrite validates at eta 0" `Quick (fun () ->
         let e = Validate.Errfn.create exp_spec ~rewrite:Kernels.S3d.exp_program in
         let v = Validate.Driver.run ~config:quick_config ~eta:0L e in
