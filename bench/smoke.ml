@@ -1,7 +1,8 @@
 (* Equivalence smoke check: run the same fixed-seed search under every
    engine × pruning combination, assert the winners are bit-identical,
    and check how many test-case executions the cutoff + cache saved
-   against pinned counts; then pin one fixed-seed validation verdict.
+   against pinned counts; then pin one fixed-seed validation verdict and
+   the Taylor tier's two shipped verifications.
    Small enough to ride along in `dune runtest` as an end-to-end guard on
    both equivalence invariants — pruned vs. full, and compiled vs.
    interpreted. *)
@@ -347,6 +348,69 @@ let run_validation () =
     exit 1
   end
 
+(* The Taylor tier's two shipped pairs, verified as `stoke verify --all
+   --bb-timeout 0` does (branch-and-bound budgeted by boxes, so every
+   figure is deterministic).  The sound bound is gated to the bit, beside
+   the boxes explored and the depth reached: a change to the order or the
+   operands of one interval operation moves them, where the checked-in
+   verify baseline allows 1% slack. *)
+type verified = {
+  tier : string;
+  sound_bits : int64;  (** [Int64.bits_of_float] of the sound bound *)
+  boxes : int;
+  depth : int;
+}
+
+let expected_verified =
+  [
+    ( "sin",
+      Kernels.Libimf.sin_spec,
+      Kernels.Libimf.sin_assoc_rewrite,
+      { tier = "taylor"; sound_bits = Int64.bits_of_float 0x1.f18472aa8fa83p-3;
+        boxes = 1566; depth = 10 } );
+    ( "delta",
+      Kernels.Aek_kernels.delta_spec,
+      Kernels.Aek_kernels.delta_rewrite,
+      { tier = "taylor"; sound_bits = Int64.bits_of_float 0x1.bb8520f28f5ep+2;
+        boxes = 2002; depth = 10 } );
+  ]
+
+let run_verify () =
+  let taylor =
+    { Verify.Bbound.default_config with Verify.Bbound.timeout_s = 0. }
+  in
+  List.iter
+    (fun (name, spec, rewrite, expected) ->
+      let outcome = Stoke.verify ~taylor ~eta:Ulp.zero spec rewrite in
+      let boxes, depth =
+        match outcome with
+        | Verify.Verifier.Taylor_bound a ->
+          (a.Verify.Taylor.boxes_explored, a.Verify.Taylor.depth)
+        | _ -> (0, 0)
+      in
+      let got =
+        {
+          tier = Verify.Verifier.tier_name outcome;
+          sound_bits =
+            Int64.bits_of_float
+              (Option.value ~default:Float.nan
+                 (Verify.Verifier.sound_ulps outcome));
+          boxes;
+          depth;
+        }
+      in
+      let describe v =
+        Printf.sprintf "tier %s, sound %h ULPs, %d boxes, depth %d" v.tier
+          (Int64.float_of_bits v.sound_bits) v.boxes v.depth
+      in
+      Printf.printf "verify %s: %s\n" name (describe got);
+      if got <> expected then begin
+        Printf.eprintf "smoke: verify %s moved!\n  expected %s\n  got      %s\n"
+          name (describe expected) (describe got);
+        exit 1
+      end)
+    expected_verified
+
 let run () =
   Util.heading
     "equivalence smoke check (bit-identical winners across engines and \
@@ -354,4 +418,5 @@ let run () =
   List.iter (fun (name, spec, expected) -> run_one name spec expected) kernels;
   run_frontier ();
   run_validated_frontier ();
-  run_validation ()
+  run_validation ();
+  run_verify ()

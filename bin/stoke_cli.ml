@@ -850,9 +850,10 @@ let verify_cmd =
       & opt float Verify.Bbound.default_config.Verify.Bbound.timeout_s
       & info [ "bb-timeout" ] ~docv:"SECS"
           ~doc:
-            "CPU-time cutoff per analysis for the Taylor tier; 0 disables \
-             it, making the reported bound deterministic (required for \
-             baseline comparisons).")
+            "Cutoff per analysis for the Taylor tier, in seconds of the \
+             process's CPU time, summed over all its domains and threads \
+             (not wall clock); 0 disables it, making the reported bound \
+             deterministic (required for baseline comparisons).")
   in
   let fpcore_flag =
     Arg.(

@@ -17,7 +17,12 @@
 type config = {
   max_depth : int;  (** maximum number of splits along any one path *)
   max_boxes : int;  (** total budget of objective evaluations *)
-  timeout_s : float;  (** wall-clock cutoff in CPU seconds; 0 = none *)
+  timeout_s : float;
+      (** cutoff, in seconds of the process's CPU time ([Sys.time]) since
+          the call began; 0 = none.  CPU time is summed over every domain
+          and thread of the process, so while other domains are busy the
+          cutoff comes sooner than this many seconds of wall clock, and
+          while the process is descheduled it comes later. *)
 }
 
 val default_config : config

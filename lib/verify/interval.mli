@@ -23,6 +23,50 @@ val top : itv
 val is_top : itv -> bool
 val make : float -> float -> itv
 
+type prec =
+  | P32
+  | P64  (** the grid an operation's result is widened on *)
+
+(** The interval operations, each written once, over a pair of
+    [Float.Array] buffers holding the lower and upper endpoints of
+    numbered slots.  [k lo hi d a b] reads slots [a] and [b] and writes
+    slot [d], which may be [a] or [b]; no kernel allocates.  Arithmetic
+    results are widened outward by one representable value of [prec]
+    (⊤, the whole line, stays ⊤), and a NaN endpoint makes the result ⊤.
+    The record operations below are wrappers over these. *)
+module Kernel : sig
+  type buf = Float.Array.t
+
+  val add : prec -> buf -> buf -> int -> int -> int -> unit
+  val sub : prec -> buf -> buf -> int -> int -> int -> unit
+  val mul : prec -> buf -> buf -> int -> int -> int -> unit
+
+  val div : prec -> buf -> buf -> int -> int -> int -> unit
+  (** ⊤ when the divisor spans 0. *)
+
+  val sqrt : prec -> buf -> buf -> int -> int -> unit
+  (** ⊤ when the operand reaches below 0. *)
+
+  val min : buf -> buf -> int -> int -> int -> unit
+  val max : buf -> buf -> int -> int -> int -> unit
+  (** Endpoint-wise and exact: no widening and no ⊤ rule. *)
+
+  val hull : buf -> buf -> int -> int -> int -> unit
+
+  val pow : buf -> buf -> int -> int -> int -> unit
+  (** [pow lo hi d a k]: the [k]-th power ([k ≥ 1]) of slot [a], widened
+      one binary64 step; an even power is non-negative. *)
+
+  val widen : prec -> buf -> buf -> int -> unit
+  (** One representable value outward, in place, ⊤ or not. *)
+
+  val copy : buf -> buf -> int -> int -> unit
+  (** [copy lo hi d a] *)
+
+  val set_top : buf -> buf -> int -> unit
+  val is_top : buf -> buf -> int -> bool
+end
+
 val add : itv -> itv -> itv
 val sub : itv -> itv -> itv
 val mul : itv -> itv -> itv

@@ -151,139 +151,6 @@ let root_of dag (spec : Sandbox.Spec.t) idx term =
             Int32.float_of_bits (Int64.to_int32 v)
           else Int64.float_of_bits v))
 
-(* ----- forward interval pass with explicit perturbation widths ----- *)
-
-let u64 = Float.pow 2. (-53.)
-let d64 = Float.pow 2. (-1074.)
-let u32 = Float.pow 2. (-24.)
-let d32 = Float.pow 2. (-149.)
-
-type fwd = {
-  raw : Interval.itv array;  (** pre-rounding enclosure of each node *)
-  jv : Interval.itv array;  (** enclosure across the whole e-cube *)
-  eb : float array;  (** per-node perturbation bound uᵢ·|rᵢ| + dᵢ *)
-}
-
-let e_bound prec (raw : Interval.itv) =
-  match prec with
-  | Rexact -> 0.
-  | R64 -> Fp64.succ ((u64 *. Interval.mag raw) +. d64)
-  | R32 -> Fp64.succ ((u32 *. Interval.mag raw) +. d32)
-
-let perturb (raw : Interval.itv) eb =
-  if eb = 0. then raw
-  else if Interval.is_top raw then raw
-  else
-    Interval.make
-      (Fp64.pred (raw.Interval.lo -. eb))
-      (Fp64.succ (raw.Interval.hi +. eb))
-
-let imin (a : Interval.itv) (b : Interval.itv) =
-  if Interval.is_top a || Interval.is_top b then Interval.top
-  else
-    Interval.make
-      (Float.min a.Interval.lo b.Interval.lo)
-      (Float.min a.Interval.hi b.Interval.hi)
-
-let imax (a : Interval.itv) (b : Interval.itv) =
-  if Interval.is_top a || Interval.is_top b then Interval.top
-  else
-    Interval.make
-      (Float.max a.Interval.lo b.Interval.lo)
-      (Float.max a.Interval.hi b.Interval.hi)
-
-let forward dag (box : Interval.itv array) : fwd =
-  let n = dag.count in
-  let raw = Array.make n Interval.top in
-  let jv = Array.make n Interval.top in
-  let eb = Array.make n 0. in
-  for id = 0 to n - 1 do
-    let r =
-      match dag.nodes.(id) with
-      | NConst c -> Interval.make c c
-      | NVar k -> box.(k)
-      | NBin (op, _, a, b) ->
-        let ja = jv.(a) and jb = jv.(b) in
-        (match op with
-         | Radd -> Interval.add ja jb
-         | Rsub -> Interval.sub ja jb
-         | Rmul -> Interval.mul ja jb
-         | Rdiv -> Interval.div ja jb
-         | Rmin -> imin ja jb
-         | Rmax -> imax ja jb)
-      | NSqrt (_, a) -> Interval.sqrt_itv jv.(a)
-      | NCvt (_, a) -> jv.(a)
-    in
-    let prec =
-      match dag.nodes.(id) with
-      | NBin (_, p, _, _) | NSqrt (p, _) | NCvt (p, _) -> p
-      | NConst _ | NVar _ -> Rexact
-    in
-    raw.(id) <- r;
-    let e = if Interval.is_top r then Float.infinity else e_bound prec r in
-    eb.(id) <- e;
-    jv.(id) <- perturb r e
-  done;
-  { raw; jv; eb }
-
-(* ----- interval reverse-mode adjoints -----
-
-   adjoints.(i) encloses ∂(root)/∂eᵢ — the derivative of the root value
-   with respect to an additive perturbation at node i — over the whole
-   input box and perturbation cube (all intermediate values drawn from
-   [jv], which encloses every perturbed evaluation). *)
-
-let zero = Interval.make 0. 0.
-
-let square (i : Interval.itv) =
-  let m = Interval.mul i i in
-  if Interval.is_top m then m
-  else
-    Interval.make
-      (if Interval.contains i 0. then 0.
-       else Stdlib.max 0. m.Interval.lo)
-      m.Interval.hi
-
-let hull0 (i : Interval.itv) =
-  if Interval.is_top i then i
-  else Interval.make (Float.min 0. i.Interval.lo) (Float.max 0. i.Interval.hi)
-
-let adjoints dag (f : fwd) root : Interval.itv array =
-  let adj = Array.make dag.count zero in
-  adj.(root) <- Interval.make 1. 1.;
-  for id = dag.count - 1 downto 0 do
-    let a_n = adj.(id) in
-    if not (a_n.Interval.lo = 0. && a_n.Interval.hi = 0.) then begin
-      let bump k v = adj.(k) <- Interval.add adj.(k) v in
-      match dag.nodes.(id) with
-      | NConst _ | NVar _ -> ()
-      | NBin (Radd, _, a, b) ->
-        bump a a_n;
-        bump b a_n
-      | NBin (Rsub, _, a, b) ->
-        bump a a_n;
-        bump b (Interval.sub zero a_n)
-      | NBin (Rmul, _, a, b) ->
-        bump a (Interval.mul a_n f.jv.(b));
-        bump b (Interval.mul a_n f.jv.(a))
-      | NBin (Rdiv, _, a, b) ->
-        bump a (Interval.div a_n f.jv.(b));
-        bump b
-          (Interval.sub zero
-             (Interval.div (Interval.mul a_n f.jv.(a)) (square f.jv.(b))))
-      | NBin ((Rmin | Rmax), _, a, b) ->
-        (* subgradient pair (θ, 1−θ), θ ∈ [0,1] *)
-        bump a (hull0 a_n);
-        bump b (hull0 a_n)
-      | NSqrt (_, a) ->
-        bump a
-          (Interval.div a_n
-             (Interval.mul (Interval.make 2. 2.) (Interval.sqrt_itv f.jv.(a))))
-      | NCvt (_, a) -> bump a a_n
-    end
-  done;
-  adj
-
 (* ----- polynomial normal form of the real difference -----
 
    The real (perturbation-free) part of target − rewrite is expanded into
@@ -457,48 +324,323 @@ let poly_of_dag dag =
   in
   go
 
-(* Interval evaluation of a polynomial over a box, with even-power
-   tightening of repeated atoms. *)
-let rec eval_atom box = function
-  | Avar k -> box.(k)
-  | Adiv (p, q) -> Interval.div (eval_poly box p) (eval_poly box q)
-  | Asqrt p -> Interval.sqrt_itv (eval_poly box p)
-  | Amin (p, q) -> imin (eval_poly box p) (eval_poly box q)
-  | Amax (p, q) -> imax (eval_poly box p) (eval_poly box q)
+(* ----- the evaluation tape -----
 
-and pow_itv (i : Interval.itv) k =
-  if k = 1 then i
-  else if Interval.is_top i then i
+   Branch-and-bound evaluates the objective on a couple of thousand boxes
+   per analysis.  Every interval one evaluation computes lives in a
+   numbered slot of two endpoint buffers, laid out once per analysis:
+
+     [0, n)        raw:   the pre-rounding enclosure of node i
+     [n, 2n)       jv:    node i's enclosure across the whole e-cube
+     [2n, 3n)      the adjoint of node i in the target's root
+     [3n, 4n)      the adjoint of node i in the rewrite's root
+     [4n, 4n + v)  the box's input intervals
+     then the constants 0, 1 and 2, scratch slots, and the compiled
+     difference polynomials' coefficients and values.
+
+   The perturbation bounds eᵢ are a third buffer.  An evaluation only
+   writes slots, through {!Interval.Kernel}, so it allocates nothing.
+   Interval sums round outward at every step, so the order of the
+   operations is part of the bound: adjoints accumulate in node order
+   (operand a before operand b), the round-off sum runs in node order,
+   and the polynomial keeps its nesting.  test_verify and bench smoke
+   pin the resulting bits. *)
+
+let u64 = Float.pow 2. (-53.)
+let d64 = Float.pow 2. (-1074.)
+let u32 = Float.pow 2. (-24.)
+let d32 = Float.pow 2. (-149.)
+
+(* One instruction of a compiled polynomial: destination slot first. *)
+type pinstr =
+  | Padd of int * int * int
+  | Pmul of int * int * int
+  | Pdiv of int * int * int
+  | Psqrt of int * int
+  | Pmin of int * int * int
+  | Pmax of int * int * int
+  | Ppow of int * int * int  (** destination, base, exponent *)
+
+type tape_case = {
+  tc_t_root : int;
+  tc_r_root : int;
+  code : pinstr array option;
+      (** the real difference polynomial; None: expansion bailed, so the
+          objective uses the interval difference of the two roots *)
+  out : int;  (** the slot [code] leaves the polynomial's value in *)
+}
+
+type tape = {
+  n : int;  (** DAG nodes *)
+  nodes : node array;
+  lo : Float.Array.t;
+  hi : Float.Array.t;
+  eb : Float.Array.t;  (** per-node perturbation bound uᵢ·|rᵢ| + dᵢ *)
+  vars : int;
+  zero : int;
+  one : int;
+  two : int;
+  s0 : int;  (** four scratch slots *)
+  tape_cases : tape_case array;
+}
+
+let adj_t t = 2 * t.n
+let adj_r t = 3 * t.n
+
+module K = Interval.Kernel
+
+(* [Interval.mag] of slot [i]; [Float.max] only for ties and NaNs, whose
+   sign-bit tests are calls into the runtime. *)
+let[@inline] mag (t : tape) i =
+  let a = Float.abs (Float.Array.get t.lo i)
+  and b = Float.abs (Float.Array.get t.hi i) in
+  if b > a then b else if a > b then a else Float.max a b
+
+let[@inline] set_point (t : tape) i x =
+  Float.Array.set t.lo i x;
+  Float.Array.set t.hi i x
+
+(* The binary64 successor of [x], as the upper end of one widening step
+   of the point [x] in a scratch slot. *)
+let[@inline] succ_via (t : tape) x =
+  let s = t.s0 + 3 in
+  set_point t s x;
+  K.widen Interval.P64 t.lo t.hi s;
+  Float.Array.get t.hi s
+
+(* Min/max of two enclosures; either operand ⊤ gives ⊤. *)
+let min_or_top (t : tape) d a b =
+  if K.is_top t.lo t.hi a || K.is_top t.lo t.hi b then K.set_top t.lo t.hi d
+  else K.min t.lo t.hi d a b
+
+let max_or_top (t : tape) d a b =
+  if K.is_top t.lo t.hi a || K.is_top t.lo t.hi b then K.set_top t.lo t.hi d
+  else K.max t.lo t.hi d a b
+
+(* The polynomial normal form compiled to slots: a sum of monomials
+   folded from 0, each its coefficient times the product of its atoms'
+   powers (a repeated atom is raised to its multiplicity once, with
+   even-power tightening), nested rightwards and closed by the point 1,
+   whose multiplication widens too. *)
+let compile_poly ~vars ~zero ~one ~fresh ~const ~emit (p : poly) =
+  let op2 mk a b =
+    let d = fresh () in
+    emit (mk d a b);
+    d
+  in
+  let rec atom = function
+    | Avar k -> vars + k
+    | Adiv (p, q) ->
+      let a = poly p in
+      op2 (fun d a b -> Pdiv (d, a, b)) a (poly q)
+    | Asqrt p ->
+      let a = poly p in
+      let d = fresh () in
+      emit (Psqrt (d, a));
+      d
+    | Amin (p, q) ->
+      let a = poly p in
+      op2 (fun d a b -> Pmin (d, a, b)) a (poly q)
+    | Amax (p, q) ->
+      let a = poly p in
+      op2 (fun d a b -> Pmax (d, a, b)) a (poly q)
+  and factors = function
+    | [] -> one
+    | a :: rest ->
+      let same, rest' = List.partition (fun a' -> compare_atom a a' = 0) rest in
+      let k = 1 + List.length same in
+      let x = atom a in
+      let x = if k = 1 then x else op2 (fun d a k -> Ppow (d, a, k)) x k in
+      op2 (fun d a b -> Pmul (d, a, b)) x (factors rest')
+  and poly p =
+    List.fold_left
+      (fun acc (m : monomial) ->
+        let f = factors m.atoms in
+        let prod = op2 (fun d a b -> Pmul (d, a, b)) (const m.c) f in
+        op2 (fun d a b -> Padd (d, a, b)) acc prod)
+      zero p
+  in
+  poly p
+
+let run_code (t : tape) code =
+  let lo = t.lo and hi = t.hi in
+  for i = 0 to Array.length code - 1 do
+    match code.(i) with
+    | Padd (d, a, b) -> K.add Interval.P64 lo hi d a b
+    | Pmul (d, a, b) -> K.mul Interval.P64 lo hi d a b
+    | Pdiv (d, a, b) -> K.div Interval.P64 lo hi d a b
+    | Psqrt (d, a) -> K.sqrt Interval.P64 lo hi d a
+    | Pmin (d, a, b) -> min_or_top t d a b
+    | Pmax (d, a, b) -> max_or_top t d a b
+    | Ppow (d, a, k) -> K.pow lo hi d a k
+  done
+
+(* Node [id]'s perturbation bound and its enclosure across the e-cube,
+   from its raw enclosure. *)
+let round (t : tape) id prec =
+  let lo = t.lo and hi = t.hi in
+  let j = t.n + id in
+  K.copy lo hi j id;
+  if K.is_top lo hi id then Float.Array.set t.eb id Float.infinity
   else begin
-    let k' = float_of_int k in
-    let m = Interval.mag i in
-    let hi = Fp64.succ (Float.pow m k') in
-    let lo_mag = Float.min (Float.abs i.Interval.lo) (Float.abs i.Interval.hi) in
-    if k mod 2 = 0 then
-      Interval.make
-        (if Interval.contains i 0. then 0. else Fp64.pred (Float.pow lo_mag k'))
-        hi
-    else begin
-      (* odd power preserves sign *)
-      let lo = Fp64.pred (Float.pow i.Interval.lo k') in
-      let hi' = Fp64.succ (Float.pow i.Interval.hi k') in
-      Interval.make lo hi'
+    let e =
+      match prec with
+      | Rexact -> 0.
+      | R64 -> succ_via t ((u64 *. mag t id) +. d64)
+      | R32 -> succ_via t ((u32 *. mag t id) +. d32)
+    in
+    Float.Array.set t.eb id e;
+    if e <> 0. then begin
+      Float.Array.set lo j (Float.Array.get lo id -. e);
+      Float.Array.set hi j (Float.Array.get hi id +. e);
+      K.widen Interval.P64 lo hi j
     end
   end
 
-and eval_poly box (p : poly) : Interval.itv =
-  List.fold_left
-    (fun acc (m : monomial) ->
-      let rec factors = function
-        | [] -> point 1.
-        | a :: rest ->
-          let same, rest' = List.partition (fun a' -> compare_atom a a' = 0) rest in
-          Interval.mul
-            (pow_itv (eval_atom box a) (1 + List.length same))
-            (factors rest')
+(* The forward interval pass: raw enclosures from the operands' jv, each
+   arithmetic node evaluated at binary64 and then perturbed.  Constants'
+   slots are filled once, in [make_tape]. *)
+let forward (t : tape) =
+  let lo = t.lo and hi = t.hi and jv = t.n in
+  for id = 0 to t.n - 1 do
+    match t.nodes.(id) with
+    | NConst _ -> ()
+    | NVar k ->
+      K.copy lo hi id (t.vars + k);
+      round t id Rexact
+    | NBin (op, p, a, b) ->
+      let a = jv + a and b = jv + b in
+      (match op with
+       | Radd -> K.add Interval.P64 lo hi id a b
+       | Rsub -> K.sub Interval.P64 lo hi id a b
+       | Rmul -> K.mul Interval.P64 lo hi id a b
+       | Rdiv -> K.div Interval.P64 lo hi id a b
+       | Rmin -> min_or_top t id a b
+       | Rmax -> max_or_top t id a b);
+      round t id p
+    | NSqrt (p, a) ->
+      K.sqrt Interval.P64 lo hi id (jv + a);
+      round t id p
+    | NCvt (p, a) ->
+      K.copy lo hi id (jv + a);
+      round t id p
+  done
+
+(* [d] ← the square of slot [a], non-negative; [d] ≠ [a]. *)
+let square (t : tape) d a =
+  let lo = t.lo and hi = t.hi in
+  K.mul Interval.P64 lo hi d a a;
+  if not (K.is_top lo hi d) then
+    Float.Array.set lo d
+      (if 0. >= Float.Array.get lo a && 0. <= Float.Array.get hi a then 0.
+       else
+         let m = Float.Array.get lo d in
+         if 0. >= m then 0. else m)
+
+(* [d] ← the hull of slot [a] and 0. *)
+let hull0 (t : tape) d a =
+  if K.is_top t.lo t.hi a then K.copy t.lo t.hi d a
+  else begin
+    Float.Array.set t.lo d (Float.min 0. (Float.Array.get t.lo a));
+    Float.Array.set t.hi d (Float.max 0. (Float.Array.get t.hi a))
+  end
+
+let bump (t : tape) base k v =
+  K.add Interval.P64 t.lo t.hi (base + k) (base + k) v
+
+(* ----- interval reverse-mode adjoints -----
+
+   Slot [base + i] encloses ∂(root)/∂eᵢ — the derivative of the root
+   value with respect to an additive perturbation at node i — over the
+   whole input box and perturbation cube (all intermediate values drawn
+   from jv, which encloses every perturbed evaluation).  A node whose
+   adjoint is exactly 0 passes nothing on: adding the point 0 would
+   still widen. *)
+let adjoints (t : tape) base root =
+  let lo = t.lo and hi = t.hi and jv = t.n in
+  let s0 = t.s0 and s1 = t.s0 + 1 and s2 = t.s0 + 2 in
+  Float.Array.fill lo base t.n 0.;
+  Float.Array.fill hi base t.n 0.;
+  set_point t (base + root) 1.;
+  for id = t.n - 1 downto 0 do
+    let an = base + id in
+    if not (Float.Array.get lo an = 0. && Float.Array.get hi an = 0.) then
+      match t.nodes.(id) with
+      | NConst _ | NVar _ -> ()
+      | NBin (Radd, _, a, b) ->
+        bump t base a an;
+        bump t base b an
+      | NBin (Rsub, _, a, b) ->
+        bump t base a an;
+        K.sub Interval.P64 lo hi s0 t.zero an;
+        bump t base b s0
+      | NBin (Rmul, _, a, b) ->
+        K.mul Interval.P64 lo hi s0 an (jv + b);
+        bump t base a s0;
+        K.mul Interval.P64 lo hi s0 an (jv + a);
+        bump t base b s0
+      | NBin (Rdiv, _, a, b) ->
+        K.div Interval.P64 lo hi s0 an (jv + b);
+        bump t base a s0;
+        K.mul Interval.P64 lo hi s0 an (jv + a);
+        square t s1 (jv + b);
+        K.div Interval.P64 lo hi s2 s0 s1;
+        K.sub Interval.P64 lo hi s0 t.zero s2;
+        bump t base b s0
+      | NBin ((Rmin | Rmax), _, a, b) ->
+        (* subgradient pair (θ, 1−θ), θ ∈ [0,1] *)
+        hull0 t s0 an;
+        bump t base a s0;
+        bump t base b s0
+      | NSqrt (_, a) ->
+        K.sqrt Interval.P64 lo hi s0 (jv + a);
+        K.mul Interval.P64 lo hi s1 t.two s0;
+        K.div Interval.P64 lo hi s2 an s1;
+        bump t base a s2
+      | NCvt (_, a) -> bump t base a an
+  done
+
+let load_box (t : tape) (box : Interval.itv array) =
+  for k = 0 to Array.length box - 1 do
+    Float.Array.set t.lo (t.vars + k) box.(k).Interval.lo;
+    Float.Array.set t.hi (t.vars + k) box.(k).Interval.hi
+  done
+
+(* The objective on one box: the largest, over the live output cases, of
+   |Δ(x)| + Σᵢ sup|∂Δ̂/∂eᵢ|·eᵢ in units of that output's [units] entry. *)
+let objective (t : tape) units box =
+  let lo = t.lo and hi = t.hi in
+  load_box t box;
+  forward t;
+  let acc = ref 0. in
+  for c = 0 to Array.length t.tape_cases - 1 do
+    let tc = t.tape_cases.(c) in
+    if tc.tc_t_root <> tc.tc_r_root then begin
+      adjoints t (adj_t t) tc.tc_t_root;
+      adjoints t (adj_r t) tc.tc_r_root;
+      let round_off = ref 0. in
+      for id = 0 to t.n - 1 do
+        let e = Float.Array.get t.eb id in
+        if e > 0. then begin
+          K.sub Interval.P64 lo hi t.s0 (adj_t t + id) (adj_r t + id);
+          round_off := !round_off +. (mag t t.s0 *. e)
+        end
+      done;
+      let real_diff =
+        match tc.code with
+        | Some code ->
+          run_code t code;
+          mag t tc.out
+        | None ->
+          K.sub Interval.P64 lo hi t.s0 tc.tc_t_root tc.tc_r_root;
+          mag t t.s0
       in
-      Interval.add acc (Interval.mul m.c (factors m.atoms)))
-    zero p
+      let v = (!round_off +. real_diff) /. Float.Array.get units c in
+      (* [Stdlib.max !acc v], without its polymorphic call *)
+      if not (!acc >= v) then acc := v
+    end
+  done;
+  !acc
 
 (* ----- the full analysis ----- *)
 
@@ -559,30 +701,102 @@ let box_of_spec dag (spec : Sandbox.Spec.t) =
       | None -> fail "unconstrained input %s" name)
     names
 
+let make_tape dag cases =
+  let n = dag.count in
+  let vars = 4 * n in
+  let zero = vars + Hashtbl.length dag.vars in
+  let one = zero + 1 and two = zero + 2 and s0 = zero + 3 in
+  let next = ref (s0 + 4) in
+  let fresh () =
+    incr next;
+    !next - 1
+  in
+  let coeffs = ref [] in
+  let const c =
+    let d = fresh () in
+    coeffs := (d, c) :: !coeffs;
+    d
+  in
+  let tape_cases =
+    Array.of_list
+      (List.map
+         (fun c ->
+           let code, out =
+             match c.diff_poly with
+             | Some p ->
+               let code = ref [] in
+               let emit i = code := i :: !code in
+               let out = compile_poly ~vars ~zero ~one ~fresh ~const ~emit p in
+               (Some (Array.of_list (List.rev !code)), out)
+             | None -> (None, 0)
+           in
+           { tc_t_root = c.t_root; tc_r_root = c.r_root; code; out })
+         cases)
+  in
+  let t =
+    {
+      n;
+      nodes = Array.sub dag.nodes 0 n;
+      lo = Float.Array.make !next 0.;
+      hi = Float.Array.make !next 0.;
+      eb = Float.Array.make n 0.;
+      vars;
+      zero;
+      one;
+      two;
+      s0;
+      tape_cases;
+    }
+  in
+  set_point t zero 0.;
+  set_point t one 1.;
+  set_point t two 2.;
+  List.iter
+    (fun (d, (c : Interval.itv)) ->
+      Float.Array.set t.lo d c.Interval.lo;
+      Float.Array.set t.hi d c.Interval.hi)
+    !coeffs;
+  (* a constant's raw enclosure is its point, exact (eᵢ = 0), so its jv
+     is the same point *)
+  for id = 0 to n - 1 do
+    match t.nodes.(id) with
+    | NConst c ->
+      set_point t id c;
+      set_point t (n + id) c
+    | NVar _ | NBin _ | NSqrt _ | NCvt _ -> ()
+  done;
+  t
+
+let jv_itv (t : tape) id =
+  Interval.make (Float.Array.get t.lo (t.n + id)) (Float.Array.get t.hi (t.n + id))
+
 let bound ?(config = default_config) (spec : Sandbox.Spec.t) ~rewrite =
   match build spec ~rewrite with
   | Error e -> Error e
   | Ok (dag, cases) ->
     (try
        let box0 = box_of_spec dag spec in
+       let t = make_tape dag cases in
        (* Fixed per-output ULP units from the full-box target range keep
           the branch-and-bound objective inclusion-monotone. *)
-       let f0 = forward dag box0 in
+       load_box t box0;
+       forward t;
        let target_range =
          List.fold_left
-           (fun acc c -> Interval.hull acc f0.jv.(c.t_root))
+           (fun acc c -> Interval.hull acc (jv_itv t c.t_root))
            (match cases with
-            | [] -> zero
-            | c :: _ -> f0.jv.(c.t_root))
+            | [] -> Interval.make 0. 0.
+            | c :: _ -> jv_itv t c.t_root)
            cases
        in
        let units =
-         List.map
-           (fun c ->
-             Interval.ulp_size_at
-               (Interval.mag f0.jv.(c.t_root))
-               ~single:c.single)
-           cases
+         Float.Array.of_list
+           (List.map
+              (fun c ->
+                Interval.ulp_size_at
+                  (Interval.mag (jv_itv t c.t_root))
+                  ~single:c.single)
+              cases)
        in
        let live = List.exists (fun c -> c.t_root <> c.r_root) cases in
        if not live then
@@ -596,33 +810,9 @@ let bound ?(config = default_config) (spec : Sandbox.Spec.t) ~rewrite =
              depth = 0;
            }
        else begin
-         let objective box =
-           let f = forward dag box in
-           List.fold_left2
-             (fun acc c unit_ ->
-               if c.t_root = c.r_root then acc
-               else begin
-                 let adj_t = adjoints dag f c.t_root in
-                 let adj_r = adjoints dag f c.r_root in
-                 let round_off = ref 0. in
-                 for id = 0 to dag.count - 1 do
-                   if f.eb.(id) > 0. then begin
-                     let d = Interval.sub adj_t.(id) adj_r.(id) in
-                     round_off :=
-                       !round_off +. (Interval.mag d *. f.eb.(id))
-                   end
-                 done;
-                 let real_diff =
-                   match c.diff_poly with
-                   | Some p -> Interval.mag (eval_poly box p)
-                   | None ->
-                     Interval.mag (Interval.sub f.raw.(c.t_root) f.raw.(c.r_root))
-                 in
-                 Stdlib.max acc ((!round_off +. real_diff) /. unit_)
-               end)
-             0. cases units
+         let sup, stats =
+           Bbound.maximize config ~f:(objective t units) ~box:box0
          in
-         let sup, stats = Bbound.maximize config ~f:objective ~box:box0 in
          let proved_real_equal =
            List.for_all
              (fun c ->
