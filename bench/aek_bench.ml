@@ -53,7 +53,11 @@ let run_fig7 () =
   in
   Printf.printf "MCMC validation bound: %s ULPs (paper: 5)\n"
     (Ulp.to_string v.Validate.Driver.max_err);
-  (match Verify.Interval.static_ulp_bound spec ~rewrite with
+  (match
+     Result.bind
+       (Verify.Symbolic.exec_pair spec ~rewrite)
+       (Verify.Interval.static_ulp_bound spec)
+   with
    | Ok a ->
      Printf.printf "static interval bound: %.1f scaled ULPs (paper: 1363.5)\n"
        a.Verify.Interval.bound_ulps

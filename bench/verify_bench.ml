@@ -28,7 +28,11 @@ let run () =
       let sound = Verify.Verifier.sound_ulps outcome in
       let tier = Verify.Verifier.tier_name outcome in
       let interval_ulps =
-        match Verify.Interval.static_ulp_bound spec ~rewrite with
+        match
+          Result.bind
+            (Verify.Symbolic.exec_pair spec ~rewrite)
+            (Verify.Interval.static_ulp_bound spec)
+        with
         | Ok a -> Some a.Verify.Interval.bound_ulps
         | Error _ -> None
       in

@@ -599,22 +599,22 @@ let scaled_ulp_unit spec outcome =
   match range with
   | None -> None
   | Some r ->
-    let n_out = List.length spec.Sandbox.Spec.outputs in
     let single =
-      List.exists (Verify.Interval.single_output spec)
-        (List.init n_out (fun i -> i))
+      List.exists
+        (fun o -> Verify.Symbolic.output_prec o = Verify.Symbolic.P32)
+        spec.Sandbox.Spec.outputs
     in
     Some (Verify.Interval.ulp_size_at (Verify.Interval.mag r) ~single)
 
 let verify_one ~taylor ~eta ~observed ~engine ~kname spec rewrite_label rewrite
     =
-  let bitwise =
-    match Verify.Symbolic.equivalent spec ~rewrite with
-    | Ok true -> "yes"
-    | Ok false -> "no"
-    | Error _ -> "abort"
-  in
   let outcome = Stoke.verify ~taylor ~eta spec rewrite in
+  let bitwise =
+    match outcome with
+    | Verify.Verifier.Proved_bitwise -> "yes"
+    | Verify.Verifier.Not_verifiable _ -> "abort"
+    | _ -> "no"
+  in
   let observed_ulps =
     if not observed then None
     else if Program.equal rewrite spec.Sandbox.Spec.program then Some 0.
@@ -776,7 +776,11 @@ let verify_cmd =
           | None -> Kernels.Registry.shipped_rewrite name spec
         in
         if fpcore then begin
-          match Verify.Fpcore.difference spec ~rewrite with
+          match
+            Result.bind
+              (Verify.Symbolic.exec_pair spec ~rewrite)
+              (Verify.Fpcore.difference spec)
+          with
           | Ok text ->
             print_endline text;
             exit 0

@@ -100,8 +100,6 @@ let exp64 t program x =
   run t program;
   Sandbox.Machine.get_f64 t.m Reg.Xmm0
 
-let scalar64 = exp64
-
 let scale t program v k =
   reset t;
   put_vec_regs t v;

@@ -32,9 +32,6 @@ val reset_counters : t -> unit
 val exp64 : t -> Program.t -> float -> float
 (** Scalar f64 kernel: x in [xmm0], result from [xmm0]. *)
 
-val scalar64 : t -> Program.t -> float -> float
-(** Alias of {!exp64} for any 1-argument double kernel. *)
-
 val scale : t -> Program.t -> Vec3.t -> float -> Vec3.t
 (** k in [xmm2]. *)
 

@@ -7,8 +7,6 @@ let is_representable x =
 
 let bits x = Int32.bits_of_float x
 
-let of_bits = Int32.float_of_bits
-
 let add a b = round (a +. b)
 let sub a b = round (a -. b)
 let mul a b = round (a *. b)

@@ -15,8 +15,6 @@ val is_representable : float -> bool
 val bits : float -> int32
 (** Binary32 bit pattern of (the rounding of) the argument. *)
 
-val of_bits : int32 -> float
-
 val add : float -> float -> float
 val sub : float -> float -> float
 val mul : float -> float -> float

@@ -231,8 +231,3 @@ let value_ulp a b =
     if Int64.compare d 0L >= 0 then d else Int64.neg d
   | (Vf64 _ | Vf32 _ | Vi64 _), _ ->
     invalid_arg "Spec.value_ulp: mismatched value types"
-
-let value_to_string = function
-  | Vf64 x -> Printf.sprintf "f64:%h" x
-  | Vf32 x -> Printf.sprintf "f32:%h" x
-  | Vi64 x -> Printf.sprintf "i64:%Ld" x

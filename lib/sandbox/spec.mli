@@ -108,5 +108,3 @@ val read_outputs : t -> Machine.t -> value array
 val value_ulp : value -> value -> Fpbits.Ulp.t
 (** ULP distance between same-typed values (integer outputs use saturated
     absolute difference); mismatched constructors are a program error. *)
-
-val value_to_string : value -> string

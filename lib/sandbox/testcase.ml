@@ -22,16 +22,6 @@ let of_f64 pairs =
     xmms = List.map (fun (r, x) -> (r, (Int64.bits_of_float x, 0L))) pairs;
   }
 
-let of_f32 pairs =
-  {
-    empty with
-    xmms =
-      List.map
-        (fun (r, x) ->
-          (r, (Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xffff_ffffL, 0L)))
-        pairs;
-  }
-
 let with_gp r v t = { t with gps = (r, v) :: t.gps }
 let with_xmm r v t = { t with xmms = (r, v) :: t.xmms }
 let with_f64 r x t = with_xmm r (Int64.bits_of_float x, 0L) t
@@ -39,21 +29,7 @@ let with_f64 r x t = with_xmm r (Int64.bits_of_float x, 0L) t
 let with_f32 r x t =
   with_xmm r (Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xffff_ffffL, 0L) t
 
-let with_f32_pair r (x0, x1) t =
-  let lo =
-    Int64.logor
-      (Int64.logand (Int64.of_int32 (Int32.bits_of_float x0)) 0xffff_ffffL)
-      (Int64.shift_left (Int64.of_int32 (Int32.bits_of_float x1)) 32)
-  in
-  with_xmm r (lo, 0L) t
-
 let with_mem addr bytes t = { t with mem_writes = (addr, bytes) :: t.mem_writes }
-
-let with_mem_f32s addr floats t =
-  with_mem addr (String.concat "" (List.map f32_bytes floats)) t
-
-let with_mem_f64s addr floats t =
-  with_mem addr (String.concat "" (List.map f64_bytes floats)) t
 
 (* Plain recursive loops: a [List.iter] over a function of [m] would
    allocate its closure on every call. *)

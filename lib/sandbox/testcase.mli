@@ -14,22 +14,12 @@ val empty : t
 val of_f64 : (Reg.xmm * float) list -> t
 (** Doubles in the low quad of each register. *)
 
-val of_f32 : (Reg.xmm * float) list -> t
-(** Singles in the low dword (value is rounded to binary32 first). *)
-
 val with_gp : Reg.gp -> int64 -> t -> t
 val with_xmm : Reg.xmm -> int64 * int64 -> t -> t
 val with_f64 : Reg.xmm -> float -> t -> t
 val with_f32 : Reg.xmm -> float -> t -> t
-val with_f32_pair : Reg.xmm -> float * float -> t -> t
-(** Two singles packed in the low quad (dword 0, dword 1). *)
 
 val with_mem : int64 -> string -> t -> t
-
-val with_mem_f32s : int64 -> float list -> t -> t
-(** Consecutive binary32 values starting at the address. *)
-
-val with_mem_f64s : int64 -> float list -> t -> t
 
 val apply : t -> Machine.t -> unit
 (** Install the test case into a machine (registers not mentioned are left

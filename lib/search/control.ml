@@ -24,13 +24,6 @@ let stop_reason_to_string = function
   | Deadline_hit -> "deadline"
   | Cancelled -> "cancelled"
 
-let stop_reason_of_string = function
-  | "exhausted" -> Some Exhausted
-  | "policy-satisfied" -> Some Policy_satisfied
-  | "deadline" -> Some Deadline_hit
-  | "cancelled" -> Some Cancelled
-  | _ -> None
-
 type chain_pub = {
   chain : int;
   seed : int64;

@@ -48,7 +48,6 @@ type stop_reason =
           and any checkpoint remain valid for a later resume *)
 
 val stop_reason_to_string : stop_reason -> string
-val stop_reason_of_string : string -> stop_reason option
 
 (** An immutable snapshot of one chain's search state, captured at a poll
     point.  [trace_rev] is newest-first, as the optimizer accumulates it.

@@ -1,7 +1,3 @@
-exception Not_exportable of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Not_exportable s)) fmt
-
 (* FPCore symbols admit no brackets; memory-cell inputs like v1[0]
    become v1_0. *)
 let sanitize name =
@@ -37,72 +33,42 @@ let intern ctx name =
     ctx.order <- name :: ctx.order;
     s
 
-(* Constants stay raw bit patterns until an operation of known width
-   consumes them — the same deferral as [Interval.eval] and
-   [Taylor.compile]. *)
-type cv =
-  | Bits of int64
-  | Expr of string
+(* A binary32 operation's result is annotated; the context is binary64. *)
+let rounded p body =
+  match p with
+  | Symbolic.P32 -> Printf.sprintf "(! :precision binary32 %s)" body
+  | Symbolic.P64 -> body
 
-let as64 = function
-  | Bits v -> lit (Int64.float_of_bits v)
-  | Expr e -> e
-
-let as32 = function
-  | Bits v -> lit (Int32.float_of_bits (Int64.to_int32 v))
-  | Expr e -> e
-
-let annot32 body = Printf.sprintf "(! :precision binary32 %s)" body
-
-let rec compile ctx (t : Symbolic.term) : cv =
-  match t with
-  | Symbolic.Cst v -> Bits v
-  | Symbolic.Sym name -> Expr (intern ctx name)
-  | Symbolic.App (op, args) ->
-    let bin conv sym single =
-      match args with
-      | [ a; b ] ->
-        let ea = conv (compile ctx a) in
-        let eb = conv (compile ctx b) in
-        let body = Printf.sprintf "(%s %s %s)" sym ea eb in
-        Expr (if single then annot32 body else body)
-      | _ -> fail "%s: bad arity" op
-    in
-    let un conv sym single =
-      match args with
-      | [ a ] ->
-        let body = Printf.sprintf "(%s %s)" sym (conv (compile ctx a)) in
-        Expr (if single then annot32 body else body)
-      | _ -> fail "%s: bad arity" op
-    in
-    (match op with
-     | "addsd" -> bin as64 "+" false
-     | "subsd" -> bin as64 "-" false
-     | "mulsd" -> bin as64 "*" false
-     | "divsd" -> bin as64 "/" false
-     | "addss" -> bin as32 "+" true
-     | "subss" -> bin as32 "-" true
-     | "mulss" -> bin as32 "*" true
-     | "divss" -> bin as32 "/" true
-     (* min/max of two binary32 values is one of them: exact in any
-        wider context, no rounding annotation needed *)
-     | "minss" -> bin as32 "fmin" false
-     | "maxss" -> bin as32 "fmax" false
-     | "sqrtsd" -> un as64 "sqrt" false
-     | "sqrtss" -> un as32 "sqrt" true
-     | "cvtss2sd" ->
-       (* widening is exact *)
-       (match args with
-        | [ a ] -> Expr (as32 (compile ctx a))
-        | _ -> fail "cvtss2sd arity")
-     | "cvtsd2ss" ->
-       (match args with
-        | [ a ] -> Expr (annot32 (Printf.sprintf "(cast %s)" (as64 (compile ctx a))))
-        | _ -> fail "cvtsd2ss arity")
-     | _ -> fail "bit-level operation %s has no FPCore form" op)
-
-let as_out spec idx cv =
-  if Interval.single_output spec idx then as32 cv else as64 cv
+let algebra ctx =
+  {
+    Symbolic.input = intern ctx;
+    const = lit;
+    op1 =
+      (fun op p a ->
+        match op, p with
+        | Symbolic.Sqrt, _ -> rounded p (Printf.sprintf "(sqrt %s)" a)
+        (* widening is exact *)
+        | Symbolic.Cvt, Symbolic.P64 -> a
+        | Symbolic.Cvt, Symbolic.P32 -> rounded p (Printf.sprintf "(cast %s)" a));
+    op2 =
+      (fun op p a b ->
+        let sym =
+          match op with
+          | Symbolic.Add -> "+"
+          | Symbolic.Sub -> "-"
+          | Symbolic.Mul -> "*"
+          | Symbolic.Div -> "/"
+          | Symbolic.Min -> "fmin"
+          | Symbolic.Max -> "fmax"
+        in
+        let body = Printf.sprintf "(%s %s %s)" sym a b in
+        match op with
+        (* min/max of two binary32 values is one of them: exact in any
+           wider context, no rounding annotation needed *)
+        | Symbolic.Min | Symbolic.Max -> body
+        | Symbolic.Add | Symbolic.Sub | Symbolic.Mul | Symbolic.Div ->
+          rounded p body);
+  }
 
 let pre_clause env name ctx =
   match env name with
@@ -113,53 +79,42 @@ let pre_clause env name ctx =
          (Hashtbl.find ctx.seen name)
          (lit i.Interval.hi))
 
-let difference (spec : Sandbox.Spec.t) ~rewrite =
-  match
-    ( Symbolic.exec spec spec.Sandbox.Spec.program,
-      Symbolic.exec spec rewrite )
-  with
-  | Error e, _ -> Error (Printf.sprintf "target not analyzable: %s" e)
-  | _, Error e -> Error (Printf.sprintf "rewrite not analyzable: %s" e)
-  | Ok t_terms, Ok r_terms ->
-    (try
-       let env = Interval.env_of_spec spec in
-       let cores =
-         Array.to_list
-           (Array.mapi
-              (fun idx t_term ->
-                let ctx = { seen = Hashtbl.create 8; order = [] } in
-                let te = as_out spec idx (compile ctx t_term) in
-                let re = as_out spec idx (compile ctx r_terms.(idx)) in
-                let body =
-                  if Symbolic.equal_term t_term r_terms.(idx) then "0"
-                  else Printf.sprintf "(- %s %s)" te re
-                in
-                let names = List.rev ctx.order in
-                let args =
-                  String.concat " "
-                    (List.map (fun n -> Hashtbl.find ctx.seen n) names)
-                in
-                let pres =
-                  List.filter_map (fun n -> pre_clause env n ctx) names
-                in
-                let pre =
-                  match pres with
-                  | [] -> ""
-                  | [ p ] -> Printf.sprintf "\n  :pre %s" p
-                  | ps ->
-                    Printf.sprintf "\n  :pre (and %s)" (String.concat " " ps)
-                in
-                let suffix =
-                  if Array.length t_terms = 1 then ""
-                  else Printf.sprintf "_out%d" idx
-                in
-                Printf.sprintf
-                  "(FPCore %s_diff%s (%s)\n  :name \"%s: target - rewrite%s\"\n  :precision binary64%s\n  %s)"
-                  (sanitize spec.Sandbox.Spec.name)
-                  suffix args spec.Sandbox.Spec.name
-                  (if suffix = "" then "" else Printf.sprintf " (output %d)" idx)
-                  pre body)
-              t_terms)
-       in
-       Ok (String.concat "\n\n" cores)
-     with Not_exportable msg -> Error msg)
+let difference (spec : Sandbox.Spec.t) (pair : Symbolic.pair) =
+  let env = Interval.env_of_spec spec in
+  let n_out = Array.length pair.Symbolic.precs in
+  try
+    let cores =
+      Array.to_list
+        (Array.mapi
+           (fun idx p ->
+             let ctx = { seen = Hashtbl.create 8; order = [] } in
+             let alg = algebra ctx in
+             let te = Symbolic.fold alg p pair.Symbolic.target.(idx) in
+             let re = Symbolic.fold alg p pair.Symbolic.rewrite.(idx) in
+             let body =
+               if Symbolic.same_output pair idx then "0"
+               else Printf.sprintf "(- %s %s)" te re
+             in
+             let names = List.rev ctx.order in
+             let args =
+               String.concat " "
+                 (List.map (fun n -> Hashtbl.find ctx.seen n) names)
+             in
+             let pres = List.filter_map (fun n -> pre_clause env n ctx) names in
+             let pre =
+               match pres with
+               | [] -> ""
+               | [ c ] -> Printf.sprintf "\n  :pre %s" c
+               | ps -> Printf.sprintf "\n  :pre (and %s)" (String.concat " " ps)
+             in
+             let suffix = if n_out = 1 then "" else Printf.sprintf "_out%d" idx in
+             Printf.sprintf
+               "(FPCore %s_diff%s (%s)\n  :name \"%s: target - rewrite%s\"\n  :precision binary64%s\n  %s)"
+               (sanitize spec.Sandbox.Spec.name)
+               suffix args spec.Sandbox.Spec.name
+               (if suffix = "" then "" else Printf.sprintf " (output %d)" idx)
+               pre body)
+           pair.Symbolic.precs)
+    in
+    Ok (String.concat "\n\n" cores)
+  with Symbolic.Unsupported msg -> Error msg

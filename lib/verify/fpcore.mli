@@ -2,11 +2,12 @@
 
     [difference] renders the symbolic output difference target − rewrite
     as one [(FPCore …)] form per spec output, suitable for external
-    round-off tools (FPBench, Daisy, FPTaylor, Herbie).  The encoding
-    mirrors {!Taylor}'s term model: double-precision scalar arithmetic in
-    the binary64 context, single-precision operations wrapped in
-    [(! :precision binary32 …)], [cvtsd2ss] as an annotated [cast], and
-    exact operations (min/max, widening converts) left unannotated.
+    round-off tools (FPBench, Daisy, FPTaylor, Herbie).  It reads the
+    terms through {!Symbolic.fold}, as {!Taylor} does: binary64
+    arithmetic in the binary64 context, binary32 operations wrapped in
+    [(! :precision binary32 …)], a narrowing conversion as an annotated
+    [cast], and exact operations (min/max, widening conversions) left
+    unannotated.
     Input ranges from the spec become a [:pre] conjunction of chained
     comparisons; memory-cell inputs such as [v1\[0\]] are renamed to
     FPCore-legal symbols ([v1_0]).
@@ -14,4 +15,4 @@
     Kernels using bit-level operations the Taylor tier cannot model
     return [Error] with the offending operation named. *)
 
-val difference : Sandbox.Spec.t -> rewrite:Program.t -> (string, string) result
+val difference : Sandbox.Spec.t -> Symbolic.pair -> (string, string) result

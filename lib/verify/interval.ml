@@ -13,7 +13,7 @@ let make lo hi = { lo; hi }
    precision the hardware op rounds to: an f32 op can move the result by a
    whole binary32 ulp, which is ~2^29 binary64 ulps.  [prec] selects the
    grid used for outward widening. *)
-type prec =
+type prec = Symbolic.prec =
   | P32
   | P64
 
@@ -246,57 +246,31 @@ let mag i = Float.max (Float.abs i.lo) (Float.abs i.hi)
 
 exception Not_analyzable of string
 
-(* Values flowing through terms: raw bit patterns (constants) stay
-   uninterpreted until they reach a floating-point operation of known
-   width. *)
-type av =
-  | Bits of int64
-  | Itv of itv
-
-let as_f64 = function
-  | Bits v -> let x = Int64.float_of_bits v in make x x
-  | Itv i -> i
-
-let as_f32 = function
-  | Bits v -> let x = Int32.float_of_bits (Int64.to_int32 v) in make x x
-  | Itv i -> i
-
-let rec eval env (t : Symbolic.term) : av =
-  match t with
-  | Symbolic.Cst v -> Bits v
-  | Symbolic.Sym name ->
-    (match env name with
-     | Some i -> Itv i
-     | None -> raise (Not_analyzable (Printf.sprintf "unconstrained input %s" name)))
-  | Symbolic.App (op, args) ->
-    let binop width f =
-      match args with
-      | [ a; b ] ->
-        let conv = (match width with `F64 -> as_f64 | `F32 -> as_f32) in
-        Itv (f (conv (eval env a)) (conv (eval env b)))
-      | _ -> raise (Not_analyzable (op ^ ": bad arity"))
-    in
-    (match op with
-     | "addsd" -> binop `F64 add
-     | "subsd" -> binop `F64 sub
-     | "mulsd" -> binop `F64 mul
-     | "divsd" -> binop `F64 div
-     | "addss" -> binop `F32 add32
-     | "subss" -> binop `F32 sub32
-     | "mulss" -> binop `F32 mul32
-     | "divss" -> binop `F32 div32
-     | "minss" -> binop `F32 (run2 Kernel.min)
-     | "maxss" -> binop `F32 (run2 Kernel.max)
-     | "sqrtss" | "sqrtsd" ->
-       (match args with
-        | [ a ] ->
-          if op = "sqrtss" then Itv (sqrt32 (as_f32 (eval env a)))
-          else Itv (sqrt_itv (as_f64 (eval env a)))
-        | _ -> raise (Not_analyzable "sqrt arity"))
-     | _ ->
-       raise
-         (Not_analyzable
-            (Printf.sprintf "bit-level operation %s defeats interval reasoning" op)))
+let algebra env =
+  {
+    Symbolic.input =
+      (fun name ->
+        match env name with
+        | Some i -> i
+        | None ->
+          raise (Not_analyzable (Printf.sprintf "unconstrained input %s" name)));
+    const = (fun x -> make x x);
+    op1 =
+      (fun op p a ->
+        match op with
+        | Symbolic.Sqrt -> run1 (Kernel.sqrt p) a
+        | Symbolic.Cvt ->
+          raise (Not_analyzable "conversion defeats interval reasoning"));
+    op2 =
+      (fun op p a b ->
+        match op with
+        | Symbolic.Add -> run2 (Kernel.add p) a b
+        | Symbolic.Sub -> run2 (Kernel.sub p) a b
+        | Symbolic.Mul -> run2 (Kernel.mul p) a b
+        | Symbolic.Div -> run2 (Kernel.div p) a b
+        | Symbolic.Min -> run2 Kernel.min a b
+        | Symbolic.Max -> run2 Kernel.max a b);
+  }
 
 (* Spacing of representable values at the top magnitude of the interval
    hull; used to scale an absolute difference into "scaled ULPs". *)
@@ -347,47 +321,29 @@ let env_of_spec (spec : Sandbox.Spec.t) =
     spec.Sandbox.Spec.float_inputs;
   fun name -> Hashtbl.find_opt tbl name
 
-let single_output (spec : Sandbox.Spec.t) idx =
-  match List.nth spec.Sandbox.Spec.outputs idx with
-  | Sandbox.Spec.Out_xmm_f32 _ | Sandbox.Spec.Out_xmm_f32_hi _ -> true
-  | Sandbox.Spec.Out_xmm_f64 _ | Sandbox.Spec.Out_gp _ -> false
-
-let static_ulp_bound (spec : Sandbox.Spec.t) ~rewrite =
-  match Symbolic.exec spec spec.Sandbox.Spec.program, Symbolic.exec spec rewrite with
-  | Error e, _ -> Error (Printf.sprintf "target not analyzable: %s" e)
-  | _, Error e -> Error (Printf.sprintf "rewrite not analyzable: %s" e)
-  | Ok t_terms, Ok r_terms ->
-    let env = env_of_spec spec in
-    (try
-       let bound = ref 0. in
-       let t_range = ref (make 0. 0.) in
-       let r_range = ref (make 0. 0.) in
-       Array.iteri
-         (fun idx t_term ->
-           let r_term = r_terms.(idx) in
-           let ti =
-             if single_output spec idx then as_f32 (eval env t_term)
-             else as_f64 (eval env t_term)
-           in
-           let ri =
-             if single_output spec idx then as_f32 (eval env r_term)
-             else as_f64 (eval env r_term)
-           in
-           t_range := if idx = 0 then ti else hull !t_range ti;
-           r_range := if idx = 0 then ri else hull !r_range ri;
-           if Symbolic.equal_term t_term r_term then ()
-           else begin
-             let diff = sub ti ri in
-             if is_top diff then raise (Not_analyzable "difference unbounded")
-             else begin
-               let abs_diff = Float.max (Float.abs diff.lo) (Float.abs diff.hi) in
-               let magnitude =
-                 Float.max (Float.abs ti.lo) (Float.abs ti.hi)
-               in
-               let u = ulp_size_at magnitude ~single:(single_output spec idx) in
-               bound := Float.max !bound (abs_diff /. u)
-             end
-           end)
-         t_terms;
-       Ok { bound_ulps = !bound; target_range = !t_range; rewrite_range = !r_range }
-     with Not_analyzable msg -> Error msg)
+let static_ulp_bound (spec : Sandbox.Spec.t) (pair : Symbolic.pair) =
+  let alg = algebra (env_of_spec spec) in
+  try
+    let bound = ref 0. in
+    let t_range = ref (make 0. 0.) in
+    let r_range = ref (make 0. 0.) in
+    Array.iteri
+      (fun idx p ->
+        let ti = Symbolic.fold alg p pair.Symbolic.target.(idx) in
+        let ri = Symbolic.fold alg p pair.Symbolic.rewrite.(idx) in
+        t_range := if idx = 0 then ti else hull !t_range ti;
+        r_range := if idx = 0 then ri else hull !r_range ri;
+        if Symbolic.same_output pair idx then ()
+        else begin
+          let diff = sub ti ri in
+          if is_top diff then raise (Not_analyzable "difference unbounded")
+          else begin
+            let abs_diff = Float.max (Float.abs diff.lo) (Float.abs diff.hi) in
+            let magnitude = Float.max (Float.abs ti.lo) (Float.abs ti.hi) in
+            let u = ulp_size_at magnitude ~single:(p = P32) in
+            bound := Float.max !bound (abs_diff /. u)
+          end
+        end)
+      pair.Symbolic.precs;
+    Ok { bound_ulps = !bound; target_range = !t_range; rewrite_range = !r_range }
+  with Not_analyzable msg | Symbolic.Unsupported msg -> Error msg

@@ -23,7 +23,7 @@ val top : itv
 val is_top : itv -> bool
 val make : float -> float -> itv
 
-type prec =
+type prec = Symbolic.prec =
   | P32
   | P64  (** the grid an operation's result is widened on *)
 
@@ -96,24 +96,10 @@ val ulp_size_at : float -> single:bool -> float
 
 exception Not_analyzable of string
 
-type av =
-  | Bits of int64
-  | Itv of itv
-
-val as_f64 : av -> itv
-val as_f32 : av -> itv
-
-val eval : (string -> itv option) -> Symbolic.term -> av
-(** Evaluate a symbolic term over an input environment.
-    @raise Not_analyzable on unconstrained inputs or bit-level ops. *)
-
 val env_of_spec : Sandbox.Spec.t -> string -> itv option
 (** Input environment from a spec's declared ranges: [in%d] names for
     register float inputs, [base[offset]] names for memory cells reached
     through fixed pointer registers. *)
-
-val single_output : Sandbox.Spec.t -> int -> bool
-(** Whether output [idx] is a binary32 value. *)
 
 type analysis = {
   bound_ulps : float;  (** scaled-ULP bound on the output difference *)
@@ -122,6 +108,7 @@ type analysis = {
 }
 
 val static_ulp_bound :
-  Sandbox.Spec.t -> rewrite:Program.t -> (analysis, string) Stdlib.result
-(** [Error] when either program leaves the symbolically-executable fragment
-    or the outputs depend on bit-manipulated values. *)
+  Sandbox.Spec.t -> Symbolic.pair -> (analysis, string) Stdlib.result
+(** [Error] when an output depends on a bit-level operation or a
+    conversion, on an input the spec leaves unconstrained, or differs
+    without bound. *)

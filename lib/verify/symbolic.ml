@@ -171,17 +171,42 @@ let dst_xmm (o : Operand.t) =
 
 let pack64 lo hi = normalize (App ("pack64", [ lo; hi ]))
 
-let f64_binop state op src_o dst_o =
-  let slo, shi = load64_pair state src_o in
-  let d = dst_xmm dst_o in
-  let r = App (op, [ pack64 (lane state d 0) (lane state d 1); pack64 slo shi ]) in
+(* The low quad of xmm [d] ← the 64-bit term [r]. *)
+let set_f64 state d r =
   set_lane state d 0 (App ("lo32", [ r ]));
   set_lane state d 1 (App ("hi32", [ r ]))
 
-let f32_binop state op src_o dst_o =
-  let s = load32 state src_o in
-  let d = dst_xmm dst_o in
-  set_lane state d 0 (App (op, [ lane state d 0; s ]))
+(* A scalar float opcode's source: its low dword, or its low quad as two
+   dwords for the binary64 ones. *)
+let load_scalar state op o =
+  if Opcode.is_sse_scalar_f64 op then
+    let lo, hi = load64_pair state o in
+    [| lo; hi |]
+  else [| load32 state o |]
+
+(* The SSE form [op s, d] of a scalar float opcode, on its loaded source
+   [s]; only the low lane (or quad) of xmm [d] changes. *)
+let scalar state op s d =
+  let f32 name = set_lane state d 0 (App (name, [ lane state d 0; s.(0) ])) in
+  let f64 name =
+    set_f64 state d
+      (App (name, [ pack64 (lane state d 0) (lane state d 1); pack64 s.(0) s.(1) ]))
+  in
+  match op with
+  | Opcode.Addss | Opcode.Vaddss -> f32 "addss"
+  | Opcode.Subss | Opcode.Vsubss -> f32 "subss"
+  | Opcode.Mulss | Opcode.Vmulss -> f32 "mulss"
+  | Opcode.Divss | Opcode.Vdivss -> f32 "divss"
+  | Opcode.Minss | Opcode.Vminss -> f32 "minss"
+  | Opcode.Maxss | Opcode.Vmaxss -> f32 "maxss"
+  | Opcode.Sqrtss -> set_lane state d 0 (App ("sqrtss", [ s.(0) ]))
+  | Opcode.Addsd | Opcode.Vaddsd -> f64 "addsd"
+  | Opcode.Subsd | Opcode.Vsubsd -> f64 "subsd"
+  | Opcode.Mulsd | Opcode.Vmulsd -> f64 "mulsd"
+  | Opcode.Divsd | Opcode.Vdivsd -> f64 "divsd"
+  | Opcode.Sqrtsd | Opcode.Vsqrtsd ->
+    set_f64 state d (App ("sqrtsd", [ pack64 s.(0) s.(1) ]))
+  | op -> unsupported "opcode %s" (Opcode.to_string op)
 
 let step state (i : Instr.t) =
   let ops = i.Instr.operands in
@@ -296,57 +321,22 @@ let step state (i : Instr.t) =
          store_cell state b (off + (4 * k)) (lane state s k)
        done
      | _ -> unsupported "128-bit move form")
-  | Opcode.Addss -> f32_binop state "addss" (src 0) (dst ())
-  | Opcode.Subss -> f32_binop state "subss" (src 0) (dst ())
-  | Opcode.Mulss -> f32_binop state "mulss" (src 0) (dst ())
-  | Opcode.Divss -> f32_binop state "divss" (src 0) (dst ())
-  | Opcode.Minss -> f32_binop state "minss" (src 0) (dst ())
-  | Opcode.Maxss -> f32_binop state "maxss" (src 0) (dst ())
-  | Opcode.Sqrtss ->
-    let s = load32 state (src 0) in
-    let d = dst_xmm (dst ()) in
-    set_lane state d 0 (App ("sqrtss", [ s ]))
-  | Opcode.Addsd -> f64_binop state "addsd" (src 0) (dst ())
-  | Opcode.Subsd -> f64_binop state "subsd" (src 0) (dst ())
-  | Opcode.Mulsd -> f64_binop state "mulsd" (src 0) (dst ())
-  | Opcode.Divsd -> f64_binop state "divsd" (src 0) (dst ())
+  | Opcode.Addss | Opcode.Subss | Opcode.Mulss | Opcode.Divss | Opcode.Minss
+  | Opcode.Maxss | Opcode.Sqrtss | Opcode.Addsd | Opcode.Subsd | Opcode.Mulsd
+  | Opcode.Divsd | Opcode.Sqrtsd ->
+    let s = load_scalar state i.Instr.op (src 0) in
+    scalar state i.Instr.op s (dst_xmm (dst ()))
   | Opcode.Vaddss | Opcode.Vsubss | Opcode.Vmulss | Opcode.Vdivss
-  | Opcode.Vminss | Opcode.Vmaxss ->
-    let op =
-      match i.Instr.op with
-      | Opcode.Vaddss -> "addss"
-      | Opcode.Vsubss -> "subss"
-      | Opcode.Vmulss -> "mulss"
-      | Opcode.Vdivss -> "divss"
-      | Opcode.Vminss -> "minss"
-      | _ -> "maxss"
-    in
-    let s2 = load32 state (src 0) in
-    let s1x = dst_xmm (src 1) in
-    let d = dst_xmm (dst ()) in
-    let res = App (op, [ lane state s1x 0; s2 ]) in
-    let upper = Array.init 3 (fun k -> lane state s1x (k + 1)) in
-    set_lane state d 0 res;
-    Array.iteri (fun k t -> set_lane state d (k + 1) t) upper
-  | Opcode.Vaddsd | Opcode.Vsubsd | Opcode.Vmulsd | Opcode.Vdivsd ->
-    let op =
-      match i.Instr.op with
-      | Opcode.Vaddsd -> "addsd"
-      | Opcode.Vsubsd -> "subsd"
-      | Opcode.Vmulsd -> "mulsd"
-      | _ -> "divsd"
-    in
-    let s2lo, s2hi = load64_pair state (src 0) in
-    let s1x = dst_xmm (src 1) in
-    let d = dst_xmm (dst ()) in
-    let r =
-      App (op, [ pack64 (lane state s1x 0) (lane state s1x 1); pack64 s2lo s2hi ])
-    in
-    let up2 = lane state s1x 2 and up3 = lane state s1x 3 in
-    set_lane state d 0 (App ("lo32", [ r ]));
-    set_lane state d 1 (App ("hi32", [ r ]));
-    set_lane state d 2 up2;
-    set_lane state d 3 up3
+  | Opcode.Vminss | Opcode.Vmaxss | Opcode.Vaddsd | Opcode.Vsubsd
+  | Opcode.Vmulsd | Opcode.Vdivsd | Opcode.Vsqrtsd ->
+    (* op src2, src1, dst: dst ← src1, then the SSE form on src2, which
+       is read first in case dst is its register *)
+    let s = load_scalar state i.Instr.op (src 0) in
+    let s1 = dst_xmm (src 1) and d = dst_xmm (dst ()) in
+    for k = 0 to 3 do
+      set_lane state d k (lane state s1 k)
+    done;
+    scalar state i.Instr.op s d
   | Opcode.Addps | Opcode.Subps | Opcode.Mulps ->
     let op =
       match i.Instr.op with
@@ -533,10 +523,7 @@ let step state (i : Instr.t) =
        in
        let suffix = (match w with Reg.Q -> "64" | Reg.L -> "32") in
        (match i.Instr.op with
-        | Opcode.Cvtsi2sd _ ->
-          let r = App ("cvtsi2sd" ^ suffix, [ t ]) in
-          set_lane state d 0 (App ("lo32", [ r ]));
-          set_lane state d 1 (App ("hi32", [ r ]))
+        | Opcode.Cvtsi2sd _ -> set_f64 state d (App ("cvtsi2sd" ^ suffix, [ t ]))
         | _ -> set_lane state d 0 (App ("cvtsi2ss" ^ suffix, [ t ])))
      | _ -> unsupported "cvtsi2sd/ss form")
   | Opcode.Cvtsd2si w | Opcode.Cvttsd2si w ->
@@ -562,10 +549,7 @@ let step state (i : Instr.t) =
   | Opcode.Cvtss2sd ->
     (match dst () with
      | Operand.Xmm d ->
-       let s = load32 state (src 0) in
-       let r = App ("cvtss2sd", [ s ]) in
-       set_lane state d 0 (App ("lo32", [ r ]));
-       set_lane state d 1 (App ("hi32", [ r ]))
+       set_f64 state d (App ("cvtss2sd", [ load32 state (src 0) ]))
      | _ -> unsupported "cvtss2sd form")
   | Opcode.Cvtsd2ss ->
     (match dst () with
@@ -626,10 +610,117 @@ let exec spec program =
   | outputs -> Ok (Array.map normalize outputs)
   | exception Unsupported msg -> Error msg
 
-let equivalent spec ~rewrite =
+(* ----- one verification obligation ----- *)
+
+type prec =
+  | P32
+  | P64
+
+let output_prec = function
+  | Sandbox.Spec.Out_xmm_f32 _ | Sandbox.Spec.Out_xmm_f32_hi _ -> P32
+  | Sandbox.Spec.Out_xmm_f64 _ | Sandbox.Spec.Out_gp _ -> P64
+
+type pair = {
+  target : term array;
+  rewrite : term array;
+  precs : prec array;
+}
+
+let exec_pair spec ~rewrite =
   match exec spec spec.Sandbox.Spec.program, exec spec rewrite with
-  | Ok a, Ok b ->
-    Ok (Array.length a = Array.length b
-        && Array.for_all2 (fun x y -> compare_term x y = 0) a b)
+  | Ok target, Ok rewrite ->
+    let precs = Array.of_list (List.map output_prec spec.Sandbox.Spec.outputs) in
+    Ok { target; rewrite; precs }
   | Error e, _ -> Error (Printf.sprintf "target: %s" e)
   | _, Error e -> Error (Printf.sprintf "rewrite: %s" e)
+
+let same_output pair idx = compare_term pair.target.(idx) pair.rewrite.(idx) = 0
+
+let bitwise_equal pair =
+  Array.for_all2 (fun t r -> compare_term t r = 0) pair.target pair.rewrite
+
+let equivalent spec ~rewrite = Result.map bitwise_equal (exec_pair spec ~rewrite)
+
+(* ----- the float-operation vocabulary -----
+
+   The one place that reads the float operations out of the terms [step]
+   builds: the numeric tiers and the FPCore export see only [op1]/[op2]
+   at a width, through [fold]. *)
+
+type op1 =
+  | Sqrt
+  | Cvt
+
+type op2 =
+  | Add
+  | Sub
+  | Mul
+  | Div
+  | Min
+  | Max
+
+type fop =
+  | Op1 of op1 * prec * term
+  | Op2 of op2 * prec * term * term
+
+let decode f args =
+  let op1 op p =
+    match args with
+    | [ a ] -> Op1 (op, p, a)
+    | _ -> unsupported "%s: bad arity" f
+  in
+  let op2 op p =
+    match args with
+    | [ a; b ] -> Op2 (op, p, a, b)
+    | _ -> unsupported "%s: bad arity" f
+  in
+  match f with
+  | "addsd" -> op2 Add P64
+  | "subsd" -> op2 Sub P64
+  | "mulsd" -> op2 Mul P64
+  | "divsd" -> op2 Div P64
+  | "addss" -> op2 Add P32
+  | "subss" -> op2 Sub P32
+  | "mulss" -> op2 Mul P32
+  | "divss" -> op2 Div P32
+  | "minss" -> op2 Min P32
+  | "maxss" -> op2 Max P32
+  | "sqrtsd" -> op1 Sqrt P64
+  | "sqrtss" -> op1 Sqrt P32
+  | "cvtss2sd" -> op1 Cvt P64
+  | "cvtsd2ss" -> op1 Cvt P32
+  | _ -> unsupported "bit-level operation %s" f
+
+type 'a algebra = {
+  input : string -> 'a;
+  const : float -> 'a;
+  op1 : op1 -> prec -> 'a -> 'a;
+  op2 : op2 -> prec -> 'a -> 'a -> 'a;
+}
+
+(* A constant stays raw bits until a width reads it: that of the
+   operation consuming it, or the output's. *)
+let const_at p v =
+  match p with
+  | P64 -> Int64.float_of_bits v
+  | P32 -> Int32.float_of_bits (Int64.to_int32 v)
+
+let rec fold alg p t =
+  match t with
+  | Sym name -> alg.input name
+  | Cst v -> alg.const (const_at p v)
+  | App (f, args) ->
+    (match decode f args with
+     | Op1 (op, q, a) ->
+       let width =
+         match op, q with
+         | Cvt, P64 -> P32
+         | Cvt, P32 -> P64
+         | Sqrt, _ -> q
+       in
+       let a = fold alg width a in
+       alg.op1 op q a
+     | Op2 (op, q, a, b) ->
+       let a = fold alg q a in
+       let b = fold alg q b in
+       alg.op2 op q a b)

@@ -4,26 +4,13 @@ let default_config = Bbound.default_config
 
 type analysis = {
   sound_ulps : float;
-  observed_ulps : float option;
   proved_real_equal : bool;
   target_range : Interval.itv;
   boxes_explored : int;
   depth : int;
 }
 
-exception Not_representable of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Not_representable s)) fmt
-
 (* ----- the shared real-expression DAG ----- *)
-
-type rop =
-  | Radd
-  | Rsub
-  | Rmul
-  | Rdiv
-  | Rmin
-  | Rmax
 
 (* The rounding grid an operation's result lands on.  Min/max and
    width-extending converts are exact. *)
@@ -35,7 +22,7 @@ type rprec =
 type node =
   | NConst of float
   | NVar of int
-  | NBin of rop * rprec * int * int
+  | NBin of Symbolic.op2 * rprec * int * int
   | NSqrt of rprec * int
   | NCvt of rprec * int  (** pure rounding of an already-computed value *)
 
@@ -81,75 +68,35 @@ let var_id dag name =
 
 (* ----- lifting Symbolic.term into the DAG -----
 
-   Mirrors Interval.eval: constants stay raw bit patterns until an
-   operation of known width consumes them. *)
+   Each operation is one node, pushed after its operands (hash-consing
+   relies on Symbolic.normalize having sorted commutative arguments, so
+   shared work shares node ids). *)
 
-type cv =
-  | CBits of int64
-  | CNode of int
+let rounding = function
+  | Symbolic.P32 -> R32
+  | Symbolic.P64 -> R64
 
-let rec compile dag (t : Symbolic.term) : cv =
-  match t with
-  | Symbolic.Cst v -> CBits v
-  | Symbolic.Sym name -> CNode (var_id dag name)
-  | Symbolic.App (op, args) ->
-    let as64 = function
-      | CBits v -> push dag (NConst (Int64.float_of_bits v))
-      | CNode id -> id
-    in
-    let as32 = function
-      | CBits v -> push dag (NConst (Int32.float_of_bits (Int64.to_int32 v)))
-      | CNode id -> id
-    in
-    let bin conv rop prec =
-      match args with
-      | [ a; b ] ->
-        let ia = conv (compile dag a) in
-        let ib = conv (compile dag b) in
-        (* hash-consing relies on Symbolic.normalize having sorted
-           commutative arguments, so shared work shares node ids *)
-        CNode (push dag (NBin (rop, prec, ia, ib)))
-      | _ -> fail "%s: bad arity" op
-    in
-    (match op with
-     | "addsd" -> bin as64 Radd R64
-     | "subsd" -> bin as64 Rsub R64
-     | "mulsd" -> bin as64 Rmul R64
-     | "divsd" -> bin as64 Rdiv R64
-     | "addss" -> bin as32 Radd R32
-     | "subss" -> bin as32 Rsub R32
-     | "mulss" -> bin as32 Rmul R32
-     | "divss" -> bin as32 Rdiv R32
-     | "minss" -> bin as32 Rmin Rexact
-     | "maxss" -> bin as32 Rmax Rexact
-     | "sqrtsd" ->
-       (match args with
-        | [ a ] -> CNode (push dag (NSqrt (R64, as64 (compile dag a))))
-        | _ -> fail "sqrtsd arity")
-     | "sqrtss" ->
-       (match args with
-        | [ a ] -> CNode (push dag (NSqrt (R32, as32 (compile dag a))))
-        | _ -> fail "sqrtss arity")
-     | "cvtss2sd" ->
-       (* widening: every binary32 value is exactly representable *)
-       (match args with
-        | [ a ] -> CNode (as32 (compile dag a))
-        | _ -> fail "cvtss2sd arity")
-     | "cvtsd2ss" ->
-       (match args with
-        | [ a ] -> CNode (push dag (NCvt (R32, as64 (compile dag a))))
-        | _ -> fail "cvtsd2ss arity")
-     | _ -> fail "bit-level operation %s defeats Taylor analysis" op)
-
-let root_of dag (spec : Sandbox.Spec.t) idx term =
-  match compile dag term with
-  | CNode id -> id
-  | CBits v ->
-    push dag
-      (NConst
-         (if Interval.single_output spec idx then
-            Int32.float_of_bits (Int64.to_int32 v)
-          else Int64.float_of_bits v))
+let algebra dag =
+  {
+    Symbolic.input = var_id dag;
+    const = (fun c -> push dag (NConst c));
+    op1 =
+      (fun op p a ->
+        match op, p with
+        | Symbolic.Sqrt, _ -> push dag (NSqrt (rounding p, a))
+        (* widening: every binary32 value is exactly representable *)
+        | Symbolic.Cvt, Symbolic.P64 -> a
+        | Symbolic.Cvt, Symbolic.P32 -> push dag (NCvt (R32, a)));
+    op2 =
+      (fun op p a b ->
+        let prec =
+          match op with
+          | Symbolic.Min | Symbolic.Max -> Rexact
+          | Symbolic.Add | Symbolic.Sub | Symbolic.Mul | Symbolic.Div ->
+            rounding p
+        in
+        push dag (NBin (op, prec, a, b)));
+  }
 
 (* ----- polynomial normal form of the real difference -----
 
@@ -307,14 +254,14 @@ let poly_of_dag dag =
         match dag.nodes.(id) with
         | NConst c -> const_poly c
         | NVar k -> [ { c = point 1.; atoms = [ Avar k ] } ]
-        | NBin (Radd, _, a, b) -> padd (go a) (go b)
-        | NBin (Rsub, _, a, b) -> padd (go a) (pneg (go b))
-        | NBin (Rmul, _, a, b) -> pmul (go a) (go b)
-        | NBin (Rdiv, _, a, b) ->
+        | NBin (Symbolic.Add, _, a, b) -> padd (go a) (go b)
+        | NBin (Symbolic.Sub, _, a, b) -> padd (go a) (pneg (go b))
+        | NBin (Symbolic.Mul, _, a, b) -> pmul (go a) (go b)
+        | NBin (Symbolic.Div, _, a, b) ->
           [ { c = point 1.; atoms = [ Adiv (go a, go b) ] } ]
-        | NBin (Rmin, _, a, b) ->
+        | NBin (Symbolic.Min, _, a, b) ->
           [ { c = point 1.; atoms = [ Amin (go a, go b) ] } ]
-        | NBin (Rmax, _, a, b) ->
+        | NBin (Symbolic.Max, _, a, b) ->
           [ { c = point 1.; atoms = [ Amax (go a, go b) ] } ]
         | NSqrt (_, a) -> [ { c = point 1.; atoms = [ Asqrt (go a) ] } ]
         | NCvt (_, a) -> go a
@@ -511,12 +458,12 @@ let forward (t : tape) =
     | NBin (op, p, a, b) ->
       let a = jv + a and b = jv + b in
       (match op with
-       | Radd -> K.add Interval.P64 lo hi id a b
-       | Rsub -> K.sub Interval.P64 lo hi id a b
-       | Rmul -> K.mul Interval.P64 lo hi id a b
-       | Rdiv -> K.div Interval.P64 lo hi id a b
-       | Rmin -> min_or_top t id a b
-       | Rmax -> max_or_top t id a b);
+       | Symbolic.Add -> K.add Interval.P64 lo hi id a b
+       | Symbolic.Sub -> K.sub Interval.P64 lo hi id a b
+       | Symbolic.Mul -> K.mul Interval.P64 lo hi id a b
+       | Symbolic.Div -> K.div Interval.P64 lo hi id a b
+       | Symbolic.Min -> min_or_top t id a b
+       | Symbolic.Max -> max_or_top t id a b);
       round t id p
     | NSqrt (p, a) ->
       K.sqrt Interval.P64 lo hi id (jv + a);
@@ -567,19 +514,19 @@ let adjoints (t : tape) base root =
     if not (Float.Array.get lo an = 0. && Float.Array.get hi an = 0.) then
       match t.nodes.(id) with
       | NConst _ | NVar _ -> ()
-      | NBin (Radd, _, a, b) ->
+      | NBin (Symbolic.Add, _, a, b) ->
         bump t base a an;
         bump t base b an
-      | NBin (Rsub, _, a, b) ->
+      | NBin (Symbolic.Sub, _, a, b) ->
         bump t base a an;
         K.sub Interval.P64 lo hi s0 t.zero an;
         bump t base b s0
-      | NBin (Rmul, _, a, b) ->
+      | NBin (Symbolic.Mul, _, a, b) ->
         K.mul Interval.P64 lo hi s0 an (jv + b);
         bump t base a s0;
         K.mul Interval.P64 lo hi s0 an (jv + a);
         bump t base b s0
-      | NBin (Rdiv, _, a, b) ->
+      | NBin (Symbolic.Div, _, a, b) ->
         K.div Interval.P64 lo hi s0 an (jv + b);
         bump t base a s0;
         K.mul Interval.P64 lo hi s0 an (jv + a);
@@ -587,7 +534,7 @@ let adjoints (t : tape) base root =
         K.div Interval.P64 lo hi s2 s0 s1;
         K.sub Interval.P64 lo hi s0 t.zero s2;
         bump t base b s0
-      | NBin ((Rmin | Rmax), _, a, b) ->
+      | NBin ((Symbolic.Min | Symbolic.Max), _, a, b) ->
         (* subgradient pair (θ, 1−θ), θ ∈ [0,1] *)
         hull0 t s0 an;
         bump t base a s0;
@@ -651,45 +598,33 @@ type output_case = {
   diff_poly : poly option;  (** None: expansion bailed; use interval diff *)
 }
 
-let build (spec : Sandbox.Spec.t) ~rewrite =
-  match
-    ( Symbolic.exec spec spec.Sandbox.Spec.program,
-      Symbolic.exec spec rewrite )
-  with
-  | Error e, _ -> Error (Printf.sprintf "target not analyzable: %s" e)
-  | _, Error e -> Error (Printf.sprintf "rewrite not analyzable: %s" e)
-  | Ok t_terms, Ok r_terms ->
-    (try
-       let dag = create_dag () in
-       let cases =
-         Array.to_list
-           (Array.mapi
-              (fun idx t_term ->
-                let t_root = root_of dag spec idx t_term in
-                let r_root = root_of dag spec idx r_terms.(idx) in
-                (idx, t_root, r_root))
-              t_terms)
-       in
-       let poly = poly_of_dag dag in
-       let cases =
-         List.map
-           (fun (idx, t_root, r_root) ->
-             let diff_poly =
-               if t_root = r_root then Some []
-               else
-                 try Some (padd (poly t_root) (pneg (poly r_root)))
-                 with Poly_bail -> None
-             in
-             {
-               t_root;
-               r_root;
-               single = Interval.single_output spec idx;
-               diff_poly;
-             })
-           cases
-       in
-       Ok (dag, cases)
-     with Not_representable msg -> Error msg)
+(* Both programs' outputs in one DAG, target then rewrite for each
+   output in turn, then each output's difference polynomial. *)
+let build (pair : Symbolic.pair) =
+  let dag = create_dag () in
+  let alg = algebra dag in
+  let roots =
+    Array.mapi
+      (fun idx p ->
+        let t_root = Symbolic.fold alg p pair.Symbolic.target.(idx) in
+        let r_root = Symbolic.fold alg p pair.Symbolic.rewrite.(idx) in
+        (p, t_root, r_root))
+      pair.Symbolic.precs
+  in
+  let poly = poly_of_dag dag in
+  let cases =
+    List.map
+      (fun (p, t_root, r_root) ->
+        let diff_poly =
+          if t_root = r_root then Some []
+          else
+            try Some (padd (poly t_root) (pneg (poly r_root)))
+            with Poly_bail -> None
+        in
+        { t_root; r_root; single = p = Symbolic.P32; diff_poly })
+      (Array.to_list roots)
+  in
+  (dag, cases)
 
 let box_of_spec dag (spec : Sandbox.Spec.t) =
   let env = Interval.env_of_spec spec in
@@ -698,7 +633,10 @@ let box_of_spec dag (spec : Sandbox.Spec.t) =
     (fun name ->
       match env name with
       | Some i -> i
-      | None -> fail "unconstrained input %s" name)
+      | None ->
+        raise
+          (Interval.Not_analyzable
+             (Printf.sprintf "unconstrained input %s" name)))
     names
 
 let make_tape dag cases =
@@ -770,63 +708,58 @@ let make_tape dag cases =
 let jv_itv (t : tape) id =
   Interval.make (Float.Array.get t.lo (t.n + id)) (Float.Array.get t.hi (t.n + id))
 
-let bound ?(config = default_config) (spec : Sandbox.Spec.t) ~rewrite =
-  match build spec ~rewrite with
-  | Error e -> Error e
-  | Ok (dag, cases) ->
-    (try
-       let box0 = box_of_spec dag spec in
-       let t = make_tape dag cases in
-       (* Fixed per-output ULP units from the full-box target range keep
-          the branch-and-bound objective inclusion-monotone. *)
-       load_box t box0;
-       forward t;
-       let target_range =
-         List.fold_left
-           (fun acc c -> Interval.hull acc (jv_itv t c.t_root))
-           (match cases with
-            | [] -> Interval.make 0. 0.
-            | c :: _ -> jv_itv t c.t_root)
-           cases
-       in
-       let units =
-         Float.Array.of_list
-           (List.map
-              (fun c ->
-                Interval.ulp_size_at
-                  (Interval.mag (jv_itv t c.t_root))
-                  ~single:c.single)
-              cases)
-       in
-       let live = List.exists (fun c -> c.t_root <> c.r_root) cases in
-       if not live then
-         Ok
-           {
-             sound_ulps = 0.;
-             observed_ulps = None;
-             proved_real_equal = true;
-             target_range;
-             boxes_explored = 0;
-             depth = 0;
-           }
-       else begin
-         let sup, stats =
-           Bbound.maximize config ~f:(objective t units) ~box:box0
-         in
-         let proved_real_equal =
-           List.for_all
-             (fun c ->
-               c.t_root = c.r_root || c.diff_poly = Some [])
-             cases
-         in
-         Ok
-           {
-             sound_ulps = sup;
-             observed_ulps = None;
-             proved_real_equal;
-             target_range;
-             boxes_explored = stats.Bbound.boxes_explored;
-             depth = stats.Bbound.depth;
-           }
-       end
-     with Not_representable msg -> Error msg)
+let bound ?(config = default_config) (spec : Sandbox.Spec.t) pair =
+  try
+    let dag, cases = build pair in
+    let box0 = box_of_spec dag spec in
+    let t = make_tape dag cases in
+    (* Fixed per-output ULP units from the full-box target range keep
+       the branch-and-bound objective inclusion-monotone. *)
+    load_box t box0;
+    forward t;
+    let target_range =
+      List.fold_left
+        (fun acc c -> Interval.hull acc (jv_itv t c.t_root))
+        (match cases with
+         | [] -> Interval.make 0. 0.
+         | c :: _ -> jv_itv t c.t_root)
+        cases
+    in
+    let units =
+      Float.Array.of_list
+        (List.map
+           (fun c ->
+             Interval.ulp_size_at
+               (Interval.mag (jv_itv t c.t_root))
+               ~single:c.single)
+           cases)
+    in
+    let live = List.exists (fun c -> c.t_root <> c.r_root) cases in
+    if not live then
+      Ok
+        {
+          sound_ulps = 0.;
+          proved_real_equal = true;
+          target_range;
+          boxes_explored = 0;
+          depth = 0;
+        }
+    else begin
+      let sup, stats =
+        Bbound.maximize config ~f:(objective t units) ~box:box0
+      in
+      let proved_real_equal =
+        List.for_all
+          (fun c -> c.t_root = c.r_root || c.diff_poly = Some [])
+          cases
+      in
+      Ok
+        {
+          sound_ulps = sup;
+          proved_real_equal;
+          target_range;
+          boxes_explored = stats.Bbound.boxes_explored;
+          depth = stats.Bbound.depth;
+        }
+    end
+  with Symbolic.Unsupported msg | Interval.Not_analyzable msg -> Error msg

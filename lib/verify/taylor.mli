@@ -39,9 +39,6 @@ type analysis = {
   sound_ulps : float;
       (** sound upper bound on the output difference, in scaled ULPs at
           the target's output magnitude *)
-  observed_ulps : float option;
-      (** largest error actually observed by MCMC validation, when the
-          caller ran it; always ≤ [sound_ulps] for a correct analysis *)
   proved_real_equal : bool;
       (** the real-arithmetic difference cancelled to the empty
           polynomial: target and rewrite compute the same real function,
@@ -54,7 +51,7 @@ type analysis = {
 val bound :
   ?config:config ->
   Sandbox.Spec.t ->
-  rewrite:Program.t ->
+  Symbolic.pair ->
   (analysis, string) Stdlib.result
-(** [Error] when either program leaves the symbolically-executable
-    fragment or mixes bit-level operations into the float data flow. *)
+(** [Error] when an output depends on a bit-level operation or on an
+    input the spec leaves unconstrained. *)

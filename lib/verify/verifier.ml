@@ -7,31 +7,23 @@ type outcome =
 
 let check ?taylor spec ~rewrite ~eta =
   ignore eta;
-  let numeric symbolic_reason =
-    let t = Taylor.bound ?config:taylor spec ~rewrite in
-    let i = Interval.static_ulp_bound spec ~rewrite in
-    match t, i with
-    | Ok ta, Ok ia ->
-      (* The Taylor model subsumes the interval one, but take the min so
-         the strongest tier never reports worse than the tier below. *)
-      Taylor_bound
-        { ta with
-          Taylor.sound_ulps =
-            Float.min ta.Taylor.sound_ulps ia.Interval.bound_ulps }
-    | Ok ta, Error _ -> Taylor_bound ta
-    | Error _, Ok ia -> Static_bound ia
-    | Error taylor_reason, Error interval_reason ->
-      (match symbolic_reason with
-       | None -> Refuted_bitwise
-       | Some symbolic_reason ->
-         Not_verifiable
-           (Printf.sprintf "symbolic: %s; taylor: %s; interval: %s"
-              symbolic_reason taylor_reason interval_reason))
-  in
-  match Symbolic.equivalent spec ~rewrite with
-  | Ok true -> Proved_bitwise
-  | Ok false -> numeric None
-  | Error symbolic_reason -> numeric (Some symbolic_reason)
+  match Symbolic.exec_pair spec ~rewrite with
+  | Error reason -> Not_verifiable ("symbolic: " ^ reason)
+  | Ok pair when Symbolic.bitwise_equal pair -> Proved_bitwise
+  | Ok pair ->
+    let t = Taylor.bound ?config:taylor spec pair in
+    let i = Interval.static_ulp_bound spec pair in
+    (match t, i with
+     | Ok ta, Ok ia ->
+       (* The Taylor model subsumes the interval one, but take the min so
+          the strongest tier never reports worse than the tier below. *)
+       Taylor_bound
+         { ta with
+           Taylor.sound_ulps =
+             Float.min ta.Taylor.sound_ulps ia.Interval.bound_ulps }
+     | Ok ta, Error _ -> Taylor_bound ta
+     | Error _, Ok ia -> Static_bound ia
+     | Error _, Error _ -> Refuted_bitwise)
 
 let verified_within outcome eta =
   match outcome with

@@ -1,10 +1,11 @@
 (** The static correctness check of Eq. 5/12, now three tiers deep.
 
-    [check] tries the sound techniques in order of strength — symbolic
-    bit-wise equivalence, Taylor-form round-off analysis with
-    branch-and-bound ({!Taylor}), then plain interval abstract
-    interpretation ({!Interval}) — and reports the strongest one that
-    applied.  Kernels mixing fixed- and floating-point computation defeat
+    [check] executes the target and the rewrite symbolically once
+    ({!Symbolic.exec_pair}) and tries the sound techniques on those terms
+    in order of strength — bit-wise equivalence, Taylor-form round-off
+    analysis with branch-and-bound ({!Taylor}), then plain interval
+    abstract interpretation ({!Interval}) — and reports the strongest one
+    that applied.  Kernels mixing fixed- and floating-point computation defeat
     the numeric tiers (as the paper's libimf and S3D kernels do), in which
     case the caller falls back to MCMC validation. *)
 
@@ -22,7 +23,8 @@ type outcome =
   | Static_bound of Interval.analysis
       (** only the coarse interval tier applied *)
   | Not_verifiable of string
-      (** no static technique applies; use validation *)
+      (** a program leaves the symbolic executor's fragment, so no static
+          technique applies; use validation *)
 
 val check :
   ?taylor:Taylor.config ->

@@ -63,7 +63,7 @@ val reads_undefined :
 
 val kills : Instr.t -> Locset.t
 (** Subset of {!defs} that fully overwrites the location, validated by the
-    taint-differential oracle ([Analysis.Oracle]).  [Lmem] is never killed;
+    taint-differential oracle ([test/oracles/oracle.ml]).  [Lmem] is never killed;
     partially-merging SSE register writes still kill at register
     granularity only when the untouched lanes come from the {e use} of the
     same register (the backward transfer function re-adds them); [Lflags]

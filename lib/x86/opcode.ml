@@ -346,25 +346,9 @@ let equal a b = Stdlib.compare a b = 0
 let compare = Stdlib.compare
 let pp ppf op = Format.pp_print_string ppf (to_string op)
 
-let is_avx = function
-  | Vaddss | Vaddsd | Vsubss | Vsubsd | Vmulss | Vmulsd | Vdivss | Vdivsd
-  | Vminss | Vminsd | Vmaxss | Vmaxsd | Vsqrtsd | Vaddps | Vsubps | Vmulps
-  | Vaddpd | Vmulpd | Vxorps | Vandps | Vpshuflw | Vunpcklps | Vfmadd132sd
-  | Vfmadd213sd | Vfmadd231sd | Vfmadd132ss | Vfmadd213ss | Vfmadd231ss
-  | Vfnmadd213sd | Vfnmadd231sd | Vfmsub213sd ->
-    true
-  | _ -> false
-
 let is_sse_scalar_f64 = function
   | Addsd | Subsd | Mulsd | Divsd | Sqrtsd | Minsd | Maxsd | Vaddsd | Vsubsd
   | Vmulsd | Vdivsd | Vminsd | Vmaxsd | Vsqrtsd | Vfmadd132sd | Vfmadd213sd
   | Vfmadd231sd | Vfnmadd213sd | Vfnmadd231sd | Vfmsub213sd ->
-    true
-  | _ -> false
-
-let is_sse_scalar_f32 = function
-  | Addss | Subss | Mulss | Divss | Sqrtss | Minss | Maxss | Vaddss | Vsubss
-  | Vmulss | Vdivss | Vminss | Vmaxss | Vfmadd132ss | Vfmadd213ss
-  | Vfmadd231ss ->
     true
   | _ -> false

@@ -173,10 +173,5 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
-val is_avx : t -> bool
-(** Three-operand VEX-encoded forms (including FMA). *)
-
 val is_sse_scalar_f64 : t -> bool
 (** Scalar double-precision arithmetic (the ...sd family). *)
-
-val is_sse_scalar_f32 : t -> bool

@@ -23,6 +23,9 @@ run validate delta --eta 1e6 --proposals 20000 --chains 4
 run frontier add --etas 1,1e6,1e12 --proposals 3000 --seed 3
 run frontier add --proposals 3000 --seed 3 --cold --no-validate
 run verify dot --bb-timeout 0
+run verify delta --bb-timeout 0
+run verify sin --fpcore
+run verify delta --fpcore
 run lint exp
 # rejected before any work: usage errors exit 124, run-time errors 1
 run show nosuch

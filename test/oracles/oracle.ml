@@ -351,5 +351,3 @@ let run ?(states = 2) ?(seed = default_seed) () =
         machines)
     all;
   List.rev !violations
-
-let covered_instances () = List.length (instances ())

@@ -29,10 +29,6 @@ val violation_to_string : violation -> string
 val run : ?states:int -> ?seed:int64 -> unit -> violation list
 (** Runs the full matrix on [states] random machines (default 2). *)
 
-val covered_instances : unit -> int
-(** Number of concrete instructions the matrix instantiates (for
-    reporting). *)
-
 val instances : unit -> Instr.t list
 (** The concrete instructions themselves, so tests can assert the matrix
     covers every opcode × shape the search pools can generate. *)

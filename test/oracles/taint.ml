@@ -9,7 +9,7 @@
      the dynamic defined set is a subset of the static one and the dynamic
      undef reads are a superset of the static findings.
 
-   Hence Screen.has_undef_read env p = true implies undef_reads here is
+   Hence Analysis.Screen.has_undef_read env p = true implies undef_reads here is
    non-empty, and before the first fault the two agree exactly. *)
 
 type event = {

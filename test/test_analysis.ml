@@ -1,5 +1,6 @@
-(* lib/analysis: the taint-differential oracle over the Liveness tables,
-   the forward dataflow diagnostics, the proposal screen, and the three
+(* lib/analysis and its test-only oracles (test/oracles): the
+   taint-differential oracle over the Liveness tables, the forward
+   dataflow diagnostics, the proposal screen, and the three
    table fixes the oracle uncovered (inc/dec preserve CF; a masked-to-zero
    shift count writes no flags; a read-modify-write memory destination
    reads the memory blob). *)
@@ -17,9 +18,9 @@ let oracle_tests =
   [
     Alcotest.test_case "def/use/kill tables pass the taint-differential oracle"
       `Slow (fun () ->
-        let vs = Analysis.Oracle.run ~states:3 () in
+        let vs = Oracles.Oracle.run ~states:3 () in
         List.iter
-          (fun v -> Printf.printf "violation: %s\n" (Analysis.Oracle.violation_to_string v))
+          (fun v -> Printf.printf "violation: %s\n" (Oracles.Oracle.violation_to_string v))
           vs;
         Alcotest.(check int) "no violations" 0 (List.length vs));
     Alcotest.test_case "oracle covers every opcode x shape the pools generate"
@@ -30,7 +31,7 @@ let oracle_tests =
           List.filter_map
             (fun (i : Instr.t) ->
               Option.map (fun s -> (i.Instr.op, s)) (Shape.shape_of i.Instr.op i.Instr.operands))
-            (Analysis.Oracle.instances ())
+            (Oracles.Oracle.instances ())
         in
         Array.iter
           (fun op ->
@@ -307,9 +308,9 @@ let screen_props =
         in
         let m = Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size () in
         Sandbox.Testcase.apply (Sandbox.Spec.random_testcase g spec) m;
-        let events = Analysis.Taint.undef_reads m p ~env:(env_set spec) in
+        let events = Oracles.Taint.undef_reads m p ~env:(env_set spec) in
         let pre_fault =
-          List.filter (fun e -> not e.Analysis.Taint.after_fault) events
+          List.filter (fun e -> not e.Oracles.Taint.after_fault) events
         in
         if rejected then events <> [] else pre_fault = []);
   ]

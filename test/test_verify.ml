@@ -4,6 +4,15 @@
 let dot_spec = Kernels.Aek_kernels.dot_spec
 let delta_spec = Kernels.Aek_kernels.delta_spec
 
+(* Each tier on the terms of one symbolic execution of both programs, as
+   [Verifier.check] runs it. *)
+let on_pair tier spec ~rewrite =
+  Result.bind (Verify.Symbolic.exec_pair spec ~rewrite) (tier spec)
+
+let taylor_bound ?config = on_pair (Verify.Taylor.bound ?config)
+let static_ulp_bound = on_pair Verify.Interval.static_ulp_bound
+let fpcore_difference = on_pair Verify.Fpcore.difference
+
 let term_tests =
   [
     Alcotest.test_case "commutative normalization" `Quick (fun () ->
@@ -112,6 +121,39 @@ let symbolic_tests =
         with
         | Ok b -> Alcotest.(check bool) "equivalent on live outputs" true b
         | Error e -> Alcotest.failf "not analyzable: %s" e);
+    Alcotest.test_case "vsqrtsd takes its high quad from src1" `Quick (fun () ->
+        (* movhlps exposes the high quad of xmm2 as an output *)
+        let spec =
+          Sandbox.Spec.make ~name:"vsqrt"
+            ~program:
+              (Parser.parse_program_exn
+                 "vsqrtsd xmm0, xmm1, xmm2\nmovhlps xmm2, xmm3")
+            ~float_inputs:
+              [ Sandbox.Spec.Fin_xmm_f64 (Reg.Xmm0, { Sandbox.Spec.lo = 1.; hi = 4. });
+                Sandbox.Spec.Fin_xmm_f64 (Reg.Xmm1, { Sandbox.Spec.lo = 1.; hi = 4. }) ]
+            ~outputs:[ Sandbox.Spec.Out_xmm_f64 Reg.Xmm2; Sandbox.Spec.Out_xmm_f64 Reg.Xmm3 ]
+            ()
+        in
+        let rewrite src =
+          Parser.parse_program_exn
+            (src ^ "\nsqrtsd xmm0, xmm2\nmovhlps xmm2, xmm3")
+        in
+        let equivalent src =
+          match Verify.Symbolic.equivalent spec ~rewrite:(rewrite src) with
+          | Ok b -> b
+          | Error e -> Alcotest.failf "not analyzable: %s" e
+        in
+        Alcotest.(check bool) "upper lanes of src1" true
+          (equivalent "movaps xmm1, xmm2");
+        Alcotest.(check bool) "not of the sqrt operand" false
+          (equivalent "movaps xmm0, xmm2");
+        (* and the sandbox agrees with the proof *)
+        let e = Validate.Errfn.create spec ~rewrite:(rewrite "movaps xmm1, xmm2") in
+        let g = Rng.Xoshiro256.create 5L in
+        for _ = 1 to 100 do
+          Alcotest.(check int64) "no error" 0L
+            (Validate.Errfn.eval_ulp e (Sandbox.Spec.random_floats g spec))
+        done);
   ]
 
 let itv a b = { Verify.Interval.lo = a; hi = b }
@@ -137,7 +179,7 @@ let interval_tests =
           (Verify.Interval.is_top (Verify.Interval.add Verify.Interval.top (itv 0. 1.))));
     Alcotest.test_case "delta rewrite gets a finite static bound" `Quick (fun () ->
         match
-          Verify.Interval.static_ulp_bound delta_spec
+          static_ulp_bound delta_spec
             ~rewrite:Kernels.Aek_kernels.delta_rewrite
         with
         | Ok a ->
@@ -150,7 +192,7 @@ let interval_tests =
     Alcotest.test_case "static bound is much weaker than validation (§6.3)" `Quick
       (fun () ->
         match
-          Verify.Interval.static_ulp_bound delta_spec
+          static_ulp_bound delta_spec
             ~rewrite:Kernels.Aek_kernels.delta_rewrite
         with
         | Error e -> Alcotest.failf "not analyzable: %s" e
@@ -170,7 +212,7 @@ let interval_tests =
              > 10. *. Ulp.to_float v.Validate.Driver.max_err));
     Alcotest.test_case "bit-level terms defeat interval analysis" `Quick (fun () ->
         match
-          Verify.Interval.static_ulp_bound Kernels.Libimf.log_spec
+          static_ulp_bound Kernels.Libimf.log_spec
             ~rewrite:Kernels.Libimf.log_spec.Sandbox.Spec.program
         with
         | Ok _ -> Alcotest.fail "expected failure"
@@ -489,7 +531,7 @@ let sound_abs_of (spec : Sandbox.Spec.t) (a : Verify.Taylor.analysis) =
        ~single
 
 let check_sound_on_samples ?(n = 200) name spec rewrite =
-  match Verify.Taylor.bound ~config:det_config spec ~rewrite with
+  match taylor_bound ~config:det_config spec ~rewrite with
   | Error e -> Alcotest.failf "%s: not analyzable: %s" name e
   | Ok a ->
     let sound_abs = sound_abs_of spec a in
@@ -502,12 +544,25 @@ let check_sound_on_samples ?(n = 200) name spec rewrite =
           obs sound_abs
     done
 
+(* A binary64 square root against the same root taken in binary32. *)
+let sqrt64_spec =
+  Sandbox.Spec.make ~name:"sqrt64"
+    ~program:(Parser.parse_program_exn "sqrtsd xmm0, xmm0")
+    ~float_inputs:
+      [ Sandbox.Spec.Fin_xmm_f64 (Reg.Xmm0, { Sandbox.Spec.lo = 1.; hi = 4. }) ]
+    ~outputs:[ Sandbox.Spec.Out_xmm_f64 Reg.Xmm0 ]
+    ()
+
+let sqrt64_rewrite =
+  Parser.parse_program_exn
+    "cvtsd2ss xmm0, xmm1\nsqrtss xmm1, xmm1\ncvtss2sd xmm1, xmm0"
+
 let taylor_tests =
   [
     Alcotest.test_case "identical programs prove real-equal with bound 0" `Quick
       (fun () ->
         match
-          Verify.Taylor.bound ~config:det_config delta_spec
+          taylor_bound ~config:det_config delta_spec
             ~rewrite:delta_spec.Sandbox.Spec.program
         with
         | Error e -> Alcotest.failf "not analyzable: %s" e
@@ -520,8 +575,8 @@ let taylor_tests =
         let spec = Kernels.Libimf.sin_spec in
         let rewrite = Kernels.Libimf.sin_assoc_rewrite in
         match
-          ( Verify.Taylor.bound ~config:det_config spec ~rewrite,
-            Verify.Interval.static_ulp_bound spec ~rewrite )
+          ( taylor_bound ~config:det_config spec ~rewrite,
+            static_ulp_bound spec ~rewrite )
         with
         | Error e, _ -> Alcotest.failf "taylor: %s" e
         | _, Error e -> Alcotest.failf "interval: %s" e
@@ -542,9 +597,9 @@ let taylor_tests =
     Alcotest.test_case "delta rewrite: finite bound, tighter than interval"
       `Quick (fun () ->
         match
-          ( Verify.Taylor.bound ~config:det_config delta_spec
+          ( taylor_bound ~config:det_config delta_spec
               ~rewrite:Kernels.Aek_kernels.delta_rewrite,
-            Verify.Interval.static_ulp_bound delta_spec
+            static_ulp_bound delta_spec
               ~rewrite:Kernels.Aek_kernels.delta_rewrite )
         with
         | Error e, _ -> Alcotest.failf "taylor: %s" e
@@ -564,12 +619,13 @@ let taylor_tests =
         check_sound_on_samples "sin_assoc" Kernels.Libimf.sin_spec
           Kernels.Libimf.sin_assoc_rewrite;
         check_sound_on_samples "delta" delta_spec
-          Kernels.Aek_kernels.delta_rewrite);
+          Kernels.Aek_kernels.delta_rewrite;
+        check_sound_on_samples "sqrt64" sqrt64_spec sqrt64_rewrite);
     Alcotest.test_case "deeper branch-and-bound never loosens the bound"
       `Quick (fun () ->
         let bound_at depth =
           match
-            Verify.Taylor.bound
+            taylor_bound
               ~config:{ det_config with Verify.Bbound.max_depth = depth }
               Kernels.Libimf.sin_spec ~rewrite:Kernels.Libimf.sin_assoc_rewrite
           with
@@ -592,7 +648,7 @@ let taylor_tests =
     Alcotest.test_case "bit-level float flow defeats the Taylor tier" `Quick
       (fun () ->
         match
-          Verify.Taylor.bound Kernels.Libimf.log_spec
+          taylor_bound Kernels.Libimf.log_spec
             ~rewrite:Kernels.Libimf.log_spec.Sandbox.Spec.program
         with
         | Ok _ -> Alcotest.fail "expected failure"
@@ -643,12 +699,12 @@ let prop_taylor_sound_random_programs =
       QCheck.assume (horner_usable coeffs);
       let spec, rewrite = horner_pair coeffs half_range in
       let sound_abs =
-        match Verify.Taylor.bound ~config:det_config spec ~rewrite with
+        match taylor_bound ~config:det_config spec ~rewrite with
         | Ok a -> sound_abs_of spec a
         | Error e -> Test.fail_reportf "taylor: %s" e
       in
       let interval_abs =
-        match Verify.Interval.static_ulp_bound spec ~rewrite with
+        match static_ulp_bound spec ~rewrite with
         | Ok a ->
           a.Verify.Interval.bound_ulps
           *. Verify.Interval.ulp_size_at
@@ -676,8 +732,8 @@ let prop_taylor_sound_random_programs =
    Horner pairs.  Each row is [sound_ulps]'s bits, boxes explored, depth
    reached and [proved_real_equal], as the record-and-list analysis
    computed them; a change to the order or the operands of any interval
-   operation moves the bits.  ([sqrtsd] is outside the symbolic
-   executor's fragment, so the square-root program is binary32.) *)
+   operation moves the bits.  The binary64 square root, [sqrt64], is
+   pinned through [Verifier.check] on its own. *)
 
 let fin64 r lo hi = Sandbox.Spec.Fin_xmm_f64 (r, { Sandbox.Spec.lo; hi })
 let fin32 r lo hi = Sandbox.Spec.Fin_xmm_f32 (r, { Sandbox.Spec.lo; hi })
@@ -852,30 +908,35 @@ let horner_batch () =
       (Printf.sprintf "horner%d" i, spec, rewrite))
     draws
 
+let check_pin name (a : Verify.Taylor.analysis) (bits, boxes, depth, real_equal) =
+  let got =
+    ( Int64.bits_of_float a.Verify.Taylor.sound_ulps,
+      a.Verify.Taylor.boxes_explored,
+      a.Verify.Taylor.depth,
+      a.Verify.Taylor.proved_real_equal )
+  in
+  if got <> (bits, boxes, depth, real_equal) then
+    Alcotest.failf
+      "%s: sound %h, %d boxes, depth %d, real-equal %b; pinned %h, %d, %d, %b"
+      name a.Verify.Taylor.sound_ulps a.Verify.Taylor.boxes_explored
+      a.Verify.Taylor.depth a.Verify.Taylor.proved_real_equal
+      (Int64.float_of_bits bits) boxes depth real_equal
+
 let check_pins pairs expected =
   List.iter2
     (fun (name, spec, rewrite) (name', bits, boxes, depth, real_equal) ->
       Alcotest.(check string) "pin order" name' name;
-      match Verify.Taylor.bound ~config:det_config spec ~rewrite with
+      match taylor_bound ~config:det_config spec ~rewrite with
       | Error e -> Alcotest.failf "%s: not analyzable: %s" name e
-      | Ok a ->
-        let got =
-          ( Int64.bits_of_float a.Verify.Taylor.sound_ulps,
-            a.Verify.Taylor.boxes_explored,
-            a.Verify.Taylor.depth,
-            a.Verify.Taylor.proved_real_equal )
-        in
-        if got <> (bits, boxes, depth, real_equal) then
-          Alcotest.failf
-            "%s: sound %h, %d boxes, depth %d, real-equal %b; pinned %h, %d, \
-             %d, %b"
-            name a.Verify.Taylor.sound_ulps a.Verify.Taylor.boxes_explored
-            a.Verify.Taylor.depth a.Verify.Taylor.proved_real_equal
-            (Int64.float_of_bits bits) boxes depth real_equal)
+      | Ok a -> check_pin name a (bits, boxes, depth, real_equal))
     pairs expected
 
-(* Minor words [Taylor.bound] may allocate per explored box, setup
-   included.  An evaluation writes only its tape; what remains is the
+(* sqrt64's sound_ulps bits, boxes, depth, proved_real_equal *)
+let expected_sqrt64_pin =
+  (4735535833476847868L (* 0x1.800c0278558fcp+28 *), 42, 10, true)
+
+(* Minor words [Taylor.bound] may allocate per explored box, its setup
+   included (the symbolic execution before it is not).  An evaluation writes only its tape; what remains is the
    branch-and-bound's boxes and queue items and the analysis's one-time
    setup.  The record-and-list objective allocated about 12,000 (sin)
    and 14,000 (delta) words a box. *)
@@ -892,8 +953,13 @@ let taylor_pin_tests =
       `Quick (fun () ->
         List.iter
           (fun (name, spec, rewrite) ->
+            let pair =
+              match Verify.Symbolic.exec_pair spec ~rewrite with
+              | Ok pair -> pair
+              | Error e -> Alcotest.failf "%s: %s" name e
+            in
             let bound () =
-              match Verify.Taylor.bound ~config:det_config spec ~rewrite with
+              match Verify.Taylor.bound ~config:det_config spec pair with
               | Ok a -> a
               | Error e -> Alcotest.failf "%s: %s" name e
             in
@@ -912,6 +978,16 @@ let taylor_pin_tests =
              Kernels.Libimf.sin_assoc_rewrite);
             ("delta", delta_spec, Kernels.Aek_kernels.delta_rewrite);
           ]);
+    Alcotest.test_case "a binary64 square root reaches the Taylor tier" `Quick
+      (fun () ->
+        match
+          Verify.Verifier.check ~taylor:det_config sqrt64_spec
+            ~rewrite:sqrt64_rewrite ~eta:0L
+        with
+        | Verify.Verifier.Taylor_bound a ->
+          check_pin "sqrt64" a expected_sqrt64_pin
+        | o ->
+          Alcotest.failf "unexpected: %s" (Verify.Verifier.outcome_to_string o));
   ]
 
 (* soundness property: for random concrete points inside the operand
@@ -957,7 +1033,7 @@ let fpcore_tests =
     Alcotest.test_case "sin pair exports a well-formed difference" `Quick
       (fun () ->
         match
-          Verify.Fpcore.difference Kernels.Libimf.sin_spec
+          fpcore_difference Kernels.Libimf.sin_spec
             ~rewrite:Kernels.Libimf.sin_assoc_rewrite
         with
         | Error e -> Alcotest.failf "export failed: %s" e
@@ -974,7 +1050,7 @@ let fpcore_tests =
     Alcotest.test_case "identical terms export the zero difference" `Quick
       (fun () ->
         match
-          Verify.Fpcore.difference dot_spec
+          fpcore_difference dot_spec
             ~rewrite:Kernels.Aek_kernels.dot_rewrite
         with
         | Error e -> Alcotest.failf "export failed: %s" e
@@ -987,7 +1063,7 @@ let fpcore_tests =
           Alcotest.(check bool) "body is the literal zero" true (contains " 0)"));
     Alcotest.test_case "bit-level kernels are not exportable" `Quick (fun () ->
         match
-          Verify.Fpcore.difference Kernels.Libimf.log_spec
+          fpcore_difference Kernels.Libimf.log_spec
             ~rewrite:Kernels.Libimf.log_spec.Sandbox.Spec.program
         with
         | Ok _ -> Alcotest.fail "expected Not_exportable"
@@ -1011,7 +1087,7 @@ let verifier_tests =
         | Verify.Verifier.Taylor_bound a ->
           (* min-clamped against the interval tier: never looser *)
           (match
-             Verify.Interval.static_ulp_bound delta_spec
+             static_ulp_bound delta_spec
                ~rewrite:Kernels.Aek_kernels.delta_rewrite
            with
            | Error e -> Alcotest.failf "interval tier: %s" e
