@@ -527,9 +527,9 @@ let specialize (bt : batch) (i : Instr.t) : unit -> unit =
         [ (fun lane -> ignore (rs2 lane)); (fun lane -> ignore (rs1 lane)) ]
         "expected xmm destination"
   in
-  let fma_f64 pick neg_prod sub_addend =
+  let fma_sd () =
     let rx3 = read_f64 ops.(0) in
-    let prod_sign = if neg_prod then -1.0 else 1.0 in
+    let fma = Semantics.fma i.Instr.op in
     match dst, ops.(1) with
     | Operand.Xmm d, Operand.Xmm s2 ->
       let dro = xrow (xi d) and s2ro = xrow (xi s2) in
@@ -538,14 +538,12 @@ let specialize (bt : batch) (i : Instr.t) : unit -> unit =
           let o = lane lsl 3 in
           let x2 = Int64.float_of_bits (Bytes.get_int64_le xmmB (s2ro + o)) in
           let x1 = Int64.float_of_bits (Bytes.get_int64_le xmmB (dro + o)) in
-          let a, b, c = pick x1 x2 x3 in
-          let addend = if sub_addend then -.c else c in
-          Bytes.set_int64_le xmmB (dro + o)
-            (Int64.bits_of_float (Float.fma (prod_sign *. a) b addend)))
+          Bytes.set_int64_le xmmB (dro + o) (Int64.bits_of_float (fma x1 x2 x3)))
     | _ -> bad_dst_after [ (fun lane -> ignore (rx3 lane)) ] "expected xmm destination"
   in
-  let fma_f32 pick =
+  let fma_ss () =
     let rx3 = read_f32 ops.(0) in
+    let fma = Semantics.fma i.Instr.op in
     match dst, ops.(1) with
     | Operand.Xmm d, Operand.Xmm s2 ->
       let dro = xrow (xi d) and s2ro = xrow (xi s2) in
@@ -553,8 +551,7 @@ let specialize (bt : batch) (i : Instr.t) : unit -> unit =
           let x3 = rx3 lane in
           let x2 = get_f32_lane s2ro lane in
           let x1 = get_f32_lane dro lane in
-          let a, b, c = pick x1 x2 x3 in
-          set_f32_lane dro lane (Fp32.round (Float.fma a b c)))
+          set_f32_lane dro lane (Fp32.round (fma x1 x2 x3)))
     | _ -> bad_dst_after [ (fun lane -> ignore (rx3 lane)) ] "expected xmm destination"
   in
   (* GP two-operand arithmetic: read dst, read src, flags, write —
@@ -957,13 +954,7 @@ let specialize (bt : batch) (i : Instr.t) : unit -> unit =
     (match ops.(0) with
      | Operand.Imm mode ->
        let rx = read_f64 ops.(1) in
-       let round =
-         match Int64.to_int mode land 3 with
-         | 0 -> Semantics.rint_even
-         | 1 -> Float.floor
-         | 2 -> Float.ceil
-         | _ -> Float.trunc
-       in
+       let round = Semantics.rounding mode in
        (match dst with
         | Operand.Xmm d ->
           let dro = xrow (xi d) in
@@ -977,13 +968,7 @@ let specialize (bt : batch) (i : Instr.t) : unit -> unit =
     (match ops.(0) with
      | Operand.Imm mode ->
        let rx = read_f32 ops.(1) in
-       let round =
-         match Int64.to_int mode land 3 with
-         | 0 -> Semantics.rint_even
-         | 1 -> Float.floor
-         | 2 -> Float.ceil
-         | _ -> Float.trunc
-       in
+       let round = Semantics.rounding mode in
        (match dst with
         | Operand.Xmm d ->
           let dro = xrow (xi d) in
@@ -1021,15 +1006,10 @@ let specialize (bt : batch) (i : Instr.t) : unit -> unit =
         let la = Semantics.lanes4 a and lb = Semantics.lanes4 b in
         Semantics.join4 [| la.(0); lb.(0); la.(1); lb.(1) |])
   (* ----- FMA ----- *)
-  | Opcode.Vfmadd132sd -> fma_f64 (fun x1 x2 x3 -> (x1, x3, x2)) false false
-  | Opcode.Vfmadd213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) false false
-  | Opcode.Vfmadd231sd -> fma_f64 (fun x1 x2 x3 -> (x2, x3, x1)) false false
-  | Opcode.Vfnmadd213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) true false
-  | Opcode.Vfnmadd231sd -> fma_f64 (fun x1 x2 x3 -> (x2, x3, x1)) true false
-  | Opcode.Vfmsub213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) false true
-  | Opcode.Vfmadd132ss -> fma_f32 (fun x1 x2 x3 -> (x1, x3, x2))
-  | Opcode.Vfmadd213ss -> fma_f32 (fun x1 x2 x3 -> (x2, x1, x3))
-  | Opcode.Vfmadd231ss -> fma_f32 (fun x1 x2 x3 -> (x2, x3, x1))
+  | Opcode.Vfmadd132sd | Opcode.Vfmadd213sd | Opcode.Vfmadd231sd
+  | Opcode.Vfnmadd213sd | Opcode.Vfnmadd231sd | Opcode.Vfmsub213sd ->
+    fma_sd ()
+  | Opcode.Vfmadd132ss | Opcode.Vfmadd213ss | Opcode.Vfmadd231ss -> fma_ss ()
   (* Shuffles, packed 32-bit integer ops, and vector shifts are rare in
      FP kernels; they run through the reference interpreter, which keeps
      them bit-identical by construction. *)

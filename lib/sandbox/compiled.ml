@@ -490,9 +490,9 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
         [ (fun () -> ignore (rs2 ())); (fun () -> ignore (rs1 ())) ]
         "expected xmm destination"
   in
-  let fma_f64 pick neg_prod sub_addend =
+  let fma_sd () =
     let rx3 = read_f64 ops.(0) in
-    let prod_sign = if neg_prod then -1.0 else 1.0 in
+    let fma = Semantics.fma i.Instr.op in
     match dst, ops.(1) with
     | Operand.Xmm d, Operand.Xmm s2 ->
       let dk = xi d and s2k = xi s2 in
@@ -500,13 +500,12 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
         let x3 = rx3 () in
         let x2 = Int64.float_of_bits (get regs s2k) in
         let x1 = Int64.float_of_bits (get regs dk) in
-        let a, b, c = pick x1 x2 x3 in
-        let addend = if sub_addend then -.c else c in
-        set regs dk (Int64.bits_of_float (Float.fma (prod_sign *. a) b addend))
+        set regs dk (Int64.bits_of_float (fma x1 x2 x3))
     | _ -> bad_dst_after [ (fun () -> ignore (rx3 ())) ] "expected xmm destination"
   in
-  let fma_f32 pick =
+  let fma_ss () =
     let rx3 = read_f32 ops.(0) in
+    let fma = Semantics.fma i.Instr.op in
     match dst, ops.(1) with
     | Operand.Xmm d, Operand.Xmm s2 ->
       let dk = xi d and s2k = xi s2 in
@@ -514,8 +513,7 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
         let x3 = rx3 () in
         let x2 = getf32 regs s2k in
         let x1 = getf32 regs dk in
-        let a, b, c = pick x1 x2 x3 in
-        setf32 regs dk (Fp32.round (Float.fma a b c))
+        setf32 regs dk (Fp32.round (fma x1 x2 x3))
     | _ -> bad_dst_after [ (fun () -> ignore (rx3 ())) ] "expected xmm destination"
   in
   (* GP two-operand arithmetic: read dst, read src, flags, write —
@@ -784,13 +782,7 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
     (match ops.(0) with
      | Operand.Imm mode ->
        let rx = read_f64 ops.(1) in
-       let round =
-         match Int64.to_int mode land 3 with
-         | 0 -> Semantics.rint_even
-         | 1 -> Float.floor
-         | 2 -> Float.ceil
-         | _ -> Float.trunc
-       in
+       let round = Semantics.rounding mode in
        (match dst with
         | Operand.Xmm d ->
           let dk = xi d in
@@ -802,13 +794,7 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
     (match ops.(0) with
      | Operand.Imm mode ->
        let rx = read_f32 ops.(1) in
-       let round =
-         match Int64.to_int mode land 3 with
-         | 0 -> Semantics.rint_even
-         | 1 -> Float.floor
-         | 2 -> Float.ceil
-         | _ -> Float.trunc
-       in
+       let round = Semantics.rounding mode in
        (match dst with
         | Operand.Xmm d ->
           let dk = xi d in
@@ -846,15 +832,10 @@ let specialize_generic (m : Machine.t) (i : Instr.t) : unit -> unit =
         let la = Semantics.lanes4 a and lb = Semantics.lanes4 b in
         Semantics.join4 [| la.(0); lb.(0); la.(1); lb.(1) |])
   (* ----- FMA ----- *)
-  | Opcode.Vfmadd132sd -> fma_f64 (fun x1 x2 x3 -> (x1, x3, x2)) false false
-  | Opcode.Vfmadd213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) false false
-  | Opcode.Vfmadd231sd -> fma_f64 (fun x1 x2 x3 -> (x2, x3, x1)) false false
-  | Opcode.Vfnmadd213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) true false
-  | Opcode.Vfnmadd231sd -> fma_f64 (fun x1 x2 x3 -> (x2, x3, x1)) true false
-  | Opcode.Vfmsub213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) false true
-  | Opcode.Vfmadd132ss -> fma_f32 (fun x1 x2 x3 -> (x1, x3, x2))
-  | Opcode.Vfmadd213ss -> fma_f32 (fun x1 x2 x3 -> (x2, x1, x3))
-  | Opcode.Vfmadd231ss -> fma_f32 (fun x1 x2 x3 -> (x2, x3, x1))
+  | Opcode.Vfmadd132sd | Opcode.Vfmadd213sd | Opcode.Vfmadd231sd
+  | Opcode.Vfnmadd213sd | Opcode.Vfnmadd231sd | Opcode.Vfmsub213sd ->
+    fma_sd ()
+  | Opcode.Vfmadd132ss | Opcode.Vfmadd213ss | Opcode.Vfmadd231ss -> fma_ss ()
   (* Shuffles, packed 32-bit integer ops, and vector shifts are rare in
      FP kernels; apart from the register forms [specialize] flattens,
      they run through the reference interpreter, which keeps them

@@ -198,6 +198,50 @@ let rint_even x =
     else hi
   end
 
+(* x86's NaN rules for the roundings and the fused multiply-adds.  A NaN
+   operand comes back quieted: the quiet bit (bit 51) set, sign and
+   payload kept, never negated.  An invalid operation with no NaN operand
+   (∞·0, ∞−∞) gives the default NaN, the negative quiet NaN with a zero
+   payload. *)
+let quiet_nan x =
+  Int64.float_of_bits (Int64.logor (Int64.bits_of_float x) 0x0008_0000_0000_0000L)
+
+let default_nan = Int64.float_of_bits 0xfff8_0000_0000_0000L
+
+let rounding mode =
+  let round =
+    match Int64.to_int mode land 3 with
+    | 0 -> rint_even
+    | 1 -> Float.floor
+    | 2 -> Float.ceil
+    | _ -> Float.trunc
+  in
+  fun x -> if Float.is_nan x then quiet_nan x else round x
+
+(* The one table of the FMA forms: the formula a·b + c of each, on its
+   Intel operands x1 = dest, x2 = vvvv, x3 = r/m, with the product or the
+   addend negated in the vfnmadd/vfmsub forms.  A NaN is looked for in
+   a, b, c order.  The single-precision forms compute on the operands
+   widened to double; their callers round the result to binary32. *)
+let fma (op : Opcode.t) =
+  let fused ~neg_prod ~neg_add a b c =
+    if Float.is_nan a then quiet_nan a
+    else if Float.is_nan b then quiet_nan b
+    else if Float.is_nan c then quiet_nan c
+    else
+      let r = Float.fma (if neg_prod then -.a else a) b (if neg_add then -.c else c) in
+      if Float.is_nan r then default_nan else r
+  in
+  let plain = fused ~neg_prod:false ~neg_add:false in
+  match op with
+  | Opcode.Vfmadd132sd | Opcode.Vfmadd132ss -> fun x1 x2 x3 -> plain x1 x3 x2
+  | Opcode.Vfmadd213sd | Opcode.Vfmadd213ss -> fun x1 x2 x3 -> plain x2 x1 x3
+  | Opcode.Vfmadd231sd | Opcode.Vfmadd231ss -> fun x1 x2 x3 -> plain x2 x3 x1
+  | Opcode.Vfnmadd213sd -> fun x1 x2 x3 -> fused ~neg_prod:true ~neg_add:false x2 x1 x3
+  | Opcode.Vfnmadd231sd -> fun x1 x2 x3 -> fused ~neg_prod:true ~neg_add:false x2 x3 x1
+  | Opcode.Vfmsub213sd -> fun x1 x2 x3 -> fused ~neg_prod:false ~neg_add:true x2 x1 x3
+  | _ -> invalid_arg ("Semantics.fma: " ^ Opcode.to_string op)
+
 (* Float → int64 conversion with the x86 "integer indefinite" result on
    overflow or NaN. *)
 let f2i64 x =
@@ -340,26 +384,19 @@ let step (m : Machine.t) (i : Instr.t) : (unit, fault) result =
   (* FMA: value roles per the 132/213/231 digit conventions.  AT&T order:
      op src3(ops0), src2(ops1), dst(ops2); Intel dst = xmm1, src2 = xmm2,
      src3 = xmm3/m.  The host fma is correctly rounded. *)
-  let fma_f64 pick neg_prod sub_addend =
+  let fma_sd () =
     let* x3 = read_f64 m (src 0) in
     let* s2 = dst_xmm (src 1) in
     let* d = dst_xmm (dst ()) in
-    let x2 = Machine.get_f64 m s2 in
-    let x1 = Machine.get_f64 m d in
-    let a, b, c = pick x1 x2 x3 in
-    let prod_sign = if neg_prod then -1.0 else 1.0 in
-    let addend = if sub_addend then -.c else c in
-    Machine.set_f64 m d (Float.fma (prod_sign *. a) b addend);
+    Machine.set_f64 m d (fma i.Instr.op (Machine.get_f64 m d) (Machine.get_f64 m s2) x3);
     Ok ()
   in
-  let fma_f32 pick =
+  let fma_ss () =
     let* x3 = read_f32 m (src 0) in
     let* s2 = dst_xmm (src 1) in
     let* d = dst_xmm (dst ()) in
-    let x2 = Machine.get_f32 m s2 in
-    let x1 = Machine.get_f32 m d in
-    let a, b, c = pick x1 x2 x3 in
-    Machine.set_f32 m d (Fp32.round (Float.fma a b c));
+    Machine.set_f32 m d
+      (Fp32.round (fma i.Instr.op (Machine.get_f32 m d) (Machine.get_f32 m s2) x3));
     Ok ()
   in
   match i.Instr.op with
@@ -727,26 +764,14 @@ let step (m : Machine.t) (i : Instr.t) : (unit, fault) result =
     let* mode = imm_val (src 0) in
     let* x = read_f64 m (src 1) in
     let* d = dst_xmm (dst ()) in
-    let r =
-      match Int64.to_int mode land 3 with
-      | 0 -> rint_even x
-      | 1 -> Float.floor x
-      | 2 -> Float.ceil x
-      | _ -> Float.trunc x
-    in
+    let r = rounding mode x in
     Machine.set_f64 m d r;
     Ok ()
   | Opcode.Roundss ->
     let* mode = imm_val (src 0) in
     let* x = read_f32 m (src 1) in
     let* d = dst_xmm (dst ()) in
-    let r =
-      match Int64.to_int mode land 3 with
-      | 0 -> rint_even x
-      | 1 -> Float.floor x
-      | 2 -> Float.ceil x
-      | _ -> Float.trunc x
-    in
+    let r = rounding mode x in
     Machine.set_f32 m d (Fp32.round r);
     Ok ()
   (* ----- AVX three-operand ----- *)
@@ -792,13 +817,8 @@ let step (m : Machine.t) (i : Instr.t) : (unit, fault) result =
     Machine.set_xmm m d (!out, shi);
     Ok ()
   (* dst = a*b + c with the digit convention: operand1=dst, operand2=vvvv,
-     operand3=rm (Intel order); pick receives (x1=dst, x2=vvvv, x3=rm). *)
-  | Opcode.Vfmadd132sd -> fma_f64 (fun x1 x2 x3 -> (x1, x3, x2)) false false
-  | Opcode.Vfmadd213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) false false
-  | Opcode.Vfmadd231sd -> fma_f64 (fun x1 x2 x3 -> (x2, x3, x1)) false false
-  | Opcode.Vfnmadd213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) true false
-  | Opcode.Vfnmadd231sd -> fma_f64 (fun x1 x2 x3 -> (x2, x3, x1)) true false
-  | Opcode.Vfmsub213sd -> fma_f64 (fun x1 x2 x3 -> (x2, x1, x3)) false true
-  | Opcode.Vfmadd132ss -> fma_f32 (fun x1 x2 x3 -> (x1, x3, x2))
-  | Opcode.Vfmadd213ss -> fma_f32 (fun x1 x2 x3 -> (x2, x1, x3))
-  | Opcode.Vfmadd231ss -> fma_f32 (fun x1 x2 x3 -> (x2, x3, x1))
+     operand3=rm (Intel order); [fma] receives (x1=dst, x2=vvvv, x3=rm). *)
+  | Opcode.Vfmadd132sd | Opcode.Vfmadd213sd | Opcode.Vfmadd231sd
+  | Opcode.Vfnmadd213sd | Opcode.Vfnmadd231sd | Opcode.Vfmsub213sd ->
+    fma_sd ()
+  | Opcode.Vfmadd132ss | Opcode.Vfmadd213ss | Opcode.Vfmadd231ss -> fma_ss ()

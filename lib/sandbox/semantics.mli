@@ -47,6 +47,23 @@ val sse_max_f64 : dst_old:float -> src:float -> float
 val rint_even : float -> float
 (** Round to nearest, ties to even (the default MXCSR mode). *)
 
+val rounding : int64 -> float -> float
+(** [rounding mode]: the rounding [roundsd]/[roundss] apply for
+    immediate [mode] (its low two bits: nearest-even, floor, ceil,
+    truncate).  A NaN operand is returned quieted in every mode. *)
+
+val fma : Opcode.t -> float -> float -> float -> float
+(** [fma op x1 x2 x3]: the FMA form [op] on its Intel operands dest
+    [x1], vvvv [x2] and r/m [x3], rounded once — the one table of the
+    132/213/231 operand orders and of the [vfnmadd]/[vfmsub] negations.
+    A NaN operand makes the result the first NaN in the order the
+    operands enter the form's a·b + c (132: x1·x3 + x2; 213: x2·x1 + x3;
+    231: x2·x3 + x1), quieted and never negated.  An invalid operation
+    with no NaN operand gives the default NaN [0xfff8000000000000].  The
+    single-precision forms take their operands widened to double, and
+    the caller rounds the result to binary32.  Raises [Invalid_argument]
+    on an opcode that is not an FMA form. *)
+
 val f2i64 : float -> int64
 (** Float → int64 with the x86 "integer indefinite" result on overflow or
     NaN. *)

@@ -7,20 +7,6 @@ type t =
     }
   | Random_walk
 
-let accept t g ~iter ~delta =
-  match t with
-  | Random_walk -> true
-  | Hill -> delta <= 0.
-  | Mcmc { beta } ->
-    if delta <= 0. then true
-    else Rng.Dist.float g 1.0 < Float.exp (-.beta *. delta)
-  | Anneal { t0; cooling } ->
-    if delta <= 0. then true
-    else begin
-      let temp = Float.max 1e-9 (t0 *. Float.pow cooling (float_of_int iter)) in
-      Rng.Dist.float g 1.0 < Float.exp (-.delta /. temp)
-    end
-
 let accept_bound t g ~iter =
   match t with
   | Random_walk -> None

@@ -14,10 +14,6 @@ type t =
   | Random_walk
       (** Always accept. *)
 
-val accept : t -> Rng.Xoshiro256.t -> iter:int -> delta:float -> bool
-(** Should a proposal changing the cost by [delta] be accepted at iteration
-    [iter]? *)
-
 val accept_bound : t -> Rng.Xoshiro256.t -> iter:int -> float option
 (** Draw the acceptance randomness {e before} cost evaluation and return
     the largest cost increase still accepted at this iteration: the

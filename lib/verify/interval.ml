@@ -259,8 +259,16 @@ let algebra env =
       (fun op p a ->
         match op with
         | Symbolic.Sqrt -> run1 (Kernel.sqrt p) a
-        | Symbolic.Cvt ->
-          raise (Not_analyzable "conversion defeats interval reasoning"));
+        | Symbolic.Cvt -> (
+          (* widening is exact; narrowing is one binary32 rounding *)
+          match p with
+          | P64 -> a
+          | P32 ->
+            run1
+              (fun lo hi d a ->
+                Kernel.copy lo hi d a;
+                if not (Kernel.is_top lo hi d) then Kernel.widen P32 lo hi d)
+              a));
     op2 =
       (fun op p a b ->
         match op with

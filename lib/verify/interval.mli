@@ -109,6 +109,7 @@ type analysis = {
 
 val static_ulp_bound :
   Sandbox.Spec.t -> Symbolic.pair -> (analysis, string) Stdlib.result
-(** [Error] when an output depends on a bit-level operation or a
-    conversion, on an input the spec leaves unconstrained, or differs
-    without bound. *)
+(** [Error] when an output depends on a bit-level operation or on an
+    input the spec leaves unconstrained, or differs without bound.  A
+    widening conversion is exact and a narrowing one widens by one
+    binary32 step. *)

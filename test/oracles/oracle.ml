@@ -1,10 +1,10 @@
 (* Taint-differential oracle for the Liveness def/use/kill tables.
 
-   For every opcode × shape the operand pools can generate, instantiate a
-   handful of concrete instructions (distinct-register, aliased-register,
-   and per-immediate/per-addressing-mode variants), run each as a one-slot
-   program on seeded random machines under EVERY available engine, and
-   check the tables against what the machine actually did:
+   Run every instance of the matrix's taint sweep ([Matrix.taint]:
+   distinct-register, aliased-register, and per-immediate/per-addressing-
+   mode variants) as a one-slot program on seeded random machines under
+   EVERY available engine, and check the tables against what the machine
+   actually did:
 
    - writes ⊆ defs: diffing the pre/post state may only show changes at
      claimed def locations;
@@ -35,77 +35,7 @@ let violation_to_string v =
     (Sandbox.Exec.engine_to_string v.engine)
     v.detail
 
-(* ----- instantiation ----- *)
-
 let mem_size = 512
-let gp_pool = [| Reg.Rax; Reg.Rcx; Reg.Rdx; Reg.Rbx |]
-let xmm_pool = [| Reg.Xmm0; Reg.Xmm1; Reg.Xmm2; Reg.Xmm3; Reg.Xmm4; Reg.Xmm5 |]
-
-(* rsi holds arena base + 128 (16-aligned), rdi holds the index 3. *)
-let mem_candidates =
-  [
-    { Operand.base = Some Reg.Rsi; index = None; disp = 16 };
-    { Operand.base = Some Reg.Rsi; index = Some (Reg.Rdi, 8); disp = 8 };
-  ]
-
-(* 0 and 32 catch count-masking flag behaviour; 63 the Q-width extreme. *)
-let imm8_candidates = [ 0L; 1L; 3L; 32L; 63L ]
-let imm32_candidates = [ 0L; 1L; 1023L ]
-let imm64_candidates = [ 0L; 1L; Int64.min_int ]
-
-let nth_mod l k = List.nth l (k mod List.length l)
-
-(* Operands for variant [k] of [shape]; [aliased] collapses all registers
-   of a class onto one so dst = src cases are exercised. *)
-let operands_of_shape shape ~aliased k =
-  Array.mapi
-    (fun pos kind ->
-      match kind with
-      | Shape.K_gp _ ->
-        Operand.Gp (if aliased then Reg.Rax else gp_pool.(pos mod Array.length gp_pool))
-      | Shape.K_xmm ->
-        Operand.Xmm (if aliased then Reg.Xmm1 else xmm_pool.(pos mod Array.length xmm_pool))
-      | Shape.K_imm8 -> Operand.Imm (nth_mod imm8_candidates k)
-      | Shape.K_imm32 -> Operand.Imm (nth_mod imm32_candidates k)
-      | Shape.K_imm64 -> Operand.Imm (nth_mod imm64_candidates k)
-      | Shape.K_mem _ -> Operand.Mem (nth_mod mem_candidates k))
-    shape
-
-let variants_of_shape shape =
-  let sweep =
-    Array.fold_left
-      (fun acc kind ->
-        Stdlib.max acc
-          (match kind with
-           | Shape.K_imm8 -> List.length imm8_candidates
-           | Shape.K_imm32 -> List.length imm32_candidates
-           | Shape.K_imm64 -> List.length imm64_candidates
-           | Shape.K_mem _ -> List.length mem_candidates
-           | Shape.K_gp _ | Shape.K_xmm -> 1))
-      1 shape
-  in
-  let count p = Array.fold_left (fun n k -> if p k then n + 1 else n) 0 shape in
-  let can_alias =
-    count (function Shape.K_gp _ -> true | _ -> false) >= 2
-    || count (function Shape.K_xmm -> true | _ -> false) >= 2
-  in
-  let distinct = List.init sweep (fun k -> operands_of_shape shape ~aliased:false k) in
-  let aliased =
-    if can_alias then List.init sweep (fun k -> operands_of_shape shape ~aliased:true k)
-    else []
-  in
-  distinct @ aliased
-
-let instances () =
-  List.concat_map
-    (fun op ->
-      List.concat_map
-        (fun shape ->
-          List.map
-            (fun operands -> Instr.make_unchecked op operands)
-            (variants_of_shape shape))
-        (Shape.shapes op))
-    Opcode.all
 
 (* ----- machine states ----- *)
 
@@ -198,61 +128,11 @@ let perturbations =
         })
       [ 8; 144; 160 ]
 
-(* ----- state comparison ----- *)
-
-let flag_list (m : Sandbox.Machine.t) =
-  let f = m.Sandbox.Machine.flags in
-  [
-    ("cf", f.Sandbox.Machine.cf);
-    ("zf", f.Sandbox.Machine.zf);
-    ("sf", f.Sandbox.Machine.sf);
-    ("of", f.Sandbox.Machine.o_f);
-    ("pf", f.Sandbox.Machine.pf);
-  ]
-
-(* All (component, value) differences between two machines, at the merge
-   rule's granularity: 64-bit GP registers, 64-bit xmm lanes, single
-   flags, single memory bytes. *)
-let diff_components (a : Sandbox.Machine.t) (b : Sandbox.Machine.t) =
-  let out = ref [] in
-  let gp m i = Sandbox.Machine.get_gp m (Reg.gp_of_index i) in
-  (* xmm lane [i]: the low quad of xmm[i/2] when [i] is even *)
-  let lane m i =
-    let lo, hi = Sandbox.Machine.get_xmm m (Reg.xmm_of_index (i / 2)) in
-    if i mod 2 = 0 then lo else hi
-  in
-  for i = 15 downto 0 do
-    if not (Int64.equal (gp a i) (gp b i)) then
-      out := (Liveness.Lgp (Reg.gp_of_index i), Reg.gp_name Reg.Q (Reg.gp_of_index i)) :: !out
-  done;
-  for i = 31 downto 0 do
-    if not (Int64.equal (lane a i) (lane b i)) then
-      out :=
-        ( Liveness.Lxmm (Reg.xmm_of_index (i / 2)),
-          Printf.sprintf "%s.%s" (Reg.xmm_name (Reg.xmm_of_index (i / 2)))
-            (if i mod 2 = 0 then "lo" else "hi") )
-        :: !out
-  done;
-  List.iter2
-    (fun (n, va) (_, vb) ->
-      if va <> vb then out := (Liveness.Lflags, n) :: !out)
-    (flag_list a) (flag_list b);
-  let ma = Sandbox.Memory.unsafe_bytes a.Sandbox.Machine.mem in
-  let mb = Sandbox.Memory.unsafe_bytes b.Sandbox.Machine.mem in
-  if not (Bytes.equal ma mb) then
-    for i = Bytes.length ma - 1 downto 0 do
-      if Bytes.get ma i <> Bytes.get mb i then
-        out := (Liveness.Lmem, Printf.sprintf "mem[%d]" i) :: !out
-    done;
-  !out
-
-let loc_equal (a : Liveness.loc) b = a = b
+(* ----- the checks ----- *)
 
 let outcome_eq (a : Sandbox.Exec.result) (b : Sandbox.Exec.result) =
-  a.Sandbox.Exec.outcome = b.Sandbox.Exec.outcome
+  Differential.outcome_equal a.Sandbox.Exec.outcome b.Sandbox.Exec.outcome
   && a.Sandbox.Exec.executed = b.Sandbox.Exec.executed
-
-(* ----- the checks ----- *)
 
 let check_instance ~violations instr base_machine (engine, caller) =
   let run_engine m p =
@@ -273,10 +153,10 @@ let check_instance ~violations instr base_machine (engine, caller) =
   let res_a = run_engine ma program in
   (* writes ⊆ defs *)
   List.iter
-    (fun (loc, comp) ->
-      if not (Liveness.Locset.mem loc defs) then
-        fail (Printf.sprintf "wrote %s but defs omit %s" comp (Liveness.loc_to_string loc)))
-    (diff_components base_machine ma);
+    (fun (d : Differential.difference) ->
+      if not (Liveness.Locset.mem d.loc defs) then
+        fail (Printf.sprintf "wrote %s but defs omit %s" d.part (Liveness.loc_to_string d.loc)))
+    (Differential.differences base_machine ma);
   (* each claimed non-use is unread *)
   List.iter
     (fun pert ->
@@ -290,37 +170,36 @@ let check_instance ~violations instr base_machine (engine, caller) =
             (Printf.sprintf "perturbing non-use %s changed the outcome" pert.pname)
         else begin
           let strict = Liveness.Locset.mem pert.ploc kills in
-          let d_vs_baseline = diff_components ma mb in
-          let d_vs_perturbed_input = diff_components mb_pre mb in
+          let d_vs_perturbed_input = Differential.differences mb_pre mb in
           List.iter
-            (fun (loc, comp) ->
-              if not (loc_equal loc pert.ploc) then
+            (fun (d : Differential.difference) ->
+              if d.loc <> pert.ploc then
                 (* a location we did not touch ended up different: the
                    instruction read pert.ploc (uses is incomplete) *)
                 fail
                   (Printf.sprintf
                      "perturbing non-use %s changed %s: uses is missing it"
-                     pert.pname comp)
+                     pert.pname d.part)
               else if strict then
                 fail
                   (Printf.sprintf
                      "%s in kills but the perturbed input survived at %s"
-                     pert.pname comp)
+                     pert.pname d.part)
               else if
                 (* merge rule: a component of ℓ that differs from the
                    baseline result must carry the perturbed input verbatim
                    — any third value means ℓ's value flowed into the
                    computation, i.e. uses is missing ℓ *)
                 List.exists
-                  (fun (l2, c2) -> loc_equal l2 loc && String.equal c2 comp)
+                  (fun (e : Differential.difference) -> e.loc = d.loc && e.part = d.part)
                   d_vs_perturbed_input
               then
                 fail
                   (Printf.sprintf
                      "component %s of non-use %s is neither the baseline \
                       result nor the perturbed input"
-                     comp pert.pname))
-            d_vs_baseline
+                     d.part pert.pname))
+            (Differential.differences ma mb)
         end
       end)
     perturbations
@@ -340,7 +219,7 @@ let run ?(states = 2) ?(seed = default_seed) () =
         (e, Sandbox.Engine.caller (Sandbox.Engine.of_engine e) template))
       (List.filter Sandbox.Engine.available Sandbox.Engine.all)
   in
-  let all = instances () in
+  let all = Matrix.instances Matrix.taint in
   List.iter
     (fun instr ->
       List.iter

@@ -1,8 +1,8 @@
 (** Taint-differential oracle for the [Liveness] def/use/kill tables.
 
-    Every opcode × shape is instantiated into concrete instructions
-    (distinct-register, aliased-register, and per-immediate/addressing-mode
-    variants — a superset of what [Search.Pools] can generate) and run as a
+    Every instance of {!Matrix.taint} (distinct-register,
+    aliased-register, and per-immediate/addressing-mode variants of every
+    opcode × shape — a superset of what [Search.Pools] can generate) runs as a
     one-slot program on seeded random machines under every available
     engine.  Three properties are machine-checked against the actual
     execution:
@@ -28,7 +28,3 @@ val violation_to_string : violation -> string
 
 val run : ?states:int -> ?seed:int64 -> unit -> violation list
 (** Runs the full matrix on [states] random machines (default 2). *)
-
-val instances : unit -> Instr.t list
-(** The concrete instructions themselves, so tests can assert the matrix
-    covers every opcode × shape the search pools can generate. *)

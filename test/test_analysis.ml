@@ -31,7 +31,7 @@ let oracle_tests =
           List.filter_map
             (fun (i : Instr.t) ->
               Option.map (fun s -> (i.Instr.op, s)) (Shape.shape_of i.Instr.op i.Instr.operands))
-            (Oracles.Oracle.instances ())
+            (Oracles.Matrix.instances Oracles.Matrix.taint)
         in
         Array.iter
           (fun op ->

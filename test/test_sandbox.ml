@@ -649,6 +649,17 @@ let convert_tests =
         check_f64 "floor" 2. (run 1 2.9);
         check_f64 "ceil" 3. (run 2 2.1);
         check_f64 "trunc" (-2.) (run 3 (-2.9)));
+    Alcotest.test_case "roundsd quiets a signalling NaN in every mode" `Quick
+      (fun () ->
+        (* the bits the hardware returns *)
+        for mode = 0 to 3 do
+          let m =
+            exec1 (Printf.sprintf "roundsd $%d, xmm1, xmm0" mode) ~setup:(fun m ->
+                Sandbox.Machine.set_xmm m Reg.Xmm1 (0xfff0_0000_0000_0001L, 0L))
+          in
+          Alcotest.(check int64) (Printf.sprintf "mode %d" mode) 0xfff8_0000_0000_0001L
+            (Sandbox.Machine.get_xmm_lo m Reg.Xmm0)
+        done);
   ]
 
 let avx_tests =
@@ -706,6 +717,44 @@ let avx_tests =
               Sandbox.Machine.set_f64 m Reg.Xmm3 2.)
         in
         check_f64 "-(2*3)+10" 4. (Sandbox.Machine.get_f64 m Reg.Xmm3));
+    Alcotest.test_case "f64 fma returns the first NaN of a*b+c, quieted" `Quick
+      (fun () ->
+        (* [vs.(p)]: a NaN at Intel operand p (dest, vvvv, r/m), quiet NaNs
+           after it and numbers before it; the bits the hardware returns
+           for each form, per p — the first NaN in the order the operands
+           enter the form's a*b+c, quieted, sign and payload kept *)
+        let vs =
+          [| [| 0xfff0_0000_0000_0001L; 0xfff8_0000_0000_0012L; 0x7ff8_0000_0000_0013L |];
+             [| Int64.bits_of_float 2.; 0x7ff0_0000_0000_0002L; 0x7ff8_0000_0000_0013L |];
+             [| Int64.bits_of_float 2.; Int64.bits_of_float 3.; 0xfff0_0000_0000_0003L |] |]
+        in
+        let from_vvvv = [| 0xfff8_0000_0000_0012L; 0x7ff8_0000_0000_0002L; 0xfff8_0000_0000_0003L |] in
+        List.iter
+          (fun (op, want) ->
+            Array.iteri
+              (fun p v ->
+                let m =
+                  exec1 (op ^ " xmm3, xmm2, xmm0") ~setup:(fun m ->
+                      Sandbox.Machine.set_xmm_lo m Reg.Xmm0 v.(0);
+                      Sandbox.Machine.set_xmm_lo m Reg.Xmm2 v.(1);
+                      Sandbox.Machine.set_xmm_lo m Reg.Xmm3 v.(2))
+                in
+                Alcotest.(check int64) (Printf.sprintf "%s, NaN at operand %d" op p)
+                  want.(p) (Sandbox.Machine.get_xmm_lo m Reg.Xmm0))
+              vs)
+          [ ("vfmadd132sd", [| 0xfff8_0000_0000_0001L; 0x7ff8_0000_0000_0013L; 0xfff8_0000_0000_0003L |]);
+            ("vfmadd213sd", from_vvvv); ("vfmadd231sd", from_vvvv);
+            ("vfnmadd213sd", from_vvvv); ("vfnmadd231sd", from_vvvv);
+            ("vfmsub213sd", from_vvvv) ]);
+    Alcotest.test_case "an invalid fma gives the default NaN" `Quick (fun () ->
+        let m =
+          exec1 "vfmadd132sd xmm3, xmm2, xmm0" ~setup:(fun m ->
+              Sandbox.Machine.set_f64 m Reg.Xmm0 infinity;
+              Sandbox.Machine.set_f64 m Reg.Xmm2 0.;
+              Sandbox.Machine.set_f64 m Reg.Xmm3 0.)
+        in
+        Alcotest.(check int64) "inf*0+0" 0xfff8_0000_0000_0000L
+          (Sandbox.Machine.get_xmm_lo m Reg.Xmm0));
   ]
 
 let exec_tests =
@@ -963,60 +1012,27 @@ let coverage_tests =
   [
     Alcotest.test_case "interpreter covers every catalogued opcode" `Quick
       (fun () ->
-        let operand_of_kind (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ -> Operand.Gp Reg.Rcx
-          | Shape.K_xmm -> Operand.Xmm Reg.Xmm1
-          | Shape.K_imm8 -> Operand.Imm 3L
-          | Shape.K_imm32 -> Operand.Imm 1000L
-          | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
-          | Shape.K_mem _ ->
-            Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
-        in
         List.iter
-          (fun op ->
-            List.iter
-              (fun shape ->
-                let operands = Array.map operand_of_kind shape in
-                let i = Instr.make_unchecked op operands in
-                if Instr.is_well_formed i then begin
-                  let m = fresh () in
-                  (* rdi points into the arena, 16-byte aligned *)
-                  Sandbox.Machine.set_gp m Reg.Rdi base;
-                  match Sandbox.Semantics.step m i with
-                  | Ok () -> ()
-                  | Error (Sandbox.Semantics.Segv _) ->
-                    Alcotest.failf "%s segfaulted on aligned in-arena access"
-                      (Instr.to_string i)
-                  | Error f ->
-                    Alcotest.failf "%s: %s" (Instr.to_string i)
-                      (Sandbox.Semantics.fault_to_string f)
-                end)
-              (Shape.shapes op))
-          Opcode.all);
+          (fun i ->
+            let m = fresh () in
+            (* rdi points into the arena, 16-byte aligned *)
+            Sandbox.Machine.set_gp m Reg.Rdi base;
+            match Sandbox.Semantics.step m i with
+            | Ok () -> ()
+            | Error (Sandbox.Semantics.Segv _) ->
+              Alcotest.failf "%s segfaulted on aligned in-arena access"
+                (Instr.to_string i)
+            | Error f ->
+              Alcotest.failf "%s: %s" (Instr.to_string i)
+                (Sandbox.Semantics.fault_to_string f))
+          (Oracles.Matrix.instances Oracles.Matrix.aliased));
     Alcotest.test_case "every executable shape is also encodable or flagged"
       `Quick (fun () ->
         (* the encoder may reject exotic forms, but must reject them with a
            message, never raise *)
-        let operand_of_kind (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ -> Operand.Gp Reg.R9
-          | Shape.K_xmm -> Operand.Xmm Reg.Xmm9
-          | Shape.K_imm8 -> Operand.Imm 5L
-          | Shape.K_imm32 -> Operand.Imm (-7L)
-          | Shape.K_imm64 -> Operand.Imm (-1L)
-          | Shape.K_mem _ ->
-            Operand.Mem
-              { Operand.base = Some Reg.R8; index = Some (Reg.R9, 4); disp = -24 }
-        in
         List.iter
-          (fun op ->
-            List.iter
-              (fun shape ->
-                let i = Instr.make_unchecked op (Array.map operand_of_kind shape) in
-                if Instr.is_well_formed i then ignore (Encoder.encode_instr i))
-              (Shape.shapes op))
-          Opcode.all);
+          (fun i -> ignore (Encoder.encode_instr i))
+          (Oracles.Matrix.instances Oracles.Matrix.extended));
   ]
 
 (* ----- write-log restore: O(writes) undo must equal a full copy ----- *)
@@ -1143,260 +1159,15 @@ let sparse_restore_test =
 
 let restore_tests = restore_tests @ [ sparse_restore_test ]
 
-(* ----- compiled engine: differential equivalence vs the interpreter ----- *)
+(* ----- shared by the engine sections ----- *)
 
-let outcome_equal (a : Sandbox.Exec.outcome) (b : Sandbox.Exec.outcome) =
-  match (a, b) with
-  | Sandbox.Exec.Finished, Sandbox.Exec.Finished -> true
-  | Sandbox.Exec.Faulted f, Sandbox.Exec.Faulted g ->
-    Sandbox.Semantics.equal_fault f g
-  | _ -> false
+module D = Oracles.Differential
 
-(* The GP and xmm halves of a register file, for mismatch reports. *)
-let gp_bytes (m : Sandbox.Machine.t) =
-  Bytes.sub m.Sandbox.Machine.regs 0 Sandbox.Machine.xmm_base
-
-let xmm_bytes (m : Sandbox.Machine.t) =
-  Bytes.sub m.Sandbox.Machine.regs Sandbox.Machine.xmm_base
-    (Sandbox.Machine.regs_size - Sandbox.Machine.xmm_base)
-
-let machine_equal (a : Sandbox.Machine.t) (b : Sandbox.Machine.t) =
-  Bytes.equal a.Sandbox.Machine.regs b.Sandbox.Machine.regs
-  && a.Sandbox.Machine.flags = b.Sandbox.Machine.flags
-  && Sandbox.Memory.equal a.Sandbox.Machine.mem b.Sandbox.Machine.mem
-
-(* Run [p] on two identically-prepared machines, one per engine; return a
-   description of the first disagreement, or [None] if bit-identical. *)
-let diff_mismatch ?(mem_size = 4096) ?(on_interp = fun _ -> ()) ~setup p =
-  let mi = Sandbox.Machine.create ~mem_size () in
-  setup mi;
-  let ri = Sandbox.Exec.run mi p in
-  on_interp mi;
-  let mc = Sandbox.Machine.create ~mem_size () in
-  setup mc;
-  let rc = Sandbox.Compiled.exec (Sandbox.Compiled.compile mc p) in
-  if not (outcome_equal ri.Sandbox.Exec.outcome rc.Sandbox.Exec.outcome) then
-    Some
-      (Printf.sprintf "outcome: interp %s vs compiled %s"
-         (Sandbox.Exec.outcome_to_string ri.Sandbox.Exec.outcome)
-         (Sandbox.Exec.outcome_to_string rc.Sandbox.Exec.outcome))
-  else if ri.Sandbox.Exec.executed <> rc.Sandbox.Exec.executed then
-    Some
-      (Printf.sprintf "executed: interp %d vs compiled %d"
-         ri.Sandbox.Exec.executed rc.Sandbox.Exec.executed)
-  else if ri.Sandbox.Exec.cycles <> rc.Sandbox.Exec.cycles then
-    Some
-      (Printf.sprintf "cycles: interp %d vs compiled %d" ri.Sandbox.Exec.cycles
-         rc.Sandbox.Exec.cycles)
-  else if gp_bytes mi <> gp_bytes mc then
-    Some "gp registers differ"
-  else if xmm_bytes mi <> xmm_bytes mc then
-    Some "xmm registers differ"
-  else if mi.Sandbox.Machine.flags <> mc.Sandbox.Machine.flags then
-    Some "flags differ"
-  else if not (Sandbox.Memory.equal mi.Sandbox.Machine.mem mc.Sandbox.Machine.mem)
-  then Some "memory differs"
-  else None
-
-(* One instance of a shape.  [`Aliased] builds every register operand
-   from rcx / xmm1, so a reg-reg form reads what it writes; [`Distinct]
-   gives the destination rcx / xmm1 and the sources rdx / xmm2, then
-   rbx / xmm3.  A memory operand is always 16(rdi). *)
-let shape_instr ?(imm8 = 3L) ?(imm32 = 1000L) assign op (shape : Shape.kind array) =
-  let n = Array.length shape in
-  let operand pos (k : Shape.kind) =
-    let slot =
-      match assign with
-      | `Aliased -> 0
-      | `Distinct -> if pos = n - 1 then 0 else pos + 1
-    in
-    match k with
-    | Shape.K_gp _ -> Operand.Gp [| Reg.Rcx; Reg.Rdx; Reg.Rbx |].(slot)
-    | Shape.K_xmm -> Operand.Xmm [| Reg.Xmm1; Reg.Xmm2; Reg.Xmm3 |].(slot)
-    | Shape.K_imm8 -> Operand.Imm imm8
-    | Shape.K_imm32 -> Operand.Imm imm32
-    | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
-    | Shape.K_mem _ ->
-      Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
-  in
-  Instr.make_unchecked op (Array.mapi operand shape)
-
-(* Every well-formed instance [mk op shape] of every catalogued shape. *)
-let well_formed_instrs mk =
-  List.concat_map
-    (fun op ->
-      List.filter_map
-        (fun shape ->
-          let i = mk op shape in
-          if Instr.is_well_formed i then Some i else None)
-        (Shape.shapes op))
-    Opcode.all
-
-(* The fault regimes of the 16(rdi) memory operand, as rdi values: fine,
-   misaligned for the aligned 128-bit moves, a 4-byte access that fits
-   at the arena's end where an 8-byte one straddles it, an 8-byte access
-   that fits where the high half of a 16-byte one is out of bounds, and
-   far out of bounds. *)
-let mem_regimes =
-  [ ("in-arena", base);
-    ("misaligned", Int64.add base 4L);
-    ("straddling the end", Int64.add base (Int64.of_int (4096 - 16 - 4)));
-    ("high half out of bounds", Int64.add base (Int64.of_int (4096 - 16 - 8)));
-    ("out-of-bounds", 0x10L) ]
-
-let arena_pattern = String.init 4096 (fun j -> Char.chr ((j * 37 + 11) land 0xff))
-
-(* Bit patterns for a 64-bit register or memory quad, read as a double, as
-   a single in the low dword, or as an integer: ±0, ±inf, NaN payloads,
-   subnormals, the ±2^63 and ±2^31 cvt boundaries with their neighbours
-   and rounding ties, and integers whose sums, differences and shifts
-   carry, overflow or flip PF at Q and L width. *)
-let edge_values =
-  List.map Int64.bits_of_float
-    [ 0.; -0.; infinity; neg_infinity; 0.5; 1.5; 2.5; -2.5; max_float;
-      0x1p63; -0x1p63; Float.pred 0x1p63; 0x1p31; -0x1p31; 0x1p31 -. 0.5;
-      -0x1p31 -. 0.5; -0x1p31 -. 1. ]
-  @ [ 0x7ff8_0000_0000_0001L (* quiet NaN, payload 1 *);
-      0xfff0_0000_0000_0001L (* negative signalling NaN *);
-      0x0000_0000_0000_0001L (* smallest subnormal; the integer 1 *);
-      0x800f_ffff_ffff_ffffL (* largest negative subnormal *);
-      0xdead_beef_7fc0_0001L (* single NaN payload, upper dword set *);
-      0x0000_0001_807f_ffffL (* negative single subnormal *);
-      0x1234_5678_ff80_0000L (* single -inf *);
-      0x4f00_0000L (* single 2^31 *);
-      0xcf00_0000L (* single -2^31 *);
-      Int64.max_int; -1L; 0x7fff_ffffL; 0x8000_0000L; 0xffff_ffffL;
-      0x1_0000_0000L; 0xffL; 3L ]
-
-let compiled_tests =
-  [
-    Alcotest.test_case "compiled matches interpreter on every opcode shape"
-      `Quick (fun () ->
-        let setup rdi m =
-          Sandbox.Machine.set_gp m Reg.Rdi rdi;
-          Sandbox.Machine.set_gp m Reg.Rcx 0x1234_5678_9abc_def0L;
-          Sandbox.Machine.set_gp m Reg.Rdx 0x8000_0000_ffff_ff81L;
-          Sandbox.Machine.set_gp m Reg.Rbx 0x7fff_ffffL;
-          Sandbox.Machine.set_xmm m Reg.Xmm0
-            (Int64.bits_of_float 3.25, 0x7ff8_0000_0000_0001L);
-          Sandbox.Machine.set_xmm m Reg.Xmm1
-            (Int64.bits_of_float 1.5, Int64.bits_of_float (-0.75));
-          Sandbox.Machine.set_xmm m Reg.Xmm2
-            (Int64.bits_of_float (-2.5), 0x4049_0fdb_c000_0000L);
-          Sandbox.Machine.set_xmm m Reg.Xmm3
-            (0xbf80_0000_3fc0_0000L, Int64.bits_of_float 0x1p-1030);
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base arena_pattern
-        in
-        List.iter
-          (fun assign ->
-            List.iter
-              (fun i ->
-                let p = Program.of_instrs [ i ] in
-                List.iter
-                  (fun (label, rdi) ->
-                    match diff_mismatch ~setup:(setup rdi) p with
-                    | None -> ()
-                    | Some msg ->
-                      Alcotest.failf "%s (%s): %s" (Instr.to_string i) label msg)
-                  mem_regimes)
-              (well_formed_instrs (shape_instr assign)))
-          [ `Aliased; `Distinct ]);
-    Alcotest.test_case "compiled matches interpreter on edge values" `Quick
-      (fun () ->
-        (* destination registers hold [a]; source registers and the low
-           quad of the memory operand hold [b] *)
-        let setup a b m =
-          Sandbox.Machine.set_gp m Reg.Rdi base;
-          Sandbox.Machine.set_gp m Reg.Rcx a;
-          Sandbox.Machine.set_gp m Reg.Rdx b;
-          Sandbox.Machine.set_gp m Reg.Rbx (Int64.lognot b);
-          Sandbox.Machine.set_xmm m Reg.Xmm1 (a, Int64.lognot a);
-          Sandbox.Machine.set_xmm m Reg.Xmm2 (b, a);
-          Sandbox.Machine.set_xmm m Reg.Xmm3 (a, b);
-          let quad v =
-            let q = Bytes.create 8 in
-            Bytes.set_int64_le q 0 v;
-            Bytes.to_string q
-          in
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem (Int64.add base 16L)
-            (quad b ^ quad a)
-        in
-        (* the flag values add, sub and the shifts reached, per width *)
-        let seen = Hashtbl.create 64 in
-        let record op (m : Sandbox.Machine.t) =
-          let f = m.Sandbox.Machine.flags in
-          let note what w =
-            List.iter
-              (fun (flag, v) -> Hashtbl.replace seen (what, w, flag, v) ())
-              [ ("cf", f.Sandbox.Machine.cf); ("of", f.Sandbox.Machine.o_f);
-                ("pf", f.Sandbox.Machine.pf) ]
-          in
-          match (op : Opcode.t) with
-          | Opcode.Add w -> note "add" w
-          | Opcode.Sub w -> note "sub" w
-          | Opcode.Shl w | Opcode.Shr w | Opcode.Sar w -> note "shift" w
-          | _ -> ()
-        in
-        let instrs =
-          List.concat_map
-            (fun (imm8, imm32) ->
-              well_formed_instrs (shape_instr ~imm8 ~imm32 `Distinct))
-            [ (3L, 1000L); (0L, 0L); (1L, 1L); (31L, -1L); (32L, 0x7fff_ffffL);
-              (63L, -0x8000_0000L); (255L, 0xffL) ]
-          |> List.sort_uniq compare
-        in
-        List.iter
-          (fun (i : Instr.t) ->
-            let p = Program.of_instrs [ i ] in
-            List.iter
-              (fun a ->
-                List.iter
-                  (fun b ->
-                    match
-                      diff_mismatch ~on_interp:(record i.Instr.op) ~setup:(setup a b) p
-                    with
-                    | None -> ()
-                    | Some msg ->
-                      Alcotest.failf "%s with dst 0x%Lx, src 0x%Lx: %s"
-                        (Instr.to_string i) a b msg)
-                  edge_values)
-              edge_values)
-          instrs;
-        List.iter
-          (fun (what, flags) ->
-            List.iter
-              (fun w ->
-                List.iter
-                  (fun flag ->
-                    List.iter
-                      (fun v ->
-                        if not (Hashtbl.mem seen (what, w, flag, v)) then
-                          Alcotest.failf "the edge table never gives %s %s=%b at %s width"
-                            what flag v
-                            (match w with Reg.Q -> "Q" | Reg.L -> "L"))
-                      [ true; false ])
-                  flags)
-              [ Reg.Q; Reg.L ])
-          [ ("add", [ "cf"; "of"; "pf" ]); ("sub", [ "cf"; "of"; "pf" ]);
-            ("shift", [ "pf" ]) ]);
-    Alcotest.test_case "compiled restore_from replay stays pristine" `Quick
-      (fun () ->
-        let spec = Kernels.Aek_kernels.add_spec in
-        let m =
-          Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-        in
-        let pristine = Sandbox.Machine.copy m in
-        let cp = Sandbox.Compiled.compile m spec.Sandbox.Spec.program in
-        let g = Rng.Xoshiro256.create 11L in
-        for _ = 1 to 20 do
-          Sandbox.Machine.restore_from ~src:pristine ~dst:m;
-          Sandbox.Testcase.apply (Sandbox.Spec.random_testcase g spec) m;
-          ignore (Sandbox.Compiled.exec cp)
-        done;
-        Sandbox.Machine.restore_from ~src:pristine ~dst:m;
-        Alcotest.(check bool) "machine back to pristine" true
-          (machine_equal pristine m));
-  ]
+(* Fail unless [name]'s run is bit-identical to the [reference] run. *)
+let same ?reference what name ref_run run =
+  match D.first_difference ?reference name ref_run run with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" what d
 
 (* Validation runs the compiled engine one input at a time, so what one
    run allocates is its cost.  Every kernel's run — restore, install the
@@ -1433,41 +1204,6 @@ let alloc_tests =
                 alloc_budget_words)
           Kernels.Registry.all);
   ]
-
-(* Random pool-drawn programs (the search's actual proposal distribution)
-   on random test cases: the two engines must agree on outcome, fault kind
-   and position, cycles, and the entire final machine state. *)
-let prop_compiled_matches_interp =
-  let specs =
-    [| Kernels.Aek_kernels.add_spec; Kernels.S3d.exp_spec |]
-  in
-  let pools =
-    Array.map
-      (fun (spec : Sandbox.Spec.t) ->
-        Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec)
-      specs
-  in
-  QCheck.Test.make ~name:"compiled engine is bit-identical to the interpreter"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
-    (fun (seed, len) ->
-      let which = seed land 1 in
-      let spec = specs.(which) in
-      let g = Rng.Xoshiro256.create (Int64.of_int ((seed * 2) + 1)) in
-      let instrs =
-        List.init len (fun _ -> Search.Pools.random_instr g pools.(which))
-      in
-      let p = Program.of_instrs instrs in
-      let tc = Sandbox.Spec.random_testcase g spec in
-      let setup m = Sandbox.Testcase.apply tc m in
-      match diff_mismatch ~mem_size:spec.Sandbox.Spec.mem_size ~setup p with
-      | None -> true
-      | Some msg ->
-        QCheck.Test.fail_reportf "engines disagree: %s\nprogram:\n%s" msg
-          (Program.to_string p))
-
-let compiled_props =
-  List.map QCheck_alcotest.to_alcotest [ prop_compiled_matches_interp ]
 
 (* ----- the compiled engine's per-slot translation memo ----- *)
 
@@ -1522,18 +1258,11 @@ let memo_walk_tests =
               let mi = Sandbox.Machine.copy st in
               let ri = Sandbox.Exec.run mi p in
               List.iter
-                (fun (engine, (r' : Sandbox.Exec.result), m') ->
-                  let fail what =
-                    Alcotest.failf "step %d, %s test: memo vs %s: %s\n%s" step
-                      label engine what (Program.to_string p)
-                  in
-                  if not (outcome_equal r.Sandbox.Exec.outcome r'.Sandbox.Exec.outcome)
-                  then fail "outcome";
-                  if r.Sandbox.Exec.cycles <> r'.Sandbox.Exec.cycles then fail "cycles";
-                  if r.Sandbox.Exec.executed <> r'.Sandbox.Exec.executed then
-                    fail "executed";
-                  if not (machine_equal m m') then fail "machine state")
-                [ ("cold compile", rc, mc); ("interp", ri, mi) ])
+                (fun (reference, ref_run) ->
+                  same ~reference
+                    (Printf.sprintf "step %d, %s test\n%s" step label (Program.to_string p))
+                    "memo" ref_run (r, m))
+                [ ("cold compile", (rc, mc)); ("interp", (ri, mi)) ])
             tests
         in
         let swaps = ref 0 and resizes = ref 0 and undos = ref 0 in
@@ -1565,264 +1294,28 @@ let memo_walk_tests =
             ("faulting runs", !faulted) ]);
   ]
 
-(* ----- batched engine: per-lane differential vs interp and compiled ----- *)
+(* This Alcotest has no skip support, so where the capability probe says
+   an engine is unavailable (native execution where mmap-exec is denied)
+   its cases pass vacuously instead, and say so in their log. *)
+let engine_case name engine f =
+  Alcotest.test_case name `Quick (fun () ->
+      if Sandbox.Engine.available engine then f ()
+      else
+        Printf.printf "%s unavailable here: skipped\n"
+          (Sandbox.Exec.engine_to_string engine))
 
-(* Run [p] once through an N-lane batch and compare every lane against a
-   reference engine run on its own identically-prepared machine: outcome,
-   fault kind and position (via executed), cycles, registers, flags, and
-   memory must all match per lane. *)
-let batched_lane_mismatch ?(mem_size = 4096) ?(vs = `Interp) ~prepare tcs p =
-  let pristine = Sandbox.Machine.create ~mem_size () in
-  prepare pristine;
-  let b = Sandbox.Batched.create_batch pristine tcs in
-  let bp = Sandbox.Batched.compile b p in
-  let (_aborted : bool) = Sandbox.Batched.exec bp in
-  let reference m =
-    match vs with
-    | `Interp -> Sandbox.Exec.run m p
-    | `Compiled -> Sandbox.Compiled.exec (Sandbox.Compiled.compile m p)
-  in
-  let vs_name = match vs with `Interp -> "interp" | `Compiled -> "compiled" in
-  let n = Array.length tcs in
-  let rec go lane =
-    if lane >= n then None
-    else begin
-      let mr = Sandbox.Machine.create ~mem_size () in
-      prepare mr;
-      Sandbox.Testcase.apply tcs.(lane) mr;
-      let rr = reference mr in
-      let rb = Sandbox.Batched.result b ~lane in
-      let fail msg = Some (Printf.sprintf "lane %d: %s" lane msg) in
-      if not (outcome_equal rr.Sandbox.Exec.outcome rb.Sandbox.Exec.outcome)
-      then
-        fail
-          (Printf.sprintf "outcome: %s %s vs batched %s" vs_name
-             (Sandbox.Exec.outcome_to_string rr.Sandbox.Exec.outcome)
-             (Sandbox.Exec.outcome_to_string rb.Sandbox.Exec.outcome))
-      else if rr.Sandbox.Exec.executed <> rb.Sandbox.Exec.executed then
-        fail
-          (Printf.sprintf "executed: %s %d vs batched %d" vs_name
-             rr.Sandbox.Exec.executed rb.Sandbox.Exec.executed)
-      else if rr.Sandbox.Exec.cycles <> rb.Sandbox.Exec.cycles then
-        fail
-          (Printf.sprintf "cycles: %s %d vs batched %d" vs_name
-             rr.Sandbox.Exec.cycles rb.Sandbox.Exec.cycles)
-      else begin
-        let lm = Sandbox.Batched.lane_machine b ~lane in
-        if gp_bytes mr <> gp_bytes lm then
-          fail "gp registers differ"
-        else if xmm_bytes mr <> xmm_bytes lm then
-          fail "xmm registers differ"
-        else if mr.Sandbox.Machine.flags <> lm.Sandbox.Machine.flags then
-          fail "flags differ"
-        else if
-          not (Sandbox.Memory.equal mr.Sandbox.Machine.mem lm.Sandbox.Machine.mem)
-        then fail "memory differs"
-        else go (lane + 1)
-      end
-    end
-  in
-  go 0
-
-let batched_tests =
+(* Programs run one call at a time, on a machine set up by [call_setup]:
+   a load, an add, a store and a GP add, and a load that faults. *)
+let call_programs =
   [
-    Alcotest.test_case
-      "batched matches interpreter on every opcode shape (3 fault lanes)"
-      `Quick (fun () ->
-        let operand_of_kind (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ -> Operand.Gp Reg.Rcx
-          | Shape.K_xmm -> Operand.Xmm Reg.Xmm1
-          | Shape.K_imm8 -> Operand.Imm 3L
-          | Shape.K_imm32 -> Operand.Imm 1000L
-          | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
-          | Shape.K_mem _ ->
-            Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
-        in
-        (* the three fault regimes run as lanes of ONE batch, so a memory
-           shape exercises per-lane parking: the in-arena lane finishes
-           while the misaligned / out-of-bounds lanes latch their faults *)
-        let tcs =
-          Array.map
-            (fun rdi -> Sandbox.Testcase.(with_gp Reg.Rdi rdi empty))
-            [| base; Int64.add base 4L; 0x10L |]
-        in
-        let prepare m =
-          Sandbox.Machine.set_gp m Reg.Rcx 0x1234_5678_9abc_def0L;
-          Sandbox.Machine.set_xmm m Reg.Xmm0
-            (Int64.bits_of_float 3.25, 0x7ff8_0000_0000_0001L);
-          Sandbox.Machine.set_xmm m Reg.Xmm1
-            (Int64.bits_of_float 1.5, Int64.bits_of_float (-0.75));
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
-            (String.init 64 (fun j -> Char.chr ((j * 37 + 11) land 0xff)))
-        in
-        List.iter
-          (fun op ->
-            List.iter
-              (fun shape ->
-                let i =
-                  Instr.make_unchecked op (Array.map operand_of_kind shape)
-                in
-                if Instr.is_well_formed i then
-                  let p = Program.of_instrs [ i ] in
-                  match batched_lane_mismatch ~prepare tcs p with
-                  | None -> ()
-                  | Some msg ->
-                    Alcotest.failf "%s: %s" (Instr.to_string i) msg)
-              (Shape.shapes op))
-          Opcode.all);
-    Alcotest.test_case "batched reset replay is bit-stable across runs"
-      `Quick (fun () ->
-        let spec = Kernels.S3d.exp_spec in
-        let g = Rng.Xoshiro256.create 17L in
-        let tcs = Array.init 8 (fun _ -> Sandbox.Spec.random_testcase g spec) in
-        let pristine =
-          Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-        in
-        let b = Sandbox.Batched.create_batch pristine tcs in
-        let bp = Sandbox.Batched.compile b spec.Sandbox.Spec.program in
-        let snapshot () =
-          let (_aborted : bool) = Sandbox.Batched.exec bp in
-          Array.init (Array.length tcs) (fun lane ->
-              ( Sandbox.Batched.result b ~lane,
-                Sandbox.Batched.read_outputs b ~lane spec ))
-        in
-        let first = snapshot () in
-        for _ = 1 to 5 do
-          Sandbox.Batched.reset b;
-          let again = snapshot () in
-          Array.iteri
-            (fun lane (r0, o0) ->
-              let r1, o1 = again.(lane) in
-              if not (outcome_equal r0.Sandbox.Exec.outcome r1.Sandbox.Exec.outcome)
-              then Alcotest.failf "lane %d outcome drifted after reset" lane;
-              if r0.Sandbox.Exec.cycles <> r1.Sandbox.Exec.cycles then
-                Alcotest.failf "lane %d cycles drifted after reset" lane;
-              if o0 <> o1 then
-                Alcotest.failf "lane %d outputs drifted after reset" lane)
-            first
-        done);
+    [ "movq (rdi), xmm3"; "addsd xmm3, xmm3"; "movq xmm3, 16(rdi)"; "addq $5, rcx" ];
+    [ "addq $1, rcx"; "movq 8(rcx), xmm0" ];
   ]
 
-(* Random pool-drawn programs on random multi-lane batches: the batched
-   engine must agree with both scalar engines on every lane's outcome,
-   fault kind and position, cycles, registers, flags, and memory. *)
-let prop_batched_matches_scalar_engines =
-  let specs = [| Kernels.Aek_kernels.add_spec; Kernels.S3d.exp_spec |] in
-  let pools =
-    Array.map
-      (fun (spec : Sandbox.Spec.t) ->
-        Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec)
-      specs
-  in
-  QCheck.Test.make
-    ~name:"batched engine is bit-identical to interp and compiled per lane"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
-    (fun (seed, len) ->
-      let which = seed land 1 in
-      let spec = specs.(which) in
-      let g = Rng.Xoshiro256.create (Int64.of_int ((seed * 2) + 1)) in
-      let instrs =
-        List.init len (fun _ -> Search.Pools.random_instr g pools.(which))
-      in
-      let p = Program.of_instrs instrs in
-      let tcs = Array.init 4 (fun _ -> Sandbox.Spec.random_testcase g spec) in
-      let prepare _ = () in
-      let check vs =
-        match
-          batched_lane_mismatch ~mem_size:spec.Sandbox.Spec.mem_size ~vs
-            ~prepare tcs p
-        with
-        | None -> true
-        | Some msg ->
-          QCheck.Test.fail_reportf "engines disagree: %s\nprogram:\n%s" msg
-            (Program.to_string p)
-      in
-      check `Interp && check `Compiled)
-
-let batched_props =
-  List.map QCheck_alcotest.to_alcotest [ prop_batched_matches_scalar_engines ]
-
-(* ----- native engine: differential equivalence vs the interpreter -----
-
-   These run real machine code in the guarded worker, so the whole
-   section is behind the capability probe: where mmap-exec is denied the
-   tests pass as skips rather than fail. *)
-
-(* Run [p] natively on all lanes and compare every lane against a fresh
-   interpreter run: result triple (outcome incl. fault kind+address,
-   executed, cycles), registers, flags, and memory.  [Ok `Fallback] when
-   the native engine would not run this program (unencodable or not
-   bit-identical in hardware — nothing to check); [Error msg] on any
-   divergence. *)
-let native_lane_mismatch ?(mem_size = 4096) ~prepare tcs p =
-  let pristine = Sandbox.Machine.create ~mem_size () in
-  prepare pristine;
-  match Sandbox.Native.create_batch ~want_mem:true pristine tcs with
-  | None -> Error "worker failed to start on an available platform"
-  | Some b ->
-    (match Sandbox.Native.compile b p with
-     | None -> Ok `Fallback
-     | Some np ->
-       if Sandbox.Native.exec np then Error "worker crashed"
-       else begin
-         let n = Array.length tcs in
-         let rec go lane =
-           if lane >= n then Ok `Checked
-           else begin
-             let mr = Sandbox.Machine.create ~mem_size () in
-             prepare mr;
-             Sandbox.Testcase.apply tcs.(lane) mr;
-             let rr = Sandbox.Exec.run mr p in
-             let rn = Sandbox.Native.result b ~lane in
-             let fail msg = Error (Printf.sprintf "lane %d: %s" lane msg) in
-             if
-               not
-                 (outcome_equal rr.Sandbox.Exec.outcome
-                    rn.Sandbox.Exec.outcome)
-             then
-               fail
-                 (Printf.sprintf "outcome: interp %s vs native %s"
-                    (Sandbox.Exec.outcome_to_string rr.Sandbox.Exec.outcome)
-                    (Sandbox.Exec.outcome_to_string rn.Sandbox.Exec.outcome))
-             else if rr.Sandbox.Exec.executed <> rn.Sandbox.Exec.executed then
-               fail
-                 (Printf.sprintf "executed: interp %d vs native %d"
-                    rr.Sandbox.Exec.executed rn.Sandbox.Exec.executed)
-             else if rr.Sandbox.Exec.cycles <> rn.Sandbox.Exec.cycles then
-               fail
-                 (Printf.sprintf "cycles: interp %d vs native %d"
-                    rr.Sandbox.Exec.cycles rn.Sandbox.Exec.cycles)
-             else begin
-               let lm = Sandbox.Native.lane_machine b ~lane in
-               if gp_bytes mr <> gp_bytes lm then
-                 fail "gp registers differ"
-               else if xmm_bytes mr <> xmm_bytes lm then
-                 fail "xmm registers differ"
-               else if mr.Sandbox.Machine.flags <> lm.Sandbox.Machine.flags
-               then fail "flags differ"
-               else if
-                 not
-                   (Sandbox.Memory.equal mr.Sandbox.Machine.mem
-                      lm.Sandbox.Machine.mem)
-               then fail "memory differs"
-               else go (lane + 1)
-             end
-           end
-         in
-         go 0
-       end)
-
-(* This Alcotest has no skip support, so where the capability probe says
-   mmap-exec is denied the guarded tests pass vacuously instead. *)
-exception Skip_native
-
-let native_skip () =
-  if not (Sandbox.Native.available ()) then raise Skip_native
-
-let native_case name f =
-  Alcotest.test_case name `Quick (fun () -> try f () with Skip_native -> ())
+let call_setup m =
+  Sandbox.Machine.set_gp m Reg.Rdi base;
+  Sandbox.Machine.set_gp m Reg.Rcx 37L;
+  Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base (Sandbox.Testcase.f64_bytes 2.25)
 
 (* The seam's call-at-a-time path: every engine, called on a caller's
    machine, leaves it exactly as the interpreter would — registers,
@@ -1831,24 +1324,11 @@ let engine_tests =
   [
     Alcotest.test_case "every engine's call matches the interpreter" `Quick
       (fun () ->
-        let programs =
-          [
-            [ "movq (rdi), xmm3"; "addsd xmm3, xmm3"; "movq xmm3, 16(rdi)";
-              "addq $5, rcx" ];
-            [ "addq $1, rcx"; "movq 8(rcx), xmm0" ];
-          ]
-        in
-        let setup m =
-          Sandbox.Machine.set_gp m Reg.Rdi base;
-          Sandbox.Machine.set_gp m Reg.Rcx 37L;
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
-            (Sandbox.Testcase.f64_bytes 2.25)
-        in
         List.iter
           (fun lines ->
             let p = Program.of_instrs (List.map parse_i lines) in
             let mi = fresh () in
-            setup mi;
+            call_setup mi;
             let ri = Sandbox.Exec.run mi p in
             List.iter
               (fun engine ->
@@ -1858,123 +1338,26 @@ let engine_tests =
                     (fresh ())
                 in
                 let m = fresh () in
-                setup m;
+                call_setup m;
                 (* twice through one prepared call: state threads in and out *)
                 let call = Sandbox.Engine.prepare_call caller m p in
-                let r = Sandbox.Engine.call call in
-                Alcotest.(check bool) (name ^ ": outcome") true
-                  (outcome_equal r.Sandbox.Exec.outcome ri.Sandbox.Exec.outcome);
-                Alcotest.(check int) (name ^ ": cycles") ri.Sandbox.Exec.cycles
-                  r.Sandbox.Exec.cycles;
-                Alcotest.(check bool) (name ^ ": machine state") true
-                  (machine_equal m mi);
+                same "first call" name (ri, mi) (Sandbox.Engine.call call, m);
                 let mi2 = Sandbox.Machine.copy mi in
-                let _ = Sandbox.Exec.run mi2 p in
-                let _ = Sandbox.Engine.call call in
-                Alcotest.(check bool) (name ^ ": second call") true
-                  (machine_equal m mi2))
+                let ri2 = Sandbox.Exec.run mi2 p in
+                same "second call" name (ri2, mi2) (Sandbox.Engine.call call, m))
               (List.filter Sandbox.Engine.available Sandbox.Engine.all))
-          programs);
+          call_programs);
   ]
 
+(* ----- the native engine's own cases -----
+
+   These run real machine code in the guarded worker, so each is behind
+   the capability probe: where mmap-exec is denied they pass as skips
+   rather than fail. *)
 let native_tests =
   [
-    native_case
-      "native matches interpreter on every opcode shape (3 fault lanes)"
+    engine_case "apply_testcase overlays one lane natively" Sandbox.Exec.Native
       (fun () ->
-        native_skip ();
-        let operand_of_kind (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ -> Operand.Gp Reg.Rcx
-          | Shape.K_xmm -> Operand.Xmm Reg.Xmm1
-          | Shape.K_imm8 -> Operand.Imm 3L
-          | Shape.K_imm32 -> Operand.Imm 1000L
-          | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
-          | Shape.K_mem _ ->
-            Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
-        in
-        (* same three fault regimes as the batched differential: one lane
-           lands in the arena, one is misaligned for 16-byte accesses,
-           one is far out of bounds — so guard faults must reproduce the
-           interpreter's fault kind, address and position exactly *)
-        let tcs =
-          Array.map
-            (fun rdi -> Sandbox.Testcase.(with_gp Reg.Rdi rdi empty))
-            [| base; Int64.add base 4L; 0x10L |]
-        in
-        let prepare m =
-          Sandbox.Machine.set_gp m Reg.Rcx 0x1234_5678_9abc_def0L;
-          Sandbox.Machine.set_xmm m Reg.Xmm0
-            (Int64.bits_of_float 3.25, 0x7ff8_0000_0000_0001L);
-          Sandbox.Machine.set_xmm m Reg.Xmm1
-            (Int64.bits_of_float 1.5, Int64.bits_of_float (-0.75));
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
-            (String.init 64 (fun j -> Char.chr ((j * 37 + 11) land 0xff)))
-        in
-        let checked = ref 0 and fallbacks = ref 0 in
-        List.iter
-          (fun op ->
-            List.iter
-              (fun shape ->
-                let i =
-                  Instr.make_unchecked op (Array.map operand_of_kind shape)
-                in
-                if Instr.is_well_formed i then
-                  let p = Program.of_instrs [ i ] in
-                  match native_lane_mismatch ~prepare tcs p with
-                  | Ok `Checked -> incr checked
-                  | Ok `Fallback -> incr fallbacks
-                  | Error msg ->
-                    Alcotest.failf "%s: %s" (Instr.to_string i) msg)
-              (Shape.shapes op))
-          Opcode.all;
-        (* the accepted subset must stay substantial — a classifier bug
-           that rejects everything would otherwise pass vacuously *)
-        Alcotest.(check bool)
-          (Printf.sprintf "checked %d instances natively (%d fell back)"
-             !checked !fallbacks)
-          true
-          (!checked > 100));
-    native_case "native run is bit-stable across reset replays" (fun () ->
-        native_skip ();
-        let spec = Kernels.S3d.exp_spec in
-        let g = Rng.Xoshiro256.create 17L in
-        let tcs = Array.init 8 (fun _ -> Sandbox.Spec.random_testcase g spec) in
-        let pristine =
-          Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-        in
-        match Sandbox.Native.create_batch pristine tcs with
-        | None -> Alcotest.fail "worker failed to start"
-        | Some b ->
-          (match Sandbox.Native.compile b spec.Sandbox.Spec.program with
-           | None -> Alcotest.fail "exp kernel must be native-eligible"
-           | Some np ->
-             let snapshot () =
-               if Sandbox.Native.exec np then Alcotest.fail "worker crashed";
-               Array.init (Array.length tcs) (fun lane ->
-                   ( Sandbox.Native.result b ~lane,
-                     Sandbox.Native.read_outputs b ~lane spec ))
-             in
-             let first = snapshot () in
-             for _ = 1 to 5 do
-               Sandbox.Native.reset b;
-               let again = snapshot () in
-               Array.iteri
-                 (fun lane (r0, o0) ->
-                   let r1, o1 = again.(lane) in
-                   if
-                     not
-                       (outcome_equal r0.Sandbox.Exec.outcome
-                          r1.Sandbox.Exec.outcome)
-                   then Alcotest.failf "lane %d outcome drifted" lane;
-                   if r0.Sandbox.Exec.cycles <> r1.Sandbox.Exec.cycles then
-                     Alcotest.failf "lane %d cycles drifted" lane;
-                   if o0 <> o1 then
-                     Alcotest.failf "lane %d outputs drifted" lane)
-                 first
-             done));
-    native_case "apply_testcase overlays one lane natively" (fun () ->
-        native_skip ();
         let spec = Kernels.S3d.exp_spec in
         let pristine =
           Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
@@ -2002,49 +1385,25 @@ let native_tests =
              Sandbox.Native.reset b;
              let o0'', _ = outputs () in
              Alcotest.(check bool) "reset restores lane 0" true (o0'' = o0)));
-    native_case "run_one round-trips registers and memory" (fun () ->
-        native_skip ();
-        let p =
-          Program.of_instrs
-            [
-              parse_i "movq (rdi), xmm3";
-              parse_i "addsd xmm3, xmm3";
-              parse_i "movq xmm3, 16(rdi)";
-              parse_i "addq $5, rcx";
-            ]
-        in
-        let run_native (m : Sandbox.Machine.t) =
-          match
-            Sandbox.Native.create_batch ~want_mem:true m
-              [| Sandbox.Testcase.empty |]
-          with
+    engine_case "run_one round-trips registers and memory" Sandbox.Exec.Native
+      (fun () ->
+        let p = Program.of_instrs (List.map parse_i (List.hd call_programs)) in
+        let mn = fresh () in
+        call_setup mn;
+        let rn =
+          match Sandbox.Native.create_batch ~want_mem:true mn [| Sandbox.Testcase.empty |] with
           | None -> Alcotest.fail "worker failed to start"
           | Some b ->
             (match Sandbox.Native.compile b p with
              | None -> Alcotest.fail "program must be native-eligible"
              | Some np ->
-               (match Sandbox.Native.run_one b np m with
+               (match Sandbox.Native.run_one b np mn with
                 | Some r -> r
                 | None -> Alcotest.fail "run_one crashed"))
         in
-        let setup m =
-          Sandbox.Machine.set_gp m Reg.Rdi base;
-          Sandbox.Machine.set_gp m Reg.Rcx 37L;
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
-            (Sandbox.Testcase.f64_bytes 2.25)
-        in
-        let mn = fresh () in
-        setup mn;
-        let rn = run_native mn in
         let mi = fresh () in
-        setup mi;
-        let ri = Sandbox.Exec.run mi p in
-        Alcotest.(check bool) "outcome" true
-          (outcome_equal rn.Sandbox.Exec.outcome ri.Sandbox.Exec.outcome);
-        Alcotest.(check int) "cycles" ri.Sandbox.Exec.cycles
-          rn.Sandbox.Exec.cycles;
-        Alcotest.(check bool) "machine state identical (incl. memory)" true
-          (machine_equal mn mi));
+        call_setup mi;
+        same "run_one" "native" (Sandbox.Exec.run mi p, mi) (rn, mn));
     Alcotest.test_case "engine_of_string covers native and lists names"
       `Quick (fun () ->
         let contains_sub s sub =
@@ -2078,65 +1437,280 @@ let native_tests =
           (Result.is_error (Sandbox.Memory.read mem Int64.max_int 8)));
   ]
 
-let prop_native_matches_interp =
+(* ----- engine-vs-interpreter differentials -----
+
+   Every engine but the interpreter faces the same attack through
+   [Oracles.Differential]: the every-shape table, the edge-value table
+   and the random-pool property, each compared against the interpreter
+   on outcome, fault, executed count, cycles and the whole final machine,
+   lane by lane.  A batch engine runs a table's cases as the lanes of one
+   batch, so a memory shape exercises per-lane fault parking. *)
+
+let differential_engines =
+  List.filter (fun e -> e <> Sandbox.Exec.Interp) Sandbox.Engine.all
+
+(* Run each of [instrs] as a one-slot program on [engine] and the
+   interpreter over [cases]; [describe lane] names a case in a failure.
+   The log says which engines ran and how many programs the engine ran
+   or declined.  A native run must run at least [native_floor] of them
+   natively — a classifier that declines everything would otherwise
+   reduce the native differential to batched vs interp. *)
+let run_table ?mem_size ?on_reference ~native_floor engine ~prepare ~describe cases
+    instrs =
+  let d = D.create ?mem_size engine ~prepare cases in
+  List.iter
+    (fun (i : Instr.t) ->
+      let on_reference = Option.map (fun f -> f i) on_reference in
+      match D.check ?on_reference d (Program.of_instrs [ i ]) with
+      | D.Same | D.Declined -> ()
+      | D.Differs { lane; what } ->
+        Alcotest.failf "%s (%s): %s" (Instr.to_string i) (describe lane) what)
+    instrs;
+  print_endline (D.summary d);
+  if engine = Sandbox.Exec.Native then
+    Alcotest.(check bool)
+      (Printf.sprintf "at least %d of %d ran natively" native_floor
+         (List.length instrs))
+      true
+      (D.ran d >= native_floor)
+
+(* The fault regimes of the 16(rdi) memory operand, as rdi values: fine,
+   misaligned for the aligned 128-bit moves, a 4-byte access that fits
+   at the arena's end where an 8-byte one straddles it, an 8-byte access
+   that fits where the high half of a 16-byte one is out of bounds, and
+   far out of bounds. *)
+let mem_regimes =
+  [| ("in-arena", base);
+     ("misaligned", Int64.add base 4L);
+     ("straddling the end", Int64.add base (Int64.of_int (4096 - 16 - 4)));
+     ("high half out of bounds", Int64.add base (Int64.of_int (4096 - 16 - 8)));
+     ("out-of-bounds", 0x10L) |]
+
+let arena_pattern = String.init 4096 (fun j -> Char.chr ((j * 37 + 11) land 0xff))
+
+(* Every shape, with aliased and with distinct registers, under each of
+   the five memory regimes. *)
+let shape_table engine () =
+  let prepare m =
+    Sandbox.Machine.set_gp m Reg.Rcx 0x1234_5678_9abc_def0L;
+    Sandbox.Machine.set_gp m Reg.Rdx 0x8000_0000_ffff_ff81L;
+    Sandbox.Machine.set_gp m Reg.Rbx 0x7fff_ffffL;
+    Sandbox.Machine.set_xmm m Reg.Xmm0 (Int64.bits_of_float 3.25, 0x7ff8_0000_0000_0001L);
+    Sandbox.Machine.set_xmm m Reg.Xmm1
+      (Int64.bits_of_float 1.5, Int64.bits_of_float (-0.75));
+    Sandbox.Machine.set_xmm m Reg.Xmm2 (Int64.bits_of_float (-2.5), 0x4049_0fdb_c000_0000L);
+    Sandbox.Machine.set_xmm m Reg.Xmm3 (0xbf80_0000_3fc0_0000L, Int64.bits_of_float 0x1p-1030);
+    Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base arena_pattern
+  in
+  run_table ~native_floor:450 engine ~prepare
+    ~describe:(fun lane -> fst mem_regimes.(lane))
+    (Array.map (fun (_, rdi) -> Sandbox.Testcase.(with_gp Reg.Rdi rdi empty)) mem_regimes)
+    (Oracles.Matrix.instances Oracles.Matrix.aliased
+    @ Oracles.Matrix.instances (Oracles.Matrix.distinct ()))
+
+(* Bit patterns for a 64-bit register or memory quad, read as a double, as
+   a single in the low dword, or as an integer: ±0, ±inf, NaN payloads,
+   subnormals, the ±2^63 and ±2^31 cvt boundaries with their neighbours
+   and rounding ties, and integers whose sums, differences and shifts
+   carry, overflow or flip PF at Q and L width. *)
+let edge_values =
+  List.map Int64.bits_of_float
+    [ 0.; -0.; infinity; neg_infinity; 0.5; 1.5; 2.5; -2.5; max_float;
+      0x1p63; -0x1p63; Float.pred 0x1p63; 0x1p31; -0x1p31; 0x1p31 -. 0.5;
+      -0x1p31 -. 0.5; -0x1p31 -. 1. ]
+  @ [ 0x7ff8_0000_0000_0001L (* quiet NaN, payload 1 *);
+      0xfff0_0000_0000_0001L (* negative signalling NaN *);
+      0x0000_0000_0000_0001L (* smallest subnormal; the integer 1 *);
+      0x800f_ffff_ffff_ffffL (* largest negative subnormal *);
+      0xdead_beef_7fc0_0001L (* single NaN payload, upper dword set *);
+      0x0000_0001_807f_ffffL (* negative single subnormal *);
+      0x1234_5678_ff80_0000L (* single -inf *);
+      0x4f00_0000L (* single 2^31 *);
+      0xcf00_0000L (* single -2^31 *);
+      Int64.max_int; -1L; 0x7fff_ffffL; 0x8000_0000L; 0xffff_ffffL;
+      0x1_0000_0000L; 0xffL; 3L ]
+
+(* Every distinct-register instance, over a sweep of immediates, on every
+   pair of edge values: destination registers hold [a]; source registers
+   and the low quad of the memory operand hold [b].  The middle xmm
+   operand (xmm3, an FMA's vvvv or a VEX form's first source) holds [c],
+   the edge value after [a]: so an FMA's three operands can hold three
+   different NaNs, which shows the order an engine picks them in, and the
+   VEX forms' two sources still meet every pair.  The arena is 64 bytes —
+   enough for 16(rdi) — so a batch of 34² lanes stays small. *)
+let edge_table engine () =
+  let values = Array.of_list edge_values in
+  let n = Array.length values in
+  let pairs =
+    Array.init (n * n) (fun k ->
+        (values.(k / n), values.(k mod n), values.((k / n + 1) mod n)))
+  in
+  let quad v =
+    let q = Bytes.create 8 in
+    Bytes.set_int64_le q 0 v;
+    Bytes.to_string q
+  in
+  let case (a, b, c) =
+    Sandbox.Testcase.(
+      empty |> with_gp Reg.Rcx a |> with_gp Reg.Rdx b
+      |> with_gp Reg.Rbx (Int64.lognot b)
+      |> with_xmm Reg.Xmm1 (a, Int64.lognot a)
+      |> with_xmm Reg.Xmm2 (b, a) |> with_xmm Reg.Xmm3 (c, b)
+      |> with_mem (Int64.add base 16L) (quad b ^ quad a))
+  in
+  (* the flag values add, sub and the shifts reached, per width *)
+  let seen = Hashtbl.create 64 in
+  let record (i : Instr.t) _ (m : Sandbox.Machine.t) =
+    let f = m.Sandbox.Machine.flags in
+    let note what w =
+      List.iter
+        (fun (flag, v) -> Hashtbl.replace seen (what, w, flag, v) ())
+        [ ("cf", f.Sandbox.Machine.cf); ("of", f.Sandbox.Machine.o_f);
+          ("pf", f.Sandbox.Machine.pf) ]
+    in
+    match i.Instr.op with
+    | Opcode.Add w -> note "add" w
+    | Opcode.Sub w -> note "sub" w
+    | Opcode.Shl w | Opcode.Shr w | Opcode.Sar w -> note "shift" w
+    | _ -> ()
+  in
+  let instrs =
+    List.concat_map
+      (fun (imm8, imm32) -> Oracles.Matrix.instances (Oracles.Matrix.distinct ~imm8 ~imm32 ()))
+      [ (3L, 1000L); (0L, 0L); (1L, 1L); (31L, -1L); (32L, 0x7fff_ffffL);
+        (63L, -0x8000_0000L); (255L, 0xffL) ]
+    |> List.sort_uniq compare
+  in
+  run_table ~mem_size:64 ~on_reference:record ~native_floor:400 engine
+    ~prepare:(fun m -> Sandbox.Machine.set_gp m Reg.Rdi base)
+    ~describe:(fun lane ->
+      let a, b, c = pairs.(lane) in
+      Printf.sprintf "dst 0x%Lx, src 0x%Lx, xmm3 0x%Lx" a b c)
+    (Array.map case pairs) instrs;
+  List.iter
+    (fun (what, flags) ->
+      List.iter
+        (fun w ->
+          List.iter
+            (fun flag ->
+              List.iter
+                (fun v ->
+                  if not (Hashtbl.mem seen (what, w, flag, v)) then
+                    Alcotest.failf "the edge table never gives %s %s=%b at %s width" what
+                      flag v
+                      (match w with Reg.Q -> "Q" | Reg.L -> "L"))
+                [ true; false ])
+            flags)
+        [ Reg.Q; Reg.L ])
+    [ ("add", [ "cf"; "of"; "pf" ]); ("sub", [ "cf"; "of"; "pf" ]); ("shift", [ "pf" ]) ]
+
+(* Reset replay: a kernel over random inputs, checked six times through
+   one batch (reset between runs) or one restored machine.  Compiled
+   replays add, whose target stores to the stack, so {!D.check}'s final
+   restore sees a store the dirty tracking missed.  A batch engine
+   replays exp. *)
+let replay_table engine () =
+  let spec, seed, inputs =
+    match engine with
+    | Sandbox.Exec.Compiled -> (Kernels.Aek_kernels.add_spec, 11L, 20)
+    | _ -> (Kernels.S3d.exp_spec, 17L, 8)
+  in
+  let g = Rng.Xoshiro256.create seed in
+  let tcs = Array.init inputs (fun _ -> Sandbox.Spec.random_testcase g spec) in
+  let d = D.create ~mem_size:spec.Sandbox.Spec.mem_size engine ~prepare:ignore tcs in
+  for run = 1 to 6 do
+    match D.check d spec.Sandbox.Spec.program with
+    | D.Same -> ()
+    | D.Declined -> Alcotest.fail "the replayed kernel must be native-eligible"
+    | D.Differs { lane; what } -> Alcotest.failf "run %d, lane %d: %s" run lane what
+  done;
+  print_endline (D.summary d)
+
+(* Random pool-drawn programs (the search's actual proposal distribution)
+   on four random test cases. *)
+let prop_matches_interp engine ~name ~count =
   let specs = [| Kernels.Aek_kernels.add_spec; Kernels.S3d.exp_spec |] in
   let pools =
     Array.map
-      (fun (spec : Sandbox.Spec.t) ->
-        Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec)
+      (fun (spec : Sandbox.Spec.t) -> Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec)
       specs
   in
-  QCheck.Test.make
-    ~name:"native engine is bit-identical to the interpreter per lane"
-    ~count:200
+  QCheck.Test.make ~name ~count
     QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
     (fun (seed, len) ->
-      (not (Sandbox.Native.available ()))
+      (not (Sandbox.Engine.available engine))
       ||
       let which = seed land 1 in
       let spec = specs.(which) in
       let g = Rng.Xoshiro256.create (Int64.of_int ((seed * 2) + 1)) in
-      let instrs =
-        List.init len (fun _ -> Search.Pools.random_instr g pools.(which))
+      let p =
+        Program.of_instrs (List.init len (fun _ -> Search.Pools.random_instr g pools.(which)))
       in
-      let p = Program.of_instrs instrs in
       let tcs = Array.init 4 (fun _ -> Sandbox.Spec.random_testcase g spec) in
-      match
-        native_lane_mismatch ~mem_size:spec.Sandbox.Spec.mem_size
-          ~prepare:(fun _ -> ())
-          tcs p
-      with
-      | Ok _ -> true
-      | Error msg ->
-        QCheck.Test.fail_reportf "native diverges: %s\nprogram:\n%s" msg
+      let d = D.create ~mem_size:spec.Sandbox.Spec.mem_size engine ~prepare:ignore tcs in
+      match D.check d p with
+      | D.Same | D.Declined -> true
+      | D.Differs { lane; what } ->
+        QCheck.Test.fail_reportf "engines disagree: lane %d: %s\nprogram:\n%s" lane what
           (Program.to_string p))
 
-let native_props =
-  List.map QCheck_alcotest.to_alcotest [ prop_native_matches_interp ]
+(* Each engine's names for the every-shape table, the reset replay and
+   the random-pool property, and the property's trial count.  The names
+   predate the shared tables (a batch engine's shape table now runs five
+   fault lanes, and the batched property compares with the interpreter
+   alone) and are kept so that results stay comparable across runs. *)
+let case_names (e : Sandbox.Exec.engine) =
+  match e with
+  | Sandbox.Exec.Compiled ->
+    ( "compiled matches interpreter on every opcode shape",
+      "compiled restore_from replay stays pristine",
+      "compiled engine is bit-identical to the interpreter", 300 )
+  | Sandbox.Exec.Batched ->
+    ( "batched matches interpreter on every opcode shape (3 fault lanes)",
+      "batched reset replay is bit-stable across runs",
+      "batched engine is bit-identical to interp and compiled per lane", 300 )
+  | Sandbox.Exec.Native ->
+    ( "native matches interpreter on every opcode shape (3 fault lanes)",
+      "native run is bit-stable across reset replays",
+      "native engine is bit-identical to the interpreter per lane", 200 )
+  | Sandbox.Exec.Interp -> invalid_arg "case_names: the interpreter is the reference"
+
+(* Per engine a group — the every-shape table, the reset replay, the
+   engine's own cases, the edge table — and a property group. *)
+let differential_suites =
+  List.concat_map
+    (fun e ->
+      let name = Sandbox.Exec.engine_to_string e in
+      let shapes, replay, property, count = case_names e in
+      let own = match e with Sandbox.Exec.Native -> native_tests | _ -> [] in
+      [ ( name,
+          [ engine_case shapes e (shape_table e);
+            engine_case replay e (replay_table e) ]
+          @ own
+          @ [ engine_case (name ^ " matches interpreter on edge values") e
+                (edge_table e) ] );
+        ( name ^ "-properties",
+          [ QCheck_alcotest.to_alcotest (prop_matches_interp e ~name:property ~count) ] ) ])
+    differential_engines
 
 let () =
   Alcotest.run "sandbox"
-    [
-      ("memory", memory_tests);
-      ("machine", machine_tests);
-      ("register-file", regfile_tests);
-      ("gp-semantics", gp_semantics_tests);
-      ("fp-semantics", fp_semantics_tests);
-      ("packed-shuffle", packed_shuffle_tests);
-      ("converts", convert_tests);
-      ("avx-fma", avx_tests);
-      ("exec", exec_tests);
-      ("spec", spec_tests);
-      ("coverage", coverage_tests);
-      ("restore", restore_tests);
-      ("compiled", compiled_tests);
-      ("compiled-alloc", alloc_tests);
-      ("compiled-properties", compiled_props);
-      ("compiled-memo", memo_walk_tests);
-      ("batched", batched_tests);
-      ("engine", engine_tests);
-      ("batched-properties", batched_props);
-      ("native", native_tests);
-      ("native-properties", native_props);
-      ("properties", props);
-    ]
+    ([
+       ("memory", memory_tests);
+       ("machine", machine_tests);
+       ("register-file", regfile_tests);
+       ("gp-semantics", gp_semantics_tests);
+       ("fp-semantics", fp_semantics_tests);
+       ("packed-shuffle", packed_shuffle_tests);
+       ("converts", convert_tests);
+       ("avx-fma", avx_tests);
+       ("exec", exec_tests);
+       ("spec", spec_tests);
+       ("coverage", coverage_tests);
+       ("restore", restore_tests);
+       ("compiled-alloc", alloc_tests);
+       ("compiled-memo", memo_walk_tests);
+       ("engine", engine_tests);
+     ]
+    @ differential_suites
+    @ [ ("properties", props) ])

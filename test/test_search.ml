@@ -495,6 +495,13 @@ let cost_tests =
         done);
   ]
 
+(* Whether a proposal changing the cost by [delta] is accepted, the way
+   the optimizer decides it: draw the bound first, then compare. *)
+let accepts s g ~delta =
+  match Search.Strategy.accept_bound s g ~iter:1 with
+  | None -> true
+  | Some bound -> delta <= bound
+
 let strategy_tests =
   [
     Alcotest.test_case "every strategy accepts improvements" `Quick (fun () ->
@@ -504,32 +511,33 @@ let strategy_tests =
             Alcotest.(check bool)
               (Search.Strategy.to_string s)
               true
-              (Search.Strategy.accept s g ~iter:1 ~delta:(-5.)))
+              (accepts s g ~delta:(-5.)))
           [ Search.Strategy.Mcmc { beta = 1.0 }; Search.Strategy.Hill;
             Search.Strategy.default_anneal; Search.Strategy.Random_walk ]);
     Alcotest.test_case "hill rejects any worsening" `Quick (fun () ->
         let g = Rng.Xoshiro256.create 9L in
         Alcotest.(check bool)
           "reject" false
-          (Search.Strategy.accept Search.Strategy.Hill g ~iter:1 ~delta:0.001));
+          (accepts Search.Strategy.Hill g ~delta:0.001));
     Alcotest.test_case "random accepts worsening" `Quick (fun () ->
         let g = Rng.Xoshiro256.create 10L in
         Alcotest.(check bool)
           "accept" true
-          (Search.Strategy.accept Search.Strategy.Random_walk g ~iter:1 ~delta:1e9));
+          (accepts Search.Strategy.Random_walk g ~delta:1e9));
     Alcotest.test_case "mcmc acceptance rate tracks exp(-beta delta)" `Quick (fun () ->
         let g = Rng.Xoshiro256.create 11L in
-        let s = Search.Strategy.Mcmc { beta = 1.0 } in
+        let beta = 0.5 and delta = 3.0 in
+        let s = Search.Strategy.Mcmc { beta } in
         let n = 50_000 in
         let accepted = ref 0 in
         for _ = 1 to n do
-          if Search.Strategy.accept s g ~iter:1 ~delta:1.0 then incr accepted
+          if accepts s g ~delta then incr accepted
         done;
         let rate = float_of_int !accepted /. float_of_int n in
         Alcotest.(check bool)
-          (Printf.sprintf "rate %.3f near e^-1" rate)
+          (Printf.sprintf "rate %.3f near e^-1.5" rate)
           true
-          (Float.abs (rate -. Float.exp (-1.)) < 0.02));
+          (Float.abs (rate -. Float.exp (-.beta *. delta)) < 0.02));
     Alcotest.test_case "accept_bound: hill bounds at zero, random at infinity"
       `Quick (fun () ->
         let g = Rng.Xoshiro256.create 12L in

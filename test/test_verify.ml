@@ -557,6 +557,35 @@ let sqrt64_rewrite =
   Parser.parse_program_exn
     "cvtsd2ss xmm0, xmm1\nsqrtss xmm1, xmm1\ncvtss2sd xmm1, xmm0"
 
+(* The interval tier takes the narrowing conversion as one binary32
+   rounding, so the pair gets a static bound, in the analysis's own
+   units at least the largest error seen on 10k sampled inputs. *)
+let interval_tests =
+  interval_tests
+  @ [
+      Alcotest.test_case "a conversion pair gets a sound static bound" `Quick
+        (fun () ->
+          match static_ulp_bound sqrt64_spec ~rewrite:sqrt64_rewrite with
+          | Error e -> Alcotest.failf "not analyzable: %s" e
+          | Ok a ->
+            let u =
+              Verify.Interval.ulp_size_at
+                (Verify.Interval.mag a.Verify.Interval.target_range)
+                ~single:false
+            in
+            let g = Rng.Xoshiro256.create 7L in
+            let worst = ref 0. in
+            for _ = 1 to 10_000 do
+              let xs = Sandbox.Spec.random_floats g sqrt64_spec in
+              worst := Float.max !worst (observed_abs_error sqrt64_spec sqrt64_rewrite xs /. u)
+            done;
+            Alcotest.(check bool)
+              (Printf.sprintf "bound %.4g >= observed %.4g ulps"
+                 a.Verify.Interval.bound_ulps !worst)
+              true
+              (!worst > 0. && a.Verify.Interval.bound_ulps >= !worst));
+    ]
+
 let taylor_tests =
   [
     Alcotest.test_case "identical programs prove real-equal with bound 0" `Quick

@@ -575,72 +575,34 @@ let roundtrip_equal (i : Instr.t) (j : Instr.t) =
       | _ -> false)
 
 (* Exhaustive encode↔decode round-trip: every opcode × shape instance,
-   with operand variants that exercise the REX/VEX extension bits, SIB
-   scaling, and negative displacements.  Instances the encoder rejects
-   are merely counted (the native engine falls back to batched for
-   those); everything it accepts must decode back to the same
-   instruction from exactly the bytes it produced. *)
+   with the matrix's operand variants that exercise the REX/VEX extension
+   bits, SIB scaling, and negative displacements ([Matrix.rex_vex]).
+   Instances the encoder rejects are merely counted (the native engine
+   falls back to batched for those); everything it accepts must decode
+   back to the same instruction from exactly the bytes it produced. *)
 let roundtrip_tests =
   [
     Alcotest.test_case "decode inverts encode on every opcode shape" `Quick
       (fun () ->
-        let variants (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ ->
-            [ Operand.Gp Reg.Rcx; Operand.Gp Reg.R9; Operand.Gp Reg.Rsp ]
-          | Shape.K_xmm -> [ Operand.Xmm Reg.Xmm1; Operand.Xmm Reg.Xmm12 ]
-          | Shape.K_imm8 -> [ Operand.Imm 3L; Operand.Imm 63L ]
-          | Shape.K_imm32 -> [ Operand.Imm 1000L; Operand.Imm 7L ]
-          | Shape.K_imm64 -> [ Operand.Imm 0x3ff0_0000_0000_0000L ]
-          | Shape.K_mem _ ->
-            [
-              Operand.Mem
-                { Operand.base = Some Reg.Rdi; index = None; disp = 16 };
-              Operand.Mem
-                { Operand.base = Some Reg.Rsp; index = None; disp = -24 };
-              Operand.Mem
-                {
-                  Operand.base = Some Reg.R13;
-                  index = Some (Reg.R9, 4);
-                  disp = -8;
-                };
-            ]
-        in
-        let rec combos = function
-          | [] -> [ [] ]
-          | vs :: rest ->
-            let tails = combos rest in
-            List.concat_map (fun v -> List.map (fun t -> v :: t) tails) vs
-        in
         let checked = ref 0 and unencodable = ref 0 in
         List.iter
-          (fun op ->
-            List.iter
-              (fun shape ->
-                List.iter
-                  (fun ops ->
-                    let i = Instr.make_unchecked op (Array.of_list ops) in
-                    if Instr.is_well_formed i then
-                      match Encoder.encode_instr i with
-                      | Error _ -> incr unencodable
-                      | Ok bytes ->
-                        (match Decoder.decode_instr bytes ~pos:0 with
-                         | Error e ->
-                           Alcotest.failf "%s undecodable (%s): %s"
-                             (Instr.to_string i) (Encoder.hex bytes) e
-                         | Ok (j, consumed) ->
-                           incr checked;
-                           if consumed <> String.length bytes then
-                             Alcotest.failf "%s: decoded %d of %d bytes"
-                               (Instr.to_string i) consumed
-                               (String.length bytes);
-                           if not (roundtrip_equal i j) then
-                             Alcotest.failf "%s decoded as %s (%s)"
-                               (Instr.to_string i) (Instr.to_string j)
-                               (Encoder.hex bytes)))
-                  (combos (List.map variants (Array.to_list shape))))
-              (Shape.shapes op))
-          Opcode.all;
+          (fun i ->
+            match Encoder.encode_instr i with
+            | Error _ -> incr unencodable
+            | Ok bytes ->
+              (match Decoder.decode_instr bytes ~pos:0 with
+               | Error e ->
+                 Alcotest.failf "%s undecodable (%s): %s" (Instr.to_string i)
+                   (Encoder.hex bytes) e
+               | Ok (j, consumed) ->
+                 incr checked;
+                 if consumed <> String.length bytes then
+                   Alcotest.failf "%s: decoded %d of %d bytes" (Instr.to_string i)
+                     consumed (String.length bytes);
+                 if not (roundtrip_equal i j) then
+                   Alcotest.failf "%s decoded as %s (%s)" (Instr.to_string i)
+                     (Instr.to_string j) (Encoder.hex bytes)))
+          (Oracles.Matrix.instances Oracles.Matrix.rex_vex);
         (* guard against a silent encoder regression that starts
            rejecting whole swaths of the catalogue *)
         Alcotest.(check bool)
