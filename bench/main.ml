@@ -10,7 +10,6 @@ let experiments =
     ("fig6-8", Aek_bench.run);
     ("fig9", Fig9.run);
     ("fig10", Fig10.run);
-    ("tput", Tput.run);
     ("ablations", Ablations.run);
     ("verify", Verify_bench.run);
     ("smoke", Smoke.run);

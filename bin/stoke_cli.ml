@@ -910,8 +910,8 @@ let verify_cmd =
 (* ----- frontier ----- *)
 
 let frontier_cmd =
-  let run (_, spec) etas config cold warm_frac max_demotions sweep_back
-      sound_promote no_validate checkpoint resume trace_out progress =
+  let run (_, spec) etas config cold warm_frac max_demotions sound_promote
+      no_validate checkpoint resume trace_out progress =
     let resume =
       Option.map
         (fun path ->
@@ -925,8 +925,8 @@ let frontier_cmd =
           try
             Stoke.frontier ~config ~validate_results:(not no_validate)
               ?etas:(Option.map (List.map Ulp.of_float) etas)
-              ~warm:(not cold) ~warm_frac ~max_demotions ~sweep_back
-              ~sound_promote ~obs ?checkpoint ?resume
+              ~warm:(not cold) ~warm_frac ~max_demotions ~sound_promote ~obs
+              ?checkpoint ?resume
               ~seed:config.Search.Optimizer.seed spec
           with Invalid_argument e -> exit_err e)
     in
@@ -996,15 +996,6 @@ let frontier_cmd =
       & info [ "max-demotions" ] ~docv:"N"
           ~doc:"Re-search rounds after a validation failure per point (>= 0).")
   in
-  let sweep_back_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep-back" ]
-          ~doc:
-            "After the tight-to-loose walk, sweep back loose-to-tight, \
-             adopting a looser point's winner wherever it is faster and \
-             survives re-validation at the tighter η.")
-  in
   let sound_promote_flag =
     Arg.(
       value & flag
@@ -1040,9 +1031,9 @@ let frontier_cmd =
           (Figure 9/10; see docs/SWEEP.md)")
     Term.(
       const run $ kernel_arg $ etas_arg $ search_arg $ cold_flag
-      $ warm_frac_arg $ max_demotions_arg $ sweep_back_flag
-      $ sound_promote_flag $ no_validate_flag $ checkpoint_arg $ resume_arg
-      $ trace_out_arg $ progress_arg)
+      $ warm_frac_arg $ max_demotions_arg $ sound_promote_flag
+      $ no_validate_flag $ checkpoint_arg $ resume_arg $ trace_out_arg
+      $ progress_arg)
 
 (* ----- encode ----- *)
 

@@ -28,5 +28,3 @@ let cross a b =
 let norm v =
   let len = Fp32.round (Float.sqrt (dot v v)) in
   scale v (Fp32.div 1.0 len)
-
-let to_string v = Printf.sprintf "(%g, %g, %g)" v.x v.y v.z

@@ -20,5 +20,3 @@ val dot : t -> t -> float
 val cross : t -> t -> t
 val norm : t -> t
 (** Normalize: v · (1/√(v·v)), all in single precision. *)
-
-val to_string : t -> string

@@ -186,7 +186,7 @@ let validator ?engine ~obs ~validation ~refute spec ~eta rewrite =
 
 let frontier ?config ?validation ?(validate_results = true) ?etas
     ?(tests = 32) ?(warm = true) ?(warm_frac = 0.25) ?(max_demotions = 2)
-    ?(sweep_back = false) ?(sound_promote = false) ?taylor
+    ?(sound_promote = false) ?taylor
     ?(obs = Obs.Sink.null) ?checkpoint ?resume ~seed spec =
   let etas =
     match etas with
@@ -218,8 +218,7 @@ let frontier ?config ?validation ?(validate_results = true) ?etas
     else None
   in
   let fcfg =
-    { Search.Frontier.search = config; warm; warm_frac; max_demotions;
-      sweep_back }
+    { Search.Frontier.search = config; warm; warm_frac; max_demotions }
   in
   Search.Frontier.run ~obs ?validator ?prover ?checkpoint ?resume
     ~tests:test_array ~etas fcfg spec

@@ -119,7 +119,6 @@ val frontier :
   ?warm:bool ->
   ?warm_frac:float ->
   ?max_demotions:int ->
-  ?sweep_back:bool ->
   ?sound_promote:bool ->
   ?taylor:Verify.Taylor.config ->
   ?obs:Obs.Sink.t ->

@@ -12,9 +12,6 @@ val round : float -> float
 val is_representable : float -> bool
 (** [true] when the double is exactly a binary32 value. *)
 
-val bits : float -> int32
-(** Binary32 bit pattern of (the rounding of) the argument. *)
-
 val add : float -> float -> float
 val sub : float -> float -> float
 val mul : float -> float -> float
@@ -33,4 +30,9 @@ val ordered : float -> int32
 val of_ordered : int32 -> float
 
 val succ : float -> float
+(** Next binary32 value above [x]; saturates at [+∞] and at positive
+    NaN, as {!Fp64.succ}. *)
+
 val pred : float -> float
+(** Previous binary32 value below [x]; saturates at [−∞] and at negative
+    NaN. *)

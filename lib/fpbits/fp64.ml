@@ -41,22 +41,20 @@ let of_ordered o =
   else Int64.float_of_bits (Int64.sub Int64.min_int o)
 
 (* Ordered indices range over [min_int + 1, max_int]; saturate at the NaN
-   endpoints rather than wrapping around. *)
+   endpoints rather than wrapping around.  +∞'s ordered index is
+   [exponent_mask] and −∞'s its negation: stepping outward from an
+   infinity stays there, where the next index would be a NaN. *)
 let succ x =
   let o = ordered x in
-  if Int64.equal o Int64.max_int then x else of_ordered (Int64.add o 1L)
+  if Int64.equal o Int64.max_int || Int64.equal o exponent_mask then x
+  else of_ordered (Int64.add o 1L)
 
 let pred x =
   let o = ordered x in
-  if Int64.equal o (Int64.add Int64.min_int 1L) then x else of_ordered (Int64.sub o 1L)
-
-let is_nan x = x <> x
-
-let is_finite x =
-  match classify x with
-  | Zero | Denormal | Normal -> true
-  | Infinity | Nan -> false
+  if
+    Int64.equal o (Int64.add Int64.min_int 1L)
+    || Int64.equal o (Int64.neg exponent_mask)
+  then x
+  else of_ordered (Int64.sub o 1L)
 
 let to_hex_string x = Printf.sprintf "0x%016Lx" (Int64.bits_of_float x)
-
-let pp ppf x = Format.fprintf ppf "%h (%s)" x (to_hex_string x)

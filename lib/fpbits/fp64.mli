@@ -38,17 +38,11 @@ val of_ordered : int64 -> float
 
 val succ : float -> float
 (** Next representable double above [x] in the ordered enumeration.
-    Saturates at positive NaN. *)
+    Saturates at [+∞] ([succ infinity = infinity]) and at positive NaN. *)
 
 val pred : float -> float
-(** Previous representable double below [x].  Saturates at negative NaN. *)
-
-val is_nan : float -> bool
-
-val is_finite : float -> bool
+(** Previous representable double below [x].  Saturates at [−∞] and at
+    negative NaN. *)
 
 val to_hex_string : float -> string
 (** Raw bit pattern, e.g. ["0x3ff0000000000000"]. *)
-
-val pp : Format.formatter -> float -> unit
-(** Prints the decimal value together with the bit pattern. *)

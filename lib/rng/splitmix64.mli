@@ -10,5 +10,3 @@ val create : int64 -> t
 
 val next : t -> int64
 (** Next 64-bit output; advances the state. *)
-
-val copy : t -> t

@@ -51,7 +51,6 @@ type t = {
   best_total : float Atomic.t;
   slots : chain_pub option Atomic.t array;
   done_count : int Atomic.t;
-  crash_count : int Atomic.t;
 }
 
 let poll_interval = 256
@@ -70,7 +69,6 @@ let create ?deadline_s ~stop_when ~chains () =
     best_total = Atomic.make infinity;
     slots = Array.init chains (fun _ -> Atomic.make None);
     done_count = Atomic.make 0;
-    crash_count = Atomic.make 0;
   }
 
 let request_stop t r =
@@ -109,6 +107,4 @@ let should_stop t =
 let publish t pub = Atomic.set t.slots.(pub.chain) (Some pub)
 let published t = Array.map Atomic.get t.slots
 let mark_done t ~chain:_ = Atomic.incr t.done_count
-let mark_crashed t ~chain:_ = Atomic.incr t.crash_count
 let finished t = Atomic.get t.done_count
-let crashed t = Atomic.get t.crash_count

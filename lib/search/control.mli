@@ -116,9 +116,6 @@ val mark_done : t -> chain:int -> unit
 (** A chain finished (normally or not).  Idempotence is the caller's
     concern — call exactly once per chain. *)
 
-val mark_crashed : t -> chain:int -> unit
 val finished : t -> int
 (** Chains that called {!mark_done} — the orchestrator's join-readiness
     count. *)
-
-val crashed : t -> int

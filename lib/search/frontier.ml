@@ -33,7 +33,6 @@ type config = {
   warm : bool;
   warm_frac : float;
   max_demotions : int;
-  sweep_back : bool;
 }
 
 let default_config =
@@ -42,7 +41,6 @@ let default_config =
     warm = true;
     warm_frac = 0.25;
     max_demotions = 2;
-    sweep_back = false;
   }
 
 type result = {
@@ -102,7 +100,9 @@ let fingerprint cfg ~spec ~tests =
      params are pinned at η = 0 because each walk point rebuilds its own
      params from its η — the grid itself stays outside the fingerprint so
      a resumed run may extend it (completed points are prefix-checked
-     structurally instead). *)
+     structurally instead).  The literal [back:false] keeps the digest
+     equal to the one builds with an optional return pass wrote, so
+     their snapshots still resume. *)
   let base =
     Snapshot.fingerprint ~spec
       ~params:(Cost.default_params ~eta:0L)
@@ -110,12 +110,13 @@ let fingerprint cfg ~spec ~tests =
   in
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "frontier|%s|warm:%b|frac:%h|demote:%d|back:%b" base
-          cfg.warm cfg.warm_frac cfg.max_demotions cfg.sweep_back))
+       (Printf.sprintf "frontier|%s|warm:%b|frac:%h|demote:%d|back:false" base
+          cfg.warm cfg.warm_frac cfg.max_demotions))
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+let bad = Snapshot.bad
+let get = Snapshot.get
+let to_int = Snapshot.to_int
+let to_bool = Snapshot.to_bool
 
 let json_of_eta (e : Ulp.t) = Obs.Json.String (Int64.to_string e)
 
@@ -138,21 +139,9 @@ let json_of_point p =
       ("demotions", Obs.Json.Int p.demotions);
     ]
 
-let get obj key =
-  match Obs.Json.member key obj with
-  | Some v -> v
-  | None -> bad "missing field %S" key
-
-let to_int = function Obs.Json.Int i -> i | _ -> bad "expected an int"
-let to_bool = function Obs.Json.Bool b -> b | _ -> bad "expected a bool"
-
 let point_of_json ~target_latency j =
   let f = get j in
-  let rewrite =
-    match Snapshot.parse_program (f "rewrite") with
-    | Ok p -> p
-    | Error e -> bad "%s" e
-  in
+  let rewrite = Snapshot.program_of_json (f "rewrite") in
   let latency = Latency.of_program rewrite in
   {
     eta = eta_of_json (f "eta");
@@ -214,10 +203,7 @@ let snapshot_of_json ~spec j =
         carry_rng =
           (match f "carry_rng" with
            | Obs.Json.Null -> None
-           | r -> (
-             match Snapshot.parse_rng r with
-             | Ok a -> Some a
-             | Error e -> bad "%s" e));
+           | r -> Some (Snapshot.rng_of_json r));
         snap_total_proposals = to_int (f "total_proposals");
         snap_demotions = to_int (f "demotions");
         snap_points =
@@ -241,25 +227,14 @@ let snapshot_of_json ~spec j =
                l
            | _ -> bad "expected an extra_tests list");
       }
-  with Bad msg -> Error msg
+  with Snapshot.Bad msg -> Error msg
 
 let write_snapshot ~path s =
   Snapshot.atomic_write_string ~path
     (Obs.Json.to_string (snapshot_to_json s) ^ "\n")
 
 let read_snapshot ~spec ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | exception End_of_file -> Error (path ^ ": truncated snapshot")
-  | contents -> (
-    match Obs.Json.of_string (String.trim contents) with
-    | Error e -> Error (path ^ ": " ^ e)
-    | Ok j -> snapshot_of_json ~spec j)
+  Snapshot.read_json ~path (snapshot_of_json ~spec)
 
 (* ---------- the walk ---------- *)
 
@@ -346,16 +321,14 @@ let run ?(obs = Obs.Sink.null) ?validator ?prover ?checkpoint ?resume ~tests
             ]
           else [])
        @ [
-           ("sweep_back", Obs.Json.Bool cfg.sweep_back);
            ("validating", Obs.Json.Bool (Option.is_some validator));
            ("resumed_points", Obs.Json.Int start_idx);
          ]);
-  let emit_point ~pass (p : point) =
+  let emit_point (p : point) =
     if observing then
       Obs.Sink.emit obs "frontier_point"
         [
           ("eta", Obs.Json.String (Ulp.to_string p.eta));
-          ("pass", Obs.Json.String pass);
           ("warm", Obs.Json.Bool p.warm);
           ("loc", Obs.Json.Int p.loc);
           ("latency", Obs.Json.Int p.latency);
@@ -422,7 +395,7 @@ let run ?(obs = Obs.Sink.null) ?validator ?prover ?checkpoint ?resume ~tests
   let settle ~idx (p : point) =
     points_rev := p :: !points_rev;
     promote p;
-    emit_point ~pass:"forward" p;
+    emit_point p;
     match checkpoint with
     | None -> ()
     | Some path ->
@@ -658,48 +631,7 @@ let run ?(obs = Obs.Sink.null) ?validator ?prover ?checkpoint ?resume ~tests
       settle ~idx point
     done
   end;
-  (* optional loose-to-tight return pass: offer each point its looser
-     neighbour's winner; adoption costs evaluations and (re)validation at
-     the tighter η, but no search proposals *)
-  let points =
-    let forward = List.rev !points_rev in
-    if not (cfg.sweep_back && cfg.warm) then forward
-    else begin
-      let arr = Array.of_list forward in
-      for i = Array.length arr - 2 downto 0 do
-        let donor = arr.(i + 1) in
-        let here = arr.(i) in
-        if donor.latency < here.latency then begin
-          let eta = here.eta in
-          let ctx = make_ctx ~eta in
-          let c = Cost.eval_full ctx donor.rewrite in
-          if Cost.correct c then begin
-            let adopt, verr =
-              match try_prove ~eta donor.rewrite with
-              | Some sound -> (true, Some sound)
-              | None ->
-                (match validator with
-                 | None -> (true, None)
-                 | Some v ->
-                   let chk = v ~eta donor.rewrite in
-                   if chk.refuted then (false, None)
-                   else (true, Some chk.observed_err))
-            in
-            if adopt then begin
-              let p =
-                mk_point ~eta ~warm:true ~proposals_used:here.proposals_used
-                  ~demotions:here.demotions ~validated_err:verr
-                  (Program.copy donor.rewrite)
-              in
-              arr.(i) <- p;
-              emit_point ~pass:"back" p
-            end
-          end
-        end
-      done;
-      Array.to_list arr
-    end
-  in
+  let points = List.rev !points_rev in
   let pareto = pareto_of points in
   let result =
     {

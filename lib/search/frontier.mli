@@ -78,11 +78,6 @@ type config = {
   max_demotions : int;
       (** re-search rounds after a validation failure before falling
           back to the frontier incumbent (default 2) *)
-  sweep_back : bool;
-      (** after the tight-to-loose walk, sweep back loose-to-tight
-          offering each point its looser neighbour's winner (adoption
-          needs no proposals: the donor is re-validated at the tighter η
-          and adopted only if it survives) *)
 }
 
 val default_config : config

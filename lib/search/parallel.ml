@@ -92,7 +92,6 @@ let run ?domains ?obs ?(orch_obs = Obs.Sink.null) ?progress_every ?checkpoint
                ?resume:(resume_pub i) ctx cfg)
         with e ->
           let err = Printexc.to_string e in
-          Control.mark_crashed control ~chain:i;
           Obs.Sink.emit sink "chain_crash"
             [ ("chain", Obs.Json.Int i); ("error", Obs.Json.String err) ];
           Error err)

@@ -280,9 +280,6 @@ let of_json j =
     Ok { version; fingerprint; domains; stop_reason; elapsed_s; chains }
   with Bad msg -> Error msg
 
-let parse_program j = try Ok (program_of_json j) with Bad m -> Error m
-let parse_rng j = try Ok (rng_of_json j) with Bad m -> Error m
-
 (* ---------- I/O ---------- *)
 
 (* The tmp name must be unique per writer: a fixed [path ^ ".tmp"] lets
@@ -314,7 +311,7 @@ let atomic_write_string ~path contents =
 let write ~path t =
   atomic_write_string ~path (Obs.Json.to_string (to_json t) ^ "\n")
 
-let read ~path =
+let read_json ~path decode =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -326,4 +323,6 @@ let read ~path =
   | contents -> (
     match Obs.Json.of_string (String.trim contents) with
     | Error e -> Error (path ^ ": " ^ e)
-    | Ok j -> of_json j)
+    | Ok j -> decode j)
+
+let read ~path = read_json ~path of_json

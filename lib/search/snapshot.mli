@@ -49,13 +49,34 @@ val fingerprint :
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 
-val json_of_program : Program.t -> Obs.Json.t
-(** The slot-exact program encoding used inside snapshots, exposed for
-    other checkpoint formats (e.g. {!Frontier.snapshot_to_json}). *)
+(** {2 Pieces for other checkpoint formats}
 
-val parse_program : Obs.Json.t -> (Program.t, string) result
+    {!Frontier}'s snapshot is built from the same encodings and read by
+    the same decoders.  A decoder raises [Bad] with the message that
+    ends up in the caller's [Error]. *)
+
+exception Bad of string
+
+val bad : ('a, unit, string, 'b) format4 -> 'a
+(** [Printf]-style [raise (Bad msg)]. *)
+
+val get : Obs.Json.t -> string -> Obs.Json.t
+(** [get obj key]: the field, or [Bad "missing field …"]. *)
+
+val to_int : Obs.Json.t -> int
+val to_bool : Obs.Json.t -> bool
+
+val json_of_program : Program.t -> Obs.Json.t
+(** The slot-exact program encoding used inside snapshots. *)
+
+val program_of_json : Obs.Json.t -> Program.t
 val json_of_rng : int64 array -> Obs.Json.t
-val parse_rng : Obs.Json.t -> (int64 array, string) result
+val rng_of_json : Obs.Json.t -> int64 array
+
+val read_json :
+  path:string -> (Obs.Json.t -> ('a, string) result) -> ('a, string) result
+(** Read [path], parse it as JSON and decode it: I/O, parse and decode
+    errors all land in [Error]. *)
 
 val atomic_write_string : path:string -> string -> unit
 (** Write [contents] to a staging file private to this writer (pid + a

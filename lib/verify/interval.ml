@@ -43,13 +43,17 @@ module Kernel = struct
     let b = Int64.bits_of_float x in
     if b < 0L then Int64.sub Int64.min_int b else b
 
+  (* ±∞ step to themselves, as the NaN endpoints do: the next ordered
+     index past an infinity is a NaN, which no interval may hold. *)
   let[@inline] succ64_bits x =
     let o = ordered64 x in
-    if o = Int64.max_int then x else of_ordered64 (Int64.add o 1L)
+    if o = Int64.max_int || o = 0x7ff0_0000_0000_0000L then x
+    else of_ordered64 (Int64.add o 1L)
 
   let[@inline] pred64_bits x =
     let o = ordered64 x in
-    if o = Int64.add Int64.min_int 1L then x else of_ordered64 (Int64.sub o 1L)
+    if o = Int64.add Int64.min_int 1L || o = -0x7ff0_0000_0000_0000L then x
+    else of_ordered64 (Int64.sub o 1L)
 
   (* Away from the subnormals one float operation finds the neighbour
      (Rump, Zimmermann, Boldo and Melquiond, "Computing predecessor and
@@ -81,13 +85,17 @@ module Kernel = struct
     let b = Int32.bits_of_float x in
     if b < 0l then Int32.sub Int32.min_int b else b
 
+  (* A double beyond the binary32 range snaps to ±∞, which, as above, is
+     its own neighbour. *)
   let[@inline] succ32 x =
     let o = ordered32 x in
-    if o = Int32.max_int then x else of_ordered32 (Int32.add o 1l)
+    if o = Int32.max_int then x
+    else of_ordered32 (if o = 0x7f80_0000l then o else Int32.add o 1l)
 
   let[@inline] pred32 x =
     let o = ordered32 x in
-    if o = Int32.add Int32.min_int 1l then x else of_ordered32 (Int32.sub o 1l)
+    if o = Int32.add Int32.min_int 1l then x
+    else of_ordered32 (if o = -0x7f80_0000l then o else Int32.sub o 1l)
 
   (* [Float.min]/[Float.max], bit for bit, without their sign-bit calls
      when the operands are ordered: only equal operands (±0) or a NaN
@@ -226,13 +234,9 @@ let add a b = run2 (Kernel.add P64) a b
 let sub a b = run2 (Kernel.sub P64) a b
 let mul a b = run2 (Kernel.mul P64) a b
 let div a b = run2 (Kernel.div P64) a b
-let sqrt_itv a = run1 (Kernel.sqrt P64) a
 
 let add32 a b = run2 (Kernel.add P32) a b
-let sub32 a b = run2 (Kernel.sub P32) a b
 let mul32 a b = run2 (Kernel.mul P32) a b
-let div32 a b = run2 (Kernel.div P32) a b
-let sqrt32 a = run1 (Kernel.sqrt P32) a
 
 let hull a b = run2 Kernel.hull a b
 

@@ -71,15 +71,11 @@ val add : itv -> itv -> itv
 val sub : itv -> itv -> itv
 val mul : itv -> itv -> itv
 val div : itv -> itv -> itv
-val sqrt_itv : itv -> itv
 (** All widen outward by one representable double after the real interval
     computation. *)
 
 val add32 : itv -> itv -> itv
-val sub32 : itv -> itv -> itv
 val mul32 : itv -> itv -> itv
-val div32 : itv -> itv -> itv
-val sqrt32 : itv -> itv
 (** Binary32 counterparts: widen outward by one representable binary32
     value, the sound margin for f32-rounded hardware ops. *)
 
