@@ -26,13 +26,13 @@ let kernels =
   [
     ( "add",
       Kernels.Aek_kernels.add_spec,
-      { full_tests = 31680; tests = 5087; pruned = 1407; cache_hits = 343;
-        prepares = 1637; static_rejects = 823;
+      { full_tests = 31680; tests = 5012; pruned = 1396; cache_hits = 343;
+        prepares = 1622; static_rejects = 823;
         winner_hash = 0x9cd70f86cf92551cL } );
     ( "scale",
       Kernels.Aek_kernels.scale_spec,
-      { full_tests = 30736; tests = 5444; pruned = 1263; cache_hits = 397;
-        prepares = 1524; static_rejects = 888;
+      { full_tests = 30736; tests = 5140; pruned = 1247; cache_hits = 398;
+        prepares = 1490; static_rejects = 888;
         winner_hash = 0x8968924634a74b89L } );
   ]
 

@@ -306,11 +306,16 @@ let optimize_cmd =
             Obs.Json.Int result.Search.Optimizer.tests_executed );
           ("pruned_evals", Obs.Json.Int result.Search.Optimizer.pruned_evals);
           ("cache_hits", Obs.Json.Int result.Search.Optimizer.cache_hits);
+          ("elided", Obs.Json.Int result.Search.Optimizer.elided);
           ( "engine",
             Search.Optimizer.engine_json config.Search.Optimizer.engine
               result.Search.Optimizer.engine_counters );
           ( "static_rejects",
             Obs.Json.Int result.Search.Optimizer.static_rejects );
+          ( "minor_words_per_proposal",
+            Obs.Json.Float
+              (Search.Optimizer.per_proposal result.Search.Optimizer.minor_words
+                 result.Search.Optimizer.proposals_made) );
           ("elapsed_s", Obs.Json.Float (Obs.Clock.elapsed_s ~since:t0));
           ("moves", Search.Optimizer.moves_json result.Search.Optimizer.moves);
           ("sandbox", sandbox_counters_json ());

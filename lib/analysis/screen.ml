@@ -19,6 +19,6 @@ let env_of_spec ?(facts = Facts.create ()) (spec : Sandbox.Spec.t) =
     facts;
   }
 
-let has_undef_read env p =
-  Facts.refresh env.facts p;
+let has_undef_read ?(refreshed = false) env p =
+  if not refreshed then Facts.refresh env.facts p;
   Facts.has_undef_read env.facts ~defined:env.defined

@@ -19,7 +19,9 @@ val env_of_spec : ?facts:Facts.t -> Sandbox.Spec.t -> env
     environment-defined [rsp].  [facts] (default: a fresh memo) lets the
     screen share the memo of the search's cost context
     ([Search.Cost.facts]), so each proposal's changed slots are derived
-    once for the screen, the cost-cache hash and the latency term. *)
+    once for the screen, the cost-cache key and the latency term. *)
 
-val has_undef_read : env -> Program.t -> bool
-(** Refreshes the env's memo with the program, then screens it. *)
+val has_undef_read : ?refreshed:bool -> env -> Program.t -> bool
+(** Refreshes the env's memo with the program, then screens it.
+    [refreshed] (default [false]): the caller has just refreshed the
+    memo with this program, as the search does once per proposal. *)

@@ -47,4 +47,3 @@ let shuffle g a =
     a.(j) <- tmp
   done
 
-let uniform_bits_double g = Int64.float_of_bits (bits64 g)

@@ -31,7 +31,3 @@ val choose_list : gen -> 'a list -> 'a
 val shuffle : gen -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val uniform_bits_double : gen -> float
-(** A double whose 64-bit pattern is uniform — i.e. a draw from the
-    {e representation} space of doubles rather than the value space.  Useful
-    for stressing bit-level code paths. *)

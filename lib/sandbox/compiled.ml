@@ -5,10 +5,10 @@
    Specialization happens at compile time, once per changed slot (see
    [memo] below): operands are resolved to byte offsets into the
    machine's unboxed register file, immediates are pre-extended,
-   effective-address code is picked per addressing mode, [Unused] slots
-   are elided, per-instruction latencies are prefix-summed, and faults
-   are raised through a local exception
-   instead of threading a [result] through every step.  The run loop is
+   effective-address code is picked per addressing mode, an [Unused]
+   slot runs a no-op, latencies and active counts are prefix-summed per
+   slot, and faults are raised through a local exception instead of
+   threading a [result] through every step.  The run loop is
    then just an array of [unit -> unit] calls.
 
    Flat closures.  Every operand shape of the built-in kernels, with the
@@ -41,10 +41,14 @@ open X86
 
 exception Fault of Semantics.fault
 
+(* Indexed by slot, [nop] for an [Unused] one; the arrays belong to the
+   memo that prepared the program, and only the first [slots] entries
+   describe it. *)
 type t = {
   steps : (unit -> unit) array;
-  lat_prefix : int array;
-      (* lat_prefix.(k) = cycles after executing the first k closures *)
+  cycles : int array;  (* cycles.(k) = latency of the slots before k *)
+  active : int array;  (* active.(k) = active slots before k *)
+  slots : int;
 }
 
 (* Operand byte offsets into [Machine.regs], read and written in place
@@ -1100,63 +1104,122 @@ let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   if Array.length i.Instr.operands = 0 then generic_closure m i
   else specialize m i
 
-(* The per-slot translation memo.  Slot [k] remembers the instruction it
-   translated last ([instrs.(k)], compared physically) with its closure
-   and latency; instructions are never mutated in place (see [Instr]), so
-   a slot still holding that very instruction reuses them.  A proposal
-   changes one or two slots, so a prepare translates only those. *)
-type memo = {
-  machine : Machine.t;
-  mutable instrs : Instr.t array;
-  mutable closures : (unit -> unit) array;
-  mutable lats : int array;
+(* The slot-indexed translation memo.  Slot [k] remembers the slot value
+   it installed last ([installed.(k)], compared physically, so the walk
+   reads two arrays and dereferences no slot) with its closure ([nop] for
+   [Unused]) and latency.  A slot value is immutable and so is the
+   instruction in it (see [Instr]), so a slot still holding that very
+   value keeps them.  A proposal changes one or two slots, so a prepare
+   writes only those and redoes the prefix sums from the first of them
+   on.  A changed slot takes its closure from a direct-mapped cache keyed
+   by [Instr.hash] and verified with [Instr.equal]: the instruction an
+   undo restores was translated before, and is not translated again. *)
+type entry = {
+  instr : Instr.t;
+  closure : unit -> unit;
+  lat : int;
 }
 
-(* Physically distinct from every instruction of every program. *)
+type memo = {
+  machine : Machine.t;
+  mutable installed : Program.slot array;
+  mutable closures : (unit -> unit) array;
+  mutable lats : int array;
+  mutable cycles : int array;
+  mutable active : int array;
+  mutable prepared : int;  (** slot count of the last prepare; -1 before it *)
+  cache : entry array;  (** [empty] marks a free entry; [[||]]: no cache *)
+}
+
+(* Physically distinct from every instruction and slot of every program:
+   the instruction of an empty cache entry, and a slot not yet prepared. *)
 let untranslated = Instr.make_unchecked Opcode.Movabs [||]
-let memo m = { machine = m; instrs = [||]; closures = [||]; lats = [||] }
+let unprepared = Program.Active untranslated
+let empty = { instr = untranslated; closure = nop; lat = 0 }
+
+let cache_size = 1024
+
+let make_memo ~cache m =
+  { machine = m; installed = [||]; closures = [||]; lats = [||];
+    cycles = [| 0 |]; active = [| 0 |]; prepared = -1;
+    cache = Array.make cache empty }
+
+let memo m = make_memo ~cache:cache_size m
+
+let translate memo i =
+  { instr = i; closure = instr_closure memo.machine i; lat = Latency.of_instr i }
+
+let lookup memo i =
+  let size = Array.length memo.cache in
+  if size = 0 then translate memo i
+  else begin
+    let e = Instr.hash i land (size - 1) in
+    let c = memo.cache.(e) in
+    if c != empty && (c.instr == i || Instr.equal c.instr i) then c
+    else begin
+      let c = translate memo i in
+      memo.cache.(e) <- c;
+      c
+    end
+  end
 
 let prepare (memo : memo) (p : Program.t) : t =
   let slots = p.Program.slots in
   let n = Array.length slots in
-  if Array.length memo.instrs < n then begin
-    memo.instrs <- Array.make n untranslated;
+  if Array.length memo.installed < n then begin
+    memo.installed <- Array.make n unprepared;
     memo.closures <- Array.make n nop;
-    memo.lats <- Array.make n 0
+    memo.lats <- Array.make n 0;
+    memo.cycles <- Array.make (n + 1) 0;
+    memo.active <- Array.make (n + 1) 0;
+    memo.prepared <- -1
   end;
-  let active = ref 0 in
+  (* the prefix sums hold for slots before [first] *)
+  let first = ref (if memo.prepared = n then n else 0) in
   for k = 0 to n - 1 do
-    match slots.(k) with
-    | Program.Unused -> ()
-    | Program.Active i ->
-      incr active;
-      if memo.instrs.(k) != i then begin
-        memo.instrs.(k) <- i;
-        memo.closures.(k) <- instr_closure memo.machine i;
-        memo.lats.(k) <- Latency.of_instr i
-      end
+    let slot = slots.(k) in
+    if memo.installed.(k) != slot then begin
+      if k < !first then first := k;
+      memo.installed.(k) <- slot;
+      match slot with
+      | Program.Unused ->
+        memo.closures.(k) <- nop;
+        memo.lats.(k) <- 0
+      | Program.Active i ->
+        let c = lookup memo i in
+        memo.closures.(k) <- c.closure;
+        memo.lats.(k) <- c.lat
+    end
   done;
-  (* Fresh arrays: an earlier [t] from this memo stays valid. *)
-  let steps = Array.make !active nop in
-  let lat_prefix = Array.make (!active + 1) 0 in
-  let pos = ref 0 in
-  for k = 0 to n - 1 do
-    match slots.(k) with
-    | Program.Unused -> ()
-    | Program.Active _ ->
-      steps.(!pos) <- memo.closures.(k);
-      lat_prefix.(!pos + 1) <- lat_prefix.(!pos) + memo.lats.(k);
-      incr pos
+  let cycles = memo.cycles and active = memo.active in
+  for k = !first to n - 1 do
+    cycles.(k + 1) <- cycles.(k) + memo.lats.(k);
+    active.(k + 1) <-
+      (active.(k)
+      + match memo.installed.(k) with Program.Unused -> 0 | Program.Active _ -> 1)
   done;
-  { steps; lat_prefix }
+  memo.prepared <- n;
+  { steps = memo.closures; cycles; active; slots = n }
 
-let compile m p = prepare (memo m) p
-
-let length t = Array.length t.steps
+(* A one-off translation runs its program many times (validation calls it
+   once per sample), so it drops the [Unused] slots rather than run a
+   no-op for each; executed and cycle counts do not change. *)
+let compile m (p : Program.t) =
+  let slots = p.Program.slots in
+  let active = Array.make (Array.length slots) Program.Unused in
+  let n = ref 0 in
+  Array.iter
+    (function
+      | Program.Unused -> ()
+      | Program.Active _ as slot ->
+        active.(!n) <- slot;
+        incr n)
+    slots;
+  prepare (make_memo ~cache:0 m) { Program.slots = Array.sub active 0 !n }
 
 let exec (t : t) : Exec.result =
   let steps = t.steps in
-  let n = Array.length steps in
+  let n = t.slots in
   let i = ref 0 in
   let outcome =
     try
@@ -1173,8 +1236,8 @@ let exec (t : t) : Exec.result =
       incr i;
       Exec.Faulted (Semantics.Segv (Memory.fault_to_string mf))
   in
-  let executed = !i in
-  let cycles = t.lat_prefix.(executed) in
+  let executed = t.active.(!i) in
+  let cycles = t.cycles.(!i) in
   if Exec.Counters.is_enabled () then
     Exec.Counters.record ~run_cycles:cycles ~run_instrs:executed
       ~faulted:(match outcome with Exec.Finished -> false | Exec.Faulted _ -> true);

@@ -124,7 +124,10 @@ type prepared
 val lanes : t -> Spec.t -> Testcase.t array -> lanes
 
 val prepare : lanes -> Program.t -> prepared
-(** The program must not be mutated while [prepared] is in use. *)
+(** The program must not be mutated while [prepared] is in use, and
+    [prepared] is valid only until the next [prepare] on the same
+    [lanes] ([Compiled] prepares in place, see {!Compiled.prepare}):
+    run it before preparing another program. *)
 
 val run :
   prepared ->

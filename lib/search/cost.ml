@@ -50,17 +50,19 @@ type t = {
           stay independent. *)
   engine : Sandbox.Exec.engine;
   lanes : Sandbox.Engine.lanes;  (** the test set on the engine instance *)
-  cache : (int64 * Program.t * cost) option array;
-      (** direct-mapped proposal cost cache keyed by {!Program.hash};
+  live_out : Liveness.Locset.t;  (** the spec's live-out locations *)
+  cache : (int * Program.t * cost) option array;
+      (** direct-mapped proposal cost cache keyed by {!Facts.key};
           [[||]] when disabled *)
   facts : Facts.t;
       (** per-slot facts of the program last evaluated (or screened, when
-          the optimizer's screen shares it): the cache key and the
-          [Sum_latency] perf term come from here *)
+          the optimizer's screen shares it): the cache key, the
+          [Sum_latency] perf term and the dead-write check come from here *)
   mutable evaluations : int;
   mutable tests_executed : int;
   mutable pruned_evals : int;
   mutable cache_hits : int;
+  mutable elided : int;
 }
 
 let spec t = t.spec
@@ -72,6 +74,7 @@ let evaluations t = t.evaluations
 let tests_executed t = t.tests_executed
 let pruned_evals t = t.pruned_evals
 let cache_hits t = t.cache_hits
+let elided t = t.elided
 let engine_counters t = Sandbox.Engine.counters t.lanes
 
 let cache_size = 512
@@ -112,12 +115,14 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
     order = Array.init n Fun.id;
     engine = Sandbox.Engine.engine instance;
     lanes = Sandbox.Engine.lanes instance spec tests;
+    live_out = Sandbox.Spec.live_out_set spec;
     cache = (if use_cache then Array.make cache_size None else [||]);
     facts = Facts.create ();
     evaluations = 0;
     tests_executed = 0;
     pruned_evals = 0;
     cache_hits = 0;
+    elided = 0;
   }
 
 (* Error between one pair of values, already thresholded by η, as a float. *)
@@ -185,34 +190,56 @@ let move_to_front t pos =
     t.order.(0) <- ti
   end
 
-let cache_slot t hash = Int64.to_int hash land (Array.length t.cache - 1)
+let cache_slot t key = key land (Array.length t.cache - 1)
 
-(* The cache is consulted and filled under one hash per evaluation. *)
+(* The cache is consulted and filled under one key per evaluation. *)
 let cache_find t h program =
   match t.cache.(cache_slot t h) with
-  | Some (h', p, c) when Int64.equal h h' && Program.equal p program -> Some c
+  | Some (h', p, c) when h = h' && Program.equal p program -> Some c
   | _ -> None
 
 let cache_store t h program c =
   t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
 
-let eval ?cutoff t program =
+(* The perf term of the program the facts memo last refreshed. *)
+let perf_of t program =
+  match t.params.perf_model with
+  | Sum_latency -> float_of_int (Facts.latency t.facts)
+  | Critical_path -> float_of_int (Critical_path.of_program program)
+
+type move = {
+  before : cost;
+  slot : int;
+  old : Program.slot;
+}
+
+let eval ?cutoff ?(refreshed = false) ?move t program =
   t.evaluations <- t.evaluations + 1;
   let caching = Array.length t.cache > 0 in
-  Facts.refresh t.facts program;
-  let h = if caching then Facts.hash t.facts else 0L in
+  if not refreshed then Facts.refresh t.facts program;
+  let h = Facts.key t.facts in
   let hit = if caching then cache_find t h program else None in
-  match hit with
-  | Some c ->
+  match hit, move with
+  | Some c, _ ->
     t.cache_hits <- t.cache_hits + 1;
     Evaluated c
-  | None ->
-    let params = t.params in
-    let perf =
-      match params.perf_model with
-      | Sum_latency -> float_of_int (Facts.latency t.facts)
-      | Critical_path -> float_of_int (Critical_path.of_program program)
+  | None, Some m
+    when Facts.dead_write t.facts ~slot:m.slot ~old:m.old ~live_out:t.live_out
+    ->
+    (* Every test's outputs and fault are those of the program [m.before]
+       scored, so running them would rebuild its [eq], [signals] and
+       [max_ulp] bit for bit — the same values in the same order under
+       [Sum], whose test order is pinned — and only the perf term moves. *)
+    t.elided <- t.elided + 1;
+    let perf = perf_of t program in
+    let c =
+      { m.before with perf; total = m.before.eq +. (t.params.k *. perf) }
     in
+    if caching then cache_store t h program c;
+    Evaluated c
+  | None, _ ->
+    let params = t.params in
+    let perf = perf_of t program in
     let kperf = params.k *. perf in
     (* Aborting early is sound under both reductions.  Under Max the
        running value is the exact eq over the tests scored so far.

@@ -12,7 +12,7 @@
     test matches the target — cost 0 — while one that runs to completion
     there diverges and pays [ws].
 
-    Three mechanisms keep the search's inner loop off the test-case
+    Four mechanisms keep the search's inner loop off the test-case
     treadmill, all transparent to results:
 
     - {b Cutoff}: [eval ?cutoff] aborts the test loop as soon as the
@@ -34,9 +34,14 @@
       Under [Sum] reduction the order stays pinned (reordering a float
       sum could change it), which is also what makes the running-sum
       cutoff a sound lower bound.
-    - {b Cost cache}: a small direct-mapped cache keyed by
-      {!Program.hash} (verified with [Program.equal], so hits are exact)
-      short-circuits re-proposed rewrites without touching the sandbox.
+    - {b Cost cache}: a small direct-mapped cache keyed by {!Facts.key}
+      (verified with [Program.equal], so hits are exact) short-circuits
+      re-proposed rewrites without touching the sandbox.
+    - {b Dead-write elision}: given the {!move} that made the proposal,
+      [eval] prices a one-slot move whose old and new instruction cannot
+      fault and write only locations dead after the slot without running
+      anything: every test's outcome is the previous program's, so only
+      the perf term changes.
 
     The error metric and the reduction operator are configurable to support
     the ablation benches (ULP vs absolute vs relative error; max vs sum). *)
@@ -98,10 +103,12 @@ val engine : t -> Sandbox.Exec.engine
 
 val facts : t -> Facts.t
 (** The context's per-slot facts memo.  {!eval} refreshes it with the
-    program it scores and reads the cache hash ([Facts.hash]) and the
+    program it scores and reads the cache key ([Facts.key]) and the
     [Sum_latency] perf term ([Facts.latency]) from it; the optimizer's
     undef-read screen shares it ([Analysis.Screen.env_of_spec ~facts]).
-    Like the context, it belongs to one domain. *)
+    Like the context, it belongs to one domain.  The search refreshes it
+    once per proposal and passes [~refreshed:true] to the screen and to
+    {!eval}. *)
 
 type cost = {
   eq : float;  (** 0 when the rewrite is η-correct on every test *)
@@ -124,14 +131,32 @@ type verdict =
   | Evaluated of cost
   | Pruned of pruned
 
-val eval : ?cutoff:float -> t -> Program.t -> verdict
+(** A proposal that changed one slot of a program whose full cost is
+    known. *)
+type move = {
+  before : cost;  (** the full cost of the program before the move *)
+  slot : int;  (** the slot the move changed, the only one *)
+  old : Program.slot;  (** what that slot held before *)
+}
+
+val eval :
+  ?cutoff:float -> ?refreshed:bool -> ?move:move -> t -> Program.t -> verdict
 (** Without [cutoff] this always returns [Evaluated] with the full cost.
     With [cutoff] it returns [Pruned] as soon as [eq + k·perf > cutoff]
     is provable — under [Max] because the running max is exact, under
     [Sum] because a partial sum of non-negative terms accumulated in
     the pinned evaluation order is a monotone lower bound — guaranteeing
     the full total would also exceed [cutoff], bit-for-bit the same
-    comparison the caller would make. *)
+    comparison the caller would make.
+
+    [refreshed] (default [false]): the caller has just run
+    [Facts.refresh (facts t) program], so [eval] does not repeat it.
+
+    [move]: [program] is the program [move.before] is the full cost of
+    with one slot changed.  On a cache miss where {!Facts.dead_write}
+    holds for the spec's live-out locations, no test runs: the result
+    is [move.before] with [perf] and [total] repriced — bit for bit the
+    full cost — counted in {!elided} and stored in the cost cache. *)
 
 val eval_full : t -> Program.t -> cost
 (** [eval] with no cutoff, unwrapped. *)
@@ -147,6 +172,10 @@ val pruned_evals : t -> int
 
 val cache_hits : t -> int
 (** Evaluations answered from the cost cache without running anything. *)
+
+val elided : t -> int
+(** Evaluations answered by dead-write elision (see {!eval}'s [move])
+    without running anything. *)
 
 val engine_counters : t -> Sandbox.Engine.counters
 (** The engine's work so far: programs prepared, test-case runs on the

@@ -50,8 +50,10 @@ type result = {
   tests_executed : int;
   pruned_evals : int;
   cache_hits : int;
+  elided : int;
   engine_counters : Sandbox.Engine.counters;
   static_rejects : int;
+  minor_words : float;
   moves : move_stats;
   stop_reason : Control.stop_reason;
   failed_chains : int;
@@ -122,7 +124,9 @@ type anchors = {
   tests0 : int;
   pruned0 : int;
   hits0 : int;
+  elided0 : int;
   engine0 : Sandbox.Engine.counters;
+  words0 : float;  (** {!Gc.minor_words} reading *)
 }
 
 let engine_json engine (c : Sandbox.Engine.counters) =
@@ -137,6 +141,9 @@ let engine_json engine (c : Sandbox.Engine.counters) =
 
 let anchored_engine ctx anchors =
   Sandbox.Engine.sub (Cost.engine_counters ctx) anchors.engine0
+
+let per_proposal words proposals =
+  if proposals > 0 then words /. float_of_int proposals else 0.
 
 (* Shared by the log-spaced "checkpoint" and the fixed-cadence "progress"
    events. *)
@@ -155,8 +162,13 @@ let emit_point obs name ~chain ~iter ~anchors ctx state ~current_total =
       ("tests_executed", Obs.Json.Int (Cost.tests_executed ctx - anchors.tests0));
       ("pruned_evals", Obs.Json.Int (Cost.pruned_evals ctx - anchors.pruned0));
       ("cache_hits", Obs.Json.Int (Cost.cache_hits ctx - anchors.hits0));
+      ("elided", Obs.Json.Int (Cost.elided ctx - anchors.elided0));
       ("engine", engine_json (Cost.engine ctx) (anchored_engine ctx anchors));
       ("static_rejects", Obs.Json.Int state.static_rejects);
+      ( "minor_words_per_proposal",
+        Obs.Json.Float
+          (per_proposal (Gc.minor_words () -. anchors.words0)
+             state.proposals_made) );
       ("elapsed_s", Obs.Json.Float elapsed);
       ( "evals_per_s",
         Obs.Json.Float
@@ -230,6 +242,7 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
       }
   in
   let observing = Obs.Sink.enabled obs in
+  let facts = Cost.facts ctx in
   let marks =
     ref
       (List.filter
@@ -243,9 +256,12 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
      | Some (kind, undo) ->
        state.moves.proposed.(kind_index kind) <-
          state.moves.proposed.(kind_index kind) + 1;
+       (* One refresh serves the screen, the elision check and the
+          evaluation. *)
+       Facts.refresh facts cur;
        if
          config.static_screen
-         && Analysis.Screen.has_undef_read screen_env cur
+         && Analysis.Screen.has_undef_read ~refreshed:true screen_env cur
        then begin
          (* The proposal reads a location nothing defined: reject before
             any test case runs.  The acceptance-bound RNG draw is skipped,
@@ -266,8 +282,21 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
          | None -> Float.infinity
          | Some b -> !cur_cost.Cost.total +. b
        in
+       (* Under pruning, a one-slot move that rewrites only dead
+          locations, faultlessly, is priced from the current cost
+          without running the tests: the total is the one a full
+          evaluation would return, so the accept decision below is the
+          same float comparison. *)
+       let move =
+         match undo with
+         | Transform.Restore_slot (slot, old) when config.prune ->
+           Some { Cost.before = !cur_cost; slot; old }
+         | Transform.Restore_slot _ | Transform.Restore_swap _ -> None
+       in
        let verdict =
-         Cost.eval ?cutoff:(if config.prune then Some limit else None) ctx cur
+         Cost.eval ~refreshed:true
+           ?cutoff:(if config.prune then Some limit else None)
+           ?move ctx cur
        in
        (match verdict with
         | Cost.Pruned _ -> Transform.undo cur undo
@@ -335,7 +364,9 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
       tests0 = Cost.tests_executed ctx;
       pruned0 = Cost.pruned_evals ctx;
       hits0 = Cost.cache_hits ctx;
+      elided0 = Cost.elided ctx;
       engine0 = Cost.engine_counters ctx;
+      words0 = Gc.minor_words ();
     }
   in
   let control =
@@ -505,8 +536,10 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
       tests_executed = Cost.tests_executed ctx - anchors.tests0;
       pruned_evals = Cost.pruned_evals ctx - anchors.pruned0;
       cache_hits = Cost.cache_hits ctx - anchors.hits0;
+      elided = Cost.elided ctx - anchors.elided0;
       engine_counters = anchored_engine ctx anchors;
       static_rejects = state.static_rejects;
+      minor_words = Gc.minor_words () -. anchors.words0;
       moves = state.moves;
       stop_reason;
       failed_chains = 0;
@@ -537,8 +570,12 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
         ("tests_executed", Obs.Json.Int result.tests_executed);
         ("pruned_evals", Obs.Json.Int result.pruned_evals);
         ("cache_hits", Obs.Json.Int result.cache_hits);
+        ("elided", Obs.Json.Int result.elided);
         ("engine", engine_json (Cost.engine ctx) result.engine_counters);
         ("static_rejects", Obs.Json.Int result.static_rejects);
+        ( "minor_words_per_proposal",
+          Obs.Json.Float
+            (per_proposal result.minor_words result.proposals_made) );
         ( "stop_reason",
           Obs.Json.String (Control.stop_reason_to_string result.stop_reason) );
         ("elapsed_s", Obs.Json.Float elapsed);

@@ -22,9 +22,11 @@ type config = {
   trace_points : int;  (** number of log-spaced trace checkpoints *)
   prune : bool;
       (** pass the acceptance bound to {!Cost.eval} as a cutoff so doomed
-          evaluations abort early (STOKE '13's early-termination trick).
-          Never changes the result — the winning rewrite is bit-identical
-          with pruning on or off — only how many test cases run. *)
+          evaluations abort early (STOKE '13's early-termination trick),
+          and pass each one-slot move so a dead write is priced without
+          running the tests ({!Cost.move}).  Never changes the result —
+          the winning rewrite is bit-identical with pruning on or off —
+          only how many test cases run. *)
   engine : Sandbox.Exec.engine;
       (** which execution engine evaluates proposals.  The search itself
           runs whatever context it is given; this field is how callers
@@ -83,12 +85,20 @@ type result = {
       (** test-case program runs charged to the cost context *)
   pruned_evals : int;  (** evaluations aborted early by the cutoff *)
   cache_hits : int;  (** evaluations answered from the cost cache *)
+  elided : int;
+      (** evaluations answered by dead-write elision ({!Cost.eval}'s [move]),
+          with no test run; 0 with [prune] off *)
   engine_counters : Sandbox.Engine.counters;
       (** the engine's work: programs prepared, test-case runs on the
           selected engine and on its batched fallback, worker respawns *)
   static_rejects : int;
       (** proposals rejected by the static undef-read screen, before any
           cost evaluation *)
+  minor_words : float;
+      (** words this run allocated on its domain's minor heap
+          ({!Gc.minor_words}), telemetry included; [minor_words /.
+          proposals_made] is the per-proposal figure the events and
+          [--metrics] report.  The one counter here that a sink can move *)
   moves : move_stats;
   stop_reason : Control.stop_reason;
       (** why the run ended: [Exhausted] for a full-budget run, otherwise
@@ -99,10 +109,14 @@ type result = {
           domains whose chain crashed *)
 }
 
-(** The counter fields ([evaluations] … [engine_counters]) are {e anchored}:
+(** The counter fields ([evaluations] … [minor_words]) are {e anchored}:
     they count this run's work only, matching the [search_end] telemetry,
     even when the same {!Cost.t} context (and its monotonically growing
     counters) is reused across several runs. *)
+
+val per_proposal : float -> int -> float
+(** [per_proposal words proposals]: the [minor_words_per_proposal] figure
+    of the events and [--metrics] (0 before the first proposal). *)
 
 val kind_index : Transform.kind -> int
 (** Index into {!move_stats} arrays. *)

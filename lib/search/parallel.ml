@@ -212,6 +212,9 @@ let run ?domains ?obs ?(orch_obs = Obs.Sink.null) ?progress_every ?checkpoint
       tests_executed = sum (fun r -> r.Optimizer.tests_executed);
       pruned_evals = sum (fun r -> r.Optimizer.pruned_evals);
       cache_hits = sum (fun r -> r.Optimizer.cache_hits);
+      elided = sum (fun r -> r.Optimizer.elided);
+      minor_words =
+        List.fold_left (fun acc r -> acc +. r.Optimizer.minor_words) 0. ok_results;
       engine_counters =
         List.fold_left
           (fun acc r -> Sandbox.Engine.add acc r.Optimizer.engine_counters)

@@ -16,7 +16,12 @@ type kind =
   | Swap_move
   | Instruction_move
 
-type undo
+(** What a move changed, and so how to take it back. *)
+type undo = private
+  | Restore_slot of int * Program.slot
+      (** an opcode, operand or instruction move changed this one slot,
+          which held this content before *)
+  | Restore_swap of int * int  (** a swap exchanged these two slots *)
 
 val propose : Rng.Xoshiro256.t -> Pools.t -> Program.t -> (kind * undo) option
 (** Mutates the program; [None] when the drawn move is inapplicable (e.g.

@@ -42,6 +42,36 @@ let equal a b =
         a.operands;
       !ok)
 
+(* FNV-1a's step over native ints, and a final avalanche so the low bits
+   that index a direct-mapped cache depend on every input word. *)
+let[@inline] mix h v = (h lxor v) * 0x100000001b3
+
+let avalanche h =
+  let h = (h lxor (h lsr 31)) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
+
+let hash i =
+  let h = ref (mix 0x4bf29ce484222325 (Hashtbl.hash i.op)) in
+  let ops = i.operands in
+  for k = 0 to Array.length ops - 1 do
+    match ops.(k) with
+    | Operand.Gp r -> h := mix !h (2 + Reg.gp_index r)
+    | Operand.Xmm r -> h := mix !h (32 + Reg.xmm_index r)
+    | Operand.Imm v -> h := mix (mix !h 64) (Int64.to_int v)
+    | Operand.Mem m ->
+      h := mix !h 65;
+      h :=
+        mix !h
+          (match m.Operand.base with
+           | None -> 0
+           | Some r -> 1 + Reg.gp_index r);
+      (match m.Operand.index with
+       | None -> h := mix !h 0
+       | Some (r, s) -> h := mix (mix !h (1 + Reg.gp_index r)) s);
+      h := mix !h m.Operand.disp
+  done;
+  avalanche !h
+
 let to_string i =
   let w = gp_width i in
   let ops =

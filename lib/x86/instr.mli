@@ -5,14 +5,20 @@
     (the search's moves copy the operand array before changing it, and an
     undo puts the original value back).  Caches may therefore key on
     physical identity, and these do:
-    - [Sandbox.Compiled]'s per-slot translation memo reuses a slot's
-      closure and latency while the slot still holds the very instruction
-      it translated;
-    - {!Facts}, the search's per-slot facts memo, reuses a slot's latency,
-      hash words and def/use sets the same way — the cost cache's key,
-      the latency perf term and the undef-read screen all read it;
+    - [Sandbox.Compiled]'s memo keeps, per slot, the instruction it last
+      installed there, and re-installs nothing while the slot still holds
+      that very instruction;
+    - {!Facts}, the search's per-slot facts memo, does the same for each
+      slot's hash term, latency, def/use sets and fault freedom — the
+      cost cache's key, the latency perf term, the undef-read screen and
+      the dead-write elision all read it;
     - {!equal} answers [true] at once for two references to one
       instruction.
+    Both memos back their slots with a bounded direct-mapped cache keyed
+    by {!hash} and verified with {!equal}, so an instruction equal to one
+    seen earlier (an undo's restored instruction, or a move that rebuilds
+    a recent instruction) is looked up rather than translated or derived
+    again.  Those caches compare structurally and do not rely on the rule.
     Mutating an instruction in place would leave both memos describing
     the old one, silently: a change to this rule must change them. *)
 
@@ -36,6 +42,11 @@ val gp_width : t -> Reg.w
 (** The width used when printing GP operands of this instruction. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Structural hash: [equal a b] implies [hash a = hash b].  Allocates
+    nothing; every bit depends on the opcode and every operand, so the
+    low bits index a direct-mapped cache directly. *)
 
 val to_string : t -> string
 (** Paper-style AT&T rendering, e.g. ["mulss 8(rdi), xmm1"]. *)

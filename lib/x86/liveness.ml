@@ -215,6 +215,15 @@ let reads_undefined defined ~strict_uses ~defs =
   in
   go 0 defined
 
+(* Backward from [live_out] over the slots after [slot]; an [Unused]
+   slot is [Locset.empty] in both arrays. *)
+let live_after ~uses ~kills ~live_out slot =
+  let live = ref live_out in
+  for k = Array.length uses - 1 downto slot + 1 do
+    live := (!live land lnot kills.(k)) lor uses.(k)
+  done;
+  !live
+
 (* Does [i] rewrite all five flags?  [defines_flags] is the may-def
    over-approximation; two families write fewer: inc/dec preserve CF, and a
    shift whose masked count (count land 63 at width Q, land 31 at L) is zero
@@ -235,6 +244,19 @@ let kills_flags (i : Instr.t) =
 let kills (i : Instr.t) =
   let k = Locset.diff (defs i) Locset.mem_bit in
   if kills_flags i then k else Locset.diff k Locset.flags_bit
+
+(* Only a memory access faults in [Semantics.step] once an instruction is
+   well formed, and [lea] computes its address without accessing it. *)
+let cannot_fault (i : Instr.t) =
+  Instr.is_well_formed i
+  && (match i.op with
+      | Opcode.Lea _ -> true
+      | _ ->
+        Array.for_all
+          (function
+            | Operand.Mem _ -> false
+            | Operand.Gp _ | Operand.Xmm _ | Operand.Imm _ -> true)
+          i.operands)
 
 let live_before p ~live_out =
   let slots = p.Program.slots in

@@ -61,6 +61,23 @@ val reads_undefined :
     {!Facts}' per-slot sets; it lives here, next to the set
     representation, so each slot costs a few word ops and no call. *)
 
+val live_after :
+  uses:Locset.t array -> kills:Locset.t array -> live_out:Locset.t -> int ->
+  Locset.t
+(** [live_after ~uses ~kills ~live_out k]: the locations live just after
+    slot [k], from the per-slot {!uses} and {!kills} of the slots after it
+    ({!Locset.empty} for an [Unused] slot) — {!live_before}'s backward
+    pass over the suffix only.  {!Facts} runs it over its memoized sets. *)
+
+val cannot_fault : Instr.t -> bool
+(** The instruction is well formed and has no memory operand ([lea]'s
+    address operand excepted, since it is never accessed), so
+    [Sandbox.Semantics.step] runs it to completion on every machine.
+    Such an instruction's {!defs} never hold [Lmem].  The search elides
+    the tests of a move whose old and new instruction both pass this
+    and define only dead locations; test_sandbox pins the premise on
+    every instance of the opcode × shape matrix. *)
+
 val kills : Instr.t -> Locset.t
 (** Subset of {!defs} that fully overwrites the location, validated by the
     taint-differential oracle ([test/oracles/oracle.ml]).  [Lmem] is never killed;

@@ -30,16 +30,13 @@ let slot_count t = Array.length t.slots
 
 let copy t = { slots = Array.copy t.slots }
 
-(* 64-bit FNV-1a over a canonical encoding of the slots.  Quality only
-   affects the cost-cache hit rate — lookups verify with [equal] — but the
-   encoding is injective per slot up to int64 mixing, so collisions are
-   ~2^-64 per pair.
+(* 64-bit FNV-1a over a canonical encoding of the slots.  The encoding is
+   injective per slot up to int64 mixing, so collisions are ~2^-64 per
+   pair.
 
    A slot's encoding is a short run of int64 words ([slot_words]): [0] for
    [Unused]; [1 + Hashtbl.hash op] then each operand's words for an
-   instruction.  [hash] mixes the runs of every slot in order, and
-   [Facts] keeps each slot's run so the search can re-hash a program
-   without re-encoding the slots a move did not touch. *)
+   instruction.  [hash] mixes the runs of every slot in order. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 

@@ -31,20 +31,11 @@ val copy : t -> t
 val equal : t -> t -> bool
 
 val hash : t -> int64
-(** 64-bit structural hash (FNV-1a over the slot array, [Unused] slots
-    included).  [equal a b] implies [hash a = hash b].  It is
-    [hash_words (Array.map slot_words p.slots)]. *)
-
-val slot_words : slot -> Bytes.t
-(** The words {!hash} mixes for one slot, as little-endian int64s: [0]
-    for [Unused]; [1 + Hashtbl.hash op] then each operand's encoding for
-    an instruction.  Depends only on the slot's contents; the result must
-    not be mutated. *)
-
-val hash_words : Bytes.t array -> int64
-(** FNV-1a over each slot's {!slot_words}, in order.  {!Facts} keeps
-    every slot's words and hashes them here, so its hash is {!hash} by
-    construction. *)
+(** 64-bit structural hash (FNV-1a over a canonical encoding of the slot
+    array, [Unused] slots included).  [equal a b] implies
+    [hash a = hash b].  Snapshots, the serve memo's digests and the
+    benchmark's expected winners record it, so its values are fixed; the
+    search's cost cache keys on {!Facts.key} instead. *)
 
 val to_string : t -> string
 (** One instruction per line; unused slots omitted. *)

@@ -173,19 +173,6 @@ let moment_tests =
           (Printf.sprintf "fraction %.3f" frac)
           true
           (Float.abs (frac -. 0.5) < 0.01));
-    Alcotest.test_case "uniform_bits_double hits specials" `Quick (fun () ->
-        (* With uniform bit patterns, NaNs appear at rate ~1/2048·2 and
-           negatives at rate ~1/2; just check both occur. *)
-        let g = gen 13L in
-        let saw_negative = ref false in
-        let saw_nan = ref false in
-        for _ = 1 to 100_000 do
-          let x = Rng.Dist.uniform_bits_double g in
-          if Fp64.sign_bit x then saw_negative := true;
-          if Float.is_nan x then saw_nan := true
-        done;
-        Alcotest.(check bool) "negative" true !saw_negative;
-        Alcotest.(check bool) "nan" true !saw_nan);
   ]
 
 let () =

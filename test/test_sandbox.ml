@@ -1026,6 +1026,54 @@ let coverage_tests =
               Alcotest.failf "%s: %s" (Instr.to_string i)
                 (Sandbox.Semantics.fault_to_string f))
           (Oracles.Matrix.instances Oracles.Matrix.aliased));
+    Alcotest.test_case "an instance without a memory access never faults"
+      `Quick (fun () ->
+        (* The premise of the search's dead-write elision: a well-formed
+           instruction whose only memory operand, if any, is lea's
+           address ([Liveness.cannot_fault]) runs to completion on any
+           machine and writes no memory. *)
+        let g = Rng.Xoshiro256.create 17L in
+        let accesses_memory (i : Instr.t) =
+          match i.Instr.op with
+          | Opcode.Lea _ -> false
+          | _ ->
+            Array.exists
+              (function Operand.Mem _ -> true | _ -> false)
+              i.Instr.operands
+        in
+        let quiet = ref 0 in
+        List.iter
+          (fun i ->
+            let name = Instr.to_string i in
+            Alcotest.(check bool)
+              (name ^ ": cannot_fault") (not (accesses_memory i))
+              (Liveness.cannot_fault i);
+            if Liveness.cannot_fault i then begin
+              incr quiet;
+              if Liveness.Locset.mem Liveness.Lmem (Liveness.defs i) then
+                Alcotest.failf "%s: defs hold mem" name;
+              for _ = 1 to 8 do
+                let m = fresh () in
+                List.iter
+                  (fun r -> Sandbox.Machine.set_gp m r (Rng.Xoshiro256.next g))
+                  Reg.all_gp;
+                List.iter
+                  (fun r ->
+                    Sandbox.Machine.set_xmm m r
+                      ( Int64.bits_of_float (random_float g),
+                        Int64.bits_of_float (random_float g) ))
+                  Reg.all_xmm;
+                match Sandbox.Semantics.step m i with
+                | Ok () -> ()
+                | Error f ->
+                  Alcotest.failf "%s: %s" name
+                    (Sandbox.Semantics.fault_to_string f)
+              done
+            end)
+          (List.concat_map Oracles.Matrix.instances
+             Oracles.Matrix.[ aliased; distinct (); extended; rex_vex; taint ]);
+        Printf.printf "%d instances without a memory access\n" !quiet;
+        if !quiet < 500 then Alcotest.failf "only %d instances" !quiet);
     Alcotest.test_case "every executable shape is also encodable or flagged"
       `Quick (fun () ->
         (* the encoder may reject exotic forms, but must reject them with a
@@ -1213,7 +1261,9 @@ let alloc_tests =
    interpreter on a finishing and a faulting test: outcome, fault,
    cycles, executed count and the whole machine.  The walk starts from
    exp plus one load through rdi, so memory operands are in the pools and
-   a test whose rdi points outside the arena faults. *)
+   a test whose rdi points outside the arena faults — also after an
+   [Unused] slot, whose no-op must not count as executed.  A second
+   prepare of the unchanged program must allocate only its result. *)
 let memo_walk_tests =
   [
     Alcotest.test_case "memoized prepare matches cold compile and interp"
@@ -1243,7 +1293,18 @@ let memo_walk_tests =
         in
         let m = Sandbox.Machine.create ~mem_size () in
         let memo = Sandbox.Compiled.memo m in
-        let finished = ref 0 and faulted = ref 0 in
+        let finished = ref 0 and faulted = ref 0 and gapped = ref 0 in
+        (* the slot the [executed]th instruction ran in, and whether an
+           [Unused] slot came before it *)
+        let unused_before executed =
+          let rec go k active gap =
+            match p.Program.slots.(k) with
+            | Program.Unused -> go (k + 1) active true
+            | Program.Active _ ->
+              if active + 1 = executed then gap else go (k + 1) (active + 1) gap
+          in
+          go 0 0 false
+        in
         let check step =
           let cp = Sandbox.Compiled.prepare memo p in
           List.iter
@@ -1252,7 +1313,9 @@ let memo_walk_tests =
               let r = Sandbox.Compiled.exec cp in
               (match r.Sandbox.Exec.outcome with
                | Sandbox.Exec.Finished -> incr finished
-               | Sandbox.Exec.Faulted _ -> incr faulted);
+               | Sandbox.Exec.Faulted _ ->
+                 incr faulted;
+                 if unused_before r.Sandbox.Exec.executed then incr gapped);
               let mc = Sandbox.Machine.copy st in
               let rc = Sandbox.Compiled.exec (Sandbox.Compiled.compile mc p) in
               let mi = Sandbox.Machine.copy st in
@@ -1263,7 +1326,16 @@ let memo_walk_tests =
                     (Printf.sprintf "step %d, %s test\n%s" step label (Program.to_string p))
                     "memo" ref_run (r, m))
                 [ ("cold compile", (rc, mc)); ("interp", (ri, mi)) ])
-            tests
+            tests;
+          (* preparing the unchanged program again writes no slot: it
+             allocates its result record (4 fields) and nothing else *)
+          let before = Gc.minor_words () in
+          let again = Sandbox.Compiled.prepare memo p in
+          let words = Gc.minor_words () -. before in
+          ignore (Sys.opaque_identity again);
+          if words > 5. then
+            Alcotest.failf "step %d: an unchanged prepare allocated %.0f words"
+              step words
         in
         let swaps = ref 0 and resizes = ref 0 and undos = ref 0 in
         let step = ref 0 in
@@ -1291,7 +1363,8 @@ let memo_walk_tests =
             if n < 100 then Alcotest.failf "walk too narrow: %d %s" n what)
           [ ("swaps", !swaps); ("active<->unused moves", !resizes);
             ("undos", !undos); ("finishing runs", !finished);
-            ("faulting runs", !faulted) ]);
+            ("faulting runs", !faulted);
+            ("faulting runs with an unused slot before the fault", !gapped) ]);
   ]
 
 (* This Alcotest has no skip support, so where the capability probe says

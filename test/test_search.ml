@@ -164,9 +164,11 @@ let mk_ctx ?(eta = 0L) ?(n = 16) spec =
 (* ----- the per-slot facts memo against the reference definitions ----- *)
 
 (* A propose/undo walk through [Transform], the way the search drives the
-   memo: the screen's env shares it and refreshes it, then the hash and
-   the latency are read from it.  Every step must agree with
-   [Program.hash], [Latency.of_program] and the dataflow analysis. *)
+   memo: the screen's env shares it and refreshes it, then the key and
+   the latency are read from it.  Every step must agree with the key of
+   a fresh memo (every slot derived from scratch), [Latency.of_program]
+   and the dataflow analysis, and a copied or re-parsed program must keep
+   the key of the program it came from. *)
 let facts_walk spec ~seed ~steps =
   let pools = pools_of spec in
   let g = Rng.Xoshiro256.create seed in
@@ -179,7 +181,9 @@ let facts_walk spec ~seed ~steps =
   let agree step p =
     let screen = Analysis.Screen.has_undef_read env p in
     let where = Printf.sprintf "step %d" step in
-    Alcotest.(check int64) (where ^ ": hash") (Program.hash p) (Facts.hash facts);
+    let fresh = Facts.create () in
+    Facts.refresh fresh p;
+    Alcotest.(check int) (where ^ ": key") (Facts.key fresh) (Facts.key facts);
     Alcotest.(check int)
       (where ^ ": latency") (Latency.of_program p) (Facts.latency facts);
     Alcotest.(check bool)
@@ -208,8 +212,12 @@ let facts_walk spec ~seed ~steps =
   agree 0 !cur;
   for step = 1 to steps do
     if step mod 500 = 0 then begin
+      let before = Facts.key facts in
       cur := if step mod 1000 = 0 then reparse !cur else Program.copy !cur;
-      agree step !cur
+      agree step !cur;
+      Alcotest.(check int)
+        (Printf.sprintf "step %d: copy keeps the key" step)
+        before (Facts.key facts)
     end;
     match Search.Transform.propose g pools !cur with
     | None -> ()
@@ -240,13 +248,103 @@ let facts_tests =
         in
         let p = Program.copy exp_spec.Sandbox.Spec.program in
         let c = Search.Cost.eval_full ctx p in
-        Alcotest.(check int64) "hash after eval" (Program.hash p)
-          (Facts.hash (Search.Cost.facts ctx));
+        let fresh = Facts.create () in
+        Facts.refresh fresh p;
+        Alcotest.(check int) "key after eval" (Facts.key fresh)
+          (Facts.key (Search.Cost.facts ctx));
         Alcotest.(check (float 0.)) "perf is the memo's latency"
           (float_of_int (Facts.latency (Search.Cost.facts ctx)))
           c.Search.Cost.perf;
         Alcotest.(check bool) "target is screen-clean" false
           (Analysis.Screen.has_undef_read env p));
+  ]
+
+(* ----- dead-write elision against full evaluation ----- *)
+
+(* A hand-driven chain of proposals and undos.  Every one-slot move is
+   offered to an eliding context ([Cost.eval ~move]); whenever it elides,
+   a second context with no cache scores the same program in full, and
+   the two costs must agree bit for bit in every field.  Moves are kept
+   often enough that the chain drifts far from the target, so dead
+   writes, Unused slots and faulting rewrites all occur. *)
+let elision_walk spec ~params ~seed ~steps =
+  let tests = Stoke.make_tests ~n:16 ~seed:99L spec in
+  let eliding = Search.Cost.create ~use_cache:false spec params tests in
+  let full = Search.Cost.create ~use_cache:false spec params tests in
+  let pools = pools_of spec in
+  let g = Rng.Xoshiro256.create seed in
+  let cur =
+    Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program)
+  in
+  let cur_cost = ref (Search.Cost.eval_full full cur) in
+  let bits f = Int64.bits_of_float f in
+  let checked = ref 0 and ran = ref 0 in
+  for step = 1 to steps do
+    match Search.Transform.propose g pools cur with
+    | None -> ()
+    | Some (_, undo) ->
+      let c =
+        match undo with
+        | Search.Transform.Restore_slot (slot, old) ->
+          let before = Search.Cost.elided eliding in
+          let c =
+            match
+              Search.Cost.eval
+                ~move:{ Search.Cost.before = !cur_cost; slot; old }
+                eliding cur
+            with
+            | Search.Cost.Evaluated c -> c
+            | Search.Cost.Pruned _ -> assert false (* no cutoff *)
+          in
+          let reference = Search.Cost.eval_full full cur in
+          if Search.Cost.elided eliding > before then begin
+            incr checked;
+            let field name a b =
+              if not (Int64.equal (bits a) (bits b)) then
+                Alcotest.failf "step %d, slot %d: elided %s %h, full %h\n%s"
+                  step slot name a b (Program.to_string cur)
+            in
+            field "eq" c.Search.Cost.eq reference.Search.Cost.eq;
+            field "perf" c.Search.Cost.perf reference.Search.Cost.perf;
+            field "total" c.Search.Cost.total reference.Search.Cost.total;
+            if c.Search.Cost.signals <> reference.Search.Cost.signals then
+              Alcotest.failf "step %d: elided signals %d, full %d" step
+                c.Search.Cost.signals reference.Search.Cost.signals;
+            if not (Int64.equal c.Search.Cost.max_ulp reference.Search.Cost.max_ulp)
+            then
+              Alcotest.failf "step %d: elided max_ulp %Ld, full %Ld" step
+                c.Search.Cost.max_ulp reference.Search.Cost.max_ulp
+          end
+          else incr ran;
+          reference
+        | Search.Transform.Restore_swap _ -> Search.Cost.eval_full full cur
+      in
+      if Rng.Dist.int g 3 = 0 then cur_cost := c
+      else Search.Transform.undo cur undo
+  done;
+  Printf.printf "%d elided moves checked, %d moves run\n" !checked !ran;
+  if !checked < 100 || !ran < 100 then
+    Alcotest.failf "walk too narrow: %d elided, %d run" !checked !ran
+
+let elision_tests =
+  let sum_rel =
+    { (Search.Cost.default_params ~eta:0L) with
+      Search.Cost.reduction = Search.Cost.Sum;
+      metric = Search.Cost.Rel_metric;
+      perf_model = Search.Cost.Critical_path }
+  in
+  [
+    Alcotest.test_case "elided exp moves cost what a full evaluation does"
+      `Quick (fun () ->
+        elision_walk exp_spec ~params:(Search.Cost.default_params ~eta:0L)
+          ~seed:61L ~steps:3_000);
+    Alcotest.test_case "elided sin moves cost what a full evaluation does"
+      `Quick (fun () ->
+        elision_walk Kernels.Libimf.sin_spec
+          ~params:(Search.Cost.default_params ~eta:(Ulp.of_float 1e14))
+          ~seed:62L ~steps:3_000);
+    Alcotest.test_case "elided moves under sum, relative error, critical path"
+      `Quick (fun () -> elision_walk add_spec ~params:sum_rel ~seed:63L ~steps:3_000);
   ]
 
 let cost_tests =
@@ -1878,6 +1976,7 @@ let () =
       ("transform", transform_tests);
       ("facts", facts_tests);
       ("cost", cost_tests);
+      ("elision", elision_tests);
       ("strategy", strategy_tests);
       ("optimizer", optimizer_tests);
       ("perf-model-synthesis", perf_model_tests);
