@@ -411,6 +411,41 @@ let run_verify () =
       end)
     expected_verified
 
+(* Allocation smoke: for a fixed seed and build, the minor words a
+   search allocates are as deterministic as its work counters, and are
+   what the search loop's per-proposal costs show first, so they are
+   gated exactly too: the words of one fixed-seed 5000-proposal
+   [Stoke.optimize] per kernel on the compiled engine (the run's own
+   words, from [Optimizer.result.minor_words]; set-up is not counted).
+   The figures are those of the dev profile [dune runtest] builds. *)
+let expected_minor_words = [ ("exp", 460797); ("sin", 420242) ]
+
+let run_allocation () =
+  let config =
+    { Search.Optimizer.default_config with
+      Search.Optimizer.proposals = 5_000; seed = 1L;
+      engine = Sandbox.Exec.Compiled }
+  in
+  let got =
+    List.map
+      (fun (name, spec, eta) ->
+        let r = Stoke.optimize ~config ~eta:(Ulp.of_float eta) spec in
+        let words = int_of_float r.Search.Optimizer.minor_words in
+        Printf.printf "%-8s minor words %d over %d proposals (%.2f per proposal)\n"
+          name words r.Search.Optimizer.proposals_made
+          (float_of_int words /. float_of_int r.Search.Optimizer.proposals_made);
+        (name, words))
+      [ ("exp", Kernels.S3d.exp_spec, 1e10); ("sin", Kernels.Libimf.sin_spec, 1e14) ]
+  in
+  if got <> expected_minor_words then begin
+    Printf.eprintf "smoke: search allocation moved!\n";
+    List.iter2
+      (fun (name, want) (_, have) ->
+        Printf.eprintf "  %s: expected %d minor words, got %d\n" name want have)
+      expected_minor_words got;
+    exit 1
+  end
+
 let run () =
   Util.heading
     "equivalence smoke check (bit-identical winners across engines and \
@@ -419,4 +454,5 @@ let run () =
   run_frontier ();
   run_validated_frontier ();
   run_validation ();
-  run_verify ()
+  run_verify ();
+  run_allocation ()

@@ -1,9 +1,9 @@
 (* The proposal-rate undef-read filter.  Same analysis as
    Dataflow.undef_reads, but it stops at the first finding, and it reads
-   each slot's def and use sets from a [Facts] memo, so a proposal
+   each slot's def and use sets from a [Facts] table, so a proposal
    re-derives the sets of the slots it changed and nothing else; the
-   walk itself is a subset test and a union per slot
-   ([Liveness.reads_undefined]) — cheap enough to run on every proposal
+   walk itself is a subset test and a union per active slot
+   ([Facts.has_undef_read]) — cheap enough to run on every proposal
    before any test case executes. *)
 
 type env = {

@@ -10,18 +10,18 @@
     distrust them. *)
 
 type env
-(** Initially-defined locations, and the {!Facts} memo the screen reads
-    each slot's sets from.  The memo makes an [env] mutable: use one per
+(** Initially-defined locations, and the {!Facts} table the screen reads
+    each slot's sets from.  The table makes an [env] mutable: use one per
     search context, never one across domains. *)
 
 val env_of_spec : ?facts:Facts.t -> Sandbox.Spec.t -> env
 (** The spec's inputs ([Sandbox.Spec.live_in_set]) plus the
-    environment-defined [rsp].  [facts] (default: a fresh memo) lets the
-    screen share the memo of the search's cost context
+    environment-defined [rsp].  [facts] (default: a fresh table) lets the
+    screen share the table of the search's cost context
     ([Search.Cost.facts]), so each proposal's changed slots are derived
     once for the screen, the cost-cache key and the latency term. *)
 
 val has_undef_read : ?refreshed:bool -> env -> Program.t -> bool
-(** Refreshes the env's memo with the program, then screens it.
-    [refreshed] (default [false]): the caller has just refreshed the
-    memo with this program, as the search does once per proposal. *)
+(** Refreshes the env's table with the program, then screens it.
+    [refreshed] (default [false]): the table already describes the
+    program, as the search's move-fed table does once per proposal. *)

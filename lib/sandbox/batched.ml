@@ -206,22 +206,16 @@ let result b ~lane =
   in
   { Exec.outcome; cycles = b.cycles.(lane); executed = b.executed.(lane) }
 
-let read_outputs b ~lane (spec : Spec.t) =
-  List.map
-    (fun o ->
-      match o with
-      | Spec.Out_xmm_f64 r ->
-        Spec.Vf64 (Int64.float_of_bits (get_xq_lane b (xi r) lane))
-      | Spec.Out_xmm_f32 r ->
-        Spec.Vf32 (Int32.float_of_bits (Int64.to_int32 (get_xq_lane b (xi r) lane)))
-      | Spec.Out_xmm_f32_hi r ->
-        Spec.Vf32
-          (Int32.float_of_bits
-             (Int64.to_int32
-                (Int64.shift_right_logical (get_xq_lane b (xi r) lane) 32)))
-      | Spec.Out_gp r -> Spec.Vi64 (get_gp_lane b (gi r) lane))
-    spec.Spec.outputs
-  |> Array.of_list
+let rec blit_quads b ~lane dst = function
+  | [] -> ()
+  | o :: rest ->
+    (match o with
+     | Spec.Out_xmm_f64 r | Spec.Out_xmm_f32 r | Spec.Out_xmm_f32_hi r ->
+       Bytes.set_int64_le dst (Machine.xmm_offset r) (get_xq_lane b (xi r) lane)
+     | Spec.Out_gp r -> Bytes.set_int64_le dst (Machine.gp_offset r) (get_gp_lane b (gi r) lane));
+    blit_quads b ~lane dst rest
+
+let blit_outputs b ~lane (spec : Spec.t) dst = blit_quads b ~lane dst spec.Spec.outputs
 
 (* ----- translation ----- *)
 

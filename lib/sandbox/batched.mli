@@ -75,9 +75,11 @@ val result : batch -> lane:int -> Exec.result
     what {!Exec.run} would return for that lane's test case.  Only
     meaningful after a non-aborted {!exec}. *)
 
-val read_outputs : batch -> lane:int -> Spec.t -> Spec.value array
-(** The spec's outputs read from the lane's register planes — what
-    {!Spec.read_outputs} would return on the equivalent machine. *)
+val blit_outputs : batch -> lane:int -> Spec.t -> Bytes.t -> unit
+(** Copy the register quad behind each of the spec's outputs from the
+    lane's planes into the buffer, at its {!Machine.regs} offset: the
+    buffer then reads, at every output, as the register file of the
+    equivalent machine would. *)
 
 val lane_machine : batch -> lane:int -> Machine.t
 (** A machine view of one lane: registers synced from the planes into

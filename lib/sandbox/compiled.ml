@@ -5,10 +5,9 @@
    Specialization happens at compile time, once per changed slot (see
    [memo] below): operands are resolved to byte offsets into the
    machine's unboxed register file, immediates are pre-extended,
-   effective-address code is picked per addressing mode, an [Unused]
-   slot runs a no-op, latencies and active counts are prefix-summed per
-   slot, and faults are raised through a local exception instead of
-   threading a [result] through every step.  The run loop is
+   effective-address code is picked per addressing mode, only active
+   slots get a step, and faults are raised through a local exception
+   instead of threading a [result] through every step.  The run loop is
    then just an array of [unit -> unit] calls.
 
    Flat closures.  Every operand shape of the built-in kernels, with the
@@ -41,14 +40,15 @@ open X86
 
 exception Fault of Semantics.fault
 
-(* Indexed by slot, [nop] for an [Unused] one; the arrays belong to the
-   memo that prepared the program, and only the first [slots] entries
-   describe it. *)
+(* Dense: one step per active slot, in program order; only the first
+   [count] entries of the arrays are the program's.  Under a table (see
+   [prepare] below) the arrays are the table's own. *)
 type t = {
-  steps : (unit -> unit) array;
-  cycles : int array;  (* cycles.(k) = latency of the slots before k *)
-  active : int array;  (* active.(k) = active slots before k *)
-  slots : int;
+  mutable steps : (unit -> unit) array;
+  mutable lats : int array;  (* the steps' latencies *)
+  mutable count : int;
+  mutable cycles : int;  (* the latency of every step *)
+  mutable ran : int;  (* steps the last run started, a faulting one included *)
 }
 
 (* Operand byte offsets into [Machine.regs], read and written in place
@@ -182,6 +182,31 @@ let[@inline] logic_q f regs d r =
 let[@inline] logic_l f regs d r =
   logic_flags_l f r;
   set regs d (Int64.logand r lo32)
+
+(* Semantics.set_fp_compare_flags: unordered sets ZF, PF and CF. *)
+let[@inline] fp_compare (f : Machine.flags) (a : float) b =
+  f.o_f <- false;
+  f.sf <- false;
+  if Float.is_nan a || Float.is_nan b then begin
+    f.zf <- true;
+    f.pf <- true;
+    f.cf <- true
+  end
+  else if a < b then begin
+    f.zf <- false;
+    f.pf <- false;
+    f.cf <- true
+  end
+  else if a > b then begin
+    f.zf <- false;
+    f.pf <- false;
+    f.cf <- false
+  end
+  else begin
+    f.zf <- true;
+    f.pf <- false;
+    f.cf <- false
+  end
 
 (* Semantics.sse_min_f64 / sse_max_f64 (and Fp32.min / max): unordered or
    equal operands give the source. *)
@@ -1063,6 +1088,75 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
       Bytes.set_int32_le regs (d + 4) s0;
       Bytes.set_int32_le regs (d + 8) d1;
       Bytes.set_int32_le regs (d + 12) s1
+  (* packed bit operations and quad arithmetic on registers
+     (Semantics' packed_bitop): each half reads only its own halves, so
+     writing the low one first is right even when [s = d] *)
+  | (Opcode.Andps | Opcode.Andpd | Opcode.Pand), X s, X d ->
+    fun () ->
+      set regs d (Int64.logand (get regs d) (get regs s));
+      set regs (d + 8) (Int64.logand (get regs (d + 8)) (get regs (s + 8)))
+  | (Opcode.Orps | Opcode.Orpd | Opcode.Por), X s, X d ->
+    fun () ->
+      set regs d (Int64.logor (get regs d) (get regs s));
+      set regs (d + 8) (Int64.logor (get regs (d + 8)) (get regs (s + 8)))
+  | (Opcode.Xorps | Opcode.Xorpd | Opcode.Pxor), X s, X d ->
+    fun () ->
+      set regs d (Int64.logxor (get regs d) (get regs s));
+      set regs (d + 8) (Int64.logxor (get regs (d + 8)) (get regs (s + 8)))
+  | Opcode.Andnps, X s, X d ->
+    fun () ->
+      set regs d (Int64.logand (Int64.lognot (get regs d)) (get regs s));
+      set regs (d + 8) (Int64.logand (Int64.lognot (get regs (d + 8))) (get regs (s + 8)))
+  | Opcode.Paddq, X s, X d ->
+    fun () ->
+      set regs d (Int64.add (get regs d) (get regs s));
+      set regs (d + 8) (Int64.add (get regs (d + 8)) (get regs (s + 8)))
+  | Opcode.Psubq, X s, X d ->
+    fun () ->
+      set regs d (Int64.sub (get regs d) (get regs s));
+      set regs (d + 8) (Int64.sub (get regs (d + 8)) (get regs (s + 8)))
+  (* dword lanes, each wrapping mod 2^32 *)
+  | Opcode.Paddd, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        Bytes.set_int32_le regs (d + o)
+          (Int32.add (Bytes.get_int32_le regs (d + o)) (Bytes.get_int32_le regs (s + o)))
+      done
+  | Opcode.Psubd, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        Bytes.set_int32_le regs (d + o)
+          (Int32.sub (Bytes.get_int32_le regs (d + o)) (Bytes.get_int32_le regs (s + o)))
+      done
+  (* half moves: the untouched half stays *)
+  | (Opcode.Movlhps | Opcode.Unpcklpd | Opcode.Punpcklqdq), X s, X d ->
+    fun () -> set regs (d + 8) (get regs s)
+  | Opcode.Movhlps, X s, X d -> fun () -> set regs d (get regs (s + 8))
+  (* AVX packed bit operations: [s2] is the first source, [s1] the second *)
+  | (Opcode.Vandps | Opcode.Vxorps), X s2, X d ->
+    (match ops.(1) with
+     | Operand.Xmm s1 ->
+       let s1 = xi s1 in
+       if i.Instr.op = Opcode.Vandps then fun () ->
+         set regs d (Int64.logand (get regs s1) (get regs s2));
+         set regs (d + 8) (Int64.logand (get regs (s1 + 8)) (get regs (s2 + 8)))
+       else fun () ->
+         set regs d (Int64.logxor (get regs s1) (get regs s2));
+         set regs (d + 8) (Int64.logxor (get regs (s1 + 8)) (get regs (s2 + 8)))
+     | _ -> specialize_generic m i)
+  (* the scalar converts between f32, f64 and integers on registers *)
+  | Opcode.Cvtss2sd, X s, X d -> fun () -> setf regs d (getf32 regs s)
+  | Opcode.Cvtsd2ss, X s, X d -> fun () -> setf32 regs d (getf regs s)
+  | Opcode.Cvtsi2ss Reg.Q, G s, X d -> fun () -> setf32 regs d (Int64.to_float (get regs s))
+  | Opcode.Cvtsi2ss Reg.L, G s, X d ->
+    fun () -> setf32 regs d (Int64.to_float (sext32 regs s))
+  (* compares set ZF, PF, CF from dst against src *)
+  | (Opcode.Comisd | Opcode.Ucomisd), X s, X d ->
+    fun () -> fp_compare flags (getf regs d) (getf regs s)
+  | (Opcode.Comiss | Opcode.Ucomiss), X s, X d ->
+    fun () -> fp_compare flags (getf32 regs d) (getf32 regs s)
   (* AVX scalar f32 on registers (Semantics' avx3_f32) *)
   | (Opcode.Vaddss | Opcode.Vsubss | Opcode.Vmulss), X s2, X d ->
     (match ops.(1) with
@@ -1104,141 +1198,83 @@ let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   if Array.length i.Instr.operands = 0 then generic_closure m i
   else specialize m i
 
-(* The slot-indexed translation memo.  Slot [k] remembers the slot value
-   it installed last ([installed.(k)], compared physically, so the walk
-   reads two arrays and dereferences no slot) with its closure ([nop] for
-   [Unused]) and latency.  A slot value is immutable and so is the
-   instruction in it (see [Instr]), so a slot still holding that very
-   value keeps them.  A proposal changes one or two slots, so a prepare
-   writes only those and redoes the prefix sums from the first of them
-   on.  A changed slot takes its closure from a direct-mapped cache keyed
-   by [Instr.hash] and verified with [Instr.equal]: the instruction an
-   undo restores was translated before, and is not translated again. *)
-type entry = {
-  instr : Instr.t;
-  closure : unit -> unit;
-  lat : int;
-}
-
+(* A memo binds a slot table ([Facts]) to one machine's translator: the
+   table keeps each slot's closure with its other facts, and its active
+   slots' closures densely, so a prepare translates only the slots that
+   changed and a run calls no step for an [Unused] slot. *)
 type memo = {
-  machine : Machine.t;
-  mutable installed : Program.slot array;
-  mutable closures : (unit -> unit) array;
-  mutable lats : int array;
-  mutable cycles : int array;
-  mutable active : int array;
-  mutable prepared : int;  (** slot count of the last prepare; -1 before it *)
-  cache : entry array;  (** [empty] marks a free entry; [[||]]: no cache *)
+  translate : Instr.t -> unit -> unit;
+  view : t;  (** the program last prepared, over the table's arrays *)
 }
 
-(* Physically distinct from every instruction and slot of every program:
-   the instruction of an empty cache entry, and a slot not yet prepared. *)
-let untranslated = Instr.make_unchecked Opcode.Movabs [||]
-let unprepared = Program.Active untranslated
-let empty = { instr = untranslated; closure = nop; lat = 0 }
+let memo m =
+  { translate = instr_closure m;
+    view = { steps = [||]; lats = [||]; count = 0; cycles = 0; ran = 0 } }
 
-let cache_size = 1024
+let prepare memo table =
+  Facts.translate table memo.translate;
+  let v = memo.view in
+  v.steps <- Facts.steps table;
+  v.lats <- Facts.step_latencies table;
+  v.count <- Facts.active table;
+  v.cycles <- Facts.latency table;
+  v
 
-let make_memo ~cache m =
-  { machine = m; installed = [||]; closures = [||]; lats = [||];
-    cycles = [| 0 |]; active = [| 0 |]; prepared = -1;
-    cache = Array.make cache empty }
+let compile m (p : Program.t) =
+  let instrs = Array.of_list (Program.instrs p) in
+  let lats = Array.map Latency.of_instr instrs in
+  {
+    steps = Array.map (instr_closure m) instrs;
+    lats;
+    count = Array.length instrs;
+    cycles = Array.fold_left ( + ) 0 lats;
+    ran = 0;
+  }
 
-let memo m = make_memo ~cache:cache_size m
+(* Run the steps until one faults; [t.ran] counts the steps started. *)
+let run_steps (t : t) : Exec.outcome =
+  let steps = t.steps in
+  let n = t.count in
+  let i = ref 0 in
+  try
+    while !i < n do
+      steps.(!i) ();
+      incr i
+    done;
+    t.ran <- n;
+    Exec.Finished
+  with
+  | Fault f ->
+    t.ran <- !i + 1;
+    Exec.Faulted f
+  | Memory.Fault_exn mf ->
+    t.ran <- !i + 1;
+    Exec.Faulted (Semantics.Segv (Memory.fault_to_string mf))
 
-let translate memo i =
-  { instr = i; closure = instr_closure memo.machine i; lat = Latency.of_instr i }
-
-let lookup memo i =
-  let size = Array.length memo.cache in
-  if size = 0 then translate memo i
+(* A faulting run's cycles: the latencies of the steps it started. *)
+let cycles_run (t : t) =
+  if t.ran = t.count then t.cycles
   else begin
-    let e = Instr.hash i land (size - 1) in
-    let c = memo.cache.(e) in
-    if c != empty && (c.instr == i || Instr.equal c.instr i) then c
-    else begin
-      let c = translate memo i in
-      memo.cache.(e) <- c;
-      c
-    end
+    let c = ref 0 in
+    for k = 0 to t.ran - 1 do
+      c := !c + t.lats.(k)
+    done;
+    !c
   end
 
-let prepare (memo : memo) (p : Program.t) : t =
-  let slots = p.Program.slots in
-  let n = Array.length slots in
-  if Array.length memo.installed < n then begin
-    memo.installed <- Array.make n unprepared;
-    memo.closures <- Array.make n nop;
-    memo.lats <- Array.make n 0;
-    memo.cycles <- Array.make (n + 1) 0;
-    memo.active <- Array.make (n + 1) 0;
-    memo.prepared <- -1
-  end;
-  (* the prefix sums hold for slots before [first] *)
-  let first = ref (if memo.prepared = n then n else 0) in
-  for k = 0 to n - 1 do
-    let slot = slots.(k) in
-    if memo.installed.(k) != slot then begin
-      if k < !first then first := k;
-      memo.installed.(k) <- slot;
-      match slot with
-      | Program.Unused ->
-        memo.closures.(k) <- nop;
-        memo.lats.(k) <- 0
-      | Program.Active i ->
-        let c = lookup memo i in
-        memo.closures.(k) <- c.closure;
-        memo.lats.(k) <- c.lat
-    end
-  done;
-  let cycles = memo.cycles and active = memo.active in
-  for k = !first to n - 1 do
-    cycles.(k + 1) <- cycles.(k) + memo.lats.(k);
-    active.(k + 1) <-
-      (active.(k)
-      + match memo.installed.(k) with Program.Unused -> 0 | Program.Active _ -> 1)
-  done;
-  memo.prepared <- n;
-  { steps = memo.closures; cycles; active; slots = n }
-
-(* A one-off translation runs its program many times (validation calls it
-   once per sample), so it drops the [Unused] slots rather than run a
-   no-op for each; executed and cycle counts do not change. *)
-let compile m (p : Program.t) =
-  let slots = p.Program.slots in
-  let active = Array.make (Array.length slots) Program.Unused in
-  let n = ref 0 in
-  Array.iter
-    (function
-      | Program.Unused -> ()
-      | Program.Active _ as slot ->
-        active.(!n) <- slot;
-        incr n)
-    slots;
-  prepare (make_memo ~cache:0 m) { Program.slots = Array.sub active 0 !n }
+let record (t : t) outcome =
+  if Exec.Counters.is_enabled () then
+    Exec.Counters.record ~run_cycles:(cycles_run t) ~run_instrs:t.ran
+      ~faulted:(match outcome with Exec.Finished -> false | Exec.Faulted _ -> true)
 
 let exec (t : t) : Exec.result =
-  let steps = t.steps in
-  let n = t.slots in
-  let i = ref 0 in
-  let outcome =
-    try
-      while !i < n do
-        steps.(!i) ();
-        incr i
-      done;
-      Exec.Finished
-    with
-    | Fault f ->
-      incr i;
-      Exec.Faulted f
-    | Memory.Fault_exn mf ->
-      incr i;
-      Exec.Faulted (Semantics.Segv (Memory.fault_to_string mf))
-  in
-  let executed = t.active.(!i) in
-  let cycles = t.cycles.(!i) in
-  if Exec.Counters.is_enabled () then
-    Exec.Counters.record ~run_cycles:cycles ~run_instrs:executed
-      ~faulted:(match outcome with Exec.Finished -> false | Exec.Faulted _ -> true);
-  { Exec.outcome; cycles; executed }
+  let outcome = run_steps t in
+  record t outcome;
+  { Exec.outcome; cycles = cycles_run t; executed = t.ran }
+
+let run (t : t) =
+  let outcome = run_steps t in
+  record t outcome;
+  match outcome with
+  | Exec.Finished -> true
+  | Exec.Faulted _ -> false

@@ -3,11 +3,9 @@
     {!compile} translates a program into an array of closures specialized
     against one machine: operands resolved to register-file byte offsets,
     immediates pre-extended, effective-address code picked per addressing
-    mode, one closure per slot (under {!prepare}, an [Unused] slot runs a
-    no-op; {!compile} drops it), latencies and active counts prefix-summed
-    per slot.  {!exec} then replays the closures — the per-proposal
-    translation cost is paid once and amortized over every test case the
-    search evaluates it on.
+    mode, one closure per {e active} slot.  {!exec} then replays the
+    closures — the per-proposal translation cost is paid once and
+    amortized over every test case the search evaluates it on.
 
     Guarantee: for any program and any starting machine state, {!exec}
     leaves the machine in exactly the state {!Exec.run} would (registers,
@@ -18,8 +16,9 @@
 
     The operand shapes of the built-in kernels, and the other register,
     immediate and [base+disp] forms of the same opcodes, translate to
-    flat closures that box no [int64] or [float]: a kernel run
-    allocates only its {!Exec.result}.
+    flat closures that box no [int64] or [float]: a kernel run through
+    {!run} allocates nothing, and through {!exec} only its
+    {!Exec.result}.
 
     A compiled program is bound to the machine it was compiled against;
     running it mutates that machine only.  Reset state between runs with
@@ -29,32 +28,37 @@ type t
 
 val compile : Machine.t -> Program.t -> t
 (** Translate [p]'s active slots into closures over [m].  O(program
-    length); performs all operand matching so {!exec} does none.  The
-    same loop as {!prepare}, through a fresh memo without a translation
-    cache, over [p] with its [Unused] slots dropped. *)
+    length); performs all operand matching so {!exec} does none. *)
 
 type memo
-(** The slot-indexed translation of the program last prepared on one
-    machine: per slot the slot value it holds, its closure and latency,
-    and the prefix sums {!exec} reads its cycle and executed counts from.
-    A prepare writes only the slots whose value changed {e physically}
-    since the previous prepare — sound because slot values are immutable
-    and instructions are never mutated in place (see {!X86.Instr}) — and
-    redoes the prefix sums from the first changed slot on.  A changed slot's closure comes
-    from a bounded direct-mapped cache keyed by {!X86.Instr.hash} and
-    verified with {!X86.Instr.equal}, so an instruction equal to one
-    translated recently (the one an undo restores) is not translated
-    again. *)
+(** A translator bound to one machine, for programs that change a slot
+    at a time.  The closures live in a slot table ({!X86.Facts}), next
+    to each slot's other facts: the table translates a slot when a run
+    first needs it, keeps its active slots' closures densely, and is
+    updated only at the slots a move changed, so a prepare copies four
+    fields.  An entry comes from the table's bounded direct-mapped cache
+    keyed by {!X86.Instr.hash} and verified with {!X86.Instr.equal}, so
+    an instruction equal to one translated recently (the one an undo
+    restores) is not translated again. *)
 
 val memo : Machine.t -> memo
-(** An empty memo bound to [m]; its slot arrays are sized on first use. *)
+(** A translator for [m]. *)
 
-val prepare : memo -> Program.t -> t
-(** [prepare memo p] behaves as [compile m p] for the memo's machine [m],
-    updating the memo in place.  It allocates only its result, which
-    shares the memo's arrays: a prepared program is valid until the next
-    [prepare] on the same memo, so run it before preparing another. *)
+val prepare : memo -> X86.Facts.t -> t
+(** [prepare memo table] behaves as [compile m p] for the memo's machine
+    [m] and the program [p] the table describes ({!X86.Facts.refresh},
+    or the moves that made [p]): it translates the table's untranslated
+    active slots ({!X86.Facts.translate}) and returns the memo's one
+    prepared program, which reads the table's arrays.  It is valid until
+    the next prepare on the same memo or the next update of the table,
+    so run it first.  It allocates nothing but the new slots'
+    translations. *)
 
 val exec : t -> Exec.result
 (** Run the compiled trace on its machine, stopping at the first fault.
-    Feeds {!Exec.Counters} when enabled, like {!Exec.run}. *)
+    A faulting run's cycle count walks the latencies of the steps it
+    started.  Feeds {!Exec.Counters} when enabled, like {!Exec.run}. *)
+
+val run : t -> bool
+(** {!exec}, reporting only whether the run finished; a finishing run
+    allocates nothing. *)

@@ -28,25 +28,21 @@ type outcome = {
   runs : int;
 }
 
+type score = int -> bool -> Bytes.t -> bool
+
 module type S = sig
   val engine : Exec.engine
   val available : unit -> bool
   val translates : bool
+  val uses_table : bool
 
   type lanes
 
   val lanes : Spec.t -> Testcase.t array -> lanes
-
-  type prog
-
-  val prepare : lanes -> Program.t -> prog option
+  val prepare : lanes -> Facts.t -> Program.t -> bool
 
   val run :
-    prog ->
-    order:int array ->
-    diverges:(int -> bool) ->
-    (int -> Spec.value array option -> bool) ->
-    outcome option
+    lanes -> order:int array -> diverges:(int -> bool) -> score -> outcome option
 
   val respawns : lanes -> int
 
@@ -60,53 +56,45 @@ module type S = sig
   val call : call -> Exec.result option
 end
 
+(* Programs no caller holds: what a lane set runs before its first
+   prepare. *)
+let nothing = { Program.slots = [||] }
+
 (* ----- the two lane loops ----- *)
 
 (* Scalar engines: one machine, restored and loaded per test, so scoring
-   interleaves with execution and stopping early skips the rest. *)
+   interleaves with execution and stopping early skips the rest.  The
+   callback reads the machine's own register file. *)
 type scalar = {
-  spec : Spec.t;
   tests : Testcase.t array;
   machine : Machine.t;
   pristine : Machine.t;
 }
 
-let scalar_lanes spec tests =
+let scalar_lanes (spec : Spec.t) tests =
   let machine = Machine.create ~mem_size:spec.Spec.mem_size () in
-  { spec; tests; machine; pristine = Machine.copy machine }
+  { tests; machine; pristine = Machine.copy machine }
 
-let scalar_run s exec ~order f =
+let rec scalar_run s exec order (f : score) pos =
   let n = Array.length s.tests in
-  let rec go pos =
-    if pos = n then { stop = Completed; runs = n }
-    else begin
-      let lane = order.(pos) in
-      Machine.restore_from ~src:s.pristine ~dst:s.machine;
-      Testcase.apply s.tests.(lane) s.machine;
-      let outputs =
-        match (exec ()).Exec.outcome with
-        | Exec.Finished -> Some (Spec.read_outputs s.spec s.machine)
-        | Exec.Faulted _ -> None
-      in
-      if f lane outputs then { stop = Stopped pos; runs = pos + 1 }
-      else go (pos + 1)
-    end
-  in
-  go 0
+  if pos = n then { stop = Completed; runs = n }
+  else begin
+    let lane = order.(pos) in
+    Machine.restore_from ~src:s.pristine ~dst:s.machine;
+    Testcase.apply s.tests.(lane) s.machine;
+    if f lane (exec ()) s.machine.Machine.regs then { stop = Stopped pos; runs = pos + 1 }
+    else scalar_run s exec order f (pos + 1)
+  end
 
 (* Whole-batch engines: every lane has already run; score the latched
    results in the caller's order. *)
-let score_lanes ~n ~order ~fault ~read f =
+let score_lanes ~n ~order ~finished ~regs (f : score) =
   let rec go pos =
     if pos = n then { stop = Completed; runs = n }
     else begin
       let lane = order.(pos) in
-      let outputs =
-        match fault lane with
-        | Some _ -> None
-        | None -> Some (read lane)
-      in
-      if f lane outputs then { stop = Stopped pos; runs = n } else go (pos + 1)
+      if f lane (finished lane) (regs lane) then { stop = Stopped pos; runs = n }
+      else go (pos + 1)
     end
   in
   go 0
@@ -117,18 +105,29 @@ module Interp_engine = struct
   let engine = Exec.Interp
   let available () = true
   let translates = false
+  let uses_table = false
 
-  type lanes = scalar
+  type lanes = {
+    scalar : scalar;
+    prog : Program.t ref;
+    exec : unit -> bool;
+  }
 
-  let lanes = scalar_lanes
+  let lanes spec tests =
+    let scalar = scalar_lanes spec tests in
+    let prog = ref nothing in
+    let exec () =
+      match (Exec.run scalar.machine !prog).Exec.outcome with
+      | Exec.Finished -> true
+      | Exec.Faulted _ -> false
+    in
+    { scalar; prog; exec }
 
-  type prog = scalar * Program.t
+  let prepare l _ p =
+    l.prog := p;
+    true
 
-  let prepare l p = Some (l, p)
-
-  let run (l, p) ~order ~diverges:_ f =
-    Some (scalar_run l (fun () -> Exec.run l.machine p) ~order f)
-
+  let run l ~order ~diverges:_ f = Some (scalar_run l.scalar l.exec order f 0)
   let respawns _ = 0
 
   type caller = unit
@@ -145,26 +144,29 @@ module Compiled_engine = struct
   let engine = Exec.Compiled
   let available () = true
   let translates = true
+  let uses_table = true
 
-  (* One translation memo per test set, bound to its machine and made on
-     the first prepare: a proposal re-translates only the slots it
-     changed. *)
+  (* One translator per test set, bound to its machine: the caller's
+     table holds the translated slots, and a prepare reads its dense
+     steps. *)
   type lanes = {
     scalar : scalar;
-    memo : Compiled.memo Lazy.t;
+    memo : Compiled.memo;
+    cur : Compiled.t ref;
+    exec : unit -> bool;
   }
 
   let lanes spec tests =
     let scalar = scalar_lanes spec tests in
-    { scalar; memo = lazy (Compiled.memo scalar.machine) }
+    let memo = Compiled.memo scalar.machine in
+    let cur = ref (Compiled.compile scalar.machine nothing) in
+    { scalar; memo; cur; exec = (fun () -> Compiled.run !cur) }
 
-  type prog = scalar * Compiled.t
+  let prepare l table _ =
+    l.cur := Compiled.prepare l.memo table;
+    true
 
-  let prepare l p = Some (l.scalar, Compiled.prepare (Lazy.force l.memo) p)
-
-  let run (l, cp) ~order ~diverges:_ f =
-    Some (scalar_run l (fun () -> Compiled.exec cp) ~order f)
-
+  let run l ~order ~diverges:_ f = Some (scalar_run l.scalar l.exec order f 0)
   let respawns _ = 0
 
   type caller = unit
@@ -181,10 +183,13 @@ module Batched_engine = struct
   let engine = Exec.Batched
   let available () = true
   let translates = true
+  let uses_table = false
 
   type lanes = {
     spec : Spec.t;
     batch : Batched.batch option;  (** [None] for an empty test set *)
+    outputs : Bytes.t;  (** the lane being scored's output quads *)
+    mutable cur : Batched.t option;
   }
 
   let lanes spec tests =
@@ -197,17 +202,18 @@ module Batched_engine = struct
              (Batched.create_batch
                 (Machine.create ~mem_size:spec.Spec.mem_size ())
                 tests));
+      outputs = Bytes.make Machine.regs_size '\000';
+      cur = None;
     }
 
-  type prog = lanes * Batched.t option
-
-  let compile l p = (l, Option.map (fun b -> Batched.compile b p) l.batch)
-  let prepare l p = Some (compile l p)
+  let prepare l _ p =
+    l.cur <- Option.map (fun b -> Batched.compile b p) l.batch;
+    true
 
   (* The batch-abort rule: a lane parking on a fault that [diverges]
      stops the whole batch mid-run. *)
-  let exec (l, bp) ~order ~diverges f =
-    match l.batch, bp with
+  let exec l ~order ~diverges f =
+    match l.batch, l.cur with
     | Some b, Some bp ->
       let n = Batched.lane_count b in
       Batched.reset b;
@@ -215,12 +221,14 @@ module Batched_engine = struct
         { stop = Aborted; runs = n }
       else
         score_lanes ~n ~order
-          ~fault:(fun lane -> Batched.fault b ~lane)
-          ~read:(fun lane -> Batched.read_outputs b ~lane l.spec)
+          ~finished:(fun lane -> Option.is_none (Batched.fault b ~lane))
+          ~regs:(fun lane ->
+            Batched.blit_outputs b ~lane l.spec l.outputs;
+            l.outputs)
           f
     | _ -> { stop = Completed; runs = 0 }
 
-  let run p ~order ~diverges f = Some (exec p ~order ~diverges f)
+  let run l ~order ~diverges f = Some (exec l ~order ~diverges f)
   let respawns _ = 0
 
   type caller = Batched.batch
@@ -239,51 +247,52 @@ module Native_engine = struct
   let engine = Exec.Native
   let available = Native.available
   let translates = true
+  let uses_table = false
 
   type lanes = {
-    spec : Spec.t;
     nb : Native.batch option;
         (** [None] when native execution is unavailable or there are no
             tests *)
+    mutable cur : Native.t option;
   }
 
-  let lanes spec tests =
+  let lanes (spec : Spec.t) tests =
     {
-      spec;
       nb =
         (if Array.length tests = 0 then None
          else
            Native.create_batch
              (Machine.create ~mem_size:spec.Spec.mem_size ())
              tests);
+      cur = None;
     }
 
-  type prog = lanes * Native.batch * Native.t
-
-  let prepare l p =
-    Option.bind l.nb (fun nb ->
-        Option.map (fun np -> (l, nb, np)) (Native.compile nb p))
+  let prepare l _ p =
+    l.cur <- Option.bind l.nb (fun nb -> Native.compile nb p);
+    Option.is_some l.cur
 
   (* The worker runs every lane, so the batch-abort rule is applied
      after the run. *)
-  let run (l, nb, np) ~order ~diverges f =
-    Native.reset nb;
-    if Native.exec np then None
-    else begin
-      let n = Native.lane_count nb in
-      let fault lane = Native.fault nb ~lane in
-      let rec diverging lane =
-        lane < n
-        && ((Option.is_some (fault lane) && diverges lane)
-           || diverging (lane + 1))
-      in
-      if diverging 0 then Some { stop = Aborted; runs = n }
-      else
-        Some
-          (score_lanes ~n ~order ~fault
-             ~read:(fun lane -> Native.read_outputs nb ~lane l.spec)
-             f)
-    end
+  let run l ~order ~diverges f =
+    match l.nb, l.cur with
+    | Some nb, Some np ->
+      Native.reset nb;
+      if Native.exec np then None
+      else begin
+        let n = Native.lane_count nb in
+        let faulted lane = Option.is_some (Native.fault nb ~lane) in
+        let rec diverging lane =
+          lane < n && ((faulted lane && diverges lane) || diverging (lane + 1))
+        in
+        if diverging 0 then Some { stop = Aborted; runs = n }
+        else
+          Some
+            (score_lanes ~n ~order
+               ~finished:(fun lane -> not (faulted lane))
+               ~regs:(fun lane -> Native.lane_regs nb ~lane)
+               f)
+      end
+    | _ -> None
 
   let respawns l = Option.fold ~none:0 ~some:Native.respawns l.nb
 
@@ -321,40 +330,53 @@ let engine (module E : S) = E.engine
 (* ----- the fallback rule ----- *)
 
 (* Whatever an instance declines or crashes on runs on [Batched], which
-   never declines.  The fallback is built lazily: only Native uses it. *)
-
-type prepared =
-  order:int array ->
-  diverges:(int -> bool) ->
-  (int -> Spec.value array option -> bool) ->
-  outcome
+   never declines; the fallback's lanes are made the first time one is
+   needed, and only Native ever needs one.  Preparing and running
+   allocate nothing of their own: the closures below are made once per
+   lane set. *)
 
 type lanes = {
-  prepare_lanes : Program.t -> prepared;
+  uses_table : bool;
+  own : Facts.t;  (** the table {!prepare} refreshes, when the engine reads one *)
+  prepare_lanes : Facts.t -> Program.t -> unit;
+  run_lanes : order:int array -> diverges:(int -> bool) -> score -> outcome;
   counters_now : unit -> counters;
 }
 
+type prepared = lanes
+
 let lanes (module E : S) spec tests =
   let l = E.lanes spec tests in
-  let fallback = lazy (Batched_engine.lanes spec tests) in
   let prepares = ref 0 and runs = ref 0 and fallbacks = ref 0 in
-  let prepare_lanes program : prepared =
-    if E.translates then incr prepares;
-    let fb = lazy (Batched_engine.compile (Lazy.force fallback) program) in
-    let on_fallback ~order ~diverges f =
-      let o = Batched_engine.exec (Lazy.force fb) ~order ~diverges f in
-      fallbacks := !fallbacks + o.runs;
-      o
+  let program = ref nothing and declined = ref false in
+  let fallback = ref None in
+  let on_fallback ~order ~diverges f =
+    let fb =
+      match !fallback with
+      | Some fb -> fb
+      | None ->
+        let fb = Batched_engine.lanes spec tests in
+        fallback := Some fb;
+        fb
     in
-    match E.prepare l program with
-    | None -> on_fallback
-    | Some p ->
-      fun ~order ~diverges f ->
-        (match E.run p ~order ~diverges f with
-         | Some o ->
-           runs := !runs + o.runs;
-           o
-         | None -> on_fallback ~order ~diverges f)
+    ignore (Batched_engine.prepare fb (Facts.create ()) !program : bool);
+    let o = Batched_engine.exec fb ~order ~diverges f in
+    fallbacks := !fallbacks + o.runs;
+    o
+  in
+  let prepare_lanes table p =
+    if E.translates then incr prepares;
+    program := p;
+    declined := not (E.prepare l table p)
+  in
+  let run_lanes ~order ~diverges f =
+    if !declined then on_fallback ~order ~diverges f
+    else
+      match E.run l ~order ~diverges f with
+      | Some o ->
+        runs := !runs + o.runs;
+        o
+      | None -> on_fallback ~order ~diverges f
   in
   let counters_now () =
     {
@@ -364,10 +386,19 @@ let lanes (module E : S) spec tests =
       respawns = E.respawns l;
     }
   in
-  { prepare_lanes; counters_now }
+  { uses_table = E.uses_table; own = Facts.create (); prepare_lanes; run_lanes;
+    counters_now }
 
-let prepare l program = l.prepare_lanes program
-let run (p : prepared) = p
+let prepare l program =
+  if l.uses_table then Facts.refresh l.own program;
+  l.prepare_lanes l.own program;
+  l
+
+let prepare_table l table program =
+  l.prepare_lanes table program;
+  l
+
+let run (p : prepared) ~order ~diverges f = p.run_lanes ~order ~diverges f
 let counters l = l.counters_now ()
 
 type call = unit -> Exec.result

@@ -6,9 +6,9 @@
     then runs it in one of two ways:
 
     - {b lane-wise} over a fixed test set ({!lanes}), handing each test's
-      outputs to a per-lane callback in the caller's order so the caller
-      can stop early — what the search's cost function scores proposals
-      with;
+      final register file to a per-lane callback ({!score}) in the
+      caller's order so the caller can stop early — what the search's
+      cost function scores proposals with;
     - {b one call at a time} on a caller's machine ({!caller}), with state
       threaded in and out — what the validator, the kernel runner and the
       taint oracle use.
@@ -16,8 +16,8 @@
     Callers pick an instance once ({!of_engine}) and never match on the
     engine constructors themselves.
 
-    {b The fallback rule.}  An instance may decline a program ([None]
-    from [prepare]) or crash mid-run ([None] from [run]/[call]); the
+    {b The fallback rule.}  An instance may decline a program ([false]
+    from [prepare] or [None] from [prepare_call]) or crash mid-run ([None] from [run]/[call]); the
     wrappers below then run that program — or re-run the in-flight call —
     on [Batched], which never declines.  Only [Native] uses this: it
     declines programs the encoder cannot emit bit-identically (and every
@@ -57,6 +57,22 @@ type outcome = {
                    lane even when the callback stops early *)
 }
 
+type score = int -> bool -> Bytes.t -> bool
+(** The lane callback: [f lane finished regs] is called once per scored
+    test, where [finished] says whether the run finished (rather than
+    faulted) and [regs] holds the lane's final register file in
+    {!Machine.regs} layout — at least at the spec's outputs; it is
+    [true] to stop.  [regs] is a buffer the engine owns, valid during
+    the call only:
+    - the scalar engines (interp, compiled) pass their machine's own
+      register file;
+    - Native passes its readout buffer after copying the lane's
+      registers in ({!Native.lane_regs});
+    - Batched copies the lane's output quads into one scratch buffer per
+      lane set ({!Batched.blit_outputs}).
+    A finishing lane's callback is the only place its outputs are read,
+    so a caller scoring raw bits allocates nothing per test. *)
+
 module type S = sig
   val engine : Exec.engine
   val available : unit -> bool
@@ -65,28 +81,29 @@ module type S = sig
   (** [prepare] translates the program once for all its runs — every
       engine but the interpreter.  Counted in [prepares]. *)
 
+  val uses_table : bool
+  (** [prepare] runs the table's steps rather than the program — the
+      compiled engine only. *)
+
   type lanes
   (** A fixed test set, with whatever per-set state the engine keeps
-      (lane planes, a worker process). *)
+      (lane planes, a worker process) and the program last prepared. *)
 
   val lanes : Spec.t -> Testcase.t array -> lanes
 
-  type prog
-
-  val prepare : lanes -> Program.t -> prog option
-  (** [None]: this engine cannot run the program. *)
+  val prepare : lanes -> Facts.t -> Program.t -> bool
+  (** Make [p] the program the next {!run}s execute.  The table
+      describes [p] ({!Facts}); the compiled engine runs the table's
+      dense steps, the others translate [p] or run it as it is.
+      [false]: this engine cannot run the program. *)
 
   val run :
-    prog ->
-    order:int array ->
-    diverges:(int -> bool) ->
-    (int -> Spec.value array option -> bool) ->
-    outcome option
-  (** Run every test and call back [f lane outputs] ([None] when the run
-      faulted) in [order], stopping as soon as [f] returns [true].  An
-      engine that runs all lanes before scoring may instead return
-      [Aborted] as soon as a faulting lane satisfies [diverges].  [None]:
-      the engine crashed before calling back. *)
+    lanes -> order:int array -> diverges:(int -> bool) -> score -> outcome option
+  (** Run every test and call back in [order], stopping as soon as the
+      callback returns [true].  An engine that runs all lanes before
+      scoring may instead return [Aborted] as soon as a faulting lane
+      satisfies [diverges].  [None]: the engine crashed before calling
+      back. *)
 
   val respawns : lanes -> int
 
@@ -124,16 +141,25 @@ type prepared
 val lanes : t -> Spec.t -> Testcase.t array -> lanes
 
 val prepare : lanes -> Program.t -> prepared
-(** The program must not be mutated while [prepared] is in use, and
-    [prepared] is valid only until the next [prepare] on the same
-    [lanes] ([Compiled] prepares in place, see {!Compiled.prepare}):
-    run it before preparing another program. *)
+(** Prepare [p] for callers without a slot table: an engine that reads
+    one ({!S.uses_table}) gets a table the lane set keeps, refreshed
+    with [p] (a walk); then as {!prepare_table}. *)
+
+val prepare_table : lanes -> Facts.t -> Program.t -> prepared
+(** Prepare [p], which the table describes: the search's cost context
+    passes the table its moves keep current, so the compiled engine
+    takes the table's steps without a walk (binding the table's
+    translator to its machine on first use).  The program and the table
+    must not change while [prepared] is in use, and [prepared] is valid
+    only until the next prepare on the same [lanes]: run it before
+    preparing another program.  Neither call allocates, past what the
+    engine's own translation does. *)
 
 val run :
   prepared ->
   order:int array ->
   diverges:(int -> bool) ->
-  (int -> Spec.value array option -> bool) ->
+  score ->
   outcome
 (** {!S.run}, re-run on [Batched] if the engine crashed. *)
 

@@ -653,7 +653,7 @@ type batch = {
   mutable blob_dirty : bool;
   results : Bytes.t;
   membuf : Bytes.t;
-  readout : Machine.t;  (* register scratch for read_outputs *)
+  readout : Bytes.t;  (* a register file, for lane_regs *)
   touched : bool array;
   mutable any_touched : bool;
   mutable crashed : bool;
@@ -720,7 +720,7 @@ let create_batch ?(want_mem = false) (pristine : Machine.t) tests =
           blob_dirty = false;
           results = Bytes.create (n * res_sz);
           membuf = Bytes.create mem_size;
-          readout = Machine.create ~mem_size:16 ();
+          readout = Bytes.create Machine.regs_size;
           touched = Array.make n false;
           any_touched = false;
           crashed = false;
@@ -886,11 +886,9 @@ let result (b : batch) ~lane =
       { Exec.outcome = Exec.Faulted crash_fault; cycles = 0; executed = 0 }
     else result_of b t lane
 
-let read_outputs (b : batch) ~lane spec =
-  let m = b.readout in
-  Bytes.blit b.results ((lane * res_sz) + 24) m.Machine.regs 0
-    Machine.regs_size;
-  Spec.read_outputs spec m
+let lane_regs (b : batch) ~lane =
+  Bytes.blit b.results ((lane * res_sz) + 24) b.readout 0 Machine.regs_size;
+  b.readout
 
 let lane_machine (b : batch) ~lane =
   if not b.want_mem then

@@ -78,7 +78,9 @@ val result : batch -> lane:int -> Exec.result
 (** The lane's outcome/cycles/executed triple, bit-identical to
     {!Exec.run} on that lane's inputs. *)
 
-val read_outputs : batch -> lane:int -> Spec.t -> Spec.value array
+val lane_regs : batch -> lane:int -> Bytes.t
+(** One lane's post-run register file, in {!Machine.regs} layout, copied
+    into a buffer the batch owns: valid until the next call. *)
 
 val lane_machine : batch -> lane:int -> Machine.t
 (** A machine holding one lane's post-run registers, flags and (when the

@@ -32,17 +32,31 @@ type cost = {
   max_ulp : Ulp.t;
 }
 
+(* Where one live output sits in the register file, and how its
+   distance is measured (as in [Validate.Errfn]). *)
+type out =
+  | O64 of int  (** f64 *)
+  | O32 of int  (** f32, the low dword at this offset *)
+  | Ogp of int  (** integer *)
+
+let out_of = function
+  | Sandbox.Spec.Out_xmm_f64 r -> O64 (Sandbox.Machine.xmm_offset r)
+  | Sandbox.Spec.Out_xmm_f32 r -> O32 (Sandbox.Machine.xmm_offset r)
+  | Sandbox.Spec.Out_xmm_f32_hi r -> O32 (Sandbox.Machine.xmm_offset r + 4)
+  | Sandbox.Spec.Out_gp r -> Ogp (Sandbox.Machine.gp_offset r)
+
+(* One evaluation's running state, unboxed: the lane callback and the
+   divergence test are made once per context and read it. *)
+type acc = {
+  f : float array;  (** [eq], [kperf], [limit] *)
+  ulp : Bytes.t;  (** the running [max_ulp] *)
+  mutable signals : int;
+}
+
 type t = {
   spec : Sandbox.Spec.t;
   params : params;
   tests : Sandbox.Testcase.t array;
-  expected : Sandbox.Spec.value array array;
-      (** per test: target's live-out values ([[||]] on tests where the
-          target signalled) *)
-  target_signalled : bool array;
-      (** per test: did the target fault?  A rewrite fault on such a test
-          {e matches} the target (sig term of Eq. 9/11) and costs nothing;
-          finishing where the target faulted costs [ws], and vice versa. *)
   order : int array;
       (** evaluation order over [tests]: a permutation maintained
           move-to-front so that the test which most recently triggered a
@@ -55,9 +69,14 @@ type t = {
       (** direct-mapped proposal cost cache keyed by {!Facts.key};
           [[||]] when disabled *)
   facts : Facts.t;
-      (** per-slot facts of the program last evaluated (or screened, when
+      (** the slot table of the program last evaluated (or screened, when
           the optimizer's screen shares it): the cache key, the
-          [Sum_latency] perf term and the dead-write check come from here *)
+          [Sum_latency] perf term, the dead-write check and the compiled
+          engine's steps come from here *)
+  acc : acc;
+  score : Sandbox.Engine.score;
+      (** the lane callback, over the target's recorded behaviour *)
+  diverges : int -> bool;
   mutable evaluations : int;
   mutable tests_executed : int;
   mutable pruned_evals : int;
@@ -79,6 +98,122 @@ let engine_counters t = Sandbox.Engine.counters t.lanes
 
 let cache_size = 512
 
+(* ----- scoring raw register bits ----- *)
+
+(* The helpers mirror the value-level definitions they name, on the bits
+   a register holds, so scoring boxes no float or int64: [Spec.value_ulp]
+   (Ulp.dist64, Ulp.dist32 of the binary32 round trip Spec.read_outputs
+   makes, which quiets a signalling NaN, and the integers' absolute
+   difference), [Ulp.max], [Ulp.sub_clamp] and [Ulp.to_float]. *)
+let[@inline] dist64 a b =
+  let oa = if a < 0L then Int64.sub Int64.min_int a else a in
+  let ob = if b < 0L then Int64.sub Int64.min_int b else b in
+  if oa >= ob then Int64.sub oa ob else Int64.sub ob oa
+
+let[@inline] ordered32 b =
+  let b = Int32.bits_of_float (Int32.float_of_bits b) in
+  if b < 0l then Int32.sub Int32.min_int b else b
+
+let[@inline] dist32 a b =
+  let oa = ordered32 a and ob = ordered32 b in
+  let d = if oa >= ob then Int32.sub oa ob else Int32.sub ob oa in
+  Int64.logand (Int64.of_int32 d) 0xffff_ffffL
+
+let[@inline] absdiff a b =
+  let d = Int64.sub a b in
+  if d >= 0L then d else Int64.neg d
+
+let[@inline] ulp_max a b =
+  if Int64.sub a Int64.min_int >= Int64.sub b Int64.min_int then a else b
+
+let[@inline] ulp_to_float u =
+  if u >= 0L then Int64.to_float u else Int64.to_float u +. 0x1p64
+
+(* [Ulp.to_float (Ulp.sub_clamp d eta)] *)
+let[@inline] over_eta d eta =
+  if Int64.sub d Int64.min_int <= Int64.sub eta Int64.min_int then 0.
+  else ulp_to_float (Int64.sub d eta)
+
+(* The absolute and relative metrics, scaled into roughly ULP-comparable
+   magnitude so η stays usable: 1 ULP near 1.0 is ~2e-16 in binary64
+   (scale 2^52) but ~1.2e-7 in binary32 (scale 2^23). *)
+let[@inline] abs_err scale eta_f a b =
+  let d = Float.abs (a -. b) in
+  let d = if Float.is_nan d then Float.infinity else d in
+  Float.max 0. ((d *. scale) -. eta_f)
+
+(* An exact match (any bit pattern, NaN included) is zero error; a zero
+   expected value scores the mismatch by ULP distance instead of +inf
+   (so -0. against 0. is free). *)
+let[@inline] rel_err scale eta_f eta d a b =
+  if Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) then 0.
+  else if a = 0. then over_eta d eta
+  else begin
+    let r = Float.abs ((a -. b) /. a) in
+    let r = if Float.is_nan r then Float.infinity else r in
+    Float.max 0. ((r *. scale) -. eta_f)
+  end
+
+(* One location's error, already thresholded by η, given its distance
+   [d]: [location_error] of the value-level scorer. *)
+let[@inline] location_error metric eta eta_f out expected e regs d =
+  match metric, out with
+  | Ulp_metric, _ | _, Ogp _ -> over_eta d eta
+  | Abs_metric, O64 o ->
+    abs_err 0x1p52 eta_f
+      (Int64.float_of_bits (Bytes.get_int64_le expected e))
+      (Int64.float_of_bits (Bytes.get_int64_le regs o))
+  | Abs_metric, O32 o ->
+    abs_err 0x1p23 eta_f
+      (Int32.float_of_bits (Bytes.get_int32_le expected e))
+      (Int32.float_of_bits (Bytes.get_int32_le regs o))
+  | Rel_metric, O64 o ->
+    rel_err 0x1p52 eta_f eta d
+      (Int64.float_of_bits (Bytes.get_int64_le expected e))
+      (Int64.float_of_bits (Bytes.get_int64_le regs o))
+  | Rel_metric, O32 o ->
+    rel_err 0x1p23 eta_f eta d
+      (Int32.float_of_bits (Bytes.get_int32_le expected e))
+      (Int32.float_of_bits (Bytes.get_int32_le regs o))
+
+let[@inline] combine f sum v =
+  if sum then f.(0) <- f.(0) +. v else f.(0) <- Float.max f.(0) v
+
+(* The lane callback of every evaluation: fold one test into [acc] and
+   say whether the running total already proves rejection. *)
+let scorer params outs expected target_signalled acc : Sandbox.Engine.score =
+  let f = acc.f and ulp = acc.ulp in
+  let metric = params.metric and eta = params.eta in
+  let eta_f = Ulp.to_float eta and ws = params.ws in
+  let nouts = Array.length outs in
+  let sum = match params.reduction with Sum -> true | Max -> false in
+  fun ti finished regs ->
+    if not finished then begin
+      acc.signals <- acc.signals + 1;
+      (* a fault only diverges when the target ran to completion *)
+      if not target_signalled.(ti) then combine f sum ws
+    end
+    else if target_signalled.(ti) then combine f sum ws
+    else begin
+      let err = ref 0. in
+      let worst = ref (Bytes.get_int64_le ulp 0) in
+      for k = 0 to nouts - 1 do
+        let e = 8 * ((ti * nouts) + k) in
+        let out = outs.(k) in
+        let d =
+          match out with
+          | O64 o -> dist64 (Bytes.get_int64_le expected e) (Bytes.get_int64_le regs o)
+          | O32 o -> dist32 (Bytes.get_int32_le expected e) (Bytes.get_int32_le regs o)
+          | Ogp o -> absdiff (Bytes.get_int64_le expected e) (Bytes.get_int64_le regs o)
+        in
+        worst := ulp_max !worst d;
+        err := !err +. location_error metric eta eta_f out expected e regs d
+      done;
+      Bytes.set_int64_le ulp 0 !worst;
+      combine f sum !err
+    end;
+    f.(0) +. f.(1) > f.(2)
+
 let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
     spec params tests =
   let instance =
@@ -87,92 +222,65 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
     | None -> Sandbox.Engine.of_engine engine
   in
   let n = Array.length tests in
-  (* The target's behaviour is recorded by the reference interpreter. *)
-  let expected = Array.make n [||] in
+  let outs = Array.of_list (List.map out_of spec.Sandbox.Spec.outputs) in
+  let nouts = Array.length outs in
+  (* The target's behaviour is recorded by the reference interpreter:
+     its output bits, test [i]'s output [k] at [8 * (i * nouts + k)] as
+     [Validate.Errfn] saves them, and whether it faulted.  A rewrite
+     fault on a test where the target faulted {e matches} it (sig term
+     of Eq. 9/11) and costs nothing; finishing where the target faulted
+     costs [ws], and vice versa. *)
+  let expected = Bytes.make (8 * n * nouts) '\000' in
   let target_signalled = Array.make n false in
   let reference =
     Sandbox.Engine.lanes
       (Sandbox.Engine.of_engine Sandbox.Exec.Interp)
       spec tests
   in
+  let save i finished regs =
+    if not finished then target_signalled.(i) <- true
+    else
+      Array.iteri
+        (fun k out ->
+          let e = 8 * ((i * nouts) + k) in
+          match out with
+          | O64 o | Ogp o -> Bytes.set_int64_le expected e (Bytes.get_int64_le regs o)
+          | O32 o -> Bytes.set_int32_le expected e (Bytes.get_int32_le regs o))
+        outs;
+    false
+  in
   let (_ : Sandbox.Engine.outcome) =
     Sandbox.Engine.run
       (Sandbox.Engine.prepare reference spec.Sandbox.Spec.program)
       ~order:(Array.init n Fun.id)
       ~diverges:(fun _ -> false)
-      (fun i outputs ->
-        (match outputs with
-         | Some v -> expected.(i) <- v
-         | None -> target_signalled.(i) <- true);
-        false)
+      save
   in
+  let acc = { f = Array.make 3 0.; ulp = Bytes.make 8 '\000'; signals = 0 } in
+  let ws = params.ws in
   {
     spec;
     params;
     tests;
-    expected;
-    target_signalled;
     order = Array.init n Fun.id;
     engine = Sandbox.Engine.engine instance;
     lanes = Sandbox.Engine.lanes instance spec tests;
     live_out = Sandbox.Spec.live_out_set spec;
     cache = (if use_cache then Array.make cache_size None else [||]);
     facts = Facts.create ();
+    acc;
+    score = scorer params outs expected target_signalled acc;
+    (* Whole-batch abort: a lane that faults where the target finished
+       contributes ws to eq under either reduction (all terms are ≥ 0),
+       so [ws +. kperf > limit] alone proves rejection. *)
+    diverges =
+      (fun ti -> (not target_signalled.(ti)) && ws +. acc.f.(1) > acc.f.(2));
     evaluations = 0;
     tests_executed = 0;
     pruned_evals = 0;
     cache_hits = 0;
     elided = 0;
   }
-
-(* Error between one pair of values, already thresholded by η, as a float. *)
-let location_error params expected actual =
-  let ulp_fallback () =
-    Ulp.to_float (Ulp.sub_clamp (Sandbox.Spec.value_ulp expected actual) params.eta)
-  in
-  match params.metric with
-  | Ulp_metric ->
-    let d = Sandbox.Spec.value_ulp expected actual in
-    Ulp.to_float (Ulp.sub_clamp d params.eta)
-  | Abs_metric ->
-    (* Scale into roughly ULP-comparable magnitude so η stays usable:
-       1 ULP near 1.0 is ~2e-16 in binary64 (scale 2^52) but ~1.2e-7 in
-       binary32 (scale 2^23). *)
-    let abs_err scale a b =
-      let d = Float.abs (a -. b) in
-      let d = if Float.is_nan d then Float.infinity else d in
-      Float.max 0. ((d *. scale) -. Ulp.to_float params.eta)
-    in
-    (match expected, actual with
-     | Sandbox.Spec.Vf64 a, Sandbox.Spec.Vf64 b -> abs_err 0x1p52 a b
-     | Sandbox.Spec.Vf32 a, Sandbox.Spec.Vf32 b -> abs_err 0x1p23 a b
-     | Sandbox.Spec.Vi64 _, _ | _, Sandbox.Spec.Vi64 _ -> ulp_fallback ()
-     | (Sandbox.Spec.Vf64 _ | Sandbox.Spec.Vf32 _), _ ->
-       invalid_arg "Cost: mismatched value types")
-  | Rel_metric ->
-    (* 1 ULP of relative error is ~2^-52 in binary64, ~2^-23 in binary32. *)
-    let rel_err scale a b =
-      if Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) then
-        (* Exact match (any bit pattern, including NaN) is zero error —
-           in particular when a = b = 0., where (a−b)/a is NaN and the
-           old code mapped an exactly-correct value to +∞. *)
-        0.
-      else if a = 0. then
-        (* Zero denominator: relative error is undefined, so score the
-           mismatch by ULP distance instead of +∞ (this also makes
-           -0. vs 0. free, as it should be). *)
-        ulp_fallback ()
-      else
-        let d = Float.abs ((a -. b) /. a) in
-        let d = if Float.is_nan d then Float.infinity else d in
-        Float.max 0. ((d *. scale) -. Ulp.to_float params.eta)
-    in
-    (match expected, actual with
-     | Sandbox.Spec.Vf64 a, Sandbox.Spec.Vf64 b -> rel_err 0x1p52 a b
-     | Sandbox.Spec.Vf32 a, Sandbox.Spec.Vf32 b -> rel_err 0x1p23 a b
-     | Sandbox.Spec.Vi64 _, _ | _, Sandbox.Spec.Vi64 _ -> ulp_fallback ()
-     | (Sandbox.Spec.Vf64 _ | Sandbox.Spec.Vf32 _), _ ->
-       invalid_arg "Cost: mismatched value types")
 
 type pruned = {
   tests_run : int;
@@ -251,50 +359,24 @@ let eval ?cutoff ?(refreshed = false) ?move t program =
        proves the full total fails the very same floating-point
        comparison the acceptance test makes, so pruned ⟺ rejected. *)
     let limit = match cutoff with Some c -> c | None -> Float.infinity in
-    let eq = ref 0. in
-    let signals = ref 0 in
-    let max_ulp = ref Ulp.zero in
-    let combine v =
-      match params.reduction with
-      | Max -> eq := Float.max !eq v
-      | Sum -> eq := !eq +. v
-    in
-    (* Score one test; [true] once the running total proves rejection. *)
-    let score ti outputs =
-      (match outputs with
-       | None ->
-         incr signals;
-         (* a fault only diverges when the target ran to completion *)
-         if not t.target_signalled.(ti) then combine params.ws
-       | Some actual ->
-         if t.target_signalled.(ti) then combine params.ws
-         else begin
-           let test_err = ref 0. in
-           Array.iteri
-             (fun li e ->
-               let a = actual.(li) in
-               max_ulp := Ulp.max !max_ulp (Sandbox.Spec.value_ulp e a);
-               test_err := !test_err +. location_error params e a)
-             t.expected.(ti);
-           combine !test_err
-         end);
-      !eq +. kperf > limit
-    in
-    (* Whole-batch abort: a lane that faults where the target finished
-       contributes ws to eq under either reduction (all terms are ≥ 0),
-       so [ws +. kperf > limit] alone proves rejection. *)
-    let diverges ti = (not t.target_signalled.(ti)) && params.ws +. kperf > limit in
+    let acc = t.acc in
+    acc.f.(0) <- 0.;
+    acc.f.(1) <- kperf;
+    acc.f.(2) <- limit;
+    Bytes.set_int64_le acc.ulp 0 Ulp.zero;
+    acc.signals <- 0;
     let o =
       Sandbox.Engine.run
-        (Sandbox.Engine.prepare t.lanes program)
-        ~order:t.order ~diverges score
+        (Sandbox.Engine.prepare_table t.lanes t.facts program)
+        ~order:t.order ~diverges:t.diverges t.score
     in
     t.tests_executed <- t.tests_executed + o.Sandbox.Engine.runs;
     match o.Sandbox.Engine.stop with
     | Sandbox.Engine.Completed ->
+      let eq = acc.f.(0) in
       let c =
-        { eq = !eq; perf; total = !eq +. kperf; signals = !signals;
-          max_ulp = !max_ulp }
+        { eq; perf; total = eq +. kperf; signals = acc.signals;
+          max_ulp = Bytes.get_int64_le acc.ulp 0 }
       in
       if caching then cache_store t h program c;
       Evaluated c
@@ -304,7 +386,7 @@ let eval ?cutoff ?(refreshed = false) ?move t program =
          change the accumulated value: Max is order-independent, a float
          Sum is not. *)
       if params.reduction = Max then move_to_front t pos;
-      Pruned { tests_run = o.Sandbox.Engine.runs; eq_partial = !eq }
+      Pruned { tests_run = o.Sandbox.Engine.runs; eq_partial = acc.f.(0) }
     | Sandbox.Engine.Aborted ->
       t.pruned_evals <- t.pruned_evals + 1;
       Pruned { tests_run = o.Sandbox.Engine.runs; eq_partial = params.ws }

@@ -102,12 +102,14 @@ val tests : t -> Sandbox.Testcase.t array
 val engine : t -> Sandbox.Exec.engine
 
 val facts : t -> Facts.t
-(** The context's per-slot facts memo.  {!eval} refreshes it with the
-    program it scores and reads the cache key ([Facts.key]) and the
-    [Sum_latency] perf term ([Facts.latency]) from it; the optimizer's
-    undef-read screen shares it ([Analysis.Screen.env_of_spec ~facts]).
-    Like the context, it belongs to one domain.  The search refreshes it
-    once per proposal and passes [~refreshed:true] to the screen and to
+(** The context's slot table.  {!eval} refreshes it with the program it
+    scores and reads the cache key ([Facts.key]), the [Sum_latency]
+    perf term ([Facts.latency]) and, on the compiled engine, the dense
+    steps it runs from it; the optimizer's undef-read screen shares it
+    ([Analysis.Screen.env_of_spec ~facts]).  Like the context, it
+    belongs to one domain.  The search updates it once per proposal
+    from the move ([Facts.move]/[Facts.swap], and [Facts.revert] after
+    an undo) and passes [~refreshed:true] to the screen and to
     {!eval}. *)
 
 type cost = {
@@ -149,8 +151,9 @@ val eval :
     the full total would also exceed [cutoff], bit-for-bit the same
     comparison the caller would make.
 
-    [refreshed] (default [false]): the caller has just run
-    [Facts.refresh (facts t) program], so [eval] does not repeat it.
+    [refreshed] (default [false]): the context's table already describes
+    [program] (the caller refreshed it, or updated it from the move that
+    made [program]), so [eval] does not walk it.
 
     [move]: [program] is the program [move.before] is the full cost of
     with one slot changed.  On a cache miss where {!Facts.dead_write}

@@ -243,6 +243,10 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
   in
   let observing = Obs.Sink.enabled obs in
   let facts = Cost.facts ctx in
+  let take_back undo =
+    Transform.undo cur undo;
+    Facts.revert facts cur
+  in
   let marks =
     ref
       (List.filter
@@ -256,9 +260,13 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
      | Some (kind, undo) ->
        state.moves.proposed.(kind_index kind) <-
          state.moves.proposed.(kind_index kind) + 1;
-       (* One refresh serves the screen, the elision check and the
-          evaluation. *)
-       Facts.refresh facts cur;
+       (* The move names the slots it changed, so the slot table updates
+          only those, once, for the screen, the elision check and the
+          evaluation; a rejected move's undo puts their journaled
+          entries back. *)
+       (match undo with
+        | Transform.Restore_slot (k, _) -> Facts.move facts cur k
+        | Transform.Restore_swap (a, b) -> Facts.swap facts cur a b);
        if
          config.static_screen
          && Analysis.Screen.has_undef_read ~refreshed:true screen_env cur
@@ -269,7 +277,7 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
             streams — but each is still bit-identical across engine and
             prune settings. *)
          state.static_rejects <- state.static_rejects + 1;
-         Transform.undo cur undo
+         take_back undo
        end
        else begin
        (* Draw the acceptance randomness before evaluating: a proposal is
@@ -299,7 +307,7 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
            ?move ctx cur
        in
        (match verdict with
-        | Cost.Pruned _ -> Transform.undo cur undo
+        | Cost.Pruned _ -> take_back undo
         | Cost.Evaluated proposal_cost ->
           if proposal_cost.Cost.total <= limit then begin
             state.accepted <- state.accepted + 1;
@@ -308,7 +316,7 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
             cur_cost := proposal_cost;
             note_candidate ~notify:true proposal_cost
           end
-          else Transform.undo cur undo)
+          else take_back undo)
        end);
     (match !marks with
      | m :: rest when iter >= m ->

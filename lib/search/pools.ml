@@ -12,7 +12,7 @@ end)
 
 module I64set = Set.Make (Int64)
 
-type t = {
+type operands = {
   gp32 : Operand.t array;
   gp64 : Operand.t array;
   xmm : Operand.t array;
@@ -22,12 +22,23 @@ type t = {
   mem32 : Operand.t array;
   mem64 : Operand.t array;
   mem128 : Operand.t array;
+}
+
+(* The opcode tables depend only on which operand pools are non-empty —
+   one bit per kind of [kind_bit] — so they are built once per such mask
+   and shared, read-only, by every search on every domain. *)
+type tables = {
   opcodes : Opcode.t array;  (** opcodes with at least one instantiable shape *)
   op_shapes : Shape.kind array array array;
       (** per [opcodes] entry: its instantiable shapes, in [Shape.shapes]
           order *)
   by_shape : (Shape.kind array, Opcode.t array) Hashtbl.t;
       (** per shape: the [opcodes] admitting it, in [opcodes] order *)
+}
+
+type t = {
+  operands : operands;
+  tables : tables;
 }
 
 let scratch_gps = [ Reg.Rax; Reg.Rcx; Reg.Rdx ]
@@ -76,7 +87,7 @@ let collect target spec =
     spec.Sandbox.Spec.fixed_inputs;
   (!gps, !xmms, !imm8s, !imm32s, !imm64s, !mems)
 
-let operands_of_kind t (k : Shape.kind) =
+let pool (t : operands) (k : Shape.kind) =
   match k with
   | Shape.K_gp Reg.L -> t.gp32
   | Shape.K_gp Reg.Q -> t.gp64
@@ -88,11 +99,74 @@ let operands_of_kind t (k : Shape.kind) =
   | Shape.K_mem Shape.M64 -> t.mem64
   | Shape.K_mem Shape.M128 -> t.mem128
 
-let shape_instantiable t shape =
-  Array.for_all (fun k -> Array.length (operands_of_kind t k) > 0) shape
+let kinds =
+  [ Shape.K_gp Reg.L; Shape.K_gp Reg.Q; Shape.K_xmm; Shape.K_imm8; Shape.K_imm32;
+    Shape.K_imm64; Shape.K_mem Shape.M32; Shape.K_mem Shape.M64;
+    Shape.K_mem Shape.M128 ]
 
-(* The opcode tables are computed once here, so a move looks its
-   candidates up instead of filtering [Opcode.all] per proposal. *)
+let kind_bit (k : Shape.kind) =
+  match k with
+  | Shape.K_gp Reg.L -> 1
+  | Shape.K_gp Reg.Q -> 2
+  | Shape.K_xmm -> 4
+  | Shape.K_imm8 -> 8
+  | Shape.K_imm32 -> 16
+  | Shape.K_imm64 -> 32
+  | Shape.K_mem Shape.M32 -> 64
+  | Shape.K_mem Shape.M64 -> 128
+  | Shape.K_mem Shape.M128 -> 256
+
+let availability operands =
+  List.fold_left
+    (fun mask k -> if Array.length (pool operands k) > 0 then mask lor kind_bit k else mask)
+    0 kinds
+
+let build mask =
+  let instantiable shape = Array.for_all (fun k -> mask land kind_bit k <> 0) shape in
+  let candidates =
+    List.filter_map
+      (fun op ->
+        match List.filter instantiable (Shape.shapes op) with
+        | [] -> None
+        | shapes -> Some (op, Array.of_list shapes))
+      Opcode.all
+  in
+  let opcodes = Array.of_list (List.map fst candidates) in
+  (* reversed candidate lists while building *)
+  let rev_by_shape = Hashtbl.create 64 in
+  Array.iter
+    (fun op ->
+      List.iter
+        (fun shape ->
+          let prev =
+            Option.value ~default:[] (Hashtbl.find_opt rev_by_shape shape)
+          in
+          if not (List.exists (Opcode.equal op) prev) then
+            Hashtbl.replace rev_by_shape shape (op :: prev))
+        (Shape.shapes op))
+    opcodes;
+  let by_shape = Hashtbl.create (Hashtbl.length rev_by_shape) in
+  Hashtbl.iter
+    (fun shape ops -> Hashtbl.replace by_shape shape (Array.of_list (List.rev ops)))
+    rev_by_shape;
+  { opcodes; op_shapes = Array.of_list (List.map snd candidates); by_shape }
+
+(* The masks built so far; a search meets one or two.  Two domains that
+   miss the same mask at once both build it, alike. *)
+let built : (int * tables) list Atomic.t = Atomic.make []
+
+let tables mask =
+  match List.assq_opt mask (Atomic.get built) with
+  | Some t -> t
+  | None ->
+    let t = build mask in
+    let rec publish () =
+      let seen = Atomic.get built in
+      if not (Atomic.compare_and_set built seen ((mask, t) :: seen)) then publish ()
+    in
+    publish ();
+    t
+
 let make ~target ~spec =
   let gps, xmms, imm8s, imm32s, imm64s, mems = collect target spec in
   let gp_ops = Gset.elements gps |> List.map (fun r -> Operand.Gp r) in
@@ -111,53 +185,21 @@ let make ~target ~spec =
       mem32 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
       mem64 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
       mem128 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
-      opcodes = [||];
-      op_shapes = [||];
-      by_shape = Hashtbl.create 1;
     }
   in
-  let instantiable =
-    List.filter_map
-      (fun op ->
-        match List.filter (shape_instantiable operands) (Shape.shapes op) with
-        | [] -> None
-        | shapes -> Some (op, Array.of_list shapes))
-      Opcode.all
-  in
-  let opcodes = Array.of_list (List.map fst instantiable) in
-  (* reversed candidate lists while building *)
-  let rev_by_shape = Hashtbl.create 64 in
-  Array.iter
-    (fun op ->
-      List.iter
-        (fun shape ->
-          let prev =
-            Option.value ~default:[] (Hashtbl.find_opt rev_by_shape shape)
-          in
-          if not (List.exists (Opcode.equal op) prev) then
-            Hashtbl.replace rev_by_shape shape (op :: prev))
-        (Shape.shapes op))
-    opcodes;
-  let by_shape = Hashtbl.create (Hashtbl.length rev_by_shape) in
-  Hashtbl.iter
-    (fun shape ops -> Hashtbl.replace by_shape shape (Array.of_list (List.rev ops)))
-    rev_by_shape;
-  {
-    operands with
-    opcodes;
-    op_shapes = Array.of_list (List.map snd instantiable);
-    by_shape;
-  }
+  { operands; tables = tables (availability operands) }
+
+let operands_of_kind t k = pool t.operands k
 
 let opcodes_with_shape t shape =
-  Option.value ~default:[||] (Hashtbl.find_opt t.by_shape shape)
+  Option.value ~default:[||] (Hashtbl.find_opt t.tables.by_shape shape)
 
-let all_opcodes t = t.opcodes
+let all_opcodes t = t.tables.opcodes
 
 let random_instr g t =
-  let k = Rng.Dist.int g (Array.length t.opcodes) in
-  let op = t.opcodes.(k) in
-  let shape = Rng.Dist.choose g t.op_shapes.(k) in
+  let k = Rng.Dist.int g (Array.length t.tables.opcodes) in
+  let op = t.tables.opcodes.(k) in
+  let shape = Rng.Dist.choose g t.tables.op_shapes.(k) in
   let operands =
     Array.map (fun k -> Rng.Dist.choose g (operands_of_kind t k)) shape
   in

@@ -14,8 +14,11 @@ val operands_of_kind : t -> Shape.kind -> Operand.t array
 (** May be empty (e.g. no memory operands in a register-only kernel). *)
 
 val opcodes_with_shape : t -> Shape.kind array -> Opcode.t array
-(** The {!all_opcodes} admitting the given shape, in that order.  Computed
-    once by {!make}; the caller must not mutate the array. *)
+(** The {!all_opcodes} admitting the given shape, in that order.  The
+    opcode tables depend only on which operand kinds have a non-empty
+    pool, so they are built once per such availability mask and shared,
+    read-only, by every search on every domain: the caller must not
+    mutate the array. *)
 
 val all_opcodes : t -> Opcode.t array
 (** Opcodes for the instruction move: those with at least one shape whose

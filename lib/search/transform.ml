@@ -14,6 +14,12 @@ let kind_to_string = function
   | Swap_move -> "swap"
   | Instruction_move -> "instruction"
 
+(* The [k]-th active slot at or before [idx], counting down. *)
+let rec kth_active slots idx k =
+  match slots.(idx) with
+  | Program.Unused -> kth_active slots (idx - 1) k
+  | Program.Active i -> if k = 0 then Some (idx, i) else kth_active slots (idx - 1) (k - 1)
+
 (* A uniformly drawn active slot, without building the list of them.
    Slots are numbered from the end: draw [k] picks the [k]-th active slot
    counting down from the last, the order the search has always used, so
@@ -28,14 +34,7 @@ let random_active g (p : Program.t) =
     | Program.Unused -> ()
   done;
   if !actives = 0 then None
-  else begin
-    let rec walk idx k =
-      match slots.(idx) with
-      | Program.Unused -> walk (idx - 1) k
-      | Program.Active i -> if k = 0 then Some (idx, i) else walk (idx - 1) (k - 1)
-    in
-    walk (n - 1) (Rng.Dist.int g !actives)
-  end
+  else kth_active slots (n - 1) (Rng.Dist.int g !actives)
 
 let propose_opcode g pools (p : Program.t) =
   match random_active g p with
@@ -128,7 +127,9 @@ let propose g pools p =
     | Swap_move -> propose_swap g p
     | Instruction_move -> propose_instruction g pools p
   in
-  Option.map (fun u -> (kind, u)) result
+  match result with
+  | None -> None
+  | Some u -> Some (kind, u)
 
 let undo (p : Program.t) = function
   | Restore_slot (idx, old) -> p.Program.slots.(idx) <- old

@@ -25,7 +25,10 @@ type undo = private
 
 val propose : Rng.Xoshiro256.t -> Pools.t -> Program.t -> (kind * undo) option
 (** Mutates the program; [None] when the drawn move is inapplicable (e.g.
-    opcode move on an empty program) — callers simply redraw. *)
+    an opcode move on an empty program, or a swap that drew one slot
+    twice), leaving the program as it was.  The optimizer counts such a
+    draw as a proposal that stays put — a valid self-loop of the chain —
+    rather than redrawing. *)
 
 val undo : Program.t -> undo -> unit
 

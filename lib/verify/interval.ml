@@ -3,10 +3,6 @@ type itv = {
   hi : float;
 }
 
-let top = { lo = Float.neg_infinity; hi = Float.infinity }
-
-let is_top i = i.lo = Float.neg_infinity && i.hi = Float.infinity
-
 let make lo hi = { lo; hi }
 
 (* The width of one arithmetic operation's rounding error depends on the
@@ -231,16 +227,9 @@ let run2 k (a : itv) (b : itv) =
   { lo = Float.Array.get lo 2; hi = Float.Array.get hi 2 }
 
 let add a b = run2 (Kernel.add P64) a b
-let sub a b = run2 (Kernel.sub P64) a b
 let mul a b = run2 (Kernel.mul P64) a b
-let div a b = run2 (Kernel.div P64) a b
-
-let add32 a b = run2 (Kernel.add P32) a b
-let mul32 a b = run2 (Kernel.mul P32) a b
 
 let hull a b = run2 Kernel.hull a b
-
-let contains i x = x >= i.lo && x <= i.hi
 
 let width i = i.hi -. i.lo
 
@@ -347,8 +336,9 @@ let static_ulp_bound (spec : Sandbox.Spec.t) (pair : Symbolic.pair) =
         r_range := if idx = 0 then ri else hull !r_range ri;
         if Symbolic.same_output pair idx then ()
         else begin
-          let diff = sub ti ri in
-          if is_top diff then raise (Not_analyzable "difference unbounded")
+          let diff = run2 (Kernel.sub P64) ti ri in
+          if diff.lo = Float.neg_infinity && diff.hi = Float.infinity then
+            raise (Not_analyzable "difference unbounded")
           else begin
             let abs_diff = Float.max (Float.abs diff.lo) (Float.abs diff.hi) in
             let magnitude = Float.max (Float.abs ti.lo) (Float.abs ti.hi) in

@@ -19,8 +19,6 @@ type itv = {
   hi : float;
 }
 
-val top : itv
-val is_top : itv -> bool
 val make : float -> float -> itv
 
 type prec = Symbolic.prec =
@@ -68,19 +66,11 @@ module Kernel : sig
 end
 
 val add : itv -> itv -> itv
-val sub : itv -> itv -> itv
 val mul : itv -> itv -> itv
-val div : itv -> itv -> itv
-(** All widen outward by one representable double after the real interval
-    computation. *)
-
-val add32 : itv -> itv -> itv
-val mul32 : itv -> itv -> itv
-(** Binary32 counterparts: widen outward by one representable binary32
-    value, the sound margin for f32-rounded hardware ops. *)
+(** Both widen outward by one representable double after the real
+    interval computation. *)
 
 val hull : itv -> itv -> itv
-val contains : itv -> float -> bool
 val width : itv -> float
 
 val mag : itv -> float

@@ -1,17 +1,29 @@
-(* Slot [k] remembers the slot value its facts were derived from
-   ([keys.(k)], compared physically, so the walk reads two arrays and
-   dereferences no slot).  A slot value is immutable and so is the
+(* The per-slot table.  Slot [k] remembers the slot value its entry was
+   made for ([keys.(k)], compared physically, so a walk reads two arrays
+   and dereferences no slot).  A slot value is immutable and so is the
    instruction in it (see [Instr]); a move installs a new value and its
    undo puts the old one back, so a slot that still holds that very
-   value keeps its facts, and a refresh after a move updates only the
-   one or two slots the move changed.
+   value keeps its entry.
 
-   A changed slot finds its facts in a direct-mapped cache keyed by
+   The search does not walk at all: it names the slots a move changed
+   ([move], [swap]), the table journals their entries first, and [revert]
+   puts the journaled entries back without a lookup.  Every other caller
+   walks ([refresh]).
+
+   Alongside the per-slot entries the table keeps its active slots
+   densely, in program order: their entries, translated steps and
+   latencies.  [pos.(k)] is the dense index slot [k] has (or would have,
+   were it active); changing an active slot replaces its dense entry in
+   place, and only an [Unused] <-> active toggle shifts the dense tail.
+
+   A changed slot finds its entry in a direct-mapped cache keyed by
    [Instr.hash] and verified with [Instr.equal], so an instruction equal
-   to a recent one (an undo's restored instruction above all) is looked
-   up, not derived again.  The per-slot sets are also kept in plain
-   arrays: the undef-read and liveness walks run over them inside
-   [Liveness], a few word ops per slot. *)
+   to a recent one is looked up, not derived (and translated) again.
+
+   An entry is translated when a run first needs it, not when it is
+   made: a screened-out, cached or elided proposal translates nothing.
+   [set] notes each slot that takes an untranslated entry in [pending],
+   and [translate] translates those slots' entries and nothing else. *)
 
 type derived = {
   instr : Instr.t;  (** the instruction these facts describe *)
@@ -22,16 +34,23 @@ type derived = {
   uses : Liveness.Locset.t;
   kills : Liveness.Locset.t;
   quiet : bool;  (** [Liveness.cannot_fault], or an [Unused] slot *)
+  mutable step : unit -> unit;
+      (** the translator's step for [instr]; [untranslated] until a run
+          needs it *)
 }
+
+let untranslated () = ()
 
 (* Physically distinct from every instruction of every program. *)
 let vacant = Instr.make_unchecked Opcode.Movabs [||]
 let unused_hash = 0x2f1a_9b3c_5d7e_4861
 
+(* The entry of every [Unused] slot, and of an empty cache line; never
+   translated. *)
 let unused =
   let e = Liveness.Locset.empty in
   { instr = vacant; hash = unused_hash; lat = 0; defs = e; strict_uses = e;
-    uses = e; kills = e; quiet = true }
+    uses = e; kills = e; quiet = true; step = untranslated }
 
 (* A slot's term of the key: its instruction's hash mixed with the slot
    index, so the same instruction in two slots adds two unrelated terms
@@ -42,29 +61,46 @@ let term k h =
 
 let cache_size = 1024
 
+let pending_size = 8
+
+(* Described by no table: the program of a table never refreshed. *)
+let nothing = { Program.slots = [||] }
+
 type t = {
+  mutable prog : Program.t;  (** the program described, physically *)
   mutable keys : Program.slot array;
   mutable facts : derived array;
   mutable terms : int array;
-  mutable defs : Liveness.Locset.t array;
-  mutable strict_uses : Liveness.Locset.t array;
-  mutable uses : Liveness.Locset.t array;
-  mutable kills : Liveness.Locset.t array;
+  mutable pos : int array;  (** [n + 1] entries; [pos.(n) = active] *)
+  mutable dense : derived array;
+  mutable steps : (unit -> unit) array;
+  mutable lats : int array;
+  mutable active : int;
   mutable key : int;  (** the sum of [terms] *)
   mutable latency : int;  (** the sum of the slots' [lat] *)
   mutable cache : derived array;
-      (** [unused] marks an empty entry; made by the first refresh, so a
+      (** [unused] marks an empty line; made by the first refresh, so a
           context that never evaluates allocates none *)
+  mutable translate : (Instr.t -> unit -> unit) option;
+  pending : int array;  (** slots set to an untranslated entry since *)
+  mutable npending : int;  (** the last [translate]; [-1]: too many *)
+  jslot : int array;  (** the journal: the slots the last move changed *)
+  jfact : derived array;  (** and their entries before it *)
+  mutable jlen : int;  (** entries journaled; -1 when a walk voided them *)
 }
 
 let create () =
-  { keys = [||]; facts = [||]; terms = [||]; defs = [||]; strict_uses = [||];
-    uses = [||]; kills = [||]; key = 0; latency = 0; cache = [||] }
+  { prog = nothing; keys = [||]; facts = [||]; terms = [||]; pos = [| 0 |];
+    dense = [||]; steps = [||]; lats = [||]; active = 0; key = 0; latency = 0;
+    cache = [||]; translate = None; pending = Array.make pending_size 0;
+    npending = -1; jslot = Array.make 2 0;
+    jfact = Array.make 2 unused; jlen = -1 }
 
 let derive i h =
   { instr = i; hash = h; lat = Latency.of_instr i; defs = Liveness.defs i;
     strict_uses = Liveness.strict_uses i; uses = Liveness.uses i;
-    kills = Liveness.kills i; quiet = Liveness.cannot_fault i }
+    kills = Liveness.kills i; quiet = Liveness.cannot_fault i;
+    step = untranslated }
 
 let lookup m i =
   let h = Instr.hash i in
@@ -81,56 +117,201 @@ let of_slot m = function
   | Program.Unused -> unused
   | Program.Active i -> lookup m i
 
-let set m k slot =
-  let d = of_slot m slot in
+let place m p d =
+  m.dense.(p) <- d;
+  m.steps.(p) <- d.step;
+  m.lats.(p) <- d.lat
+
+(* Open ([by = 1]) or close ([by = -1]) the dense index of slot [k]. *)
+let shift m k ~by =
+  let p = m.pos.(k) in
+  let from, into = if by > 0 then (p, p + 1) else (p + 1, p) in
+  let len = m.active - from in
+  Array.blit m.dense from m.dense into len;
+  Array.blit m.steps from m.steps into len;
+  Array.blit m.lats from m.lats into len;
+  let pos = m.pos in
+  for j = k + 1 to Array.length pos - 1 do
+    pos.(j) <- pos.(j) + by
+  done;
+  m.active <- m.active + by
+
+let note_pending m k =
+  let n = m.npending in
+  if n >= 0 then
+    if n < pending_size then begin
+      m.pending.(n) <- k;
+      m.npending <- n + 1
+    end
+    else m.npending <- -1
+
+(* Install entry [d] for [slot] at [k]. *)
+let set m k slot d =
+  if d.step == untranslated && d != unused then note_pending m k;
+  let old = m.facts.(k) in
   let t = term k d.hash in
   m.keys.(k) <- slot;
   m.key <- m.key - m.terms.(k) + t;
   m.terms.(k) <- t;
-  m.latency <- m.latency - m.facts.(k).lat + d.lat;
+  m.latency <- m.latency - old.lat + d.lat;
   m.facts.(k) <- d;
-  m.defs.(k) <- d.defs;
-  m.strict_uses.(k) <- d.strict_uses;
-  m.uses.(k) <- d.uses;
-  m.kills.(k) <- d.kills
+  if old != unused then begin
+    if d != unused then place m m.pos.(k) d else shift m k ~by:(-1)
+  end
+  else if d != unused then begin
+    shift m k ~by:1;
+    place m m.pos.(k) d
+  end
+
+let resize m n =
+  m.keys <- Array.make n Program.Unused;
+  m.facts <- Array.make n unused;
+  m.terms <- Array.init n (fun k -> term k unused_hash);
+  m.pos <- Array.make (n + 1) 0;
+  m.dense <- Array.make n unused;
+  m.steps <- Array.make n untranslated;
+  m.lats <- Array.make n 0;
+  m.active <- 0;
+  m.key <- Array.fold_left ( + ) 0 m.terms;
+  m.latency <- 0;
+  m.npending <- -1;
+  if Array.length m.cache = 0 then m.cache <- Array.make cache_size unused
 
 let refresh m (p : Program.t) =
   let slots = p.Program.slots in
   let n = Array.length slots in
-  if Array.length m.keys <> n then begin
-    (* the facts of [n] unused slots *)
-    let e = Liveness.Locset.empty in
-    m.keys <- Array.make n Program.Unused;
-    m.facts <- Array.make n unused;
-    m.terms <- Array.init n (fun k -> term k unused_hash);
-    m.defs <- Array.make n e;
-    m.strict_uses <- Array.make n e;
-    m.uses <- Array.make n e;
-    m.kills <- Array.make n e;
-    m.key <- Array.fold_left ( + ) 0 m.terms;
-    m.latency <- 0;
-    if Array.length m.cache = 0 then m.cache <- Array.make cache_size unused
+  let changed = ref (p != m.prog) in
+  if Array.length m.keys <> n || Array.length m.cache = 0 then begin
+    resize m n;
+    changed := true
   end;
   for k = 0 to n - 1 do
     let slot = slots.(k) in
-    if m.keys.(k) != slot then set m k slot
-  done
+    if m.keys.(k) != slot then begin
+      set m k slot (of_slot m slot);
+      changed := true
+    end
+  done;
+  m.prog <- p;
+  if !changed then m.jlen <- -1
+
+let journal m j k =
+  m.jslot.(j) <- k;
+  m.jfact.(j) <- m.facts.(k)
+
+let update m (p : Program.t) k =
+  let slot = p.Program.slots.(k) in
+  set m k slot (of_slot m slot)
+
+(* Whether the table describes [p] but for the slots a move just
+   changed. *)
+let follows m (p : Program.t) =
+  p == m.prog && Array.length m.keys = Array.length p.Program.slots
+
+let move m p k =
+  if follows m p then begin
+    journal m 0 k;
+    m.jlen <- 1;
+    update m p k
+  end
+  else refresh m p
+
+let swap m p a b =
+  if follows m p then begin
+    journal m 0 a;
+    journal m 1 b;
+    m.jlen <- 2;
+    update m p a;
+    update m p b
+  end
+  else refresh m p
+
+let revert m p =
+  if m.jlen >= 0 && follows m p then begin
+    (* [p]'s slot, which the undo may have rebuilt around the same
+       instruction, keys the journaled entry *)
+    for j = m.jlen - 1 downto 0 do
+      let k = m.jslot.(j) in
+      set m k p.Program.slots.(k) m.jfact.(j)
+    done;
+    m.jlen <- 0
+  end
+  else refresh m p
+
+let translate_entry f d = if d.step == untranslated then d.step <- f d.instr
+
+let translate m f =
+  (match m.translate with
+   | Some g when g == f -> ()
+   | _ ->
+     m.translate <- Some f;
+     (* a step made by another translator is stale: drop the cached
+        entries and untranslate the live ones *)
+     if Array.length m.cache > 0 then Array.fill m.cache 0 cache_size unused;
+     let forget d = if d != unused then d.step <- untranslated in
+     Array.iter forget m.facts;
+     Array.iter forget m.jfact;
+     m.npending <- -1);
+  if m.npending < 0 then
+    for p = 0 to m.active - 1 do
+      let d = m.dense.(p) in
+      translate_entry f d;
+      m.steps.(p) <- d.step
+    done
+  else
+    for j = 0 to m.npending - 1 do
+      let k = m.pending.(j) in
+      let d = m.facts.(k) in
+      if d != unused then begin
+        translate_entry f d;
+        m.steps.(m.pos.(k)) <- d.step
+      end
+    done;
+  m.npending <- 0
 
 let key m = m.key
-
 let latency m = m.latency
+let active m = m.active
+let steps m = m.steps
+let step_latencies m = m.lats
+
+(* The walks read the sets as the ints they are (see [Liveness.Locset]),
+   over the dense entries: an [Unused] slot neither reads nor writes. *)
+let rec reads_undefined dense n p defined =
+  p < n
+  &&
+  let d = dense.(p) in
+  (d.strict_uses :> int) land lnot defined <> 0
+  || reads_undefined dense n (p + 1) (defined lor (d.defs :> int))
 
 let has_undef_read m ~defined =
-  Liveness.reads_undefined defined ~strict_uses:m.strict_uses ~defs:m.defs
+  reads_undefined m.dense m.active 0 (defined : Liveness.Locset.t :> int)
+
+(* The locations live just after slot [k], backward from [live_out]
+   over the dense entries of the slots after it. *)
+let live_after m ~live_out k =
+  let dense = m.dense in
+  let live = ref (live_out : Liveness.Locset.t :> int) in
+  for p = m.active - 1 downto m.pos.(k + 1) do
+    let d = dense.(p) in
+    live := (!live land lnot (d.kills :> int)) lor (d.uses :> int)
+  done;
+  !live
 
 let dead_write m ~slot ~old ~live_out =
   let now = m.facts.(slot) in
   now.quiet
   &&
-  let before = of_slot m old in
+  let before =
+    match old with
+    | Program.Unused -> unused
+    | Program.Active i ->
+      (* the move's journaled entry, when it describes [old] *)
+      let j = m.jfact.(0) in
+      if m.jlen >= 1 && m.jslot.(0) = slot && j.instr == i then j
+      else lookup m i
+  in
   before.quiet
   &&
-  let written = Liveness.Locset.union now.defs before.defs in
-  Liveness.Locset.is_empty written
-  || Liveness.Locset.disjoint written
-       (Liveness.live_after ~uses:m.uses ~kills:m.kills ~live_out slot)
+  let written = (now.defs :> int) lor (before.defs :> int) in
+  written = 0 || written land live_after m ~live_out slot = 0

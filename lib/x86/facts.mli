@@ -1,61 +1,111 @@
-(** A per-slot memo of the static facts the search loop reads on every
-    proposal: each slot's latency ({!Latency.of_instr}), its hash term,
-    its {!Liveness.defs}, {!Liveness.strict_uses}, {!Liveness.uses} and
-    {!Liveness.kills}, and whether it can fault ({!Liveness.cannot_fault}).
+(** The search's slot table: one entry per slot of the program it
+    describes, holding everything the inner loop reads about that slot —
+    its key term, latency ({!Latency.of_instr}), {!Liveness.defs},
+    {!Liveness.strict_uses}, {!Liveness.uses}, {!Liveness.kills}, whether
+    it can fault ({!Liveness.cannot_fault}) and, once a run needed it
+    ({!translate}), its translated step.  One table serves the
+    cost-cache key, the [Sum_latency] perf term, the undef-read screen,
+    the dead-write elision and the compiled engine's step array.
 
-    A memo describes the program it was last {!refresh}ed with.  A refresh
-    compares each slot's instruction {e physically} with the one the
-    slot's facts came from and updates only the slots that differ —
-    instructions are never mutated in place (see {!Instr}), so a move
-    that changed one or two slots costs one or two updates plus a
-    compare per slot.  An updated slot takes its facts from a bounded
-    direct-mapped cache keyed by {!Instr.hash} and verified with
-    {!Instr.equal}, so an instruction equal to a recently seen one (the
-    instruction an undo restores, above all) is not derived again.  A
-    [Program.copy], or a program re-parsed into new instruction values,
-    is still described exactly.
+    {b Keeping it current.}  A table describes the program it was last
+    given, physically.  Two ways keep it so:
+    - {!refresh} walks every slot and updates those whose value differs
+      {e physically} from the one its entry was made for — instructions
+      are never mutated in place (see {!Instr}), so that is sound.  A
+      [Program.copy], or a program re-parsed into new instruction values,
+      is still described exactly.
+    - {!move} and {!swap} are told which slots a move changed: they
+      journal those slots' entries and update only them, with no walk;
+      {!revert}, after the move's undo, puts the journaled entries back
+      without a lookup.  If the table no longer describes the program
+      (another program was refreshed since), each of them walks instead.
 
-    The readers are kept current by each update, so none of them walks
-    every slot: {!key} and {!latency} are O(1), {!dead_write} walks the
-    slots after the one it asks about, and only {!has_undef_read} walks
-    the program.  [latency m = Latency.of_program p] after [refresh m p].
+    An updated slot takes its entry from a bounded direct-mapped cache
+    keyed by {!Instr.hash} and verified with {!Instr.equal}, so an
+    instruction equal to a recently seen one is neither derived nor
+    translated again.  The cache is made by the first refresh.
 
-    A memo is mutable and unsynchronised: one per search context
+    {b Dense steps.}  The table also keeps its active slots densely, in
+    program order: {!steps} and {!step_latencies} hold the first
+    {!active} entries' translated steps and latencies, so a run executes
+    no step for an [Unused] slot.  Changing an active slot replaces its
+    dense entry in place; only an [Unused] <-> active toggle shifts the
+    dense tail.
+
+    The readers are O(1) ({!key}, {!latency}) or walk the active slots
+    only ({!has_undef_read}, and {!dead_write} over the slots after the
+    one it asks about).  [latency m = Latency.of_program p] for the
+    program [p] it describes.
+
+    A table is mutable and unsynchronised: one per search context
     ([Search.Cost.t]), never shared across domains. *)
 
 type t
 
 val create : unit -> t
-(** An empty memo; the first refresh derives every slot. *)
+(** An empty table; the first refresh derives every slot. *)
 
 val refresh : t -> Program.t -> unit
-(** Make the memo describe the program's current slots. *)
+(** Make the table describe the program's current slots, by a walk. *)
+
+val move : t -> Program.t -> int -> unit
+(** [move m p k]: [p] is the program [m] describes with slot [k]
+    changed.  Journals slot [k]'s entry, then updates that slot only. *)
+
+val swap : t -> Program.t -> int -> int -> unit
+(** [swap m p a b]: as {!move}, for a move that changed slots [a] and
+    [b]. *)
+
+val revert : t -> Program.t -> unit
+(** [p] is back to the program [m] described before the last {!move} or
+    {!swap} (its undo may rebuild a slot around the same instruction):
+    the journaled entries go back, with no lookup. *)
+
+val translate : t -> (Instr.t -> unit -> unit) -> unit
+(** Make every active slot's step [f instr].  Entries are translated
+    when a run first needs them, not when they are made, so a proposal
+    that is screened out, answered from the cost cache or elided
+    translates nothing: the table notes the few slots that took an
+    untranslated entry since the last call and translates only those
+    (all active slots after a walk that changed many).  The table keeps
+    [f] (compared physically); a call with another translator drops
+    every step made by the previous one and empties the cache. *)
 
 val key : t -> int
-(** A structural hash of the program last refreshed, for the cost
-    cache: the wrapping sum over slots of a term that mixes the slot's
-    index with its instruction's {!Instr.hash} (a constant for
-    [Unused]).  A refresh subtracts a changed slot's old term and adds
-    its new one.  Equal programs have equal keys however they were
-    reached (a fresh memo refreshed with the same program gives the same
-    key); it is {e not} {!Program.hash}, which snapshots and the serve
-    memo keep using. *)
+(** A structural hash of the program described, for the cost cache: the
+    wrapping sum over slots of a term that mixes the slot's index with
+    its instruction's {!Instr.hash} (a constant for [Unused]).  An update
+    subtracts a changed slot's old term and adds its new one.  Equal
+    programs have equal keys however they were reached (a fresh table
+    refreshed with the same program gives the same key); it is {e not}
+    {!Program.hash}, which snapshots and the serve memo keep using. *)
 
 val latency : t -> int
-(** {!Latency.of_program} of the program last refreshed. *)
+(** {!Latency.of_program} of the program described. *)
+
+val active : t -> int
+(** The number of active slots. *)
+
+val steps : t -> (unit -> unit) array
+(** The active slots' steps, in program order: after {!translate}, the
+    first {!active} entries are valid.  The array is the table's own,
+    valid until its next update. *)
+
+val step_latencies : t -> int array
+(** The active slots' latencies, as {!steps}. *)
 
 val has_undef_read : t -> defined:Liveness.Locset.t -> bool
-(** Whether some slot of the program last refreshed reads, through its
+(** Whether some slot of the program described reads, through its
     {!Liveness.strict_uses}, a location that neither [defined] nor an
-    earlier slot's {!Liveness.defs} covers ({!Liveness.reads_undefined}). *)
+    earlier slot's {!Liveness.defs} covers. *)
 
 val dead_write :
   t -> slot:int -> old:Program.slot -> live_out:Liveness.Locset.t -> bool
-(** For a program last refreshed that differs from a previous one only
-    at [slot], which held [old]: whether both [old] and the slot's
-    current content are [Unused] or {!Liveness.cannot_fault}, and every
-    location either defines is dead after [slot] under [live_out]
-    ({!Liveness.live_after} over the memoized sets of the later slots).
-    Then the two programs leave every [live_out] location and every
-    fault the same on every machine, so their test outcomes are
-    identical. *)
+(** For a program described that differs from a previous one only at
+    [slot], which held [old]: whether both [old] and the slot's current
+    content are [Unused] or {!Liveness.cannot_fault}, and every location
+    either defines is dead after [slot] under [live_out] (a backward pass
+    over the later slots' uses and kills).  Then the two programs leave
+    every [live_out] location and every fault the same on every machine,
+    so their test outcomes are identical.  After a {!move} of [slot], the
+    journaled entry describes [old] without a lookup. *)

@@ -5,22 +5,23 @@
     (the search's moves copy the operand array before changing it, and an
     undo puts the original value back).  Caches may therefore key on
     physical identity, and these do:
-    - [Sandbox.Compiled]'s memo keeps, per slot, the instruction it last
-      installed there, and re-installs nothing while the slot still holds
-      that very instruction;
-    - {!Facts}, the search's per-slot facts memo, does the same for each
-      slot's hash term, latency, def/use sets and fault freedom — the
-      cost cache's key, the latency perf term, the undef-read screen and
-      the dead-write elision all read it;
+    - {!Facts}, the search's slot table, keeps per slot the slot value
+      its entry was made for — the hash term, latency, def/use sets,
+      fault freedom and [Sandbox.Compiled]'s translated closure — and a
+      walk ([Facts.refresh]) updates nothing while the slot still holds
+      that very value; the cost cache's key, the latency perf term, the
+      undef-read screen, the dead-write elision and the compiled
+      engine's steps all read it;
     - {!equal} answers [true] at once for two references to one
       instruction.
-    Both memos back their slots with a bounded direct-mapped cache keyed
+    The table backs its slots with a bounded direct-mapped cache keyed
     by {!hash} and verified with {!equal}, so an instruction equal to one
     seen earlier (an undo's restored instruction, or a move that rebuilds
-    a recent instruction) is looked up rather than translated or derived
-    again.  Those caches compare structurally and do not rely on the rule.
-    Mutating an instruction in place would leave both memos describing
-    the old one, silently: a change to this rule must change them. *)
+    a recent instruction) is looked up rather than derived and
+    translated again.  That cache compares structurally and does not
+    rely on the rule.  Mutating an instruction in place would leave the
+    table describing the old one, silently: a change to this rule must
+    change it. *)
 
 type t = {
   op : Opcode.t;

@@ -206,24 +206,6 @@ let merge_only_dst (i : Instr.t) =
 let strict_uses (i : Instr.t) =
   uses_via ~dst_read:(dst_is_source i && not (merge_only_dst i)) i
 
-let reads_undefined defined ~strict_uses ~defs =
-  let n = Array.length strict_uses in
-  let rec go k defined =
-    k < n
-    && (strict_uses.(k) land lnot defined <> 0
-       || go (k + 1) (defined lor defs.(k)))
-  in
-  go 0 defined
-
-(* Backward from [live_out] over the slots after [slot]; an [Unused]
-   slot is [Locset.empty] in both arrays. *)
-let live_after ~uses ~kills ~live_out slot =
-  let live = ref live_out in
-  for k = Array.length uses - 1 downto slot + 1 do
-    live := (!live land lnot kills.(k)) lor uses.(k)
-  done;
-  !live
-
 (* Does [i] rewrite all five flags?  [defines_flags] is the may-def
    over-approximation; two families write fewer: inc/dec preserve CF, and a
    shift whose masked count (count land 63 at width Q, land 31 at L) is zero

@@ -17,7 +17,9 @@ type loc =
     {!elements}, {!fold} and {!iter} visit locations in [Stdlib.compare]
     order on {!loc}: [Lflags], [Lmem], GPs by index, then XMMs by index. *)
 module Locset : sig
-  type t [@@immediate]
+  type t = private int
+  (** Readable as the [int] it is, so {!Facts}' walks over per-slot sets
+      are a few word ops per slot. *)
 
   val empty : t
   val is_empty : t -> bool
@@ -51,23 +53,6 @@ val strict_uses : Instr.t -> Locset.t
     incoming {e value} can reach the bits the instruction computes.  The
     static undef-read screen keys on these so a fresh-register merge write
     (e.g. [cvtsi2sd] into a never-written xmm) is not flagged. *)
-
-val reads_undefined :
-  Locset.t -> strict_uses:Locset.t array -> defs:Locset.t array -> bool
-(** [reads_undefined defined ~strict_uses ~defs] walks the slots in order
-    and is [true] when some slot [k]'s [strict_uses.(k)] is not within
-    [defined] plus the [defs] of the slots before it (an [Unused] slot is
-    {!Locset.empty} in both).  This is the undef-read screen's loop over
-    {!Facts}' per-slot sets; it lives here, next to the set
-    representation, so each slot costs a few word ops and no call. *)
-
-val live_after :
-  uses:Locset.t array -> kills:Locset.t array -> live_out:Locset.t -> int ->
-  Locset.t
-(** [live_after ~uses ~kills ~live_out k]: the locations live just after
-    slot [k], from the per-slot {!uses} and {!kills} of the slots after it
-    ({!Locset.empty} for an [Unused] slot) — {!live_before}'s backward
-    pass over the suffix only.  {!Facts} runs it over its memoized sets. *)
 
 val cannot_fault : Instr.t -> bool
 (** The instruction is well formed and has no memory operand ([lea]'s

@@ -342,7 +342,41 @@ let of_string s =
   | [] -> None
   | op :: _ -> Some op
 
-let equal a b = Stdlib.compare a b = 0
+(* Structural equality without [Stdlib.compare]'s C call: constant
+   constructors are immediates, equal exactly when physically equal, and
+   the last arm names every constructor, so a new one cannot be missed. *)
+let equal a b =
+  a == b
+  ||
+  match a, b with
+  | Mov w, Mov w' | Lea w, Lea w' | Add w, Add w' | Sub w, Sub w'
+  | Imul w, Imul w' | And w, And w' | Or w, Or w' | Xor w, Xor w'
+  | Not w, Not w' | Neg w, Neg w' | Inc w, Inc w' | Dec w, Dec w'
+  | Shl w, Shl w' | Shr w, Shr w' | Sar w, Sar w' | Cmp w, Cmp w'
+  | Test w, Test w' | Cvtsi2sd w, Cvtsi2sd w' | Cvtsi2ss w, Cvtsi2ss w'
+  | Cvttsd2si w, Cvttsd2si w' | Cvttss2si w, Cvttss2si w'
+  | Cvtsd2si w, Cvtsd2si w' ->
+    w == w'
+  | Cmov (c, w), Cmov (c', w') -> c == c' && w == w'
+  | Setcc c, Setcc c' -> c == c'
+  | ( Mov _ | Lea _ | Add _ | Sub _ | Imul _ | And _ | Or _ | Xor _ | Not _
+  | Neg _ | Inc _ | Dec _ | Shl _ | Shr _ | Sar _ | Cmp _ | Test _
+  | Cvtsi2sd _ | Cvtsi2ss _ | Cvttsd2si _ | Cvttss2si _ | Cvtsd2si _
+  | Cmov _ | Setcc _ | Movabs | Movss | Movsd | Movaps | Movups | Lddqu
+  | Movq | Movd | Movlhps | Movhlps | Addss | Addsd | Subss | Subsd | Mulss
+  | Mulsd | Divss | Divsd | Sqrtss | Sqrtsd | Minss | Minsd | Maxss | Maxsd
+  | Ucomiss | Ucomisd | Comiss | Comisd | Andps | Andpd | Andnps | Orps
+  | Orpd | Xorps | Xorpd | Pand | Por | Pxor | Paddd | Paddq | Psubd | Psubq
+  | Addps | Addpd | Subps | Subpd | Mulps | Mulpd | Divps | Divpd | Minps
+  | Maxps | Shufps | Pshufd | Pshuflw | Punpckldq | Punpcklqdq | Unpcklps
+  | Unpcklpd | Pslld | Psrld | Psllq | Psrlq | Cvtss2sd | Cvtsd2ss | Roundsd
+  | Roundss | Vaddss | Vaddsd | Vsubss | Vsubsd | Vmulss | Vmulsd | Vdivss
+  | Vdivsd | Vminss | Vminsd | Vmaxss | Vmaxsd | Vsqrtsd | Vaddps | Vsubps
+  | Vmulps | Vaddpd | Vmulpd | Vxorps | Vandps | Vpshuflw | Vunpcklps
+  | Vfmadd132sd | Vfmadd213sd | Vfmadd231sd | Vfmadd132ss | Vfmadd213ss
+  | Vfmadd231ss | Vfnmadd213sd | Vfnmadd231sd | Vfmsub213sd ), _ ->
+    false
+
 let compare = Stdlib.compare
 let pp ppf op = Format.pp_print_string ppf (to_string op)
 

@@ -24,10 +24,12 @@ val kind_matches : kind -> Operand.t -> bool
 (** Does the operand inhabit the kind?  (Immediates are range-checked.) *)
 
 val shapes : Opcode.t -> kind array list
-(** All admissible shapes of the opcode, in AT&T operand order. *)
+(** All admissible shapes of the opcode, in AT&T operand order.  The
+    lists are built once and shared by every call: do not mutate them. *)
 
 val shape_of : Opcode.t -> Operand.t array -> kind array option
-(** The shape the given operands inhabit for this opcode, if any. *)
+(** The first of the opcode's shapes the given operands inhabit, if any.
+    Allocates only its [Some]. *)
 
 val equal_kind : kind -> kind -> bool
 val equal_shape : kind array -> kind array -> bool

@@ -1256,14 +1256,17 @@ let alloc_tests =
 (* ----- the compiled engine's per-slot translation memo ----- *)
 
 (* A random walk of proposals and undos over exp, preparing every
-   program through one long-lived memo.  After each step the memoized
-   prepare must agree with a cold [Compiled.compile] and with the
-   interpreter on a finishing and a faulting test: outcome, fault,
-   cycles, executed count and the whole machine.  The walk starts from
-   exp plus one load through rdi, so memory operands are in the pools and
-   a test whose rdi points outside the arena faults — also after an
-   [Unused] slot, whose no-op must not count as executed.  A second
-   prepare of the unchanged program must allocate only its result. *)
+   program through one long-lived memo, twice: over a slot table
+   refreshed by a walk, and over one that only the moves update
+   ([Facts.move]/[swap], and [revert] after an undo), as the search
+   drives it.  After each step both must agree with a cold
+   [Compiled.compile] and with the interpreter on a finishing and a
+   faulting test: outcome, fault, cycles, executed count and the whole
+   machine.  The walk starts from exp plus one load through rdi, so
+   memory operands are in the pools and a test whose rdi points outside
+   the arena faults — also after [Unused] slots, which have no step in
+   the dense array, so the fault's executed count and cycles must skip
+   them.  A second prepare of the unchanged program allocates nothing. *)
 let memo_walk_tests =
   [
     Alcotest.test_case "memoized prepare matches cold compile and interp"
@@ -1293,47 +1296,61 @@ let memo_walk_tests =
         in
         let m = Sandbox.Machine.create ~mem_size () in
         let memo = Sandbox.Compiled.memo m in
+        let walked = Facts.create () and table = Facts.create () in
+        Facts.refresh table p;
         let finished = ref 0 and faulted = ref 0 and gapped = ref 0 in
-        (* the slot the [executed]th instruction ran in, and whether an
-           [Unused] slot came before it *)
+        let wide_gaps = ref 0 in
+        (* how many [Unused] slots come before the slot the [executed]th
+           instruction ran in *)
         let unused_before executed =
           let rec go k active gap =
             match p.Program.slots.(k) with
-            | Program.Unused -> go (k + 1) active true
+            | Program.Unused -> go (k + 1) active (gap + 1)
             | Program.Active _ ->
               if active + 1 = executed then gap else go (k + 1) (active + 1) gap
           in
-          go 0 0 false
+          go 0 0 0
         in
         let check step =
-          let cp = Sandbox.Compiled.prepare memo p in
           List.iter
-            (fun (label, st) ->
-              Sandbox.Machine.restore_from ~src:st ~dst:m;
-              let r = Sandbox.Compiled.exec cp in
-              (match r.Sandbox.Exec.outcome with
-               | Sandbox.Exec.Finished -> incr finished
-               | Sandbox.Exec.Faulted _ ->
-                 incr faulted;
-                 if unused_before r.Sandbox.Exec.executed then incr gapped);
-              let mc = Sandbox.Machine.copy st in
-              let rc = Sandbox.Compiled.exec (Sandbox.Compiled.compile mc p) in
-              let mi = Sandbox.Machine.copy st in
-              let ri = Sandbox.Exec.run mi p in
+            (fun (how, prepare) ->
+              let cp = prepare () in
               List.iter
-                (fun (reference, ref_run) ->
-                  same ~reference
-                    (Printf.sprintf "step %d, %s test\n%s" step label (Program.to_string p))
-                    "memo" ref_run (r, m))
-                [ ("cold compile", (rc, mc)); ("interp", (ri, mi)) ])
-            tests;
-          (* preparing the unchanged program again writes no slot: it
-             allocates its result record (4 fields) and nothing else *)
+                (fun (label, st) ->
+                  Sandbox.Machine.restore_from ~src:st ~dst:m;
+                  let r = Sandbox.Compiled.exec cp in
+                  (match r.Sandbox.Exec.outcome with
+                   | Sandbox.Exec.Finished -> incr finished
+                   | Sandbox.Exec.Faulted _ ->
+                     incr faulted;
+                     let gap = unused_before r.Sandbox.Exec.executed in
+                     if gap > 0 then incr gapped;
+                     if gap > 1 then incr wide_gaps);
+                  let mc = Sandbox.Machine.copy st in
+                  let rc = Sandbox.Compiled.exec (Sandbox.Compiled.compile mc p) in
+                  let mi = Sandbox.Machine.copy st in
+                  let ri = Sandbox.Exec.run mi p in
+                  List.iter
+                    (fun (reference, ref_run) ->
+                      same ~reference
+                        (Printf.sprintf "step %d, %s test, %s\n%s" step label how
+                           (Program.to_string p))
+                        "memo" ref_run (r, m))
+                    [ ("cold compile", (rc, mc)); ("interp", (ri, mi)) ])
+                tests)
+            [ ("walked table",
+               fun () ->
+                 Facts.refresh walked p;
+                 Sandbox.Compiled.prepare memo walked);
+              ("move-fed table", fun () -> Sandbox.Compiled.prepare memo table) ];
+          (* refreshing and preparing the unchanged program again writes
+             no slot and allocates nothing *)
           let before = Gc.minor_words () in
-          let again = Sandbox.Compiled.prepare memo p in
+          Facts.refresh walked p;
+          let again = Sandbox.Compiled.prepare memo walked in
           let words = Gc.minor_words () -. before in
           ignore (Sys.opaque_identity again);
-          if words > 5. then
+          if words > 0. then
             Alcotest.failf "step %d: an unchanged prepare allocated %.0f words"
               step words
         in
@@ -1348,11 +1365,15 @@ let memo_walk_tests =
             incr step;
             if kind = Search.Transform.Swap_move then incr swaps;
             if Program.length p <> before then incr resizes;
+            (match u with
+             | Search.Transform.Restore_slot (k, _) -> Facts.move table p k
+             | Search.Transform.Restore_swap (a, b) -> Facts.swap table p a b);
             check !step;
             (* undo most proposals, as the search does, so slots go back
                to instructions the memo translated earlier *)
             if Rng.Dist.int g 8 > 0 then begin
               Search.Transform.undo p u;
+              Facts.revert table p;
               incr undos;
               check !step
             end
@@ -1364,7 +1385,49 @@ let memo_walk_tests =
           [ ("swaps", !swaps); ("active<->unused moves", !resizes);
             ("undos", !undos); ("finishing runs", !finished);
             ("faulting runs", !faulted);
-            ("faulting runs with an unused slot before the fault", !gapped) ]);
+            ("faulting runs with an unused slot before the fault", !gapped);
+            ("faulting runs with several unused slots before the fault", !wide_gaps) ]);
+    (* The search prepares through the engine seam once per evaluated
+       proposal and scores raw register bits: on the compiled engine,
+       preparing a program its table describes allocates nothing, and
+       running its tests allocates only the outcome. *)
+    Alcotest.test_case "an engine prepare and its test runs allocate nothing"
+      `Quick (fun () ->
+        let spec = Kernels.S3d.exp_spec in
+        let tests =
+          Array.init 8 (fun _ -> Sandbox.Spec.random_testcase (Rng.Xoshiro256.create 3L) spec)
+        in
+        let lanes =
+          Sandbox.Engine.lanes (Sandbox.Engine.of_engine Sandbox.Exec.Compiled) spec tests
+        in
+        let table = Facts.create () in
+        let p = Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program) in
+        Facts.refresh table p;
+        let order = Array.init (Array.length tests) Fun.id in
+        let finished = ref 0 in
+        let score _ ok _ =
+          if ok then incr finished;
+          false
+        in
+        let diverges _ = false in
+        let round () =
+          Sandbox.Engine.run (Sandbox.Engine.prepare_table lanes table p) ~order ~diverges
+            score
+        in
+        ignore (round () : Sandbox.Engine.outcome);
+        let before = Gc.minor_words () in
+        let rounds = 1000 in
+        for _ = 1 to rounds do
+          ignore (Sys.opaque_identity (round ()))
+        done;
+        let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
+        Printf.printf "%.1f minor words per prepare and %d runs\n" per_round
+          (Array.length tests);
+        (* the outcome record and the engine's [Some] around it *)
+        if per_round > 5. then
+          Alcotest.failf "%.1f minor words per prepare and %d runs" per_round
+            (Array.length tests);
+        Alcotest.(check int) "every run finished" ((rounds + 1) * Array.length tests) !finished);
   ]
 
 (* This Alcotest has no skip support, so where the capability probe says
@@ -1444,8 +1507,8 @@ let native_tests =
            | Some np ->
              let outputs () =
                if Sandbox.Native.exec np then Alcotest.fail "worker crashed";
-               ( Sandbox.Native.read_outputs b ~lane:0 spec,
-                 Sandbox.Native.read_outputs b ~lane:1 spec )
+               ( Bytes.copy (Sandbox.Native.lane_regs b ~lane:0),
+                 Bytes.copy (Sandbox.Native.lane_regs b ~lane:1) )
              in
              let o0, o1 = outputs () in
              Sandbox.Native.reset b;

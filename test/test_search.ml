@@ -326,6 +326,241 @@ let elision_walk spec ~params ~seed ~steps =
   if !checked < 100 || !ran < 100 then
     Alcotest.failf "walk too narrow: %d elided, %d run" !checked !ran
 
+(* ----- the search's slot table against fresh ones ----- *)
+
+(* The optimizer's loop by hand: every proposal updates the cost
+   context's table through the move ([Facts.move]/[swap]), the screen
+   reads it, an evaluation passes the move (so cache hits and dead-write
+   elisions happen), and a rejected or screened-out proposal is undone
+   with [Facts.revert].  Now and then an unrelated [Cost.eval_full]
+   makes the table describe another program, between a move and its
+   undo or before the next move, which must then walk.  After every
+   move and every undo the table's key, latency, screen verdict and
+   dead-write verdict must be those of a fresh table on [cur], and every
+   evaluation, run on the compiled engine through the table's dense
+   steps unless answered without running, must equal the interpreter's
+   full cost bit for bit. *)
+let table_walk spec ~seed ~steps =
+  let tests = Stoke.make_tests ~n:16 ~seed:99L spec in
+  let params = Search.Cost.default_params ~eta:0L in
+  let ctx = Search.Cost.create spec params tests in
+  let reference =
+    Search.Cost.create ~use_cache:false ~engine:Sandbox.Exec.Interp spec params tests
+  in
+  let table = Search.Cost.facts ctx in
+  let env = Analysis.Screen.env_of_spec ~facts:table spec in
+  let fresh_env () = Analysis.Screen.env_of_spec spec in
+  let live_out = Sandbox.Spec.live_out_set spec in
+  let pools = pools_of spec in
+  let g = Rng.Xoshiro256.create seed in
+  let cur = Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program) in
+  (* the target, padded as [cur] is: the table can only tell the two
+     apart by which program it was last given *)
+  let other = Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program) in
+  let cur_cost = ref (Search.Cost.eval_full ctx cur) in
+  let rejects = ref 0 and detours = ref 0 and dead = ref 0 in
+  let agree step what =
+    let where = Printf.sprintf "step %d, %s" step what in
+    let fresh = Facts.create () in
+    Facts.refresh fresh cur;
+    let differs what a b = if a <> b then Alcotest.failf "%s: %s %d, fresh %d" where what a b in
+    differs "key" (Facts.key table) (Facts.key fresh);
+    differs "latency" (Facts.latency table) (Facts.latency fresh);
+    differs "screen"
+      (Bool.to_int (Analysis.Screen.has_undef_read ~refreshed:true env cur))
+      (Bool.to_int (Analysis.Screen.has_undef_read (fresh_env ()) cur));
+    fresh
+  in
+  let bits = Int64.bits_of_float in
+  let detour () =
+    incr detours;
+    ignore (Search.Cost.eval_full ctx other : Search.Cost.cost)
+  in
+  for step = 1 to steps do
+    match Search.Transform.propose g pools cur with
+    | None -> ()
+    | Some (_, undo) ->
+      (match undo with
+       | Search.Transform.Restore_slot (k, _) -> Facts.move table cur k
+       | Search.Transform.Restore_swap (a, b) -> Facts.swap table cur a b);
+      let fresh = agree step "after the move" in
+      (match undo with
+       | Search.Transform.Restore_slot (slot, old) ->
+         let verdict = Facts.dead_write table ~slot ~old ~live_out in
+         if verdict then incr dead;
+         if verdict <> Facts.dead_write fresh ~slot ~old ~live_out then
+           Alcotest.failf "step %d: dead write %b, fresh %b" step verdict (not verdict)
+       | Search.Transform.Restore_swap _ -> ());
+      let take_back () =
+        Search.Transform.undo cur undo;
+        Facts.revert table cur;
+        ignore (agree step "after the undo" : Facts.t)
+      in
+      if Analysis.Screen.has_undef_read ~refreshed:true env cur then begin
+        incr rejects;
+        if Rng.Dist.int g 5 = 0 then detour ();
+        take_back ()
+      end
+      else begin
+        let move =
+          match undo with
+          | Search.Transform.Restore_slot (slot, old) ->
+            Some { Search.Cost.before = !cur_cost; slot; old }
+          | Search.Transform.Restore_swap _ -> None
+        in
+        let c =
+          match Search.Cost.eval ~refreshed:true ?move ctx cur with
+          | Search.Cost.Evaluated c -> c
+          | Search.Cost.Pruned _ -> assert false (* no cutoff *)
+        in
+        let r = Search.Cost.eval_full reference cur in
+        if
+          not
+            (Int64.equal (bits c.Search.Cost.eq) (bits r.Search.Cost.eq)
+            && Int64.equal (bits c.Search.Cost.total) (bits r.Search.Cost.total)
+            && c.Search.Cost.signals = r.Search.Cost.signals
+            && Int64.equal c.Search.Cost.max_ulp r.Search.Cost.max_ulp)
+        then
+          Alcotest.failf "step %d: table eq %h total %h, interpreter eq %h total %h\n%s"
+            step c.Search.Cost.eq c.Search.Cost.total r.Search.Cost.eq
+            r.Search.Cost.total (Program.to_string cur);
+        if Rng.Dist.int g 5 = 0 then detour ();
+        if Rng.Dist.int g 3 = 0 then cur_cost := c else take_back ()
+      end
+  done;
+  List.iter
+    (fun (what, n) ->
+      Printf.printf "%s: %d\n" what n;
+      if n = 0 then Alcotest.failf "the walk saw no %s" what)
+    [ ("screen rejects", !rejects); ("cache hits", Search.Cost.cache_hits ctx);
+      ("elided moves", Search.Cost.elided ctx); ("dead writes", !dead);
+      ("unrelated evaluations", !detours) ]
+
+let table_tests =
+  [
+    Alcotest.test_case "the move-fed table equals a fresh one on an exp walk" `Quick
+      (fun () -> table_walk exp_spec ~seed:51L ~steps:2_000);
+    Alcotest.test_case "the move-fed table equals a fresh one on a sin walk" `Quick
+      (fun () -> table_walk Kernels.Libimf.sin_spec ~seed:52L ~steps:2_000);
+    Alcotest.test_case "the move-fed table equals a fresh one on an add walk" `Quick
+      (fun () -> table_walk add_spec ~seed:53L ~steps:2_000);
+  ]
+
+(* ----- the raw-bit scorer against the value-level oracle ----- *)
+
+(* Every output kind with the bits each test puts there: the target
+   leaves xmm0 (f64), xmm1's two low dwords (f32 low and f32 high) and
+   rax as the test sets them, and the rewrite copies xmm8, xmm9 and r8
+   over them, so each output's expected and actual bits are picked per
+   test from edge values: signalling and quiet NaNs with payloads, ±0,
+   ±inf, subnormals, the largest finite values.  Either program loads
+   through a register the test points inside or outside the arena, so
+   each can fault on its own. *)
+let f64_edges =
+  [ 0L; Int64.min_int; 0x3ff0000000000000L; 0x3ff0000000000001L; 0xbff0000000000000L;
+    0x7ff0000000000000L; 0xfff0000000000000L; 0x7ff8000000000000L;
+    0x7ff8000000000123L; 0xfff8000000000000L; 0x7ff0000000000001L;
+    0x7ff4000000000000L; 0xfff0000000000001L; 1L; 0x000fffffffffffffL;
+    0x7fefffffffffffffL; 0x0010000000000000L; 0x8000000000000001L ]
+
+let f32_edges =
+  [ 0l; Int32.min_int; 0x3f800000l; 0x3f800001l; 0xbf800000l; 0x7f800000l;
+    0xff800000l; 0x7fc00000l; 0x7fc00123l; 0xffc00000l; 0x7f800001l; 0x7fa00000l;
+    0xff800001l; 1l; 0x007fffffl; 0x7f7fffffl; 0x00800000l; 0x80000001l ]
+
+let gp_edges = [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 12345L; -12345L ]
+
+let scorer_spec =
+  let p s = Parser.parse_program_exn s in
+  Sandbox.Spec.make ~name:"scorer"
+    ~program:(p "movsd (r10), xmm11")
+    ~outputs:
+      [ Sandbox.Spec.Out_xmm_f64 Reg.Xmm0; Sandbox.Spec.Out_xmm_f32 Reg.Xmm1;
+        Sandbox.Spec.Out_xmm_f32_hi Reg.Xmm1; Sandbox.Spec.Out_gp Reg.Rax ]
+    ()
+
+let scorer_rewrite =
+  Parser.parse_program_exn
+    "movsd (r9), xmm10\nmovsd xmm8, xmm0\nmovsd xmm9, xmm1\nmovq r8, rax"
+
+let scorer_tests g ~faults n =
+  let pick l = List.nth l (Rng.Dist.int g (List.length l)) in
+  let base =
+    Sandbox.Memory.base
+      (Sandbox.Machine.create ~mem_size:scorer_spec.Sandbox.Spec.mem_size ())
+        .Sandbox.Machine.mem
+  in
+  let addr () = if faults && Rng.Dist.int g 4 = 0 then 0x10L else base in
+  let dwords () =
+    Int64.logor
+      (Int64.logand (Int64.of_int32 (pick f32_edges)) 0xffff_ffffL)
+      (Int64.shift_left (Int64.of_int32 (pick f32_edges)) 32)
+  in
+  Array.init n (fun _ ->
+      (* sometimes the same bits on both sides *)
+      let f64 = pick f64_edges and lanes = dwords () and gp = pick gp_edges in
+      let same = Rng.Dist.int g 4 = 0 in
+      Sandbox.Testcase.empty
+      |> Sandbox.Testcase.with_xmm Reg.Xmm0 (f64, 0L)
+      |> Sandbox.Testcase.with_xmm Reg.Xmm8 ((if same then f64 else pick f64_edges), 0L)
+      |> Sandbox.Testcase.with_xmm Reg.Xmm1 (lanes, 0L)
+      |> Sandbox.Testcase.with_xmm Reg.Xmm9 ((if same then lanes else dwords ()), 0L)
+      |> Sandbox.Testcase.with_gp Reg.Rax gp
+      |> Sandbox.Testcase.with_gp Reg.R8 (if same then gp else pick gp_edges)
+      |> Sandbox.Testcase.with_gp Reg.R9 (addr ())
+      |> Sandbox.Testcase.with_gp Reg.R10 (addr ()))
+
+let scorer_tests_group =
+  [
+    Alcotest.test_case "raw-bit scoring equals the value-level oracle" `Quick
+      (fun () ->
+        let g = Rng.Xoshiro256.create 2718L in
+        let bits = Int64.bits_of_float in
+        let compared = ref 0 and nan_seen = ref 0 in
+        for round = 1 to 60 do
+          let tests = scorer_tests g ~faults:(round mod 3 = 0) 8 in
+          let run p = Array.map (Oracles.Scorer.outputs scorer_spec p) tests in
+          let expected = run scorer_spec.Sandbox.Spec.program in
+          let actual = run scorer_rewrite in
+          let perf = float_of_int (Latency.of_program scorer_rewrite) in
+          List.iter
+            (fun eta ->
+              List.iter
+                (fun metric ->
+                  List.iter
+                    (fun reduction ->
+                      let params =
+                        { (Search.Cost.default_params ~eta) with
+                          Search.Cost.metric; reduction }
+                      in
+                      let ctx =
+                        Search.Cost.create ~use_cache:false scorer_spec params tests
+                      in
+                      let c = Search.Cost.eval_full ctx scorer_rewrite in
+                      let o = Oracles.Scorer.score params ~expected ~actual ~perf in
+                      if Float.is_nan c.Search.Cost.eq then incr nan_seen;
+                      incr compared;
+                      if
+                        not
+                          (Int64.equal (bits c.Search.Cost.eq) (bits o.Search.Cost.eq)
+                          && Int64.equal (bits c.Search.Cost.perf) (bits o.Search.Cost.perf)
+                          && Int64.equal (bits c.Search.Cost.total) (bits o.Search.Cost.total)
+                          && c.Search.Cost.signals = o.Search.Cost.signals
+                          && Int64.equal c.Search.Cost.max_ulp o.Search.Cost.max_ulp)
+                      then
+                        Alcotest.failf
+                          "round %d, eta %Lu: raw eq %h total %h signals %d max_ulp %Lu; \
+                           oracle eq %h total %h signals %d max_ulp %Lu"
+                          round eta c.Search.Cost.eq c.Search.Cost.total
+                          c.Search.Cost.signals c.Search.Cost.max_ulp o.Search.Cost.eq
+                          o.Search.Cost.total o.Search.Cost.signals o.Search.Cost.max_ulp)
+                    [ Search.Cost.Max; Search.Cost.Sum ])
+                [ Search.Cost.Ulp_metric; Search.Cost.Abs_metric; Search.Cost.Rel_metric ])
+            [ 0L; 1L; 1_000_000L; 0x4000_0000_0000_0000L ]
+        done;
+        Printf.printf "%d costs compared\n" !compared);
+  ]
+
 let elision_tests =
   let sum_rel =
     { (Search.Cost.default_params ~eta:0L) with
@@ -496,14 +731,13 @@ let cost_tests =
           let engine = Sandbox.Exec.Native
           let available () = true
           let translates = true
+          let uses_table = false
 
           type lanes = unit
 
           let lanes _ _ = ()
 
-          type prog = unit
-
-          let prepare () _ = Some ()
+          let prepare () _ _ = true
           let run () ~order:_ ~diverges:_ _ = None
           let respawns () = 0
 
@@ -1977,6 +2211,8 @@ let () =
       ("facts", facts_tests);
       ("cost", cost_tests);
       ("elision", elision_tests);
+      ("scorer", scorer_tests_group);
+      ("table", table_tests);
       ("strategy", strategy_tests);
       ("optimizer", optimizer_tests);
       ("perf-model-synthesis", perf_model_tests);

@@ -577,7 +577,9 @@ let smoke_tests =
                    (req tenant seed proposals)))
             ()
         in
-        let busy = submit "a" 21 150_000 in
+        (* the busy job must outlast the 0.4 s of submissions below by a
+           wide margin: about a second of search on one core *)
+        let busy = submit "a" 21 600_000 in
         Unix.sleepf 0.3 (* let the busy job occupy the worker *);
         let t1 = submit "a" 22 400 in
         Unix.sleepf 0.05;

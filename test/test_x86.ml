@@ -75,6 +75,20 @@ let opcode_tests =
           Opcode.all);
     Alcotest.test_case "movq mnemonic is shared" `Quick (fun () ->
         Alcotest.(check int) "two movq" 2 (List.length (Opcode.all_of_string "movq")));
+    Alcotest.test_case "equal is structural equality" `Quick (fun () ->
+        (* every pair, each side also as a fresh copy, so no answer can
+           come from physical identity alone *)
+        let copy (op : Opcode.t) : Opcode.t = Marshal.from_string (Marshal.to_string op []) 0 in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                let want = Stdlib.compare a b = 0 in
+                if Opcode.equal a b <> want || Opcode.equal (copy a) (copy b) <> want then
+                  Alcotest.failf "equal %s %s is not %b" (Opcode.to_string a)
+                    (Opcode.to_string b) want)
+              Opcode.all)
+          Opcode.all);
   ]
 
 let parser_tests =
