@@ -418,7 +418,7 @@ let run_verify () =
    [Stoke.optimize] per kernel on the compiled engine (the run's own
    words, from [Optimizer.result.minor_words]; set-up is not counted).
    The figures are those of the dev profile [dune runtest] builds. *)
-let expected_minor_words = [ ("exp", 460797); ("sin", 420242) ]
+let expected_minor_words = [ ("exp", 475225); ("sin", 437159) ]
 
 let run_allocation () =
   let config =

@@ -1198,22 +1198,23 @@ let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   if Array.length i.Instr.operands = 0 then generic_closure m i
   else specialize m i
 
-(* A memo binds a slot table ([Facts]) to one machine's translator: the
+(* A memo is a slot table ([Facts]) translating for one machine: the
    table keeps each slot's closure with its other facts, and its active
-   slots' closures densely, so a prepare translates only the slots that
-   changed and a run calls no step for an [Unused] slot. *)
+   slots' closures densely, so a prepare reads four fields and a run
+   calls no step for an [Unused] slot. *)
 type memo = {
-  translate : Instr.t -> unit -> unit;
+  table : Facts.t;
   view : t;  (** the program last prepared, over the table's arrays *)
 }
 
 let memo m =
-  { translate = instr_closure m;
+  { table = Facts.create ~translate:(instr_closure m) ();
     view = { steps = [||]; lats = [||]; count = 0; cycles = 0; ran = 0 } }
 
-let prepare memo table =
-  Facts.translate table memo.translate;
-  let v = memo.view in
+let table memo = memo.table
+
+let prepare memo =
+  let table = memo.table and v = memo.view in
   v.steps <- Facts.steps table;
   v.lats <- Facts.step_latencies table;
   v.count <- Facts.active table;

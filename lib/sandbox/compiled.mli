@@ -32,27 +32,28 @@ val compile : Machine.t -> Program.t -> t
 
 type memo
 (** A translator bound to one machine, for programs that change a slot
-    at a time.  The closures live in a slot table ({!X86.Facts}), next
-    to each slot's other facts: the table translates a slot when a run
-    first needs it, keeps its active slots' closures densely, and is
-    updated only at the slots a move changed, so a prepare copies four
-    fields.  An entry comes from the table's bounded direct-mapped cache
-    keyed by {!X86.Instr.hash} and verified with {!X86.Instr.equal}, so
-    an instruction equal to one translated recently (the one an undo
-    restores) is not translated again. *)
+    at a time: a slot table ({!X86.Facts}) whose entries are translated
+    for the machine when they are derived.  The table keeps its active
+    slots' closures densely and is updated only at the slots a move
+    changed, so a prepare copies four fields.  An entry comes from the
+    table's bounded direct-mapped cache keyed by {!X86.Instr.hash} and
+    verified with {!X86.Instr.equal}, so an instruction equal to one
+    translated recently (the one an undo restores) is not translated
+    again. *)
 
 val memo : Machine.t -> memo
-(** A translator for [m]. *)
+(** A translator for [m], with an empty table. *)
 
-val prepare : memo -> X86.Facts.t -> t
-(** [prepare memo table] behaves as [compile m p] for the memo's machine
-    [m] and the program [p] the table describes ({!X86.Facts.refresh},
-    or the moves that made [p]): it translates the table's untranslated
-    active slots ({!X86.Facts.translate}) and returns the memo's one
-    prepared program, which reads the table's arrays.  It is valid until
+val table : memo -> X86.Facts.t
+(** The memo's table.  The caller keeps it describing the program to
+    prepare: {!X86.Facts.refresh}, or the moves that made it. *)
+
+val prepare : memo -> t
+(** [prepare memo] behaves as [compile m p] for the memo's machine [m]
+    and the program [p] its table describes.  It returns the memo's one
+    prepared program, which reads the table's arrays: it is valid until
     the next prepare on the same memo or the next update of the table,
-    so run it first.  It allocates nothing but the new slots'
-    translations. *)
+    so run it first.  It allocates nothing. *)
 
 val exec : t -> Exec.result
 (** Run the compiled trace on its machine, stopping at the first fault.

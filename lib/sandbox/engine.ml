@@ -34,12 +34,12 @@ module type S = sig
   val engine : Exec.engine
   val available : unit -> bool
   val translates : bool
-  val uses_table : bool
 
   type lanes
 
   val lanes : Spec.t -> Testcase.t array -> lanes
-  val prepare : lanes -> Facts.t -> Program.t -> bool
+  val table : lanes -> Facts.t
+  val prepare : lanes -> Program.t -> bool
 
   val run :
     lanes -> order:int array -> diverges:(int -> bool) -> score -> outcome option
@@ -105,10 +105,10 @@ module Interp_engine = struct
   let engine = Exec.Interp
   let available () = true
   let translates = false
-  let uses_table = false
 
   type lanes = {
     scalar : scalar;
+    table : Facts.t;
     prog : Program.t ref;
     exec : unit -> bool;
   }
@@ -121,9 +121,11 @@ module Interp_engine = struct
       | Exec.Finished -> true
       | Exec.Faulted _ -> false
     in
-    { scalar; prog; exec }
+    { scalar; table = Facts.create (); prog; exec }
 
-  let prepare l _ p =
+  let table l = l.table
+
+  let prepare l p =
     l.prog := p;
     true
 
@@ -144,11 +146,9 @@ module Compiled_engine = struct
   let engine = Exec.Compiled
   let available () = true
   let translates = true
-  let uses_table = true
 
-  (* One translator per test set, bound to its machine: the caller's
-     table holds the translated slots, and a prepare reads its dense
-     steps. *)
+  (* One translator per test set, bound to its machine: its table holds
+     the translated slots, and a prepare reads its dense steps. *)
   type lanes = {
     scalar : scalar;
     memo : Compiled.memo;
@@ -162,8 +162,10 @@ module Compiled_engine = struct
     let cur = ref (Compiled.compile scalar.machine nothing) in
     { scalar; memo; cur; exec = (fun () -> Compiled.run !cur) }
 
-  let prepare l table _ =
-    l.cur := Compiled.prepare l.memo table;
+  let table l = Compiled.table l.memo
+
+  let prepare l _ =
+    l.cur := Compiled.prepare l.memo;
     true
 
   let run l ~order ~diverges:_ f = Some (scalar_run l.scalar l.exec order f 0)
@@ -183,10 +185,10 @@ module Batched_engine = struct
   let engine = Exec.Batched
   let available () = true
   let translates = true
-  let uses_table = false
 
   type lanes = {
     spec : Spec.t;
+    table : Facts.t;
     batch : Batched.batch option;  (** [None] for an empty test set *)
     outputs : Bytes.t;  (** the lane being scored's output quads *)
     mutable cur : Batched.t option;
@@ -195,6 +197,7 @@ module Batched_engine = struct
   let lanes spec tests =
     {
       spec;
+      table = Facts.create ();
       batch =
         (if Array.length tests = 0 then None
          else
@@ -206,7 +209,9 @@ module Batched_engine = struct
       cur = None;
     }
 
-  let prepare l _ p =
+  let table l = l.table
+
+  let prepare l p =
     l.cur <- Option.map (fun b -> Batched.compile b p) l.batch;
     true
 
@@ -247,9 +252,9 @@ module Native_engine = struct
   let engine = Exec.Native
   let available = Native.available
   let translates = true
-  let uses_table = false
 
   type lanes = {
+    table : Facts.t;
     nb : Native.batch option;
         (** [None] when native execution is unavailable or there are no
             tests *)
@@ -258,6 +263,7 @@ module Native_engine = struct
 
   let lanes (spec : Spec.t) tests =
     {
+      table = Facts.create ();
       nb =
         (if Array.length tests = 0 then None
          else
@@ -267,7 +273,9 @@ module Native_engine = struct
       cur = None;
     }
 
-  let prepare l _ p =
+  let table l = l.table
+
+  let prepare l p =
     l.cur <- Option.bind l.nb (fun nb -> Native.compile nb p);
     Option.is_some l.cur
 
@@ -336,9 +344,8 @@ let engine (module E : S) = E.engine
    lane set. *)
 
 type lanes = {
-  uses_table : bool;
-  own : Facts.t;  (** the table {!prepare} refreshes, when the engine reads one *)
-  prepare_lanes : Facts.t -> Program.t -> unit;
+  table : Facts.t;
+  prepare_lanes : Program.t -> unit;
   run_lanes : order:int array -> diverges:(int -> bool) -> score -> outcome;
   counters_now : unit -> counters;
 }
@@ -359,15 +366,15 @@ let lanes (module E : S) spec tests =
         fallback := Some fb;
         fb
     in
-    ignore (Batched_engine.prepare fb (Facts.create ()) !program : bool);
+    ignore (Batched_engine.prepare fb !program : bool);
     let o = Batched_engine.exec fb ~order ~diverges f in
     fallbacks := !fallbacks + o.runs;
     o
   in
-  let prepare_lanes table p =
+  let prepare_lanes p =
     if E.translates then incr prepares;
     program := p;
-    declined := not (E.prepare l table p)
+    declined := not (E.prepare l p)
   in
   let run_lanes ~order ~diverges f =
     if !declined then on_fallback ~order ~diverges f
@@ -386,16 +393,12 @@ let lanes (module E : S) spec tests =
       respawns = E.respawns l;
     }
   in
-  { uses_table = E.uses_table; own = Facts.create (); prepare_lanes; run_lanes;
-    counters_now }
+  { table = E.table l; prepare_lanes; run_lanes; counters_now }
+
+let table l = l.table
 
 let prepare l program =
-  if l.uses_table then Facts.refresh l.own program;
-  l.prepare_lanes l.own program;
-  l
-
-let prepare_table l table program =
-  l.prepare_lanes table program;
+  l.prepare_lanes program;
   l
 
 let run (p : prepared) ~order ~diverges f = p.run_lanes ~order ~diverges f

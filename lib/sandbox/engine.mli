@@ -81,21 +81,23 @@ module type S = sig
   (** [prepare] translates the program once for all its runs — every
       engine but the interpreter.  Counted in [prepares]. *)
 
-  val uses_table : bool
-  (** [prepare] runs the table's steps rather than the program — the
-      compiled engine only. *)
-
   type lanes
   (** A fixed test set, with whatever per-set state the engine keeps
       (lane planes, a worker process) and the program last prepared. *)
 
   val lanes : Spec.t -> Testcase.t array -> lanes
 
-  val prepare : lanes -> Facts.t -> Program.t -> bool
-  (** Make [p] the program the next {!run}s execute.  The table
-      describes [p] ({!Facts}); the compiled engine runs the table's
-      dense steps, the others translate [p] or run it as it is.
-      [false]: this engine cannot run the program. *)
+  val table : lanes -> Facts.t
+  (** The lane set's slot table, which the caller keeps describing the
+      program it prepares: the compiled engine's translates each entry
+      for the lane set's machine ({!Compiled.memo}); the others read
+      none of it. *)
+
+  val prepare : lanes -> Program.t -> bool
+  (** Make [p], which {!table} describes, the program the next {!run}s
+      execute: the compiled engine runs the table's dense steps, the
+      others translate [p] or run it as it is.  [false]: this engine
+      cannot run the program. *)
 
   val run :
     lanes -> order:int array -> diverges:(int -> bool) -> score -> outcome option
@@ -140,20 +142,20 @@ type prepared
 
 val lanes : t -> Spec.t -> Testcase.t array -> lanes
 
-val prepare : lanes -> Program.t -> prepared
-(** Prepare [p] for callers without a slot table: an engine that reads
-    one ({!S.uses_table}) gets a table the lane set keeps, refreshed
-    with [p] (a walk); then as {!prepare_table}. *)
+val table : lanes -> Facts.t
+(** {!S.table}: the search's cost context keeps it current with the
+    moves it makes ({!Facts.move}); other callers {!Facts.refresh} it
+    with the program before each prepare.  Only the compiled engine
+    reads it, so a caller that knows its engine is another (the
+    reference interpreter of [Search.Cost.create]) may leave it
+    empty. *)
 
-val prepare_table : lanes -> Facts.t -> Program.t -> prepared
-(** Prepare [p], which the table describes: the search's cost context
-    passes the table its moves keep current, so the compiled engine
-    takes the table's steps without a walk (binding the table's
-    translator to its machine on first use).  The program and the table
-    must not change while [prepared] is in use, and [prepared] is valid
-    only until the next prepare on the same [lanes]: run it before
-    preparing another program.  Neither call allocates, past what the
-    engine's own translation does. *)
+val prepare : lanes -> Program.t -> prepared
+(** Prepare [p], which the lane set's {!table} describes.  The program
+    and the table must not change while [prepared] is in use, and
+    [prepared] is valid only until the next prepare on the same
+    [lanes]: run it before preparing another program.  It allocates
+    nothing past what the engine's own translation does. *)
 
 val run :
   prepared ->

@@ -231,3 +231,14 @@ let value_ulp a b =
     if Int64.compare d 0L >= 0 then d else Int64.neg d
   | (Vf64 _ | Vf32 _ | Vi64 _), _ ->
     invalid_arg "Spec.value_ulp: mismatched value types"
+
+type out_loc =
+  | O64 of int
+  | O32 of int
+  | Ogp of int
+
+let out_loc = function
+  | Out_xmm_f64 r -> O64 (Machine.xmm_offset r)
+  | Out_xmm_f32 r -> O32 (Machine.xmm_offset r)
+  | Out_xmm_f32_hi r -> O32 (Machine.xmm_offset r + 4)
+  | Out_gp r -> Ogp (Machine.gp_offset r)

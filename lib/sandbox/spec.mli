@@ -108,3 +108,16 @@ val read_outputs : t -> Machine.t -> value array
 val value_ulp : value -> value -> Fpbits.Ulp.t
 (** ULP distance between same-typed values (integer outputs use saturated
     absolute difference); mismatched constructors are a program error. *)
+
+(** Where an output's bits sit in {!Machine.regs}, and how a scorer that
+    reads raw bits measures their distance, as {!value_ulp} does on the
+    value {!read_outputs} makes. *)
+type out_loc =
+  | O64 of int  (** binary64 at this byte offset: ULP distance *)
+  | O32 of int
+      (** binary32 at this byte offset: ULP distance in the binary32
+          enumeration, after the binary64 round trip {!read_outputs}
+          makes (which quiets a signalling NaN) *)
+  | Ogp of int  (** 64-bit integer at this byte offset: absolute difference *)
+
+val out_loc : output -> out_loc

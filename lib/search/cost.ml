@@ -32,19 +32,6 @@ type cost = {
   max_ulp : Ulp.t;
 }
 
-(* Where one live output sits in the register file, and how its
-   distance is measured (as in [Validate.Errfn]). *)
-type out =
-  | O64 of int  (** f64 *)
-  | O32 of int  (** f32, the low dword at this offset *)
-  | Ogp of int  (** integer *)
-
-let out_of = function
-  | Sandbox.Spec.Out_xmm_f64 r -> O64 (Sandbox.Machine.xmm_offset r)
-  | Sandbox.Spec.Out_xmm_f32 r -> O32 (Sandbox.Machine.xmm_offset r)
-  | Sandbox.Spec.Out_xmm_f32_hi r -> O32 (Sandbox.Machine.xmm_offset r + 4)
-  | Sandbox.Spec.Out_gp r -> Ogp (Sandbox.Machine.gp_offset r)
-
 (* One evaluation's running state, unboxed: the lane callback and the
    divergence test are made once per context and read it. *)
 type acc = {
@@ -101,7 +88,10 @@ let cache_size = 512
 (* ----- scoring raw register bits ----- *)
 
 (* The helpers mirror the value-level definitions they name, on the bits
-   a register holds, so scoring boxes no float or int64: [Spec.value_ulp]
+   a register holds at a [Spec.out_loc], so scoring boxes no float or
+   int64.  They are local, as [Validate.Errfn]'s twins of [dist64],
+   [dist32] and [absdiff] are, because the dev profile builds with
+   [-opaque] and a call across modules boxes its int64s: [Spec.value_ulp]
    (Ulp.dist64, Ulp.dist32 of the binary32 round trip Spec.read_outputs
    makes, which quiets a signalling NaN, and the integers' absolute
    difference), [Ulp.max], [Ulp.sub_clamp] and [Ulp.to_float]. *)
@@ -158,7 +148,7 @@ let[@inline] rel_err scale eta_f eta d a b =
    [d]: [location_error] of the value-level scorer. *)
 let[@inline] location_error metric eta eta_f out expected e regs d =
   match metric, out with
-  | Ulp_metric, _ | _, Ogp _ -> over_eta d eta
+  | Ulp_metric, _ | _, Sandbox.Spec.Ogp _ -> over_eta d eta
   | Abs_metric, O64 o ->
     abs_err 0x1p52 eta_f
       (Int64.float_of_bits (Bytes.get_int64_le expected e))
@@ -202,7 +192,7 @@ let scorer params outs expected target_signalled acc : Sandbox.Engine.score =
         let out = outs.(k) in
         let d =
           match out with
-          | O64 o -> dist64 (Bytes.get_int64_le expected e) (Bytes.get_int64_le regs o)
+          | Sandbox.Spec.O64 o -> dist64 (Bytes.get_int64_le expected e) (Bytes.get_int64_le regs o)
           | O32 o -> dist32 (Bytes.get_int32_le expected e) (Bytes.get_int32_le regs o)
           | Ogp o -> absdiff (Bytes.get_int64_le expected e) (Bytes.get_int64_le regs o)
         in
@@ -222,7 +212,7 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
     | None -> Sandbox.Engine.of_engine engine
   in
   let n = Array.length tests in
-  let outs = Array.of_list (List.map out_of spec.Sandbox.Spec.outputs) in
+  let outs = Array.of_list (List.map Sandbox.Spec.out_loc spec.Sandbox.Spec.outputs) in
   let nouts = Array.length outs in
   (* The target's behaviour is recorded by the reference interpreter:
      its output bits, test [i]'s output [k] at [8 * (i * nouts + k)] as
@@ -244,11 +234,13 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
         (fun k out ->
           let e = 8 * ((i * nouts) + k) in
           match out with
-          | O64 o | Ogp o -> Bytes.set_int64_le expected e (Bytes.get_int64_le regs o)
+          | Sandbox.Spec.O64 o | Ogp o -> Bytes.set_int64_le expected e (Bytes.get_int64_le regs o)
           | O32 o -> Bytes.set_int32_le expected e (Bytes.get_int32_le regs o))
         outs;
     false
   in
+  (* The interpreter reads no slot table, so the reference's is left
+     empty. *)
   let (_ : Sandbox.Engine.outcome) =
     Sandbox.Engine.run
       (Sandbox.Engine.prepare reference spec.Sandbox.Spec.program)
@@ -258,16 +250,17 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) ?instance
   in
   let acc = { f = Array.make 3 0.; ulp = Bytes.make 8 '\000'; signals = 0 } in
   let ws = params.ws in
+  let lanes = Sandbox.Engine.lanes instance spec tests in
   {
     spec;
     params;
     tests;
     order = Array.init n Fun.id;
     engine = Sandbox.Engine.engine instance;
-    lanes = Sandbox.Engine.lanes instance spec tests;
+    lanes;
     live_out = Sandbox.Spec.live_out_set spec;
     cache = (if use_cache then Array.make cache_size None else [||]);
-    facts = Facts.create ();
+    facts = Sandbox.Engine.table lanes;
     acc;
     score = scorer params outs expected target_signalled acc;
     (* Whole-batch abort: a lane that faults where the target finished
@@ -367,7 +360,7 @@ let eval ?cutoff ?(refreshed = false) ?move t program =
     acc.signals <- 0;
     let o =
       Sandbox.Engine.run
-        (Sandbox.Engine.prepare_table t.lanes t.facts program)
+        (Sandbox.Engine.prepare t.lanes program)
         ~order:t.order ~diverges:t.diverges t.score
     in
     t.tests_executed <- t.tests_executed + o.Sandbox.Engine.runs;

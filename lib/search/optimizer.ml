@@ -365,6 +365,12 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
 
 let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
     ?resume ctx config init =
+  let spec = Cost.spec ctx in
+  (* Before the anchors: a process builds the pools' opcode tables once
+     per operand-availability mask, so counting [Pools.make] would make
+     a search's minor words depend on the searches that ran before it
+     in the same process. *)
+  let pools = Pools.make ~target:spec.Sandbox.Spec.program ~spec in
   let anchors =
     {
       t0 = Obs.Clock.now_ns ();
@@ -387,8 +393,6 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
              ~stop_when:config.stop_when ~chains:(chain_id + 1) ())
       else None
   in
-  let spec = Cost.spec ctx in
-  let pools = Pools.make ~target:spec.Sandbox.Spec.program ~spec in
   let g =
     match resume with
     | Some (r : Control.chain_pub) -> Rng.Xoshiro256.of_state r.master_rng

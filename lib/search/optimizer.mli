@@ -98,7 +98,9 @@ type result = {
       (** words this run allocated on its domain's minor heap
           ({!Gc.minor_words}), telemetry included; [minor_words /.
           proposals_made] is the per-proposal figure the events and
-          [--metrics] report.  The one counter here that a sink can move *)
+          [--metrics] report.  The one counter here that a sink can move.
+          Building the move pools ({!Pools.make}) is not counted, so the
+          figure does not depend on the searches run before it *)
   moves : move_stats;
   stop_reason : Control.stop_reason;
       (** why the run ended: [Exhausted] for a full-budget run, otherwise

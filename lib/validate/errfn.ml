@@ -1,31 +1,18 @@
 module S = Sandbox
 
-(* Where one live output sits in the register file, and how its
-   distance is measured. *)
-type out =
-  | O64 of int  (** f64: ULP distance *)
-  | O32 of int  (** f32: ULP distance in the binary32 enumeration *)
-  | Ogp of int  (** integer: absolute difference *)
-
 type t = {
   spec : S.Spec.t;
   arity : int;
   machine : S.Machine.t;
   pristine : S.Machine.t;  (** the fixed inputs baked in *)
   plan : S.Spec.install_plan;
-  outs : out array;
+  outs : S.Spec.out_loc array;
   expected : Bytes.t;  (** the target's outputs, raw, 8 bytes each *)
   target : S.Engine.call;
   rewrite_call : S.Engine.call;
 }
 
 let top_eta = 0x1p64
-
-let out_of = function
-  | S.Spec.Out_xmm_f64 r -> O64 (S.Machine.xmm_offset r)
-  | S.Spec.Out_xmm_f32 r -> O32 (S.Machine.xmm_offset r)
-  | S.Spec.Out_xmm_f32_hi r -> O32 (S.Machine.xmm_offset r + 4)
-  | S.Spec.Out_gp r -> Ogp (S.Machine.gp_offset r)
 
 let create ?(engine = S.Exec.Compiled) ?instance spec ~rewrite =
   let engine =
@@ -39,7 +26,7 @@ let create ?(engine = S.Exec.Compiled) ?instance spec ~rewrite =
   let caller = S.Engine.caller engine machine in
   (* Validation evaluates the same two programs millions of times, so
      both are prepared exactly once, here. *)
-  let outs = Array.of_list (List.map out_of spec.S.Spec.outputs) in
+  let outs = Array.of_list (List.map S.Spec.out_loc spec.S.Spec.outputs) in
   {
     spec;
     arity = S.Spec.arity spec;
@@ -65,7 +52,9 @@ let run t call xs =
 (* The distances of {!S.Spec.value_ulp}, on raw register bits: Ulp.dist64
    and Ulp.dist32 through each format's ordered index (Fp64.ordered,
    Fp32.ordered of the single the register holds), and the integer
-   outputs' absolute difference. *)
+   outputs' absolute difference.  [Search.Cost] keeps its own copies:
+   under the dev profile's [-opaque] a call across modules would box
+   their int64s. *)
 let[@inline] dist64 a b =
   let oa = if a < 0L then Int64.sub Int64.min_int a else a in
   let ob = if b < 0L then Int64.sub Int64.min_int b else b in
@@ -93,7 +82,7 @@ let save_expected t =
   let regs = t.machine.S.Machine.regs in
   for k = 0 to Array.length t.outs - 1 do
     match t.outs.(k) with
-    | O64 o | Ogp o -> Bytes.set_int64_le t.expected (8 * k) (Bytes.get_int64_le regs o)
+    | S.Spec.O64 o | Ogp o -> Bytes.set_int64_le t.expected (8 * k) (Bytes.get_int64_le regs o)
     | O32 o -> Bytes.set_int32_le t.expected (8 * k) (Bytes.get_int32_le regs o)
   done
 
@@ -104,7 +93,7 @@ let score t =
     let e = 8 * k in
     let d =
       match t.outs.(k) with
-      | O64 o -> dist64 (Bytes.get_int64_le t.expected e) (Bytes.get_int64_le regs o)
+      | S.Spec.O64 o -> dist64 (Bytes.get_int64_le t.expected e) (Bytes.get_int64_le regs o)
       | O32 o -> dist32 (Bytes.get_int32_le t.expected e) (Bytes.get_int32_le regs o)
       | Ogp o -> absdiff (Bytes.get_int64_le t.expected e) (Bytes.get_int64_le regs o)
     in

@@ -19,11 +19,8 @@
    A changed slot finds its entry in a direct-mapped cache keyed by
    [Instr.hash] and verified with [Instr.equal], so an instruction equal
    to a recent one is looked up, not derived (and translated) again.
-
-   An entry is translated when a run first needs it, not when it is
-   made: a screened-out, cached or elided proposal translates nothing.
-   [set] notes each slot that takes an untranslated entry in [pending],
-   and [translate] translates those slots' entries and nothing else. *)
+   An entry is translated when it is derived, by the translator the
+   table was created with. *)
 
 type derived = {
   instr : Instr.t;  (** the instruction these facts describe *)
@@ -34,23 +31,20 @@ type derived = {
   uses : Liveness.Locset.t;
   kills : Liveness.Locset.t;
   quiet : bool;  (** [Liveness.cannot_fault], or an [Unused] slot *)
-  mutable step : unit -> unit;
-      (** the translator's step for [instr]; [untranslated] until a run
-          needs it *)
+  step : unit -> unit;  (** the table's translation of [instr] *)
 }
 
-let untranslated () = ()
+let no_step () = ()
 
 (* Physically distinct from every instruction of every program. *)
 let vacant = Instr.make_unchecked Opcode.Movabs [||]
 let unused_hash = 0x2f1a_9b3c_5d7e_4861
 
-(* The entry of every [Unused] slot, and of an empty cache line; never
-   translated. *)
+(* The entry of every [Unused] slot, and of an empty cache line. *)
 let unused =
   let e = Liveness.Locset.empty in
   { instr = vacant; hash = unused_hash; lat = 0; defs = e; strict_uses = e;
-    uses = e; kills = e; quiet = true; step = untranslated }
+    uses = e; kills = e; quiet = true; step = no_step }
 
 (* A slot's term of the key: its instruction's hash mixed with the slot
    index, so the same instruction in two slots adds two unrelated terms
@@ -60,8 +54,6 @@ let term k h =
   x lxor (x lsr 31)
 
 let cache_size = 1024
-
-let pending_size = 8
 
 (* Described by no table: the program of a table never refreshed. *)
 let nothing = { Program.slots = [||] }
@@ -81,26 +73,23 @@ type t = {
   mutable cache : derived array;
       (** [unused] marks an empty line; made by the first refresh, so a
           context that never evaluates allocates none *)
-  mutable translate : (Instr.t -> unit -> unit) option;
-  pending : int array;  (** slots set to an untranslated entry since *)
-  mutable npending : int;  (** the last [translate]; [-1]: too many *)
+  translate : Instr.t -> unit -> unit;
   jslot : int array;  (** the journal: the slots the last move changed *)
   jfact : derived array;  (** and their entries before it *)
   mutable jlen : int;  (** entries journaled; -1 when a walk voided them *)
 }
 
-let create () =
+let create ?(translate = fun _ -> no_step) () =
   { prog = nothing; keys = [||]; facts = [||]; terms = [||]; pos = [| 0 |];
     dense = [||]; steps = [||]; lats = [||]; active = 0; key = 0; latency = 0;
-    cache = [||]; translate = None; pending = Array.make pending_size 0;
-    npending = -1; jslot = Array.make 2 0;
+    cache = [||]; translate; jslot = Array.make 2 0;
     jfact = Array.make 2 unused; jlen = -1 }
 
-let derive i h =
+let derive m i h =
   { instr = i; hash = h; lat = Latency.of_instr i; defs = Liveness.defs i;
     strict_uses = Liveness.strict_uses i; uses = Liveness.uses i;
     kills = Liveness.kills i; quiet = Liveness.cannot_fault i;
-    step = untranslated }
+    step = m.translate i }
 
 let lookup m i =
   let h = Instr.hash i in
@@ -108,7 +97,7 @@ let lookup m i =
   let c = m.cache.(e) in
   if c != unused && (c.instr == i || Instr.equal c.instr i) then c
   else begin
-    let d = derive i h in
+    let d = derive m i h in
     m.cache.(e) <- d;
     d
   end
@@ -136,18 +125,8 @@ let shift m k ~by =
   done;
   m.active <- m.active + by
 
-let note_pending m k =
-  let n = m.npending in
-  if n >= 0 then
-    if n < pending_size then begin
-      m.pending.(n) <- k;
-      m.npending <- n + 1
-    end
-    else m.npending <- -1
-
 (* Install entry [d] for [slot] at [k]. *)
 let set m k slot d =
-  if d.step == untranslated && d != unused then note_pending m k;
   let old = m.facts.(k) in
   let t = term k d.hash in
   m.keys.(k) <- slot;
@@ -169,12 +148,11 @@ let resize m n =
   m.terms <- Array.init n (fun k -> term k unused_hash);
   m.pos <- Array.make (n + 1) 0;
   m.dense <- Array.make n unused;
-  m.steps <- Array.make n untranslated;
+  m.steps <- Array.make n no_step;
   m.lats <- Array.make n 0;
   m.active <- 0;
   m.key <- Array.fold_left ( + ) 0 m.terms;
   m.latency <- 0;
-  m.npending <- -1;
   if Array.length m.cache = 0 then m.cache <- Array.make cache_size unused
 
 let refresh m (p : Program.t) =
@@ -237,37 +215,6 @@ let revert m p =
     m.jlen <- 0
   end
   else refresh m p
-
-let translate_entry f d = if d.step == untranslated then d.step <- f d.instr
-
-let translate m f =
-  (match m.translate with
-   | Some g when g == f -> ()
-   | _ ->
-     m.translate <- Some f;
-     (* a step made by another translator is stale: drop the cached
-        entries and untranslate the live ones *)
-     if Array.length m.cache > 0 then Array.fill m.cache 0 cache_size unused;
-     let forget d = if d != unused then d.step <- untranslated in
-     Array.iter forget m.facts;
-     Array.iter forget m.jfact;
-     m.npending <- -1);
-  if m.npending < 0 then
-    for p = 0 to m.active - 1 do
-      let d = m.dense.(p) in
-      translate_entry f d;
-      m.steps.(p) <- d.step
-    done
-  else
-    for j = 0 to m.npending - 1 do
-      let k = m.pending.(j) in
-      let d = m.facts.(k) in
-      if d != unused then begin
-        translate_entry f d;
-        m.steps.(m.pos.(k)) <- d.step
-      end
-    done;
-  m.npending <- 0
 
 let key m = m.key
 let latency m = m.latency

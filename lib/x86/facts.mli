@@ -2,8 +2,8 @@
     describes, holding everything the inner loop reads about that slot —
     its key term, latency ({!Latency.of_instr}), {!Liveness.defs},
     {!Liveness.strict_uses}, {!Liveness.uses}, {!Liveness.kills}, whether
-    it can fault ({!Liveness.cannot_fault}) and, once a run needed it
-    ({!translate}), its translated step.  One table serves the
+    it can fault ({!Liveness.cannot_fault}) and its translated step (see
+    {!create}).  One table serves the
     cost-cache key, the [Sum_latency] perf term, the undef-read screen,
     the dead-write elision and the compiled engine's step array.
 
@@ -42,8 +42,12 @@
 
 type t
 
-val create : unit -> t
-(** An empty table; the first refresh derives every slot. *)
+val create : ?translate:(Instr.t -> unit -> unit) -> unit -> t
+(** An empty table; the first refresh derives every slot.  Each entry's
+    step is [translate instr], made when the entry is derived — a table
+    a compiled engine runs translates for its machine
+    ([Sandbox.Compiled.memo]).  Without [translate] every step does
+    nothing, and only the other facts are read. *)
 
 val refresh : t -> Program.t -> unit
 (** Make the table describe the program's current slots, by a walk. *)
@@ -61,16 +65,6 @@ val revert : t -> Program.t -> unit
     {!swap} (its undo may rebuild a slot around the same instruction):
     the journaled entries go back, with no lookup. *)
 
-val translate : t -> (Instr.t -> unit -> unit) -> unit
-(** Make every active slot's step [f instr].  Entries are translated
-    when a run first needs them, not when they are made, so a proposal
-    that is screened out, answered from the cost cache or elided
-    translates nothing: the table notes the few slots that took an
-    untranslated entry since the last call and translates only those
-    (all active slots after a walk that changed many).  The table keeps
-    [f] (compared physically); a call with another translator drops
-    every step made by the previous one and empties the cache. *)
-
 val key : t -> int
 (** A structural hash of the program described, for the cost cache: the
     wrapping sum over slots of a term that mixes the slot's index with
@@ -87,9 +81,9 @@ val active : t -> int
 (** The number of active slots. *)
 
 val steps : t -> (unit -> unit) array
-(** The active slots' steps, in program order: after {!translate}, the
-    first {!active} entries are valid.  The array is the table's own,
-    valid until its next update. *)
+(** The active slots' steps, in program order: the first {!active}
+    entries are valid.  The array is the table's own, valid until its
+    next update. *)
 
 val step_latencies : t -> int array
 (** The active slots' latencies, as {!steps}. *)

@@ -1295,8 +1295,9 @@ let memo_walk_tests =
           [ ("finishing", state (Int64.add arena 64L)); ("faulting", state 0x10L) ]
         in
         let m = Sandbox.Machine.create ~mem_size () in
-        let memo = Sandbox.Compiled.memo m in
-        let walked = Facts.create () and table = Facts.create () in
+        let walking = Sandbox.Compiled.memo m and moving = Sandbox.Compiled.memo m in
+        let walked = Sandbox.Compiled.table walking
+        and table = Sandbox.Compiled.table moving in
         Facts.refresh table p;
         let finished = ref 0 and faulted = ref 0 and gapped = ref 0 in
         let wide_gaps = ref 0 in
@@ -1341,13 +1342,13 @@ let memo_walk_tests =
             [ ("walked table",
                fun () ->
                  Facts.refresh walked p;
-                 Sandbox.Compiled.prepare memo walked);
-              ("move-fed table", fun () -> Sandbox.Compiled.prepare memo table) ];
+                 Sandbox.Compiled.prepare walking);
+              ("move-fed table", fun () -> Sandbox.Compiled.prepare moving) ];
           (* refreshing and preparing the unchanged program again writes
              no slot and allocates nothing *)
           let before = Gc.minor_words () in
           Facts.refresh walked p;
-          let again = Sandbox.Compiled.prepare memo walked in
+          let again = Sandbox.Compiled.prepare walking in
           let words = Gc.minor_words () -. before in
           ignore (Sys.opaque_identity again);
           if words > 0. then
@@ -1400,7 +1401,7 @@ let memo_walk_tests =
         let lanes =
           Sandbox.Engine.lanes (Sandbox.Engine.of_engine Sandbox.Exec.Compiled) spec tests
         in
-        let table = Facts.create () in
+        let table = Sandbox.Engine.table lanes in
         let p = Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program) in
         Facts.refresh table p;
         let order = Array.init (Array.length tests) Fun.id in
@@ -1411,7 +1412,7 @@ let memo_walk_tests =
         in
         let diverges _ = false in
         let round () =
-          Sandbox.Engine.run (Sandbox.Engine.prepare_table lanes table p) ~order ~diverges
+          Sandbox.Engine.run (Sandbox.Engine.prepare lanes p) ~order ~diverges
             score
         in
         ignore (round () : Sandbox.Engine.outcome);

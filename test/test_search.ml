@@ -731,15 +731,14 @@ let cost_tests =
           let engine = Sandbox.Exec.Native
           let available () = true
           let translates = true
-          let uses_table = false
 
-          type lanes = unit
+          type lanes = Facts.t
 
-          let lanes _ _ = ()
-
-          let prepare () _ _ = true
-          let run () ~order:_ ~diverges:_ _ = None
-          let respawns () = 0
+          let lanes _ _ = Facts.create ()
+          let table l = l
+          let prepare _ _ = true
+          let run _ ~order:_ ~diverges:_ _ = None
+          let respawns _ = 0
 
           type caller = unit
 

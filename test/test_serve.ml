@@ -551,19 +551,47 @@ let smoke_tests =
         Serve.Client.close idle);
     Alcotest.test_case "two tenants share the pool fairly" `Slow (fun () ->
         require_sockets ();
-        let cfg = mk_config (tmpdir ()) in
+        (* The daemon's log sink parks the one worker in the first
+           [job_start] until the test opens the gate, so the first job
+           holds the worker while the others queue, however fast a
+           search runs; each [job_submit] says a job is queued. *)
+        let gate = Mutex.create () and opened = Condition.create () in
+        let held = ref false and released = ref false and queued = ref 0 in
+        let locked f =
+          Mutex.lock gate;
+          Fun.protect ~finally:(fun () -> Mutex.unlock gate) f
+        in
+        let log (ev : Obs.Sink.event) =
+          locked (fun () ->
+              match ev.Obs.Sink.name with
+              | "job_start" when not !held ->
+                held := true;
+                while not !released do
+                  Condition.wait opened gate
+                done
+              | "job_submit" -> incr queued
+              | _ -> ())
+        in
+        let release () =
+          locked (fun () ->
+              released := true;
+              Condition.broadcast opened)
+        in
+        let cfg =
+          { (mk_config (tmpdir ())) with Serve.Server.log = Obs.Sink.callback log }
+        in
         let sock = cfg.Serve.Server.socket_path in
         let th = start_inproc cfg in
-        (* One worker.  While a long job of tenant a runs, queue a:22,
-           a:23, then b:24 — in that submission order.  Pure FIFO would
-           start a:22, a:23, b:24; fair share consults each tenant once
-           per round, so b:24 must start before a's second queued job. *)
-        let req tenant seed proposals =
-          { (opt_request ~proposals ~seed ()) with Serve.Protocol.tenant }
+        (* One worker.  While a job of tenant a runs, queue a:22, a:23,
+           then b:24 — in that submission order.  Pure FIFO would start
+           a:22, a:23, b:24; fair share consults each tenant once per
+           round, so b:24 must start before a's second queued job. *)
+        let req tenant seed =
+          { (opt_request ~proposals:400 ~seed ()) with Serve.Protocol.tenant }
         in
         let order = Mutex.create () in
         let started : string list ref = ref [] in
-        let submit tenant seed proposals =
+        let submit tenant seed =
           Thread.create
             (fun () ->
               ignore
@@ -574,19 +602,24 @@ let smoke_tests =
                        started := Printf.sprintf "%s:%d" tenant seed :: !started;
                        Mutex.unlock order
                      end)
-                   (req tenant seed proposals)))
+                   (req tenant seed)))
             ()
         in
-        (* the busy job must outlast the 0.4 s of submissions below by a
-           wide margin: about a second of search on one core *)
-        let busy = submit "a" 21 600_000 in
-        Unix.sleepf 0.3 (* let the busy job occupy the worker *);
-        let t1 = submit "a" 22 400 in
-        Unix.sleepf 0.05;
-        let t2 = submit "a" 23 400 in
-        Unix.sleepf 0.05;
-        let t3 = submit "b" 24 400 in
-        List.iter Thread.join [ busy; t1; t2; t3 ];
+        let until what pred = wait_for ~timeout_s:10. ~what (fun () -> locked pred) in
+        let jobs =
+          Fun.protect ~finally:release (fun () ->
+              let busy = submit "a" 21 in
+              until "the first job to hold the worker" (fun () -> !held && !queued = 1);
+              List.mapi
+                (fun i (tenant, seed) ->
+                  let th = submit tenant seed in
+                  until (Printf.sprintf "%s:%d to queue" tenant seed) (fun () ->
+                      !queued = i + 2);
+                  th)
+                [ ("a", 22); ("a", 23); ("b", 24) ]
+              |> List.cons busy)
+        in
+        List.iter Thread.join jobs;
         Alcotest.(check (list string))
           "round-robin across tenants"
           [ "a:21"; "a:22"; "b:24"; "a:23" ]
