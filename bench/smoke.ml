@@ -290,7 +290,12 @@ let run_validated_frontier () =
    Geweke check every 10k samples from 10k on).  The chain mixes only at
    its fifth check, so the verdict runs through the sandbox at one lane,
    the sample history and several Geweke checks; every field of it is
-   deterministic, so it is gated exactly — [geweke_z] to the bit. *)
+   deterministic, so it is gated exactly — [geweke_z] to the bit.  So are
+   the minor words of a second, identical validation (dev profile
+   figures, as for the search pins below): a hunt starts from the sample
+   buffer the last one left, which after the frontier's validations
+   depends on which domain finished last, and after the first run is
+   already large enough. *)
 type verdict = {
   iterations : int;
   mixed : bool;
@@ -302,6 +307,8 @@ type verdict = {
 let expected_verdict =
   { iterations = 50_000; mixed = true; max_err = "2";
     geweke_z = Int64.bits_of_float (-0x1.c0e48bfd10874p-2); checks = 5 }
+
+let expected_validation_words = 2067570
 
 let run_validation () =
   let config =
@@ -318,11 +325,19 @@ let run_validation () =
     Obs.Sink.callback (fun e ->
         if e.Obs.Sink.name = "geweke" then incr checks)
   in
-  let v =
-    Stoke.validate ~config ~obs:(Obs.Sink.tee counter (Util.obs ()))
-      ~eta:Ulp.zero Kernels.Aek_kernels.delta_spec
+  let validate obs =
+    Stoke.validate ~config ~obs ~eta:Ulp.zero Kernels.Aek_kernels.delta_spec
       Kernels.Aek_kernels.delta_rewrite
   in
+  let v = validate (Obs.Sink.tee counter (Util.obs ())) in
+  let words0 = Gc.minor_words () in
+  let again = validate Obs.Sink.null in
+  let words = int_of_float (Gc.minor_words () -. words0) in
+  if again.Validate.Driver.iterations <> v.Validate.Driver.iterations then begin
+    Printf.eprintf "smoke: a second validation ran %d iterations, not %d!\n"
+      again.Validate.Driver.iterations v.Validate.Driver.iterations;
+    exit 1
+  end;
   let got =
     {
       iterations = v.Validate.Driver.iterations;
@@ -345,6 +360,13 @@ let run_validation () =
   if got <> expected_verdict then begin
     Printf.eprintf "smoke: validation verdict moved!\n  expected %s\n  got      %s\n"
       (describe expected_verdict) (describe got);
+    exit 1
+  end;
+  Printf.printf "validate delta/delta_rewrite seed 3: minor words %d (%.2f per iteration)\n"
+    words (float_of_int words /. float_of_int got.iterations);
+  if words <> expected_validation_words then begin
+    Printf.eprintf "smoke: validation allocation moved!\n  expected %d minor words, got %d\n"
+      expected_validation_words words;
     exit 1
   end
 
@@ -418,7 +440,7 @@ let run_verify () =
    [Stoke.optimize] per kernel on the compiled engine (the run's own
    words, from [Optimizer.result.minor_words]; set-up is not counted).
    The figures are those of the dev profile [dune runtest] builds. *)
-let expected_minor_words = [ ("exp", 475225); ("sin", 437159) ]
+let expected_minor_words = [ ("exp", 186901); ("sin", 180289) ]
 
 let run_allocation () =
   let config =

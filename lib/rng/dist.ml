@@ -7,10 +7,9 @@ let int g n =
   (* Rejection-free modulo is biased for huge n; n here is always small
      (program lengths, pool sizes), so the bias is negligible, but we use
      the high bits which are better mixed. *)
-  let r = Int64.shift_right_logical (bits64 g) 1 in
-  Int64.to_int (Int64.rem r (Int64.of_int n))
+  Xoshiro256.next_below g n
 
-let bool g = Int64.compare (Int64.logand (bits64 g) 1L) 0L <> 0
+let bool = Xoshiro256.next_bool
 
 let[@inline] float g bound =
   (* 53 uniform bits scaled into [0,1). *)

@@ -41,6 +41,14 @@ let[@inline] next t =
 
 let next_top53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
+(* The bounded draws are computed here, where [next] inlines and its
+   [int64] stays unboxed: a caller in another module would receive it
+   boxed. *)
+let next_below t n =
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int n))
+
+let next_bool t = not (Int64.equal (Int64.logand (next t) 1L) 0L)
+
 let copy = Bytes.copy
 
 let state t = [| get t 0; get t 1; get t 2; get t 3 |]

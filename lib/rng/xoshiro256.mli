@@ -15,6 +15,14 @@ val next_top53 : t -> int
 (** The top 53 bits of {!next}'s output, as a non-negative [int]: the
     same draw, returned without boxing an [int64]. *)
 
+val next_below : t -> int -> int
+(** [next_below t n], for [n > 0]: {!next}'s output shifted right by one
+    bit, modulo [n] — [Dist.int]'s draw, returned without boxing an
+    [int64].  [n] is not checked. *)
+
+val next_bool : t -> bool
+(** Whether {!next}'s lowest bit is set — [Dist.bool]'s draw, unboxed. *)
+
 val copy : t -> t
 
 val split : t -> t

@@ -98,6 +98,13 @@ let[@inline] avx3_ss regs d s1 r =
   set regs d (Int64.logor (Int64.logand (get regs s1) hi32_mask) (zext32 r));
   set regs (d + 8) hi
 
+(* An AVX scalar f64 result: [r] under [s1]'s high quad, into [d]
+   (Semantics' avx3_f64). *)
+let[@inline] avx3_sd regs d s1 r =
+  let hi = get regs (s1 + 8) in
+  setf regs d r;
+  set regs (d + 8) hi
+
 (* The 16-bit word of [v] at bit [sh] (Semantics' pshuflw [word]). *)
 let[@inline] word16 v sh = Int64.logand (Int64.shift_right_logical v sh) 0xffffL
 
@@ -280,6 +287,18 @@ let[@inline] check_aligned aligned addr =
     raise (Memory.Fault_exn (Memory.Misaligned addr))
 
 let[@inline] ea regs b disp = Int64.add (get regs b) disp
+
+(* Memory.read128_exn's two 8-byte bounds checks, in its order, for an
+   unaligned 16-byte load at [addr]: the arena offset of its first
+   byte.  The lanes are then read at that offset. *)
+let[@inline] offset128 a addr =
+  let off = offset a 8 addr in
+  ignore (offset a 8 (Int64.add addr 8L) : int);
+  off
+
+(* The single in the arena's dword at [off] (Memory's dword read, as a
+   binary32 value widened to double). *)
+let[@inline] mgetf32 a off = Int32.float_of_bits (Bytes.get_int32_le a.data off)
 
 (* An operand resolved at translation time, for the flat shapes' patterns. *)
 type loc =
@@ -1157,22 +1176,365 @@ let specialize (m : Machine.t) (i : Instr.t) : unit -> unit =
     fun () -> fp_compare flags (getf regs d) (getf regs s)
   | (Opcode.Comiss | Opcode.Ucomiss), X s, X d ->
     fun () -> fp_compare flags (getf32 regs d) (getf32 regs s)
-  (* AVX scalar f32 on registers (Semantics' avx3_f32) *)
-  | (Opcode.Vaddss | Opcode.Vsubss | Opcode.Vmulss), X s2, X d ->
+  (* packed min/max of singles, lane by lane (Semantics' packed_f32
+     with Fp32.min/max); a memory source is bounds-checked whole first *)
+  | Opcode.Minps, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (fmin (getf32 regs (d + o)) (getf32 regs (s + o)))
+      done
+  | Opcode.Minps, M (base, disp), X d ->
+    fun () ->
+      let off = offset128 a (ea regs base disp) in
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (fmin (getf32 regs (d + o)) (mgetf32 a (off + o)))
+      done
+  | Opcode.Maxps, X s, X d ->
+    fun () ->
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (fmax (getf32 regs (d + o)) (getf32 regs (s + o)))
+      done
+  | Opcode.Maxps, M (base, disp), X d ->
+    fun () ->
+      let off = offset128 a (ea regs base disp) in
+      for k = 0 to 3 do
+        let o = 4 * k in
+        setf32 regs (d + o) (fmax (getf32 regs (d + o)) (mgetf32 a (off + o)))
+      done
+  (* vector shifts by an immediate: every lane zero once the count
+     reaches the lane width *)
+  | (Opcode.Pslld | Opcode.Psrld), I c, X d when Int64.compare c 0L >= 0 ->
+    let c = Int64.to_int c in
+    if c >= 32 then fun () ->
+      set regs d 0L;
+      set regs (d + 8) 0L
+    else if i.Instr.op == Opcode.Pslld then fun () ->
+      for k = 0 to 3 do
+        let o = d + (4 * k) in
+        Bytes.set_int32_le regs o (Int32.shift_left (Bytes.get_int32_le regs o) c)
+      done
+    else fun () ->
+      for k = 0 to 3 do
+        let o = d + (4 * k) in
+        Bytes.set_int32_le regs o (Int32.shift_right_logical (Bytes.get_int32_le regs o) c)
+      done
+  | (Opcode.Psllq | Opcode.Psrlq), I c, X d when Int64.compare c 0L >= 0 ->
+    let c = Int64.to_int c in
+    if c >= 64 then fun () ->
+      set regs d 0L;
+      set regs (d + 8) 0L
+    else if i.Instr.op == Opcode.Psllq then fun () ->
+      set regs d (Int64.shift_left (get regs d) c);
+      set regs (d + 8) (Int64.shift_left (get regs (d + 8)) c)
+    else fun () ->
+      set regs d (Int64.shift_right_logical (get regs d) c);
+      set regs (d + 8) (Int64.shift_right_logical (get regs (d + 8)) c)
+  (* dword shuffles: the byte offset of each picked lane is known at
+     translation, and every lane is read before [d] is written *)
+  | Opcode.Pshufd, I sel, X d ->
+    (match ops.(1) with
+     | Operand.Xmm s ->
+       let s = xi s and sel = Int64.to_int sel in
+       let pick k = s + (4 * ((sel lsr (2 * k)) land 3)) in
+       let o0 = pick 0 and o1 = pick 1 and o2 = pick 2 and o3 = pick 3 in
+       fun () ->
+         let l0 = Bytes.get_int32_le regs o0 and l1 = Bytes.get_int32_le regs o1 in
+         let l2 = Bytes.get_int32_le regs o2 and l3 = Bytes.get_int32_le regs o3 in
+         Bytes.set_int32_le regs d l0;
+         Bytes.set_int32_le regs (d + 4) l1;
+         Bytes.set_int32_le regs (d + 8) l2;
+         Bytes.set_int32_le regs (d + 12) l3
+     | _ -> specialize_generic m i)
+  | Opcode.Shufps, I sel, X d ->
+    (match ops.(1) with
+     | Operand.Xmm s ->
+       let s = xi s and sel = Int64.to_int sel in
+       let pick r k = r + (4 * ((sel lsr (2 * k)) land 3)) in
+       let o0 = pick d 0 and o1 = pick d 1 and o2 = pick s 2 and o3 = pick s 3 in
+       fun () ->
+         let l0 = Bytes.get_int32_le regs o0 and l1 = Bytes.get_int32_le regs o1 in
+         let l2 = Bytes.get_int32_le regs o2 and l3 = Bytes.get_int32_le regs o3 in
+         Bytes.set_int32_le regs d l0;
+         Bytes.set_int32_le regs (d + 4) l1;
+         Bytes.set_int32_le regs (d + 8) l2;
+         Bytes.set_int32_le regs (d + 12) l3
+     | _ -> specialize_generic m i)
+  (* AVX interleave of the low dwords: s1.0 s2.0 s1.1 s2.1 *)
+  | Opcode.Vunpcklps, ((X _ | M _) as src2), X d ->
+    (match ops.(1), src2 with
+     | Operand.Xmm s1, X s2 ->
+       let s1 = xi s1 in
+       fun () ->
+         let a0 = Bytes.get_int32_le regs s1 and a1 = Bytes.get_int32_le regs (s1 + 4) in
+         let b0 = Bytes.get_int32_le regs s2 and b1 = Bytes.get_int32_le regs (s2 + 4) in
+         Bytes.set_int32_le regs d a0;
+         Bytes.set_int32_le regs (d + 4) b0;
+         Bytes.set_int32_le regs (d + 8) a1;
+         Bytes.set_int32_le regs (d + 12) b1
+     | Operand.Xmm s1, M (base, disp) ->
+       let s1 = xi s1 in
+       fun () ->
+         let off = offset128 a (ea regs base disp) in
+         let b0 = Bytes.get_int32_le a.data off and b1 = Bytes.get_int32_le a.data (off + 4) in
+         let a0 = Bytes.get_int32_le regs s1 and a1 = Bytes.get_int32_le regs (s1 + 4) in
+         Bytes.set_int32_le regs d a0;
+         Bytes.set_int32_le regs (d + 4) b0;
+         Bytes.set_int32_le regs (d + 8) a1;
+         Bytes.set_int32_le regs (d + 12) b1
+     | _ -> specialize_generic m i)
+  (* AVX packed singles: lane [k] of [d] from lane [k] of [s1] and [s2],
+     each lane read just before it is written *)
+  | (Opcode.Vaddps | Opcode.Vsubps | Opcode.Vmulps), ((X _ | M _) as src2), X d ->
     (match ops.(1) with
      | Operand.Xmm s1 ->
        let s1 = xi s1 in
-       (match i.Instr.op with
-        | Opcode.Vaddss ->
-          fun () -> avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 +. getf32 regs s2))
-        | Opcode.Vsubss ->
-          fun () -> avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 -. getf32 regs s2))
-        | _ ->
-          fun () -> avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 *. getf32 regs s2)))
+       (match i.Instr.op, src2 with
+        | Opcode.Vaddps, X s2 ->
+          fun () ->
+            for k = 0 to 3 do
+              let o = 4 * k in
+              setf32 regs (d + o) (getf32 regs (s1 + o) +. getf32 regs (s2 + o))
+            done
+        | Opcode.Vsubps, X s2 ->
+          fun () ->
+            for k = 0 to 3 do
+              let o = 4 * k in
+              setf32 regs (d + o) (getf32 regs (s1 + o) -. getf32 regs (s2 + o))
+            done
+        | Opcode.Vmulps, X s2 ->
+          fun () ->
+            for k = 0 to 3 do
+              let o = 4 * k in
+              setf32 regs (d + o) (getf32 regs (s1 + o) *. getf32 regs (s2 + o))
+            done
+        | Opcode.Vaddps, M (base, disp) ->
+          fun () ->
+            let off = offset128 a (ea regs base disp) in
+            for k = 0 to 3 do
+              let o = 4 * k in
+              setf32 regs (d + o) (getf32 regs (s1 + o) +. mgetf32 a (off + o))
+            done
+        | Opcode.Vsubps, M (base, disp) ->
+          fun () ->
+            let off = offset128 a (ea regs base disp) in
+            for k = 0 to 3 do
+              let o = 4 * k in
+              setf32 regs (d + o) (getf32 regs (s1 + o) -. mgetf32 a (off + o))
+            done
+        | Opcode.Vmulps, M (base, disp) ->
+          fun () ->
+            let off = offset128 a (ea regs base disp) in
+            for k = 0 to 3 do
+              let o = 4 * k in
+              setf32 regs (d + o) (getf32 regs (s1 + o) *. mgetf32 a (off + o))
+            done
+        | _ -> specialize_generic m i)
+     | _ -> specialize_generic m i)
+  (* GP compares set the flags of dst - src and dst & src; a memory
+     source is loaded first *)
+  | Opcode.Cmp Reg.Q, G s, G d ->
+    fun () ->
+      let x = get regs d and y = get regs s in
+      sub_flags_q flags x y (Int64.sub x y)
+  | Opcode.Cmp Reg.Q, I y, G d ->
+    fun () ->
+      let x = get regs d in
+      sub_flags_q flags x y (Int64.sub x y)
+  | Opcode.Cmp Reg.Q, M (base, disp), G d ->
+    fun () ->
+      let y = load64 a (ea regs base disp) in
+      let x = get regs d in
+      sub_flags_q flags x y (Int64.sub x y)
+  | Opcode.Cmp Reg.L, G s, G d ->
+    fun () ->
+      let x = get32 regs d and y = get32 regs s in
+      sub_flags_l flags x y (Int64.sub x y)
+  | Opcode.Cmp Reg.L, I y, G d ->
+    let y = Int64.logand y lo32 in
+    fun () ->
+      let x = get32 regs d in
+      sub_flags_l flags x y (Int64.sub x y)
+  | Opcode.Cmp Reg.L, M (base, disp), G d ->
+    fun () ->
+      let y = zext32 (load32 a (ea regs base disp)) in
+      let x = get32 regs d in
+      sub_flags_l flags x y (Int64.sub x y)
+  | Opcode.Test Reg.Q, G s, G d ->
+    fun () -> logic_flags_q flags (Int64.logand (get regs d) (get regs s))
+  | Opcode.Test Reg.Q, I y, G d -> fun () -> logic_flags_q flags (Int64.logand (get regs d) y)
+  | Opcode.Test Reg.Q, M (base, disp), G d ->
+    fun () ->
+      let y = load64 a (ea regs base disp) in
+      logic_flags_q flags (Int64.logand (get regs d) y)
+  | Opcode.Test Reg.L, G s, G d ->
+    fun () -> logic_flags_l flags (Int64.logand (get32 regs d) (get32 regs s))
+  | Opcode.Test Reg.L, I y, G d ->
+    let y = Int64.logand y lo32 in
+    fun () -> logic_flags_l flags (Int64.logand (get32 regs d) y)
+  | Opcode.Test Reg.L, M (base, disp), G d ->
+    fun () ->
+      let y = zext32 (load32 a (ea regs base disp)) in
+      logic_flags_l flags (Int64.logand (get32 regs d) y)
+  (* GP unary: inc/dec keep CF, neg sets the flags of 0 - dst, not sets
+     none *)
+  | Opcode.Inc Reg.Q, _, G d ->
+    fun () ->
+      let x = get regs d in
+      let r = Int64.add x 1L in
+      let cf = flags.Machine.cf in
+      add_flags_q flags x 1L r;
+      flags.Machine.cf <- cf;
+      set regs d r
+  | Opcode.Inc Reg.L, _, G d ->
+    fun () ->
+      let x = get32 regs d in
+      let r = Int64.add x 1L in
+      let cf = flags.Machine.cf in
+      add_flags_l flags x 1L r;
+      flags.Machine.cf <- cf;
+      set regs d (Int64.logand r lo32)
+  | Opcode.Dec Reg.Q, _, G d ->
+    fun () ->
+      let x = get regs d in
+      let r = Int64.sub x 1L in
+      let cf = flags.Machine.cf in
+      sub_flags_q flags x 1L r;
+      flags.Machine.cf <- cf;
+      set regs d r
+  | Opcode.Dec Reg.L, _, G d ->
+    fun () ->
+      let x = get32 regs d in
+      let r = Int64.sub x 1L in
+      let cf = flags.Machine.cf in
+      sub_flags_l flags x 1L r;
+      flags.Machine.cf <- cf;
+      set regs d (Int64.logand r lo32)
+  | Opcode.Neg Reg.Q, _, G d -> fun () -> sub_q flags regs d 0L (get regs d)
+  | Opcode.Neg Reg.L, _, G d -> fun () -> sub_l flags regs d 0L (get32 regs d)
+  | Opcode.Not Reg.Q, _, G d -> fun () -> set regs d (Int64.lognot (get regs d))
+  | Opcode.Not Reg.L, _, G d ->
+    fun () -> set regs d (Int64.logand (Int64.lognot (get regs d)) lo32)
+  (* signed multiply: the low half of the product of the sign-extended
+     operands, with the logic flags of the untruncated product *)
+  | Opcode.Imul Reg.Q, G s, G d -> fun () -> logic_q flags regs d (Int64.mul (get regs d) (get regs s))
+  | Opcode.Imul Reg.Q, M (base, disp), G d ->
+    fun () ->
+      let y = load64 a (ea regs base disp) in
+      logic_q flags regs d (Int64.mul (get regs d) y)
+  | Opcode.Imul Reg.L, G s, G d ->
+    fun () -> logic_l flags regs d (Int64.mul (sext32 regs d) (sext32 regs s))
+  | Opcode.Imul Reg.L, M (base, disp), G d ->
+    fun () ->
+      let y = Int64.of_int32 (load32 a (ea regs base disp)) in
+      logic_l flags regs d (Int64.mul (sext32 regs d) y)
+  (* AVX scalar f64 (Semantics' avx3_f64): the low quad [f s1 s2], the
+     high quad [s1]'s; a memory [s2] is loaded first, so a fault writes
+     nothing *)
+  | ( ( Opcode.Vaddsd | Opcode.Vsubsd | Opcode.Vmulsd | Opcode.Vdivsd | Opcode.Vminsd
+      | Opcode.Vmaxsd ),
+      ((X _ | M _) as src2),
+      X d ) ->
+    (match ops.(1) with
+     | Operand.Xmm s1 ->
+       let s1 = xi s1 in
+       (match i.Instr.op, src2 with
+        | Opcode.Vaddsd, X s2 ->
+          fun () -> avx3_sd regs d s1 (getf regs s1 +. getf regs s2)
+        | Opcode.Vaddsd, M (base, disp) ->
+          fun () ->
+            let x2 = loadf64 a (ea regs base disp) in
+            avx3_sd regs d s1 (getf regs s1 +. x2)
+        | Opcode.Vsubsd, X s2 ->
+          fun () -> avx3_sd regs d s1 (getf regs s1 -. getf regs s2)
+        | Opcode.Vsubsd, M (base, disp) ->
+          fun () ->
+            let x2 = loadf64 a (ea regs base disp) in
+            avx3_sd regs d s1 (getf regs s1 -. x2)
+        | Opcode.Vmulsd, X s2 ->
+          fun () -> avx3_sd regs d s1 (getf regs s1 *. getf regs s2)
+        | Opcode.Vmulsd, M (base, disp) ->
+          fun () ->
+            let x2 = loadf64 a (ea regs base disp) in
+            avx3_sd regs d s1 (getf regs s1 *. x2)
+        | Opcode.Vdivsd, X s2 ->
+          fun () -> avx3_sd regs d s1 (getf regs s1 /. getf regs s2)
+        | Opcode.Vdivsd, M (base, disp) ->
+          fun () ->
+            let x2 = loadf64 a (ea regs base disp) in
+            avx3_sd regs d s1 (getf regs s1 /. x2)
+        | Opcode.Vminsd, X s2 ->
+          fun () -> avx3_sd regs d s1 (fmin (getf regs s1) (getf regs s2))
+        | Opcode.Vminsd, M (base, disp) ->
+          fun () ->
+            let x2 = loadf64 a (ea regs base disp) in
+            avx3_sd regs d s1 (fmin (getf regs s1) x2)
+        | Opcode.Vmaxsd, X s2 ->
+          fun () -> avx3_sd regs d s1 (fmax (getf regs s1) (getf regs s2))
+        | Opcode.Vmaxsd, M (base, disp) ->
+          fun () ->
+            let x2 = loadf64 a (ea regs base disp) in
+            avx3_sd regs d s1 (fmax (getf regs s1) x2)
+        | _ -> specialize_generic m i)
+     | _ -> specialize_generic m i)
+  (* AVX scalar f32 (Semantics' avx3_f32), rounded once by the bits *)
+  | ( ( Opcode.Vaddss | Opcode.Vsubss | Opcode.Vmulss | Opcode.Vdivss | Opcode.Vminss
+      | Opcode.Vmaxss ),
+      ((X _ | M _) as src2),
+      X d ) ->
+    (match ops.(1) with
+     | Operand.Xmm s1 ->
+       let s1 = xi s1 in
+       (match i.Instr.op, src2 with
+        | Opcode.Vaddss, X s2 ->
+          fun () ->
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 +. getf32 regs s2))
+        | Opcode.Vaddss, M (base, disp) ->
+          fun () ->
+            let x2 = loadf32 a (ea regs base disp) in
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 +. x2))
+        | Opcode.Vsubss, X s2 ->
+          fun () ->
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 -. getf32 regs s2))
+        | Opcode.Vsubss, M (base, disp) ->
+          fun () ->
+            let x2 = loadf32 a (ea regs base disp) in
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 -. x2))
+        | Opcode.Vmulss, X s2 ->
+          fun () ->
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 *. getf32 regs s2))
+        | Opcode.Vmulss, M (base, disp) ->
+          fun () ->
+            let x2 = loadf32 a (ea regs base disp) in
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 *. x2))
+        | Opcode.Vdivss, X s2 ->
+          fun () ->
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 /. getf32 regs s2))
+        | Opcode.Vdivss, M (base, disp) ->
+          fun () ->
+            let x2 = loadf32 a (ea regs base disp) in
+            avx3_ss regs d s1 (Int32.bits_of_float (getf32 regs s1 /. x2))
+        | Opcode.Vminss, X s2 ->
+          fun () ->
+            avx3_ss regs d s1 (Int32.bits_of_float (fmin (getf32 regs s1) (getf32 regs s2)))
+        | Opcode.Vminss, M (base, disp) ->
+          fun () ->
+            let x2 = loadf32 a (ea regs base disp) in
+            avx3_ss regs d s1 (Int32.bits_of_float (fmin (getf32 regs s1) x2))
+        | Opcode.Vmaxss, X s2 ->
+          fun () ->
+            avx3_ss regs d s1 (Int32.bits_of_float (fmax (getf32 regs s1) (getf32 regs s2)))
+        | Opcode.Vmaxss, M (base, disp) ->
+          fun () ->
+            let x2 = loadf32 a (ea regs base disp) in
+            avx3_ss regs d s1 (Int32.bits_of_float (fmax (getf32 regs s1) x2))
+        | _ -> specialize_generic m i)
      | _ -> specialize_generic m i)
   (* the low quad's words picked by the immediate, the high quad
      copied: both read before [d] is written *)
-  | Opcode.Vpshuflw, I sel, X d ->
+  | (Opcode.Vpshuflw | Opcode.Pshuflw), I sel, X d ->
     (match ops.(1) with
      | Operand.Xmm s ->
        let s = xi s and sel = Int64.to_int sel in

@@ -64,25 +64,51 @@ let nothing = { Program.slots = [||] }
 
 (* Scalar engines: one machine, restored and loaded per test, so scoring
    interleaves with execution and stopping early skips the rest.  The
-   callback reads the machine's own register file. *)
+   callback reads the machine's own register file.  A run's outcome
+   depends only on the test count and where it stopped, so the [n + 1]
+   outcomes of each test count are made once and shared, read-only, by
+   every lane set on every domain: a run allocates none, and a lane set
+   carries none of its own. *)
 type scalar = {
   tests : Testcase.t array;
   machine : Machine.t;
   pristine : Machine.t;
+  outcomes : outcome option array;
+      (** stopped at position [pos < n], or completed at [n] *)
 }
+
+(* The test counts met so far; two domains that miss one at once both
+   build it, alike. *)
+let built : (int * outcome option array) list Atomic.t = Atomic.make []
+
+let outcomes n =
+  match List.assoc_opt n (Atomic.get built) with
+  | Some a -> a
+  | None ->
+    let a =
+      Array.init (n + 1) (fun pos ->
+          if pos = n then Some { stop = Completed; runs = n }
+          else Some { stop = Stopped pos; runs = pos + 1 })
+    in
+    let rec publish () =
+      let seen = Atomic.get built in
+      if not (Atomic.compare_and_set built seen ((n, a) :: seen)) then publish ()
+    in
+    publish ();
+    a
 
 let scalar_lanes (spec : Spec.t) tests =
   let machine = Machine.create ~mem_size:spec.Spec.mem_size () in
-  { tests; machine; pristine = Machine.copy machine }
+  { tests; machine; pristine = Machine.copy machine;
+    outcomes = outcomes (Array.length tests) }
 
 let rec scalar_run s exec order (f : score) pos =
-  let n = Array.length s.tests in
-  if pos = n then { stop = Completed; runs = n }
+  if pos = Array.length s.tests then s.outcomes.(pos)
   else begin
     let lane = order.(pos) in
     Machine.restore_from ~src:s.pristine ~dst:s.machine;
     Testcase.apply s.tests.(lane) s.machine;
-    if f lane (exec ()) s.machine.Machine.regs then { stop = Stopped pos; runs = pos + 1 }
+    if f lane (exec ()) s.machine.Machine.regs then s.outcomes.(pos)
     else scalar_run s exec order f (pos + 1)
   end
 
@@ -129,7 +155,7 @@ module Interp_engine = struct
     l.prog := p;
     true
 
-  let run l ~order ~diverges:_ f = Some (scalar_run l.scalar l.exec order f 0)
+  let run l ~order ~diverges:_ f = scalar_run l.scalar l.exec order f 0
   let respawns _ = 0
 
   type caller = unit
@@ -168,7 +194,7 @@ module Compiled_engine = struct
     l.cur := Compiled.prepare l.memo;
     true
 
-  let run l ~order ~diverges:_ f = Some (scalar_run l.scalar l.exec order f 0)
+  let run l ~order ~diverges:_ f = scalar_run l.scalar l.exec order f 0
   let respawns _ = 0
 
   type caller = unit

@@ -284,11 +284,16 @@ type verdict =
   | Evaluated of cost
   | Pruned of pruned
 
+(* A plain loop: [Array.blit] runs the write barrier per element, even
+   on an int array. *)
 let move_to_front t pos =
+  let order = t.order in
   if pos > 0 then begin
-    let ti = t.order.(pos) in
-    Array.blit t.order 0 t.order 1 pos;
-    t.order.(0) <- ti
+    let ti = order.(pos) in
+    for j = pos downto 1 do
+      order.(j) <- order.(j - 1)
+    done;
+    order.(0) <- ti
   end
 
 let cache_slot t key = key land (Array.length t.cache - 1)
@@ -302,43 +307,36 @@ let cache_find t h program =
 let cache_store t h program c =
   t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
 
-(* The perf term of the program the facts memo last refreshed. *)
-let perf_of t program =
+(* The perf term of the program the facts memo last refreshed; inlined,
+   so the float is not boxed. *)
+let[@inline] perf_of t program =
   match t.params.perf_model with
   | Sum_latency -> float_of_int (Facts.latency t.facts)
   | Critical_path -> float_of_int (Critical_path.of_program program)
 
-type move = {
-  before : cost;
-  slot : int;
-  old : Program.slot;
-}
-
-let eval ?cutoff ?(refreshed = false) ?move t program =
+(* [eval] with its options unpacked: no cutoff is an infinite [limit],
+   and no move a negative [slot] ([before] and [old] are then unread). *)
+let eval_with t program ~refreshed ~limit ~before ~slot ~old =
   t.evaluations <- t.evaluations + 1;
   let caching = Array.length t.cache > 0 in
   if not refreshed then Facts.refresh t.facts program;
   let h = Facts.key t.facts in
-  let hit = if caching then cache_find t h program else None in
-  match hit, move with
-  | Some c, _ ->
+  match if caching then cache_find t h program else None with
+  | Some c ->
     t.cache_hits <- t.cache_hits + 1;
     Evaluated c
-  | None, Some m
-    when Facts.dead_write t.facts ~slot:m.slot ~old:m.old ~live_out:t.live_out
-    ->
-    (* Every test's outputs and fault are those of the program [m.before]
+  | None
+    when slot >= 0 && Facts.dead_write t.facts ~slot ~old ~live_out:t.live_out ->
+    (* Every test's outputs and fault are those of the program [before]
        scored, so running them would rebuild its [eq], [signals] and
        [max_ulp] bit for bit — the same values in the same order under
        [Sum], whose test order is pinned — and only the perf term moves. *)
     t.elided <- t.elided + 1;
     let perf = perf_of t program in
-    let c =
-      { m.before with perf; total = m.before.eq +. (t.params.k *. perf) }
-    in
+    let c = { before with perf; total = before.eq +. (t.params.k *. perf) } in
     if caching then cache_store t h program c;
     Evaluated c
-  | None, _ ->
+  | None ->
     let params = t.params in
     let perf = perf_of t program in
     let kperf = params.k *. perf in
@@ -351,7 +349,6 @@ let eval ?cutoff ?(refreshed = false) ?move t program =
        evaluation uses.  Either way [eq +. kperf > limit] on a prefix
        proves the full total fails the very same floating-point
        comparison the acceptance test makes, so pruned ⟺ rejected. *)
-    let limit = match cutoff with Some c -> c | None -> Float.infinity in
     let acc = t.acc in
     acc.f.(0) <- 0.;
     acc.f.(1) <- kperf;
@@ -383,6 +380,17 @@ let eval ?cutoff ?(refreshed = false) ?move t program =
     | Sandbox.Engine.Aborted ->
       t.pruned_evals <- t.pruned_evals + 1;
       Pruned { tests_run = o.Sandbox.Engine.runs; eq_partial = params.ws }
+
+(* A placeholder [before] for an evaluation without a move. *)
+let no_cost =
+  { eq = Float.nan; perf = Float.nan; total = Float.nan; signals = 0; max_ulp = Ulp.zero }
+
+let eval ?cutoff ?(refreshed = false) t program =
+  let limit = match cutoff with Some c -> c | None -> Float.infinity in
+  eval_with t program ~refreshed ~limit ~before:no_cost ~slot:(-1) ~old:Program.Unused
+
+let eval_move ?(refreshed = false) ~cutoff ~before ~slot ~old t program =
+  eval_with t program ~refreshed ~limit:cutoff ~before ~slot ~old
 
 let eval_full t program =
   match eval t program with

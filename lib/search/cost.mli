@@ -37,11 +37,11 @@
     - {b Cost cache}: a small direct-mapped cache keyed by {!Facts.key}
       (verified with [Program.equal], so hits are exact) short-circuits
       re-proposed rewrites without touching the sandbox.
-    - {b Dead-write elision}: given the {!move} that made the proposal,
-      [eval] prices a one-slot move whose old and new instruction cannot
-      fault and write only locations dead after the slot without running
-      anything: every test's outcome is the previous program's, so only
-      the perf term changes.
+    - {b Dead-write elision}: told the one-slot move that made the
+      proposal ({!eval_move}), it prices a move whose old and new
+      instruction cannot fault and write only locations dead after the
+      slot without running anything: every test's outcome is the
+      previous program's, so only the perf term changes.
 
     The error metric and the reduction operator are configurable to support
     the ablation benches (ULP vs absolute vs relative error; max vs sum). *)
@@ -133,16 +133,7 @@ type verdict =
   | Evaluated of cost
   | Pruned of pruned
 
-(** A proposal that changed one slot of a program whose full cost is
-    known. *)
-type move = {
-  before : cost;  (** the full cost of the program before the move *)
-  slot : int;  (** the slot the move changed, the only one *)
-  old : Program.slot;  (** what that slot held before *)
-}
-
-val eval :
-  ?cutoff:float -> ?refreshed:bool -> ?move:move -> t -> Program.t -> verdict
+val eval : ?cutoff:float -> ?refreshed:bool -> t -> Program.t -> verdict
 (** Without [cutoff] this always returns [Evaluated] with the full cost.
     With [cutoff] it returns [Pruned] as soon as [eq + k·perf > cutoff]
     is provable — under [Max] because the running max is exact, under
@@ -153,13 +144,24 @@ val eval :
 
     [refreshed] (default [false]): the context's table already describes
     [program] (the caller refreshed it, or updated it from the move that
-    made [program]), so [eval] does not walk it.
+    made [program]), so [eval] does not walk it. *)
 
-    [move]: [program] is the program [move.before] is the full cost of
-    with one slot changed.  On a cache miss where {!Facts.dead_write}
-    holds for the spec's live-out locations, no test runs: the result
-    is [move.before] with [perf] and [total] repriced — bit for bit the
-    full cost — counted in {!elided} and stored in the cost cache. *)
+val eval_move :
+  ?refreshed:bool ->
+  cutoff:float ->
+  before:cost ->
+  slot:int ->
+  old:Program.slot ->
+  t ->
+  Program.t ->
+  verdict
+(** {!eval} of a program that differs from one whose full cost is
+    [before] only at [slot], which held [old]; [cutoff] is [infinity]
+    for none.  On a cache miss where {!Facts.dead_write} holds for the
+    spec's live-out locations, no test runs: the result is [before] with
+    [perf] and [total] repriced — bit for bit the full cost — counted in
+    {!elided} and stored in the cost cache.  It allocates no option or
+    record: the search calls it for each one-slot move under pruning. *)
 
 val eval_full : t -> Program.t -> cost
 (** [eval] with no cutoff, unwrapped. *)
@@ -177,7 +179,7 @@ val cache_hits : t -> int
 (** Evaluations answered from the cost cache without running anything. *)
 
 val elided : t -> int
-(** Evaluations answered by dead-write elision (see {!eval}'s [move])
+(** Evaluations answered by dead-write elision (see {!eval_move})
     without running anything. *)
 
 val engine_counters : t -> Sandbox.Engine.counters

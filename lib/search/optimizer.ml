@@ -255,7 +255,8 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
   in
   for iter = start_iter + 1 to config.proposals do
     state.proposals_made <- state.proposals_made + 1;
-    (match Transform.propose g pools cur with
+    (* the table describes [cur], so a move draws its slot from it *)
+    (match Transform.propose ~facts g pools cur with
      | None -> ()
      | Some (kind, undo) ->
        state.moves.proposed.(kind_index kind) <-
@@ -286,25 +287,22 @@ let run_chain ~obs ~progress_every ~control ~chain_id ~master_rng ~restart
           and the accept decision are the same float comparison, which is
           what makes pruned and unpruned runs bit-identical. *)
        let limit =
-         match Strategy.accept_bound config.strategy g ~iter with
-         | None -> Float.infinity
-         | Some b -> !cur_cost.Cost.total +. b
+         Strategy.accept_limit config.strategy g ~iter ~current:!cur_cost.Cost.total
        in
        (* Under pruning, a one-slot move that rewrites only dead
           locations, faultlessly, is priced from the current cost
           without running the tests: the total is the one a full
           evaluation would return, so the accept decision below is the
           same float comparison. *)
-       let move =
+       let verdict =
          match undo with
          | Transform.Restore_slot (slot, old) when config.prune ->
-           Some { Cost.before = !cur_cost; slot; old }
-         | Transform.Restore_slot _ | Transform.Restore_swap _ -> None
-       in
-       let verdict =
-         Cost.eval ~refreshed:true
-           ?cutoff:(if config.prune then Some limit else None)
-           ?move ctx cur
+           Cost.eval_move ~refreshed:true ~cutoff:limit ~before:!cur_cost ~slot ~old ctx
+             cur
+         | Transform.Restore_slot _ | Transform.Restore_swap _ ->
+           Cost.eval ~refreshed:true
+             ?cutoff:(if config.prune then Some limit else None)
+             ctx cur
        in
        (match verdict with
         | Cost.Pruned _ -> take_back undo

@@ -24,7 +24,7 @@ type config = {
       (** pass the acceptance bound to {!Cost.eval} as a cutoff so doomed
           evaluations abort early (STOKE '13's early-termination trick),
           and pass each one-slot move so a dead write is priced without
-          running the tests ({!Cost.move}).  Never changes the result —
+          running the tests ({!Cost.eval_move}).  Never changes the result —
           the winning rewrite is bit-identical with pruning on or off —
           only how many test cases run. *)
   engine : Sandbox.Exec.engine;

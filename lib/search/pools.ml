@@ -27,13 +27,21 @@ type operands = {
 (* The opcode tables depend only on which operand pools are non-empty —
    one bit per kind of [kind_bit] — so they are built once per such mask
    and shared, read-only, by every search on every domain. *)
+type opcode_move = {
+  shape : Shape.kind array;
+  candidates : Opcode.t array;
+  self : int;
+}
+
 type tables = {
   opcodes : Opcode.t array;  (** opcodes with at least one instantiable shape *)
   op_shapes : Shape.kind array array array;
       (** per [opcodes] entry: its instantiable shapes, in [Shape.shapes]
           order *)
-  by_shape : (Shape.kind array, Opcode.t array) Hashtbl.t;
-      (** per shape: the [opcodes] admitting it, in [opcodes] order *)
+  moves : opcode_move array array;
+      (** by [Opcode.index], then by position in [Shape.shapes]: that
+          shape, the [opcodes] admitting it and the opcode's index among
+          them *)
 }
 
 type t = {
@@ -149,7 +157,24 @@ let build mask =
   Hashtbl.iter
     (fun shape ops -> Hashtbl.replace by_shape shape (Array.of_list (List.rev ops)))
     rev_by_shape;
-  { opcodes; op_shapes = Array.of_list (List.map snd candidates); by_shape }
+  let moves = Array.make Opcode.count [||] in
+  List.iter
+    (fun op ->
+      moves.(Opcode.index op) <-
+        Array.of_list
+          (List.map
+             (fun shape ->
+               let candidates =
+                 Option.value ~default:[||] (Hashtbl.find_opt by_shape shape)
+               in
+               let self = ref (-1) in
+               Array.iteri
+                 (fun k c -> if Opcode.equal c op then self := k)
+                 candidates;
+               { shape; candidates; self = !self })
+             (Shape.shapes op)))
+    Opcode.all;
+  { opcodes; op_shapes = Array.of_list (List.map snd candidates); moves }
 
 (* The masks built so far; a search meets one or two.  Two domains that
    miss the same mask at once both build it, alike. *)
@@ -187,20 +212,42 @@ let make ~target ~spec =
       mem128 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
     }
   in
+  (* Every pool operand inhabits its kind, so a move that puts one in a
+     position of that kind, or an opcode admitting the shape, keeps an
+     instruction well formed with no check per move. *)
+  List.iter
+    (fun k ->
+      Array.iter
+        (fun o ->
+          if not (Shape.kind_matches k o) then
+            invalid_arg
+              (Printf.sprintf "Pools.make: %s in the %s pool"
+                 (Operand.to_string ~w:Reg.Q o) (Shape.kind_to_string k)))
+        (pool operands k))
+    kinds;
   { operands; tables = tables (availability operands) }
 
 let operands_of_kind t k = pool t.operands k
 
-let opcodes_with_shape t shape =
-  Option.value ~default:[||] (Hashtbl.find_opt t.tables.by_shape shape)
+let opcode_move t op k = t.tables.moves.(Opcode.index op).(k)
 
 let all_opcodes t = t.tables.opcodes
 
+(* A loop, not [Array.map] and its closure; the draws run in operand
+   order. *)
 let random_instr g t =
   let k = Rng.Dist.int g (Array.length t.tables.opcodes) in
   let op = t.tables.opcodes.(k) in
   let shape = Rng.Dist.choose g t.tables.op_shapes.(k) in
+  let n = Array.length shape in
   let operands =
-    Array.map (fun k -> Rng.Dist.choose g (operands_of_kind t k)) shape
+    if n = 0 then [||]
+    else begin
+      let a = Array.make n (Rng.Dist.choose g (operands_of_kind t shape.(0))) in
+      for j = 1 to n - 1 do
+        a.(j) <- Rng.Dist.choose g (operands_of_kind t shape.(j))
+      done;
+      a
+    end
   in
   Instr.make_unchecked op operands

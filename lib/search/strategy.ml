@@ -7,17 +7,31 @@ type t =
     }
   | Random_walk
 
-let accept_bound t g ~iter =
+(* [Rng.Dist.float g 1.0], computed here: a float returned from another
+   module is boxed. *)
+let[@inline] uniform g = Int.to_float (Rng.Xoshiro256.next_top53 g) /. 0x1p53
+
+(* The bound, [infinity] for none: shared by [accept_bound] and, inlined
+   so that nothing is boxed, [accept_limit]. *)
+let[@inline] bound t g ~iter =
   match t with
-  | Random_walk -> None
-  | Hill -> Some 0.
+  | Random_walk -> Float.infinity
+  | Hill -> 0.
   | Mcmc { beta } ->
-    let u = Rng.Dist.float g 1.0 in
-    if u <= 0. then None else Some (-.Float.log u /. beta)
+    let u = uniform g in
+    if u <= 0. then Float.infinity else -.Float.log u /. beta
   | Anneal { t0; cooling } ->
-    let u = Rng.Dist.float g 1.0 in
+    let u = uniform g in
     let temp = Float.max 1e-9 (t0 *. Float.pow cooling (float_of_int iter)) in
-    if u <= 0. then None else Some (-.Float.log u *. temp)
+    if u <= 0. then Float.infinity else -.Float.log u *. temp
+
+let accept_bound t g ~iter =
+  let b = bound t g ~iter in
+  if b = Float.infinity then None else Some b
+
+let accept_limit t g ~iter ~current =
+  let b = bound t g ~iter in
+  if b = Float.infinity then b else current +. b
 
 let default_anneal = Anneal { t0 = 1e12; cooling = 0.99997 }
 

@@ -24,6 +24,11 @@ val accept_bound : t -> Rng.Xoshiro256.t -> iter:int -> float option
     doomed evaluations early without changing the RNG stream between
     pruned and unpruned runs. *)
 
+val accept_limit : t -> Rng.Xoshiro256.t -> iter:int -> current:float -> float
+(** The same draw as {!accept_bound}, returned as the largest total still
+    accepted: [current +. bound], or [infinity] for no bound.  Allocates
+    no option. *)
+
 val default_anneal : t
 (** t0 = 1e12, cooling tuned to decay over ~1e6 iterations. *)
 

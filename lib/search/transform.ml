@@ -18,53 +18,71 @@ let kind_to_string = function
 let rec kth_active slots idx k =
   match slots.(idx) with
   | Program.Unused -> kth_active slots (idx - 1) k
-  | Program.Active i -> if k = 0 then Some (idx, i) else kth_active slots (idx - 1) (k - 1)
+  | Program.Active _ -> if k = 0 then idx else kth_active slots (idx - 1) (k - 1)
 
-(* A uniformly drawn active slot, without building the list of them.
-   Slots are numbered from the end: draw [k] picks the [k]-th active slot
-   counting down from the last, the order the search has always used, so
-   fixed-seed runs keep their random streams. *)
-let random_active g (p : Program.t) =
-  let slots = p.Program.slots in
-  let n = Array.length slots in
-  let actives = ref 0 in
-  for idx = 0 to n - 1 do
-    match slots.(idx) with
-    | Program.Active _ -> incr actives
-    | Program.Unused -> ()
-  done;
-  if !actives = 0 then None
-  else kth_active slots (n - 1) (Rng.Dist.int g !actives)
-
-let propose_opcode g pools (p : Program.t) =
-  match random_active g p with
-  | None -> None
-  | Some (idx, i) ->
-    let candidates = Pools.opcodes_with_shape pools (Instr.shape i) in
-    (* draw among the candidates other than the current opcode *)
-    let n = Array.length candidates in
-    let self = ref (-1) in
-    for k = 0 to n - 1 do
-      if Opcode.equal candidates.(k) i.Instr.op then self := k
+(* A uniformly drawn active slot, or -1 when there is none.  Slots are
+   numbered from the end: draw [k] picks the [k]-th active slot counting
+   down from the last, the order the search has always used, so
+   fixed-seed runs keep their random streams.  A table that describes
+   the program lists its active slots in program order, so the draw is
+   one read there; without one, two walks over the slots count and
+   find it. *)
+let random_active ?facts g (p : Program.t) =
+  match facts with
+  | Some m when Facts.describes m p ->
+    let n = Facts.active m in
+    if n = 0 then -1 else (Facts.order m).(n - 1 - Rng.Dist.int g n)
+  | Some _ | None ->
+    let slots = p.Program.slots in
+    let n = Array.length slots in
+    let actives = ref 0 in
+    for idx = 0 to n - 1 do
+      match slots.(idx) with
+      | Program.Active _ -> incr actives
+      | Program.Unused -> ()
     done;
-    let choices = if !self >= 0 then n - 1 else n in
+    if !actives = 0 then -1 else kth_active slots (n - 1) (Rng.Dist.int g !actives)
+
+(* The instruction in slot [idx], active by the draw. *)
+let active_at (p : Program.t) idx =
+  match p.Program.slots.(idx) with
+  | Program.Active i -> i
+  | Program.Unused -> assert false
+
+(* Its shape's position among its opcode's shapes. *)
+let position (i : Instr.t) =
+  let k = Shape.position i.Instr.op i.Instr.operands in
+  if k < 0 then invalid_arg "Transform: ill-formed instruction";
+  k
+
+(* Both moves below keep the instruction well formed with no check: see
+   [Pools.opcode_move]. *)
+let propose_opcode ?facts g pools (p : Program.t) =
+  let idx = random_active ?facts g p in
+  if idx < 0 then None
+  else begin
+    let old = p.Program.slots.(idx) in
+    let i = active_at p idx in
+    let mv = Pools.opcode_move pools i.Instr.op (position i) in
+    (* draw among the candidates other than the current opcode *)
+    let self = mv.Pools.self in
+    let choices = Array.length mv.Pools.candidates - if self >= 0 then 1 else 0 in
     if choices = 0 then None
     else begin
-      let k = Rng.Dist.int g choices in
-      let op = candidates.(if !self >= 0 && k >= !self then k + 1 else k) in
-      let i' = Instr.make_unchecked op i.Instr.operands in
-      if Instr.is_well_formed i' then begin
-        p.Program.slots.(idx) <- Program.Active i';
-        Some (Restore_slot (idx, Program.Active i))
-      end
-      else None
+      let c = Rng.Dist.int g choices in
+      let op = mv.Pools.candidates.(if self >= 0 && c >= self then c + 1 else c) in
+      p.Program.slots.(idx) <- Program.Active (Instr.make_unchecked op i.Instr.operands);
+      Some (Restore_slot (idx, old))
     end
+  end
 
-let propose_operand g pools (p : Program.t) =
-  match random_active g p with
-  | None -> None
-  | Some (idx, i) ->
-    let shape = Instr.shape i in
+let propose_operand ?facts g pools (p : Program.t) =
+  let idx = random_active ?facts g p in
+  if idx < 0 then None
+  else begin
+    let old = p.Program.slots.(idx) in
+    let i = active_at p idx in
+    let shape = (Pools.opcode_move pools i.Instr.op (position i)).Pools.shape in
     if Array.length shape = 0 then None
     else begin
       let pos = Rng.Dist.int g (Array.length shape) in
@@ -74,14 +92,11 @@ let propose_operand g pools (p : Program.t) =
         let o = Rng.Dist.choose g pool in
         let operands = Array.copy i.Instr.operands in
         operands.(pos) <- o;
-        let i' = Instr.make_unchecked i.Instr.op operands in
-        if Instr.is_well_formed i' then begin
-          p.Program.slots.(idx) <- Program.Active i';
-          Some (Restore_slot (idx, Program.Active i))
-        end
-        else None
+        p.Program.slots.(idx) <- Program.Active (Instr.make_unchecked i.Instr.op operands);
+        Some (Restore_slot (idx, old))
       end
     end
+  end
 
 let propose_swap g (p : Program.t) =
   let n = Array.length p.Program.slots in
@@ -112,7 +127,7 @@ let propose_instruction g pools (p : Program.t) =
     Some (Restore_slot (idx, old))
   end
 
-let propose g pools p =
+let propose ?facts g pools p =
   let kind =
     match Rng.Dist.int g 4 with
     | 0 -> Opcode_move
@@ -122,8 +137,8 @@ let propose g pools p =
   in
   let result =
     match kind with
-    | Opcode_move -> propose_opcode g pools p
-    | Operand_move -> propose_operand g pools p
+    | Opcode_move -> propose_opcode ?facts g pools p
+    | Operand_move -> propose_operand ?facts g pools p
     | Swap_move -> propose_swap g p
     | Instruction_move -> propose_instruction g pools p
   in

@@ -7,8 +7,16 @@
     - {b Instruction}: replace a slot with [Unused] or with a freshly
       random instruction.
 
-    All four are ergodic over the slot-array program space and symmetric,
-    as required by the Metropolis ratio. *)
+    Together they are ergodic over the slot-array program space.  They
+    are {e not} symmetric: an instruction move draws its replacement in
+    stages ({!Pools.random_instr}: opcode, then shape, then operands), so
+    the forward and reverse proposals of one move generally have
+    different probabilities; and the instruction an opcode or operand
+    move makes may fit another of its opcode's shapes first, so the
+    reverse move can have a different number of candidates.  The acceptance rule
+    ([Strategy]) applies no Hastings correction for this, so the chain
+    samples the cost-weighted target only approximately; ROADMAP item 9
+    tracks drawing instructions uniformly. *)
 
 type kind =
   | Opcode_move
@@ -23,12 +31,26 @@ type undo = private
           which held this content before *)
   | Restore_swap of int * int  (** a swap exchanged these two slots *)
 
-val propose : Rng.Xoshiro256.t -> Pools.t -> Program.t -> (kind * undo) option
+val propose :
+  ?facts:Facts.t -> Rng.Xoshiro256.t -> Pools.t -> Program.t -> (kind * undo) option
 (** Mutates the program; [None] when the drawn move is inapplicable (e.g.
     an opcode move on an empty program, or a swap that drew one slot
     twice), leaving the program as it was.  The optimizer counts such a
     draw as a proposal that stays put — a valid self-loop of the chain —
-    rather than redrawing. *)
+    rather than redrawing.
+
+    [facts]: a slot table that describes the program ({!Facts.describes}:
+    it was last given this program, and told of every change since, as
+    the search's move-fed table is).  An opcode or operand move then
+    draws its active slot from the table's {!Facts.order} instead of
+    walking the slots — the same draw, so the same move.  A table that
+    describes another program is ignored. *)
+
+val random_active : ?facts:Facts.t -> Rng.Xoshiro256.t -> Program.t -> int
+(** The slot an opcode or operand move changes: the [k]-th active slot
+    counting down from the last, for one draw [k] uniform over the
+    active slots, or [-1] (with no draw) when none is active.  With
+    [facts] as for {!propose}. *)
 
 val undo : Program.t -> undo -> unit
 

@@ -11,10 +11,14 @@
    walks ([refresh]).
 
    Alongside the per-slot entries the table keeps its active slots
-   densely, in program order: their entries, translated steps and
-   latencies.  [pos.(k)] is the dense index slot [k] has (or would have,
-   were it active); changing an active slot replaces its dense entry in
-   place, and only an [Unused] <-> active toggle shifts the dense tail.
+   densely, in program order: their slot indices ([order]), translated
+   steps and latencies.  [pos.(k)] is the dense index slot [k] has (or
+   would have, were it active); changing an active slot replaces its
+   dense step and latency in place, and only an [Unused] <-> active
+   toggle shifts the dense tail.  [order], [lats] and [pos] are int
+   arrays shifted by plain loops: [Array.blit] would run the write
+   barrier on every element, even of an int array; [steps] is the one
+   pointer array a toggle shifts.
 
    A changed slot finds its entry in a direct-mapped cache keyed by
    [Instr.hash] and verified with [Instr.equal], so an instruction equal
@@ -26,11 +30,8 @@ type derived = {
   instr : Instr.t;  (** the instruction these facts describe *)
   hash : int;  (** [Instr.hash instr]; [unused_hash] for an [Unused] slot *)
   lat : int;
-  defs : Liveness.Locset.t;
-  strict_uses : Liveness.Locset.t;
-  uses : Liveness.Locset.t;
-  kills : Liveness.Locset.t;
-  quiet : bool;  (** [Liveness.cannot_fault], or an [Unused] slot *)
+  live : Liveness.summary;
+      (** its sets, and [cannot_fault] (true for an [Unused] slot) *)
   step : unit -> unit;  (** the table's translation of [instr] *)
 }
 
@@ -43,8 +44,10 @@ let unused_hash = 0x2f1a_9b3c_5d7e_4861
 (* The entry of every [Unused] slot, and of an empty cache line. *)
 let unused =
   let e = Liveness.Locset.empty in
-  { instr = vacant; hash = unused_hash; lat = 0; defs = e; strict_uses = e;
-    uses = e; kills = e; quiet = true; step = no_step }
+  { instr = vacant; hash = unused_hash; lat = 0;
+    live =
+      { Liveness.defs = e; strict_uses = e; uses = e; kills = e; cannot_fault = true };
+    step = no_step }
 
 (* A slot's term of the key: its instruction's hash mixed with the slot
    index, so the same instruction in two slots adds two unrelated terms
@@ -64,7 +67,7 @@ type t = {
   mutable facts : derived array;
   mutable terms : int array;
   mutable pos : int array;  (** [n + 1] entries; [pos.(n) = active] *)
-  mutable dense : derived array;
+  mutable order : int array;  (** the active slots, in program order *)
   mutable steps : (unit -> unit) array;
   mutable lats : int array;
   mutable active : int;
@@ -81,14 +84,12 @@ type t = {
 
 let create ?(translate = fun _ -> no_step) () =
   { prog = nothing; keys = [||]; facts = [||]; terms = [||]; pos = [| 0 |];
-    dense = [||]; steps = [||]; lats = [||]; active = 0; key = 0; latency = 0;
+    order = [||]; steps = [||]; lats = [||]; active = 0; key = 0; latency = 0;
     cache = [||]; translate; jslot = Array.make 2 0;
     jfact = Array.make 2 unused; jlen = -1 }
 
 let derive m i h =
-  { instr = i; hash = h; lat = Latency.of_instr i; defs = Liveness.defs i;
-    strict_uses = Liveness.strict_uses i; uses = Liveness.uses i;
-    kills = Liveness.kills i; quiet = Liveness.cannot_fault i;
+  { instr = i; hash = h; lat = Latency.of_instr i; live = Liveness.summary i;
     step = m.translate i }
 
 let lookup m i =
@@ -106,24 +107,41 @@ let of_slot m = function
   | Program.Unused -> unused
   | Program.Active i -> lookup m i
 
-let place m p d =
-  m.dense.(p) <- d;
+let place m k d =
+  let p = m.pos.(k) in
+  m.order.(p) <- k;
   m.steps.(p) <- d.step;
   m.lats.(p) <- d.lat
 
-(* Open ([by = 1]) or close ([by = -1]) the dense index of slot [k]. *)
-let shift m k ~by =
-  let p = m.pos.(k) in
-  let from, into = if by > 0 then (p, p + 1) else (p + 1, p) in
-  let len = m.active - from in
-  Array.blit m.dense from m.dense into len;
-  Array.blit m.steps from m.steps into len;
-  Array.blit m.lats from m.lats into len;
+(* Open the dense index of slot [k]: the tail from its position moves up
+   one. *)
+let open_at m k =
+  let p = m.pos.(k) and order = m.order and lats = m.lats in
+  for j = m.active downto p + 1 do
+    order.(j) <- order.(j - 1);
+    lats.(j) <- lats.(j - 1)
+  done;
+  Array.blit m.steps p m.steps (p + 1) (m.active - p);
   let pos = m.pos in
   for j = k + 1 to Array.length pos - 1 do
-    pos.(j) <- pos.(j) + by
+    pos.(j) <- pos.(j) + 1
   done;
-  m.active <- m.active + by
+  m.active <- m.active + 1
+
+(* Close it: the tail after it moves down one. *)
+let close_at m k =
+  let p = m.pos.(k) and order = m.order and lats = m.lats in
+  let last = m.active - 1 in
+  for j = p to last - 1 do
+    order.(j) <- order.(j + 1);
+    lats.(j) <- lats.(j + 1)
+  done;
+  Array.blit m.steps (p + 1) m.steps p (last - p);
+  let pos = m.pos in
+  for j = k + 1 to Array.length pos - 1 do
+    pos.(j) <- pos.(j) - 1
+  done;
+  m.active <- last
 
 (* Install entry [d] for [slot] at [k]. *)
 let set m k slot d =
@@ -135,11 +153,11 @@ let set m k slot d =
   m.latency <- m.latency - old.lat + d.lat;
   m.facts.(k) <- d;
   if old != unused then begin
-    if d != unused then place m m.pos.(k) d else shift m k ~by:(-1)
+    if d != unused then place m k d else close_at m k
   end
   else if d != unused then begin
-    shift m k ~by:1;
-    place m m.pos.(k) d
+    open_at m k;
+    place m k d
   end
 
 let resize m n =
@@ -147,7 +165,7 @@ let resize m n =
   m.facts <- Array.make n unused;
   m.terms <- Array.init n (fun k -> term k unused_hash);
   m.pos <- Array.make (n + 1) 0;
-  m.dense <- Array.make n unused;
+  m.order <- Array.make n 0;
   m.steps <- Array.make n no_step;
   m.lats <- Array.make n 0;
   m.active <- 0;
@@ -219,46 +237,49 @@ let revert m p =
 let key m = m.key
 let latency m = m.latency
 let active m = m.active
+let order m = m.order
 let steps m = m.steps
 let step_latencies m = m.lats
 
+let describes m (p : Program.t) = follows m p
+
 (* The walks read the sets as the ints they are (see [Liveness.Locset]),
-   over the dense entries: an [Unused] slot neither reads nor writes. *)
-let rec reads_undefined dense n p defined =
+   over the active slots: an [Unused] slot neither reads nor writes. *)
+let rec reads_undefined facts order n p defined =
   p < n
   &&
-  let d = dense.(p) in
-  (d.strict_uses :> int) land lnot defined <> 0
-  || reads_undefined dense n (p + 1) (defined lor (d.defs :> int))
+  let l = facts.(order.(p)).live in
+  (l.Liveness.strict_uses :> int) land lnot defined <> 0
+  || reads_undefined facts order n (p + 1) (defined lor (l.Liveness.defs :> int))
 
 let has_undef_read m ~defined =
-  reads_undefined m.dense m.active 0 (defined : Liveness.Locset.t :> int)
+  reads_undefined m.facts m.order m.active 0 (defined : Liveness.Locset.t :> int)
 
 (* The locations live just after slot [k], backward from [live_out]
-   over the dense entries of the slots after it. *)
+   over the active slots after it. *)
 let live_after m ~live_out k =
-  let dense = m.dense in
+  let facts = m.facts and order = m.order in
   let live = ref (live_out : Liveness.Locset.t :> int) in
   for p = m.active - 1 downto m.pos.(k + 1) do
-    let d = dense.(p) in
-    live := (!live land lnot (d.kills :> int)) lor (d.uses :> int)
+    let l = facts.(order.(p)).live in
+    live := (!live land lnot (l.Liveness.kills :> int)) lor (l.Liveness.uses :> int)
   done;
   !live
 
 let dead_write m ~slot ~old ~live_out =
-  let now = m.facts.(slot) in
-  now.quiet
+  let now = m.facts.(slot).live in
+  now.Liveness.cannot_fault
   &&
   let before =
     match old with
-    | Program.Unused -> unused
+    | Program.Unused -> unused.live
     | Program.Active i ->
       (* the move's journaled entry, when it describes [old] *)
       let j = m.jfact.(0) in
-      if m.jlen >= 1 && m.jslot.(0) = slot && j.instr == i then j
-      else lookup m i
+      if m.jlen >= 1 && m.jslot.(0) = slot && j.instr == i then j.live
+      else (lookup m i).live
   in
-  before.quiet
+  before.Liveness.cannot_fault
   &&
-  let written = (now.defs :> int) lor (before.defs :> int) in
+  let written = (now.Liveness.defs :> int) lor (before.Liveness.defs :> int) in
   written = 0 || written land live_after m ~live_out slot = 0

@@ -25,16 +25,20 @@
     instruction equal to a recently seen one is neither derived nor
     translated again.  The cache is made by the first refresh.
 
-    {b Dense steps.}  The table also keeps its active slots densely, in
-    program order: {!steps} and {!step_latencies} hold the first
-    {!active} entries' translated steps and latencies, so a run executes
-    no step for an [Unused] slot.  Changing an active slot replaces its
-    dense entry in place; only an [Unused] <-> active toggle shifts the
-    dense tail.
+    {b Dense order.}  The table also keeps its active slots densely, in
+    program order: {!order} holds the first {!active} entries' slot
+    indices, and {!steps} and {!step_latencies} their translated steps
+    and latencies, so a run executes no step for an [Unused] slot and
+    the search draws the [k]-th active slot with one read
+    ([Search.Transform.propose ~facts]).  Changing an active slot
+    replaces its dense step and latency in place; only an [Unused] <->
+    active toggle shifts the dense tail, by plain loops over the int
+    arrays ([order], the latencies, the positions) and one blit of the
+    steps, the only pointer array shifted.
 
-    The readers are O(1) ({!key}, {!latency}) or walk the active slots
-    only ({!has_undef_read}, and {!dead_write} over the slots after the
-    one it asks about).  [latency m = Latency.of_program p] for the
+    The readers are O(1) ({!key}, {!latency}, {!order}) or walk the
+    active slots only ({!has_undef_read}, and {!dead_write} over the
+    slots after the one it asks about).  [latency m = Latency.of_program p] for the
     program [p] it describes.
 
     A table is mutable and unsynchronised: one per search context
@@ -79,6 +83,17 @@ val latency : t -> int
 
 val active : t -> int
 (** The number of active slots. *)
+
+val describes : t -> Program.t -> bool
+(** Whether [p] is, physically, the program the table was last given
+    (by {!refresh}, {!move}, {!swap} or {!revert}).  Then, as long as
+    every change to [p] since was reported, {!order} lists its active
+    slots. *)
+
+val order : t -> int array
+(** The active slots' indices, in program order: the first {!active}
+    entries are valid.  The array is the table's own, valid until its
+    next update. *)
 
 val steps : t -> (unit -> unit) array
 (** The active slots' steps, in program order: the first {!active}

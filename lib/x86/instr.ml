@@ -3,7 +3,7 @@ type t = {
   operands : Operand.t array;
 }
 
-let is_well_formed i = Option.is_some (Shape.shape_of i.op i.operands)
+let is_well_formed i = Shape.position i.op i.operands >= 0
 
 let make op operands =
   let i = { op; operands = Array.of_list operands } in
@@ -14,11 +14,6 @@ let make op operands =
   i
 
 let make_unchecked op operands = { op; operands }
-
-let shape i =
-  match Shape.shape_of i.op i.operands with
-  | Some s -> s
-  | None -> invalid_arg "Instr.shape: ill-formed instruction"
 
 let gp_width i =
   match i.op with
@@ -32,15 +27,14 @@ let gp_width i =
   | Opcode.Setcc _ -> Reg.L
   | _ -> Reg.Q
 
+let rec operands_equal a b k =
+  k < 0 || (Operand.equal a.(k) b.(k) && operands_equal a b (k - 1))
+
 let equal a b =
   a == b
   || Opcode.equal a.op b.op
-  && Array.length a.operands = Array.length b.operands
-  && (let ok = ref true in
-      Array.iteri
-        (fun i o -> if not (Operand.equal o b.operands.(i)) then ok := false)
-        a.operands;
-      !ok)
+     && Array.length a.operands = Array.length b.operands
+     && operands_equal a.operands b.operands (Array.length a.operands - 1)
 
 (* FNV-1a's step over native ints, and a final avalanche so the low bits
    that index a direct-mapped cache depend on every input word. *)
@@ -51,7 +45,7 @@ let avalanche h =
   h lxor (h lsr 29)
 
 let hash i =
-  let h = ref (mix 0x4bf29ce484222325 (Hashtbl.hash i.op)) in
+  let h = ref (mix 0x4bf29ce484222325 (Opcode.hash i.op)) in
   let ops = i.operands in
   for k = 0 to Array.length ops - 1 do
     match ops.(k) with

@@ -36,9 +36,6 @@ val make_unchecked : Opcode.t -> Operand.t array -> t
 
 val is_well_formed : t -> bool
 
-val shape : t -> Shape.kind array
-(** The shape the instruction inhabits (raises if ill-formed). *)
-
 val gp_width : t -> Reg.w
 (** The width used when printing GP operands of this instruction. *)
 

@@ -84,161 +84,169 @@ let operand_def = function
   | Operand.Imm _ -> Locset.empty
   | Operand.Mem _ -> Locset.mem_bit
 
-(* The flags-defining opcodes of our subset. *)
-let defines_flags : Opcode.t -> bool = function
-  | Add _ | Sub _ | Imul _ | And _ | Or _ | Xor _ | Neg _ | Inc _ | Dec _
-  | Shl _ | Shr _ | Sar _ | Cmp _ | Test _ | Ucomiss | Ucomisd | Comiss
-  | Comisd ->
-    true
-  | _ -> false
+(* What an opcode does with the flags and its destination, as bits, in
+   one match:
+   - [p_flags_def]: may define the flags;
+   - [p_flags_use]: reads them (cmov, setcc);
+   - [p_dst_read]: the destination's previous value feeds the result —
+     read-modify-write ALU ops, merging SSE scalar writes, FMA forms
+     whose destination is a multiplicand or addend;
+   - [p_merge]: that read only re-emits the bits the instruction does
+     not compute (setcc's upper 56 bits, the scalar SSE merge forms'
+     upper lanes, movlhps/movhlps' untouched half);
+   - [p_movs]: movss/movsd, whose reg-to-reg forms read and merge into
+     the destination and whose loads overwrite it;
+   - [p_no_dst]: no destination at all (cmp, test, the FP compares);
+   - [p_lea]: computes a memory operand's address without accessing it;
+   - [p_keeps_cf]: inc/dec, which define the flags but keep CF;
+   - [p_shift32]/[p_shift64]: a shift, which leaves every flag when its
+     count masked to 31 or 63 is zero. *)
+let p_flags_def = 1
+let p_flags_use = 2
+let p_dst_read = 4
+let p_merge = 8
+let p_movs = 16
+let p_no_dst = 32
+let p_lea = 64
+let p_keeps_cf = 128
+let p_shift32 = 256
+let p_shift64 = 512
 
-let uses_flags : Opcode.t -> bool = function
-  | Cmov _ | Setcc _ -> true
-  | _ -> false
+let rmw = p_flags_def lor p_dst_read
+let merging = p_dst_read lor p_merge
+let shift = function
+  | Reg.L -> rmw lor p_shift32
+  | Reg.Q -> rmw lor p_shift64
 
-(* Does the destination's previous value feed the result?  True for
-   read-modify-write ALU ops, for merging SSE scalar writes from registers,
-   and for FMA forms where the destination is a multiplicand/addend. *)
-let dst_is_source (i : Instr.t) =
-  let from_mem =
-    Array.length i.operands >= 2
-    && (match i.operands.(0) with
-        | Operand.Mem _ -> true
-        | _ -> false)
-  in
-  match i.op with
-  | Mov _ | Movabs | Lea _ | Cmp _ | Test _ -> false
-  | Add _ | Sub _ | Imul _ | And _ | Or _ | Xor _ | Not _ | Neg _ | Inc _
-  | Dec _ | Shl _ | Shr _ | Sar _ ->
-    true
-  | Cmov _ -> true
-  | Setcc _ -> true (* writes only the low byte *)
-  | Movss | Movsd ->
-    (* reg-to-reg forms merge into the destination's upper bits; loads from
-       memory overwrite the register. *)
-    not from_mem
-    && (match i.operands.(i.operands |> Array.length |> fun n -> n - 1) with
-        | Operand.Xmm _ -> true
-        | _ -> false)
-  | Movaps | Movups | Lddqu | Movq | Movd -> false
-  | Movlhps | Movhlps -> true
+let props : Opcode.t -> int = function
+  | Mov _ | Movabs -> 0
+  | Lea _ -> p_lea
+  | Add _ | Sub _ | Imul _ | And _ | Or _ | Xor _ | Neg _ -> rmw
+  | Not _ -> p_dst_read
+  | Inc _ | Dec _ -> rmw lor p_keeps_cf
+  | Shl w | Shr w | Sar w -> shift w
+  | Cmp _ | Test _ -> p_flags_def lor p_no_dst
+  | Cmov _ -> p_flags_use lor p_dst_read
+  | Setcc _ -> p_flags_use lor merging
+  | Movss | Movsd -> p_movs
+  | Movaps | Movups | Lddqu | Movq | Movd -> 0
+  | Movlhps | Movhlps -> merging
   | Addss | Addsd | Subss | Subsd | Mulss | Mulsd | Divss | Divsd | Minss
   | Minsd | Maxss | Maxsd ->
-    true
-  | Sqrtss | Sqrtsd -> true (* upper bits merge *)
-  | Ucomiss | Ucomisd | Comiss | Comisd -> false (* no destination at all *)
+    p_dst_read
+  | Sqrtss | Sqrtsd -> merging
+  | Ucomiss | Ucomisd | Comiss | Comisd -> p_flags_def lor p_no_dst
   | Andps | Andpd | Andnps | Orps | Orpd | Xorps | Xorpd | Pand | Por | Pxor
   | Paddd | Paddq | Psubd | Psubq | Addps | Addpd | Subps | Subpd | Mulps
-  | Mulpd | Divps | Divpd | Minps | Maxps ->
-    true
-  | Shufps -> true
-  | Pshufd | Pshuflw -> false
-  | Punpckldq | Punpcklqdq | Unpcklps | Unpcklpd -> true
-  | Pslld | Psrld | Psllq | Psrlq -> true
-  | Cvtss2sd | Cvtsd2ss | Cvtsi2sd _ | Cvtsi2ss _ -> true (* merge upper *)
-  | Cvttsd2si _ | Cvttss2si _ | Cvtsd2si _ -> false
-  | Roundsd | Roundss -> true
+  | Mulpd | Divps | Divpd | Minps | Maxps | Shufps ->
+    p_dst_read
+  | Pshufd | Pshuflw -> 0
+  | Punpckldq | Punpcklqdq | Unpcklps | Unpcklpd -> p_dst_read
+  | Pslld | Psrld | Psllq | Psrlq -> p_dst_read
+  | Cvtss2sd | Cvtsd2ss | Cvtsi2sd _ | Cvtsi2ss _ -> merging
+  | Cvttsd2si _ | Cvttss2si _ | Cvtsd2si _ -> 0
+  | Roundsd | Roundss -> merging
   | Vaddss | Vaddsd | Vsubss | Vsubsd | Vmulss | Vmulsd | Vdivss | Vdivsd
   | Vminss | Vminsd | Vmaxss | Vmaxsd | Vsqrtsd | Vaddps | Vsubps | Vmulps
   | Vaddpd | Vmulpd | Vxorps | Vandps | Vpshuflw | Vunpcklps ->
-    false
+    0
   | Vfmadd132sd | Vfmadd213sd | Vfmadd231sd | Vfmadd132ss | Vfmadd213ss
   | Vfmadd231ss | Vfnmadd213sd | Vfnmadd231sd | Vfmsub213sd ->
-    true
+    p_dst_read
 
-let has_dst (i : Instr.t) =
-  match i.op with
-  | Cmp _ | Test _ | Ucomiss | Ucomisd | Comiss | Comisd -> false
-  | _ -> Array.length i.operands > 0
+type summary = {
+  defs : Locset.t;
+  uses : Locset.t;
+  strict_uses : Locset.t;
+  kills : Locset.t;
+  cannot_fault : bool;
+}
 
-let defs (i : Instr.t) =
-  let n = Array.length i.operands in
-  let base =
-    if has_dst i && n > 0 then operand_def i.operands.(n - 1) else Locset.empty
-  in
-  if defines_flags i.op then base lor Locset.flags_bit else base
+let is_mem = function
+  | Operand.Mem _ -> true
+  | Operand.Gp _ | Operand.Xmm _ | Operand.Imm _ -> false
 
-let uses_via ~dst_read (i : Instr.t) =
+(* Whether the destination's previous value is read: movss/movsd read it
+   in their reg-to-reg forms only. *)
+let dst_read pr (ops : Operand.t array) =
+  if pr land p_movs = 0 then pr land p_dst_read <> 0
+  else
+    let n = Array.length ops in
+    (not (n >= 2 && is_mem ops.(0)))
+    && n > 0
+    && match ops.(n - 1) with
+       | Operand.Xmm _ -> true
+       | Operand.Gp _ | Operand.Imm _ | Operand.Mem _ -> false
+
+let summary (i : Instr.t) =
   let ops = i.operands in
   let n = Array.length ops in
-  let dst = if has_dst i then n - 1 else -1 in
-  let acc = ref (if uses_flags i.op then Locset.flags_bit else Locset.empty) in
+  let pr = props i.op in
+  let dst = if pr land p_no_dst = 0 && n > 0 then n - 1 else -1 in
+  let dst_read = dst_read pr ops in
+  (* the merge forms' destination read re-emits bits only *)
+  let merge = pr land p_merge <> 0 || pr land p_movs <> 0 in
+  (* Every read but the destination's value, which [dst_value] holds: a
+     store uses its address registers regardless, and a read-modify-write
+     memory destination (add into memory) reads the memory blob itself;
+     lea computes its address without reading memory. *)
+  let reads = ref (if pr land p_flags_use <> 0 then Locset.flags_bit else Locset.empty) in
+  let dst_value = ref Locset.empty and has_mem = ref false in
   for idx = 0 to n - 1 do
     let o = ops.(idx) in
-    let read =
-      if idx = dst then
-        match o with
-        | Operand.Mem m ->
-          (* A store uses its address registers regardless, and a
-             read-modify-write memory destination (add into memory) reads
-             the memory blob itself. *)
-          mem_addr_uses m lor (if dst_read then Locset.mem_bit else Locset.empty)
-        | Operand.Gp _ | Operand.Xmm _ ->
-          if dst_read then operand_read_uses o else Locset.empty
-        | Operand.Imm _ -> Locset.empty
-      else
-        match i.op, o with
-        | Opcode.Lea _, Operand.Mem m ->
-          (* lea computes the address without reading memory. *)
-          mem_addr_uses m
-        | _, _ -> operand_read_uses o
-    in
-    acc := !acc lor read
+    match o with
+    | Operand.Mem m ->
+      has_mem := true;
+      if idx = dst then begin
+        reads := !reads lor mem_addr_uses m;
+        dst_value := Locset.mem_bit
+      end
+      else if pr land p_lea <> 0 then reads := !reads lor mem_addr_uses m
+      else reads := !reads lor operand_read_uses o
+    | Operand.Gp _ | Operand.Xmm _ | Operand.Imm _ ->
+      if idx = dst then dst_value := operand_read_uses o
+      else reads := !reads lor operand_read_uses o
   done;
-  !acc
+  let reads = !reads and dst_value = if dst_read then !dst_value else Locset.empty in
+  let defs =
+    (if dst >= 0 then operand_def ops.(dst) else Locset.empty)
+    lor if pr land p_flags_def <> 0 then Locset.flags_bit else Locset.empty
+  in
+  (* Are all five flags rewritten?  inc/dec keep CF, and a shift whose
+     masked count is zero leaves every flag. *)
+  let kills_flags =
+    pr land p_flags_def <> 0
+    && pr land p_keeps_cf = 0
+    && (pr land (p_shift32 lor p_shift64) = 0
+       || n > 0
+          &&
+          match ops.(0) with
+          | Operand.Imm c ->
+            let mask = if pr land p_shift64 <> 0 then 63L else 31L in
+            not (Int64.equal (Int64.logand c mask) 0L)
+          | Operand.Gp _ | Operand.Xmm _ | Operand.Mem _ -> false)
+  in
+  let kills = defs land lnot Locset.mem_bit in
+  {
+    defs;
+    uses = reads lor dst_value;
+    strict_uses = (if merge then reads else reads lor dst_value);
+    kills = (if kills_flags then kills else kills land lnot Locset.flags_bit);
+    (* Only a memory access faults in [Semantics.step] once an
+       instruction is well formed, and [lea] never accesses its operand. *)
+    cannot_fault =
+      Shape.position i.op ops >= 0 && (pr land p_lea <> 0 || not !has_mem);
+  }
 
-let uses (i : Instr.t) = uses_via ~dst_read:(dst_is_source i) i
+let defs i = (summary i).defs
+let uses i = (summary i).uses
+let strict_uses i = (summary i).strict_uses
+let kills i = (summary i).kills
+let cannot_fault i = (summary i).cannot_fault
 
-(* Destination reads whose old value is only re-emitted into the bits the
-   instruction does not compute: setcc keeps the upper 56 bits, the scalar
-   SSE merge forms keep the upper lanes, movlhps/movhlps keep the untouched
-   half.  The destination's value never feeds the computed bits, unlike
-   read-modify-write ALU ops or the scalar FP ops whose dst is an operand. *)
 let merge_only_dst (i : Instr.t) =
-  match i.op with
-  | Setcc _ -> true
-  | Movss | Movsd -> dst_is_source i (* the reg-to-reg merge forms *)
-  | Sqrtss | Sqrtsd | Cvtss2sd | Cvtsd2ss | Cvtsi2sd _ | Cvtsi2ss _
-  | Roundsd | Roundss | Movlhps | Movhlps ->
-    true
-  | _ -> false
-
-let strict_uses (i : Instr.t) =
-  uses_via ~dst_read:(dst_is_source i && not (merge_only_dst i)) i
-
-(* Does [i] rewrite all five flags?  [defines_flags] is the may-def
-   over-approximation; two families write fewer: inc/dec preserve CF, and a
-   shift whose masked count (count land 63 at width Q, land 31 at L) is zero
-   leaves every flag untouched. *)
-let kills_flags (i : Instr.t) =
-  defines_flags i.op
-  && (match i.op with
-      | Inc _ | Dec _ -> false
-      | Shl w | Shr w | Sar w ->
-        Array.length i.operands > 0
-        && (match i.operands.(0) with
-            | Operand.Imm c ->
-              let mask = match w with Reg.Q -> 63L | Reg.L -> 31L in
-              not (Int64.equal (Int64.logand c mask) 0L)
-            | Operand.Gp _ | Operand.Xmm _ | Operand.Mem _ -> false)
-      | _ -> true)
-
-let kills (i : Instr.t) =
-  let k = Locset.diff (defs i) Locset.mem_bit in
-  if kills_flags i then k else Locset.diff k Locset.flags_bit
-
-(* Only a memory access faults in [Semantics.step] once an instruction is
-   well formed, and [lea] computes its address without accessing it. *)
-let cannot_fault (i : Instr.t) =
-  Instr.is_well_formed i
-  && (match i.op with
-      | Opcode.Lea _ -> true
-      | _ ->
-        Array.for_all
-          (function
-            | Operand.Mem _ -> false
-            | Operand.Gp _ | Operand.Xmm _ | Operand.Imm _ -> true)
-          i.operands)
+  let pr = props i.op in
+  pr land p_merge <> 0 || (pr land p_movs <> 0 && dst_read pr i.operands)
 
 let live_before p ~live_out =
   let slots = p.Program.slots in
@@ -259,14 +267,10 @@ let live_in p ~live_out =
   if Array.length before = 0 then live_out else before.(0)
 
 let is_store (i : Instr.t) =
-  has_dst i
+  props i.op land p_no_dst = 0
   &&
   let n = Array.length i.operands in
-  n > 0
-  &&
-  match i.operands.(n - 1) with
-  | Operand.Mem _ -> true
-  | _ -> false
+  n > 0 && is_mem i.operands.(n - 1)
 
 let dead_slots p ~live_out =
   let slots = p.Program.slots in

@@ -39,6 +39,19 @@ module Locset : sig
   val for_all : (loc -> bool) -> t -> bool
 end
 
+(** Everything below about one instruction, derived in one match on its
+    opcode and one pass over its operands; {!defs}, {!uses},
+    {!strict_uses}, {!kills} and {!cannot_fault} are its fields. *)
+type summary = {
+  defs : Locset.t;
+  uses : Locset.t;
+  strict_uses : Locset.t;
+  kills : Locset.t;
+  cannot_fault : bool;
+}
+
+val summary : Instr.t -> summary
+
 val defs : Instr.t -> Locset.t
 val uses : Instr.t -> Locset.t
 

@@ -331,6 +331,161 @@ let all =
       [ Vfnmadd213sd; Vfnmadd231sd; Vfmsub213sd ];
     ]
 
+(* The dense index, in [all] order: a match, so a new constructor cannot
+   be missed, and no C call. *)
+let w_index = function
+  | Reg.L -> 0
+  | Reg.Q -> 1
+
+let cond_index = function
+  | E -> 0
+  | Ne -> 1
+  | L -> 2
+  | Le -> 3
+  | G -> 4
+  | Ge -> 5
+  | B -> 6
+  | Be -> 7
+  | A -> 8
+  | Ae -> 9
+  | S -> 10
+  | P -> 11
+
+let index = function
+  | Mov w -> 0 + w_index w
+  | Movabs -> 2
+  | Lea w -> 3 + w_index w
+  | Add w -> 5 + w_index w
+  | Sub w -> 7 + w_index w
+  | Imul w -> 9 + w_index w
+  | And w -> 11 + w_index w
+  | Or w -> 13 + w_index w
+  | Xor w -> 15 + w_index w
+  | Not w -> 17 + w_index w
+  | Neg w -> 19 + w_index w
+  | Inc w -> 21 + w_index w
+  | Dec w -> 23 + w_index w
+  | Shl w -> 25 + w_index w
+  | Shr w -> 27 + w_index w
+  | Sar w -> 29 + w_index w
+  | Cmp w -> 31 + w_index w
+  | Test w -> 33 + w_index w
+  | Cmov (c, w) -> 35 + (2 * cond_index c) + w_index w
+  | Setcc c -> 59 + cond_index c
+  | Movss -> 71
+  | Movsd -> 72
+  | Movaps -> 73
+  | Movups -> 74
+  | Lddqu -> 75
+  | Movq -> 76
+  | Movd -> 77
+  | Movlhps -> 78
+  | Movhlps -> 79
+  | Addss -> 80
+  | Addsd -> 81
+  | Subss -> 82
+  | Subsd -> 83
+  | Mulss -> 84
+  | Mulsd -> 85
+  | Divss -> 86
+  | Divsd -> 87
+  | Sqrtss -> 88
+  | Sqrtsd -> 89
+  | Minss -> 90
+  | Minsd -> 91
+  | Maxss -> 92
+  | Maxsd -> 93
+  | Ucomiss -> 94
+  | Ucomisd -> 95
+  | Comiss -> 96
+  | Comisd -> 97
+  | Andps -> 98
+  | Andpd -> 99
+  | Andnps -> 100
+  | Orps -> 101
+  | Orpd -> 102
+  | Xorps -> 103
+  | Xorpd -> 104
+  | Pand -> 105
+  | Por -> 106
+  | Pxor -> 107
+  | Paddd -> 108
+  | Paddq -> 109
+  | Psubd -> 110
+  | Psubq -> 111
+  | Addps -> 112
+  | Addpd -> 113
+  | Subps -> 114
+  | Subpd -> 115
+  | Mulps -> 116
+  | Mulpd -> 117
+  | Divps -> 118
+  | Divpd -> 119
+  | Minps -> 120
+  | Maxps -> 121
+  | Shufps -> 122
+  | Pshufd -> 123
+  | Pshuflw -> 124
+  | Punpckldq -> 125
+  | Punpcklqdq -> 126
+  | Unpcklps -> 127
+  | Unpcklpd -> 128
+  | Pslld -> 129
+  | Psrld -> 130
+  | Psllq -> 131
+  | Psrlq -> 132
+  | Cvtss2sd -> 133
+  | Cvtsd2ss -> 134
+  | Cvtsi2sd w -> 135 + w_index w
+  | Cvtsi2ss w -> 137 + w_index w
+  | Cvttsd2si w -> 139 + w_index w
+  | Cvttss2si w -> 141 + w_index w
+  | Cvtsd2si w -> 143 + w_index w
+  | Roundsd -> 145
+  | Roundss -> 146
+  | Vaddss -> 147
+  | Vaddsd -> 148
+  | Vsubss -> 149
+  | Vsubsd -> 150
+  | Vmulss -> 151
+  | Vmulsd -> 152
+  | Vdivss -> 153
+  | Vdivsd -> 154
+  | Vminss -> 155
+  | Vminsd -> 156
+  | Vmaxss -> 157
+  | Vmaxsd -> 158
+  | Vsqrtsd -> 159
+  | Vaddps -> 160
+  | Vsubps -> 161
+  | Vmulps -> 162
+  | Vaddpd -> 163
+  | Vmulpd -> 164
+  | Vxorps -> 165
+  | Vandps -> 166
+  | Vpshuflw -> 167
+  | Vunpcklps -> 168
+  | Vfmadd132sd -> 169
+  | Vfmadd213sd -> 170
+  | Vfmadd231sd -> 171
+  | Vfmadd132ss -> 172
+  | Vfmadd213ss -> 173
+  | Vfmadd231ss -> 174
+  | Vfnmadd213sd -> 175
+  | Vfnmadd231sd -> 176
+  | Vfmsub213sd -> 177
+
+let count = 178
+
+(* [Hashtbl.hash] of every opcode, read by index: the values the
+   polymorphic hash gives, without its C call per lookup. *)
+let hashes =
+  let a = Array.make count 0 in
+  List.iter (fun op -> a.(index op) <- Hashtbl.hash op) all;
+  a
+
+let hash op = hashes.(index op)
+
 let by_name = Hashtbl.create 257
 
 let () = List.iter (fun op -> Hashtbl.add by_name (to_string op) op) all

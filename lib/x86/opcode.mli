@@ -169,6 +169,16 @@ val all_of_string : string -> t list
 val all : t list
 (** Every opcode instance (width and condition variants expanded). *)
 
+val index : t -> int
+(** The opcode's position in {!all}: a dense int in [\[0, count)],
+    computed by a match. *)
+
+val count : int
+(** The number of opcodes, [List.length all]. *)
+
+val hash : t -> int
+(** [Hashtbl.hash op], read from a table by {!index}. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

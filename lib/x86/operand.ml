@@ -16,11 +16,16 @@ let imm i = Imm (Int64.of_int i)
 let imm64 i = Imm i
 
 let equal_mem a b =
-  Option.equal Reg.equal_gp a.base b.base
-  && Option.equal
-       (fun (r1, s1) (r2, s2) -> Reg.equal_gp r1 r2 && Int.equal s1 s2)
-       a.index b.index
-  && Int.equal a.disp b.disp
+  Int.equal a.disp b.disp
+  && (match a.base, b.base with
+      | None, None -> true
+      | Some r1, Some r2 -> Reg.equal_gp r1 r2
+      | (None | Some _), _ -> false)
+  &&
+  match a.index, b.index with
+  | None, None -> true
+  | Some (r1, s1), Some (r2, s2) -> Reg.equal_gp r1 r2 && Int.equal s1 s2
+  | (None | Some _), _ -> false
 
 let equal a b =
   match a, b with

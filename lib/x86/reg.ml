@@ -166,5 +166,6 @@ let xmm_of_name s =
 
 let compare_gp a b = Int.compare (gp_index a) (gp_index b)
 let compare_xmm a b = Int.compare (xmm_index a) (xmm_index b)
-let equal_gp a b = compare_gp a b = 0
-let equal_xmm a b = compare_xmm a b = 0
+(* constant constructors: equal exactly when physically equal *)
+let equal_gp (a : gp) b = a == b
+let equal_xmm (a : xmm) b = a == b

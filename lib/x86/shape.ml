@@ -42,9 +42,10 @@ let shuffle = [ [| K_imm8; K_xmm; K_xmm |] ]
 let vshift = [ [| K_imm8; K_xmm |] ]
 
 (* Every list below is built once, at initialisation: [shapes] hands out
-   the same lists on every call, so [shape_of] (and with it
-   [Instr.is_well_formed] and [Instr.shape], which the search calls per
-   proposal) allocates nothing.  Callers must not mutate them. *)
+   the same lists on every call, so [position] (and with it
+   [Instr.is_well_formed], which the search calls per proposal)
+   allocates nothing, and [shape_of] only its [Some].  Callers must not
+   mutate them. *)
 let by_w f =
   let l = f Reg.L and q = f Reg.Q in
   function
@@ -154,6 +155,14 @@ let rec first_fit operands = function
     else first_fit operands rest
 
 let shape_of op operands = first_fit operands (shapes op)
+
+let rec fit_position operands k = function
+  | [] -> -1
+  | shape :: rest ->
+    if Array.length shape = Array.length operands && fits operands shape 0 then k
+    else fit_position operands (k + 1) rest
+
+let position op operands = fit_position operands 0 (shapes op)
 
 let kind_to_string = function
   | K_gp Reg.L -> "r32"

@@ -31,6 +31,10 @@ val shape_of : Opcode.t -> Operand.t array -> kind array option
 (** The first of the opcode's shapes the given operands inhabit, if any.
     Allocates only its [Some]. *)
 
+val position : Opcode.t -> Operand.t array -> int
+(** The index in [shapes op] of {!shape_of}'s shape, or [-1] when the
+    operands fit none.  Allocates nothing. *)
+
 val equal_kind : kind -> kind -> bool
 val equal_shape : kind array -> kind array -> bool
 

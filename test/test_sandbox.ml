@@ -1251,6 +1251,52 @@ let alloc_tests =
               Alcotest.failf "%s: %.1f minor words per run (budget %.0f)" name per_run
                 alloc_budget_words)
           Kernels.Registry.all);
+    Alcotest.test_case "a compiled run of every flattened generic shape allocates nothing"
+      `Quick (fun () ->
+        (* The opcodes mutated programs run that used to go through the
+           generic combinators: every well-formed instance of them in
+           the matrix, with aliased and with distinct registers and
+           imm8 3 and 40 (a shift count below and above a dword lane),
+           runs as a one-instruction program with no minor allocation:
+           a reintroduced box or tuple costs at least 2 words a run. *)
+        let flattened (op : Opcode.t) =
+          match op with
+          | Minps | Maxps | Pslld | Psrld | Psllq | Psrlq | Pshufd | Pshuflw | Shufps
+          | Vunpcklps | Vaddps | Vsubps | Vmulps | Cmp _ | Test _ | Inc _ | Dec _ | Neg _
+          | Not _ | Imul _ | Vaddss | Vaddsd | Vsubss | Vsubsd | Vmulss | Vmulsd | Vdivss
+          | Vdivsd | Vminss | Vminsd | Vmaxss | Vmaxsd ->
+            true
+          | _ -> false
+        in
+        let instrs =
+          List.filter
+            (fun (i : Instr.t) -> flattened i.Instr.op)
+            (Oracles.Matrix.instances Oracles.Matrix.aliased
+            @ Oracles.Matrix.instances (Oracles.Matrix.distinct ())
+            @ Oracles.Matrix.instances (Oracles.Matrix.distinct ~imm8:40L ()))
+        in
+        let m = Sandbox.Machine.create ~mem_size:256 () in
+        Sandbox.Machine.set_gp m Reg.Rdi (Sandbox.Memory.base m.Sandbox.Machine.mem);
+        let runs = 1000 in
+        let words f =
+          let before = Gc.minor_words () in
+          for _ = 1 to runs do
+            ignore (Sys.opaque_identity (f ()) : bool)
+          done;
+          Gc.minor_words () -. before
+        in
+        let baseline = words (fun () -> true) in
+        List.iter
+          (fun i ->
+            let cp = Sandbox.Compiled.compile m (Program.of_instrs [ i ]) in
+            if not (Sandbox.Compiled.run cp) then
+              Alcotest.failf "%s faulted" (Instr.to_string i);
+            let w = words (fun () -> Sandbox.Compiled.run cp) -. baseline in
+            if w <> 0. then
+              Alcotest.failf "%s: %.3f minor words per run" (Instr.to_string i)
+                (w /. float_of_int runs))
+          instrs;
+        Printf.printf "%d instances ran allocation-free\n" (List.length instrs));
   ]
 
 (* ----- the compiled engine's per-slot translation memo ----- *)

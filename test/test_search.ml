@@ -42,44 +42,98 @@ let pools_tests =
         Alcotest.(check bool)
           "addsd included" true
           (Array.exists (fun op -> Opcode.equal op Opcode.Addsd) ops));
-    Alcotest.test_case "opcodes_with_shape respects the shape" `Quick (fun () ->
+    Alcotest.test_case "opcode_move respects the shape" `Quick (fun () ->
         let pools = pools_of exp_spec in
-        let shape = [| Shape.K_xmm; Shape.K_xmm |] in
-        let ops = Search.Pools.opcodes_with_shape pools shape in
+        let i = Instr.make Opcode.Mulsd [ Operand.Xmm Reg.Xmm2; Operand.Xmm Reg.Xmm1 ] in
+        let k = Shape.position i.Instr.op i.Instr.operands in
+        let mv = Search.Pools.opcode_move pools i.Instr.op k in
+        let ops = mv.Search.Pools.candidates in
+        Alcotest.(check bool) "the xx shape" true
+          (Shape.equal_shape mv.Search.Pools.shape [| Shape.K_xmm; Shape.K_xmm |]);
         Alcotest.(check bool)
           "addsd has xx shape" true
           (Array.exists (fun op -> Opcode.equal op Opcode.Addsd) ops);
         Alcotest.(check bool)
           "movabs lacks xx shape" false
-          (Array.exists (fun op -> Opcode.equal op Opcode.Movabs) ops));
-    Alcotest.test_case "opcodes_with_shape is the filter over all_opcodes"
-      `Quick (fun () ->
-        (* every shape any opcode admits, plus one no opcode admits *)
-        let shapes =
-          [| Shape.K_imm64; Shape.K_imm64 |]
-          :: List.concat_map Shape.shapes Opcode.all
+          (Array.exists (fun op -> Opcode.equal op Opcode.Movabs) ops);
+        Alcotest.(check bool) "mulsd is itself" true
+          (Opcode.equal ops.(mv.Search.Pools.self) Opcode.Mulsd));
+    Alcotest.test_case "opcode_move is the scan over all_opcodes" `Quick
+      (fun () ->
+        (* The move table against the definition it replaced: for every
+           opcode and each of its shapes, the all_opcodes admitting that
+           shape (a filter) and the opcode's index among them (a scan
+           with Opcode.equal), on pools of every operand-availability
+           mask the registry kernels build, and of two targets with
+           narrower pools. *)
+        let narrow =
+          let spec = Kernels.Libimf.sin_spec in
+          let only_xmm =
+            Program.of_instrs
+              [ Instr.make Opcode.Addsd [ Operand.Xmm Reg.Xmm1; Operand.Xmm Reg.Xmm0 ] ]
+          in
+          [ ("empty target", Search.Pools.make ~target:(Program.of_instrs []) ~spec);
+            ("addsd target", Search.Pools.make ~target:only_xmm ~spec) ]
+        in
+        let pools =
+          narrow
+          @ List.map
+              (fun (name, (spec : Sandbox.Spec.t)) -> (name, pools_of spec))
+              Kernels.Registry.all
+        in
+        let checked = ref 0 in
+        List.iter
+          (fun (name, pools) ->
+            let opcodes = Array.to_list (Search.Pools.all_opcodes pools) in
+            List.iter
+              (fun op ->
+                List.iteri
+                  (fun k shape ->
+                    let filtered =
+                      List.filter
+                        (fun op' -> List.exists (Shape.equal_shape shape) (Shape.shapes op'))
+                        opcodes
+                    in
+                    let self = ref (-1) in
+                    List.iteri (fun j op' -> if Opcode.equal op' op then self := j) filtered;
+                    let mv = Search.Pools.opcode_move pools op k in
+                    let got = Array.to_list mv.Search.Pools.candidates in
+                    incr checked;
+                    if
+                      not
+                        (List.equal Opcode.equal filtered got
+                        && !self = mv.Search.Pools.self
+                        && mv.Search.Pools.shape == shape)
+                    then
+                      Alcotest.failf "%s, %s shape %d: [%s] self %d, table [%s] self %d" name
+                        (Opcode.to_string op) k
+                        (String.concat "," (List.map Opcode.to_string filtered))
+                        !self
+                        (String.concat "," (List.map Opcode.to_string got))
+                        mv.Search.Pools.self)
+                  (Shape.shapes op))
+              Opcode.all)
+          pools;
+        Printf.printf "%d (pools, opcode, shape) entries checked\n" !checked);
+    Alcotest.test_case "every pool operand inhabits its kind" `Quick (fun () ->
+        let kinds =
+          [ Shape.K_gp Reg.L; Shape.K_gp Reg.Q; Shape.K_xmm; Shape.K_imm8;
+            Shape.K_imm32; Shape.K_imm64; Shape.K_mem Shape.M32;
+            Shape.K_mem Shape.M64; Shape.K_mem Shape.M128 ]
         in
         List.iter
-          (fun (spec : Sandbox.Spec.t) ->
+          (fun (name, (spec : Sandbox.Spec.t)) ->
             let pools = pools_of spec in
             List.iter
-              (fun shape ->
-                let filtered =
-                  Array.to_list (Search.Pools.all_opcodes pools)
-                  |> List.filter (fun op ->
-                         List.exists (Shape.equal_shape shape) (Shape.shapes op))
-                in
-                let got =
-                  Array.to_list (Search.Pools.opcodes_with_shape pools shape)
-                in
-                if not (List.equal Opcode.equal filtered got) then
-                  Alcotest.failf "%s, shape %s: [%s] <> [%s]" spec.Sandbox.Spec.name
-                    (String.concat "," (Array.to_list (Array.map Shape.kind_to_string shape)))
-                    (String.concat "," (List.map Opcode.to_string filtered))
-                    (String.concat "," (List.map Opcode.to_string got)))
-              shapes)
-          [ exp_spec; add_spec; Kernels.Libimf.sin_spec;
-            Kernels.Aek_kernels.scale_spec ]);
+              (fun k ->
+                Array.iter
+                  (fun o ->
+                    if not (Shape.kind_matches k o) then
+                      Alcotest.failf "%s: %s in the %s pool" name
+                        (Operand.to_string ~w:Reg.Q o) (Shape.kind_to_string k))
+                  (Search.Pools.operands_of_kind pools k))
+              kinds)
+          Kernels.Registry.all);
     Alcotest.test_case "random_instr always well-formed" `Quick (fun () ->
         let pools = pools_of add_spec in
         let g = Rng.Xoshiro256.create 3L in
@@ -137,6 +191,51 @@ let transform_tests =
             Search.Transform.undo p undo
         done;
         Alcotest.(check int) "four kinds" 4 (Hashtbl.length seen));
+    Alcotest.test_case "the table's active-slot draw is the walk's" `Quick (fun () ->
+        (* Random programs of 0 to 23 slots, every fifth all [Unused] and
+           every fifth fully active: a table that describes the program
+           picks the slot the walk picks, with the same draws; one that
+           describes another program of as many slots is ignored. *)
+        let pools = pools_of exp_spec in
+        let g = Rng.Xoshiro256.create 61L in
+        let seen = Array.make 3 0 in
+        for trial = 1 to 3_000 do
+          let n = Rng.Dist.int g 24 in
+          let slot () =
+            match trial mod 5 with
+            | 0 -> Program.Unused
+            | 1 -> Program.Active (Search.Pools.random_instr g pools)
+            | _ ->
+              if Rng.Dist.bool g then Program.Unused
+              else Program.Active (Search.Pools.random_instr g pools)
+          in
+          let p = { Program.slots = Array.init n (fun _ -> slot ()) } in
+          let facts = Facts.create () in
+          Facts.refresh facts p;
+          let stale = Facts.create () in
+          Facts.refresh stale { Program.slots = Array.init n (fun _ -> slot ()) };
+          let seed = Rng.Xoshiro256.next g in
+          let draw facts =
+            let g = Rng.Xoshiro256.create seed in
+            let idx = Search.Transform.random_active ?facts g p in
+            (idx, Rng.Xoshiro256.next g)
+          in
+          let walk, after = draw None in
+          List.iter
+            (fun (what, facts) ->
+              let idx, after' = draw (Some facts) in
+              if idx <> walk || not (Int64.equal after after') then
+                Alcotest.failf "trial %d, %s table: slot %d, walk %d\n%s" trial what idx walk
+                  (Program.to_string p))
+            [ ("describing", facts); ("stale", stale) ];
+          let actives = Program.length p in
+          if (walk < 0) <> (actives = 0) then
+            Alcotest.failf "trial %d: slot %d with %d active" trial walk actives;
+          seen.(if actives = 0 then 0 else if actives = n then 1 else 2) <-
+            seen.(if actives = 0 then 0 else if actives = n then 1 else 2) + 1
+        done;
+        if Array.exists (fun c -> c = 0) seen then
+          Alcotest.fail "empty, full and mixed programs were not all drawn");
     Alcotest.test_case "instruction move can empty and refill a slot" `Quick (fun () ->
         let pools = pools_of add_spec in
         let g = Rng.Xoshiro256.create 7L in
@@ -262,7 +361,7 @@ let facts_tests =
 (* ----- dead-write elision against full evaluation ----- *)
 
 (* A hand-driven chain of proposals and undos.  Every one-slot move is
-   offered to an eliding context ([Cost.eval ~move]); whenever it elides,
+   offered to an eliding context ([Cost.eval_move]); whenever it elides,
    a second context with no cache scores the same program in full, and
    the two costs must agree bit for bit in every field.  Moves are kept
    often enough that the chain drifts far from the target, so dead
@@ -289,8 +388,7 @@ let elision_walk spec ~params ~seed ~steps =
           let before = Search.Cost.elided eliding in
           let c =
             match
-              Search.Cost.eval
-                ~move:{ Search.Cost.before = !cur_cost; slot; old }
+              Search.Cost.eval_move ~cutoff:Float.infinity ~before:!cur_cost ~slot ~old
                 eliding cur
             with
             | Search.Cost.Evaluated c -> c
@@ -359,10 +457,25 @@ let table_walk spec ~seed ~steps =
   let other = Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program) in
   let cur_cost = ref (Search.Cost.eval_full ctx cur) in
   let rejects = ref 0 and detours = ref 0 and dead = ref 0 in
+  (* the dense index against a fresh table's: the active count, the
+     active slots in order and their latencies *)
+  let same_dense where p =
+    let fresh = Facts.create () in
+    Facts.refresh fresh p;
+    let differs what a b = if a <> b then Alcotest.failf "%s: %s %d, fresh %d" where what a b in
+    let n = Facts.active fresh in
+    differs "active" (Facts.active table) n;
+    for k = 0 to n - 1 do
+      differs (Printf.sprintf "order.(%d)" k) (Facts.order table).(k) (Facts.order fresh).(k);
+      differs
+        (Printf.sprintf "step_latencies.(%d)" k)
+        (Facts.step_latencies table).(k) (Facts.step_latencies fresh).(k)
+    done;
+    fresh
+  in
   let agree step what =
     let where = Printf.sprintf "step %d, %s" step what in
-    let fresh = Facts.create () in
-    Facts.refresh fresh cur;
+    let fresh = same_dense where cur in
     let differs what a b = if a <> b then Alcotest.failf "%s: %s %d, fresh %d" where what a b in
     differs "key" (Facts.key table) (Facts.key fresh);
     differs "latency" (Facts.latency table) (Facts.latency fresh);
@@ -372,12 +485,16 @@ let table_walk spec ~seed ~steps =
     fresh
   in
   let bits = Int64.bits_of_float in
-  let detour () =
+  let detour step =
     incr detours;
-    ignore (Search.Cost.eval_full ctx other : Search.Cost.cost)
+    ignore (Search.Cost.eval_full ctx other : Search.Cost.cost);
+    ignore (same_dense (Printf.sprintf "step %d, after an unrelated evaluation" step) other
+            : Facts.t)
   in
   for step = 1 to steps do
-    match Search.Transform.propose g pools cur with
+    (* the table describes [cur] unless a detour left it on [other]:
+       the move draws its slot from it, or walks *)
+    match Search.Transform.propose ~facts:table g pools cur with
     | None -> ()
     | Some (_, undo) ->
       (match undo with
@@ -398,18 +515,19 @@ let table_walk spec ~seed ~steps =
       in
       if Analysis.Screen.has_undef_read ~refreshed:true env cur then begin
         incr rejects;
-        if Rng.Dist.int g 5 = 0 then detour ();
+        if Rng.Dist.int g 5 = 0 then detour step;
         take_back ()
       end
       else begin
-        let move =
+        let verdict =
           match undo with
           | Search.Transform.Restore_slot (slot, old) ->
-            Some { Search.Cost.before = !cur_cost; slot; old }
-          | Search.Transform.Restore_swap _ -> None
+            Search.Cost.eval_move ~refreshed:true ~cutoff:Float.infinity
+              ~before:!cur_cost ~slot ~old ctx cur
+          | Search.Transform.Restore_swap _ -> Search.Cost.eval ~refreshed:true ctx cur
         in
         let c =
-          match Search.Cost.eval ~refreshed:true ?move ctx cur with
+          match verdict with
           | Search.Cost.Evaluated c -> c
           | Search.Cost.Pruned _ -> assert false (* no cutoff *)
         in
@@ -424,7 +542,7 @@ let table_walk spec ~seed ~steps =
           Alcotest.failf "step %d: table eq %h total %h, interpreter eq %h total %h\n%s"
             step c.Search.Cost.eq c.Search.Cost.total r.Search.Cost.eq
             r.Search.Cost.total (Program.to_string cur);
-        if Rng.Dist.int g 5 = 0 then detour ();
+        if Rng.Dist.int g 5 = 0 then detour step;
         if Rng.Dist.int g 3 = 0 then cur_cost := c else take_back ()
       end
   done;

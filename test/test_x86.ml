@@ -44,6 +44,225 @@ let reg_tests =
         Alcotest.(check bool) "bogus" true (Reg.gp_of_name "foo" = None));
   ]
 
+(* ----- the former definitions, kept verbatim as references ----- *)
+
+(* [Instr.hash] as it was defined over [Hashtbl.hash] of the opcode: the
+   table-based one must return exactly these values, since the cost
+   cache's key (and so its hits and the tests a search executes) is
+   built from them. *)
+module Former_hash = struct
+  let[@inline] mix h v = (h lxor v) * 0x100000001b3
+
+  let avalanche h =
+    let h = (h lxor (h lsr 31)) * 0x2545f4914f6cdd1d in
+    h lxor (h lsr 29)
+
+  let hash (i : Instr.t) =
+    let h = ref (mix 0x4bf29ce484222325 (Hashtbl.hash i.op)) in
+    let ops = i.operands in
+    for k = 0 to Array.length ops - 1 do
+      match ops.(k) with
+      | Operand.Gp r -> h := mix !h (2 + Reg.gp_index r)
+      | Operand.Xmm r -> h := mix !h (32 + Reg.xmm_index r)
+      | Operand.Imm v -> h := mix (mix !h 64) (Int64.to_int v)
+      | Operand.Mem m ->
+        h := mix !h 65;
+        h :=
+          mix !h
+            (match m.Operand.base with
+             | None -> 0
+             | Some r -> 1 + Reg.gp_index r);
+        (match m.Operand.index with
+         | None -> h := mix !h 0
+         | Some (r, s) -> h := mix (mix !h (1 + Reg.gp_index r)) s);
+        h := mix !h m.Operand.disp
+    done;
+    avalanche !h
+end
+
+(* The liveness facts as they were defined, one match and one operand
+   walk per fact; [Liveness.summary] derives them all in one pass. *)
+module Former_liveness = struct
+  open Liveness
+
+  let mem_addr_uses (m : Operand.mem) =
+    Locset.union
+    (match m.base with
+     | None -> Locset.empty
+     | Some r -> Locset.singleton (Lgp r))
+    (match m.index with
+     | None -> Locset.empty
+     | Some (r, _) -> Locset.singleton (Lgp r))
+
+  let operand_read_uses = function
+    | Operand.Gp r -> Locset.singleton (Lgp r)
+    | Operand.Xmm r -> Locset.singleton (Lxmm r)
+    | Operand.Imm _ -> Locset.empty
+    | Operand.Mem m -> Locset.add Lmem (mem_addr_uses m)
+
+  let operand_def = function
+    | Operand.Gp r -> Locset.singleton (Lgp r)
+    | Operand.Xmm r -> Locset.singleton (Lxmm r)
+    | Operand.Imm _ -> Locset.empty
+    | Operand.Mem _ -> Locset.singleton Lmem
+
+  let defines_flags : Opcode.t -> bool = function
+    | Add _ | Sub _ | Imul _ | And _ | Or _ | Xor _ | Neg _ | Inc _ | Dec _
+    | Shl _ | Shr _ | Sar _ | Cmp _ | Test _ | Ucomiss | Ucomisd | Comiss
+    | Comisd ->
+      true
+    | _ -> false
+
+  let uses_flags : Opcode.t -> bool = function
+    | Cmov _ | Setcc _ -> true
+    | _ -> false
+
+  let dst_is_source (i : Instr.t) =
+    let from_mem =
+      Array.length i.operands >= 2
+      && (match i.operands.(0) with
+          | Operand.Mem _ -> true
+          | _ -> false)
+    in
+    match i.op with
+    | Mov _ | Movabs | Lea _ | Cmp _ | Test _ -> false
+    | Add _ | Sub _ | Imul _ | And _ | Or _ | Xor _ | Not _ | Neg _ | Inc _
+    | Dec _ | Shl _ | Shr _ | Sar _ ->
+      true
+    | Cmov _ -> true
+    | Setcc _ -> true
+    | Movss | Movsd ->
+      not from_mem
+      && (match i.operands.(i.operands |> Array.length |> fun n -> n - 1) with
+          | Operand.Xmm _ -> true
+          | _ -> false)
+    | Movaps | Movups | Lddqu | Movq | Movd -> false
+    | Movlhps | Movhlps -> true
+    | Addss | Addsd | Subss | Subsd | Mulss | Mulsd | Divss | Divsd | Minss
+    | Minsd | Maxss | Maxsd ->
+      true
+    | Sqrtss | Sqrtsd -> true
+    | Ucomiss | Ucomisd | Comiss | Comisd -> false
+    | Andps | Andpd | Andnps | Orps | Orpd | Xorps | Xorpd | Pand | Por | Pxor
+    | Paddd | Paddq | Psubd | Psubq | Addps | Addpd | Subps | Subpd | Mulps
+    | Mulpd | Divps | Divpd | Minps | Maxps ->
+      true
+    | Shufps -> true
+    | Pshufd | Pshuflw -> false
+    | Punpckldq | Punpcklqdq | Unpcklps | Unpcklpd -> true
+    | Pslld | Psrld | Psllq | Psrlq -> true
+    | Cvtss2sd | Cvtsd2ss | Cvtsi2sd _ | Cvtsi2ss _ -> true
+    | Cvttsd2si _ | Cvttss2si _ | Cvtsd2si _ -> false
+    | Roundsd | Roundss -> true
+    | Vaddss | Vaddsd | Vsubss | Vsubsd | Vmulss | Vmulsd | Vdivss | Vdivsd
+    | Vminss | Vminsd | Vmaxss | Vmaxsd | Vsqrtsd | Vaddps | Vsubps | Vmulps
+    | Vaddpd | Vmulpd | Vxorps | Vandps | Vpshuflw | Vunpcklps ->
+      false
+    | Vfmadd132sd | Vfmadd213sd | Vfmadd231sd | Vfmadd132ss | Vfmadd213ss
+    | Vfmadd231ss | Vfnmadd213sd | Vfnmadd231sd | Vfmsub213sd ->
+      true
+
+  let has_dst (i : Instr.t) =
+    match i.op with
+    | Cmp _ | Test _ | Ucomiss | Ucomisd | Comiss | Comisd -> false
+    | _ -> Array.length i.operands > 0
+
+  let defs (i : Instr.t) =
+    let n = Array.length i.operands in
+    let base =
+      if has_dst i && n > 0 then operand_def i.operands.(n - 1) else Locset.empty
+    in
+    if defines_flags i.op then Locset.add Lflags base else base
+
+  let uses_via ~dst_read (i : Instr.t) =
+    let ops = i.operands in
+    let n = Array.length ops in
+    let dst = if has_dst i then n - 1 else -1 in
+    let acc = ref (if uses_flags i.op then Locset.singleton Lflags else Locset.empty) in
+    for idx = 0 to n - 1 do
+      let o = ops.(idx) in
+      let read =
+        if idx = dst then
+          match o with
+          | Operand.Mem m ->
+            Locset.union (mem_addr_uses m)
+              (if dst_read then Locset.singleton Lmem else Locset.empty)
+          | Operand.Gp _ | Operand.Xmm _ ->
+            if dst_read then operand_read_uses o else Locset.empty
+          | Operand.Imm _ -> Locset.empty
+        else
+          match i.op, o with
+          | Opcode.Lea _, Operand.Mem m -> mem_addr_uses m
+          | _, _ -> operand_read_uses o
+      in
+      acc := Locset.union !acc read
+    done;
+    !acc
+
+  let uses (i : Instr.t) = uses_via ~dst_read:(dst_is_source i) i
+
+  let merge_only_dst (i : Instr.t) =
+    match i.op with
+    | Setcc _ -> true
+    | Movss | Movsd -> dst_is_source i
+    | Sqrtss | Sqrtsd | Cvtss2sd | Cvtsd2ss | Cvtsi2sd _ | Cvtsi2ss _
+    | Roundsd | Roundss | Movlhps | Movhlps ->
+      true
+    | _ -> false
+
+  let strict_uses (i : Instr.t) =
+    uses_via ~dst_read:(dst_is_source i && not (merge_only_dst i)) i
+
+  let kills_flags (i : Instr.t) =
+    defines_flags i.op
+    && (match i.op with
+        | Inc _ | Dec _ -> false
+        | Shl w | Shr w | Sar w ->
+          Array.length i.operands > 0
+          && (match i.operands.(0) with
+              | Operand.Imm c ->
+                let mask = match w with Reg.Q -> 63L | Reg.L -> 31L in
+                not (Int64.equal (Int64.logand c mask) 0L)
+              | Operand.Gp _ | Operand.Xmm _ | Operand.Mem _ -> false)
+        | _ -> true)
+
+  let kills (i : Instr.t) =
+    let k = Locset.remove Lmem (defs i) in
+    if kills_flags i then k else Locset.remove Lflags k
+
+  let cannot_fault (i : Instr.t) =
+    Instr.is_well_formed i
+    && (match i.op with
+        | Opcode.Lea _ -> true
+        | _ ->
+          Array.for_all
+            (function
+              | Operand.Mem _ -> false
+              | Operand.Gp _ | Operand.Xmm _ | Operand.Imm _ -> true)
+            i.operands)
+end
+
+(* Every instance of the opcode x shape matrix under every assignment
+   ([Oracles.Matrix]), plus each opcode with one xmm operand, with too many
+   and with a memory destination it does not admit: well-formed and
+   ill-formed instructions alike. *)
+let matrix_and_more =
+  lazy
+    (let m = Oracles.Matrix.instances in
+     let ill =
+       List.concat_map
+         (fun op ->
+           [ Instr.make_unchecked op [| Operand.Xmm Reg.Xmm1 |];
+             Instr.make_unchecked op
+               [| Operand.Imm 300L; Operand.mem Reg.Rdi; Operand.Xmm Reg.Xmm1 |];
+             Instr.make_unchecked op [| Operand.Gp Reg.Rax; Operand.mem ~disp:8 Reg.Rsp |];
+             Instr.make_unchecked op [| Operand.Imm 0L; Operand.Gp Reg.Rcx |] ])
+         Opcode.all
+     in
+     List.concat
+       [ m Oracles.Matrix.aliased; m (Oracles.Matrix.distinct ()); m Oracles.Matrix.extended;
+         m Oracles.Matrix.rex_vex; m Oracles.Matrix.taint; ill ])
+
 let opcode_tests =
   [
     Alcotest.test_case "catalogue size" `Quick (fun () ->
@@ -75,6 +294,47 @@ let opcode_tests =
           Opcode.all);
     Alcotest.test_case "movq mnemonic is shared" `Quick (fun () ->
         Alcotest.(check int) "two movq" 2 (List.length (Opcode.all_of_string "movq")));
+    Alcotest.test_case "index is the position in all" `Quick (fun () ->
+        Alcotest.(check int) "count" (List.length Opcode.all) Opcode.count;
+        List.iteri
+          (fun k op ->
+            if Opcode.index op <> k then
+              Alcotest.failf "%s: index %d, position %d" (Opcode.to_string op)
+                (Opcode.index op) k)
+          Opcode.all);
+    Alcotest.test_case "hash is Hashtbl.hash, and Instr.hash the former one" `Quick
+      (fun () ->
+        List.iter
+          (fun op ->
+            if Opcode.hash op <> Hashtbl.hash op then
+              Alcotest.failf "%s: hash %d, Hashtbl.hash %d" (Opcode.to_string op)
+                (Opcode.hash op) (Hashtbl.hash op))
+          Opcode.all;
+        let instances = Lazy.force matrix_and_more in
+        List.iter
+          (fun i ->
+            if Instr.hash i <> Former_hash.hash i then
+              Alcotest.failf "%s: Instr.hash %d, former %d" (Instr.to_string i)
+                (Instr.hash i) (Former_hash.hash i))
+          instances;
+        Printf.printf "%d instructions hashed\n" (List.length instances));
+    Alcotest.test_case "Instr.equal is structural equality" `Quick (fun () ->
+        (* each instance against a fresh copy of itself and against its
+           neighbours in the matrix, which differ in one opcode or
+           operand *)
+        let copy (i : Instr.t) : Instr.t = Marshal.from_string (Marshal.to_string i []) 0 in
+        let a = Array.of_list (Lazy.force matrix_and_more) in
+        Array.iteri
+          (fun k i ->
+            List.iter
+              (fun j ->
+                let j = a.(j) in
+                let want = Stdlib.compare i j = 0 in
+                if Instr.equal i (copy j) <> want then
+                  Alcotest.failf "equal %s %s is not %b" (Instr.to_string i)
+                    (Instr.to_string j) want)
+              [ k; max 0 (k - 1); min (Array.length a - 1) (k + 1) ])
+          a);
     Alcotest.test_case "equal is structural equality" `Quick (fun () ->
         (* every pair, each side also as a fresh copy, so no answer can
            come from physical identity alone *)
@@ -271,6 +531,33 @@ let liveness_tests =
       Liveness.Locset.equal
   in
   [
+    Alcotest.test_case "summary equals the former per-fact definitions" `Quick
+      (fun () ->
+        List.iter
+          (fun i ->
+            let s = Liveness.summary i in
+            let what = Instr.to_string i in
+            let same fact got want =
+              if not (Liveness.Locset.equal got want) then
+                Alcotest.failf "%s: %s %s, former %s" what fact
+                  (String.concat "," (List.map Liveness.loc_to_string (Liveness.Locset.elements got)))
+                  (String.concat "," (List.map Liveness.loc_to_string (Liveness.Locset.elements want)))
+            in
+            same "defs" s.Liveness.defs (Former_liveness.defs i);
+            same "uses" s.Liveness.uses (Former_liveness.uses i);
+            same "strict_uses" s.Liveness.strict_uses (Former_liveness.strict_uses i);
+            same "kills" s.Liveness.kills (Former_liveness.kills i);
+            if s.Liveness.cannot_fault <> Former_liveness.cannot_fault i then
+              Alcotest.failf "%s: cannot_fault %b" what s.Liveness.cannot_fault;
+            if Liveness.merge_only_dst i <> Former_liveness.merge_only_dst i then
+              Alcotest.failf "%s: merge_only_dst %b" what (Liveness.merge_only_dst i);
+            if Liveness.is_store i
+               <> (Former_liveness.has_dst i
+                  && match i.Instr.operands.(Array.length i.Instr.operands - 1) with
+                     | Operand.Mem _ -> true
+                     | _ -> false)
+            then Alcotest.failf "%s: is_store %b" what (Liveness.is_store i))
+          (Lazy.force matrix_and_more));
     Alcotest.test_case "Locset lists locations in compare order" `Quick
       (fun () ->
         (* flags, mem, GPs by index, XMMs by index: the order of
