@@ -285,57 +285,78 @@ let run_validated_frontier () =
     exit 1
   end
 
-(* Validation smoke: one fixed-seed [Stoke.validate] of the delta kernel's
-   shipped rewrite under the perfbench check workload's budget (60k cap, a
-   Geweke check every 10k samples from 10k on).  The chain mixes only at
-   its fifth check, so the verdict runs through the sandbox at one lane,
-   the sample history and several Geweke checks; every field of it is
-   deterministic, so it is gated exactly — [geweke_z] to the bit.  So are
-   the minor words of a second, identical validation (dev profile
-   figures, as for the search pins below): a hunt starts from the sample
-   buffer the last one left, which after the frontier's validations
-   depends on which domain finished last, and after the first run is
-   already large enough. *)
+(* Validation smoke: fixed-seed [Stoke.validate]s of two shipped rewrites
+   under the perfbench check workload's budget (60k cap, a Geweke check
+   every 10k samples from 10k on).  Each chain mixes only after several
+   checks, so a verdict runs through the sandbox at one lane, the sample
+   history and several Geweke checks; every field of it is deterministic,
+   so it is gated exactly: [geweke_z] to the bit, and [evaluated], the
+   inputs the hunt actually ran (a candidate that keeps the current point
+   is not run).  delta keeps the point on about a quarter of its steps,
+   sin about a third.  So are the minor words of a second, identical
+   validation (dev profile figures, as for the search pins below): a hunt
+   starts from the sample buffer the last one left, which after the
+   frontier's validations depends on which domain finished last, and
+   after the first run is already large enough.  A sample allocates
+   nothing, so the words are the hunt's set-up and its Geweke checks. *)
 type verdict = {
   iterations : int;
   mixed : bool;
   max_err : string;
   geweke_z : int64;  (** [Int64.bits_of_float] of the last Z *)
   checks : int;  (** Geweke checks run *)
+  evaluated : int;  (** [validate_end]'s inputs run *)
 }
 
-let expected_verdict =
-  { iterations = 50_000; mixed = true; max_err = "2";
-    geweke_z = Int64.bits_of_float (-0x1.c0e48bfd10874p-2); checks = 5 }
+let expected_validations =
+  [
+    ( "delta/delta_rewrite",
+      Kernels.Aek_kernels.delta_spec,
+      Kernels.Aek_kernels.delta_rewrite,
+      3L,
+      { iterations = 50_000; mixed = true; max_err = "2";
+        geweke_z = Int64.bits_of_float (-0x1.c0e48bfd10874p-2); checks = 5;
+        evaluated = 30_989 },
+      3807 );
+    ( "sin/sin_assoc",
+      Kernels.Libimf.sin_spec,
+      Kernels.Libimf.sin_assoc_rewrite,
+      1L,
+      { iterations = 30_000; mixed = true; max_err = "3308";
+        geweke_z = 0xbf9e7b57698cdf8dL; checks = 3; evaluated = 19_031 },
+      3898 );
+  ]
 
-let expected_validation_words = 2067570
-
-let run_validation () =
+let run_validation (name, spec, rewrite, seed, expected, expected_words) =
   let config =
     {
       Validate.Driver.default_config with
       Validate.Driver.max_proposals = 60_000;
       min_samples = 10_000;
       check_every = 10_000;
-      seed = 3L;
+      seed;
     }
   in
-  let checks = ref 0 in
+  let checks = ref 0 and evaluated = ref 0 in
   let counter =
     Obs.Sink.callback (fun e ->
-        if e.Obs.Sink.name = "geweke" then incr checks)
+        match e.Obs.Sink.name with
+        | "geweke" -> incr checks
+        | "validate_end" ->
+          evaluated :=
+            Option.value ~default:(-1)
+              (Option.bind (List.assoc_opt "evaluated" e.Obs.Sink.fields)
+                 Obs.Json.to_int_opt)
+        | _ -> ())
   in
-  let validate obs =
-    Stoke.validate ~config ~obs ~eta:Ulp.zero Kernels.Aek_kernels.delta_spec
-      Kernels.Aek_kernels.delta_rewrite
-  in
+  let validate obs = Stoke.validate ~config ~obs ~eta:Ulp.zero spec rewrite in
   let v = validate (Obs.Sink.tee counter (Util.obs ())) in
   let words0 = Gc.minor_words () in
   let again = validate Obs.Sink.null in
   let words = int_of_float (Gc.minor_words () -. words0) in
   if again.Validate.Driver.iterations <> v.Validate.Driver.iterations then begin
-    Printf.eprintf "smoke: a second validation ran %d iterations, not %d!\n"
-      again.Validate.Driver.iterations v.Validate.Driver.iterations;
+    Printf.eprintf "smoke: a second validation of %s ran %d iterations, not %d!\n"
+      name again.Validate.Driver.iterations v.Validate.Driver.iterations;
     exit 1
   end;
   let got =
@@ -345,28 +366,31 @@ let run_validation () =
       max_err = Ulp.to_string v.Validate.Driver.max_err;
       geweke_z = Int64.bits_of_float v.Validate.Driver.geweke_z;
       checks = !checks;
+      evaluated = !evaluated;
     }
   in
   let describe c =
-    Printf.sprintf "iterations %d, mixed %b, max_err %s ulps, z %h (%d checks)"
-      c.iterations c.mixed c.max_err (Int64.float_of_bits c.geweke_z) c.checks
+    Printf.sprintf
+      "iterations %d (%d evaluated), mixed %b, max_err %s ulps, z %h (%d checks)"
+      c.iterations c.evaluated c.mixed c.max_err (Int64.float_of_bits c.geweke_z)
+      c.checks
   in
-  Printf.printf "validate delta/delta_rewrite seed 3: %s\n" (describe got);
+  Printf.printf "validate %s seed %Ld: %s\n" name seed (describe got);
   if got.checks < 3 then begin
-    Printf.eprintf "smoke: validation ran %d Geweke checks, need at least 3!\n"
-      got.checks;
+    Printf.eprintf "smoke: validation of %s ran %d Geweke checks, need at least 3!\n"
+      name got.checks;
     exit 1
   end;
-  if got <> expected_verdict then begin
-    Printf.eprintf "smoke: validation verdict moved!\n  expected %s\n  got      %s\n"
-      (describe expected_verdict) (describe got);
+  if got <> expected then begin
+    Printf.eprintf "smoke: validation verdict of %s moved!\n  expected %s\n  got      %s\n"
+      name (describe expected) (describe got);
     exit 1
   end;
-  Printf.printf "validate delta/delta_rewrite seed 3: minor words %d (%.2f per iteration)\n"
+  Printf.printf "validate %s seed %Ld: minor words %d (%.2f per iteration)\n" name seed
     words (float_of_int words /. float_of_int got.iterations);
-  if words <> expected_validation_words then begin
-    Printf.eprintf "smoke: validation allocation moved!\n  expected %d minor words, got %d\n"
-      expected_validation_words words;
+  if words <> expected_words then begin
+    Printf.eprintf "smoke: validation allocation of %s moved!\n  expected %d minor words, got %d\n"
+      name expected_words words;
     exit 1
   end
 
@@ -475,6 +499,6 @@ let run () =
   List.iter (fun (name, spec, expected) -> run_one name spec expected) kernels;
   run_frontier ();
   run_validated_frontier ();
-  run_validation ();
+  List.iter run_validation expected_validations;
   run_verify ();
   run_allocation ()

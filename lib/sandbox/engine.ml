@@ -54,11 +54,21 @@ module type S = sig
 
   val prepare_call : caller -> Machine.t -> Program.t -> call option
   val call : call -> Exec.result option
+  val finished : call -> bool option
 end
 
 (* Programs no caller holds: what a lane set runs before its first
    prepare. *)
 let nothing = { Program.slots = [||] }
+
+let ran_to_end (r : Exec.result) =
+  match r.Exec.outcome with
+  | Exec.Finished -> true
+  | Exec.Faulted _ -> false
+
+(* [S.finished] of a result.  [Some true] and [Some false] are
+   constants, so an engine answering with them allocates nothing. *)
+let finished_of r = if ran_to_end r then Some true else Some false
 
 (* ----- the two lane loops ----- *)
 
@@ -166,6 +176,7 @@ module Interp_engine = struct
 
   let prepare_call () m p = Some (m, p)
   let call (m, p) = Some (Exec.run m p)
+  let finished (m, p) = finished_of (Exec.run m p)
 end
 
 module Compiled_engine = struct
@@ -205,6 +216,7 @@ module Compiled_engine = struct
 
   let prepare_call () m p = Some (Compiled.compile m p)
   let call cp = Some (Compiled.exec cp)
+  let finished cp = if Compiled.run cp then Some true else Some false
 end
 
 module Batched_engine = struct
@@ -272,6 +284,7 @@ module Batched_engine = struct
   let prepare_call b m p = Some (compile_call b m p)
   let exec_call (bp, m) = Batched.run_one bp m
   let call c = Some (exec_call c)
+  let finished c = finished_of (exec_call c)
 end
 
 module Native_engine = struct
@@ -343,6 +356,7 @@ module Native_engine = struct
         Option.map (fun np -> (nb, np, m)) (Native.compile nb p))
 
   let call (nb, np, m) = Native.run_one nb np m
+  let finished c = Option.bind (call c) finished_of
 end
 
 type t = (module S)
@@ -430,7 +444,13 @@ let prepare l program =
 let run (p : prepared) ~order ~diverges f = p.run_lanes ~order ~diverges f
 let counters l = l.counters_now ()
 
-type call = unit -> Exec.result
+(* A bound call's two views, made once per prepare, so a run allocates
+   nothing of its own. *)
+type call = {
+  result : unit -> Exec.result;
+  finished : unit -> bool;
+}
+
 type caller = Machine.t -> Program.t -> call
 
 let caller (module E : S) template : caller =
@@ -441,13 +461,23 @@ let caller (module E : S) template : caller =
       lazy (Batched_engine.compile_call (Lazy.force fallback) m program)
     in
     let on_fallback () = Batched_engine.exec_call (Lazy.force fb) in
+    let finish_fallback () = ran_to_end (on_fallback ()) in
     match E.prepare_call c m program with
-    | None -> on_fallback
+    | None -> { result = on_fallback; finished = finish_fallback }
     | Some k ->
-      fun () ->
-        (match E.call k with
-         | Some r -> r
-         | None -> on_fallback ())
+      {
+        result =
+          (fun () ->
+            match E.call k with
+            | Some r -> r
+            | None -> on_fallback ());
+        finished =
+          (fun () ->
+            match E.finished k with
+            | Some ok -> ok
+            | None -> finish_fallback ());
+      }
 
 let prepare_call (c : caller) m program = c m program
-let call (k : call) = k ()
+let call (k : call) = k.result ()
+let finished (k : call) = k.finished ()

@@ -124,6 +124,10 @@ module type S = sig
   (** Run on the bound machine's current state, leaving it exactly as
       {!Exec.run} would.  [None]: the engine crashed and the machine is
       untouched. *)
+
+  val finished : call -> bool option
+  (** {!call}, saying only whether the run finished: the compiled
+      engine's allocates nothing. *)
 end
 
 type t = (module S)
@@ -178,3 +182,8 @@ val caller : t -> Machine.t -> caller
 
 val prepare_call : caller -> Machine.t -> Program.t -> call
 val call : call -> Exec.result
+
+val finished : call -> bool
+(** {!call}, saying only whether the run finished rather than faulted.
+    On the compiled engine a run that needs no fallback allocates
+    nothing, where {!call} allocates its result. *)

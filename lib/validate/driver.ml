@@ -105,7 +105,7 @@ let history () =
 let release h =
   if Array.length h.samples <= max_lent then Atomic.set lent h.samples
 
-let push_sample h x =
+let[@inline] push_sample h x =
   if h.n_samples = Array.length h.samples then begin
     let bigger = Array.make (2 * Array.length h.samples) 0. in
     Array.blit h.samples 0 bigger 0 h.n_samples;
@@ -149,13 +149,33 @@ let geweke_check obs config h ~iter =
       ];
   converged
 
+(* The sample loop's arithmetic, here so that nothing it returns is
+   boxed: under the dev profile's [-opaque] a float or an [int64]
+   crossing a module boundary is.  [uniform g] is
+   [Rng.Dist.float g 1.0]'s draw, [ulp_to_float] is {!Ulp.to_float}, and
+   [ulp_above] is [Ulp.compare a b > 0]. *)
+let[@inline] uniform g = Int.to_float (Rng.Xoshiro256.next_top53 g) /. 0x1p53
+
+let[@inline] ulp_to_float u =
+  if Int64.compare u 0L >= 0 then Int64.to_float u
+  else Int64.to_float u +. 0x1p64
+
+let[@inline] ulp_above a b = Int64.unsigned_compare a b > 0
+
 (* The one max-error hunt every entry point drives: Metropolis (or an
    alternate acceptance rule) over inputs of the error function, tracking
    the largest exact error seen, until Geweke says the chain mixed or the
    budget runs out.  With [refute] the hunt also stops the moment the
    observed error clears η: the bound cannot shrink, so a frontier
    demoting the candidate needs only the counterexample, not a tight
-   bound.  Returns the verdict and the chain's error series. *)
+   bound.  Returns the verdict and the chain's error series.
+
+   The error function is a pure function of the input, so a candidate
+   whose every coordinate kept its bits ({!Proposal.step_into} says
+   [false]) is the current point and is not run: its error equals the
+   current one, which every rule accepts without a draw, and the largest
+   error seen already covers it.  The RNG stream, the chain and the
+   verdict are those of running it. *)
 let hunt ~rule ~refute ~obs ~config ~eta errfn =
   let observing = Obs.Sink.enabled obs in
   let t0 = Obs.Clock.now_ns () in
@@ -179,13 +199,17 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
   let cur = ref (Proposal.initial g proposal) in
   (* the candidate's buffer, swapped with [cur] on accept *)
   let spare = ref (Array.copy !cur) in
-  let cur_err0, max_err0 = Errfn.eval_both errfn !cur in
-  let cur_err = ref cur_err0 in
-  let max_err = ref max_err0 in
+  (* One pair of executions serves both the accept rule (float error)
+     and max tracking (exact ULP count). *)
+  let count = Bytes.create 8 in
+  Errfn.eval_into errfn !cur count;
+  let max_err = ref (Bytes.get_int64_le count 0) in
+  let cur_err = ref (ulp_to_float !max_err) in
   let max_err_input = ref (Array.copy !cur) in
+  let evaluated = ref 1 in
   let h = history () in
   let mixed = ref false in
-  let refuted = ref (refute && Ulp.compare max_err0 eta > 0) in
+  let refuted = ref (refute && ulp_above !max_err eta) in
   let iterations = ref 0 in
   let trace = ref [] in
   let marks = ref (checkpoints config.max_proposals config.trace_points) in
@@ -194,53 +218,55 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
   (try
      for iter = 1 to steps do
        iterations := iter;
-       let candidate =
+       let moved =
          match rule with
-         | A_random -> Proposal.initial g proposal
+         | A_random ->
+           spare := Proposal.initial g proposal;
+           true
          | A_mcmc | A_hill | A_anneal ->
-           Proposal.step_into g proposal ~src:!cur ~dst:!spare;
-           !spare
+           Proposal.step_into g proposal ~src:!cur ~dst:!spare
        in
-       (* One pair of executions serves both the accept rule (float error)
-          and max tracking (exact ULP count). *)
-       let err, exact = Errfn.eval_both errfn candidate in
-       let accept =
-         match rule with
-         | A_random -> true
-         | A_hill -> err >= !cur_err
-         | A_mcmc ->
-           err >= !cur_err
-           || Rng.Dist.float g 1.0 < density err /. density !cur_err
-         | A_anneal ->
-           let temp =
-             Float.max 1e-6
-               (1.0 *. Float.pow 0.99999 (float_of_int iter))
-           in
-           err >= !cur_err
-           || Rng.Dist.float g 1.0
-              < Float.pow (density err /. density !cur_err) (1. /. temp)
-       in
-       if accept then begin
-         spare := !cur;
-         cur := candidate;
-         cur_err := err
-       end;
-       if Ulp.compare exact !max_err > 0 then begin
-         max_err := exact;
-         max_err_input := Array.copy candidate;
-         if observing then
-           Obs.Sink.emit obs "val_new_max"
-             [
-               ("iter", Obs.Json.Int iter);
-               ("err_ulps", Obs.Json.Float (Ulp.to_float exact));
-               ( "input",
-                 Obs.Json.List
-                   (Array.to_list
-                      (Array.map (fun x -> Obs.Json.Float x) candidate)) );
-             ];
-         if refute && Ulp.compare exact eta > 0 then begin
-           refuted := true;
-           raise Exit
+       if moved then begin
+         let candidate = !spare in
+         Errfn.eval_into errfn candidate count;
+         incr evaluated;
+         let exact = Bytes.get_int64_le count 0 in
+         let err = ulp_to_float exact in
+         let accept =
+           match rule with
+           | A_random -> true
+           | A_hill -> err >= !cur_err
+           | A_mcmc ->
+             err >= !cur_err || uniform g < density err /. density !cur_err
+           | A_anneal ->
+             let temp =
+               Float.max 1e-6 (1.0 *. Float.pow 0.99999 (float_of_int iter))
+             in
+             err >= !cur_err
+             || uniform g < Float.pow (density err /. density !cur_err) (1. /. temp)
+         in
+         if accept then begin
+           spare := !cur;
+           cur := candidate;
+           cur_err := err
+         end;
+         if ulp_above exact !max_err then begin
+           max_err := exact;
+           max_err_input := Array.copy candidate;
+           if observing then
+             Obs.Sink.emit obs "val_new_max"
+               [
+                 ("iter", Obs.Json.Int iter);
+                 ("err_ulps", Obs.Json.Float (Ulp.to_float exact));
+                 ( "input",
+                   Obs.Json.List
+                     (Array.to_list
+                        (Array.map (fun x -> Obs.Json.Float x) candidate)) );
+               ];
+           if refute && ulp_above exact eta then begin
+             refuted := true;
+             raise Exit
+           end
          end
        end;
        push_sample h !cur_err;
@@ -289,6 +315,7 @@ let hunt ~rule ~refute ~obs ~config ~eta errfn =
         ("refuted", Obs.Json.Bool !refuted);
         ("geweke_z", Obs.Json.Float verdict.geweke_z);
         ("iterations", Obs.Json.Int verdict.iterations);
+        ("evaluated", Obs.Json.Int !evaluated);
         ("elapsed_s", Obs.Json.Float elapsed);
         ( "samples_per_s",
           Obs.Json.Float

@@ -45,9 +45,7 @@ let spec t = t.spec
 let run t call xs =
   S.Machine.restore_from ~src:t.pristine ~dst:t.machine;
   S.Spec.install_floats t.plan t.machine xs;
-  match (S.Engine.call call).S.Exec.outcome with
-  | S.Exec.Finished -> true
-  | S.Exec.Faulted _ -> false
+  S.Engine.finished call
 
 (* The distances of {!S.Spec.value_ulp}, on raw register bits: Ulp.dist64
    and Ulp.dist32 through each format's ordered index (Fp64.ordered,
@@ -86,7 +84,9 @@ let save_expected t =
     | O32 o -> Bytes.set_int32_le t.expected (8 * k) (Bytes.get_int32_le regs o)
   done
 
-let score t =
+(* The total distance over the outputs, stored in [out]: a returned
+   [int64] would be boxed. *)
+let score_into t out =
   let regs = t.machine.S.Machine.regs in
   let total = ref Ulp.zero in
   for k = 0 to Array.length t.outs - 1 do
@@ -99,27 +99,31 @@ let score t =
     in
     total := add_sat !total d
   done;
-  !total
+  Bytes.set_int64_le out 0 !total
 
 (* One target run + one rewrite run, as an exact ULP count; divergent
    signal behaviour is {!Ulp.max_value}.  Every public evaluator is a view
    of this, so a combined query costs exactly one pair of executions.  A
    saturated sum also reads [max_value], and both map to [top_eta]. *)
-let total_ulp t xs =
+let eval_into t xs out =
   if Array.length xs <> t.arity then
     invalid_arg "Errfn: input vector length differs from the spec's arity";
   (* The spec's input ranges must keep the target from faulting; if it
      does anyway, charge it as divergent. *)
-  if not (run t t.target xs) then Ulp.max_value
+  if not (run t t.target xs) then Bytes.set_int64_le out 0 Ulp.max_value
   else begin
     save_expected t;
-    if run t t.rewrite_call xs then score t else Ulp.max_value
+    if run t t.rewrite_call xs then score_into t out
+    else Bytes.set_int64_le out 0 Ulp.max_value
   end
 
-let eval_ulp = total_ulp
+let eval_ulp t xs =
+  let count = Bytes.create 8 in
+  eval_into t xs count;
+  Bytes.get_int64_le count 0
 
-let eval t xs = Ulp.to_float (total_ulp t xs)
+let eval t xs = Ulp.to_float (eval_ulp t xs)
 
 let eval_both t xs =
-  let u = total_ulp t xs in
+  let u = eval_ulp t xs in
   (Ulp.to_float u, u)

@@ -31,6 +31,12 @@ val eval_ulp : t -> float array -> Ulp.t
 (** Same, as an exact unsigned ULP count ({!Ulp.max_value} for divergent
     signal behaviour). *)
 
+val eval_into : t -> float array -> Bytes.t -> unit
+(** [eval_into e xs out] stores {!eval_ulp}'s count in [out]'s first 8
+    bytes, little-endian: the evaluator of {!Driver}'s samples, which
+    allocates nothing on the compiled engine, where a returned count
+    would be boxed.  Raises [Invalid_argument] as {!eval} does. *)
+
 val eval_both : t -> float array -> float * Ulp.t
 (** [(eval e xs, eval_ulp e xs)] from a {e single} pair of executions —
     what {!Driver} wants, since it needs the float error for the accept

@@ -866,6 +866,7 @@ let cost_tests =
 
           let prepare_call () _ _ = Some ()
           let call () = None
+          let finished () = None
         end in
         let crashing = (module Crashing : Sandbox.Engine.S) in
         let tests = Stoke.make_tests ~n:16 ~seed:99L exp_spec in

@@ -33,21 +33,26 @@ let descriptive_tests =
         Alcotest.(check (array (float 0.))) "unchanged" [| 4.; 1.; 3. |] a);
   ]
 
+(* [window_density] over the whole of [a], as the Geweke windows read it. *)
+let density ?max_lag a =
+  Stats.Spectral.window_density ?max_lag a ~pos:0 ~len:(Array.length a)
+    ~mean:(Stats.Descriptive.mean a)
+
 let spectral_tests =
   [
     Alcotest.test_case "lag-0 autocovariance is biased variance" `Quick (fun () ->
-        let a = [| 1.; 2.; 3.; 4. |] in
-        feq "acov0" 1.25 (Stats.Spectral.autocovariance a 0));
-    Alcotest.test_case "iid-ish noise: small lag-k" `Quick (fun () ->
+        (* with no lags the density is the lag-0 term alone *)
+        feq "acov0" 1.25 (density ~max_lag:0 [| 1.; 2.; 3.; 4. |]));
+    Alcotest.test_case "iid noise: density near the variance" `Quick (fun () ->
+        (* decorrelated samples add next to nothing past lag 0 *)
         let g = Rng.Xoshiro256.create 1L in
         let a = Array.init 10_000 (fun _ -> Rng.Dist.normal g ~mu:0. ~sigma:1.) in
-        let c0 = Stats.Spectral.autocovariance a 0 in
-        let c5 = Stats.Spectral.autocovariance a 5 in
-        Alcotest.(check bool) "decorrelated" true (Float.abs (c5 /. c0) < 0.05));
+        let s0 = density ~max_lag:0 a and s5 = density ~max_lag:5 a in
+        Alcotest.(check bool) "decorrelated" true (Float.abs ((s5 /. s0) -. 1.) < 0.1));
     Alcotest.test_case "density positive" `Quick (fun () ->
         let g = Rng.Xoshiro256.create 2L in
         let a = Array.init 1_000 (fun _ -> Rng.Dist.normal g ~mu:0. ~sigma:1.) in
-        Alcotest.(check bool) "positive" true (Stats.Spectral.density_at_zero a > 0.));
+        Alcotest.(check bool) "positive" true (density a > 0.));
     Alcotest.test_case "autocorrelated chain has higher density" `Quick (fun () ->
         let g = Rng.Xoshiro256.create 3L in
         let n = 5_000 in
@@ -59,7 +64,17 @@ let spectral_tests =
         done;
         Alcotest.(check bool)
           "ar density exceeds iid" true
-          (Stats.Spectral.density_at_zero ar > 2. *. Stats.Spectral.density_at_zero iid));
+          (density ar > 2. *. density iid));
+    Alcotest.test_case "a window outside the array is rejected" `Quick (fun () ->
+        List.iter
+          (fun (pos, len, msg) ->
+            Alcotest.check_raises "rejected" (Invalid_argument msg) (fun () ->
+                ignore (Stats.Spectral.window_density (Array.make 10 1.) ~pos ~len ~mean:1.)))
+          [
+            (0, 1, "Spectral.window_density: need at least 2 samples");
+            (-1, 4, "Spectral.window_density: window out of bounds");
+            (8, 3, "Spectral.window_density: window out of bounds");
+          ]);
   ]
 
 let geweke_tests =
@@ -171,21 +186,25 @@ let check_bits what n lag expected got =
 
 let bit_identity_tests =
   [
-    Alcotest.test_case "density_at_zero is bit-identical to one lag per pass"
+    Alcotest.test_case "window_density is bit-identical to one lag per pass"
       `Quick (fun () ->
         let g = Rng.Xoshiro256.create 31L in
         let chains = ref 0 in
-        let check a max_lag =
-          let n = Array.length a in
+        (* the window [pos, pos + n) of [a], read in place, against a copy
+           of it summed one lag per pass *)
+        let check_window a ~pos n max_lag =
           let lag =
-            match max_lag with None -> "default lag" | Some l -> Printf.sprintf "max_lag %d" l
+            Printf.sprintf "pos %d, %s" pos
+              (match max_lag with None -> "default lag" | Some l -> Printf.sprintf "max_lag %d" l)
           in
-          check_bits "density_at_zero" n lag
-            (Reference.density_at_zero ?max_lag a)
-            (Stats.Spectral.density_at_zero ?max_lag a)
+          check_bits "window_density" n lag
+            (Reference.density_at_zero ?max_lag (Array.sub a pos n))
+            (Stats.Spectral.window_density ?max_lag a ~pos ~len:n
+               ~mean:(Stats.Descriptive.window_mean a ~pos ~len:n))
         in
+        let check a max_lag = check_window a ~pos:0 (Array.length a) max_lag in
         (* every length from 2 to 80, so every count of leftover lags
-           after whole blocks of four, then longer chains up to 5000 *)
+           after whole groups of eight, then longer chains up to 5000 *)
         let lengths =
           List.init 79 (fun i -> i + 2)
           @ List.init 1930 (fun i ->
@@ -197,20 +216,42 @@ let bit_identity_tests =
             let a = random_chain g n in
             incr chains;
             check a None;
-            List.iter (fun l -> check a (Some l)) [ 0; 1; 2; 3; 4; 5 ];
+            (* every lag count mod 8, with and without a leftover *)
+            List.iter (fun l -> check a (Some l)) [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 15; 16; 17 ];
             (* every lag the window has: O(n²), so short chains only *)
             if n <= 200 then
               List.iter (fun l -> check a (Some l)) [ n - 1; n; n + 7 ])
           lengths;
+        (* Long windows, up to the 30,000 samples of a 60,000-sample
+           chain's late window and the whole chain itself, at and around
+           multiples of 4096 (the kernel's block), so a lag's terms span
+           several blocks and a group of eight lags ends inside one, and
+           at offsets into a longer array. *)
+        let big = random_chain g 70_000 in
+        List.iter
+          (fun n ->
+            List.iter
+              (fun pos ->
+                check_window big ~pos n None;
+                List.iter
+                  (fun l -> check_window big ~pos n (Some l))
+                  [ 1; 7; 8; 9; 60; 63; 64; 65; 250 ])
+              [ 0; 3; 70_000 - n ])
+          [ 4095; 4096; 4097; 4096 + 64; 8191; 8192; 8193; 12_289; 30_000; 60_000 ];
+        (* a lag longer than a block: the scratch holds the block and the
+           lag's partners *)
+        List.iter
+          (fun (n, l) -> check_window big ~pos:11 n (Some l))
+          [ (5_000, 4_096); (6_000, 4_999); (9_000, 5_001) ];
         (* a constant chain has zero density: the 1e-300 clamp *)
         List.iter
           (fun n ->
             let a = Array.make n 3.25 in
             Alcotest.(check bool) "clamped" true
-              (Int64.equal (bits (Stats.Spectral.density_at_zero a)) (bits 1e-300));
+              (Int64.equal (bits (density a)) (bits 1e-300));
             check a None;
             check a (Some n))
-          [ 2; 5; 64; 1000 ];
+          [ 2; 5; 64; 1000; 9000 ];
         Alcotest.(check bool) "at least 2000 chains" true (!chains >= 2000));
     Alcotest.test_case "z_statistic is bit-identical to copied windows" `Quick
       (fun () ->

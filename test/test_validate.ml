@@ -104,14 +104,18 @@ let install_tests =
             let g = Rng.Xoshiro256.create 23L in
             let p = Validate.Proposal.create spec in
             let xs = Validate.Proposal.initial g p in
+            let count = Bytes.create 8 in
             for _ = 1 to 100 do
-              Validate.Proposal.step_into g p ~src:xs ~dst:xs;
+              ignore (Validate.Proposal.step_into g p ~src:xs ~dst:xs : bool);
               let want_f, want_u = Validate.Errfn.eval_both (snd (List.hd errfns)) xs in
               List.iter
                 (fun (engine, e) ->
                   let f, u = Validate.Errfn.eval_both e xs in
                   let what = name ^ " on " ^ Sandbox.Exec.engine_to_string engine in
                   Alcotest.(check int64) what want_u u;
+                  Validate.Errfn.eval_into e xs count;
+                  Alcotest.(check int64) (what ^ " (eval_into)") want_u
+                    (Bytes.get_int64_le count 0);
                   Alcotest.(check int64) what (Int64.bits_of_float want_f)
                     (Int64.bits_of_float f))
                 errfns
@@ -171,11 +175,44 @@ let proposal_tests =
         for _ = 1 to 100 do
           stepped := Validate.Proposal.step g p !stepped;
           (* alternate a separate buffer with stepping in place *)
-          Validate.Proposal.step_into h p ~src:into ~dst:spare;
-          Validate.Proposal.step_into h p ~src:spare ~dst:into;
+          ignore (Validate.Proposal.step_into h p ~src:into ~dst:spare : bool);
+          ignore (Validate.Proposal.step_into h p ~src:spare ~dst:into : bool);
           stepped := Validate.Proposal.step g p !stepped;
           Alcotest.(check (array (float 0.))) "same walk" !stepped into
         done);
+    Alcotest.test_case "step_into says whether a bit changed" `Quick (fun () ->
+        (* exp's range is 3 wide and sin's 2π, so many N(0, 1) steps leave
+           it and keep the point: both answers must come up, each exactly
+           when the point's bits did (or did not) change *)
+        List.iter
+          (fun spec ->
+            let p = Validate.Proposal.create spec in
+            let g = Rng.Xoshiro256.create 8L in
+            let xs = Validate.Proposal.initial g p in
+            let dst = Array.make (Array.length xs) 0. in
+            let kept = ref 0 in
+            for i = 1 to 2_000 do
+              let before = Array.copy xs in
+              (* alternate a separate buffer with stepping in place *)
+              let moved =
+                if i mod 2 = 0 then Validate.Proposal.step_into g p ~src:xs ~dst:xs
+                else begin
+                  let moved = Validate.Proposal.step_into g p ~src:xs ~dst in
+                  Array.blit dst 0 xs 0 (Array.length xs);
+                  moved
+                end
+              in
+              let changed =
+                Array.exists2
+                  (fun a b -> Int64.bits_of_float a <> Int64.bits_of_float b)
+                  before xs
+              in
+              Alcotest.(check bool) "moved iff a bit changed" changed moved;
+              if not moved then incr kept
+            done;
+            Alcotest.(check bool) "some steps kept the point" true
+              (!kept > 0 && !kept < 2_000))
+          [ exp_spec; Kernels.Libimf.sin_spec ]);
     Alcotest.test_case "step does not mutate its argument" `Quick (fun () ->
         let p = Validate.Proposal.create exp_spec in
         let g = Rng.Xoshiro256.create 5L in
@@ -183,6 +220,52 @@ let proposal_tests =
         ignore (Validate.Proposal.step g p xs);
         Alcotest.(check (float 0.)) "unchanged" (-1.5) xs.(0));
   ]
+
+(* The hunt as it was before a candidate equal to the current point was
+   skipped: plain Metropolis with σ = 1 that runs every candidate,
+   counting the ones whose bits moved. *)
+type reference = {
+  max_err : Ulp.t;
+  series : float array;  (** the current error after each step *)
+  moved : int;
+}
+
+let bit_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let reference_hunt ~seed ~proposals spec e =
+  let g = Rng.Xoshiro256.create seed in
+  let p = Validate.Proposal.create spec in
+  let cur = ref (Validate.Proposal.initial g p) in
+  let cur_err, max_err = Validate.Errfn.eval_both e !cur in
+  let cur_err = ref cur_err and max_err = ref max_err and moved = ref 0 in
+  let series =
+    Array.init proposals (fun _ ->
+        let candidate = Validate.Proposal.step g p !cur in
+        if not (bit_equal candidate !cur) then incr moved;
+        let err, exact = Validate.Errfn.eval_both e candidate in
+        if
+          err >= !cur_err
+          || Rng.Dist.float g 1.0 < (err +. 1.) /. (!cur_err +. 1.)
+        then begin
+          cur := candidate;
+          cur_err := err
+        end;
+        if Ulp.compare exact !max_err > 0 then max_err := exact;
+        !cur_err)
+  in
+  { max_err = !max_err; series; moved = !moved }
+
+(* [f ()] and the program runs it made. *)
+let counting_runs f =
+  Sandbox.Exec.Counters.enable ();
+  Fun.protect ~finally:Sandbox.Exec.Counters.disable (fun () ->
+      Sandbox.Exec.Counters.reset ();
+      let x = f () in
+      ((Sandbox.Exec.Counters.snapshot ()).Sandbox.Exec.Counters.runs, x))
 
 let quick_config =
   {
@@ -368,20 +451,49 @@ let regression_tests =
         (* regression: the driver used to query the float error and the
            exact ULP count separately, running every input through both
            programs twice.  Pin the execution count: 2 programs (target +
-           rewrite) x (1 initial point + max_proposals candidates). *)
+           rewrite) x (1 initial point + the candidates that moved), and
+           the walk of a hunt that runs every candidate. *)
         let e = Validate.Errfn.create exp_spec ~rewrite:truncated_exp in
         let iters = 200 in
-        let config =
-          { quick_config with Validate.Driver.max_proposals = iters }
+        let r = reference_hunt ~seed:7L ~proposals:iters exp_spec e in
+        let runs, (max_err, _, samples) =
+          counting_runs (fun () ->
+              Validate.Driver.sample ~sigma:1.0 ~seed:7L ~proposals:iters e)
         in
-        Sandbox.Exec.Counters.enable ();
-        Fun.protect ~finally:Sandbox.Exec.Counters.disable (fun () ->
-            Sandbox.Exec.Counters.reset ();
-            let _ = Validate.Driver.run ~config ~eta:0L e in
-            let c = Sandbox.Exec.Counters.snapshot () in
-            Alcotest.(check int) "one pair of runs per input"
-              (2 * (iters + 1))
-              c.Sandbox.Exec.Counters.runs));
+        Alcotest.(check int) "one pair of runs per moved input"
+          (2 * (1 + r.moved)) runs;
+        Alcotest.(check int64) "max_err" r.max_err max_err;
+        Alcotest.(check bool) "the same walk" true
+          (bit_equal r.series samples));
+    Alcotest.test_case "a candidate that keeps the point is not run" `Quick
+      (fun () ->
+        (* sin/sin_assoc keeps the point on about a third of its steps.
+           The verdict is pinned as a hunt that ran every candidate
+           recorded it, and the count of runs as 2 x (1 + the candidates
+           that moved), far below the 2 x (8000 + 1) of running them
+           all. *)
+        let spec = Kernels.Libimf.sin_spec in
+        let e = Validate.Errfn.create spec ~rewrite:Kernels.Libimf.sin_assoc_rewrite in
+        let config =
+          { Validate.Driver.default_config with
+            Validate.Driver.max_proposals = 20_000; min_samples = 4_000;
+            check_every = 4_000; seed = 3L }
+        in
+        let runs, v =
+          counting_runs (fun () -> Validate.Driver.run ~config ~eta:0L e)
+        in
+        Alcotest.(check string) "max_err" "1321"
+          (Ulp.to_string v.Validate.Driver.max_err);
+        Alcotest.(check int) "iterations" 8_000 v.Validate.Driver.iterations;
+        Alcotest.(check bool) "mixed" true v.Validate.Driver.mixed;
+        Alcotest.(check int64) "geweke_z bits" 0xbfdb9154c0f5ba97L
+          (Int64.bits_of_float v.Validate.Driver.geweke_z);
+        let r = reference_hunt ~seed:3L ~proposals:8_000 spec e in
+        Alcotest.(check int64) "max_err as a hunt running every candidate"
+          r.max_err v.Validate.Driver.max_err;
+        Alcotest.(check int) "one pair of runs per moved input"
+          (2 * (1 + r.moved)) runs;
+        Alcotest.(check int) "runs" 9_958 runs);
   ]
 
 (* ---- early refutation ([run ~refute:true], the frontier's validator) ---- *)
